@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from ..core.date import TruthDiscoveryResult
-from ..core.dependence import DependencePosterior
+from ..core.engine import DependenceView
 
 __all__ = ["truth_result_from_payload", "truth_result_to_payload"]
 
@@ -30,10 +30,7 @@ def truth_result_to_payload(result: TruthDiscoveryResult) -> dict[str, Any]:
         "support": {
             task: dict(values) for task, values in result.support.items()
         },
-        "dependence": [
-            [a, b, posterior.p_a_to_b, posterior.p_b_to_a]
-            for (a, b), posterior in result.dependence.items()
-        ],
+        "dependence": _dependence_rows(result.dependence),
         "iterations": result.iterations,
         "converged": result.converged,
         "method": result.method,
@@ -41,6 +38,35 @@ def truth_result_to_payload(result: TruthDiscoveryResult) -> dict[str, Any]:
         "task_ids": list(result.task_ids),
         "ground_truths": dict(result._ground_truths),
     }
+
+
+def _dependence_rows(dependence) -> list[list]:
+    """``[a, b, p_a_to_b, p_b_to_a]`` rows in the mapping's pair order."""
+    if isinstance(dependence, DependenceView):
+        return [
+            [a, b, p_ab, p_ba]
+            for (a, b), p_ab, p_ba in zip(
+                dependence, dependence.p_ab.tolist(), dependence.p_ba.tolist()
+            )
+        ]
+    return [
+        [a, b, posterior.p_a_to_b, posterior.p_b_to_a]
+        for (a, b), posterior in dependence.items()
+    ]
+
+
+def _dependence_view(rows: list[list]) -> DependenceView:
+    """Rebuild the view from payload rows, numbering ids as they appear."""
+    positions: dict = {}
+    pair_a = [positions.setdefault(row[0], len(positions)) for row in rows]
+    pair_b = [positions.setdefault(row[1], len(positions)) for row in rows]
+    return DependenceView(
+        pair_a,
+        pair_b,
+        [row[2] for row in rows],
+        [row[3] for row in rows],
+        tuple(positions),
+    )
 
 
 def truth_result_from_payload(payload: dict[str, Any]) -> TruthDiscoveryResult:
@@ -61,12 +87,7 @@ def truth_result_from_payload(payload: dict[str, Any]) -> TruthDiscoveryResult:
             task: {value: float(count) for value, count in values.items()}
             for task, values in payload["support"].items()
         },
-        dependence={
-            (a, b): DependencePosterior(
-                p_a_to_b=float(p_ab), p_b_to_a=float(p_ba)
-            )
-            for a, b, p_ab, p_ba in payload["dependence"]
-        },
+        dependence=_dependence_view(payload["dependence"]),
         iterations=int(payload["iterations"]),
         converged=bool(payload["converged"]),
         method=str(payload["method"]),

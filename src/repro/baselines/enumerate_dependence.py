@@ -28,7 +28,7 @@ import numpy as np
 from ..core.config import DateConfig
 from ..core.date import DATE
 from ..core.dependence import DependencePosterior, directed_probability
-from ..core.engine import DependenceArrays, DirectedDependenceLookup
+from ..core.engine import DependenceArrays
 from ..core.independence import IndependenceTable
 from ..core.indexing import ClaimArrays, DatasetIndex
 from ..errors import ConfigurationError
@@ -113,21 +113,21 @@ class EnumerateDependence(DATE):
 
         Steps 1 and 3 ride the vectorized kernels; the per-worker
         ``2^k`` configuration sweep — the cost ED exists to measure —
-        stays explicit, fed by the O(pairs) sorted-key dependence
-        lookup (the dense n_workers² matrix is never materialized;
-        unset entries and the diagonal gather as 0, exactly as the
-        dense matrix's zeros did).
+        stays explicit, fed by the same O(pairs) slot gather as DATE's
+        step 2 (the dense n_workers² matrix is never materialized; the
+        diagonal gathers as 0, exactly as the dense matrix's zeros did).
         """
         r = self.config.copy_prob_r
-        directed = DirectedDependenceLookup.build(arrays, dependence)
+        values = dependence.slot_values()
         indep = np.ones(arrays.n_claims, dtype=np.float64)
-        for m, claim_idx in arrays.multi_group_buckets:
-            members = arrays.claim_worker[claim_idx]  # (G, m)
+        for (m, claim_idx), slots in zip(
+            arrays.multi_group_buckets, arrays.multi_group_slots
+        ):
             # r * P(i -> i') for every ordered member pair of the group.
-            edges = r * directed.gather(members[:, :, None], members[:, None, :])
+            edges = r * values.take(slots)
             if m - 1 <= self.exact_enumeration_limit:
                 off_diag = ~np.eye(m, dtype=bool)
-                for g in range(len(members)):
+                for g in range(len(claim_idx)):
                     for k in range(m):
                         indep[claim_idx[g, k]] = _enumerated_independence(
                             edges[g, k][off_diag[k]].tolist()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ from .config import DateConfig
 from .dependence import DependencePosterior, compute_pairwise_dependence
 from .engine import (
     DependenceArrays,
+    DependenceView,
     IncrementalDependence,
     accuracy_flat,
     dense_accuracy,
@@ -284,7 +286,11 @@ class TruthDiscoveryResult:
     dependence:
         ``(worker_id, worker_id') -> DependencePosterior`` for every
         co-answering pair (ids in dataset order, first < second
-        positionally).  Empty for dependence-unaware methods.
+        positionally), as a read-only ``Mapping``: the vectorized
+        backend hands out a :class:`~repro.core.engine.DependenceView`
+        over its pair arrays, other paths a plain dict; both iterate
+        in pair order and compare equal item by item.  Empty for
+        dependence-unaware methods.
     iterations:
         Number of refinement iterations executed.
     converged:
@@ -298,7 +304,7 @@ class TruthDiscoveryResult:
     worker_accuracy: dict[str, float]
     confidence: dict[str, float]
     support: dict[str, dict[str, float]]
-    dependence: dict[tuple[str, str], DependencePosterior]
+    dependence: Mapping[tuple[str, str], DependencePosterior]
     iterations: int
     converged: bool
     method: str = "DATE"
@@ -697,7 +703,7 @@ def build_result(
     accuracy: np.ndarray,
     posteriors: list[dict[str, float]],
     support: list[dict[str, float]],
-    dependence: dict[tuple[int, int], DependencePosterior],
+    dependence: Mapping[tuple[int, int], DependencePosterior],
     *,
     iterations: int,
     converged: bool,
@@ -732,10 +738,14 @@ def build_result(
     worker_accuracy = {
         worker_id: float(means[i]) for i, worker_id in enumerate(index.worker_ids)
     }
-    dependence_map = {
-        (index.worker_ids[a], index.worker_ids[b]): posterior
-        for (a, b), posterior in dependence.items()
-    }
+    worker_ids = tuple(index.worker_ids)
+    if isinstance(dependence, DependenceView):
+        dependence_map = dependence.rekeyed(worker_ids)
+    else:
+        dependence_map = {
+            (worker_ids[a], worker_ids[b]): posterior
+            for (a, b), posterior in dependence.items()
+        }
     return TruthDiscoveryResult(
         truths=truth_map,
         accuracy_matrix=accuracy,
@@ -746,7 +756,7 @@ def build_result(
         iterations=iterations,
         converged=converged,
         method=method,
-        worker_ids=tuple(index.worker_ids),
+        worker_ids=worker_ids,
         task_ids=tuple(index.task_ids),
         _ground_truths=dict(index.dataset.truths),
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import ItemsView, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ from .indexing import ClaimArrays, _concat_ranges, segment_first_argmax_code
 
 __all__ = [
     "DependenceArrays",
-    "DirectedDependenceLookup",
+    "DependenceView",
     "IncrementalDependence",
     "IncrementalStats",
     "KernelScratch",
@@ -180,9 +181,10 @@ class DependenceArrays:
     def directed_matrix(self, arrays: ClaimArrays) -> np.ndarray:
         """Dense ``D[i, k] = P(i -> k | D)`` lookup (0 where undefined).
 
-        O(n_workers²) memory — only appropriate for deliberately small
-        worlds (the exponential ED baseline).  Production paths use
-        :class:`DirectedDependenceLookup`, which is O(pairs).
+        O(n_workers²) memory — a test oracle for deliberately small
+        worlds.  The kernels gather through
+        :attr:`~repro.core.indexing.ClaimArrays.multi_group_slots`
+        into :meth:`slot_values` instead, which is O(pairs).
         """
         n = arrays.index.n_workers
         matrix = np.zeros((n, n), dtype=np.float64)
@@ -190,45 +192,79 @@ class DependenceArrays:
         matrix[arrays.pair_b, arrays.pair_a] = self.p_ba
         return matrix
 
+    def slot_values(self) -> np.ndarray:
+        """``concat([p_ab, p_ba, [0.0]])`` — what pair slots index."""
+        return np.concatenate([self.p_ab, self.p_ba, [0.0]])
 
-@dataclass(frozen=True)
-class DirectedDependenceLookup:
-    """O(pairs) lookup of ``P(i -> k | D)`` over sorted integer keys.
 
-    The sparse replacement for :meth:`DependenceArrays.directed_matrix`:
-    each directed pair is keyed as ``i * n_workers + k`` and stored
-    sorted, so an arbitrary batch of ``(i, k)`` queries is one
-    ``searchsorted`` — memory stays O(pairs) where the dense matrix is
-    O(n_workers²).  Pairs that never co-answered (and the diagonal)
-    resolve to 0, exactly as the dense matrix's unset entries.
+class DependenceView(Mapping):
+    """Read-only ``(a, b) -> DependencePosterior`` view over pair arrays.
+
+    Holds the kernels' ``pair_a``/``pair_b``/``p_ab``/``p_ba`` arrays
+    and a key-id sequence ``ids``: pair ``k`` is keyed
+    ``(ids[pair_a[k]], ids[pair_b[k]])`` — worker positions for
+    ``ids=range(n_workers)``, worker ids for ``ids=index.worker_ids``,
+    so re-keying (:meth:`rekeyed`) swaps one sequence instead of
+    walking every pair.  Iteration follows pair order and posteriors
+    are built on demand; the ``key -> position`` dict is only built on
+    the first lookup.  Equality with any mapping (a plain dict included)
+    compares items, exactly as between dicts.
     """
 
-    keys: np.ndarray
-    values: np.ndarray
-    n_workers: int
+    __slots__ = ("pair_a", "pair_b", "p_ab", "p_ba", "ids", "_positions")
 
-    @classmethod
-    def build(
-        cls, arrays: ClaimArrays, dependence: DependenceArrays
-    ) -> "DirectedDependenceLookup":
-        n = arrays.index.n_workers
-        a = arrays.pair_a.astype(np.int64)
-        b = arrays.pair_b.astype(np.int64)
-        keys = np.concatenate([a * n + b, b * n + a])
-        values = np.concatenate([dependence.p_ab, dependence.p_ba])
-        order = np.argsort(keys)
-        return cls(keys=keys[order], values=values[order], n_workers=n)
+    def __init__(self, pair_a, pair_b, p_ab, p_ba, ids) -> None:
+        self.pair_a = _read_only(pair_a, np.int64)
+        self.pair_b = _read_only(pair_b, np.int64)
+        self.p_ab = _read_only(p_ab, np.float64)
+        self.p_ba = _read_only(p_ba, np.float64)
+        self.ids = ids
+        self._positions: dict | None = None
 
-    def gather(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """``D[src, dst]`` for broadcastable index arrays (0 where unset)."""
-        query = src.astype(np.int64) * self.n_workers + dst
-        if self.keys.size == 0:
-            return np.zeros(query.shape, dtype=np.float64)
-        position = np.searchsorted(self.keys, query)
-        position = np.minimum(position, len(self.keys) - 1)
-        return np.where(
-            self.keys[position] == query, self.values[position], 0.0
+    def rekeyed(self, ids) -> "DependenceView":
+        """The same pairs keyed through another id sequence."""
+        return DependenceView(self.pair_a, self.pair_b, self.p_ab, self.p_ba, ids)
+
+    def __len__(self) -> int:
+        return len(self.pair_a)
+
+    def __iter__(self):
+        ids = self.ids
+        for a, b in zip(self.pair_a.tolist(), self.pair_b.tolist()):
+            yield (ids[a], ids[b])
+
+    def __getitem__(self, key) -> DependencePosterior:
+        if self._positions is None:
+            self._positions = {pair: k for k, pair in enumerate(self)}
+        k = self._positions[key]
+        return DependencePosterior(
+            p_a_to_b=float(self.p_ab[k]), p_b_to_a=float(self.p_ba[k])
         )
+
+    def items(self):
+        return _DependenceItems(self)
+
+    def __reduce__(self):
+        return (
+            DependenceView,
+            (self.pair_a, self.pair_b, self.p_ab, self.p_ba, self.ids),
+        )
+
+
+class _DependenceItems(ItemsView):
+    """Items straight off the arrays, without the position dict."""
+
+    def __iter__(self):
+        view = self._mapping
+        for key, ab, ba in zip(view, view.p_ab.tolist(), view.p_ba.tolist()):
+            yield key, DependencePosterior(p_a_to_b=ab, p_b_to_a=ba)
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    """A non-writeable view of ``values`` (the source stays writeable)."""
+    view = np.asarray(values, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
 
 
 def _score_pair_rows(
@@ -859,10 +895,12 @@ def independence_flat(
 
     The greedy ordering inside each multi-provider value group is
     inherently sequential in the group *size*, but not across groups:
-    all groups of one size run batched (``(G, m, m)`` tensors gathered
-    through the O(pairs) :class:`DirectedDependenceLookup`), so the
-    Python loop is one step per distinct group size — not per group.  Single-provider groups
-    keep the definitional ``I = 1`` without being visited at all.
+    all groups of one size run batched (``(G, m, m)`` tensors taken
+    through the precomputed
+    :attr:`~repro.core.indexing.ClaimArrays.multi_group_slots`), so the
+    Python loop is one step per distinct group size — not per group.
+    Single-provider groups keep the definitional ``I = 1`` without
+    being visited at all.
 
     Ordering and tie-break rules replicate
     :func:`~repro.core.independence.order_value_group` exactly: groups
@@ -887,13 +925,12 @@ def independence_flat(
     if not buckets:
         return indep
 
-    # O(pairs) sorted-key lookup — the dense n_workers² matrix is never
+    # O(pairs) slot gather — the dense n_workers² matrix is never
     # materialized, so dependence memory scales with co-answering pairs.
-    directed = DirectedDependenceLookup.build(arrays, dependence)
-    for m, claim_idx in buckets:
-        members = arrays.claim_worker[claim_idx]  # (G, m)
-        sub = directed.gather(members[:, :, None], members[:, None, :])  # (G, m, m)
-        n_groups = len(members)
+    values = dependence.slot_values()
+    for (m, claim_idx), slots in zip(buckets, arrays.multi_group_slots):
+        n_groups = len(claim_idx)
+        sub = values.take(slots)
         total_sub = np.add(
             sub, sub.transpose(0, 2, 1), out=scratch.array("if_total", (n_groups, m, m))
         )
@@ -1296,14 +1333,16 @@ def _group_table(arrays: ClaimArrays, values: np.ndarray) -> list[dict[str, floa
 
 def dependence_table(
     arrays: ClaimArrays, dependence: DependenceArrays
-) -> dict[tuple[int, int], DependencePosterior]:
-    """Pair arrays -> the scalar ``(a, b) -> DependencePosterior`` dict."""
-    return {
-        (int(a), int(b)): DependencePosterior(p_a_to_b=float(ab), p_b_to_a=float(ba))
-        for a, b, ab, ba in zip(
-            arrays.pair_a, arrays.pair_b, dependence.p_ab, dependence.p_ba
-        )
-    }
+) -> DependenceView:
+    """Pair arrays -> the scalar ``(a, b) -> DependencePosterior`` shape,
+    as a view keyed by worker position (no per-pair objects)."""
+    return DependenceView(
+        arrays.pair_a,
+        arrays.pair_b,
+        dependence.p_ab,
+        dependence.p_ba,
+        range(arrays.index.n_workers),
+    )
 
 
 def independence_table(

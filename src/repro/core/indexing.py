@@ -656,6 +656,48 @@ class ClaimArrays:
         return buckets
 
     @cached_property
+    def multi_group_slots(self) -> list[np.ndarray]:
+        """Pair slots of every member pair, aligned with the buckets.
+
+        For the ``(G, m)`` bucket of :attr:`multi_group_buckets`, a
+        ``(G, m, m)`` array whose ``[g, k, l]`` entry indexes
+        ``concat([p_ab, p_ba, [0.0]])`` at ``P(member k -> member l)``:
+        slot ``p`` when ``k < l`` (workers ascend within a group, so
+        member ``k`` is ``pair_a`` of pair ``p``), ``n_pairs + p`` when
+        ``k > l``, and the trailing ``2 * n_pairs`` on the diagonal.
+        The layout depends only on the claims, so Eq. 16 gathers its
+        member-pair dependence with one ``take`` per bucket.  Built by
+        a single scatter of the same-group pair rows.
+        """
+        buckets = self.multi_group_buckets
+        n_pairs = self.n_pairs
+        # Flat offset of each bucket, and of each multi-provider group's
+        # m x m block.
+        bucket_start = []
+        block = np.zeros(self.n_groups, dtype=np.int64)
+        total = 0
+        for m, claim_idx in buckets:
+            bucket_start.append(total)
+            block[self.claim_group[claim_idx[:, 0]]] = total + m * m * np.arange(len(claim_idx))
+            total += claim_idx.size * m
+        flat = np.full(total, 2 * n_pairs, dtype=np.intp)
+        claim_a, claim_b = self.ps_claim_a, self.ps_claim_b
+        group = self.claim_group[claim_a]
+        same = np.flatnonzero(group == self.claim_group[claim_b])
+        group = group[same]
+        start = self.group_ptr[group]
+        size = self.group_size[group]
+        local_a = claim_a[same] - start
+        local_b = claim_b[same] - start
+        pair = self.ps_pair[same]
+        flat[block[group] + local_a * size + local_b] = pair
+        flat[block[group] + local_b * size + local_a] = pair + n_pairs
+        return [
+            flat[begin : begin + claim_idx.size * m].reshape(-1, m, m)
+            for begin, (m, claim_idx) in zip(bucket_start, buckets)
+        ]
+
+    @cached_property
     def code_lookup(self) -> list[dict[str, int]]:
         """Per-task ``value -> code`` maps (for warm starts and tests)."""
         lookup: list[dict[str, int]] = [dict() for _ in range(self.index.n_tasks)]

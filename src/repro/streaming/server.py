@@ -287,7 +287,18 @@ class _Handler(BaseHTTPRequestHandler):
     timeout = DEFAULT_REQUEST_TIMEOUT  # per-connection socket timeout
 
     def _respond(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or 0
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body cannot be delimited: answer, then drop the
+            # connection rather than parse leftover bytes as a request.
+            self._send(
+                400, {"error": f"invalid Content-Length header: {header!r}"}, close=True
+            )
+            return
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw) if raw else {}
@@ -300,7 +311,7 @@ class _Handler(BaseHTTPRequestHandler):
             status, body = 500, {"error": f"internal error: {exc}"}
         self._send(status, body)
 
-    def _send(self, status: int, body: dict | str) -> None:
+    def _send(self, status: int, body: dict | str, *, close: bool = False) -> None:
         # /metrics returns exposition text; everything else is JSON.
         if isinstance(body, str):
             data = body.encode("utf-8")
@@ -316,6 +327,8 @@ class _Handler(BaseHTTPRequestHandler):
             if isinstance(body, dict):
                 retry_after = float(body.get("retry_after") or 1.0)
             self.send_header("Retry-After", str(max(1, round(retry_after))))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 

@@ -3,7 +3,7 @@
 Outcome-level equivalence with the reference lives in
 tests/property/test_property_auction_backends.py; these tests pin the
 pieces — config validation, the CSR/CSC accuracy index, the trace
-layout, and the O(pairs) directed-dependence lookup.
+layout, and the O(pairs) pair-slot map of Eq. 16.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from repro import AuctionConfig, ConfigurationError, ReverseAuction, SOACInstanc
 from repro.auction.engine import batched_greedy_cover
 from repro.auction.soac import SparseAccuracy
 from repro.core.engine import (
-    DirectedDependenceLookup,
+    DependenceArrays,
+    independence_flat,
     pairwise_dependence_arrays,
 )
 from repro.core.falsedist import UniformFalseValues
@@ -125,7 +126,9 @@ class TestCoverTrace:
         assert trace.scores.shape == (0, 1)
 
 
-class TestDirectedDependenceLookup:
+class TestMultiGroupSlots:
+    """Eq. 16's member-pair gather: ``slot_values().take(slots)``."""
+
     def _dependence(self, dataset):
         index = DatasetIndex(dataset)
         arrays = index.arrays
@@ -139,28 +142,34 @@ class TestDirectedDependenceLookup:
         )
         return arrays, dependence
 
-    def test_gather_matches_dense_matrix(self, qlf_small):
+    def test_take_matches_dense_matrix(self, qlf_small):
         arrays, dependence = self._dependence(qlf_small)
         dense = dependence.directed_matrix(arrays)
-        n = arrays.index.n_workers
-        src, dst = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        lookup = DirectedDependenceLookup.build(arrays, dependence)
-        np.testing.assert_array_equal(lookup.gather(src, dst), dense)
+        values = dependence.slot_values()
+        buckets = arrays.multi_group_buckets
+        assert len(buckets) > 1
+        assert len(arrays.multi_group_slots) == len(buckets)
+        for (m, claim_idx), slots in zip(buckets, arrays.multi_group_slots):
+            members = arrays.claim_worker[claim_idx]
+            assert slots.shape == (len(claim_idx), m, m)
+            np.testing.assert_array_equal(
+                values.take(slots), dense[members[:, :, None], members[:, None, :]]
+            )
 
     def test_memory_is_pairs_not_squared(self, qlf_small):
         arrays, dependence = self._dependence(qlf_small)
-        lookup = DirectedDependenceLookup.build(arrays, dependence)
-        assert lookup.keys.shape == (2 * arrays.n_pairs,)
-        assert lookup.values.shape == (2 * arrays.n_pairs,)
+        assert dependence.slot_values().shape == (2 * arrays.n_pairs + 1,)
+        sizes = arrays.group_size[arrays.multi_groups]
+        slots = arrays.multi_group_slots
+        assert sum(s.size for s in slots) == int((sizes**2).sum())
+        assert all(s.dtype == np.intp for s in slots)
 
     def test_empty_pairs(self, tiny_dataset):
         dataset = tiny_dataset.subset(worker_ids=["w5"])
         arrays = DatasetIndex(dataset).arrays
-        from repro.core.engine import DependenceArrays
-
-        dependence = DependenceArrays(
-            p_ab=np.empty(0), p_ba=np.empty(0)
-        )
-        lookup = DirectedDependenceLookup.build(arrays, dependence)
-        out = lookup.gather(np.array([[0]]), np.array([[0]]))
-        np.testing.assert_array_equal(out, [[0.0]])
+        dependence = DependenceArrays(p_ab=np.empty(0), p_ba=np.empty(0))
+        assert arrays.n_pairs == 0
+        assert arrays.multi_group_slots == []
+        np.testing.assert_array_equal(dependence.slot_values(), [0.0])
+        indep = independence_flat(arrays, dependence, copy_prob_r=0.4)
+        np.testing.assert_array_equal(indep, np.ones(arrays.n_claims))

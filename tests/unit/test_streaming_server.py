@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -404,6 +405,33 @@ class TestLiveServer:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+    @staticmethod
+    def raw_exchange(server, content_length: bytes) -> bytes:
+        """Send one request with a raw Content-Length header; read to EOF."""
+        port = server.server_address[1]
+        request = (
+            b"POST /campaigns HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + content_length + b"\r\n\r\n{}"
+        )
+        chunks = []
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(request)
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    @pytest.mark.parametrize("content_length", [b"twelve", b"-5"])
+    def test_bad_content_length_400(self, server, content_length):
+        reply = self.raw_exchange(server, content_length)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"connection: close" in head.lower()
+        assert "Content-Length" in json.loads(body)["error"]
+        # The handler survived: the next request is served normally.
+        status, body = self.request(server, "GET", "/health")
+        assert status == 200 and body["status"] == "ok"
 
 
 @pytest.fixture
