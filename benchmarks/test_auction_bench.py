@@ -21,14 +21,17 @@ import time
 import numpy as np
 import pytest
 
-from repro import ReverseAuction, SOACInstance
+from repro import DATE, ReverseAuction, SOACInstance
 from repro.auction.engine import batched_greedy_cover, run_auction, vectorized_cover
 from repro.auction.reverse_auction import greedy_cover, reference_payments
+from repro.datasets import generate_qatar_living_like
 
 #: The gate scale from the issue: 500 workers, 200 tasks.
 GATE_WORKERS = 500
 GATE_TASKS = 200
 GATE_SEED = 2024
+#: A paper-scale IMC2 instance with 70 winners, 13 of them monopolists.
+PAPER_SEED = 4
 
 
 def sparse_instance(
@@ -66,10 +69,10 @@ def gate_instance() -> SOACInstance:
     return sparse_instance(GATE_WORKERS, GATE_TASKS, seed=GATE_SEED)
 
 
-def test_backends_exactly_equal_at_gate_scale(gate_instance):
+def assert_backends_exactly_equal(instance: SOACInstance):
     """Winners, order, payments, monopolists: bit-for-bit equal."""
-    reference = ReverseAuction(backend="reference").run(gate_instance)
-    vectorized = ReverseAuction().run(gate_instance)
+    reference = ReverseAuction(backend="reference").run(instance)
+    vectorized = ReverseAuction().run(instance)
     assert vectorized.winner_ids == reference.winner_ids
     assert vectorized.winner_indexes == reference.winner_indexes
     assert vectorized.monopolists == reference.monopolists
@@ -78,6 +81,27 @@ def test_backends_exactly_equal_at_gate_scale(gate_instance):
         assert vectorized.payments[worker_id] == payment, worker_id
     assert vectorized.social_cost == reference.social_cost
     assert vectorized.total_payment == reference.total_payment
+    return reference
+
+
+def test_backends_exactly_equal_at_gate_scale(gate_instance):
+    assert_backends_exactly_equal(gate_instance)
+
+
+def test_backends_exactly_equal_on_paper_scale_imc2():
+    """Realistic sparsity: the instance IMC2 builds from a DATE run.
+
+    Paper-size Qatar-Living-like campaign, requirements capped at 80% of
+    available accuracy.  Its many monopolists take the payment
+    continuation through the exhausted-candidates path.
+    """
+    dataset = generate_qatar_living_like(seed=PAPER_SEED)
+    instance = SOACInstance.from_truth_discovery(
+        dataset, DATE().run(dataset)
+    ).with_capped_requirements(0.8)
+    reference = assert_backends_exactly_equal(instance)
+    assert reference.n_winners >= 50
+    assert len(reference.monopolists) >= 5
 
 
 def test_selection_traces_equal_at_gate_scale(gate_instance):

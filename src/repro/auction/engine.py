@@ -25,13 +25,19 @@ fleet-wide numpy passes.  Three ideas carry the speedup:
    main run therefore memoizes its per-round residuals and fleet
    marginals once (:class:`CoverTrace`), every winner's rerun reads its
    shared-prefix payment terms straight out of that trace, and only the
-   *continuation* from the fork round onward is executed.
+   *continuation* from the fork round onward is executed — as a lazy
+   greedy over a heap seeded from the trace's fork-round marginals.
+   The residual only shrinks, so every marginal is non-increasing and,
+   for finite non-negative bids, every ``bid / marginal`` ratio is
+   non-decreasing; a stale heap key is a lower bound on the current
+   ratio, and only stale entries that reach the top are re-evaluated.
 
 Equality contract: every quantity that reaches an output or a decision
 is computed by the same floating-point expression as the reference —
 marginals as dense capped-row sums (numpy's pairwise row reduction is
-bit-identical whether one row or a whole matrix is summed), residual
-updates by the same elementwise formula, payment terms as
+bit-identical whether one row or a whole matrix is summed; continuations
+use the reference's own ``min(residual, A_k).sum()``), residual updates
+by the same elementwise formula, payment terms as
 ``(b_k · own) / other`` in the same association order.  Winners,
 selection order, payments, and monopolists are therefore *exactly*
 equal, not approximately (DESIGN.md §10; pinned by
@@ -41,6 +47,8 @@ payment phase by benchmarks/test_auction_bench.py).
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -118,21 +126,34 @@ class _Cover:
         """
         self.eligible[winner] = False
         self.selected.append(winner)
-        cols = self.sparse.tasks_of(winner)
-        touched = cols[self.residual[cols] > 0.0]
+        touched = _subtract_coverage(self.instance, self.residual, winner)
         if touched.size == 0:
             return
-        accuracy = self.instance.accuracy
-        self.residual[touched] = np.maximum(
-            self.residual[touched]
-            - np.minimum(self.residual[touched], accuracy[winner, touched]),
-            0.0,
-        )
         self.capped[:, touched] = np.minimum(
-            self.residual[touched][None, :], accuracy[:, touched]
+            self.residual[touched][None, :], self.instance.accuracy[:, touched]
         )
         affected = self.sparse.workers_on(touched)
         self.scores[affected] = self.capped[affected].sum(axis=1)
+
+
+def _subtract_coverage(
+    instance: SOACInstance, residual: np.ndarray, winner: int
+) -> np.ndarray:
+    """Subtract one winner's capped coverage from ``residual`` in place.
+
+    Same elementwise formula as the reference, applied only to the
+    winner's still-uncovered task columns (everywhere else it is the
+    identity).  Returns those columns.
+    """
+    cols = instance.sparse_accuracy.tasks_of(winner)
+    touched = cols[residual[cols] > 0.0]
+    if touched.size:
+        residual[touched] = np.maximum(
+            residual[touched]
+            - np.minimum(residual[touched], instance.accuracy[winner, touched]),
+            0.0,
+        )
+    return touched
 
 
 def batched_greedy_cover(instance: SOACInstance) -> CoverTrace:
@@ -202,24 +223,63 @@ def _continuation(
 
     Forks the ``W \\ {i}`` rerun at the round that selected ``i``
     (everything earlier is the shared prefix) and greedily covers the
-    remaining residual without ``i``.  Raises
-    :class:`InfeasibleCoverageError` when the rest of the fleet cannot
-    finish the cover — the monopolist case.
+    remaining residual without ``i`` — as a *lazy* greedy.  A heap holds
+    ``(ratio, worker, round, marginal)`` entries seeded from the exact
+    fork-round marginals in ``trace.scores``; each round re-evaluates
+    only stale entries from the top down until a fresh one surfaces.
+    Marginals never grow as the residual shrinks, so a stale ratio is a
+    lower bound on the current one and the first fresh top is the
+    argmin (ties to the lower index, like ``np.argmin``).  Raises
+    :class:`InfeasibleCoverageError` when the heap empties with the
+    residual still open — the monopolist case.
     """
     excluded = int(trace.winners[position])
-    cover = _Cover(instance, trace.residuals[position].copy())
-    prefix = trace.winners[:position]
-    cover.eligible[prefix] = False
-    cover.eligible[excluded] = False
-    cover.selected.extend(int(w) for w in prefix)
-    bids = instance.bids
+    residual = trace.residuals[position].copy()
+    accuracy = instance.accuracy
+    bids = instance.bids.tolist()
+    fork_scores = trace.scores[position]
+    useful = fork_scores > COVERAGE_TOL
+    useful[trace.winners[: position + 1]] = False
+    ratios = np.full(len(fork_scores), np.inf)
+    np.divide(instance.bids, fork_scores, out=ratios, where=useful)
+    workers = np.flatnonzero(useful)
+    heap = list(
+        zip(
+            ratios[workers].tolist(),
+            workers.tolist(),
+            itertools.repeat(0),
+            fork_scores[workers].tolist(),
+        )
+    )
+    heapq.heapify(heap)
+    # ``ndarray.sum`` is ``np.add.reduce`` behind a Python wrapper;
+    # calling the ufunc directly gives the same pairwise sum, cheaper.
+    add, minimum = np.add.reduce, np.minimum
+    capped = np.empty_like(residual)
+    selected = trace.winners[:position].tolist()
     best = 0.0
-    while not cover.covered():
-        winner = cover.pick()
-        term = (float(bids[winner]) * cover.scores[excluded]) / cover.scores[winner]
-        best = max(best, term)
-        cover.apply(winner)
-    return float(best)
+    round_ = 0
+    while add(residual) > COVERAGE_TOL:
+        while heap and heap[0][2] != round_:
+            worker = heap[0][1]
+            marginal = float(add(minimum(residual, accuracy[worker], out=capped)))
+            if marginal <= COVERAGE_TOL:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(
+                    heap, (bids[worker] / marginal, worker, round_, marginal)
+                )
+        if not heap:
+            raise InfeasibleCoverageError(
+                instance.uncovered_tasks(sorted(selected))
+            )
+        _, winner, _, other = heapq.heappop(heap)
+        own = float(add(minimum(residual, accuracy[excluded], out=capped)))
+        best = max(best, (bids[winner] * own) / other)
+        selected.append(winner)
+        _subtract_coverage(instance, residual, winner)
+        round_ += 1
+    return best
 
 
 def run_auction(

@@ -158,12 +158,15 @@ class SOACInstance:
             raise ConfigurationError(
                 f"task_values must have shape ({m},), got {self.task_values.shape}"
             )
-        if np.any(self.requirements < 0):
-            raise ConfigurationError("requirements must be non-negative")
-        if np.any(self.accuracy < 0) or np.any(self.accuracy > 1):
+        # Written as "all valid" tests so NaN fails them too.  The
+        # engine's lazy payment continuation relies on finite,
+        # non-negative bids (DESIGN.md §10).
+        for name in ("requirements", "bids", "costs"):
+            values = getattr(self, name)
+            if not np.all(np.isfinite(values) & (values >= 0)):
+                raise ConfigurationError(f"{name} must be finite and non-negative")
+        if not np.all((self.accuracy >= 0) & (self.accuracy <= 1)):
             raise ConfigurationError("accuracies must lie in [0, 1]")
-        if np.any(self.bids < 0) or np.any(self.costs < 0):
-            raise ConfigurationError("bids and costs must be non-negative")
 
     # ------------------------------------------------------------------
     # Construction
@@ -324,8 +327,6 @@ class SOACInstance:
         The true cost vector is unchanged — this is exactly a strategic
         misreport, as used by the truthfulness experiments (Fig. 8).
         """
-        if price < 0:
-            raise ConfigurationError("price must be non-negative")
         bids = self.bids.copy()
         bids[worker_index] = price
         return SOACInstance(

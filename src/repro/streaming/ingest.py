@@ -16,6 +16,7 @@ online engine from recorded campaigns.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -146,14 +147,21 @@ def replay_batches(dataset: Dataset, n_batches: int) -> list[ClaimBatch]:
 
 
 def coerce_number(spec: Mapping, key: str, default: float) -> float:
-    """Read an optional numeric field, mapping junk to DataFormatError."""
+    """Read an optional numeric field, mapping junk to DataFormatError.
+
+    Non-finite values (``"nan"``, ``"inf"``, JSON ``NaN``/``Infinity``)
+    are junk too: they would otherwise reach the auction as bids.
+    """
     value = spec.get(key, default)
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise DataFormatError(
             f"field {key!r} must be a number, got {value!r}"
         ) from exc
+    if not math.isfinite(number):
+        raise DataFormatError(f"field {key!r} must be finite, got {value!r}")
+    return number
 
 
 def task_from_spec(spec: Mapping) -> Task:

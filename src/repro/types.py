@@ -23,6 +23,7 @@ exist for data generation and evaluation only; no algorithm in
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -67,9 +68,10 @@ class Task:
             raise DataFormatError("task_id must be a non-empty string")
         if len(set(self.domain)) != len(self.domain):
             raise DataFormatError(f"task {self.task_id}: duplicate domain values")
-        if self.requirement < 0:
+        if not (math.isfinite(self.requirement) and self.requirement >= 0):
             raise ConfigurationError(
-                f"task {self.task_id}: requirement must be >= 0, got {self.requirement}"
+                f"task {self.task_id}: requirement must be finite and >= 0, "
+                f"got {self.requirement}"
             )
         if self.domain and self.truth is not None and self.truth not in self.domain:
             raise DataFormatError(
@@ -109,9 +111,9 @@ class WorkerProfile:
     def __post_init__(self) -> None:
         if not self.worker_id:
             raise DataFormatError("worker_id must be a non-empty string")
-        if self.cost < 0:
+        if not (math.isfinite(self.cost) and self.cost >= 0):
             raise ConfigurationError(
-                f"worker {self.worker_id}: cost must be >= 0, got {self.cost}"
+                f"worker {self.worker_id}: cost must be finite and >= 0, got {self.cost}"
             )
         if not 0.0 <= self.reliability <= 1.0:
             raise ConfigurationError(
@@ -144,9 +146,10 @@ class Bid:
     price: float
 
     def __post_init__(self) -> None:
-        if self.price < 0:
+        if not (math.isfinite(self.price) and self.price >= 0):
             raise ConfigurationError(
-                f"bid of worker {self.worker_id}: price must be >= 0"
+                f"bid of worker {self.worker_id}: price must be finite and >= 0, "
+                f"got {self.price}"
             )
         if not self.task_ids:
             raise ConfigurationError(

@@ -11,7 +11,11 @@ likely to break prefix sharing:
   excluding one winner frequently strands coverage → monopolists;
 - sparse accuracy rows, so the incremental column updates carry most
   of the selection;
-- infeasible instances, where both backends must raise identically.
+- infeasible instances, where both backends must raise identically;
+- quantized instances (integer bids, accuracies on a 0.25 grid), where
+  equal bid/marginal ratios are common and the lazy payment
+  continuation's stale and fresh heap entries tie;
+- larger fleets, where each continuation runs many lazy rounds.
 """
 
 from __future__ import annotations
@@ -34,8 +38,13 @@ def build_instance(
     requirement_pressure: float = 0.9,
     bid_spread: float = 0.6,
     ensure_coverable: bool = True,
+    quantized: bool = False,
 ) -> SOACInstance:
-    """One random instance, deterministically derived from ``seed``."""
+    """One random instance, deterministically derived from ``seed``.
+
+    ``quantized`` rounds accuracies up to a 0.25 grid, requirements down
+    to it, and draws integer bids in 1-4, so ratio ties are frequent.
+    """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, max_workers + 1))
     m = int(rng.integers(1, max_tasks + 1))
@@ -51,6 +60,10 @@ def build_instance(
         rng.uniform(0.1, 3.0, m), requirement_pressure * accuracy.sum(axis=0)
     )
     bids = rng.lognormal(0.5, bid_spread, n)
+    if quantized:
+        accuracy = np.ceil(accuracy * 4) / 4
+        requirements = np.floor(requirements * 4) / 4
+        bids = rng.integers(1, 5, n).astype(np.float64)
     return SOACInstance(
         worker_ids=tuple(f"w{i}" for i in range(n)),
         task_ids=tuple(f"t{j}" for j in range(m)),
@@ -113,6 +126,24 @@ class TestRandomInstances:
             assert outcome.payments[worker_id] == pytest.approx(
                 float(instance.bids[index])
             )
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60)
+    def test_quantized_ties(self, seed):
+        """Integer bids on a 0.25 accuracy grid: ties everywhere."""
+        assert_outcomes_identical(build_instance(seed, quantized=True))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        quantized=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_larger_instances(self, seed, quantized):
+        """Up to 60 workers x 25 tasks: long lazy continuations."""
+        instance = build_instance(
+            seed, max_workers=60, max_tasks=25, quantized=quantized
+        )
+        assert_outcomes_identical(instance)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40)

@@ -54,6 +54,38 @@ class TestValidation:
                 task_values=soac_small.task_values,
             )
 
+    @pytest.mark.parametrize("field", ["requirements", "bids", "costs"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, soac_small, field, value):
+        # NaN fails every ordered comparison, so a bare "< 0" check
+        # would let it through to the auction.
+        bad = getattr(soac_small, field).copy()
+        bad[0] = value
+        fields = {
+            name: getattr(soac_small, name)
+            for name in (
+                "worker_ids", "task_ids", "requirements", "accuracy",
+                "bids", "costs", "task_values",
+            )
+        }
+        fields[field] = bad
+        with pytest.raises(ConfigurationError):
+            SOACInstance(**fields)
+
+    def test_nan_accuracy_rejected(self, soac_small):
+        bad = soac_small.accuracy.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(ConfigurationError):
+            SOACInstance(
+                worker_ids=soac_small.worker_ids,
+                task_ids=soac_small.task_ids,
+                requirements=soac_small.requirements,
+                accuracy=bad,
+                bids=soac_small.bids,
+                costs=soac_small.costs,
+                task_values=soac_small.task_values,
+            )
+
 
 class TestQueries:
     def test_coverage(self, soac_small):
@@ -108,6 +140,10 @@ class TestTransformations:
     def test_with_bid_negative_rejected(self, soac_small):
         with pytest.raises(ConfigurationError):
             soac_small.with_bid(0, -1.0)
+
+    def test_with_bid_nan_rejected(self, soac_small):
+        with pytest.raises(ConfigurationError):
+            soac_small.with_bid(0, float("nan"))
 
     def test_without_worker(self, soac_small):
         reduced = soac_small.without_worker(3)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import Task, WorkerProfile
 from repro.errors import DataFormatError
 from repro.streaming import ClaimBatch, batch_from_json, batch_to_json, replay_batches
+from repro.streaming.ingest import coerce_number
 
 
 class TestClaimBatch:
@@ -122,6 +125,21 @@ class TestJsonRoundTrip:
             batch_from_json({"tasks": [{"domain": ["A"]}]})
         with pytest.raises(DataFormatError, match="worker_id"):
             batch_from_json({"workers": [{}]})
+
+    @pytest.mark.parametrize(
+        "value", ["nan", "inf", "-Infinity", float("nan"), float("inf")]
+    )
+    def test_non_finite_numbers_rejected(self, value):
+        with pytest.raises(DataFormatError, match="finite"):
+            coerce_number({"cost": value}, "cost", 1.0)
+        with pytest.raises(DataFormatError, match="finite"):
+            batch_from_json({"workers": [{"worker_id": "w", "cost": value}]})
+
+    def test_json_nan_literal_rejected(self):
+        # json.loads accepts the NaN / Infinity literals by default.
+        payload = json.loads('{"tasks": [{"task_id": "t", "requirement": NaN}]}')
+        with pytest.raises(DataFormatError, match="finite"):
+            batch_from_json(payload)
 
     def test_duplicate_claim_rows_rejected(self):
         rows = [

@@ -349,6 +349,19 @@ class TestStreamingApp:
         status, body = app.handle("POST", "/campaigns/c1/auction", {})
         assert status == 400 and "error" in body
 
+    def test_non_finite_cost_400_before_journal(self, tmp_path):
+        # A NaN cost would become a NaN bid that wins the auction; it is
+        # rejected at the ingest edge, before the create is journaled.
+        app = StreamingApp(CampaignStore(journal_dir=tmp_path))
+        status, body = app.handle(
+            "POST",
+            "/campaigns",
+            {"campaign_id": "c1", "workers": [{"worker_id": "w", "cost": "nan"}]},
+        )
+        assert status == 400 and "finite" in body["error"]
+        assert list(tmp_path.iterdir()) == []
+        assert app.handle("GET", "/campaigns", None)[1] == {"campaigns": []}
+
 
 class TestLiveServer:
     @pytest.fixture

@@ -28,6 +28,11 @@ class TestTask:
         with pytest.raises(ConfigurationError):
             Task(task_id="t1", requirement=-0.5)
 
+    @pytest.mark.parametrize("requirement", [float("nan"), float("inf")])
+    def test_non_finite_requirement_rejected(self, requirement):
+        with pytest.raises(ConfigurationError):
+            Task(task_id="t1", requirement=requirement)
+
     def test_truth_outside_closed_domain_rejected(self):
         with pytest.raises(DataFormatError):
             Task(task_id="t1", domain=("A", "B"), truth="C")
@@ -51,6 +56,11 @@ class TestWorkerProfile:
     def test_negative_cost_rejected(self):
         with pytest.raises(ConfigurationError):
             WorkerProfile(worker_id="w", cost=-1.0)
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_cost_rejected(self, cost):
+        with pytest.raises(ConfigurationError):
+            WorkerProfile(worker_id="w", cost=cost)
 
     @pytest.mark.parametrize("reliability", [-0.1, 1.1])
     def test_reliability_bounds(self, reliability):
@@ -78,6 +88,11 @@ class TestBid:
     def test_negative_price_rejected(self):
         with pytest.raises(ConfigurationError):
             Bid(worker_id="w", task_ids=frozenset({"t1"}), price=-1.0)
+
+    @pytest.mark.parametrize("price", [float("nan"), float("inf")])
+    def test_non_finite_price_rejected(self, price):
+        with pytest.raises(ConfigurationError):
+            Bid(worker_id="w", task_ids=frozenset({"t1"}), price=price)
 
     def test_empty_task_set_rejected(self):
         with pytest.raises(ConfigurationError):
