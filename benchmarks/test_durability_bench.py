@@ -38,6 +38,8 @@ SCALE = dict(n_tasks=240, n_workers=100, n_copiers=25, target_claims=4800)
 
 #: The acceptance gate: journaled ingest <= this multiple of journal-off.
 MAX_OVERHEAD = 1.5
+#: Alternating cold/warm recoveries per side; each side keeps its minimum.
+RECOVERY_REPEATS = 3
 
 
 @pytest.fixture(scope="module")
@@ -106,25 +108,31 @@ def test_recovery_snapshot_speedup(tmp_path_factory, stream_batches):
     reference = _state(live)
     live.close()
 
-    # Cold recovery: no ledger, the refresh record recomputes.
-    start = time.perf_counter()
-    cold = CampaignStore(journal_dir=wal)
-    cold_s = time.perf_counter() - start
-    assert cold.last_recovery[0]["snapshot_hits"] == 0
-    assert _state(cold) == reference
-    cold.close()
+    # Each side is the minimum of RECOVERY_REPEATS alternating runs, each
+    # recovering into a fresh store: single shots are too noisy on a
+    # small, shared box for the ordering assert below.
+    cold_times, warm_times = [], []
+    for _ in range(RECOVERY_REPEATS):
+        # Cold recovery: no ledger, the refresh record recomputes.
+        start = time.perf_counter()
+        cold = CampaignStore(journal_dir=wal)
+        cold_times.append(time.perf_counter() - start)
+        assert cold.last_recovery[0]["snapshot_hits"] == 0
+        assert _state(cold) == reference
+        cold.close()
 
-    # Warm recovery: the banked snapshot's fingerprint matches and is
-    # adopted instead of recomputed.
-    start = time.perf_counter()
-    warm = CampaignStore(journal_dir=wal, ledger=RunLedger(ledger_root))
-    warm_s = time.perf_counter() - start
-    assert warm.last_recovery[0]["snapshot_hits"] == 1
-    assert _state(warm) == reference
-    warm.close()
+        # Warm recovery: the banked snapshot's fingerprint matches and is
+        # adopted instead of recomputed.
+        start = time.perf_counter()
+        warm = CampaignStore(journal_dir=wal, ledger=RunLedger(ledger_root))
+        warm_times.append(time.perf_counter() - start)
+        assert warm.last_recovery[0]["snapshot_hits"] == 1
+        assert _state(warm) == reference
+        warm.close()
 
+    cold_s, warm_s = min(cold_times), min(warm_times)
     print(
-        f"\nrecovery: recompute {cold_s * 1e3:.1f} ms, snapshot-hit "
-        f"{warm_s * 1e3:.1f} ms -> {cold_s / warm_s:.2f}x"
+        f"\nrecovery (min of {RECOVERY_REPEATS}): recompute {cold_s * 1e3:.1f} ms, "
+        f"snapshot-hit {warm_s * 1e3:.1f} ms -> {cold_s / warm_s:.2f}x"
     )
     assert warm_s < cold_s

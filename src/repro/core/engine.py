@@ -31,7 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dependence import DependencePosterior
-from .indexing import ClaimArrays, _concat_ranges, segment_first_argmax_code
+from .indexing import (
+    ClaimArrays,
+    PairRowClass,
+    _concat_ranges,
+    pair_row_keys,
+    segment_first_argmax_code,
+)
 
 __all__ = [
     "DependenceArrays",
@@ -91,12 +97,12 @@ def _note_scratch_growth(nbytes: int) -> None:
 class KernelScratch:
     """Named, growable scratch slabs for the hot kernels' temporaries.
 
-    The fixed-point loop used to allocate ~20 fresh temporaries per
-    iteration in the dependence and posterior kernels; drawing them
-    from named slabs that persist across iterations turns that into a
-    one-time cost.  :meth:`array` hands out a view of the slab for
-    ``name`` (grown when needed), so a caller must be done with the
-    previous view of a name before requesting it again.  One scratch is
+    The fixed-point loop's dependence, pair-posterior and group-posterior
+    kernels draw their temporaries from named slabs that persist across
+    iterations, so allocating them is a one-time cost.  :meth:`array`
+    hands out a view of the slab for ``name`` (grown when needed), so a
+    caller must be done with the previous view of a name before
+    requesting it again.  One scratch is
     not thread-safe — parallel blocks each use their worker thread's
     own instance (:func:`_thread_scratch`).
     """
@@ -289,72 +295,119 @@ def _score_pair_rows(
     few touched tasks — reproduces bit for bit what a full pass writes
     at those positions.  That elementwise property is what both the
     blocked parallel path and :class:`IncrementalDependence` lean on.
-    ``rows`` is a slice or an int index array; outputs and temporaries
-    are caller-provided so the fixed-point loop allocates nothing here.
+    ``rows`` is a slice or an int index array; ``out_*`` hold one entry
+    per row of ``rows``.
+
+    Rows are scored per static class (:attr:`ClaimArrays.pair_row_classes`):
+    differing rows need neither the truth nor the same-value terms, and
+    same-value rows need no ``P_d``.  Each class writes its results at
+    its own positions, so splitting changes no row's arithmetic.
     """
-    n = len(out_ind)
-    ca = arrays.ps_claim_a[rows]
-    cb = arrays.ps_claim_b[rows]
-    tasks = arrays.ps_task[rows]
+    (same_at, same), (differ_at, differ) = _row_classes(arrays, rows)
 
-    acc_a = np.take(claim_acc, ca, out=scratch.array("sc_acc_a", n))
-    np.clip(acc_a, lo, hi, out=acc_a)
-    acc_b = np.take(claim_acc, cb, out=scratch.array("sc_acc_b", n))
-    np.clip(acc_b, lo, hi, out=acc_b)
-    code_a = np.take(arrays.claim_code, ca, out=scratch.array("sc_code_a", n, np.int64))
-    code_b = np.take(arrays.claim_code, cb, out=scratch.array("sc_code_b", n, np.int64))
-    col = np.take(collision, tasks, out=scratch.array("sc_col", n))
-
-    same = np.equal(code_a, code_b, out=scratch.array("sc_same", n, bool))
-    truth = np.take(truth_codes, tasks, out=scratch.array("sc_tcode", n, np.int64))
-    is_truth = np.equal(code_a, truth, out=scratch.array("sc_is_truth", n, bool))
-    np.logical_and(is_truth, same, out=is_truth)
-
-    p_same_true = np.multiply(acc_a, acc_b, out=scratch.array("sc_pst", n))
-    # src_a/src_b start as 1 - A; truth rows are patched to A below.
-    src_a = np.subtract(1.0, acc_a, out=scratch.array("sc_src_a", n))
-    src_b = np.subtract(1.0, acc_b, out=scratch.array("sc_src_b", n))
-    p_same_false = np.multiply(src_a, src_b, out=scratch.array("sc_psf", n))
-    np.multiply(p_same_false, col, out=p_same_false)
-    # T_s rows use the true-agreement likelihood, T_f rows the
-    # false-collision one (Eqs. 7, 8, 11, 12, 22).
-    p_same = scratch.array("sc_ps", n)
-    np.copyto(p_same, p_same_false)
-    np.copyto(p_same, p_same_true, where=is_truth)
-    np.copyto(src_a, acc_a, where=is_truth)
-    np.copyto(src_b, acc_b, where=is_truth)
-    # T_d rows: P_d = 1 - P_s - P_f (Eqs. 9, 13).
-    p_diff = scratch.array("sc_pd", n)
-    np.subtract(1.0, p_same_true, out=p_diff)
-    np.subtract(p_diff, p_same_false, out=p_diff)
+    # Differing rows (T_d): P_d = 1 - P_s - P_f, with both copy
+    # directions sharing log(P_d · (1 - r)) (Eqs. 9, 13, 14).
+    n = len(differ.rows)
+    acc_a = _clipped_take(claim_acc, differ.claim_a, lo, hi, scratch.array("sc_acc_a", n))
+    acc_b = _clipped_take(claim_acc, differ.claim_b, lo, hi, scratch.array("sc_acc_b", n))
+    p_diff = np.multiply(acc_a, acc_b, out=scratch.array("sc_p", n))
+    np.subtract(1.0, p_diff, out=p_diff)
+    np.subtract(1.0, acc_a, out=acc_a)
+    np.subtract(1.0, acc_b, out=acc_b)
+    np.multiply(acc_a, acc_b, out=acc_a)
+    np.multiply(acc_a, np.take(collision, differ.task, out=acc_b, mode="clip"), out=acc_a)
+    np.subtract(p_diff, acc_a, out=p_diff)
     np.maximum(p_diff, _MIN_PROB, out=p_diff)
+    out_ind[differ_at] = np.log(p_diff, out=acc_a)
+    np.multiply(p_diff, 1.0 - r, out=p_diff)
+    np.maximum(p_diff, _MIN_PROB, out=p_diff)
+    np.log(p_diff, out=p_diff)
+    out_ab[differ_at] = p_diff
+    out_ba[differ_at] = p_diff
 
-    not_same = np.logical_not(same, out=scratch.array("sc_not_same", n, bool))
-    log_diff_dep = scratch.array("sc_ldd", n)
-    np.multiply(p_diff, 1.0 - r, out=log_diff_dep)
-    np.maximum(log_diff_dep, _MIN_PROB, out=log_diff_dep)
-    np.log(log_diff_dep, out=log_diff_dep)
+    # Same-value rows: T_s rows (the shared value is the truth) score
+    # the true-agreement likelihood P_s = A·A' with copy source A, T_f
+    # rows the false collision P_f = (1-A)(1-A')·col with source 1 - A
+    # (Eqs. 7, 8, 11, 12, 22); both directions are log(src · r +
+    # P · (1 - r)).
+    n = len(same.rows)
+    src_a = _clipped_take(claim_acc, same.claim_a, lo, hi, scratch.array("sc_acc_a", n))
+    src_b = _clipped_take(claim_acc, same.claim_b, lo, hi, scratch.array("sc_acc_b", n))
+    truth = np.take(
+        truth_codes, same.task, out=scratch.array("sc_truth", n, np.int64), mode="clip"
+    )
+    on_truth = np.equal(same.code, truth, out=scratch.array("sc_on_truth", n))
+    off_truth = np.subtract(1.0, on_truth, out=scratch.array("sc_off_truth", n))
+    for src in (src_a, src_b):
+        _select(on_truth, src, off_truth, np.subtract(1.0, src, out=scratch.array("sc_tmp", n)))
+    p_same = np.multiply(src_a, src_b, out=scratch.array("sc_p", n))
+    col = np.take(collision, same.task, out=scratch.array("sc_tmp", n), mode="clip")
+    # The collision factor is an exact 1.0 on T_s rows: col · 0 + 1.
+    np.multiply(col, off_truth, out=col)
+    np.add(col, on_truth, out=col)
+    np.multiply(p_same, col, out=p_same)
+    np.maximum(p_same, _MIN_PROB, out=col)
+    out_ind[same_at] = np.log(col, out=col)
+    np.multiply(p_same, 1.0 - r, out=p_same)
+    for src, out in ((src_b, out_ab), (src_a, out_ba)):
+        np.multiply(src, r, out=src)
+        np.add(src, p_same, out=src)
+        np.maximum(src, _MIN_PROB, out=src)
+        out[same_at] = np.log(src, out=src)
 
-    tmp = scratch.array("sc_tmp", n)
-    np.maximum(p_diff, _MIN_PROB, out=out_ind)
-    np.log(out_ind, out=out_ind)
-    np.maximum(p_same, _MIN_PROB, out=tmp)
-    np.log(tmp, out=tmp)
-    np.copyto(out_ind, tmp, where=same)
 
-    # Same-value rows: log(src · r + P_s · (1 - r)); differing rows
-    # share log(P_d · (1 - r)) for both copy directions (Eqs. 12-14).
-    np.multiply(p_same, 1.0 - r, out=tmp)
-    np.multiply(src_b, r, out=out_ab)
-    np.add(out_ab, tmp, out=out_ab)
-    np.maximum(out_ab, _MIN_PROB, out=out_ab)
-    np.log(out_ab, out=out_ab)
-    np.copyto(out_ab, log_diff_dep, where=not_same)
-    np.multiply(src_a, r, out=out_ba)
-    np.add(out_ba, tmp, out=out_ba)
-    np.maximum(out_ba, _MIN_PROB, out=out_ba)
-    np.log(out_ba, out=out_ba)
-    np.copyto(out_ba, log_diff_dep, where=not_same)
+def _clipped_take(
+    values: np.ndarray, index: np.ndarray, lo: float, hi: float, out: np.ndarray
+) -> np.ndarray:
+    """``clip(values[index], lo, hi)`` written into ``out``.
+
+    ``index`` holds the arrays' own claim positions, always in range;
+    ``mode="clip"`` spares ``take`` the buffered copy its bounds-checking
+    default makes when given ``out``.
+    """
+    np.take(values, index, out=out, mode="clip")
+    return np.clip(out, lo, hi, out=out)
+
+
+def _select(
+    mask: np.ndarray, values: np.ndarray, other_mask: np.ndarray, other: np.ndarray
+) -> np.ndarray:
+    """``where(mask, values, other)`` written into ``values``.
+
+    ``mask`` and ``other_mask = 1 - mask`` are 0.0/1.0 arrays, so this is
+    the blend ``values · mask + other · other_mask`` (``other`` is
+    overwritten) — exact for finite inputs, as ``x · 1 = x``,
+    ``x · 0 = ±0`` and ``x + ±0 = x``, and cheaper than a masked
+    ``copyto``.
+    """
+    np.multiply(values, mask, out=values)
+    np.multiply(other, other_mask, out=other)
+    return np.add(values, other, out=values)
+
+
+def _row_classes(
+    arrays: ClaimArrays, rows
+) -> tuple[tuple[np.ndarray, PairRowClass], tuple[np.ndarray, PairRowClass]]:
+    """``rows`` split into its ``(same_value, differing)`` classes.
+
+    Each class comes with its positions within ``rows`` — where its
+    scores land in the caller's outputs.  A slice takes contiguous
+    views of the cached classes (their rows ascend); an index array
+    splits by the per-row flag and gathers its classes' inputs.
+    """
+    if isinstance(rows, slice):
+        parts = []
+        for cls in arrays.pair_row_classes:
+            first, last = np.searchsorted(cls.rows, (rows.start, rows.stop))
+            part = cls[first:last]
+            parts.append((part.rows - rows.start if rows.start else part.rows, part))
+        return parts[0], parts[1]
+    flag = arrays.pair_row_same[rows]
+    same_at, differ_at = np.flatnonzero(flag), np.flatnonzero(~flag)
+    return (
+        (same_at, arrays.pair_row_class(rows[same_at], same=True)),
+        (differ_at, arrays.pair_row_class(rows[differ_at], same=False)),
+    )
 
 
 def _dependence_posteriors(
@@ -362,22 +415,29 @@ def _dependence_posteriors(
     sum_ab: np.ndarray,
     sum_ba: np.ndarray,
     prior_alpha: float,
+    scratch: KernelScratch,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bayes' rule with the α/2 prior split, normalized in log space.
 
     Elementwise over pairs — normalizing a subset of pairs produces the
-    same bits as normalizing all of them and selecting the subset.
+    same bits as normalizing all of them and selecting the subset.  The
+    two returned arrays are fresh; the sums are not modified.
     """
-    score_ind = math.log(1.0 - prior_alpha) + sum_ind
+    n = len(sum_ind)
+    w_ind = np.add(sum_ind, math.log(1.0 - prior_alpha), out=scratch.array("post_ind", n))
     log_prior_dep = math.log(prior_alpha / 2.0)
-    score_ab = log_prior_dep + sum_ab
-    score_ba = log_prior_dep + sum_ba
-    peak = np.maximum(score_ind, np.maximum(score_ab, score_ba))
-    w_ind = np.exp(score_ind - peak)
-    w_ab = np.exp(score_ab - peak)
-    w_ba = np.exp(score_ba - peak)
-    total = w_ind + w_ab + w_ba
-    return w_ab / total, w_ba / total
+    w_ab = np.add(sum_ab, log_prior_dep)
+    w_ba = np.add(sum_ba, log_prior_dep)
+    peak = np.maximum(w_ab, w_ba, out=scratch.array("post_peak", n))
+    np.maximum(w_ind, peak, out=peak)
+    for w in (w_ind, w_ab, w_ba):
+        np.subtract(w, peak, out=w)
+        np.exp(w, out=w)
+    total = np.add(w_ind, w_ab, out=peak)
+    np.add(total, w_ba, out=total)
+    np.divide(w_ab, total, out=w_ab)
+    np.divide(w_ba, total, out=w_ba)
+    return w_ab, w_ba
 
 
 def _pair_sums_serial(
@@ -440,6 +500,7 @@ def _pair_sums_blocked(
     n_pairs = arrays.n_pairs
     ps_pair = arrays.ps_pair
     blocks = _block_slices(len(ps_pair), intra_workers)
+    arrays.pair_row_classes  # build the cached split before the threads read it
 
     def score_block(block: slice):
         scratch = _thread_scratch()
@@ -510,6 +571,7 @@ def pairwise_dependence_arrays(
     if intra_workers < 1:
         raise ValueError(f"intra_workers must be >= 1, got {intra_workers}")
     lo, hi = accuracy_clamp
+    scratch = scratch if scratch is not None else _thread_scratch()
 
     if intra_workers > 1 and len(arrays.ps_pair) >= _MIN_PARALLEL_ROWS:
         sums = _pair_sums_blocked(
@@ -531,9 +593,9 @@ def pairwise_dependence_arrays(
             collision=collision,
             lo=lo,
             hi=hi,
-            scratch=scratch if scratch is not None else _thread_scratch(),
+            scratch=scratch,
         )
-    p_ab, p_ba = _dependence_posteriors(*sums, prior_alpha)
+    p_ab, p_ba = _dependence_posteriors(*sums, prior_alpha, scratch)
     return DependenceArrays(p_ab=p_ab, p_ba=p_ba)
 
 
@@ -706,15 +768,19 @@ class IncrementalDependence:
         n_workers = arrays.index.n_workers
         n_tasks = arrays.index.n_tasks
         # Row identity is (pair worker ids, shared task).  Both tables
-        # sort rows by (pair_a, pair_b, task) — lexicographic order is
-        # preserved under the key below for any worker-count multiplier
-        # — so old keys form an ascending subsequence of the new ones.
-        old_keys = (
-            old.pair_a[old.ps_pair] * n_workers + old.pair_b[old.ps_pair]
-        ) * n_tasks + old.ps_task
-        new_keys = (
-            arrays.pair_a[arrays.ps_pair] * n_workers + arrays.pair_b[arrays.ps_pair]
-        ) * n_tasks + arrays.ps_task
+        # sort rows by (pair_a, pair_b, task), which is ascending key
+        # order for any worker and task counts at least as large as the
+        # ids, so old keys form an ascending subsequence of the new ones.
+        old_keys = pair_row_keys(
+            old.pair_a[old.ps_pair], old.pair_b[old.ps_pair], old.ps_task, n_workers, n_tasks
+        )
+        new_keys = pair_row_keys(
+            arrays.pair_a[arrays.ps_pair],
+            arrays.pair_b[arrays.ps_pair],
+            arrays.ps_task,
+            n_workers,
+            n_tasks,
+        )
         row_pos = np.searchsorted(new_keys, old_keys)
         old_pair_keys = old.pair_a * n_workers + old.pair_b
         new_pair_keys = arrays.pair_a * n_workers + arrays.pair_b
@@ -806,7 +872,7 @@ class IncrementalDependence:
             arrays.ps_pair, weights=self._row_ba, minlength=n_pairs
         )
         self._p_ab, self._p_ba = _dependence_posteriors(
-            self._sum_ind, self._sum_ab, self._sum_ba, self._alpha
+            self._sum_ind, self._sum_ab, self._sum_ba, self._alpha, self._scratch
         )
 
     def _refresh_tasks(
@@ -877,6 +943,7 @@ class IncrementalDependence:
             self._sum_ab[affected],
             self._sum_ba[affected],
             self._alpha,
+            scratch,
         )
         self._p_ab[affected] = p_ab
         self._p_ba[affected] = p_ba

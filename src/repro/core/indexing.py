@@ -32,7 +32,7 @@ import numpy as np
 from ..errors import DataFormatError
 from ..types import Dataset, Task, WorkerProfile
 
-__all__ = ["ClaimArrays", "DatasetIndex", "IndexExtension"]
+__all__ = ["ClaimArrays", "DatasetIndex", "IndexExtension", "PairRowClass"]
 
 
 class DatasetIndex:
@@ -375,6 +375,34 @@ class IndexExtension:
     claim_map: np.ndarray | None
 
 
+@dataclass(frozen=True)
+class PairRowClass:
+    """Pair-table rows of one static class, with their inputs gathered.
+
+    ``rows`` are positions into the ``ps_*`` tables (ascending in the
+    cached :attr:`ClaimArrays.pair_row_classes`); ``claim_a``,
+    ``claim_b`` and ``task`` are those rows' ``ps_claim_a``,
+    ``ps_claim_b`` and ``ps_task``; ``code`` is the value code both
+    claims share in the same-value class and ``None`` in the differing
+    class.  Slicing slices every field.
+    """
+
+    rows: np.ndarray
+    claim_a: np.ndarray
+    claim_b: np.ndarray
+    task: np.ndarray
+    code: np.ndarray | None
+
+    def __getitem__(self, part: slice) -> "PairRowClass":
+        return PairRowClass(
+            rows=self.rows[part],
+            claim_a=self.claim_a[part],
+            claim_b=self.claim_b[part],
+            task=self.task[part],
+            code=None if self.code is None else self.code[part],
+        )
+
+
 def _dataset_append(
     old: Dataset,
     tasks: tuple[Task, ...],
@@ -508,55 +536,8 @@ class ClaimArrays:
         (mirroring :attr:`DatasetIndex.shared_tasks`).  Built on first
         access — only the dependence kernels need them.
         """
-        n_tasks = self.index.n_tasks
-        n_workers = self.index.n_workers
-        task_ptr = self.task_ptr
-        ca_parts: list[np.ndarray] = []
-        cb_parts: list[np.ndarray] = []
-        for j in range(n_tasks):
-            start, end = task_ptr[j], task_ptr[j + 1]
-            m = int(end - start)
-            if m < 2:
-                continue
-            local_a, local_b = np.triu_indices(m, k=1)
-            ca_parts.append(start + local_a)
-            cb_parts.append(start + local_b)
-        if not ca_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return (
-                empty,
-                empty,
-                np.zeros(1, dtype=np.int64),
-                empty,
-                empty,
-                empty,
-                empty,
-            )
-        ca = np.concatenate(ca_parts)
-        cb = np.concatenate(cb_parts)
-        wa = self.claim_worker[ca]
-        wb = self.claim_worker[cb]
-        swap = wa > wb
-        ca2 = np.where(swap, cb, ca)
-        cb2 = np.where(swap, ca, cb)
-        wa2 = self.claim_worker[ca2]
-        wb2 = self.claim_worker[cb2]
-        tasks = self.claim_task[ca2]
-        order = np.lexsort((tasks, wb2, wa2))
-        wa2, wb2 = wa2[order], wb2[order]
-        key = wa2 * n_workers + wb2
-        uniq, first, counts = np.unique(key, return_index=True, return_counts=True)
-        pair_ptr = np.zeros(len(uniq) + 1, dtype=np.int64)
-        np.cumsum(counts, out=pair_ptr[1:])
-        return (
-            wa2[first],
-            wb2[first],
-            pair_ptr,
-            np.repeat(np.arange(len(uniq)), counts),
-            tasks[order],
-            ca2[order],
-            cb2[order],
-        )
+        all_tasks = np.arange(self.index.n_tasks, dtype=np.int64)
+        return _sorted_pair_tables(self, *_task_claim_pairs(self, all_tasks))
 
     @property
     def pair_a(self) -> np.ndarray:
@@ -592,6 +573,37 @@ class ClaimArrays:
     def ps_claim_b(self) -> np.ndarray:
         """Claim position of ``pair_b``'s claim on the row's task."""
         return self._pair_tables[6]
+
+    @cached_property
+    def pair_row_same(self) -> np.ndarray:
+        """Per pair-table row: do the pair's two claims carry one value?
+
+        Static for the life of the arrays — claim codes never change —
+        which is what lets the dependence kernel score the two classes
+        with separate formulas (same-value rows are the only ones whose
+        likelihood depends on the current truth).
+        """
+        return self.claim_code[self.ps_claim_a] == self.claim_code[self.ps_claim_b]
+
+    @cached_property
+    def pair_row_classes(self) -> tuple["PairRowClass", "PairRowClass"]:
+        """All pair-table rows as ``(same_value, differing)`` classes."""
+        same = self.pair_row_same
+        return (
+            self.pair_row_class(np.flatnonzero(same), same=True),
+            self.pair_row_class(np.flatnonzero(~same), same=False),
+        )
+
+    def pair_row_class(self, rows: np.ndarray, *, same: bool) -> "PairRowClass":
+        """The pair-table ``rows`` (all of one class) with their inputs."""
+        claim_a = self.ps_claim_a[rows]
+        return PairRowClass(
+            rows=rows,
+            claim_a=claim_a,
+            claim_b=self.ps_claim_b[rows],
+            task=self.ps_task[rows],
+            code=self.claim_code[claim_a] if same else None,
+        )
 
     @cached_property
     def pair_rows_by_task(self) -> tuple[np.ndarray, np.ndarray]:
@@ -667,7 +679,9 @@ class ClaimArrays:
         ``k > l``, and the trailing ``2 * n_pairs`` on the diagonal.
         The layout depends only on the claims, so Eq. 16 gathers its
         member-pair dependence with one ``take`` per bucket.  Built by
-        a single scatter of the same-group pair rows.
+        a single scatter of the same-group pair rows — the same-value
+        class of :attr:`pair_row_classes`, since a row's two claims
+        share its task.
         """
         buckets = self.multi_group_buckets
         n_pairs = self.n_pairs
@@ -681,15 +695,13 @@ class ClaimArrays:
             block[self.claim_group[claim_idx[:, 0]]] = total + m * m * np.arange(len(claim_idx))
             total += claim_idx.size * m
         flat = np.full(total, 2 * n_pairs, dtype=np.intp)
-        claim_a, claim_b = self.ps_claim_a, self.ps_claim_b
-        group = self.claim_group[claim_a]
-        same = np.flatnonzero(group == self.claim_group[claim_b])
-        group = group[same]
+        same = self.pair_row_classes[0]
+        group = self.claim_group[same.claim_a]
         start = self.group_ptr[group]
         size = self.group_size[group]
-        local_a = claim_a[same] - start
-        local_b = claim_b[same] - start
-        pair = self.ps_pair[same]
+        local_a = same.claim_a - start
+        local_b = same.claim_b - start
+        pair = self.ps_pair[same.rows]
         flat[block[group] + local_a * size + local_b] = pair
         flat[block[group] + local_b * size + local_a] = pair + n_pairs
         return [
@@ -931,61 +943,106 @@ def _extend_pair_tables(
     claim_map: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """Extend materialized pair tables: keep clean-task rows, regenerate
-    dirty-task rows, merge by one lexsort.
+    dirty-task rows, merge by one sort.
 
     Rows of clean tasks keep their worker pair and task; only their
     claim back-pointers shift (via ``claim_map``).  Rows of dirty tasks
-    are re-enumerated from the new segments — the O(Σ m_j²) triangle
-    work runs over affected tasks only.
+    are re-enumerated from the new segments by the cold build's own
+    :func:`_task_claim_pairs` — the O(Σ m_j²) triangle work runs over
+    affected tasks only.
     """
-    _, _, _, old_ps_pair, old_ps_task, old_ps_ca, old_ps_cb = old._pair_tables
+    old_ps_task, old_ps_ca, old_ps_cb = old._pair_tables[4:]
     keep = ~dirty_mask[old_ps_task]
-    wa_parts = [old.claim_worker[old_ps_ca[keep]]]
-    wb_parts = [old.claim_worker[old_ps_cb[keep]]]
-    task_parts = [old_ps_task[keep]]
-    ca_parts = [claim_map[old_ps_ca[keep]]]
-    cb_parts = [claim_map[old_ps_cb[keep]]]
+    dirty_a, dirty_b = _task_claim_pairs(arrays, dirty)
+    return _sorted_pair_tables(
+        arrays,
+        np.concatenate([claim_map[old_ps_ca[keep]], dirty_a]),
+        np.concatenate([claim_map[old_ps_cb[keep]], dirty_b]),
+    )
 
-    task_ptr = arrays.task_ptr
-    for j in map(int, dirty):
-        start, end = int(task_ptr[j]), int(task_ptr[j + 1])
-        m = end - start
-        if m < 2:
-            continue
-        local_a, local_b = np.triu_indices(m, k=1)
-        ca = start + local_a
-        cb = start + local_b
-        wa = arrays.claim_worker[ca]
-        wb = arrays.claim_worker[cb]
-        swap = wa > wb
-        ca2 = np.where(swap, cb, ca)
-        cb2 = np.where(swap, ca, cb)
-        wa_parts.append(arrays.claim_worker[ca2])
-        wb_parts.append(arrays.claim_worker[cb2])
-        task_parts.append(np.full(len(ca2), j, dtype=np.int64))
-        ca_parts.append(ca2)
-        cb_parts.append(cb2)
 
-    wa = np.concatenate(wa_parts)
-    if len(wa) == 0:
+def pair_row_keys(
+    first: np.ndarray,
+    second: np.ndarray,
+    task: np.ndarray,
+    n_workers: int,
+    n_tasks: int,
+) -> np.ndarray:
+    """Unique int64 key ``(first · n_workers + second) · n_tasks + task``
+    of each (worker pair, shared task) row.
+
+    Ascending keys are the pair tables' row order — by first worker,
+    then second worker, then task — so one ``argsort`` replaces a
+    three-key ``lexsort``.  The largest key is ``n_workers² · n_tasks
+    - 1``; campaigns whose keys would not fit in int64 are refused
+    rather than allowed to wrap.
+    """
+    if n_workers * n_workers * n_tasks >= 2**63:
+        raise DataFormatError(
+            f"{n_workers} workers x {n_tasks} tasks overflow the int64 "
+            "pair-row key"
+        )
+    return (first * n_workers + second) * n_tasks + task
+
+
+def _task_claim_pairs(
+    arrays: ClaimArrays, tasks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of claims on one of ``tasks`` (ascending), smaller
+    worker's claim first.
+
+    The upper triangles of the tasks' claim blocks with each block
+    ordered by worker, enumerated by arithmetic instead of a per-task
+    ``triu_indices`` loop: the claim at offset ``k`` of a block ending
+    at ``e`` pairs with the ``e - k - 1`` claims after it, so the first
+    claims repeat each offset that many times and the second ones
+    concatenate the ranges ``k + 1 .. e - 1``.
+    """
+    starts = arrays.task_ptr[tasks]
+    sizes = arrays.task_ptr[tasks + 1] - starts
+    claims = _concat_ranges(starts, sizes)
+    by_worker = arrays.claim_task[claims] * arrays.index.n_workers + arrays.claim_worker[claims]
+    claims = claims[np.argsort(by_worker)]
+    offsets = np.arange(len(claims), dtype=np.int64)
+    later = np.repeat(np.cumsum(sizes), sizes) - offsets - 1
+    return claims[np.repeat(offsets, later)], claims[_concat_ranges(offsets + 1, later)]
+
+
+def _sorted_pair_tables(
+    arrays: ClaimArrays, claim_a: np.ndarray, claim_b: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The seven pair tables from same-task claim pairs whose first
+    claim is the smaller worker's.
+
+    Sorts the rows by :func:`pair_row_keys` (unique, so the order is
+    fully determined), reads worker pair and task back off the sorted
+    keys, and starts a new pair segment wherever the worker pair
+    changes.
+    """
+    if len(claim_a) == 0:
         empty = np.empty(0, dtype=np.int64)
         return (empty, empty, np.zeros(1, dtype=np.int64), empty, empty, empty, empty)
-    wb = np.concatenate(wb_parts)
-    tasks = np.concatenate(task_parts)
-    ca = np.concatenate(ca_parts)
-    cb = np.concatenate(cb_parts)
-    order = np.lexsort((tasks, wb, wa))
-    wa, wb = wa[order], wb[order]
-    key = wa * arrays.index.n_workers + wb
-    uniq, first, counts = np.unique(key, return_index=True, return_counts=True)
-    pair_ptr = np.zeros(len(uniq) + 1, dtype=np.int64)
-    np.cumsum(counts, out=pair_ptr[1:])
+    n_workers, n_tasks = arrays.index.n_workers, arrays.index.n_tasks
+    keys = pair_row_keys(
+        arrays.claim_worker[claim_a],
+        arrays.claim_worker[claim_b],
+        arrays.claim_task[claim_a],
+        n_workers,
+        n_tasks,
+    )
+    order = np.argsort(keys)
+    pair_keys, tasks = np.divmod(keys[order], n_tasks)
+    next_pair = np.empty(len(keys), dtype=bool)
+    next_pair[0] = False
+    np.not_equal(pair_keys[1:], pair_keys[:-1], out=next_pair[1:])
+    pair_ptr = np.concatenate(([0], np.flatnonzero(next_pair), [len(keys)]))
+    pair_a, pair_b = np.divmod(pair_keys[pair_ptr[:-1]], n_workers)
     return (
-        wa[first],
-        wb[first],
+        pair_a,
+        pair_b,
         pair_ptr,
-        np.repeat(np.arange(len(uniq)), counts),
-        tasks[order],
-        ca[order],
-        cb[order],
+        np.cumsum(next_pair, dtype=np.int64),
+        tasks,
+        claim_a[order],
+        claim_b[order],
     )
