@@ -1,15 +1,13 @@
-"""Dependence-engine benchmark: incremental aggregates + intra-blocking.
+"""Dependence-engine benchmark: incremental aggregates.
 
-Exercises the two perf paths of the pairwise dependence engine
+Exercises the incremental path of the pairwise dependence engine
 (DESIGN.md §12) at ~10x the shared benchmark scale — large enough that
 the (pair, shared task) row table dominates the DATE iteration cost —
 and gates the acceptance criteria:
 
-- **Exactness** (`test_incremental_matches_full_bitwise`,
-  `test_intra_parallel_deterministic`): always run, everywhere.  The
-  incremental refresh is *bit-identical* to a full scoring pass, and
-  the blocked 4-thread reduction is run-to-run deterministic and
-  within 1e-9 of serial.
+- **Exactness** (`test_incremental_matches_full_bitwise`): always run,
+  everywhere.  The incremental refresh is *bit-identical* to a full
+  scoring pass.
 - **Incremental speed** (`test_incremental_ingest_speedup`): a refresh
   touching <= 10% of tasks is >= 5x faster than the full recompute it
   replaces.  Excluded from shared-runner CI like every other
@@ -17,12 +15,9 @@ and gates the acceptance criteria:
 
       pytest benchmarks/test_dependence_bench.py -k speedup -s
 
-- **Intra-campaign parallel speed** (`test_intra_parallel_speedup`):
-  the 4-thread blocked scoring pass is >= 2x serial.  Hardware-gated
-  (skipped below 4 CPUs) on top of the CI speedup exclusion.
 - **Streaming re-run** (`test_streaming_ingest_new_path`): the online
-  replay over the new ``stable_dependence`` sub-runs plus the
-  ``track_dependence`` snapshot stays bit-identical to the cold path.
+  replay with the ``track_dependence`` snapshot stays bit-identical to
+  the cold path.
 """
 
 from __future__ import annotations
@@ -37,16 +32,14 @@ from repro.core.config import DateConfig
 from repro.core.engine import IncrementalDependence, pairwise_dependence_arrays
 from repro.core.indexing import DatasetIndex
 from repro.datasets import generate_qatar_living_like
-from repro.simulation.executor import available_cpus
 from repro.streaming import OnlineDATE, replay_batches
 
 from benchmarks.conftest import BENCH_SEED
 
 #: ~10x the streaming-bench claim volume (~30x the shared BENCH_SCALE):
 #: the ~1M-row pair table this scale induces is what the incremental
-#: and blocked paths exist to beat.
+#: path exists to beat.
 DEP_SCALE = dict(n_tasks=2000, n_workers=800, n_copiers=200, target_claims=40000)
-INTRA_WORKERS = 4
 #: Fraction of tasks an "ingest-like" perturbation touches (<= 10% per
 #: the acceptance gate).  Affected-pair coverage grows much faster than
 #: the touch fraction — at this scale a 3% task touch already re-sums
@@ -154,59 +147,8 @@ def test_incremental_ingest_speedup(dep_state):
     )
 
 
-def test_intra_parallel_deterministic(dep_state):
-    """Blocked 4-thread pass: deterministic run-to-run, ~serial values."""
-    _, arrays, truth_codes, claim_acc, params = dep_state
-    serial = pairwise_dependence_arrays(arrays, truth_codes, claim_acc, **params)
-    first = pairwise_dependence_arrays(
-        arrays, truth_codes, claim_acc, intra_workers=INTRA_WORKERS, **params
-    )
-    second = pairwise_dependence_arrays(
-        arrays, truth_codes, claim_acc, intra_workers=INTRA_WORKERS, **params
-    )
-    # Fixed blocks reduced in fixed order: repeat runs are bit-equal.
-    assert np.array_equal(first.p_ab, second.p_ab)
-    assert np.array_equal(first.p_ba, second.p_ba)
-    np.testing.assert_allclose(first.p_ab, serial.p_ab, atol=1e-9, rtol=0)
-    np.testing.assert_allclose(first.p_ba, serial.p_ba, atol=1e-9, rtol=0)
-
-
-@pytest.mark.skipif(
-    available_cpus() < INTRA_WORKERS,
-    reason=f"speedup gate needs >= {INTRA_WORKERS} CPUs "
-    f"(found {available_cpus()}); the determinism test still ran",
-)
-def test_intra_parallel_speedup(dep_state):
-    """The acceptance gate: 4-thread blocked scoring >= 2x serial."""
-    _, arrays, truth_codes, claim_acc, params = dep_state
-    # Warm both paths (thread pool spin-up, scratch slabs).
-    pairwise_dependence_arrays(
-        arrays, truth_codes, claim_acc, intra_workers=INTRA_WORKERS, **params
-    )
-    repeats = 5
-    start = time.perf_counter()
-    for _ in range(repeats):
-        pairwise_dependence_arrays(arrays, truth_codes, claim_acc, **params)
-    serial_ms = (time.perf_counter() - start) * 1e3
-    start = time.perf_counter()
-    for _ in range(repeats):
-        pairwise_dependence_arrays(
-            arrays, truth_codes, claim_acc, intra_workers=INTRA_WORKERS, **params
-        )
-    parallel_ms = (time.perf_counter() - start) * 1e3
-    speedup = serial_ms / parallel_ms
-    print(
-        f"\nserial {serial_ms / repeats:.1f} ms/pass, "
-        f"{INTRA_WORKERS}-thread {parallel_ms / repeats:.1f} ms/pass, "
-        f"speedup {speedup:.2f}x"
-    )
-    assert speedup >= 2.0, (
-        f"{INTRA_WORKERS}-thread blocked pass only {speedup:.2f}x over serial"
-    )
-
-
 def test_streaming_ingest_new_path():
-    """Online replay on the stable_dependence sub-runs stays cold-exact."""
+    """Online replay with the tracked dependence snapshot stays cold-exact."""
     dataset = generate_qatar_living_like(
         seed=BENCH_SEED, n_tasks=200, n_workers=100, n_copiers=25,
         target_claims=4000,

@@ -14,9 +14,7 @@ import numpy as np
 import pytest
 
 from repro import DATE, ReverseAuction, SOACInstance
-from repro.core import DateConfig, DatasetIndex
-from repro.core.accuracy import update_accuracy_matrix, value_posteriors
-from repro.core.dependence import compute_pairwise_dependence
+from repro.core import DatasetIndex
 from repro.core.engine import (
     accuracy_flat,
     independence_flat,
@@ -24,11 +22,17 @@ from repro.core.engine import (
     plain_posterior_groups,
 )
 from repro.core.falsedist import UniformFalseValues
-from repro.core.independence import independence_probabilities
 from repro.datasets import generate_qatar_living_like
-from repro.auction.reverse_auction import greedy_cover
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED
+from tests.oracles import (
+    compute_pairwise_dependence,
+    greedy_cover,
+    independence_probabilities,
+    run_reference,
+    update_accuracy_matrix,
+    value_posteriors,
+)
 
 
 @pytest.fixture(scope="module")
@@ -147,9 +151,8 @@ def test_full_date_run(benchmark, bench_dataset, bench_index):
 
 
 def test_full_date_run_reference_backend(benchmark, bench_dataset, bench_index):
-    config = DateConfig(backend="reference")
     benchmark.pedantic(
-        lambda: DATE(config).run(bench_dataset, index=bench_index),
+        lambda: run_reference(DATE(), bench_dataset, index=bench_index),
         rounds=3,
         iterations=1,
     )
@@ -195,32 +198,31 @@ def test_vectorized_step3_posteriors_and_accuracy(benchmark, bench_index, bench_
 
 
 def test_date_backend_speedup(bench_dataset):
-    """The acceptance gate: vectorized DATE >= 5x the scalar reference.
+    """The acceptance gate: the DATE engine >= 5x the scalar oracle.
 
-    Times the full iteration (index construction excluded — both
-    backends share one) on the qatar-living-like benchmark dataset,
-    best-of-3 to shrug off scheduler noise.
+    Times the full iteration (index construction excluded — engine and
+    oracle share one) on the qatar-living-like benchmark dataset,
+    best-of-3 to shrug off scheduler noise.  The oracle is the scalar
+    transcription in tests/oracles/.
     """
-    vectorized = DateConfig()
-    reference = DateConfig(backend="reference")
 
-    def best_of(config, rounds=3):
+    def best_of(run, rounds=3):
         index = DatasetIndex(bench_dataset)
-        DATE(config).run(bench_dataset, index=index)  # warm-up
+        run(DATE(), bench_dataset, index=index)  # warm-up
         timings = []
         for _ in range(rounds):
             start = time.perf_counter()
-            DATE(config).run(bench_dataset, index=index)
+            run(DATE(), bench_dataset, index=index)
             timings.append(time.perf_counter() - start)
         return min(timings)
 
-    t_vec = best_of(vectorized)
-    t_ref = best_of(reference)
+    t_vec = best_of(lambda algorithm, *args, **kwargs: algorithm.run(*args, **kwargs))
+    t_ref = best_of(run_reference)
     speedup = t_ref / t_vec
-    print(f"\nDATE iteration: reference {t_ref * 1e3:.1f} ms, "
-          f"vectorized {t_vec * 1e3:.1f} ms, speedup {speedup:.1f}x")
+    print(f"\nDATE iteration: oracle {t_ref * 1e3:.1f} ms, "
+          f"engine {t_vec * 1e3:.1f} ms, speedup {speedup:.1f}x")
     assert speedup >= 5.0, (
-        f"vectorized backend only {speedup:.1f}x faster than reference"
+        f"DATE engine only {speedup:.1f}x faster than the scalar oracle"
     )
 
 

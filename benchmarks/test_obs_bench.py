@@ -130,7 +130,7 @@ def test_disabled_overhead_within_2_percent(bench_dataset, disabled_registry):
         # but skips even the registry/trace lookups — the closest
         # measurable stand-in for "this code was never instrumented".
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(date_mod, "_run_telemetry", lambda backend: None)
+            patch.setattr(date_mod, "_run_telemetry", lambda: None)
             DATE().run(bench_dataset, index=index)
 
     overhead = _overhead(run, run_stubbed)

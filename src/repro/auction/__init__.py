@@ -4,13 +4,13 @@
   Coverage problem (Eqs. 4-6): instance container, feasibility checks,
   cost accounting, and the CSR/CSC accuracy index;
 - :mod:`repro.auction.config` — :class:`AuctionConfig`, the knobs of
-  the auction stage including the engine (``backend``) selection;
+  the auction stage;
 - :mod:`repro.auction.reverse_auction` — Alg. 2: greedy winner
   selection by effective accuracy unit cost plus critical-value
-  payments (the scalar reference engine lives here);
-- :mod:`repro.auction.engine` — the vectorized engine: batched
+  payments;
+- :mod:`repro.auction.engine` — the array engine executing it: batched
   selection over the sparse accuracy index and prefix-shared payment
-  reruns, bit-identical to the reference (DESIGN.md §10);
+  reruns (DESIGN.md §10);
 - :mod:`repro.auction.optimal` — exact optimum via integer linear
   programming (scipy), for approximation-ratio studies on small
   instances;

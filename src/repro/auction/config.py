@@ -2,8 +2,7 @@
 
 :class:`AuctionConfig` mirrors :class:`~repro.core.config.DateConfig`
 for the auction stage: the paper's one mechanism parameter
-(``monopoly_payment_factor``, DESIGN.md §4) plus the engineering knob
-selecting the execution engine.  Values are validated eagerly so a bad
+(``monopoly_payment_factor``, DESIGN.md §4), validated eagerly so a bad
 sweep fails before any auction time is spent.
 """
 
@@ -16,9 +15,6 @@ from ..errors import ConfigurationError
 
 __all__ = ["AuctionConfig"]
 
-#: Valid values of :attr:`AuctionConfig.backend`.
-BACKENDS = ("vectorized", "reference")
-
 
 @dataclass(frozen=True)
 class AuctionConfig:
@@ -26,18 +22,6 @@ class AuctionConfig:
 
     Parameters
     ----------
-    backend:
-        Execution engine: ``"vectorized"`` (default) runs winner
-        selection as fleet-wide numpy passes with incremental residual
-        updates and computes critical payments by forking each
-        ``W \\ {i}`` rerun from the memoized shared prefix
-        (:mod:`repro.auction.engine`); ``"reference"`` runs the scalar
-        per-worker transcription of Alg. 2.  Both produce *identical*
-        outcomes — winners, selection order, payments, monopolists —
-        bit for bit (DESIGN.md §10; pinned by
-        tests/property/test_property_auction_backends.py).  Keep the
-        reference around for equivalence testing and line-by-line
-        auditing against the paper.
     monopoly_payment_factor:
         Payment multiplier for *monopolist* winners — workers without
         whom the requirements cannot be covered, whose critical value
@@ -45,14 +29,9 @@ class AuctionConfig:
         paid below its bid.
     """
 
-    backend: str = "vectorized"
     monopoly_payment_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
         if self.monopoly_payment_factor < 1.0:
             raise ConfigurationError(
                 "monopoly_payment_factor must be >= 1 (a winner must never "

@@ -1,8 +1,8 @@
 """Array-native reverse auction: batched selection + prefix-shared payments.
 
-This module is the auction twin of :mod:`repro.core.engine`: the same
-Alg. 2 the scalar :mod:`~repro.auction.reverse_auction` transcribes, as
-fleet-wide numpy passes.  Three ideas carry the speedup:
+This module is the auction twin of :mod:`repro.core.engine`: Alg. 2 as
+fleet-wide numpy passes, pinned against the scalar per-worker
+transcription in tests/oracles/auction.py.  Three ideas carry the speedup:
 
 1. **Batched winner selection.**  The scalar loop evaluates
    ``Σ_j min(Θ'_j, A_k^j)`` one worker at a time, every round.  Here
@@ -33,10 +33,10 @@ fleet-wide numpy passes.  Three ideas carry the speedup:
    ratio, and only stale entries that reach the top are re-evaluated.
 
 Equality contract: every quantity that reaches an output or a decision
-is computed by the same floating-point expression as the reference —
+is computed by the same floating-point expression as the oracle —
 marginals as dense capped-row sums (numpy's pairwise row reduction is
 bit-identical whether one row or a whole matrix is summed; continuations
-use the reference's own ``min(residual, A_k).sum()``), residual updates
+use the oracle's own ``min(residual, A_k).sum()``), residual updates
 by the same elementwise formula, payment terms as
 ``(b_k · own) / other`` in the same association order.  Winners,
 selection order, payments, and monopolists are therefore *exactly*
@@ -181,7 +181,7 @@ def batched_greedy_cover(instance: SOACInstance) -> CoverTrace:
 def vectorized_cover(
     instance: SOACInstance, *, exclude: int | None = None
 ) -> list[tuple[int, np.ndarray]]:
-    """Drop-in twin of :func:`~repro.auction.reverse_auction.greedy_cover`.
+    """Drop-in twin of the oracle's scalar ``greedy_cover``.
 
     Same ``(worker, residual-before)`` pairs, same exceptions — computed
     by the batched engine.  Used by the equivalence suites and anywhere

@@ -24,31 +24,20 @@ Degenerate case: if ``W \\ {i}`` cannot cover the requirements, worker
 auction then pays ``monopoly_payment_factor · b_i`` and records the
 worker in :attr:`AuctionOutcome.monopolists` (see DESIGN.md §4).
 
-Two interchangeable engines execute the algorithm —
-:class:`~repro.auction.config.AuctionConfig` selects one.  This module
-holds the scalar ``"reference"`` transcription (per-worker loops, the
-payment phase rerunning the greedy from scratch per winner);
-:mod:`repro.auction.engine` is the ``"vectorized"`` default (fleet-wide
-batched selection, prefix-shared payment reruns) producing bit-identical
-outcomes (DESIGN.md §10).
+:mod:`repro.auction.engine` executes both phases (fleet-wide batched
+selection, lazy-greedy payment continuations; DESIGN.md §10).  The
+scalar per-worker transcription it is pinned against lives in
+tests/oracles/auction.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..errors import InfeasibleCoverageError
 from .config import AuctionConfig
-from .soac import COVERAGE_TOL, SOACInstance
+from .soac import SOACInstance
 
-__all__ = [
-    "AuctionOutcome",
-    "ReverseAuction",
-    "greedy_cover",
-    "reference_payments",
-]
+__all__ = ["AuctionOutcome", "ReverseAuction"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,98 +73,11 @@ class AuctionOutcome:
         return self.payments[worker_id] - cost
 
 
-def greedy_cover(
-    instance: SOACInstance,
-    *,
-    exclude: int | None = None,
-) -> list[tuple[int, np.ndarray]]:
-    """Run Alg. 2's selection loop; yield ``(worker, residual-before)`` pairs.
-
-    ``exclude`` removes one worker from consideration (the payment
-    phase's ``W \\ {i}``).  Raises :class:`InfeasibleCoverageError` when
-    the remaining workers cannot cover the requirements.
-
-    One capped-coverage buffer is reused across every marginal
-    evaluation and residual update, so the only per-round allocation is
-    the recorded residual snapshot.
-    """
-    residual = instance.requirements.astype(np.float64).copy()
-    capped = np.empty_like(residual)
-    accuracy = instance.accuracy
-    bids = instance.bids
-    chosen: list[tuple[int, np.ndarray]] = []
-    selected: set[int] = set()
-    while residual.sum() > COVERAGE_TOL:
-        best_worker = -1
-        best_ratio = np.inf
-        for k in range(instance.n_workers):
-            if k == exclude or k in selected:
-                continue
-            np.minimum(residual, accuracy[k], out=capped)
-            marginal = capped.sum()
-            if marginal <= COVERAGE_TOL:
-                continue
-            ratio = bids[k] / marginal
-            if ratio < best_ratio or (ratio == best_ratio and k < best_worker):
-                best_ratio = ratio
-                best_worker = k
-        if best_worker < 0:
-            uncovered = instance.uncovered_tasks(sorted(selected))
-            raise InfeasibleCoverageError(uncovered)
-        chosen.append((best_worker, residual.copy()))
-        selected.add(best_worker)
-        np.minimum(residual, accuracy[best_worker], out=capped)
-        residual -= capped
-        np.maximum(residual, 0.0, out=residual)
-    return chosen
-
-
-def reference_payments(
-    instance: SOACInstance,
-    selection: list[tuple[int, np.ndarray]],
-    *,
-    monopoly_payment_factor: float = 1.0,
-) -> tuple[dict[str, float], list[str]]:
-    """Payment phase of Alg. 2 (lines 9-20), scalar transcription.
-
-    Reruns the *entire* greedy cover over ``W \\ {i}`` once per winner
-    — the O(W³·T) hot path the vectorized engine's prefix sharing
-    eliminates.  Returns ``(payments, monopolists)``.
-    """
-    payments: dict[str, float] = {}
-    monopolists: list[str] = []
-    capped = np.empty(instance.n_tasks, dtype=np.float64)
-    for i, _ in selection:
-        worker_id = instance.worker_ids[i]
-        try:
-            replacement_run = greedy_cover(instance, exclude=i)
-        except InfeasibleCoverageError:
-            # Monopolist: no replacement set exists without i.
-            payments[worker_id] = monopoly_payment_factor * float(
-                instance.bids[i]
-            )
-            monopolists.append(worker_id)
-            continue
-        payment = 0.0
-        accuracy_i = instance.accuracy[i]
-        for k, residual in replacement_run:
-            np.minimum(residual, accuracy_i, out=capped)
-            own = capped.sum()
-            np.minimum(residual, instance.accuracy[k], out=capped)
-            other = capped.sum()
-            if other <= COVERAGE_TOL:
-                continue
-            payment = max(payment, float(instance.bids[k]) * own / other)
-        payments[worker_id] = float(payment)
-    return payments, monopolists
-
-
 class ReverseAuction:
     """IMC2's auction stage (Alg. 2).
 
     Accepts an :class:`~repro.auction.config.AuctionConfig` (or the
-    individual knobs as keyword overrides).  The ``backend`` knob picks
-    the execution engine; outcomes are identical either way.
+    individual knob as a keyword override).
     """
 
     method_name = "RA"
@@ -185,19 +87,11 @@ class ReverseAuction:
         config: AuctionConfig | None = None,
         *,
         monopoly_payment_factor: float | None = None,
-        backend: str | None = None,
     ):
         base = config if config is not None else AuctionConfig()
-        changes: dict[str, object] = {}
         if monopoly_payment_factor is not None:
-            changes["monopoly_payment_factor"] = monopoly_payment_factor
-        if backend is not None:
-            changes["backend"] = backend
-        self.config = base.evolve(**changes) if changes else base
-
-    @property
-    def backend(self) -> str:
-        return self.config.backend
+            base = base.evolve(monopoly_payment_factor=monopoly_payment_factor)
+        self.config = base
 
     @property
     def monopoly_payment_factor(self) -> float:
@@ -205,26 +99,13 @@ class ReverseAuction:
 
     def run(self, instance: SOACInstance) -> AuctionOutcome:
         """Select winners and compute critical payments."""
+        from .engine import run_auction
+
         instance.check_feasible()
-
-        if self.config.backend == "vectorized":
-            from .engine import run_auction
-
-            winners, payments, monopolists = run_auction(
-                instance,
-                monopoly_payment_factor=self.config.monopoly_payment_factor,
-            )
-        else:
-            # --- Winner selection phase (Alg. 2 lines 1-8) ---
-            selection = greedy_cover(instance)
-            winners = [worker for worker, _ in selection]
-            # --- Payment determination phase (Alg. 2 lines 9-20) ---
-            payments, monopolists = reference_payments(
-                instance,
-                selection,
-                monopoly_payment_factor=self.config.monopoly_payment_factor,
-            )
-
+        winners, payments, monopolists = run_auction(
+            instance,
+            monopoly_payment_factor=self.config.monopoly_payment_factor,
+        )
         total_payment = float(sum(payments.values()))
         return AuctionOutcome(
             method=self.method_name,

@@ -35,11 +35,11 @@ class SparseAccuracy:
 
     Workers only cover the tasks they bid (``A_i^j = 0`` elsewhere), so
     the accuracy matrix is sparse in any realistic campaign.  The
-    vectorized auction engine uses this structure for its *incremental*
+    auction engine uses this structure for its *incremental*
     bookkeeping — which task columns a selected winner changes, and
     which worker rows are affected by those columns — while the capped
     coverage sums themselves stay dense so they are bit-identical to
-    the scalar reference (DESIGN.md §10).
+    the scalar oracle (DESIGN.md §10).
 
     Attributes
     ----------

@@ -27,9 +27,7 @@ import numpy as np
 
 from ..core.config import DateConfig
 from ..core.date import DATE
-from ..core.dependence import DependencePosterior, directed_probability
 from ..core.engine import DependenceArrays
-from ..core.independence import IndependenceTable
 from ..core.indexing import ClaimArrays, DatasetIndex
 from ..errors import ConfigurationError
 
@@ -78,40 +76,15 @@ class EnumerateDependence(DATE):
             raise ConfigurationError("exact_enumeration_limit must be >= 0")
         self.exact_enumeration_limit = exact_enumeration_limit
 
-    def _independence(
-        self,
-        index: DatasetIndex,
-        dependence: dict[tuple[int, int], DependencePosterior],
-    ) -> IndependenceTable:
-        r = self.config.copy_prob_r
-        table: IndependenceTable = []
-        for j in range(index.n_tasks):
-            per_value: dict[str, dict[int, float]] = {}
-            for value, group in index.value_groups[j].items():
-                scores: dict[int, float] = {}
-                for worker in group:
-                    edge_probs = [
-                        r * directed_probability(dependence, worker, other)
-                        for other in group
-                        if other != worker
-                    ]
-                    if len(edge_probs) <= self.exact_enumeration_limit:
-                        scores[worker] = _enumerated_independence(edge_probs)
-                    else:
-                        scores[worker] = _closed_form_independence(edge_probs)
-                per_value[value] = scores
-            table.append(per_value)
-        return table
-
     def _independence_flat(
         self,
         index: DatasetIndex,
         arrays: ClaimArrays,
         dependence: DependenceArrays,
     ) -> np.ndarray:
-        """Array-side enumeration: same exponential step 2, flat output.
+        """Step 2 by enumeration: the exponential sweep, flat output.
 
-        Steps 1 and 3 ride the vectorized kernels; the per-worker
+        Steps 1 and 3 ride DATE's kernels; the per-worker
         ``2^k`` configuration sweep — the cost ED exists to measure —
         stays explicit, fed by the same O(pairs) slot gather as DATE's
         step 2 (the dense n_workers² matrix is never materialized; the

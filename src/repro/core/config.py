@@ -1,13 +1,15 @@
 """Configuration for the DATE algorithm (Alg. 1 inputs).
 
 :class:`DateConfig` bundles the paper's hyperparameters with the
-engineering knobs documented in DESIGN.md §4.  All values are validated
+modelling choices documented in DESIGN.md §4.  All values are validated
 eagerly so a bad sweep fails before any simulation time is spent.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import Any
 
 from ..errors import ConfigurationError
@@ -47,41 +49,17 @@ class DateConfig:
         ``"directed"`` (the equation as written) or ``"total"`` (either
         copy direction — required when copier and source submit
         identical data and the direction is unidentifiable; see
-        :func:`repro.core.independence.independence_probabilities`).
+        :func:`repro.core.engine.independence_flat` and DESIGN.md §4).
     discounted_posterior:
         When true (default), value posteriors weight each vote's
         log-odds by its independence probability (Dong et al. [15]),
         so detected copiers cannot corrupt the accuracy estimates; when
         false, use Alg. 1 line 23 exactly as written.  See
-        :func:`repro.core.accuracy.discounted_value_posteriors`.
+        :func:`repro.core.engine.discounted_posterior_groups`.
     false_values:
         False-value distribution model (uniform by default; Sec. IV-B).
     similarity / similarity_weight:
         Optional Sec. IV-A value-similarity adjustment (ρ).
-    backend:
-        Execution engine: ``"vectorized"`` (default) runs every kernel
-        as numpy passes over the integer-coded claim arrays
-        (:mod:`repro.core.engine`); ``"reference"`` runs the scalar
-        per-element implementations the equations were transcribed
-        into.  Both produce the same results (DESIGN.md §7; pinned by
-        tests/property/test_property_backends.py) — keep the reference
-        around for equivalence testing and line-by-line auditing.
-    stable_dependence:
-        Vectorized-backend fast path (DESIGN.md §12): maintain the
-        pairwise dependence aggregates incrementally across fixed-point
-        iterations (:class:`repro.core.engine.IncrementalDependence`),
-        so a task whose truth code and claim accuracies did not move
-        between iterations skips re-scoring entirely.  Bit-identical to
-        the default full recompute — this is a cost knob, never a
-        results knob (pinned by
-        tests/property/test_property_incremental_dependence.py).
-    intra_workers:
-        Intra-campaign parallelism for the vectorized dependence and
-        posterior kernels: flattened rows are cut into fixed contiguous
-        blocks, partial segment sums run on a shared thread pool, and
-        the partials reduce in fixed block order — deterministic
-        run-to-run, within 1e-9 of serial (exact where fp order
-        allows).  1 (default) keeps the bit-exact serial path.
     """
 
     copy_prob_r: float = 0.4
@@ -96,9 +74,6 @@ class DateConfig:
     false_values: FalseValueDistribution = field(default_factory=UniformFalseValues)
     similarity: SimilarityFn | None = None
     similarity_weight: float = 0.0
-    backend: str = "vectorized"
-    stable_dependence: bool = False
-    intra_workers: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.copy_prob_r < 1.0:
@@ -113,11 +88,28 @@ class DateConfig:
             raise ConfigurationError(
                 f"prior_alpha must be in (0, 1), got {self.prior_alpha}"
             )
-        if self.max_iterations < 1:
+        if (
+            not isinstance(self.max_iterations, Integral)
+            or isinstance(self.max_iterations, bool)
+            or self.max_iterations < 1
+        ):
             raise ConfigurationError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
+                f"max_iterations must be an int >= 1, got {self.max_iterations!r}"
             )
-        lo, hi = self.accuracy_clamp
+        clamp = self.accuracy_clamp
+        if (
+            isinstance(clamp, (str, bytes))
+            or not isinstance(clamp, Sequence)
+            or len(clamp) != 2
+            or not all(
+                isinstance(bound, Real) and not isinstance(bound, bool)
+                for bound in clamp
+            )
+        ):
+            raise ConfigurationError(
+                f"accuracy_clamp must be a pair of numbers (lo, hi), got {clamp!r}"
+            )
+        lo, hi = clamp
         if not 0.0 < lo < hi < 1.0:
             raise ConfigurationError(
                 f"accuracy_clamp must satisfy 0 < lo < hi < 1, got {self.accuracy_clamp}"
@@ -147,14 +139,6 @@ class DateConfig:
         if self.similarity_weight > 0.0 and self.similarity is None:
             raise ConfigurationError(
                 "similarity_weight > 0 requires a similarity function"
-            )
-        if self.backend not in ("vectorized", "reference"):
-            raise ConfigurationError(
-                f"backend must be 'vectorized' or 'reference', got {self.backend!r}"
-            )
-        if not isinstance(self.intra_workers, int) or self.intra_workers < 1:
-            raise ConfigurationError(
-                f"intra_workers must be an int >= 1, got {self.intra_workers!r}"
             )
 
     def evolve(self, **changes: Any) -> "DateConfig":

@@ -1,11 +1,9 @@
 """Vectorized DATE kernels over :class:`~repro.core.indexing.ClaimArrays`.
 
-This module is the array-native twin of the scalar step modules
-(:mod:`~repro.core.dependence`, :mod:`~repro.core.independence`,
-:mod:`~repro.core.accuracy`, :mod:`~repro.core.support`): every kernel
-computes the same quantity from the same equations, but as flat numpy
-passes over the integer-coded claim arrays instead of per-element
-Python loops.  State lives in three flat arrays between iterations:
+This module executes the four steps of Alg. 1 (documented in
+:mod:`~repro.core.dependence`, :mod:`~repro.core.accuracy` and
+:mod:`~repro.core.support`) as flat numpy passes over the integer-coded
+claim arrays.  State lives in three flat arrays between iterations:
 
 - ``claim_acc`` — one accuracy per claim (the non-zero entries of the
   dense ``A`` matrix, in claim order);
@@ -15,9 +13,9 @@ Python loops.  State lives in three flat arrays between iterations:
 The dense matrix and the string-keyed tables of the public API are
 materialized once at the end of a run (:func:`dense_accuracy`,
 :func:`posterior_table`, :func:`support_table`,
-:func:`dependence_table`).  DESIGN.md §7 documents the encoding and the
-backend selection; tests/property/test_property_backends.py pins the
-equivalence with the scalar reference backend.
+:func:`dependence_table`).  DESIGN.md §7 documents the encoding;
+tests/property/test_property_backends.py pins every kernel against the
+scalar transcriptions kept in tests/oracles/.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import ItemsView, Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +40,6 @@ __all__ = [
     "DependenceArrays",
     "DependenceView",
     "IncrementalDependence",
-    "IncrementalStats",
     "KernelScratch",
     "pairwise_dependence_arrays",
     "independence_flat",
@@ -59,14 +55,9 @@ __all__ = [
     "independence_table",
 ]
 
-# Same likelihood clamp as the scalar kernels.
+# Likelihood terms are clamped away from 0 so a single impossible-looking
+# observation cannot produce -inf log likelihoods.
 _MIN_PROB = 1e-12
-
-# Below this many flat rows a kernel ignores ``intra_workers`` and runs
-# serially: thread dispatch would dominate, and the serial path is
-# bitwise identical anyway.  The cut depends only on the input size, so
-# path selection — like everything else here — is deterministic.
-_MIN_PARALLEL_ROWS = 4096
 
 
 def _safe_log(x: np.ndarray) -> np.ndarray:
@@ -102,9 +93,9 @@ class KernelScratch:
     iterations, so allocating them is a one-time cost.  :meth:`array`
     hands out a view of the slab for ``name`` (grown when needed), so a
     caller must be done with the previous view of a name before
-    requesting it again.  One scratch is
-    not thread-safe — parallel blocks each use their worker thread's
-    own instance (:func:`_thread_scratch`).
+    requesting it again.  One scratch is not thread-safe — concurrent
+    campaigns each use their thread's own instance
+    (:func:`_thread_scratch`).
     """
 
     def __init__(self) -> None:
@@ -135,40 +126,6 @@ def _thread_scratch() -> KernelScratch:
         scratch = KernelScratch()
         _TLS.scratch = scratch
     return scratch
-
-
-_POOL_LOCK = threading.Lock()
-_POOLS: dict[int, ThreadPoolExecutor] = {}
-
-
-def _intra_pool(n_workers: int) -> ThreadPoolExecutor:
-    """Process-wide thread pool for intra-campaign blocks, per size.
-
-    numpy releases the GIL inside its C loops, so plain threads give
-    real concurrency for these kernels without any serialization of the
-    claim arrays.  Pools are cached — campaigns are run far more often
-    than pool sizes change.
-    """
-    with _POOL_LOCK:
-        pool = _POOLS.get(n_workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=n_workers, thread_name_prefix="repro-intra"
-            )
-            _POOLS[n_workers] = pool
-        return pool
-
-
-def _block_slices(n: int, n_blocks: int) -> list[slice]:
-    """Fixed contiguous partition of ``range(n)`` into ``<= n_blocks``.
-
-    The partition depends only on ``(n, n_blocks)`` and partial results
-    are always reduced in block order, which is what makes the parallel
-    kernels deterministic run-to-run (DESIGN.md §12).
-    """
-    n_blocks = max(1, min(n_blocks, n))
-    size = -(-n // n_blocks)
-    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 @dataclass(frozen=True)
@@ -291,10 +248,10 @@ def _score_pair_rows(
     """Per-row hypothesis log-likelihood terms for ``rows`` (Eqs. 7-13).
 
     Every output element depends only on that row's own inputs, so
-    scoring any subset — a contiguous block, or the scattered rows of a
-    few touched tasks — reproduces bit for bit what a full pass writes
-    at those positions.  That elementwise property is what both the
-    blocked parallel path and :class:`IncrementalDependence` lean on.
+    scoring any subset — the scattered rows of a few touched tasks —
+    reproduces bit for bit what a full pass writes at those positions.
+    That elementwise property is what :class:`IncrementalDependence`
+    leans on.
     ``rows`` is a slice or an int index array; ``out_*`` hold one entry
     per row of ``rows``.
 
@@ -440,103 +397,6 @@ def _dependence_posteriors(
     return w_ab, w_ba
 
 
-def _pair_sums_serial(
-    arrays: ClaimArrays,
-    truth_codes: np.ndarray,
-    claim_acc: np.ndarray,
-    *,
-    r: float,
-    collision: np.ndarray,
-    lo: float,
-    hi: float,
-    scratch: KernelScratch,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full per-pair hypothesis sums, one serial pass (the baseline)."""
-    n_rows = len(arrays.ps_pair)
-    n_pairs = arrays.n_pairs
-    out_ind = scratch.array("dep_ind", n_rows)
-    out_ab = scratch.array("dep_ab", n_rows)
-    out_ba = scratch.array("dep_ba", n_rows)
-    _score_pair_rows(
-        arrays,
-        truth_codes,
-        claim_acc,
-        r=r,
-        collision=collision,
-        lo=lo,
-        hi=hi,
-        rows=slice(0, n_rows),
-        out_ind=out_ind,
-        out_ab=out_ab,
-        out_ba=out_ba,
-        scratch=scratch,
-    )
-    return (
-        np.bincount(arrays.ps_pair, weights=out_ind, minlength=n_pairs),
-        np.bincount(arrays.ps_pair, weights=out_ab, minlength=n_pairs),
-        np.bincount(arrays.ps_pair, weights=out_ba, minlength=n_pairs),
-    )
-
-
-def _pair_sums_blocked(
-    arrays: ClaimArrays,
-    truth_codes: np.ndarray,
-    claim_acc: np.ndarray,
-    *,
-    r: float,
-    collision: np.ndarray,
-    lo: float,
-    hi: float,
-    intra_workers: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pair sums via fixed contiguous row blocks on a thread pool.
-
-    Each block scores its rows (bitwise equal to the serial pass — the
-    scoring is elementwise) and bincounts them into a partial per-pair
-    sum; partials are reduced in block order, so the result is
-    deterministic run-to-run and within fp-reassociation distance
-    (≤1e-9 in practice) of the serial sums.
-    """
-    n_pairs = arrays.n_pairs
-    ps_pair = arrays.ps_pair
-    blocks = _block_slices(len(ps_pair), intra_workers)
-    arrays.pair_row_classes  # build the cached split before the threads read it
-
-    def score_block(block: slice):
-        scratch = _thread_scratch()
-        n = block.stop - block.start
-        out_ind = scratch.array("blk_ind", n)
-        out_ab = scratch.array("blk_ab", n)
-        out_ba = scratch.array("blk_ba", n)
-        _score_pair_rows(
-            arrays,
-            truth_codes,
-            claim_acc,
-            r=r,
-            collision=collision,
-            lo=lo,
-            hi=hi,
-            rows=block,
-            out_ind=out_ind,
-            out_ab=out_ab,
-            out_ba=out_ba,
-            scratch=scratch,
-        )
-        return (
-            np.bincount(ps_pair[block], weights=out_ind, minlength=n_pairs),
-            np.bincount(ps_pair[block], weights=out_ab, minlength=n_pairs),
-            np.bincount(ps_pair[block], weights=out_ba, minlength=n_pairs),
-        )
-
-    partials = list(_intra_pool(intra_workers).map(score_block, blocks))
-    sum_ind, sum_ab, sum_ba = partials[0]
-    for part_ind, part_ab, part_ba in partials[1:]:
-        sum_ind += part_ind
-        sum_ab += part_ab
-        sum_ba += part_ba
-    return sum_ind, sum_ab, sum_ba
-
-
 def pairwise_dependence_arrays(
     arrays: ClaimArrays,
     truth_codes: np.ndarray,
@@ -546,83 +406,51 @@ def pairwise_dependence_arrays(
     prior_alpha: float,
     collision: np.ndarray,
     accuracy_clamp: tuple[float, float] = (0.01, 0.99),
-    intra_workers: int = 1,
     scratch: KernelScratch | None = None,
 ) -> DependenceArrays:
     """Step 1 (Eqs. 7-15) as one pass over the (pair, shared task) rows.
 
-    Mirrors :func:`~repro.core.dependence.compute_pairwise_dependence`:
-    each flattened row contributes its log-likelihood terms to the three
+    Each flattened row contributes its log-likelihood terms to the three
     hypotheses of its pair (segment sums by pair), then Bayes' rule with
     the α/2 prior split normalizes in log space.  ``collision`` is the
     per-task false-value collision probability (Eq. 22's integral),
     typically :meth:`FalseValueDistribution.collision_array`.
-
-    ``intra_workers > 1`` computes the segment sums over fixed
-    contiguous row blocks on a thread pool, reduced in block order —
-    deterministic run-to-run, ≤1e-9 from serial.  ``scratch`` reuses
-    the serial path's temporaries across calls (defaults to the calling
-    thread's shared scratch).
+    ``scratch`` reuses the temporaries across calls (defaults to the
+    calling thread's shared scratch).
     """
     if not 0.0 < copy_prob_r < 1.0:
         raise ValueError(f"copy_prob_r must be in (0, 1), got {copy_prob_r}")
     if not 0.0 < prior_alpha < 1.0:
         raise ValueError(f"prior_alpha must be in (0, 1), got {prior_alpha}")
-    if intra_workers < 1:
-        raise ValueError(f"intra_workers must be >= 1, got {intra_workers}")
     lo, hi = accuracy_clamp
     scratch = scratch if scratch is not None else _thread_scratch()
-
-    if intra_workers > 1 and len(arrays.ps_pair) >= _MIN_PARALLEL_ROWS:
-        sums = _pair_sums_blocked(
-            arrays,
-            truth_codes,
-            claim_acc,
-            r=copy_prob_r,
-            collision=collision,
-            lo=lo,
-            hi=hi,
-            intra_workers=intra_workers,
-        )
-    else:
-        sums = _pair_sums_serial(
-            arrays,
-            truth_codes,
-            claim_acc,
-            r=copy_prob_r,
-            collision=collision,
-            lo=lo,
-            hi=hi,
-            scratch=scratch,
-        )
-    p_ab, p_ba = _dependence_posteriors(*sums, prior_alpha, scratch)
+    n_rows = len(arrays.ps_pair)
+    n_pairs = arrays.n_pairs
+    out_ind = scratch.array("dep_ind", n_rows)
+    out_ab = scratch.array("dep_ab", n_rows)
+    out_ba = scratch.array("dep_ba", n_rows)
+    _score_pair_rows(
+        arrays,
+        truth_codes,
+        claim_acc,
+        r=copy_prob_r,
+        collision=collision,
+        lo=lo,
+        hi=hi,
+        rows=slice(0, n_rows),
+        out_ind=out_ind,
+        out_ab=out_ab,
+        out_ba=out_ba,
+        scratch=scratch,
+    )
+    p_ab, p_ba = _dependence_posteriors(
+        np.bincount(arrays.ps_pair, weights=out_ind, minlength=n_pairs),
+        np.bincount(arrays.ps_pair, weights=out_ab, minlength=n_pairs),
+        np.bincount(arrays.ps_pair, weights=out_ba, minlength=n_pairs),
+        prior_alpha,
+        scratch,
+    )
     return DependenceArrays(p_ab=p_ab, p_ba=p_ba)
-
-
-@dataclass
-class IncrementalStats:
-    """Cheap always-on counters of one :class:`IncrementalDependence`.
-
-    Plain ints updated unconditionally (a few adds per refresh — far
-    below measurement noise), so ``repro metrics`` and the engine's
-    convergence telemetry can report refresh hit rates without the
-    registry being enabled during the run.
-    """
-
-    refreshes: int = 0
-    full_passes: int = 0
-    rows_rescored: int = 0
-    rows_total: int = 0
-
-    @property
-    def incremental_refreshes(self) -> int:
-        return self.refreshes - self.full_passes
-
-    @property
-    def rescore_fraction(self) -> float:
-        """Mean fraction of pair rows re-scored per refresh (1.0 = full)."""
-        denominator = self.refreshes * self.rows_total
-        return self.rows_rescored / denominator if denominator else 0.0
 
 
 class IncrementalDependence:
@@ -676,7 +504,6 @@ class IncrementalDependence:
         self._scratch = KernelScratch()
         self._truth_codes: np.ndarray | None = None
         self._claim_acc: np.ndarray | None = None
-        self.stats = IncrementalStats()
         self._bind(arrays, collision)
 
     def _bind(self, arrays: ClaimArrays, collision: np.ndarray) -> None:
@@ -692,7 +519,6 @@ class IncrementalDependence:
         self._sum_ba = np.empty(n_pairs)
         self._p_ab = np.empty(n_pairs)
         self._p_ba = np.empty(n_pairs)
-        self.stats.rows_total = n_rows
 
     @property
     def arrays(self) -> ClaimArrays:
@@ -719,7 +545,6 @@ class IncrementalDependence:
         """
         truth_codes = np.asarray(truth_codes, dtype=np.int64)
         claim_acc = np.asarray(claim_acc, dtype=np.float64)
-        self.stats.refreshes += 1
         if self._truth_codes is None:
             self._refresh_full(truth_codes, claim_acc)
         else:
@@ -825,8 +650,6 @@ class IncrementalDependence:
         touched[:old_n_tasks] |= collision[:old_n_tasks] != self._collision
         self._arrays = arrays
         self._collision = collision.copy()
-        self.stats.rows_total = n_rows
-        self.stats.refreshes += 1
         self._refresh_tasks(np.flatnonzero(touched), truth_codes, claim_acc)
         self._truth_codes = truth_codes.copy()
         self._claim_acc = claim_acc.copy()
@@ -845,8 +668,6 @@ class IncrementalDependence:
 
     def _refresh_full(self, truth_codes: np.ndarray, claim_acc: np.ndarray) -> None:
         arrays = self._arrays
-        self.stats.full_passes += 1
-        self.stats.rows_rescored += len(arrays.ps_pair)
         _score_pair_rows(
             arrays,
             truth_codes,
@@ -894,7 +715,6 @@ class IncrementalDependence:
         if len(rows) == 0:
             return
         n = len(rows)
-        self.stats.rows_rescored += n
         out_ind = scratch.array("inc_ind", n)
         out_ab = scratch.array("inc_ab", n)
         out_ba = scratch.array("inc_ba", n)
@@ -960,6 +780,20 @@ def independence_flat(
 ) -> np.ndarray:
     """Step 2 (Eq. 16): one independence probability per claim.
 
+    A copied claim should not count as independent support, so the
+    providers of each value are ordered greedily and each is discounted
+    only against its predecessors,
+    ``I_v^j(i) = Π_{i' before i} (1 - r · P(i → i' | D))``.  The first
+    worker has the highest total dependence inside the group
+    (``ordering="dependent_first"``, the paper text; the lowest for
+    ``"independent_first"``, the pseudocode variant); each next pick is
+    the remaining worker with the largest directed dependence on an
+    already-selected one (Alg. 1 line 19).  ``discount_mode="total"``
+    uses ``P(i → i') + P(i' → i)`` in the product: a verbatim copier's
+    direction is unidentifiable (each direction caps near 0.5), and
+    only the total discounts the pair to one effective vote (DESIGN.md
+    §4).
+
     The greedy ordering inside each multi-provider value group is
     inherently sequential in the group *size*, but not across groups:
     all groups of one size run batched (``(G, m, m)`` tensors taken
@@ -969,10 +803,9 @@ def independence_flat(
     Single-provider groups keep the definitional ``I = 1`` without
     being visited at all.
 
-    Ordering and tie-break rules replicate
-    :func:`~repro.core.independence.order_value_group` exactly: groups
-    store workers ascending, and ``argmax``/``argmin`` pick the first
-    (smallest-index) element on ties.
+    Ties break on the worker index, as in the scalar ordering oracle
+    (tests/oracles/independence.py): groups store workers ascending,
+    and ``argmax``/``argmin`` pick the first (smallest-index) element.
     """
     if not 0.0 < copy_prob_r < 1.0:
         raise ValueError(f"copy_prob_r must be in (0, 1), got {copy_prob_r}")
@@ -1060,45 +893,20 @@ def _segment_softmax(scores: np.ndarray, seg_ids: np.ndarray, ptr: np.ndarray) -
     return weights / totals[seg_ids]
 
 
-def _plain_terms(
-    arrays: ClaimArrays,
-    claim_acc: np.ndarray,
-    value_q: np.ndarray,
-    *,
-    lo: float,
-    hi: float,
-    block: slice,
-    scratch: KernelScratch,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-claim ``(ln A, ln((1-A) q))`` for one contiguous claim block."""
-    n = block.stop - block.start
-    acc = np.clip(claim_acc[block], lo, hi, out=scratch.array("pp_acc", n))
-    log_acc = np.log(acc, out=scratch.array("pp_log_acc", n))
-    log_false = np.subtract(1.0, acc, out=scratch.array("pp_log_false", n))
-    q = np.take(value_q, arrays.claim_group[block], out=scratch.array("pp_q", n))
-    np.multiply(log_false, q, out=log_false)
-    np.maximum(log_false, _MIN_PROB, out=log_false)
-    np.log(log_false, out=log_false)
-    return log_acc, log_false
-
-
 def plain_posterior_groups(
     arrays: ClaimArrays,
     claim_acc: np.ndarray,
     *,
     false_values,
     accuracy_clamp: tuple[float, float] = (0.01, 0.99),
-    intra_workers: int = 1,
     scratch: KernelScratch | None = None,
 ) -> np.ndarray:
     """Eq. 20 posteriors (undiscounted), one probability per value group.
 
-    Mirrors :func:`~repro.core.accuracy.value_posteriors`.  When the
-    false-value model is candidate-free (the uniform default: ``q``
-    depends only on the task), the whole computation is three segment
-    sums — optionally blocked over ``intra_workers`` threads with the
-    partials reduced in block order; otherwise each task builds its
-    small ``K x K`` false-value matrix through the scalar model API.
+    When the false-value model is candidate-free (the uniform default:
+    ``q`` depends only on the task), the whole computation is three
+    segment sums; otherwise each task builds its small ``K x K``
+    false-value matrix through the scalar model API.
     """
     lo, hi = accuracy_clamp
     index = arrays.index
@@ -1106,73 +914,35 @@ def plain_posterior_groups(
 
     if getattr(false_values, "candidate_free", False):
         value_q = false_values.value_probability_array(index)
-        n_claims = arrays.n_claims
+        n = arrays.n_claims
+        # Per-claim ln A and ln((1-A) q).
+        acc = np.clip(claim_acc, lo, hi, out=scratch.array("pp_acc", n))
+        log_acc = np.log(acc, out=scratch.array("pp_log_acc", n))
+        log_false = np.subtract(1.0, acc, out=scratch.array("pp_log_false", n))
+        q = np.take(value_q, arrays.claim_group, out=scratch.array("pp_q", n))
+        np.multiply(log_false, q, out=log_false)
+        np.maximum(log_false, _MIN_PROB, out=log_false)
+        np.log(log_false, out=log_false)
         # Score of group g = Σ_{claims in g} log A + Σ_{other claims of
         # the task} log((1-A) q): per-task totals minus the group's own.
-        if intra_workers > 1 and n_claims >= _MIN_PARALLEL_ROWS:
-
-            def sum_block(block: slice):
-                log_acc, log_false = _plain_terms(
-                    arrays,
-                    claim_acc,
-                    value_q,
-                    lo=lo,
-                    hi=hi,
-                    block=block,
-                    scratch=_thread_scratch(),
-                )
-                return (
-                    np.bincount(
-                        arrays.claim_task[block],
-                        weights=log_false,
-                        minlength=index.n_tasks,
-                    ),
-                    np.bincount(
-                        arrays.claim_group[block],
-                        weights=log_acc,
-                        minlength=arrays.n_groups,
-                    ),
-                    np.bincount(
-                        arrays.claim_group[block],
-                        weights=log_false,
-                        minlength=arrays.n_groups,
-                    ),
-                )
-
-            partials = list(
-                _intra_pool(intra_workers).map(
-                    sum_block, _block_slices(n_claims, intra_workers)
-                )
-            )
-            task_false, own_acc, own_false = partials[0]
-            for part_task, part_acc, part_false in partials[1:]:
-                task_false += part_task
-                own_acc += part_acc
-                own_false += part_false
-        else:
-            log_acc, log_false = _plain_terms(
-                arrays,
-                claim_acc,
-                value_q,
-                lo=lo,
-                hi=hi,
-                block=slice(0, n_claims),
-                scratch=scratch,
-            )
-            task_false = np.bincount(
-                arrays.claim_task, weights=log_false, minlength=index.n_tasks
-            )
-            own_acc = np.bincount(
-                arrays.claim_group, weights=log_acc, minlength=arrays.n_groups
-            )
-            own_false = np.bincount(
-                arrays.claim_group, weights=log_false, minlength=arrays.n_groups
-            )
+        task_false = np.bincount(
+            arrays.claim_task, weights=log_false, minlength=index.n_tasks
+        )
+        own_acc = np.bincount(
+            arrays.claim_group, weights=log_acc, minlength=arrays.n_groups
+        )
+        own_false = np.bincount(
+            arrays.claim_group, weights=log_false, minlength=arrays.n_groups
+        )
         scores = own_acc + task_false[arrays.group_task] - own_false
         return _segment_softmax(scores, arrays.group_task, arrays.task_group_ptr)
 
     # General model: per-task K x K false-value matrices, computed once
     # per index (they are iteration-invariant) and cached on the model.
+    # Each candidate's score adds its claims' terms in the task's claim
+    # order (``index.claims_by_task``), as the scalar transcription
+    # does: candidates whose scores tie exactly in real arithmetic then
+    # tie in floating point too, and line 28's tie-break decides.
     acc = np.clip(claim_acc, lo, hi)
     log_acc = np.log(acc)
     q_matrices = false_values.value_probability_matrices(index)
@@ -1182,39 +952,17 @@ def plain_posterior_groups(
         if g0 == g1:
             continue
         c0, c1 = int(arrays.task_ptr[j]), int(arrays.task_ptr[j + 1])
+        rank = {worker: r for r, worker in enumerate(index.claims_by_task[j])}
+        rows = c0 + np.argsort(
+            [rank[worker] for worker in arrays.claim_worker[c0:c1].tolist()]
+        )
         q = q_matrices[j]
-        codes = arrays.claim_code[c0:c1]
-        acc_j = acc[c0:c1]
-        contrib = _safe_log((1.0 - acc_j)[:, None] * q[codes, :])
+        codes = arrays.claim_code[rows]
+        contrib = _safe_log((1.0 - acc[rows])[:, None] * q[codes, :])
         own = codes[:, None] == np.arange(g1 - g0)[None, :]
-        contrib = np.where(own, log_acc[c0:c1, None], contrib)
+        contrib = np.where(own, log_acc[rows, None], contrib)
         scores[g0:g1] = contrib.sum(axis=0)
     return _segment_softmax(scores, arrays.group_task, arrays.task_group_ptr)
-
-
-def _discount_terms(
-    arrays: ClaimArrays,
-    claim_acc: np.ndarray,
-    indep: np.ndarray,
-    group_q: np.ndarray,
-    *,
-    lo: float,
-    hi: float,
-    block: slice,
-    scratch: KernelScratch,
-) -> np.ndarray:
-    """Per-claim ``I · (ln A - ln((1-A) q))`` for one contiguous block."""
-    n = block.stop - block.start
-    acc = np.clip(claim_acc[block], lo, hi, out=scratch.array("dq_acc", n))
-    term = np.log(acc, out=scratch.array("dq_term", n))
-    false_part = np.subtract(1.0, acc, out=scratch.array("dq_false", n))
-    q = np.take(group_q, arrays.claim_group[block], out=scratch.array("dq_q", n))
-    np.multiply(false_part, q, out=false_part)
-    np.maximum(false_part, _MIN_PROB, out=false_part)
-    np.log(false_part, out=false_part)
-    np.subtract(term, false_part, out=term)
-    np.multiply(term, indep[block], out=term)
-    return term
 
 
 def discounted_posterior_groups(
@@ -1224,63 +972,30 @@ def discounted_posterior_groups(
     *,
     group_q: np.ndarray,
     accuracy_clamp: tuple[float, float] = (0.01, 0.99),
-    intra_workers: int = 1,
     scratch: KernelScratch | None = None,
 ) -> np.ndarray:
     """Independence-weighted posteriors, one per value group.
 
-    Mirrors :func:`~repro.core.accuracy.discounted_value_posteriors`:
-    each claim contributes ``I · (ln A - ln((1-A) q))`` to its group's
-    log score; scores are softmax-normalized per task.  ``group_q`` is
-    the per-group false-value probability (already floored at the
+    Each claim contributes ``I · (ln A - ln((1-A) q))`` to its group's
+    log score (Dong et al. [15]; with all ``I = 1`` this is Eq. 20);
+    scores are softmax-normalized per task.  ``group_q`` is the
+    per-group false-value probability (already floored at the
     likelihood clamp), typically
     :meth:`FalseValueDistribution.value_probability_array`.
-
-    ``intra_workers > 1`` sums fixed contiguous claim blocks on the
-    shared thread pool, reducing partials in block order (deterministic
-    run-to-run, ≤1e-9 from serial).
     """
     lo, hi = accuracy_clamp
-    n_claims = arrays.n_claims
-    if intra_workers > 1 and n_claims >= _MIN_PARALLEL_ROWS:
-
-        def sum_block(block: slice):
-            term = _discount_terms(
-                arrays,
-                claim_acc,
-                indep,
-                group_q,
-                lo=lo,
-                hi=hi,
-                block=block,
-                scratch=_thread_scratch(),
-            )
-            return np.bincount(
-                arrays.claim_group[block], weights=term, minlength=arrays.n_groups
-            )
-
-        partials = list(
-            _intra_pool(intra_workers).map(
-                sum_block, _block_slices(n_claims, intra_workers)
-            )
-        )
-        scores = partials[0]
-        for part in partials[1:]:
-            scores += part
-    else:
-        term = _discount_terms(
-            arrays,
-            claim_acc,
-            indep,
-            group_q,
-            lo=lo,
-            hi=hi,
-            block=slice(0, n_claims),
-            scratch=scratch if scratch is not None else _thread_scratch(),
-        )
-        scores = np.bincount(
-            arrays.claim_group, weights=term, minlength=arrays.n_groups
-        )
+    scratch = scratch if scratch is not None else _thread_scratch()
+    n = arrays.n_claims
+    acc = np.clip(claim_acc, lo, hi, out=scratch.array("dq_acc", n))
+    term = np.log(acc, out=scratch.array("dq_term", n))
+    false_part = np.subtract(1.0, acc, out=scratch.array("dq_false", n))
+    q = np.take(group_q, arrays.claim_group, out=scratch.array("dq_q", n))
+    np.multiply(false_part, q, out=false_part)
+    np.maximum(false_part, _MIN_PROB, out=false_part)
+    np.log(false_part, out=false_part)
+    np.subtract(term, false_part, out=term)
+    np.multiply(term, indep, out=term)
+    scores = np.bincount(arrays.claim_group, weights=term, minlength=arrays.n_groups)
     return _segment_softmax(scores, arrays.group_task, arrays.task_group_ptr)
 
 
@@ -1294,8 +1009,7 @@ def accuracy_flat(
 
     ``"worker"`` granularity averages each worker's claim posteriors and
     broadcasts the mean back to its claims; ``"task"`` keeps the
-    per-claim posterior.  The flat twin of
-    :func:`~repro.core.accuracy.update_accuracy_matrix`.
+    per-claim posterior.
     """
     if granularity not in ("worker", "task"):
         raise ValueError(

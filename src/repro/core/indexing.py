@@ -9,9 +9,9 @@ ints and numpy arrays.
 :class:`ClaimArrays` (reachable as :attr:`DatasetIndex.arrays`) goes one
 step further: every claim value is replaced by a small per-task integer
 code and all per-claim, per-value-group and per-worker-pair structures
-are flattened into contiguous numpy arrays (CSR style).  The vectorized
-DATE backend (:mod:`repro.core.engine`) runs entirely on these arrays;
-see DESIGN.md §7 for the encoding.
+are flattened into contiguous numpy arrays (CSR style).  The DATE
+kernels (:mod:`repro.core.engine`) run entirely on these arrays; see
+DESIGN.md §7 for the encoding.
 
 Streaming campaigns (:mod:`repro.streaming`) grow an existing index one
 claim batch at a time through :meth:`DatasetIndex.extended`: only the

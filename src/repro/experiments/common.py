@@ -10,10 +10,9 @@ Two scale presets parameterize every experiment:
   and therefore the qualitative shapes.
 
 :func:`truth_algorithms` builds fresh instances of the four
-truth-discovery competitors sharing one :class:`DateConfig` (including
-its ``backend`` selection — sweeps can pit the vectorized engine
-against the scalar reference);  :func:`auction_algorithms` does the
-same for the three auction competitors.
+truth-discovery competitors sharing one :class:`DateConfig`;
+:func:`auction_algorithms` does the same for the three auction
+competitors.
 
 Runners that evaluate several algorithms or hyperparameter points on
 the same dataset should structure the work *instance-first*: one
@@ -183,8 +182,7 @@ def truth_algorithms(
     """Fresh instances of the Fig. 4/5 competitors, keyed by method name.
 
     ``include_ed=False`` skips the exponential ED baseline for runs
-    where its cost is not the point.  All four honour the shared
-    config's ``backend`` (MV is array-native either way).
+    where its cost is not the point.
     """
     algorithms: dict[str, Any] = {
         "MV": MajorityVote(),
@@ -201,9 +199,8 @@ def auction_algorithms(
 ) -> dict[str, Any]:
     """Fresh instances of the Fig. 6/7 competitors, keyed by method name.
 
-    ``auction_config`` selects RA's engine backend (vectorized by
-    default); outcomes are backend-independent, so sweeps can pit the
-    engines against each other on wall-clock alone.
+    ``auction_config`` carries RA's knobs (the monopolist payment
+    factor).
     """
     return {
         "RA": ReverseAuction(auction_config),

@@ -73,9 +73,9 @@ def _run(
     if grid is None:
         grid = _grids(preset, vary)
     grid = tuple(grid)
-    # Outcome metrics are backend-independent and deterministic, so
-    # they cache under the full declared sweep description; runtime
-    # metrics never take a ledger (a cached wall-clock is meaningless).
+    # Outcome metrics are deterministic, so they cache under the full
+    # declared sweep description; runtime metrics never take a ledger
+    # (a cached wall-clock is meaningless).
     key = (
         result_run_key(
             experiment_id,
@@ -145,7 +145,6 @@ def _run(
             "instances": config.instances,
             "base_seed": base_seed,
             "scale": preset.name,
-            "auction_backend": (auction_config or AuctionConfig()).backend,
         },
         ledger=ledger,
         key=key,

@@ -49,14 +49,13 @@ from .journal import (
     JournalError,
     batch_from_record,
     batch_record,
-    config_fingerprint,
-    config_from_payload,
     create_record,
     fsync_dir,
     journal_path,
     list_journals,
     read_journal,
     refresh_record,
+    verify_config,
 )
 from .online import OnlineDATE, OnlineUpdate
 
@@ -804,14 +803,11 @@ class CampaignStore:
             report["status"] = "empty"
             return None, report
         create = scan.records[0]
-        config = config_from_payload(create["config"])
-        if config_fingerprint(config) != create.get("config_fp"):
+        try:
+            config = verify_config(create["config"], create.get("config_fp"))
+        except JournalError as exc:
             journal.close()
-            raise JournalError(
-                f"{path.name}: the create record's config does not "
-                f"round-trip (non-JSON config components?); refusing to "
-                f"replay under different hyperparameters"
-            )
+            raise JournalError(f"{path.name}: {exc}") from exc
         online = OnlineDATE(
             config,
             refresh_every=int(create["refresh_every"]),

@@ -26,9 +26,10 @@ never has a legitimate hole).
 Record kinds (``record["kind"]``)
 ---------------------------------
 - ``create`` (seq 0) — campaign registration: config (JSON-safe fields
-  + the canonical fingerprint of the full config, verified on replay),
-  algorithm, refresh cadence, and the optional seed batch of
-  pre-published tasks/workers.
+  + the canonical fingerprint of the full config, verified on replay —
+  see :func:`verify_config` for records written before the retired
+  execution knobs left :class:`DateConfig`), algorithm, refresh
+  cadence, and the optional seed batch of pre-published tasks/workers.
 - ``batch`` (seq 1..n, strictly increasing) — one
   :class:`~repro.streaming.ingest.ClaimBatch`, claims in arrival order.
   The sequence number doubles as the exactly-once dedup key: a retried
@@ -50,7 +51,7 @@ from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 from urllib.parse import quote, unquote
 
-from ..artifacts.fingerprint import fingerprint
+from ..artifacts.fingerprint import canonical, fingerprint
 from ..core.config import DateConfig
 from ..errors import ReproError
 from ..types import Task, WorkerProfile
@@ -72,6 +73,7 @@ __all__ = [
     "list_journals",
     "read_journal",
     "refresh_record",
+    "verify_config",
 ]
 
 _SUFFIX = ".wal.jsonl"
@@ -226,10 +228,13 @@ _CONFIG_FIELDS = (
     "discount_mode",
     "discounted_posterior",
     "similarity_weight",
-    "backend",
-    "stable_dependence",
-    "intra_workers",
 )
+
+#: Execution knobs DateConfig carried until they were retired (they
+#: never changed a result), in field order.  Create records written
+#: before then hold them in their config payload, and their
+#: ``config_fp`` digests the config with them in place.
+_RETIRED_FIELDS = ("backend", "stable_dependence", "intra_workers")
 
 
 def config_to_payload(config: DateConfig) -> dict:
@@ -242,10 +247,16 @@ def config_to_payload(config: DateConfig) -> dict:
 
 
 def config_from_payload(payload: dict) -> DateConfig:
-    """Rebuild a DateConfig from its journal payload."""
+    """Rebuild a DateConfig from its journal payload.
+
+    The retired execution knobs are dropped; any other unknown field is
+    corruption.
+    """
     known = {f.name for f in dc_fields(DateConfig)}
     changes = {}
     for name, value in payload.items():
+        if name in _RETIRED_FIELDS:
+            continue
         if name not in known:
             raise JournalCorruptError(
                 f"create record carries unknown config field {name!r}"
@@ -256,9 +267,38 @@ def config_from_payload(payload: dict) -> DateConfig:
     return DateConfig(**changes)
 
 
-def config_fingerprint(config: DateConfig) -> str:
-    """Canonical fingerprint of the full config (objects included)."""
-    return fingerprint({"kind": "journal-config", "config": config})
+def config_fingerprint(config: DateConfig, retired: dict | None = None) -> str:
+    """Canonical fingerprint of the full config (objects included).
+
+    ``retired`` maps retired field names to the values a legacy record
+    carried; they are put back into the canonical form's fields, which
+    rebuilds the digest that record was written with.
+    """
+    if not retired:
+        return fingerprint({"kind": "journal-config", "config": config})
+    encoded = canonical(config)
+    encoded["fields"].update(retired)
+    return fingerprint({"kind": "journal-config", "config": encoded})
+
+
+def verify_config(payload: dict, config_fp: str | None) -> DateConfig:
+    """The config a create record describes, checked against its digest.
+
+    A record carrying the retired execution knobs is checked against
+    the legacy digest (:func:`config_fingerprint` with those values put
+    back), so a journal written before they were retired still replays
+    — and one whose retired values were edited afterwards does not.
+    Raises :class:`JournalCorruptError` when the digest does not match.
+    """
+    config = config_from_payload(payload)
+    retired = {name: payload[name] for name in _RETIRED_FIELDS if name in payload}
+    if config_fingerprint(config, retired) != config_fp:
+        raise JournalCorruptError(
+            "the create record's config does not round-trip (non-JSON "
+            "config components?); refusing to replay under different "
+            "hyperparameters"
+        )
+    return config
 
 
 def create_record(

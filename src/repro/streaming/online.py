@@ -113,11 +113,6 @@ class OnlineDATE:
         so :meth:`dependence_snapshot` stays bit-identical to a full
         recompute at a fraction of its cost (DESIGN.md §12).  Off by
         default — the aggregates cost O(pair rows) memory.
-
-    The vectorized dirty-scope sub-runs always use the
-    ``stable_dependence`` fast path: it is pinned bit-identical to the
-    full per-iteration recompute, so it is a pure cost saving and never
-    observable in results.
     """
 
     def __init__(
@@ -133,13 +128,9 @@ class OnlineDATE:
                 f"refresh_every must be >= 0, got {refresh_every}"
             )
         self._config = config or DateConfig()
-        self._sub_config = self._config.evolve(stable_dependence=True)
         self._algorithm = canonical_algorithm(algorithm)
         self._discoverer = make_discoverer(
             self._algorithm, date_config=self._config
-        )
-        self._sub_discoverer = make_discoverer(
-            self._algorithm, date_config=self._sub_config
         )
         self.refresh_every = refresh_every
         self._track_dependence = track_dependence
@@ -319,7 +310,7 @@ class OnlineDATE:
             ]
             if dirty:
                 sub = _subcampaign(self._index, dirty)
-                result = self._sub_discoverer.run(
+                result = self._discoverer.run(
                     sub, warm_start=self._warm_snapshot(), lean=True
                 )
                 self._merge(dirty, result)

@@ -28,9 +28,8 @@ Routes (all bodies JSON unless noted):
 - ``GET  /campaigns/<id>/truths`` — current truths + confidence;
 - ``GET  /campaigns/<id>/workers`` — worker reputations;
 - ``POST /campaigns/<id>/refresh`` — force a full re-estimation;
-- ``POST /campaigns/<id>/auction`` — run IMC2 (``{"cap": 0.8,
-  "backend": "vectorized"}``; ``backend`` selects the auction engine,
-  same payments either way).
+- ``POST /campaigns/<id>/auction`` — run IMC2 (``{"cap": 0.8}``; the
+  optional ``cap`` is the only accepted key).
 
 Errors map onto status codes: malformed input and infeasible auctions
 are 400, unknown campaigns/routes 404, duplicate campaigns 409, and
@@ -49,7 +48,6 @@ from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote
 
-from ..auction.config import AuctionConfig
 from ..core.config import DateConfig
 from ..errors import ReproError
 from ..obs.exposition import CONTENT_TYPE, render_prometheus
@@ -258,15 +256,15 @@ class StreamingApp:
         return 200, asdict(update)
 
     def _auction(self, campaign_id: str, payload: dict):
+        unknown = sorted(set(payload) - {"cap"})
+        if unknown:
+            raise ReproError(
+                f"unknown auction field(s) {unknown}; only 'cap' is accepted"
+            )
         cap = None
         if payload.get("cap") is not None:
             cap = coerce_number(payload, "cap", 0.0)
-        auction_config = None
-        if payload.get("backend") is not None:
-            auction_config = AuctionConfig(backend=payload["backend"])
-        outcome = self.store.auction(
-            campaign_id, requirement_cap=cap, auction_config=auction_config
-        )
+        outcome = self.store.auction(campaign_id, requirement_cap=cap)
         auction = outcome.auction
         return 200, {
             "winners": list(auction.winner_ids),

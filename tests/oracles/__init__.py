@@ -1,0 +1,61 @@
+"""Scalar transcriptions of the paper's algorithms, kept as test oracles.
+
+The product runs one array engine per algorithm: DATE, ED and NC on
+:mod:`repro.core.engine`, the reverse auction on
+:mod:`repro.auction.engine`.  The modules here are the per-element
+Python loops those engines replaced — each equation transcribed line
+by line over the dict-side :class:`~repro.core.indexing.DatasetIndex`
+structures — and the differential suites pin engine == oracle:
+
+- :mod:`.dependence` — step 1, pairwise copier posteriors (Eqs. 7-15);
+- :mod:`.independence` — step 2, greedy-order independence (Eq. 16);
+- :mod:`.accuracy` — step 3, value posteriors and accuracies
+  (Eqs. 17-20);
+- :mod:`.support` — support counts and truth selection (line 28,
+  Eq. 21);
+- :mod:`.date` — the Alg. 1 drivers for DATE, ED and NC;
+- :mod:`.auction` — Alg. 2's greedy cover and critical payments.
+"""
+
+from .accuracy import (
+    discounted_value_posteriors,
+    update_accuracy_matrix,
+    value_posteriors,
+)
+from .auction import greedy_cover, reference_auction, reference_payments
+from .date import (
+    date_independence,
+    date_reference,
+    ed_independence,
+    no_copier_reference,
+    run_reference,
+)
+from .dependence import (
+    compute_pairwise_dependence,
+    directed_probability,
+    total_dependence,
+)
+from .independence import IndependenceTable, independence_probabilities, order_value_group
+from .support import select_truths, support_counts
+
+__all__ = [
+    "IndependenceTable",
+    "compute_pairwise_dependence",
+    "date_independence",
+    "date_reference",
+    "directed_probability",
+    "discounted_value_posteriors",
+    "ed_independence",
+    "greedy_cover",
+    "independence_probabilities",
+    "no_copier_reference",
+    "order_value_group",
+    "reference_auction",
+    "reference_payments",
+    "run_reference",
+    "select_truths",
+    "support_counts",
+    "total_dependence",
+    "update_accuracy_matrix",
+    "value_posteriors",
+]

@@ -1,0 +1,266 @@
+"""Alg. 1 over the scalar step oracles: DATE, ED and NC references.
+
+These are the drivers the product's array kernels replaced, kept as
+plain functions so the differential suites can run every algorithm
+twice — once through :mod:`repro.core.engine`, once through the
+per-element loops of this package — and compare the result bundles.
+:func:`run_reference` dispatches on an algorithm instance, so a test
+can write ``run_reference(DATE(config), dataset)`` next to
+``DATE(config).run(dataset)``.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+
+from repro.baselines.enumerate_dependence import (
+    EnumerateDependence,
+    _closed_form_independence,
+    _enumerated_independence,
+)
+from repro.baselines.no_copier import NoCopier
+from repro.core.config import DateConfig
+from repro.core.date import TruthDiscoveryResult, build_result, iterate_truths
+from repro.core.dependence import DependencePosterior
+from repro.core.indexing import DatasetIndex
+from repro.types import Dataset
+
+from .accuracy import (
+    discounted_value_posteriors,
+    update_accuracy_matrix,
+    value_posteriors,
+)
+from .dependence import compute_pairwise_dependence, directed_probability
+from .independence import IndependenceTable, independence_probabilities
+from .support import select_truths, support_counts
+
+__all__ = [
+    "date_independence",
+    "date_reference",
+    "ed_independence",
+    "no_copier_reference",
+    "run_reference",
+]
+
+
+def date_independence(
+    config: DateConfig,
+    index: DatasetIndex,
+    dependence: dict[tuple[int, int], DependencePosterior],
+) -> IndependenceTable:
+    """DATE's step 2: the greedy-order discount of Eq. 16."""
+    return independence_probabilities(
+        index,
+        dependence,
+        copy_prob_r=config.copy_prob_r,
+        ordering=config.ordering,
+        discount_mode=config.discount_mode,
+    )
+
+
+def ed_independence(
+    config: DateConfig,
+    index: DatasetIndex,
+    dependence: dict[tuple[int, int], DependencePosterior],
+    *,
+    exact_enumeration_limit: int = 16,
+) -> IndependenceTable:
+    """ED's step 2: explicit enumeration over every co-provider."""
+    r = config.copy_prob_r
+    table: IndependenceTable = []
+    for j in range(index.n_tasks):
+        per_value: dict[str, dict[int, float]] = {}
+        for value, group in index.value_groups[j].items():
+            scores: dict[int, float] = {}
+            for worker in group:
+                edge_probs = [
+                    r * directed_probability(dependence, worker, other)
+                    for other in group
+                    if other != worker
+                ]
+                if len(edge_probs) <= exact_enumeration_limit:
+                    scores[worker] = _enumerated_independence(edge_probs)
+                else:
+                    scores[worker] = _closed_form_independence(edge_probs)
+            per_value[value] = scores
+        table.append(per_value)
+    return table
+
+
+def date_reference(
+    config: DateConfig,
+    index: DatasetIndex,
+    warm_start: TruthDiscoveryResult | None = None,
+    *,
+    independence_hook=date_independence,
+    method: str = "DATE",
+) -> TruthDiscoveryResult:
+    """Alg. 1 over the scalar per-element kernels."""
+    cfg = config
+    cfg.false_values.prepare(index)
+
+    truths = index.majority_vote()
+    accuracy = index.initial_accuracy_matrix(cfg.initial_accuracy)
+    if warm_start is not None:
+        for j, task_id in enumerate(index.task_ids):
+            carried = warm_start.truths.get(task_id)
+            if carried is not None and carried in index.value_groups[j]:
+                truths[j] = carried
+        for i, worker_id in enumerate(index.worker_ids):
+            carried_accuracy = warm_start.worker_accuracy.get(worker_id)
+            if carried_accuracy is None or carried_accuracy <= 0.0:
+                continue
+            for j in index.claims_by_worker[i]:
+                accuracy[i, j] = carried_accuracy
+
+    dependence: dict[tuple[int, int], DependencePosterior] = {}
+    independence = None
+    posteriors = None
+    support = None
+
+    def step(truths):
+        nonlocal dependence, independence, posteriors, support, accuracy
+        dependence = compute_pairwise_dependence(
+            index,
+            truths,
+            accuracy,
+            copy_prob_r=cfg.copy_prob_r,
+            prior_alpha=cfg.prior_alpha,
+            false_values=cfg.false_values,
+            accuracy_clamp=cfg.accuracy_clamp,
+        )
+        independence = independence_hook(cfg, index, dependence)
+        if cfg.discounted_posterior:
+            posteriors = discounted_value_posteriors(
+                index,
+                accuracy,
+                independence,
+                false_values=cfg.false_values,
+                accuracy_clamp=cfg.accuracy_clamp,
+            )
+        else:
+            posteriors = value_posteriors(
+                index,
+                accuracy,
+                false_values=cfg.false_values,
+                accuracy_clamp=cfg.accuracy_clamp,
+            )
+        accuracy = update_accuracy_matrix(
+            index, posteriors, granularity=cfg.granularity
+        )
+        support = support_counts(
+            index,
+            accuracy,
+            independence,
+            similarity=cfg.similarity,
+            similarity_weight=cfg.similarity_weight,
+        )
+        return select_truths(support)
+
+    truths, iterations, converged = iterate_truths(
+        truths,
+        step,
+        max_iterations=cfg.max_iterations,
+        state_key=tuple,
+        label="DATE",
+    )
+    return build_result(
+        index,
+        truths,
+        accuracy,
+        posteriors if posteriors is not None else [],
+        support if support is not None else [],
+        dependence,
+        iterations=iterations,
+        converged=converged,
+        method=method,
+    )
+
+
+def no_copier_reference(config: DateConfig, index: DatasetIndex) -> TruthDiscoveryResult:
+    """NC over the scalar kernels: step 3 only, every ``I = 1``."""
+    cfg = config
+    cfg.false_values.prepare(index)
+
+    truths = index.majority_vote()
+    accuracy = index.initial_accuracy_matrix(cfg.initial_accuracy)
+
+    # All workers fully independent: I_v^j(i) = 1 everywhere.
+    independence = [
+        {value: {i: 1.0 for i in group} for value, group in groups.items()}
+        for groups in index.value_groups
+    ]
+
+    posteriors: list[dict[str, float]] = []
+    support: list[dict[str, float]] = []
+
+    def step(truths):
+        nonlocal posteriors, support, accuracy
+        posteriors = value_posteriors(
+            index,
+            accuracy,
+            false_values=cfg.false_values,
+            accuracy_clamp=cfg.accuracy_clamp,
+        )
+        accuracy = update_accuracy_matrix(
+            index, posteriors, granularity=cfg.granularity
+        )
+        support = support_counts(
+            index,
+            accuracy,
+            independence,
+            similarity=cfg.similarity,
+            similarity_weight=cfg.similarity_weight,
+        )
+        return select_truths(support)
+
+    truths, iterations, converged = iterate_truths(
+        truths,
+        step,
+        max_iterations=cfg.max_iterations,
+        state_key=tuple,
+        label="NC",
+    )
+    return build_result(
+        index,
+        truths,
+        accuracy,
+        posteriors,
+        support,
+        dependence={},
+        iterations=iterations,
+        converged=converged,
+        method=NoCopier.method_name,
+    )
+
+
+def run_reference(
+    algorithm,
+    dataset: Dataset,
+    *,
+    index: DatasetIndex | None = None,
+    warm_start: TruthDiscoveryResult | None = None,
+) -> TruthDiscoveryResult:
+    """The oracle twin of ``algorithm.run(dataset, ...)``.
+
+    ``algorithm`` is a :class:`~repro.core.date.DATE`,
+    :class:`~repro.baselines.EnumerateDependence` or
+    :class:`~repro.baselines.NoCopier` instance; its config (and ED's
+    enumeration limit) parameterize the reference run.
+    """
+    index = index or DatasetIndex(dataset)
+    if isinstance(algorithm, NoCopier):
+        return no_copier_reference(algorithm.config, index)
+    hook = date_independence
+    if isinstance(algorithm, EnumerateDependence):
+        hook = partial(
+            ed_independence,
+            exact_enumeration_limit=algorithm.exact_enumeration_limit,
+        )
+    return date_reference(
+        algorithm.config,
+        index,
+        warm_start,
+        independence_hook=hook,
+        method=algorithm.method_name,
+    )

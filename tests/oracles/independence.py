@@ -1,4 +1,4 @@
-"""Step 2 of DATE: per-value independence probabilities (Eq. 16).
+"""Scalar transcription of DATE step 2 (Eq. 16), kept as an oracle.
 
 If worker ``i`` copied value ``v`` from someone, ``i``'s claim should
 not count as independent support for ``v``.  Exactly enumerating every
@@ -17,12 +17,16 @@ worker (Alg. 1 line 19).  The pseudocode's line 16 is OCR-ambiguous
 
 The ED baseline (:mod:`repro.baselines.enumerate_dependence`) replaces
 this greedy prefix rule with explicit enumeration over co-providers.
+The product runs the batched :func:`repro.core.engine.independence_flat`,
+pinned to these loops by the differential suites.
 """
 
 from __future__ import annotations
 
-from .dependence import DependencePosterior, directed_probability, total_dependence
-from .indexing import DatasetIndex
+from repro.core.dependence import DependencePosterior
+from repro.core.indexing import DatasetIndex
+
+from .dependence import directed_probability, total_dependence
 
 __all__ = ["independence_probabilities", "order_value_group"]
 

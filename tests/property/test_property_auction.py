@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import ReverseAuction, SOACInstance, solve_optimal
-from repro.auction.reverse_auction import greedy_cover
+
+from tests.oracles import greedy_cover
 from repro.baselines import GreedyAccuracy, GreedyBid
 
 

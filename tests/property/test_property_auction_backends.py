@@ -1,7 +1,8 @@
-"""Backend equivalence of the auction engines (hypothesis).
+"""Engine-vs-oracle equivalence of the reverse auction (hypothesis).
 
-The vectorized engine (:mod:`repro.auction.engine`) claims *exact*
-equality with the scalar reference — winners, selection order,
+The auction engine (:mod:`repro.auction.engine`) claims *exact*
+equality with the scalar transcription in tests/oracles/auction.py —
+winners, selection order,
 payments, monopolists, bit for bit (DESIGN.md §10).  This suite holds
 it to that claim over random instances, including the shapes most
 likely to break prefix sharing:
@@ -11,7 +12,7 @@ likely to break prefix sharing:
   excluding one winner frequently strands coverage → monopolists;
 - sparse accuracy rows, so the incremental column updates carry most
   of the selection;
-- infeasible instances, where both backends must raise identically;
+- infeasible instances, where engine and oracle must raise identically;
 - quantized instances (integer bids, accuracies on a 0.25 grid), where
   equal bid/marginal ratios are common and the lazy payment
   continuation's stale and fresh heap entries tie;
@@ -27,7 +28,8 @@ from hypothesis import strategies as st
 
 from repro import InfeasibleCoverageError, ReverseAuction, SOACInstance
 from repro.auction.engine import vectorized_cover
-from repro.auction.reverse_auction import greedy_cover
+
+from tests.oracles import greedy_cover, reference_auction
 
 
 def build_instance(
@@ -76,17 +78,15 @@ def build_instance(
 
 
 def assert_outcomes_identical(instance: SOACInstance, **auction_kwargs) -> None:
-    """Both backends agree exactly, or both raise the same infeasibility."""
+    """Engine and oracle agree exactly, or both raise the same infeasibility."""
     try:
-        reference = ReverseAuction(backend="reference", **auction_kwargs).run(
-            instance
-        )
+        reference = reference_auction(instance, **auction_kwargs)
     except InfeasibleCoverageError as error:
         with pytest.raises(InfeasibleCoverageError) as caught:
-            ReverseAuction(backend="vectorized", **auction_kwargs).run(instance)
+            ReverseAuction(**auction_kwargs).run(instance)
         assert caught.value.args == error.args
         return
-    vectorized = ReverseAuction(backend="vectorized", **auction_kwargs).run(
+    vectorized = ReverseAuction(**auction_kwargs).run(
         instance
     )
     assert vectorized.winner_ids == reference.winner_ids
@@ -180,7 +180,7 @@ class TestRandomInstances:
 
 class TestEdgeCases:
     def test_monopolist_instance(self):
-        """Only w0 covers t1: w0 is a monopolist on both backends."""
+        """Only w0 covers t1: w0 is a monopolist on engine and oracle."""
         instance = SOACInstance(
             worker_ids=("w0", "w1"),
             task_ids=("t0", "t1"),
@@ -196,7 +196,7 @@ class TestEdgeCases:
         assert outcome.payments["w0"] == pytest.approx(4.0)
 
     def test_infeasible_instance(self):
-        """Uncoverable requirements raise identically on both backends."""
+        """Uncoverable requirements raise identically on engine and oracle."""
         instance = build_instance(7, ensure_coverable=False)
         bumped = SOACInstance(
             worker_ids=instance.worker_ids,

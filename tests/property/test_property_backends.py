@@ -1,9 +1,10 @@
-"""Property tests: the vectorized backend matches the scalar reference.
+"""Property tests: the array engine matches the scalar oracles.
 
-Every algorithm that honours ``DateConfig.backend`` is run twice on
-randomized synthetic datasets — including copier-heavy worlds (workers
-that duplicate a source's claims verbatim) and sparse-coverage worlds —
-and must agree with the reference transcription:
+Every DATE-family algorithm (DATE, NC, ED) is run twice on randomized
+synthetic datasets — including copier-heavy worlds (workers that
+duplicate a source's claims verbatim) and sparse-coverage worlds —
+once through the product and once through the scalar transcription in
+tests/oracles/, and the two must agree:
 
 - estimated truths *exactly* (same argmax, same tie-breaks),
 - accuracy matrices and dependence posteriors within 1e-9,
@@ -23,6 +24,8 @@ from repro import DATE, Dataset, DateConfig, Task, TruthDiscoveryResult, WorkerP
 from repro.baselines import EnumerateDependence, NoCopier
 from repro.core import DatasetIndex
 from repro.core.falsedist import EmpiricalFalseValues, ZipfFalseValues
+
+from tests.oracles import run_reference
 
 VALUES = ("A", "B", "C", "D")
 
@@ -82,7 +85,7 @@ def sparse_matrices(draw):
 
 @st.composite
 def config_variants(draw):
-    """A spread of DateConfig knobs both backends must agree under."""
+    """A spread of DateConfig knobs engine and oracle must agree under."""
     return dict(
         copy_prob_r=draw(st.floats(min_value=0.05, max_value=0.95)),
         prior_alpha=draw(st.floats(min_value=0.05, max_value=0.95)),
@@ -95,7 +98,7 @@ def config_variants(draw):
 
 
 def assert_equivalent(ref, vec):
-    """The full result-bundle comparison both backends must satisfy."""
+    """The full result-bundle comparison engine and oracle must satisfy."""
     assert ref.truths == vec.truths
     assert ref.iterations == vec.iterations
     assert ref.converged == vec.converged
@@ -122,11 +125,11 @@ def assert_equivalent(ref, vec):
 
 def run_both(algorithm_cls, dataset, **config_kwargs):
     index = DatasetIndex(dataset)
-    ref = algorithm_cls(
-        DateConfig(backend="reference", **config_kwargs)
-    ).run(dataset, index=index)
+    ref = run_reference(
+        algorithm_cls(DateConfig(**config_kwargs)), dataset, index=index
+    )
     vec = algorithm_cls(
-        DateConfig(backend="vectorized", **config_kwargs)
+        DateConfig(**config_kwargs)
     ).run(dataset, index=index)
     return ref, vec
 
@@ -151,11 +154,11 @@ class TestDateBackendEquivalence:
     @settings(max_examples=25, derandomize=True)
     def test_zipf_false_values(self, dataset):
         index = DatasetIndex(dataset)
-        ref = DATE(
-            DateConfig(backend="reference", false_values=ZipfFalseValues())
-        ).run(dataset, index=index)
+        ref = run_reference(
+            DATE(DateConfig(false_values=ZipfFalseValues())), dataset, index=index
+        )
         vec = DATE(
-            DateConfig(backend="vectorized", false_values=ZipfFalseValues())
+            DateConfig(false_values=ZipfFalseValues())
         ).run(dataset, index=index)
         assert_equivalent(ref, vec)
 
@@ -165,16 +168,18 @@ class TestDateBackendEquivalence:
         # discounted_posterior=False exercises the general (non
         # candidate-free) posterior kernel.
         index = DatasetIndex(dataset)
-        ref = DATE(
-            DateConfig(
-                backend="reference",
-                false_values=EmpiricalFalseValues(),
-                discounted_posterior=False,
-            )
-        ).run(dataset, index=index)
+        ref = run_reference(
+            DATE(
+                DateConfig(
+                    false_values=EmpiricalFalseValues(),
+                    discounted_posterior=False,
+                )
+            ),
+            dataset,
+            index=index,
+        )
         vec = DATE(
             DateConfig(
-                backend="vectorized",
                 false_values=EmpiricalFalseValues(),
                 discounted_posterior=False,
             )
@@ -201,6 +206,11 @@ class TestBaselineBackendEquivalence:
     @settings(max_examples=30, derandomize=True)
     def test_enumerate_dependence(self, dataset, params):
         assert_equivalent(*run_both(EnumerateDependence, dataset, **params))
+
+
+def _run_engine(algorithm, dataset, **kwargs):
+    """The product twin of :func:`tests.oracles.run_reference`."""
+    return algorithm.run(dataset, **kwargs)
 
 
 def snapshot_result(
@@ -231,10 +241,10 @@ class TestWarmStartEquivalence:
     def test_warm_started_runs_agree(self, dataset, params, seed_params):
         index = DatasetIndex(dataset)
         warm = DATE(DateConfig(**seed_params)).run(dataset, index=index)
-        ref = DATE(DateConfig(backend="reference", **params)).run(
-            dataset, index=index, warm_start=warm
+        ref = run_reference(
+            DATE(DateConfig(**params)), dataset, index=index, warm_start=warm
         )
-        vec = DATE(DateConfig(backend="vectorized", **params)).run(
+        vec = DATE(DateConfig(**params)).run(
             dataset, index=index, warm_start=warm
         )
         assert_equivalent(ref, vec)
@@ -243,40 +253,41 @@ class TestWarmStartEquivalence:
     @settings(max_examples=25, derandomize=True)
     def test_empty_warm_result_is_cold_start(self, dataset, params):
         """An empty warm result must be indistinguishable from no warm
-        start on both backends (nothing to carry over)."""
+        start on the engine and the oracle (nothing to carry over)."""
         index = DatasetIndex(dataset)
         empty = snapshot_result()
-        for backend in ("reference", "vectorized"):
-            config = DateConfig(backend=backend, **params)
-            cold = DATE(config).run(dataset, index=index)
-            warm = DATE(config).run(dataset, index=index, warm_start=empty)
+        for run in (run_reference, _run_engine):
+            algorithm = DATE(DateConfig(**params))
+            cold = run(algorithm, dataset, index=index)
+            warm = run(algorithm, dataset, index=index, warm_start=empty)
             assert_equivalent(cold, warm)
 
     @given(dataset=claim_matrices(), params=config_variants())
     @settings(max_examples=25, derandomize=True)
     def test_warm_result_over_unknown_tasks_only(self, dataset, params):
         """Warm state naming only foreign tasks/workers falls back to
-        cold defaults everywhere — on both backends, equivalently."""
+        cold defaults everywhere — on the engine and the oracle,
+        equivalently."""
         index = DatasetIndex(dataset)
         foreign = snapshot_result(
             truths={"ghost-task-1": "A", "ghost-task-2": "Z"},
             worker_accuracy={"ghost-worker": 0.95},
         )
         results = {}
-        for backend in ("reference", "vectorized"):
-            config = DateConfig(backend=backend, **params)
-            cold = DATE(config).run(dataset, index=index)
-            warm = DATE(config).run(dataset, index=index, warm_start=foreign)
+        for name, run in (("oracle", run_reference), ("engine", _run_engine)):
+            algorithm = DATE(DateConfig(**params))
+            cold = run(algorithm, dataset, index=index)
+            warm = run(algorithm, dataset, index=index, warm_start=foreign)
             assert_equivalent(cold, warm)
-            results[backend] = warm
-        assert_equivalent(results["reference"], results["vectorized"])
+            results[name] = warm
+        assert_equivalent(results["oracle"], results["engine"])
 
     @given(dataset=claim_matrices(), params=config_variants())
     @settings(max_examples=25, derandomize=True)
     def test_partial_snapshot_warm_start_agrees(self, dataset, params):
         """Snapshot-style warm state (truths for half the tasks, a few
         reputations, including values a task never observed) produces
-        backend-identical results."""
+        the same results on the engine and the oracle."""
         truths = {
             task.task_id: ("A" if i % 2 == 0 else "D")
             for i, task in enumerate(dataset.tasks[: max(1, len(dataset.tasks) // 2)])
@@ -287,10 +298,10 @@ class TestWarmStartEquivalence:
         }
         warm = snapshot_result(truths, reputations)
         index = DatasetIndex(dataset)
-        ref = DATE(DateConfig(backend="reference", **params)).run(
-            dataset, index=index, warm_start=warm
+        ref = run_reference(
+            DATE(DateConfig(**params)), dataset, index=index, warm_start=warm
         )
-        vec = DATE(DateConfig(backend="vectorized", **params)).run(
+        vec = DATE(DateConfig(**params)).run(
             dataset, index=index, warm_start=warm
         )
         assert_equivalent(ref, vec)

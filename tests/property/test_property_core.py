@@ -14,14 +14,16 @@ from hypothesis import strategies as st
 
 from repro import DATE, Dataset, DateConfig, Task, WorkerProfile
 from repro.core import DatasetIndex
-from repro.core.accuracy import (
+
+from tests.oracles import (
+    compute_pairwise_dependence,
     discounted_value_posteriors,
+    independence_probabilities,
+    select_truths,
+    support_counts,
     update_accuracy_matrix,
     value_posteriors,
 )
-from repro.core.dependence import compute_pairwise_dependence
-from repro.core.independence import independence_probabilities
-from repro.core.support import select_truths, support_counts
 
 VALUES = ("A", "B", "C", "D")
 

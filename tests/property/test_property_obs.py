@@ -2,9 +2,8 @@
 
 The observability spine (DESIGN.md §13) is observation-only — metrics
 and traces read values the computation already produced and feed
-nothing back.  These tests pin that contract end to end: DATE (both
-backends, incremental dependence included), the IMC2 mechanism, and the
-instance harness produce *exactly* the same outputs with the registry
+nothing back.  These tests pin that contract end to end: DATE, the
+IMC2 mechanism, and the instance harness produce *exactly* the same outputs with the registry
 enabled and a trace active as they do with telemetry off entirely.
 """
 
@@ -61,15 +60,12 @@ def _run_imc2(dataset):
     )
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
-def test_date_identical_with_registry_and_trace(
-    qlf_small, tmp_path, backend, telemetry_off
-):
-    baseline = _run_date(qlf_small, backend=backend)
+def test_date_identical_with_registry_and_trace(qlf_small, tmp_path, telemetry_off):
+    baseline = _run_date(qlf_small)
     registry = MetricsRegistry(enabled=True)
     set_registry(registry)
-    with trace_run({"test": "date", "backend": backend}, directory=tmp_path):
-        instrumented = _run_date(qlf_small, backend=backend)
+    with trace_run({"test": "date"}, directory=tmp_path):
+        instrumented = _run_date(qlf_small)
     assert instrumented == baseline
     # The run really was observed, not silently skipped.
     names = {family.name for family in registry.collect()}
@@ -77,20 +73,11 @@ def test_date_identical_with_registry_and_trace(
     assert "date_iteration_seconds" in names
 
 
-def test_date_stable_dependence_identical(qlf_small, tmp_path, telemetry_off):
-    kwargs = {"backend": "vectorized", "stable_dependence": True}
-    baseline = _run_date(qlf_small, **kwargs)
-    set_registry(MetricsRegistry(enabled=True))
-    with trace_run({"test": "stable"}, directory=tmp_path):
-        instrumented = _run_date(qlf_small, **kwargs)
-    assert instrumented == baseline
-
-
 def test_trace_alone_changes_nothing(qlf_small, tmp_path, telemetry_off):
     # Tracing without the registry (the `repro run --trace` default).
-    baseline = _run_date(qlf_small, backend="vectorized")
+    baseline = _run_date(qlf_small)
     with trace_run({"test": "trace-only"}, directory=tmp_path) as writer:
-        traced = _run_date(qlf_small, backend="vectorized")
+        traced = _run_date(qlf_small)
     assert traced == baseline
     events = writer.path.read_text().splitlines()
     assert len(events) >= 3  # run_start, date events, run_end

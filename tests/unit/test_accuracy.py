@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from repro.core import DatasetIndex
-from repro.core.accuracy import (
+from repro.core.accuracy import worker_mean_accuracy
+
+from tests.oracles import (
     discounted_value_posteriors,
     update_accuracy_matrix,
     value_posteriors,
-    worker_mean_accuracy,
 )
 
 

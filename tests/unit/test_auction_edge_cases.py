@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro import ReverseAuction, SOACInstance
-from repro.auction.reverse_auction import greedy_cover
+
+from tests.oracles import greedy_cover
 
 
 def instance_from(accuracy, bids, requirements, costs=None):

@@ -1,6 +1,6 @@
 """Unit tests for the vectorized auction engine's building blocks.
 
-Outcome-level equivalence with the reference lives in
+Outcome-level equivalence with the scalar oracle lives in
 tests/property/test_property_auction_backends.py; these tests pin the
 pieces — config validation, the CSR/CSC accuracy index, the trace
 layout, and the O(pairs) pair-slot map of Eq. 16.
@@ -26,12 +26,7 @@ from repro.core.indexing import DatasetIndex
 class TestAuctionConfig:
     def test_defaults(self):
         config = AuctionConfig()
-        assert config.backend == "vectorized"
         assert config.monopoly_payment_factor == 1.0
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AuctionConfig(backend="gpu")
 
     def test_low_monopoly_factor_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -39,16 +34,16 @@ class TestAuctionConfig:
 
     def test_evolve_revalidates(self):
         config = AuctionConfig()
-        assert config.evolve(backend="reference").backend == "reference"
+        assert config.evolve(monopoly_payment_factor=2.0).monopoly_payment_factor == 2.0
         with pytest.raises(ConfigurationError):
-            config.evolve(backend="nope")
+            config.evolve(monopoly_payment_factor=0.5)
 
     def test_auction_keyword_overrides(self):
         auction = ReverseAuction(
-            AuctionConfig(monopoly_payment_factor=2.0), backend="reference"
+            AuctionConfig(monopoly_payment_factor=2.0), monopoly_payment_factor=3.0
         )
-        assert auction.backend == "reference"
-        assert auction.monopoly_payment_factor == 2.0
+        assert auction.config == AuctionConfig(monopoly_payment_factor=3.0)
+        assert auction.monopoly_payment_factor == 3.0
 
     def test_auction_rejects_bad_override(self):
         with pytest.raises(ConfigurationError):

@@ -16,7 +16,8 @@ import pytest
 
 from repro import Dataset, Task, WorkerProfile
 from repro.core import DatasetIndex
-from repro.core.dependence import (
+
+from tests.oracles import (
     compute_pairwise_dependence,
     directed_probability,
     total_dependence,

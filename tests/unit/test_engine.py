@@ -14,8 +14,6 @@ import pytest
 from repro import DATE, Dataset, DateConfig, Task, WorkerProfile
 from repro.baselines import MajorityVote
 from repro.core import DatasetIndex
-from repro.core.accuracy import update_accuracy_matrix, value_posteriors
-from repro.core.dependence import compute_pairwise_dependence
 from repro.core.engine import (
     accuracy_flat,
     dense_accuracy,
@@ -29,10 +27,17 @@ from repro.core.engine import (
     support_flat,
 )
 from repro.core.falsedist import UniformFalseValues
-from repro.core.independence import independence_probabilities
-from repro.core.support import select_truths, support_counts
 from repro.datasets import generate_qatar_living_like
-from repro.errors import ConfigurationError
+
+from tests.oracles import (
+    compute_pairwise_dependence,
+    independence_probabilities,
+    run_reference,
+    select_truths,
+    support_counts,
+    update_accuracy_matrix,
+    value_posteriors,
+)
 
 
 @pytest.fixture(scope="module")
@@ -223,13 +228,9 @@ class TestKernelAgreement:
 
 
 class TestBackendConfig:
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DateConfig(backend="gpu")
-
     def test_backends_share_public_api(self, dataset, index):
-        ref = DATE(DateConfig(backend="reference")).run(dataset, index=index)
-        vec = DATE(DateConfig(backend="vectorized")).run(dataset, index=index)
+        ref = run_reference(DATE(DateConfig()), dataset, index=index)
+        vec = DATE(DateConfig()).run(dataset, index=index)
         assert ref.truths == vec.truths
         assert ref.method == vec.method == "DATE"
         assert ref.worker_ids == vec.worker_ids

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core import DatasetIndex
-from repro.core.dependence import DependencePosterior, compute_pairwise_dependence
-from repro.core.independence import (
+from repro.core.dependence import DependencePosterior
+
+from tests.oracles import (
+    compute_pairwise_dependence,
     independence_probabilities,
     order_value_group,
 )

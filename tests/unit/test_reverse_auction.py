@@ -11,7 +11,8 @@ from repro import (
     ReverseAuction,
     SOACInstance,
 )
-from repro.auction.reverse_auction import greedy_cover
+
+from tests.oracles import greedy_cover
 
 
 def instance_from(

@@ -168,7 +168,6 @@ class TestConfigCodec:
             copy_prob_r=0.7,
             accuracy_clamp=(0.05, 0.95),
             max_iterations=33,
-            backend="reference",
         )
         rebuilt = config_from_payload(config_to_payload(config))
         assert config_to_payload(rebuilt) == config_to_payload(config)

@@ -9,6 +9,8 @@ from repro import DATE, DateConfig, Task, WorkerProfile
 from repro.errors import ConfigurationError, DataFormatError
 from repro.streaming import ClaimBatch, OnlineDATE, replay_batches
 
+from tests.oracles import run_reference
+
 
 class TestLifecycle:
     def test_starts_empty(self):
@@ -109,12 +111,12 @@ class TestEstimates:
         assert online.worker_accuracy["w1"] == 0.0
 
     def test_reference_backend_supported(self, qlf_small):
-        config = DateConfig(backend="reference")
+        config = DateConfig()
         online = OnlineDATE(config)
         for batch in replay_batches(qlf_small, 3):
             online.ingest(batch)
         final = online.refresh()
-        cold = DATE(config).run(qlf_small)
+        cold = run_reference(DATE(config), qlf_small)
         assert final.truths == cold.truths
 
 

@@ -24,6 +24,8 @@ from repro.streaming import (
 )
 from repro.streaming.server import config_from_spec
 
+from tests.oracles import reference_auction
+
 
 @pytest.fixture
 def store():
@@ -224,7 +226,7 @@ class TestStreamingApp:
         assert set(auction["payments"]) == set(auction["winners"])
 
     def test_auction_backend_selection(self, app, replay):
-        """Both auction engines are reachable over the API and agree."""
+        """The served auction agrees with the scalar oracle."""
         app.handle("POST", "/campaigns", {"campaign_id": "c1"})
         for batch in replay:
             app.handle(
@@ -235,12 +237,13 @@ class TestStreamingApp:
             "POST", "/campaigns/c1/auction", {"cap": 0.7}
         )
         assert status == 200
-        status, reference = app.handle(
-            "POST",
-            "/campaigns/c1/auction",
-            {"cap": 0.7, "backend": "reference"},
+        outcome = reference_auction(
+            app.store.auction("c1", requirement_cap=0.7).instance
         )
-        assert status == 200
+        reference = {
+            "winners": list(outcome.winner_ids),
+            "payments": {w: outcome.payments[w] for w in outcome.winner_ids},
+        }
         assert reference["winners"] == default["winners"]
         assert reference["payments"] == default["payments"]
 
@@ -361,6 +364,35 @@ class TestStreamingApp:
         assert status == 400 and "finite" in body["error"]
         assert list(tmp_path.iterdir()) == []
         assert app.handle("GET", "/campaigns", None)[1] == {"campaigns": []}
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"accuracy_clamp": [0.1]},
+            {"accuracy_clamp": [0.1, 0.5, 0.9]},
+            {"accuracy_clamp": "ab"},
+            {"accuracy_clamp": [0.1, "x"]},
+            {"max_iterations": 2.5},
+            {"max_iterations": True},
+        ],
+    )
+    def test_malformed_config_shapes_400_before_journal(self, tmp_path, config):
+        app = StreamingApp(CampaignStore(journal_dir=tmp_path))
+        status, body = app.handle(
+            "POST", "/campaigns", {"campaign_id": "c1", "config": config}
+        )
+        assert status == 400 and "error" in body
+        assert list(tmp_path.iterdir()) == []
+        assert app.handle("GET", "/campaigns", None)[1] == {"campaigns": []}
+
+    @pytest.mark.parametrize("payload", [{"cap ": 0.7}, {"cap": 0.7, "backend": "vectorized"}])
+    def test_unknown_auction_field_400(self, app, replay, payload):
+        app.handle("POST", "/campaigns", {"campaign_id": "c1"})
+        for batch in replay:
+            app.handle("POST", "/campaigns/c1/claims", batch_to_json(batch))
+        status, body = app.handle("POST", "/campaigns/c1/auction", payload)
+        (unknown,) = set(payload) - {"cap"}
+        assert status == 400 and repr(unknown) in body["error"]
 
 
 class TestLiveServer:

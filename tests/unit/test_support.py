@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import DatasetIndex
-from repro.core.support import select_truths, support_counts
+
+from tests.oracles import select_truths, support_counts
 
 
 def full_independence(index):
