@@ -8,106 +8,18 @@ Each benchmark regenerates one paper table/figure via the experiment
 registry at a reduced-but-faithful scale (``BENCH_SCALE``), prints the
 reproduced rows/series next to the paper's expectation, and asserts the
 qualitative *shape* (who wins, directions of trends).  Timings reported
-by pytest-benchmark are the cost of regenerating the artifact.
-
-**Trajectory export.**  Every benchmark session additionally records
-the wall-clock of each passed test and *appends* a run to
-``BENCH_<suite>.json`` per benchmark module at the repo root (suite =
-module name without the ``test_`` prefix and ``_bench`` suffix), so
-the perf trajectory of
-the repo accumulates run over run — CI uploads the files as artifacts,
-and ``scripts/export_bench.py`` drives a full sweep locally.  The
-files are measurements, not fixtures, and stay git-ignored — except
-``BENCH_dependence.json``, whose seeded first entry is committed as
-the reference point the dependence-engine trajectory grows from.
+by pytest-benchmark are the cost of regenerating the artifact.  The
+performance record of this repository is ``perfbench/``, not these
+timings.
 """
 
 from __future__ import annotations
-
-import json
-import platform
-import time
-from pathlib import Path
 
 import pytest
 
 from repro.experiments import ScalePreset
 from repro.reporting import render_result_table
 from repro.simulation.sweep import ExperimentResult
-
-#: Repo root — BENCH_*.json land here.
-_EXPORT_ROOT = Path(__file__).resolve().parent.parent
-
-#: suite name -> {test name -> seconds}, filled by the report hook.
-_TIMINGS: dict[str, dict[str, float]] = {}
-
-
-def pytest_runtest_logreport(report) -> None:
-    """Collect the call-phase duration of every passed benchmark test."""
-    if report.when != "call" or not report.passed:
-        return
-    module_path, _, test_name = report.nodeid.partition("::")
-    stem = Path(module_path).stem
-    if not stem.startswith("test_"):
-        return
-    suite = stem.removeprefix("test_").removesuffix("_bench")
-    _TIMINGS.setdefault(suite, {})[test_name] = report.duration
-
-
-#: Trajectory length cap: old runs roll off the front so a long-lived
-#: BENCH_<suite>.json stays readable (and diffable) rather than growing
-#: without bound.
-_MAX_RUNS = 50
-
-
-def _load_runs(path: Path) -> list[dict]:
-    """Prior runs recorded at ``path``, tolerating the pre-append schema.
-
-    Early exports held a single run object at the top level; they are
-    absorbed as the first trajectory entry so no measurement is lost.
-    """
-    if not path.exists():
-        return []
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return []
-    if isinstance(payload, dict) and isinstance(payload.get("runs"), list):
-        return [run for run in payload["runs"] if isinstance(run, dict)]
-    if isinstance(payload, dict) and "timings" in payload:
-        return [{k: v for k, v in payload.items() if k != "suite"}]
-    return []
-
-
-def pytest_sessionfinish(session, exitstatus) -> None:
-    """Append one run per benchmark module to its BENCH_<suite>.json.
-
-    Each file holds the suite's *trajectory* — a bounded list of runs,
-    newest last — so perf history accumulates across sessions instead
-    of every run overwriting the one before it.
-    """
-    try:
-        import numpy
-
-        numpy_version = numpy.__version__
-    except Exception:  # pragma: no cover - numpy is a hard dependency
-        numpy_version = None
-    for suite, timings in _TIMINGS.items():
-        run = {
-            "unit": "seconds",
-            "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "machine": platform.platform(),
-            "arch": platform.machine(),
-            "python": platform.python_version(),
-            "python_implementation": platform.python_implementation(),
-            "numpy": numpy_version,
-            "total_seconds": round(sum(timings.values()), 6),
-            "timings": {name: round(t, 6) for name, t in sorted(timings.items())},
-        }
-        path = _EXPORT_ROOT / f"BENCH_{suite}.json"
-        runs = _load_runs(path) + [run]
-        payload = {"suite": suite, "runs": runs[-_MAX_RUNS:]}
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 #: Reduced scale for benchmark runs: same claim density (~20 claims per
 #: task at full size), same copier fraction (25%), smaller dimensions.

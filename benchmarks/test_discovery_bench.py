@@ -2,8 +2,7 @@
 
 Every registry member fits the same ``BENCH_SCALE`` synthetic campaign
 (60 tasks, 40 workers, 25% copiers, ~1200 claims), so the per-test
-durations appended to ``BENCH_discovery.json`` by the session hook are
-directly comparable across algorithms and across runs.
+durations are directly comparable across algorithms.
 
 - **Exactness** (`test_fit`): always run, everywhere.  Each fit is
   bit-identical across fresh discoverers, lands its precision in

@@ -1,7 +1,6 @@
 """Durability benchmark: journaled-ingest overhead and recovery wall time.
 
-Two acceptance gates for the write-ahead journal (DESIGN.md §15),
-exported to ``BENCH_durability.json``:
+Two acceptance gates for the write-ahead journal (DESIGN.md §15):
 
 - **Overhead** (`test_journaled_ingest_overhead`): replaying a
   paper-scale campaign through a journaled store costs <= 1.5x the

@@ -13,9 +13,9 @@ Three claims are pinned here:
 
 The overhead gates time hardware-sensitive ratios, so CI excludes them
 (``-k "not overhead"``) the same way it excludes the backend speedup
-gate; they are acceptance criteria for `scripts/export_bench.py` runs
-on quiet machines.  Every test here lands in ``BENCH_obs.json`` via
-the session trajectory hook.
+gate; they are acceptance criteria for local runs on quiet machines::
+
+    pytest benchmarks/test_obs_bench.py -k overhead -s
 """
 
 from __future__ import annotations

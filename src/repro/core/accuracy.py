@@ -31,15 +31,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .indexing import DatasetIndex
+from .indexing import ClaimArrays, DatasetIndex
 
-__all__ = ["worker_mean_accuracy"]
+__all__ = ["claim_mean_by_worker", "worker_mean_accuracy"]
 
 
 def worker_mean_accuracy(index: DatasetIndex, accuracy: np.ndarray) -> np.ndarray:
     """Per-worker mean accuracy over answered tasks (0 for idle workers)."""
-    means = np.zeros(index.n_workers, dtype=np.float64)
-    for i, claims in enumerate(index.claims_by_worker):
-        if claims:
-            means[i] = float(np.mean([accuracy[i, j] for j in claims]))
-    return means
+    arrays = index.arrays
+    return claim_mean_by_worker(
+        arrays, accuracy[arrays.claim_worker, arrays.claim_task]
+    )
+
+
+def claim_mean_by_worker(arrays: ClaimArrays, claim_values: np.ndarray) -> np.ndarray:
+    """Per-worker mean of per-claim values, summed in claim order.
+
+    The one reduction behind both a result's ``worker_accuracy`` and the
+    reputations the streaming service serves, so the two agree bit for
+    bit after a refresh.
+    """
+    n_workers = arrays.index.n_workers
+    sums = np.bincount(arrays.claim_worker, weights=claim_values, minlength=n_workers)
+    counts = np.bincount(arrays.claim_worker, minlength=n_workers)
+    return np.divide(sums, counts, out=np.zeros(n_workers), where=counts > 0)

@@ -544,7 +544,7 @@ def build_result(
         method=method,
         worker_ids=worker_ids,
         task_ids=tuple(index.task_ids),
-        _ground_truths=dict(index.dataset.truths),
+        _ground_truths={t.task_id: t.truth for t in index.tasks if t.truth is not None},
     )
 
 

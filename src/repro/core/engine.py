@@ -52,7 +52,6 @@ __all__ = [
     "posterior_table",
     "support_table",
     "dependence_table",
-    "independence_table",
 ]
 
 # Likelihood terms are clamped away from 0 so a single impossible-looking
@@ -140,20 +139,6 @@ class DependenceArrays:
 
     p_ab: np.ndarray
     p_ba: np.ndarray
-
-    def directed_matrix(self, arrays: ClaimArrays) -> np.ndarray:
-        """Dense ``D[i, k] = P(i -> k | D)`` lookup (0 where undefined).
-
-        O(n_workers²) memory — a test oracle for deliberately small
-        worlds.  The kernels gather through
-        :attr:`~repro.core.indexing.ClaimArrays.multi_group_slots`
-        into :meth:`slot_values` instead, which is O(pairs).
-        """
-        n = arrays.index.n_workers
-        matrix = np.zeros((n, n), dtype=np.float64)
-        matrix[arrays.pair_a, arrays.pair_b] = self.p_ab
-        matrix[arrays.pair_b, arrays.pair_a] = self.p_ba
-        return matrix
 
     def slot_values(self) -> np.ndarray:
         """``concat([p_ab, p_ba, [0.0]])`` — what pair slots index."""
@@ -1124,20 +1109,3 @@ def dependence_table(
         dependence.p_ba,
         range(arrays.index.n_workers),
     )
-
-
-def independence_table(
-    arrays: ClaimArrays, indep: np.ndarray
-) -> list[dict[str, dict[int, float]]]:
-    """Flat per-claim independence -> the scalar ``IndependenceTable``."""
-    table: list[dict[str, dict[int, float]]] = []
-    for j in range(arrays.index.n_tasks):
-        g0, g1 = int(arrays.task_group_ptr[j]), int(arrays.task_group_ptr[j + 1])
-        per_value: dict[str, dict[int, float]] = {}
-        for g in range(g0, g1):
-            c0, c1 = int(arrays.group_ptr[g]), int(arrays.group_ptr[g + 1])
-            per_value[arrays.group_values[g]] = {
-                int(arrays.claim_worker[c]): float(indep[c]) for c in range(c0, c1)
-            }
-        table.append(per_value)
-    return table

@@ -250,7 +250,7 @@ class ZipfFalseValues(FalseValueDistribution):
             counts = Counter(
                 {v: len(ws) for v, ws in index.value_groups[j].items()}
             )
-            task = index.dataset.tasks[j]
+            task = index.tasks[j]
             for domain_value in task.domain:
                 counts.setdefault(domain_value, 0)
             ordered = sorted(counts, key=lambda v: (-counts[v], v))
@@ -314,7 +314,7 @@ class EmpiricalFalseValues(FalseValueDistribution):
         self._counts = []
         for j in range(index.n_tasks):
             counts = {v: len(ws) for v, ws in index.value_groups[j].items()}
-            for domain_value in index.dataset.tasks[j].domain:
+            for domain_value in index.tasks[j].domain:
                 counts.setdefault(domain_value, 0)
             self._counts.append(counts)
 

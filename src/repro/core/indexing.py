@@ -45,7 +45,10 @@ class DatasetIndex:
     """
 
     def __init__(self, dataset: Dataset):
-        self.dataset = dataset
+        #: The encoded campaign; ``None`` on a :meth:`restricted` view.
+        self.dataset: Dataset | None = dataset
+        #: Task records in index order (closed domains, ground truths).
+        self.tasks: tuple[Task, ...] = dataset.tasks
         #: Task ids in dataset order; positions are the task indexes used below.
         self.task_ids: list[str] = [t.task_id for t in dataset.tasks]
         #: Worker ids in dataset order; positions are the worker indexes.
@@ -68,26 +71,15 @@ class DatasetIndex:
         #: ``value_groups[j]`` is ``{value: sorted tuple of worker indexes}``
         #: (the paper's ``W_v^j``), with values in sorted order for
         #: deterministic iteration.
-        self.value_groups: list[dict[str, tuple[int, ...]]] = []
-        for j in range(n_tasks):
-            groups: dict[str, list[int]] = {}
-            for i, value in self.claims_by_task[j].items():
-                groups.setdefault(value, []).append(i)
-            self.value_groups.append(
-                {v: tuple(sorted(ws)) for v, ws in sorted(groups.items())}
-            )
-
-        #: Effective ``num_j`` (count of false values) per task: the
-        #: declared closed-domain size minus one, or the observed number
-        #: of distinct values minus one for open domains; at least 1 so
-        #: the false-value probability ``(1 - A)/num`` stays finite.
-        self.num_false = np.empty(n_tasks, dtype=np.int64)
-        for j, task in enumerate(dataset.tasks):
-            if task.domain:
-                num = task.num_false
-            else:
-                num = len(self.value_groups[j]) - 1
-            self.num_false[j] = max(num, 1)
+        self.value_groups: list[dict[str, tuple[int, ...]]] = [
+            _value_groups(claims) for claims in self.claims_by_task
+        ]
+        #: Effective ``num_j`` (count of false values) per task; see
+        #: :func:`_num_false`.
+        self.num_false = np.array(
+            [_num_false(t, g) for t, g in zip(self.tasks, self.value_groups)],
+            dtype=np.int64,
+        )
 
     @property
     def n_tasks(self) -> int:
@@ -96,11 +88,6 @@ class DatasetIndex:
     @property
     def n_workers(self) -> int:
         return len(self.worker_ids)
-
-    @cached_property
-    def worker_task_sets(self) -> list[frozenset[int]]:
-        """Task-index set answered by each worker."""
-        return [frozenset(claims) for claims in self.claims_by_worker]
 
     @cached_property
     def pairs(self) -> list[tuple[int, int]]:
@@ -203,6 +190,7 @@ class DatasetIndex:
 
         new = object.__new__(DatasetIndex)
         new.dataset = dataset
+        new.tasks = dataset.tasks
         new.task_ids = self.task_ids + [t.task_id for t in tasks]
         new.worker_ids = self.worker_ids + [w.worker_id for w in workers]
         new.task_pos = dict(self.task_pos)
@@ -233,23 +221,12 @@ class DatasetIndex:
         new.claims_by_task = by_task
         new.claims_by_worker = by_worker
 
-        value_groups = list(self.value_groups) + [{} for _ in tasks]
-        for j in dirty:
-            groups: dict[str, list[int]] = {}
-            for i, value in by_task[int(j)].items():
-                groups.setdefault(value, []).append(i)
-            value_groups[int(j)] = {
-                v: tuple(sorted(ws)) for v, ws in sorted(groups.items())
-            }
-        new.value_groups = value_groups
-
-        num_false = np.empty(len(new.task_ids), dtype=np.int64)
-        num_false[:old_n_tasks] = self.num_false
-        for j in dirty:
-            task = dataset.tasks[int(j)]
-            num = task.num_false if task.domain else len(value_groups[int(j)]) - 1
-            num_false[int(j)] = max(num, 1)
-        new.num_false = num_false
+        new.value_groups = list(self.value_groups) + [{} for _ in tasks]
+        new.num_false = np.empty(len(new.task_ids), dtype=np.int64)
+        new.num_false[:old_n_tasks] = self.num_false
+        for j in dirty.tolist():
+            new.value_groups[j] = _value_groups(by_task[j])
+            new.num_false[j] = _num_false(new.tasks[j], new.value_groups[j])
 
         claim_map = None
         if "arrays" in self.__dict__:
@@ -266,6 +243,63 @@ class DatasetIndex:
             ),
             claim_map=claim_map,
         )
+
+    def restricted(self, tasks: np.ndarray) -> tuple["DatasetIndex", np.ndarray]:
+        """A read-only view over ``tasks`` and the workers answering them.
+
+        Streaming runs its dirty-scope re-estimation on this view.
+        ``tasks`` are ascending task positions; tasks and workers keep
+        this index's order, workers compressed to the claimants, and
+        each task keeps its claims in arrival order.  The CSR segments
+        of :attr:`arrays` are gathered from this index's arrays rather
+        than re-encoded; pair tables and the slot map stay lazy over the
+        view's own CSR.  Field by field the view equals a cold index of
+        the induced sub-campaign.  It has no ``dataset`` and cannot be
+        extended.
+
+        Returns the view and, for each claim of its arrays, that claim's
+        position in this index's arrays.
+        """
+        tasks = np.asarray(tasks, dtype=np.int64)
+        parent = self.arrays
+        claim_counts = parent.task_ptr[tasks + 1] - parent.task_ptr[tasks]
+        group_counts = parent.task_group_ptr[tasks + 1] - parent.task_group_ptr[tasks]
+        positions = _concat_ranges(parent.task_ptr[tasks], claim_counts)
+        groups = _concat_ranges(parent.task_group_ptr[tasks], group_counts)
+        workers, claim_worker = np.unique(
+            parent.claim_worker[positions], return_inverse=True
+        )
+
+        view = object.__new__(DatasetIndex)
+        view.dataset = None
+        task_list = tasks.tolist()
+        view.tasks = tuple(self.tasks[j] for j in task_list)
+        view.task_ids = [self.task_ids[j] for j in task_list]
+        view.worker_ids = [self.worker_ids[i] for i in workers.tolist()]
+        view.task_pos = {t: j for j, t in enumerate(view.task_ids)}
+        view.worker_pos = {w: i for i, w in enumerate(view.worker_ids)}
+        local = dict(zip(workers.tolist(), range(len(workers))))
+        view.claims_by_task = [
+            {local[i]: value for i, value in self.claims_by_task[j].items()}
+            for j in task_list
+        ]
+        view.claims_by_worker = [{} for _ in view.worker_ids]
+        for j, claims in enumerate(view.claims_by_task):
+            for i, value in claims.items():
+                view.claims_by_worker[i][j] = value
+        view.value_groups = [_value_groups(claims) for claims in view.claims_by_task]
+        view.num_false = self.num_false[tasks]
+        view.__dict__["arrays"] = _assemble_claim_arrays(
+            object.__new__(ClaimArrays),
+            view,
+            _offsets(claim_counts),
+            _offsets(group_counts),
+            claim_worker.astype(np.int64, copy=False),
+            parent.claim_code[positions],
+            parent.group_size[groups],
+            tuple(parent.group_values[g] for g in groups.tolist()),
+        )
+        return view, positions
 
     def validate_extension(
         self,
@@ -326,7 +360,7 @@ class DatasetIndex:
                     raise DataFormatError(
                         f"claim references unknown task {task_id!r}"
                     )
-                task = self.dataset.tasks[j]
+                task = self.tasks[j]
                 i = self.worker_pos.get(worker_id)
                 if i is not None and i in self.claims_by_task[j]:
                     raise DataFormatError(
@@ -403,6 +437,23 @@ class PairRowClass:
         )
 
 
+def _value_groups(claims: dict[int, str]) -> dict[str, tuple[int, ...]]:
+    """One task's ``W_v^j``: ``{value: ascending worker indexes}`` with
+    values in sorted order, for deterministic iteration."""
+    groups: dict[str, list[int]] = {}
+    for i, value in claims.items():
+        groups.setdefault(value, []).append(i)
+    return {v: tuple(sorted(ws)) for v, ws in sorted(groups.items())}
+
+
+def _num_false(task: Task, groups: dict[str, tuple[int, ...]]) -> int:
+    """Effective ``num_j``: the declared closed-domain size minus one, or
+    the observed number of distinct values minus one for open domains;
+    at least 1 so the false-value probability ``(1 - A)/num`` stays
+    finite."""
+    return max(task.num_false if task.domain else len(groups) - 1, 1)
+
+
 def _dataset_append(
     old: Dataset,
     tasks: tuple[Task, ...],
@@ -476,58 +527,10 @@ class ClaimArrays:
 
     def __post_init__(self) -> None:
         index = self.index
-        n_tasks, n_workers = index.n_tasks, index.n_workers
-
-        claim_task: list[int] = []
-        claim_worker: list[int] = []
-        claim_code: list[int] = []
-        claim_group: list[int] = []
-        group_task: list[int] = []
-        group_code: list[int] = []
-        group_size: list[int] = []
-        group_values: list[str] = []
-        task_ptr = np.zeros(n_tasks + 1, dtype=np.int64)
-        task_group_ptr = np.zeros(n_tasks + 1, dtype=np.int64)
-        for j in range(n_tasks):
-            # value_groups[j] iterates values in sorted order; workers in
-            # each group are already sorted ascending.
-            for code, (value, workers) in enumerate(index.value_groups[j].items()):
-                group = len(group_task)
-                group_task.append(j)
-                group_code.append(code)
-                group_size.append(len(workers))
-                group_values.append(value)
-                for worker in workers:
-                    claim_task.append(j)
-                    claim_worker.append(worker)
-                    claim_code.append(code)
-                    claim_group.append(group)
-            task_ptr[j + 1] = len(claim_task)
-            task_group_ptr[j + 1] = len(group_task)
-
-        set_ = object.__setattr__
-        set_(self, "claim_task", np.asarray(claim_task, dtype=np.int64))
-        set_(self, "claim_worker", np.asarray(claim_worker, dtype=np.int64))
-        set_(self, "claim_code", np.asarray(claim_code, dtype=np.int64))
-        set_(self, "claim_group", np.asarray(claim_group, dtype=np.int64))
-        set_(self, "task_ptr", task_ptr)
-        set_(self, "group_task", np.asarray(group_task, dtype=np.int64))
-        set_(self, "group_code", np.asarray(group_code, dtype=np.int64))
-        set_(self, "group_size", np.asarray(group_size, dtype=np.int64))
-        set_(self, "group_values", tuple(group_values))
-        set_(self, "task_group_ptr", task_group_ptr)
-        group_ptr = np.zeros(len(group_task) + 1, dtype=np.int64)
-        np.cumsum(self.group_size, out=group_ptr[1:])
-        set_(self, "group_ptr", group_ptr)
-
-        # Worker -> claim CSR: claim indexes sorted by (worker, task).
-        order = np.lexsort((self.claim_task, self.claim_worker))
-        worker_ptr = np.zeros(n_workers + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(self.claim_worker, minlength=n_workers), out=worker_ptr[1:]
+        claim_counts, group_counts, *segments = _encode_tasks(index, range(index.n_tasks))
+        _assemble_claim_arrays(
+            self, index, _offsets(claim_counts), _offsets(group_counts), *segments
         )
-        set_(self, "worker_ptr", worker_ptr)
-        set_(self, "worker_claims", order)
 
     @cached_property
     def _pair_tables(self) -> tuple[np.ndarray, ...]:
@@ -619,9 +622,7 @@ class ClaimArrays:
         n_tasks = self.index.n_tasks
         ps_task = self.ps_task
         rows = np.argsort(ps_task, kind="stable")
-        ptr = np.zeros(n_tasks + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ps_task, minlength=n_tasks), out=ptr[1:])
-        return ptr, rows
+        return _offsets(np.bincount(ps_task, minlength=n_tasks)), rows
 
     # -- derived sizes ---------------------------------------------------
 
@@ -826,52 +827,29 @@ def _extend_claim_arrays(
     their global positions shift.  Returns the new arrays and the
     ``old claim position -> new claim position`` map.
     """
-    n_tasks, n_workers = index.n_tasks, index.n_workers
+    n_tasks = index.n_tasks
     dirty_mask = np.zeros(n_tasks, dtype=bool)
     dirty_mask[dirty] = True
     clean = np.flatnonzero(~dirty_mask[:old_n_tasks])
 
-    old_claim_counts = old.task_ptr[1:] - old.task_ptr[:-1]
-    old_group_counts = old.task_group_ptr[1:] - old.task_group_ptr[:-1]
+    old_claim_counts = np.diff(old.task_ptr)
+    old_group_counts = np.diff(old.task_group_ptr)
     claim_counts = np.zeros(n_tasks, dtype=np.int64)
     group_counts = np.zeros(n_tasks, dtype=np.int64)
     claim_counts[:old_n_tasks] = old_claim_counts
     group_counts[:old_n_tasks] = old_group_counts
+    d_claims, d_groups, d_worker, d_code, d_size, d_values = _encode_tasks(
+        index, dirty.tolist()
+    )
+    claim_counts[dirty] = d_claims
+    group_counts[dirty] = d_groups
+    task_ptr = _offsets(claim_counts)
+    task_group_ptr = _offsets(group_counts)
 
-    # Fresh encodings for the dirty tasks only.
-    d_workers: dict[int, np.ndarray] = {}
-    d_codes: dict[int, np.ndarray] = {}
-    d_sizes: dict[int, list[int]] = {}
-    d_values: dict[int, list[str]] = {}
-    for j in map(int, dirty):
-        workers_flat: list[int] = []
-        codes_flat: list[int] = []
-        sizes: list[int] = []
-        values: list[str] = []
-        for code, (value, members) in enumerate(index.value_groups[j].items()):
-            sizes.append(len(members))
-            values.append(value)
-            workers_flat.extend(members)
-            codes_flat.extend([code] * len(members))
-        d_workers[j] = np.asarray(workers_flat, dtype=np.int64)
-        d_codes[j] = np.asarray(codes_flat, dtype=np.int64)
-        d_sizes[j] = sizes
-        d_values[j] = values
-        claim_counts[j] = len(workers_flat)
-        group_counts[j] = len(sizes)
-
-    task_ptr = np.zeros(n_tasks + 1, dtype=np.int64)
-    np.cumsum(claim_counts, out=task_ptr[1:])
-    task_group_ptr = np.zeros(n_tasks + 1, dtype=np.int64)
-    np.cumsum(group_counts, out=task_group_ptr[1:])
-    n_claims = int(task_ptr[-1])
-    n_groups = int(task_group_ptr[-1])
-
-    claim_task = np.repeat(np.arange(n_tasks, dtype=np.int64), claim_counts)
-    claim_worker = np.empty(n_claims, dtype=np.int64)
-    claim_code = np.empty(n_claims, dtype=np.int64)
-    group_size = np.empty(n_groups, dtype=np.int64)
-    group_values = np.empty(n_groups, dtype=object)
+    claim_worker = np.empty(task_ptr[-1], dtype=np.int64)
+    claim_code = np.empty(task_ptr[-1], dtype=np.int64)
+    group_size = np.empty(task_group_ptr[-1], dtype=np.int64)
+    group_values = np.empty(task_group_ptr[-1], dtype=object)
 
     # Clean segments: bulk gather from the old arrays.
     src = _concat_ranges(old.task_ptr[clean], old_claim_counts[clean])
@@ -883,56 +861,128 @@ def _extend_claim_arrays(
     group_size[gdst] = old.group_size[gsrc]
     group_values[gdst] = np.asarray(old.group_values, dtype=object)[gsrc]
 
-    # Dirty segments, and the old->new claim position map.
+    # Dirty segments: scatter the fresh encodings.
+    ddst = _concat_ranges(task_ptr[dirty], d_claims)
+    claim_worker[ddst] = d_worker
+    claim_code[ddst] = d_code
+    gddst = _concat_ranges(task_group_ptr[dirty], d_groups)
+    group_size[gddst] = d_size
+    group_values[gddst] = np.asarray(d_values, dtype=object)
+
+    # Old -> new claim positions: clean claims moved with their
+    # segment; an old claim of a dirty task lands on its re-encoded
+    # (task, worker) slot.
     claim_map = np.empty(old.n_claims, dtype=np.int64)
     claim_map[src] = dst
-    for j in map(int, dirty):
-        c0 = int(task_ptr[j])
-        claim_worker[c0 : c0 + len(d_workers[j])] = d_workers[j]
-        claim_code[c0 : c0 + len(d_codes[j])] = d_codes[j]
-        g0 = int(task_group_ptr[j])
-        group_size[g0 : g0 + len(d_sizes[j])] = d_sizes[j]
-        group_values[g0 : g0 + len(d_values[j])] = d_values[j]
-        if j < old_n_tasks:
-            position = {int(w): c0 + k for k, w in enumerate(d_workers[j])}
-            for c in range(int(old.task_ptr[j]), int(old.task_ptr[j + 1])):
-                claim_map[c] = position[int(old.claim_worker[c])]
+    stale = dirty[dirty < old_n_tasks]
+    osrc = _concat_ranges(old.task_ptr[stale], old_claim_counts[stale])
+    new_keys = np.repeat(dirty, d_claims) * index.n_workers + d_worker
+    old_keys = old.claim_task[osrc] * index.n_workers + old.claim_worker[osrc]
+    order = np.argsort(new_keys)
+    claim_map[osrc] = ddst[order[np.searchsorted(new_keys, old_keys, sorter=order)]]
 
-    # In (task, code, worker) order, group index = task group start +
-    # code (codes are consecutive 0..K_j-1), so the remaining structures
-    # are pure arithmetic on what's already spliced.
-    claim_group = task_group_ptr[claim_task] + claim_code
-    group_task = np.repeat(np.arange(n_tasks, dtype=np.int64), group_counts)
-    group_code = np.arange(n_groups, dtype=np.int64) - task_group_ptr[group_task]
-    group_ptr = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(group_size, out=group_ptr[1:])
-
-    order = np.lexsort((claim_task, claim_worker))
-    worker_ptr = np.zeros(n_workers + 1, dtype=np.int64)
-    np.cumsum(np.bincount(claim_worker, minlength=n_workers), out=worker_ptr[1:])
-
-    arrays = object.__new__(ClaimArrays)
-    set_ = object.__setattr__
-    set_(arrays, "index", index)
-    set_(arrays, "claim_task", claim_task)
-    set_(arrays, "claim_worker", claim_worker)
-    set_(arrays, "claim_code", claim_code)
-    set_(arrays, "claim_group", claim_group)
-    set_(arrays, "task_ptr", task_ptr)
-    set_(arrays, "group_ptr", group_ptr)
-    set_(arrays, "group_task", group_task)
-    set_(arrays, "group_code", group_code)
-    set_(arrays, "group_size", group_size)
-    set_(arrays, "group_values", tuple(group_values))
-    set_(arrays, "task_group_ptr", task_group_ptr)
-    set_(arrays, "worker_ptr", worker_ptr)
-    set_(arrays, "worker_claims", order)
-
+    arrays = _assemble_claim_arrays(
+        object.__new__(ClaimArrays),
+        index,
+        task_ptr,
+        task_group_ptr,
+        claim_worker,
+        claim_code,
+        group_size,
+        tuple(group_values),
+    )
     if "_pair_tables" in old.__dict__:
         arrays.__dict__["_pair_tables"] = _extend_pair_tables(
             old, arrays, dirty, dirty_mask, claim_map
         )
     return arrays, claim_map
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR pointer over ``counts``: ``[0, c_0, c_0 + c_1, ...]``."""
+    ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def _encode_tasks(
+    index: DatasetIndex, tasks: Iterable[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Integer-code ``tasks`` from ``index.value_groups``.
+
+    Values are numbered in sorted order and each group's workers ascend,
+    so concatenating the groups yields the (task, code, worker) claim
+    order.  Returns the per-task claim and group counts, then the
+    concatenated claim workers, claim codes, group sizes and group
+    values.
+    """
+    claim_counts: list[int] = []
+    group_counts: list[int] = []
+    claim_worker: list[int] = []
+    claim_code: list[int] = []
+    group_size: list[int] = []
+    group_values: list[str] = []
+    for j in tasks:
+        groups = index.value_groups[j]
+        claim_counts.append(len(index.claims_by_task[j]))
+        group_counts.append(len(groups))
+        group_values.extend(groups)
+        for code, workers in enumerate(groups.values()):
+            group_size.append(len(workers))
+            claim_worker.extend(workers)
+            claim_code.extend([code] * len(workers))
+    return (
+        np.asarray(claim_counts, dtype=np.int64),
+        np.asarray(group_counts, dtype=np.int64),
+        np.asarray(claim_worker, dtype=np.int64),
+        np.asarray(claim_code, dtype=np.int64),
+        np.asarray(group_size, dtype=np.int64),
+        tuple(group_values),
+    )
+
+
+def _assemble_claim_arrays(
+    arrays: ClaimArrays,
+    index: DatasetIndex,
+    task_ptr: np.ndarray,
+    task_group_ptr: np.ndarray,
+    claim_worker: np.ndarray,
+    claim_code: np.ndarray,
+    group_size: np.ndarray,
+    group_values: tuple[str, ...],
+) -> ClaimArrays:
+    """Set ``arrays``' fields from its per-task claim and group segments.
+
+    In (task, code, worker) order, group index = task group start +
+    code (codes are consecutive 0..K_j-1), so the remaining structures
+    are pure arithmetic on the segments.  The cold build,
+    :meth:`DatasetIndex.extended` and :meth:`DatasetIndex.restricted`
+    all finish here.
+    """
+    n_tasks, n_workers = index.n_tasks, index.n_workers
+    claim_task = np.repeat(np.arange(n_tasks, dtype=np.int64), np.diff(task_ptr))
+    group_task = np.repeat(np.arange(n_tasks, dtype=np.int64), np.diff(task_group_ptr))
+    group_code = np.arange(len(group_size), dtype=np.int64) - task_group_ptr[group_task]
+    fields = {
+        "index": index,
+        "claim_task": claim_task,
+        "claim_worker": claim_worker,
+        "claim_code": claim_code,
+        "claim_group": task_group_ptr[claim_task] + claim_code,
+        "task_ptr": task_ptr,
+        "group_ptr": _offsets(group_size),
+        "group_task": group_task,
+        "group_code": group_code,
+        "group_size": group_size,
+        "group_values": group_values,
+        "task_group_ptr": task_group_ptr,
+        # Worker -> claim CSR: claim indexes sorted by (worker, task).
+        "worker_ptr": _offsets(np.bincount(claim_worker, minlength=n_workers)),
+        "worker_claims": np.lexsort((claim_task, claim_worker)),
+    }
+    for name, value in fields.items():
+        object.__setattr__(arrays, name, value)
+    return arrays
 
 
 def _extend_pair_tables(

@@ -9,11 +9,12 @@ claims arrive, without paying a cold re-encode + full re-run per batch:
    plus appended tasks) and splices every clean CSR segment across.
    Per-claim accuracy state is carried over via the extension's claim
    position map.
-2. **Dirty-scope re-estimation** — DATE runs on the sub-campaign
-   induced by the batch's dirty tasks only (all claims on those tasks,
-   the workers providing them), warm-started from the current truths
-   and worker reputations, so the per-batch cost is O(affected
-   segments) instead of O(campaign).
+2. **Dirty-scope re-estimation** — DATE runs on a restricted view of
+   the campaign index over the batch's dirty tasks only (all claims on
+   those tasks, the workers providing them; see
+   :meth:`~repro.core.indexing.DatasetIndex.restricted`), warm-started
+   from the current truths and worker reputations, so the per-batch
+   cost is O(affected segments) instead of O(campaign).
 3. **Periodic full refresh** — the dirty-scope pass is a local
    approximation: new evidence on one task can, through worker
    reputations and copier posteriors, shift estimates elsewhere.
@@ -29,10 +30,11 @@ See DESIGN.md §8 for the invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.accuracy import claim_mean_by_worker
 from ..core.config import DateConfig
 from ..core.date import TruthDiscoveryResult
 from ..core.engine import DependenceArrays, IncrementalDependence, dense_accuracy
@@ -137,6 +139,7 @@ class OnlineDATE:
         self._engine: IncrementalDependence | None = None
         self._truth_codes = np.empty(0, dtype=np.int64)
         self._index = DatasetIndex(Dataset(tasks=(), workers=(), claims={}))
+        self._index.arrays  # materialize so every extension splices + maps
         self._claim_acc = np.empty(0, dtype=np.float64)
         self._truths: dict[str, str] = {}
         self._confidence: dict[str, float] = {}
@@ -197,15 +200,7 @@ class OnlineDATE:
     @property
     def worker_accuracy(self) -> dict[str, float]:
         """Current ``worker_id -> mean accuracy`` (reputation)."""
-        arrays = self._index.arrays
-        n_workers = self._index.n_workers
-        sums = np.bincount(
-            arrays.claim_worker, weights=self._claim_acc, minlength=n_workers
-        )
-        counts = np.bincount(arrays.claim_worker, minlength=n_workers)
-        means = np.divide(
-            sums, counts, out=np.zeros(n_workers), where=counts > 0
-        )
+        means = claim_mean_by_worker(self._index.arrays, self._claim_acc)
         return {
             worker_id: float(means[i])
             for i, worker_id in enumerate(self._index.worker_ids)
@@ -264,7 +259,6 @@ class OnlineDATE:
                 iterations=0,
                 refreshed=False,
             )
-        self._index.arrays  # materialize so the extension splices + maps
         ext = self._index.extended(
             tasks=batch.tasks, workers=batch.workers, claims=batch.claims
         )
@@ -273,8 +267,7 @@ class OnlineDATE:
             self._config.initial_accuracy,
             dtype=np.float64,
         )
-        if ext.claim_map is not None and len(ext.claim_map):
-            claim_acc[ext.claim_map] = self._claim_acc
+        claim_acc[ext.claim_map] = self._claim_acc
         self._index = ext.index
         self._claim_acc = claim_acc
         self._batches += 1
@@ -303,21 +296,14 @@ class OnlineDATE:
             # both would just throw the sub-run's result away.
             iterations = self.refresh().iterations
         else:
-            dirty = [
-                int(j)
-                for j in ext.dirty_tasks
-                if self._index.claims_by_task[int(j)]
-            ]
-            if dirty:
-                sub = _subcampaign(self._index, dirty)
-                result = self._discoverer.run(
-                    sub, warm_start=self._warm_snapshot(), lean=True
-                )
-                self._merge(dirty, result)
-                iterations = result.iterations
+            task_ptr = self._index.arrays.task_ptr
+            claimed = task_ptr[ext.dirty_tasks + 1] > task_ptr[ext.dirty_tasks]
+            dirty = ext.dirty_tasks[claimed]
+            if len(dirty):
+                iterations = self._rerun(dirty)
             if self._track_dependence:
                 arrays = self._index.arrays
-                for j in dirty:
+                for j in dirty.tolist():
                     self._truth_codes[j] = _truth_code_of(
                         arrays, j, self._truths.get(self._index.task_ids[j])
                     )
@@ -431,12 +417,22 @@ class OnlineDATE:
             )
         return codes
 
-    def _warm_snapshot(self) -> TruthDiscoveryResult:
-        """Minimal warm-start carrier: current truths and reputations."""
-        return TruthDiscoveryResult(
-            truths=dict(self._truths),
+    def _rerun(self, dirty: np.ndarray) -> int:
+        """Re-estimate the claimed dirty tasks on a restricted view.
+
+        The sub-run is warm-started from the current truths of its tasks
+        and the campaign-wide reputations of its workers; its per-claim
+        accuracies scatter back through the view's claim positions, and
+        its truths and confidences replace those of its tasks.  Returns
+        the sub-run's iteration count.
+        """
+        sub, positions = self._index.restricted(dirty)
+        means = claim_mean_by_worker(self._index.arrays, self._claim_acc)
+        worker_pos = self._index.worker_pos
+        warm = TruthDiscoveryResult(
+            truths={t: self._truths[t] for t in sub.task_ids if t in self._truths},
             accuracy_matrix=np.zeros((0, 0)),
-            worker_accuracy=self.worker_accuracy,
+            worker_accuracy={w: float(means[worker_pos[w]]) for w in sub.worker_ids},
             confidence={},
             support={},
             dependence={},
@@ -444,34 +440,23 @@ class OnlineDATE:
             converged=True,
             method="snapshot",
         )
-
-    def _merge(self, dirty: list[int], result: TruthDiscoveryResult) -> None:
-        """Fold a dirty-scope result back into the campaign state."""
-        index = self._index
-        arrays = index.arrays
-        sub_task_pos = {task_id: p for p, task_id in enumerate(result.task_ids)}
-        sub_worker_pos = {
-            worker_id: p for p, worker_id in enumerate(result.worker_ids)
-        }
-        for j in dirty:
-            task_id = index.task_ids[j]
+        result = self._discoverer.fit(sub.arrays, warm_start=warm, lean=True)
+        arrays = sub.arrays
+        self._claim_acc[positions] = result.accuracy_matrix[
+            arrays.claim_worker, arrays.claim_task
+        ]
+        for task_id in sub.task_ids:
             value = result.truths.get(task_id)
+            confidence = result.confidence.get(task_id)
             if value is None:
                 self._truths.pop(task_id, None)
-                self._confidence.pop(task_id, None)
             else:
                 self._truths[task_id] = value
-                confidence = result.confidence.get(task_id)
-                if confidence is not None:
-                    self._confidence[task_id] = confidence
-                else:
-                    self._confidence.pop(task_id, None)
-            sj = sub_task_pos[task_id]
-            for c in range(int(arrays.task_ptr[j]), int(arrays.task_ptr[j + 1])):
-                worker_id = index.worker_ids[int(arrays.claim_worker[c])]
-                self._claim_acc[c] = result.accuracy_matrix[
-                    sub_worker_pos[worker_id], sj
-                ]
+            if value is None or confidence is None:
+                self._confidence.pop(task_id, None)
+            else:
+                self._confidence[task_id] = confidence
+        return result.iterations
 
 
 def _truth_code_of(arrays: ClaimArrays, j: int, value: str | None) -> int:
@@ -484,34 +469,3 @@ def _truth_code_of(arrays: ClaimArrays, j: int, value: str | None) -> int:
         return arrays.group_values[g0:g1].index(value)
     except ValueError:
         return -1
-
-
-def _subcampaign(index: DatasetIndex, dirty: list[int]) -> Dataset:
-    """The sub-dataset induced by the dirty tasks, built in O(affected).
-
-    Mirrors :meth:`Dataset.subset` semantics (copy sources outside the
-    kept worker set are dropped) without its full-campaign scan.
-    """
-    dataset = index.dataset
-    tasks = tuple(dataset.tasks[j] for j in dirty)
-    worker_positions = sorted(
-        {i for j in dirty for i in index.claims_by_task[j]}
-    )
-    keep_ids = {index.worker_ids[i] for i in worker_positions}
-    workers = []
-    for i in worker_positions:
-        worker = dataset.worker_by_id[index.worker_ids[i]]
-        sources = tuple(s for s in worker.sources if s in keep_ids)
-        if worker.is_copier and not sources:
-            worker = dc_replace(
-                worker, is_copier=False, sources=(), copy_prob=0.0
-            )
-        elif sources != worker.sources:
-            worker = dc_replace(worker, sources=sources)
-        workers.append(worker)
-    claims = {
-        (index.worker_ids[i], index.task_ids[j]): value
-        for j in dirty
-        for i, value in index.claims_by_task[j].items()
-    }
-    return Dataset(tasks=tasks, workers=tuple(workers), claims=claims)

@@ -14,7 +14,9 @@ structures — and the differential suites pin engine == oracle:
 - :mod:`.support` — support counts and truth selection (line 28,
   Eq. 21);
 - :mod:`.date` — the Alg. 1 drivers for DATE, ED and NC;
-- :mod:`.auction` — Alg. 2's greedy cover and critical payments.
+- :mod:`.auction` — Alg. 2's greedy cover and critical payments;
+- :mod:`.streaming` — the sub-dataset rebuild that streaming's
+  restricted index view replaced.
 """
 
 from .accuracy import (
@@ -32,10 +34,16 @@ from .date import (
 )
 from .dependence import (
     compute_pairwise_dependence,
+    directed_matrix,
     directed_probability,
     total_dependence,
 )
-from .independence import IndependenceTable, independence_probabilities, order_value_group
+from .independence import (
+    IndependenceTable,
+    independence_probabilities,
+    independence_table,
+    order_value_group,
+)
 from .support import select_truths, support_counts
 
 __all__ = [
@@ -43,11 +51,13 @@ __all__ = [
     "compute_pairwise_dependence",
     "date_independence",
     "date_reference",
+    "directed_matrix",
     "directed_probability",
     "discounted_value_posteriors",
     "ed_independence",
     "greedy_cover",
     "independence_probabilities",
+    "independence_table",
     "no_copier_reference",
     "order_value_group",
     "reference_auction",

@@ -16,10 +16,16 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.dependence import DependencePosterior
+from repro.core.engine import DependenceArrays
 from repro.core.falsedist import FalseValueDistribution, UniformFalseValues
-from repro.core.indexing import DatasetIndex
+from repro.core.indexing import ClaimArrays, DatasetIndex
 
-__all__ = ["compute_pairwise_dependence", "directed_probability", "total_dependence"]
+__all__ = [
+    "compute_pairwise_dependence",
+    "directed_matrix",
+    "directed_probability",
+    "total_dependence",
+]
 
 # Likelihood terms are clamped away from 0 so a single impossible-looking
 # observation cannot produce -inf log likelihoods.
@@ -161,3 +167,19 @@ def total_dependence(
     key = (a, b) if a < b else (b, a)
     entry = posteriors.get(key)
     return entry.p_dependent if entry is not None else 0.0
+
+
+def directed_matrix(dependence: DependenceArrays, arrays: ClaimArrays) -> np.ndarray:
+    """Dense ``D[i, k] = P(i -> k | D)`` lookup (0 where undefined).
+
+    O(n_workers²) memory — a test oracle for deliberately small
+    worlds.  The kernels gather through
+    :attr:`~repro.core.indexing.ClaimArrays.multi_group_slots`
+    into :meth:`~repro.core.engine.DependenceArrays.slot_values`
+    instead, which is O(pairs).
+    """
+    n = arrays.index.n_workers
+    matrix = np.zeros((n, n), dtype=np.float64)
+    matrix[arrays.pair_a, arrays.pair_b] = dependence.p_ab
+    matrix[arrays.pair_b, arrays.pair_a] = dependence.p_ba
+    return matrix

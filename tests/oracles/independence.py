@@ -23,12 +23,14 @@ pinned to these loops by the differential suites.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.dependence import DependencePosterior
-from repro.core.indexing import DatasetIndex
+from repro.core.indexing import ClaimArrays, DatasetIndex
 
 from .dependence import directed_probability, total_dependence
 
-__all__ = ["independence_probabilities", "order_value_group"]
+__all__ = ["independence_probabilities", "independence_table", "order_value_group"]
 
 #: Independence maps: task index -> value -> {worker index: I_v^j(i)}.
 IndependenceTable = list[dict[str, dict[int, float]]]
@@ -126,5 +128,22 @@ def independence_probabilities(
                     independence *= 1.0 - copy_prob_r * dep
                 scores[worker] = independence
             per_value[value] = scores
+        table.append(per_value)
+    return table
+
+
+def independence_table(
+    arrays: ClaimArrays, indep: np.ndarray
+) -> list[dict[str, dict[int, float]]]:
+    """Flat per-claim independence -> the scalar ``IndependenceTable``."""
+    table: list[dict[str, dict[int, float]]] = []
+    for j in range(arrays.index.n_tasks):
+        g0, g1 = int(arrays.task_group_ptr[j]), int(arrays.task_group_ptr[j + 1])
+        per_value: dict[str, dict[int, float]] = {}
+        for g in range(g0, g1):
+            c0, c1 = int(arrays.group_ptr[g]), int(arrays.group_ptr[g + 1])
+            per_value[arrays.group_values[g]] = {
+                int(arrays.claim_worker[c]): float(indep[c]) for c in range(c0, c1)
+            }
         table.append(per_value)
     return table

@@ -112,6 +112,27 @@ class TestIncrementalIndexEquivalence:
         assert_index_equivalent(grown, DatasetIndex(dataset))
 
     @given(campaign=streamed_campaigns())
+    @settings(max_examples=60, derandomize=True)
+    def test_claim_map_follows_every_claim(self, campaign):
+        _, batches = campaign
+        index = DatasetIndex(Dataset(tasks=(), workers=(), claims={}))
+        for batch in batches:
+            old = index.arrays
+            ext = index.extended(
+                tasks=batch.tasks, workers=batch.workers, claims=batch.claims
+            )
+            new = ext.index.arrays
+            assert len(np.unique(ext.claim_map)) == old.n_claims
+            for name in ("claim_worker", "claim_task"):
+                np.testing.assert_array_equal(
+                    getattr(new, name)[ext.claim_map], getattr(old, name), err_msg=name
+                )
+            assert [new.group_values[g] for g in new.claim_group[ext.claim_map]] == [
+                old.group_values[g] for g in old.claim_group
+            ]
+            index = ext.index
+
+    @given(campaign=streamed_campaigns())
     @settings(max_examples=30, derandomize=True)
     def test_replay_batches_cover_exactly(self, campaign):
         dataset, _ = campaign

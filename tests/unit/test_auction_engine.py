@@ -22,6 +22,8 @@ from repro.core.engine import (
 from repro.core.falsedist import UniformFalseValues
 from repro.core.indexing import DatasetIndex
 
+from tests.oracles import directed_matrix
+
 
 class TestAuctionConfig:
     def test_defaults(self):
@@ -139,7 +141,7 @@ class TestMultiGroupSlots:
 
     def test_take_matches_dense_matrix(self, qlf_small):
         arrays, dependence = self._dependence(qlf_small)
-        dense = dependence.directed_matrix(arrays)
+        dense = directed_matrix(dependence, arrays)
         values = dependence.slot_values()
         buckets = arrays.multi_group_buckets
         assert len(buckets) > 1

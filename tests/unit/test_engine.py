@@ -19,7 +19,6 @@ from repro.core.engine import (
     dense_accuracy,
     dependence_table,
     independence_flat,
-    independence_table,
     pairwise_dependence_arrays,
     plain_posterior_groups,
     posterior_table,
@@ -32,6 +31,7 @@ from repro.datasets import generate_qatar_living_like
 from tests.oracles import (
     compute_pairwise_dependence,
     independence_probabilities,
+    independence_table,
     run_reference,
     select_truths,
     support_counts,

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import DATE, DateConfig, Task, WorkerProfile
+from repro import DATE, Dataset, DateConfig, Task, WorkerProfile
+from repro.core.indexing import ClaimArrays, DatasetIndex
+from repro.datasets import generate_qatar_living_like
 from repro.errors import ConfigurationError, DataFormatError
 from repro.streaming import ClaimBatch, OnlineDATE, replay_batches
 
@@ -118,6 +120,53 @@ class TestEstimates:
         final = online.refresh()
         cold = run_reference(DATE(config), qlf_small)
         assert final.truths == cold.truths
+
+
+@pytest.fixture(scope="module")
+def paper_replay():
+    """A paper-scale campaign (300 tasks, 120 workers, ~6k claims)."""
+    dataset = generate_qatar_living_like(
+        seed=np.random.default_rng([1, 0]),
+        n_tasks=300,
+        n_workers=120,
+        n_copiers=30,
+        target_claims=6000,
+    )
+    return replay_batches(dataset, 120)
+
+
+class TestOneEncoding:
+    def test_served_reputations_equal_the_refresh(self, paper_replay):
+        online = OnlineDATE()
+        for batch in paper_replay[:20]:
+            online.ingest(batch)
+        final = online.refresh()
+        assert online.worker_accuracy == final.worker_accuracy
+
+    def test_ingest_builds_no_index_or_dataset(self, paper_replay, monkeypatch):
+        calls = {"DatasetIndex": 0, "ClaimArrays": 0, "Dataset": 0}
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        online = OnlineDATE()
+        monkeypatch.setattr(
+            DatasetIndex, "__init__", counted("DatasetIndex", DatasetIndex.__init__)
+        )
+        monkeypatch.setattr(
+            ClaimArrays,
+            "__post_init__",
+            counted("ClaimArrays", ClaimArrays.__post_init__),
+        )
+        monkeypatch.setattr(Dataset, "__init__", counted("Dataset", Dataset.__init__))
+        updates = [online.ingest(batch) for batch in paper_replay[:10]]
+        assert not any(update.refreshed for update in updates)
+        assert all(update.iterations > 0 for update in updates)
+        assert calls == {"DatasetIndex": 0, "ClaimArrays": 0, "Dataset": 0}
 
 
 class TestLeanRun:
