@@ -29,6 +29,8 @@ from tests.oracles import (
     compute_pairwise_dependence,
     greedy_cover,
     independence_probabilities,
+    initial_accuracy_matrix,
+    majority_vote,
     run_reference,
     update_accuracy_matrix,
     value_posteriors,
@@ -53,14 +55,14 @@ def bench_index(bench_dataset):
 
 @pytest.fixture(scope="module")
 def bench_accuracy(bench_index):
-    return bench_index.initial_accuracy_matrix(0.5)
+    return initial_accuracy_matrix(bench_index, 0.5)
 
 
 @pytest.fixture(scope="module")
 def bench_dependence(bench_index, bench_accuracy):
     return compute_pairwise_dependence(
         bench_index,
-        bench_index.majority_vote(),
+        majority_vote(bench_index),
         bench_accuracy,
         copy_prob_r=0.4,
         prior_alpha=0.2,
@@ -106,15 +108,14 @@ def test_dataset_generation(benchmark):
 def test_index_construction(benchmark, bench_dataset):
     def build():
         index = DatasetIndex(bench_dataset)
-        index.pairs  # force the lazy pair tables
-        index.shared_tasks
+        index.arrays.pair_ptr  # force the lazy pair tables
         return index
 
     benchmark(build)
 
 
 def test_step1_dependence(benchmark, bench_index, bench_accuracy):
-    truths = bench_index.majority_vote()
+    truths = majority_vote(bench_index)
     benchmark(
         lambda: compute_pairwise_dependence(
             bench_index,

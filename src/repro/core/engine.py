@@ -35,6 +35,7 @@ from .indexing import (
     pair_row_keys,
     segment_first_argmax_code,
 )
+from .native import load_independence_bucket
 
 __all__ = [
     "DependenceArrays",
@@ -754,6 +755,11 @@ class IncrementalDependence:
         self._p_ba[affected] = p_ba
 
 
+# The compiled Eq. 16 kernel; built into the per-user cache on first
+# import (an ImportError names a missing C compiler).
+_independence_bucket = load_independence_bucket()
+
+
 def independence_flat(
     arrays: ClaimArrays,
     dependence: DependenceArrays,
@@ -779,18 +785,23 @@ def independence_flat(
     only the total discounts the pair to one effective vote (DESIGN.md
     §4).
 
-    The greedy ordering inside each multi-provider value group is
-    inherently sequential in the group *size*, but not across groups:
-    all groups of one size run batched (``(G, m, m)`` tensors taken
-    through the precomputed
-    :attr:`~repro.core.indexing.ClaimArrays.multi_group_slots`), so the
-    Python loop is one step per distinct group size — not per group.
-    Single-provider groups keep the definitional ``I = 1`` without
-    being visited at all.
+    The greedy ordering is sequential inside each multi-provider value
+    group, so it runs compiled: one call per group size into the C
+    kernel ``independence.c`` (built once, :mod:`~repro.core.native`),
+    which gathers each group's member-pair dependence through the
+    precomputed
+    :attr:`~repro.core.indexing.ClaimArrays.multi_group_slots` straight
+    from ``p_ab``/``p_ba``.  Single-provider groups keep the
+    definitional ``I = 1`` without being visited at all.  The kernel
+    reproduces the batched numpy kernel it replaced
+    (tests/oracles/independence.py) byte for byte: numpy's pairwise
+    summation for the totals, first-index ``argmax``/``argmin``, and
+    unfused ``x * (-r) + 1.0`` factors multiplied in order (DESIGN.md
+    §7).
 
-    Ties break on the worker index, as in the scalar ordering oracle
-    (tests/oracles/independence.py): groups store workers ascending,
-    and ``argmax``/``argmin`` pick the first (smallest-index) element.
+    Ties break on the worker index, as in the scalar ordering oracle:
+    groups store workers ascending, and the first (smallest-index)
+    extreme wins.
     """
     if not 0.0 < copy_prob_r < 1.0:
         raise ValueError(f"copy_prob_r must be in (0, 1), got {copy_prob_r}")
@@ -803,59 +814,35 @@ def independence_flat(
         raise ValueError(
             f"discount_mode must be 'directed' or 'total', got {discount_mode!r}"
         )
-    r = copy_prob_r
-    scratch = scratch if scratch is not None else _thread_scratch()
     indep = np.ones(arrays.n_claims, dtype=np.float64)
     buckets = arrays.multi_group_buckets
     if not buckets:
         return indep
 
-    # O(pairs) slot gather — the dense n_workers² matrix is never
-    # materialized, so dependence memory scales with co-answering pairs.
-    values = dependence.slot_values()
-    for (m, claim_idx), slots in zip(buckets, arrays.multi_group_slots):
-        n_groups = len(claim_idx)
-        sub = values.take(slots)
-        total_sub = np.add(
-            sub, sub.transpose(0, 2, 1), out=scratch.array("if_total", (n_groups, m, m))
+    scratch = scratch if scratch is not None else _thread_scratch()
+    largest = max(m for m, _ in buckets)
+    work = scratch.array("indep_work", largest * largest + 3 * largest)
+    order = scratch.array("indep_order", 2 * largest, np.int64)
+    p_ab = np.ascontiguousarray(dependence.p_ab, dtype=np.float64)
+    p_ba = np.ascontiguousarray(dependence.p_ba, dtype=np.float64)
+    if not len(p_ab) == len(p_ba) == arrays.n_pairs:
+        raise ValueError(
+            f"dependence holds {len(p_ab)}/{len(p_ba)} pairs, the claims "
+            f"{arrays.n_pairs}"
         )
-        totals = np.sum(total_sub, axis=2, out=scratch.array("if_totals", (n_groups, m)))
-        if ordering == "dependent_first":
-            first = np.argmax(totals, axis=1)
-        else:
-            first = np.argmin(totals, axis=1)
-
-        rows = np.arange(n_groups)
-        order = scratch.array("if_order", (n_groups, m), np.int64)
-        order[:, 0] = first
-        selected = scratch.array("if_selected", (n_groups, m), bool)
-        selected[:] = False
-        selected[rows, first] = True
-        # Best directed attachment to any already-selected member
-        # (Alg. 1 line 19), grown one selection at a time for every
-        # group of this size simultaneously.
-        attachment = scratch.array("if_attach", (n_groups, m))
-        attachment[:] = sub[rows, :, first]
-        masked = scratch.array("if_masked", (n_groups, m))
-        for position in range(1, m):
-            np.copyto(masked, attachment)
-            masked[selected] = -np.inf
-            nxt = np.argmax(masked, axis=1)
-            order[:, position] = nxt
-            selected[rows, nxt] = True
-            np.maximum(attachment, sub[rows, :, nxt], out=attachment)
-
-        discount_source = sub if discount_mode == "directed" else total_sub
-        ordered = discount_source[
-            rows[:, None, None], order[:, :, None], order[:, None, :]
-        ]
-        # score[k] = prod over predecessors l < k of (1 - r * dep[k, l]);
-        # non-predecessor entries contribute a factor of exactly 1.
-        factors = np.multiply(ordered, -r, out=scratch.array("if_factors", (n_groups, m, m)))
-        np.add(factors, 1.0, out=factors)
-        factors[:, ~np.tri(m, k=-1, dtype=bool)] = 1.0
-        flat_positions = np.take_along_axis(claim_idx, order, axis=1)
-        indep[flat_positions] = np.prod(factors, axis=2)
+    ab, ba, work_at, order_at, indep_at = (
+        a.ctypes.data for a in (p_ab, p_ba, work, order, indep)
+    )
+    dependent_first = ordering == "dependent_first"
+    total_mode = discount_mode == "total"
+    for (m, claim_idx), slots in zip(buckets, arrays.multi_group_slots):
+        claim_idx = np.ascontiguousarray(claim_idx, dtype=np.int64)
+        slots = np.ascontiguousarray(slots, dtype=np.intp)
+        _independence_bucket(
+            len(claim_idx), m, claim_idx.ctypes.data, slots.ctypes.data,
+            ab, ba, copy_prob_r, dependent_first, total_mode,
+            work_at, order_at, indep_at,
+        )
     return indep
 
 

@@ -56,17 +56,10 @@ class DatasetIndex:
         self.task_pos: dict[str, int] = {t: j for j, t in enumerate(self.task_ids)}
         self.worker_pos: dict[str, int] = {w: i for i, w in enumerate(self.worker_ids)}
 
-        n_tasks = len(self.task_ids)
-        n_workers = len(self.worker_ids)
         #: ``claims_by_task[j]`` is ``{worker_index: value}``.
-        self.claims_by_task: list[dict[int, str]] = [{} for _ in range(n_tasks)]
-        #: ``claims_by_worker[i]`` is ``{task_index: value}``.
-        self.claims_by_worker: list[dict[int, str]] = [{} for _ in range(n_workers)]
+        self.claims_by_task: list[dict[int, str]] = [{} for _ in self.task_ids]
         for (worker_id, task_id), value in dataset.claims.items():
-            i = self.worker_pos[worker_id]
-            j = self.task_pos[task_id]
-            self.claims_by_task[j][i] = value
-            self.claims_by_worker[i][j] = value
+            self.claims_by_task[self.task_pos[task_id]][self.worker_pos[worker_id]] = value
 
         #: ``value_groups[j]`` is ``{value: sorted tuple of worker indexes}``
         #: (the paper's ``W_v^j``), with values in sorted order for
@@ -88,65 +81,6 @@ class DatasetIndex:
     @property
     def n_workers(self) -> int:
         return len(self.worker_ids)
-
-    @cached_property
-    def pairs(self) -> list[tuple[int, int]]:
-        """All worker pairs ``(a, b)`` with ``a < b`` sharing at least one task.
-
-        Dependence is only defined (and only informative) for pairs that
-        co-answered something, so step 1 iterates exactly this list.
-        """
-        seen: set[tuple[int, int]] = set()
-        for claims in self.claims_by_task:
-            members = sorted(claims)
-            for x in range(len(members)):
-                for y in range(x + 1, len(members)):
-                    seen.add((members[x], members[y]))
-        return sorted(seen)
-
-    @cached_property
-    def shared_tasks(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """``(a, b) -> task indexes answered by both`` for every pair."""
-        shared: dict[tuple[int, int], list[int]] = {p: [] for p in self.pairs}
-        for j, claims in enumerate(self.claims_by_task):
-            members = sorted(claims)
-            for x in range(len(members)):
-                for y in range(x + 1, len(members)):
-                    shared[(members[x], members[y])].append(j)
-        return {p: tuple(ts) for p, ts in shared.items()}
-
-    def initial_accuracy_matrix(self, epsilon: float) -> np.ndarray:
-        """Dense ``n_workers x n_tasks`` accuracy matrix initialized to ε.
-
-        Entries for (worker, task) pairs without a claim are 0: a worker
-        that did not answer a task contributes no accuracy to it (and no
-        coverage in the auction stage).
-        """
-        matrix = np.zeros((self.n_workers, self.n_tasks), dtype=np.float64)
-        for i, claims in enumerate(self.claims_by_worker):
-            for j in claims:
-                matrix[i, j] = epsilon
-        return matrix
-
-    def majority_vote(self) -> list[str | None]:
-        """Per-task majority value (``None`` for unanswered tasks).
-
-        Ties break lexicographically on the value so results are
-        deterministic.  This is both the MV baseline's core and DATE's
-        initial truth estimate (Sec. III-A: "the true value can be
-        obtained through the voting mechanism ... initially").
-        """
-        winners: list[str | None] = []
-        for j in range(self.n_tasks):
-            groups = self.value_groups[j]
-            if not groups:
-                winners.append(None)
-                continue
-            # One pass: largest count wins, count ties go to the
-            # lexicographically smallest value.
-            best = min(groups.items(), key=lambda item: (-len(item[1]), item[0]))
-            winners.append(best[0])
-        return winners
 
     @cached_property
     def arrays(self) -> "ClaimArrays":
@@ -204,22 +138,15 @@ class DatasetIndex:
         dirty_set.update(range(old_n_tasks, len(new.task_ids)))
         dirty = np.asarray(sorted(dirty_set), dtype=np.int64)
 
-        # Copy-on-write: dirty tasks (and touched workers) get fresh
-        # dicts; clean ones are shared with the old, read-only index.
+        # Copy-on-write: dirty tasks get fresh dicts; clean ones are
+        # shared with the old, read-only index.
         by_task = list(self.claims_by_task) + [{} for _ in tasks]
         for j in dirty_set:
             if j < old_n_tasks:
                 by_task[j] = dict(by_task[j])
-        by_worker = list(self.claims_by_worker) + [{} for _ in workers]
-        for i in {new.worker_pos[worker_id] for (worker_id, _) in claims}:
-            if i < old_n_workers:
-                by_worker[i] = dict(by_worker[i])
         for (worker_id, task_id), value in claims.items():
-            i, j = new.worker_pos[worker_id], new.task_pos[task_id]
-            by_task[j][i] = value
-            by_worker[i][j] = value
+            by_task[new.task_pos[task_id]][new.worker_pos[worker_id]] = value
         new.claims_by_task = by_task
-        new.claims_by_worker = by_worker
 
         new.value_groups = list(self.value_groups) + [{} for _ in tasks]
         new.num_false = np.empty(len(new.task_ids), dtype=np.int64)
@@ -283,10 +210,6 @@ class DatasetIndex:
             {local[i]: value for i, value in self.claims_by_task[j].items()}
             for j in task_list
         ]
-        view.claims_by_worker = [{} for _ in view.worker_ids]
-        for j, claims in enumerate(view.claims_by_task):
-            for i, value in claims.items():
-                view.claims_by_worker[i][j] = value
         view.value_groups = [_value_groups(claims) for claims in view.claims_by_task]
         view.num_false = self.num_false[tasks]
         view.__dict__["arrays"] = _assemble_claim_arrays(
@@ -535,8 +458,8 @@ class ClaimArrays:
     @cached_property
     def _pair_tables(self) -> tuple[np.ndarray, ...]:
         """Pair tables: every unordered co-answering pair, one row per
-        shared task, grouped by pair and ordered by task within a pair
-        (mirroring :attr:`DatasetIndex.shared_tasks`).  Built on first
+        shared task, grouped by pair and ordered by task within a pair.
+        Built on first
         access — only the dependence kernels need them.
         """
         all_tasks = np.arange(self.index.n_tasks, dtype=np.int64)
@@ -745,9 +668,9 @@ class ClaimArrays:
     def majority_codes(self) -> np.ndarray:
         """Per-task majority value code (ties to the smallest code).
 
-        The array twin of :meth:`DatasetIndex.majority_vote`: codes are
+        Ties go to the lexicographically smallest value: codes are
         assigned in sorted value order, so "smallest code" is exactly
-        the documented lexicographic tie-break.
+        that tie-break.
         """
         return segment_first_argmax_code(
             self.group_size.astype(np.float64),

@@ -32,7 +32,8 @@ Routes (all bodies JSON unless noted):
   optional ``cap`` is the only accepted key).
 
 Errors map onto status codes: malformed input and infeasible auctions
-are 400, unknown campaigns/routes 404, duplicate campaigns 409, and
+are 400, unknown campaigns/routes 404, duplicate campaigns 409, bodies
+over :data:`MAX_BODY_BYTES` 413, and
 degradation is 503 with a ``Retry-After`` header — either the campaign
 is still replaying its journal, or the journal disk rejected a write
 (the batch was NOT applied; retrying the same ``seq`` is safe).
@@ -62,7 +63,7 @@ from .campaign import (
 from .ingest import batch_from_json, coerce_number, task_from_spec, worker_from_spec
 from .journal import JournalWriteError
 
-__all__ = ["StreamingApp", "config_from_spec", "make_server", "serve"]
+__all__ = ["MAX_BODY_BYTES", "StreamingApp", "config_from_spec", "make_server", "serve"]
 
 #: Short aliases accepted in JSON config objects next to the full
 #: DateConfig field names (matching the CLI flags).
@@ -71,6 +72,11 @@ _CONFIG_ALIASES = {
     "alpha": "prior_alpha",
     "epsilon": "initial_accuracy",
 }
+
+#: Largest request body read, in bytes (DESIGN.md §8).  A whole 10x
+#: campaign sent as one claim batch is about 6.2 MB of JSON; a larger
+#: declared ``Content-Length`` gets 413 before any of the body is read.
+MAX_BODY_BYTES = 32 * 1024 * 1024
 
 #: Per-connection socket timeout: a stalled peer (or a half-open
 #: connection left by a killed client) releases its handler thread
@@ -295,6 +301,16 @@ class _Handler(BaseHTTPRequestHandler):
             # connection rather than parse leftover bytes as a request.
             self._send(
                 400, {"error": f"invalid Content-Length header: {header!r}"}, close=True
+            )
+            return
+        if length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry
+            # another request either.
+            self._send(
+                413,
+                {"error": f"request body of {length} bytes exceeds the "
+                 f"{MAX_BODY_BYTES}-byte limit"},
+                close=True,
             )
             return
         raw = self.rfile.read(length) if length else b""

@@ -8,13 +8,16 @@ by line over the dict-side :class:`~repro.core.indexing.DatasetIndex`
 structures — and the differential suites pin engine == oracle:
 
 - :mod:`.dependence` — step 1, pairwise copier posteriors (Eqs. 7-15);
-- :mod:`.independence` — step 2, greedy-order independence (Eq. 16);
+- :mod:`.independence` — step 2, greedy-order independence (Eq. 16),
+  and the batched numpy kernel the compiled one replaced;
 - :mod:`.accuracy` — step 3, value posteriors and accuracies
   (Eqs. 17-20);
 - :mod:`.support` — support counts and truth selection (line 28,
   Eq. 21);
 - :mod:`.date` — the Alg. 1 drivers for DATE, ED and NC;
 - :mod:`.auction` — Alg. 2's greedy cover and critical payments;
+- :mod:`.indexing` — the per-worker claims, co-answering pairs,
+  initial accuracies and majority vote the oracles read off an index;
 - :mod:`.streaming` — the sub-dataset rebuild that streaming's
   restricted index view replaced.
 """
@@ -40,14 +43,25 @@ from .dependence import (
 )
 from .independence import (
     IndependenceTable,
+    batched_independence_flat,
     independence_probabilities,
     independence_table,
     order_value_group,
+)
+from .indexing import (
+    claims_by_worker,
+    co_answering_pairs,
+    initial_accuracy_matrix,
+    majority_vote,
+    shared_tasks,
 )
 from .support import select_truths, support_counts
 
 __all__ = [
     "IndependenceTable",
+    "batched_independence_flat",
+    "claims_by_worker",
+    "co_answering_pairs",
     "compute_pairwise_dependence",
     "date_independence",
     "date_reference",
@@ -58,12 +72,15 @@ __all__ = [
     "greedy_cover",
     "independence_probabilities",
     "independence_table",
+    "initial_accuracy_matrix",
+    "majority_vote",
     "no_copier_reference",
     "order_value_group",
     "reference_auction",
     "reference_payments",
     "run_reference",
     "select_truths",
+    "shared_tasks",
     "support_counts",
     "total_dependence",
     "update_accuracy_matrix",

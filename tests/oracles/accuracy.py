@@ -18,6 +18,8 @@ import numpy as np
 from repro.core.falsedist import FalseValueDistribution, UniformFalseValues
 from repro.core.indexing import DatasetIndex
 
+from .indexing import claims_by_worker
+
 __all__ = [
     "value_posteriors",
     "discounted_value_posteriors",
@@ -144,12 +146,12 @@ def update_accuracy_matrix(
         )
     matrix = np.zeros((index.n_workers, index.n_tasks), dtype=np.float64)
     if granularity == "task":
-        for i, claims in enumerate(index.claims_by_worker):
+        for i, claims in enumerate(claims_by_worker(index)):
             for j, value in claims.items():
                 matrix[i, j] = posteriors[j].get(value, 0.0)
         return matrix
 
-    for i, claims in enumerate(index.claims_by_worker):
+    for i, claims in enumerate(claims_by_worker(index)):
         if not claims:
             continue
         mean = float(

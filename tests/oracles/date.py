@@ -32,6 +32,7 @@ from .accuracy import (
 )
 from .dependence import compute_pairwise_dependence, directed_probability
 from .independence import IndependenceTable, independence_probabilities
+from .indexing import claims_by_worker, initial_accuracy_matrix, majority_vote
 from .support import select_truths, support_counts
 
 __all__ = [
@@ -99,18 +100,19 @@ def date_reference(
     cfg = config
     cfg.false_values.prepare(index)
 
-    truths = index.majority_vote()
-    accuracy = index.initial_accuracy_matrix(cfg.initial_accuracy)
+    truths = majority_vote(index)
+    accuracy = initial_accuracy_matrix(index, cfg.initial_accuracy)
     if warm_start is not None:
         for j, task_id in enumerate(index.task_ids):
             carried = warm_start.truths.get(task_id)
             if carried is not None and carried in index.value_groups[j]:
                 truths[j] = carried
+        by_worker = claims_by_worker(index)
         for i, worker_id in enumerate(index.worker_ids):
             carried_accuracy = warm_start.worker_accuracy.get(worker_id)
             if carried_accuracy is None or carried_accuracy <= 0.0:
                 continue
-            for j in index.claims_by_worker[i]:
+            for j in by_worker[i]:
                 accuracy[i, j] = carried_accuracy
 
     dependence: dict[tuple[int, int], DependencePosterior] = {}
@@ -182,8 +184,8 @@ def no_copier_reference(config: DateConfig, index: DatasetIndex) -> TruthDiscove
     cfg = config
     cfg.false_values.prepare(index)
 
-    truths = index.majority_vote()
-    accuracy = index.initial_accuracy_matrix(cfg.initial_accuracy)
+    truths = majority_vote(index)
+    accuracy = initial_accuracy_matrix(index, cfg.initial_accuracy)
 
     # All workers fully independent: I_v^j(i) = 1 everywhere.
     independence = [

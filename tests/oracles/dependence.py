@@ -20,6 +20,8 @@ from repro.core.engine import DependenceArrays
 from repro.core.falsedist import FalseValueDistribution, UniformFalseValues
 from repro.core.indexing import ClaimArrays, DatasetIndex
 
+from .indexing import claims_by_worker, shared_tasks
+
 __all__ = [
     "compute_pairwise_dependence",
     "directed_matrix",
@@ -73,7 +75,7 @@ def compute_pairwise_dependence(
     -------
     dict
         ``(a, b) -> DependencePosterior`` with ``a < b``, covering
-        exactly ``index.pairs``.
+        exactly ``co_answering_pairs(index)``.
     """
     if not 0.0 < copy_prob_r < 1.0:
         raise ValueError(f"copy_prob_r must be in (0, 1), got {copy_prob_r}")
@@ -92,8 +94,8 @@ def compute_pairwise_dependence(
     ]
 
     posteriors: dict[tuple[int, int], DependencePosterior] = {}
-    claims = index.claims_by_worker
-    for (a, b), shared in index.shared_tasks.items():
+    claims = claims_by_worker(index)
+    for (a, b), shared in shared_tasks(index).items():
         log_ind = 0.0  # log P(D | a ⊥ b)
         log_ab = 0.0  # log P(D | a → b)
         log_ba = 0.0  # log P(D | b → a)

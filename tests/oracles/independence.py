@@ -17,8 +17,10 @@ worker (Alg. 1 line 19).  The pseudocode's line 16 is OCR-ambiguous
 
 The ED baseline (:mod:`repro.baselines.enumerate_dependence`) replaces
 this greedy prefix rule with explicit enumeration over co-providers.
-The product runs the batched :func:`repro.core.engine.independence_flat`,
-pinned to these loops by the differential suites.
+The product runs :func:`repro.core.engine.independence_flat`, one
+compiled C pass per group size, pinned to these loops by the
+differential suites and byte for byte to
+:func:`batched_independence_flat`, the batched numpy kernel it replaced.
 """
 
 from __future__ import annotations
@@ -26,11 +28,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.dependence import DependencePosterior
+from repro.core.engine import DependenceArrays, KernelScratch, _thread_scratch
 from repro.core.indexing import ClaimArrays, DatasetIndex
 
 from .dependence import directed_probability, total_dependence
 
-__all__ = ["independence_probabilities", "independence_table", "order_value_group"]
+__all__ = [
+    "batched_independence_flat",
+    "independence_probabilities",
+    "independence_table",
+    "order_value_group",
+]
 
 #: Independence maps: task index -> value -> {worker index: I_v^j(i)}.
 IndependenceTable = list[dict[str, dict[int, float]]]
@@ -147,3 +155,112 @@ def independence_table(
             }
         table.append(per_value)
     return table
+
+
+def batched_independence_flat(
+    arrays: ClaimArrays,
+    dependence: DependenceArrays,
+    *,
+    copy_prob_r: float,
+    ordering: str = "dependent_first",
+    discount_mode: str = "directed",
+    scratch: KernelScratch | None = None,
+) -> np.ndarray:
+    """Step 2 (Eq. 16) as the batched numpy kernel, one value per claim.
+
+    This was :func:`repro.core.engine.independence_flat` before the
+    compiled kernel replaced it; the differential suite pins the C
+    kernel's output to this function byte for byte.
+
+    A copied claim should not count as independent support, so the
+    providers of each value are ordered greedily and each is discounted
+    only against its predecessors,
+    ``I_v^j(i) = Π_{i' before i} (1 - r · P(i → i' | D))``.  The first
+    worker has the highest total dependence inside the group
+    (``ordering="dependent_first"``, the paper text; the lowest for
+    ``"independent_first"``, the pseudocode variant); each next pick is
+    the remaining worker with the largest directed dependence on an
+    already-selected one (Alg. 1 line 19).  ``discount_mode="total"``
+    uses ``P(i → i') + P(i' → i)`` in the product: a verbatim copier's
+    direction is unidentifiable (each direction caps near 0.5), and
+    only the total discounts the pair to one effective vote (DESIGN.md
+    §4).
+
+    The greedy ordering inside each multi-provider value group is
+    inherently sequential in the group *size*, but not across groups:
+    all groups of one size run batched (``(G, m, m)`` tensors taken
+    through the precomputed
+    :attr:`~repro.core.indexing.ClaimArrays.multi_group_slots`), so the
+    Python loop is one step per distinct group size — not per group.
+    Single-provider groups keep the definitional ``I = 1`` without
+    being visited at all.
+
+    Ties break on the worker index, as in the scalar ordering oracle
+    (tests/oracles/independence.py): groups store workers ascending,
+    and ``argmax``/``argmin`` pick the first (smallest-index) element.
+    """
+    if not 0.0 < copy_prob_r < 1.0:
+        raise ValueError(f"copy_prob_r must be in (0, 1), got {copy_prob_r}")
+    if ordering not in ("dependent_first", "independent_first"):
+        raise ValueError(
+            "ordering must be 'dependent_first' or 'independent_first', "
+            f"got {ordering!r}"
+        )
+    if discount_mode not in ("directed", "total"):
+        raise ValueError(
+            f"discount_mode must be 'directed' or 'total', got {discount_mode!r}"
+        )
+    r = copy_prob_r
+    scratch = scratch if scratch is not None else _thread_scratch()
+    indep = np.ones(arrays.n_claims, dtype=np.float64)
+    buckets = arrays.multi_group_buckets
+    if not buckets:
+        return indep
+
+    # O(pairs) slot gather — the dense n_workers² matrix is never
+    # materialized, so dependence memory scales with co-answering pairs.
+    values = dependence.slot_values()
+    for (m, claim_idx), slots in zip(buckets, arrays.multi_group_slots):
+        n_groups = len(claim_idx)
+        sub = values.take(slots)
+        total_sub = np.add(
+            sub, sub.transpose(0, 2, 1), out=scratch.array("if_total", (n_groups, m, m))
+        )
+        totals = np.sum(total_sub, axis=2, out=scratch.array("if_totals", (n_groups, m)))
+        if ordering == "dependent_first":
+            first = np.argmax(totals, axis=1)
+        else:
+            first = np.argmin(totals, axis=1)
+
+        rows = np.arange(n_groups)
+        order = scratch.array("if_order", (n_groups, m), np.int64)
+        order[:, 0] = first
+        selected = scratch.array("if_selected", (n_groups, m), bool)
+        selected[:] = False
+        selected[rows, first] = True
+        # Best directed attachment to any already-selected member
+        # (Alg. 1 line 19), grown one selection at a time for every
+        # group of this size simultaneously.
+        attachment = scratch.array("if_attach", (n_groups, m))
+        attachment[:] = sub[rows, :, first]
+        masked = scratch.array("if_masked", (n_groups, m))
+        for position in range(1, m):
+            np.copyto(masked, attachment)
+            masked[selected] = -np.inf
+            nxt = np.argmax(masked, axis=1)
+            order[:, position] = nxt
+            selected[rows, nxt] = True
+            np.maximum(attachment, sub[rows, :, nxt], out=attachment)
+
+        discount_source = sub if discount_mode == "directed" else total_sub
+        ordered = discount_source[
+            rows[:, None, None], order[:, :, None], order[:, None, :]
+        ]
+        # score[k] = prod over predecessors l < k of (1 - r * dep[k, l]);
+        # non-predecessor entries contribute a factor of exactly 1.
+        factors = np.multiply(ordered, -r, out=scratch.array("if_factors", (n_groups, m, m)))
+        np.add(factors, 1.0, out=factors)
+        factors[:, ~np.tri(m, k=-1, dtype=bool)] = 1.0
+        flat_positions = np.take_along_axis(claim_idx, order, axis=1)
+        indep[flat_positions] = np.prod(factors, axis=2)
+    return indep

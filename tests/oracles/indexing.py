@@ -1,0 +1,92 @@
+"""Dict-side views of a :class:`~repro.core.indexing.DatasetIndex`.
+
+The scalar oracles and the tests read a few per-worker and per-pair
+structures that no product path needs; they are derived here from an
+index's claims instead of being kept on every index.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.indexing import DatasetIndex
+
+__all__ = [
+    "claims_by_worker",
+    "initial_accuracy_matrix",
+    "majority_vote",
+    "co_answering_pairs",
+    "shared_tasks",
+]
+
+
+def claims_by_worker(index: DatasetIndex) -> list[dict[int, str]]:
+    """``claims_by_worker(index)[i]`` is ``{task_index: value}``.
+
+    Each worker's claims keep the campaign's arrival order; a
+    :meth:`~repro.core.indexing.DatasetIndex.restricted` view has no
+    campaign, so its claims come in task order.
+    """
+    by_worker: list[dict[int, str]] = [{} for _ in range(index.n_workers)]
+    if index.dataset is None:
+        for j, claims in enumerate(index.claims_by_task):
+            for i, value in claims.items():
+                by_worker[i][j] = value
+        return by_worker
+    for (worker_id, task_id), value in index.dataset.claims.items():
+        by_worker[index.worker_pos[worker_id]][index.task_pos[task_id]] = value
+    return by_worker
+
+
+def co_answering_pairs(index: DatasetIndex) -> list[tuple[int, int]]:
+    """All worker pairs ``(a, b)`` with ``a < b`` sharing at least one task.
+
+    Dependence is only defined (and only informative) for pairs that
+    co-answered something, so step 1 iterates exactly this list.
+    """
+    return sorted(shared_tasks(index))
+
+
+def shared_tasks(index: DatasetIndex) -> dict[tuple[int, int], tuple[int, ...]]:
+    """``(a, b) -> task indexes answered by both`` for every pair."""
+    shared: dict[tuple[int, int], list[int]] = {}
+    for j, claims in enumerate(index.claims_by_task):
+        members = sorted(claims)
+        for x in range(len(members)):
+            for y in range(x + 1, len(members)):
+                shared.setdefault((members[x], members[y]), []).append(j)
+    return {p: tuple(shared[p]) for p in sorted(shared)}
+
+
+def initial_accuracy_matrix(index: DatasetIndex, epsilon: float) -> np.ndarray:
+    """Dense ``n_workers x n_tasks`` accuracy matrix initialized to ε.
+
+    Entries for (worker, task) pairs without a claim are 0: a worker
+    that did not answer a task contributes no accuracy to it (and no
+    coverage in the auction stage).
+    """
+    matrix = np.zeros((index.n_workers, index.n_tasks), dtype=np.float64)
+    for j, claims in enumerate(index.claims_by_task):
+        for i in claims:
+            matrix[i, j] = epsilon
+    return matrix
+
+
+def majority_vote(index: DatasetIndex) -> list[str | None]:
+    """Per-task majority value (``None`` for unanswered tasks).
+
+    Ties break lexicographically on the value so results are
+    deterministic.  This is both the MV baseline's core and DATE's
+    initial truth estimate (Sec. III-A: "the true value can be
+    obtained through the voting mechanism ... initially").
+    """
+    winners: list[str | None] = []
+    for groups in index.value_groups:
+        if not groups:
+            winners.append(None)
+            continue
+        # One pass: largest count wins, count ties go to the
+        # lexicographically smallest value.
+        best = min(groups.items(), key=lambda item: (-len(item[1]), item[0]))
+        winners.append(best[0])
+    return winners

@@ -16,9 +16,12 @@ from repro import DATE, Dataset, DateConfig, Task, WorkerProfile
 from repro.core import DatasetIndex
 
 from tests.oracles import (
+    claims_by_worker,
     compute_pairwise_dependence,
     discounted_value_posteriors,
     independence_probabilities,
+    initial_accuracy_matrix,
+    majority_vote,
     select_truths,
     support_counts,
     update_accuracy_matrix,
@@ -62,9 +65,9 @@ class TestDependenceInvariants:
     @settings(max_examples=40)
     def test_posteriors_are_probabilities(self, dataset, params):
         index = DatasetIndex(dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         posteriors = compute_pairwise_dependence(
-            index, index.majority_vote(), accuracy, **params
+            index, majority_vote(index), accuracy, **params
         )
         for post in posteriors.values():
             assert 0.0 <= post.p_a_to_b <= 1.0
@@ -76,9 +79,9 @@ class TestDependenceInvariants:
     @settings(max_examples=40)
     def test_posteriors_finite(self, dataset, params):
         index = DatasetIndex(dataset)
-        accuracy = index.initial_accuracy_matrix(0.9)
+        accuracy = initial_accuracy_matrix(index, 0.9)
         posteriors = compute_pairwise_dependence(
-            index, index.majority_vote(), accuracy, **params
+            index, majority_vote(index), accuracy, **params
         )
         for post in posteriors.values():
             assert math.isfinite(post.p_a_to_b)
@@ -90,9 +93,9 @@ class TestIndependenceInvariants:
     @settings(max_examples=40)
     def test_scores_in_unit_interval_and_anchored(self, dataset, params):
         index = DatasetIndex(dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         deps = compute_pairwise_dependence(
-            index, index.majority_vote(), accuracy, **params
+            index, majority_vote(index), accuracy, **params
         )
         table = independence_probabilities(
             index, deps, copy_prob_r=params["copy_prob_r"]
@@ -111,7 +114,7 @@ class TestPosteriorInvariants:
     @settings(max_examples=40)
     def test_value_posteriors_normalized(self, dataset, epsilon):
         index = DatasetIndex(dataset)
-        accuracy = index.initial_accuracy_matrix(epsilon)
+        accuracy = initial_accuracy_matrix(index, epsilon)
         posteriors = value_posteriors(index, accuracy)
         for j, table in enumerate(posteriors):
             if index.value_groups[j]:
@@ -123,9 +126,9 @@ class TestPosteriorInvariants:
     @settings(max_examples=30)
     def test_discounted_posteriors_normalized(self, dataset, params):
         index = DatasetIndex(dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         deps = compute_pairwise_dependence(
-            index, index.majority_vote(), accuracy, **params
+            index, majority_vote(index), accuracy, **params
         )
         independence = independence_probabilities(
             index, deps, copy_prob_r=params["copy_prob_r"]
@@ -139,12 +142,13 @@ class TestPosteriorInvariants:
     @settings(max_examples=30)
     def test_accuracy_matrix_bounds_and_sparsity(self, dataset):
         index = DatasetIndex(dataset)
-        posteriors = value_posteriors(index, index.initial_accuracy_matrix(0.5))
+        posteriors = value_posteriors(index, initial_accuracy_matrix(index, 0.5))
         matrix = update_accuracy_matrix(index, posteriors)
         assert matrix.shape == (index.n_workers, index.n_tasks)
+        by_worker = claims_by_worker(index)
         for i in range(index.n_workers):
             for j in range(index.n_tasks):
-                if j in index.claims_by_worker[i]:
+                if j in by_worker[i]:
                     assert 0.0 <= matrix[i, j] <= 1.0
                 else:
                     assert matrix[i, j] == 0.0
@@ -155,9 +159,9 @@ class TestSupportInvariants:
     @settings(max_examples=30)
     def test_support_non_negative_and_truths_observed(self, dataset, params):
         index = DatasetIndex(dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         deps = compute_pairwise_dependence(
-            index, index.majority_vote(), accuracy, **params
+            index, majority_vote(index), accuracy, **params
         )
         independence = independence_probabilities(
             index, deps, copy_prob_r=params["copy_prob_r"]

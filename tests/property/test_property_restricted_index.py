@@ -25,6 +25,7 @@ from repro.core import DatasetIndex
 from repro.core.falsedist import ZipfFalseValues
 
 from tests.conftest import assert_same_claim_arrays
+from tests.oracles import claims_by_worker
 from tests.oracles.streaming import _subcampaign
 
 VALUES = ("A", "B", "C", "D")
@@ -115,7 +116,7 @@ def assert_view_matches_cold(view: DatasetIndex, cold: DatasetIndex) -> None:
     assert view.tasks == cold.tasks
     # Order matters: the undiscounted posterior ranks claims by arrival.
     assert _items(view.claims_by_task) == _items(cold.claims_by_task)
-    assert _items(view.claims_by_worker) == _items(cold.claims_by_worker)
+    assert _items(claims_by_worker(view)) == _items(claims_by_worker(cold))
     assert _items(view.value_groups) == _items(cold.value_groups)
     np.testing.assert_array_equal(view.num_false, cold.num_false)
     assert view.num_false.dtype == cold.num_false.dtype

@@ -11,7 +11,9 @@ from repro.core import DatasetIndex
 from repro.core.accuracy import worker_mean_accuracy
 
 from tests.oracles import (
+    claims_by_worker,
     discounted_value_posteriors,
+    initial_accuracy_matrix,
     update_accuracy_matrix,
     value_posteriors,
 )
@@ -20,7 +22,7 @@ from tests.oracles import (
 class TestValuePosteriors:
     def test_normalized_per_task(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.6)
+        accuracy = initial_accuracy_matrix(index, 0.6)
         posteriors = value_posteriors(index, accuracy)
         for j, table in enumerate(posteriors):
             if index.value_groups[j]:
@@ -28,7 +30,7 @@ class TestValuePosteriors:
 
     def test_majority_value_wins_at_equal_accuracy(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.6)
+        accuracy = initial_accuracy_matrix(index, 0.6)
         posteriors = value_posteriors(index, accuracy)
         # t1: A supported by 3 workers, B by 2.
         assert posteriors[1]["A"] > posteriors[1]["B"]
@@ -38,8 +40,8 @@ class TestValuePosteriors:
         under the uniform false-value assumption."""
         index = DatasetIndex(tiny_dataset)
         rng = np.random.default_rng(5)
-        accuracy = index.initial_accuracy_matrix(0.5)
-        for i, claims in enumerate(index.claims_by_worker):
+        accuracy = initial_accuracy_matrix(index, 0.5)
+        for i, claims in enumerate(claims_by_worker(index)):
             for j in claims:
                 accuracy[i, j] = rng.uniform(0.2, 0.9)
         posteriors = value_posteriors(index, accuracy)
@@ -91,7 +93,7 @@ class TestDiscountedPosteriors:
 
     def test_equals_plain_when_independence_is_one(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.6)
+        accuracy = initial_accuracy_matrix(index, 0.6)
         plain = value_posteriors(index, accuracy)
         discounted = discounted_value_posteriors(
             index, accuracy, self._full_independence(index)
@@ -102,7 +104,7 @@ class TestDiscountedPosteriors:
 
     def test_discount_weakens_discounted_value(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.6)
+        accuracy = initial_accuracy_matrix(index, 0.6)
         independence = self._full_independence(index)
         # Mark one of the B-supporters on t1 as a near-certain copier.
         b_group = index.value_groups[1]["B"]
@@ -116,7 +118,7 @@ class TestDiscountedPosteriors:
 
     def test_normalized(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.6)
+        accuracy = initial_accuracy_matrix(index, 0.6)
         tables = discounted_value_posteriors(
             index, accuracy, self._full_independence(index)
         )
@@ -128,31 +130,31 @@ class TestDiscountedPosteriors:
 class TestAccuracyUpdate:
     def test_worker_granularity_broadcasts_mean(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        posteriors = value_posteriors(index, index.initial_accuracy_matrix(0.6))
+        posteriors = value_posteriors(index, initial_accuracy_matrix(index, 0.6))
         matrix = update_accuracy_matrix(index, posteriors, granularity="worker")
-        for i, claims in enumerate(index.claims_by_worker):
+        for i, claims in enumerate(claims_by_worker(index)):
             values = [matrix[i, j] for j in claims]
             if values:
                 assert max(values) == pytest.approx(min(values))
 
     def test_task_granularity_uses_per_task_posterior(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        posteriors = value_posteriors(index, index.initial_accuracy_matrix(0.6))
+        posteriors = value_posteriors(index, initial_accuracy_matrix(index, 0.6))
         matrix = update_accuracy_matrix(index, posteriors, granularity="task")
-        for i, claims in enumerate(index.claims_by_worker):
+        for i, claims in enumerate(claims_by_worker(index)):
             for j, value in claims.items():
                 assert matrix[i, j] == pytest.approx(posteriors[j][value])
 
     def test_unanswered_cells_stay_zero(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        posteriors = value_posteriors(index, index.initial_accuracy_matrix(0.6))
+        posteriors = value_posteriors(index, initial_accuracy_matrix(index, 0.6))
         matrix = update_accuracy_matrix(index, posteriors)
         assert matrix[4, 2] == 0.0  # w5 did not answer t2
         assert matrix[4, 3] == 0.0
 
     def test_reliable_workers_score_higher(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        posteriors = value_posteriors(index, index.initial_accuracy_matrix(0.6))
+        posteriors = value_posteriors(index, initial_accuracy_matrix(index, 0.6))
         matrix = update_accuracy_matrix(index, posteriors)
         means = worker_mean_accuracy(index, matrix)
         # w1 (always in the majority) must beat w3 (wrong on 3 tasks).
@@ -160,7 +162,7 @@ class TestAccuracyUpdate:
 
     def test_unknown_granularity_rejected(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        posteriors = value_posteriors(index, index.initial_accuracy_matrix(0.6))
+        posteriors = value_posteriors(index, initial_accuracy_matrix(index, 0.6))
         with pytest.raises(ValueError):
             update_accuracy_matrix(index, posteriors, granularity="per-claim")
 

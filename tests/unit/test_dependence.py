@@ -18,8 +18,11 @@ from repro import Dataset, Task, WorkerProfile
 from repro.core import DatasetIndex
 
 from tests.oracles import (
+    co_answering_pairs,
     compute_pairwise_dependence,
     directed_probability,
+    initial_accuracy_matrix,
+    majority_vote,
     total_dependence,
 )
 
@@ -38,7 +41,7 @@ def make_pairwise(claims_a: list[str], claims_b: list[str], truths: list[str]):
         claims[("b", f"t{j}")] = claims_b[j]
     dataset = Dataset(tasks=tasks, workers=workers, claims=claims)
     index = DatasetIndex(dataset)
-    accuracy = index.initial_accuracy_matrix(0.6)
+    accuracy = initial_accuracy_matrix(index, 0.6)
     posteriors = compute_pairwise_dependence(
         index,
         truths,
@@ -65,15 +68,15 @@ class TestPosteriorBasics:
 
     def test_covers_exactly_coanswering_pairs(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         posteriors = compute_pairwise_dependence(
             index,
-            index.majority_vote(),
+            majority_vote(index),
             accuracy,
             copy_prob_r=0.4,
             prior_alpha=0.2,
         )
-        assert set(posteriors) == set(index.pairs)
+        assert set(posteriors) == set(co_answering_pairs(index))
 
 
 class TestEvidenceStrength:
@@ -115,7 +118,7 @@ class TestEvidenceStrength:
             index = DatasetIndex(
                 Dataset(tasks=tasks, workers=workers, claims=claims)
             )
-            accuracy = index.initial_accuracy_matrix(0.6)
+            accuracy = initial_accuracy_matrix(index, 0.6)
             post = compute_pairwise_dependence(
                 index,
                 ["A", "A", "A"],
@@ -131,12 +134,12 @@ class TestEvidenceStrength:
 class TestParameterValidation:
     def test_copy_prob_bounds(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         for bad_r in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 compute_pairwise_dependence(
                     index,
-                    index.majority_vote(),
+                    majority_vote(index),
                     accuracy,
                     copy_prob_r=bad_r,
                     prior_alpha=0.2,
@@ -144,12 +147,12 @@ class TestParameterValidation:
 
     def test_alpha_bounds(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         for bad_alpha in (0.0, 1.0):
             with pytest.raises(ValueError):
                 compute_pairwise_dependence(
                     index,
-                    index.majority_vote(),
+                    majority_vote(index),
                     accuracy,
                     copy_prob_r=0.4,
                     prior_alpha=bad_alpha,
@@ -160,7 +163,7 @@ class TestParameterValidation:
         accuracy = np.ones((index.n_workers, index.n_tasks))
         posteriors = compute_pairwise_dependence(
             index,
-            index.majority_vote(),
+            majority_vote(index),
             accuracy,
             copy_prob_r=0.4,
             prior_alpha=0.2,
@@ -173,10 +176,10 @@ class TestParameterValidation:
 class TestLookupHelpers:
     def test_directed_probability_orientation(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         posteriors = compute_pairwise_dependence(
             index,
-            index.majority_vote(),
+            majority_vote(index),
             accuracy,
             copy_prob_r=0.4,
             prior_alpha=0.2,
@@ -191,10 +194,10 @@ class TestLookupHelpers:
 
     def test_total_dependence_symmetric(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         posteriors = compute_pairwise_dependence(
             index,
-            index.majority_vote(),
+            majority_vote(index),
             accuracy,
             copy_prob_r=0.4,
             prior_alpha=0.2,
@@ -208,7 +211,7 @@ class TestCopierScenario:
     def test_copier_pair_stands_out(self, tiny_dataset):
         """w3-w4 (identical, wrong half the time) must out-score w1-w2."""
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         truths = ["A", "A", "A", "A"]  # actual ground truth
         posteriors = compute_pairwise_dependence(
             index, truths, accuracy, copy_prob_r=0.8, prior_alpha=0.2

@@ -29,11 +29,16 @@ from repro.core.falsedist import UniformFalseValues
 from repro.datasets import generate_qatar_living_like
 
 from tests.oracles import (
+    claims_by_worker,
+    co_answering_pairs,
     compute_pairwise_dependence,
     independence_probabilities,
     independence_table,
+    initial_accuracy_matrix,
+    majority_vote,
     run_reference,
     select_truths,
+    shared_tasks,
     support_counts,
     update_accuracy_matrix,
     value_posteriors,
@@ -85,28 +90,28 @@ class TestClaimArraysStructure:
             assert list(observed) == sorted(observed)
 
     def test_worker_csr_roundtrip(self, index, arrays):
+        by_worker = claims_by_worker(index)
         for i in range(index.n_workers):
             s, e = int(arrays.worker_ptr[i]), int(arrays.worker_ptr[i + 1])
             claims = arrays.worker_claims[s:e]
-            assert {int(arrays.claim_task[c]) for c in claims} == set(
-                index.claims_by_worker[i]
-            )
+            assert {int(arrays.claim_task[c]) for c in claims} == set(by_worker[i])
 
     def test_pair_tables_match_index(self, index, arrays):
         pairs = list(zip(arrays.pair_a.tolist(), arrays.pair_b.tolist()))
-        assert pairs == index.pairs
+        assert pairs == co_answering_pairs(index)
+        shared = shared_tasks(index)
         for k, pair in enumerate(pairs):
             sl = slice(int(arrays.pair_ptr[k]), int(arrays.pair_ptr[k + 1]))
-            assert tuple(arrays.ps_task[sl].tolist()) == index.shared_tasks[pair]
+            assert tuple(arrays.ps_task[sl].tolist()) == shared[pair]
             # The claim back-pointers agree with the pair's workers.
             assert set(arrays.claim_worker[arrays.ps_claim_a[sl]]) == {pair[0]}
             assert set(arrays.claim_worker[arrays.ps_claim_b[sl]]) == {pair[1]}
 
     def test_majority_codes_match_majority_vote(self, index, arrays):
-        assert arrays.truth_values(arrays.majority_codes()) == index.majority_vote()
+        assert arrays.truth_values(arrays.majority_codes()) == majority_vote(index)
 
     def test_truth_code_roundtrip(self, index, arrays):
-        truths = index.majority_vote()
+        truths = majority_vote(index)
         codes = arrays.truth_codes(truths)
         assert arrays.truth_values(codes) == truths
 
@@ -124,10 +129,10 @@ class TestClaimArraysStructure:
 
 class TestKernelAgreement:
     def test_dependence_kernel(self, index, arrays):
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         ref = compute_pairwise_dependence(
             index,
-            index.majority_vote(),
+            majority_vote(index),
             accuracy,
             copy_prob_r=0.4,
             prior_alpha=0.2,
@@ -149,9 +154,9 @@ class TestKernelAgreement:
             assert ref[pair].p_b_to_a == pytest.approx(vec[pair].p_b_to_a, abs=1e-12)
 
     def test_independence_kernel(self, index, arrays):
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         dep_ref = compute_pairwise_dependence(
-            index, index.majority_vote(), accuracy, copy_prob_r=0.4, prior_alpha=0.2
+            index, majority_vote(index), accuracy, copy_prob_r=0.4, prior_alpha=0.2
         )
         dep_vec = pairwise_dependence_arrays(
             arrays,
@@ -189,7 +194,7 @@ class TestKernelAgreement:
                             )
 
     def test_posterior_and_support_kernels(self, index, arrays):
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         claim_acc = np.full(arrays.n_claims, 0.5)
         model = UniformFalseValues()
 
@@ -279,7 +284,7 @@ class TestFalseDistArrays:
 class TestMajorityVoteArrayNative:
     def test_matches_scalar_semantics(self, dataset, index):
         result = MajorityVote().run(dataset, index=index)
-        truths = index.majority_vote()
+        truths = majority_vote(index)
         expected = {
             index.task_ids[j]: v for j, v in enumerate(truths) if v is not None
         }

@@ -10,6 +10,8 @@ from repro.core.dependence import DependencePosterior
 from tests.oracles import (
     compute_pairwise_dependence,
     independence_probabilities,
+    initial_accuracy_matrix,
+    majority_vote,
     order_value_group,
 )
 
@@ -66,10 +68,10 @@ class TestOrdering:
 class TestIndependenceTable:
     def test_first_worker_fully_independent(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         deps = compute_pairwise_dependence(
             index,
-            index.majority_vote(),
+            majority_vote(index),
             accuracy,
             copy_prob_r=0.6,
             prior_alpha=0.3,
@@ -81,10 +83,10 @@ class TestIndependenceTable:
 
     def test_scores_in_unit_interval(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         deps = compute_pairwise_dependence(
             index,
-            index.majority_vote(),
+            majority_vote(index),
             accuracy,
             copy_prob_r=0.6,
             prior_alpha=0.3,
@@ -112,10 +114,10 @@ class TestIndependenceTable:
 
     def test_total_mode_discounts_at_least_as_much(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         deps = compute_pairwise_dependence(
             index,
-            index.majority_vote(),
+            majority_vote(index),
             accuracy,
             copy_prob_r=0.8,
             prior_alpha=0.3,
@@ -135,7 +137,7 @@ class TestIndependenceTable:
         """On t1 (w3, w4 share the false 'B'), the later of the pair
         must receive a real discount."""
         index = DatasetIndex(tiny_dataset)
-        accuracy = index.initial_accuracy_matrix(0.5)
+        accuracy = initial_accuracy_matrix(index, 0.5)
         deps = compute_pairwise_dependence(
             index, ["A"] * 4, accuracy, copy_prob_r=0.8, prior_alpha=0.2
         )

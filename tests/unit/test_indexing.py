@@ -8,6 +8,14 @@ import pytest
 from repro import Dataset, Task, WorkerProfile
 from repro.core import DatasetIndex
 
+from tests.oracles import (
+    claims_by_worker,
+    co_answering_pairs,
+    initial_accuracy_matrix,
+    majority_vote,
+    shared_tasks,
+)
+
 
 class TestIndexStructure:
     def test_positions_follow_dataset_order(self, tiny_dataset):
@@ -19,11 +27,12 @@ class TestIndexStructure:
 
     def test_claims_round_trip(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
+        by_worker = claims_by_worker(index)
         for (worker_id, task_id), value in tiny_dataset.claims.items():
             i = index.worker_pos[worker_id]
             j = index.task_pos[task_id]
             assert index.claims_by_task[j][i] == value
-            assert index.claims_by_worker[i][j] == value
+            assert by_worker[i][j] == value
 
     def test_value_groups_sorted_and_complete(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
@@ -52,40 +61,40 @@ class TestIndexStructure:
     def test_pairs_only_for_coanswering_workers(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
         # w5 answered only t0, t1; it co-answers with everyone there.
-        assert (0, 4) in index.pairs
+        assert (0, 4) in co_answering_pairs(index)
         # All pairs among w1..w4 share all four tasks.
-        assert (0, 1) in index.pairs
-        assert all(a < b for a, b in index.pairs)
+        assert (0, 1) in co_answering_pairs(index)
+        assert all(a < b for a, b in co_answering_pairs(index))
 
     def test_shared_tasks_contents(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        assert index.shared_tasks[(0, 1)] == (0, 1, 2, 3)
-        assert index.shared_tasks[(0, 4)] == (0, 1)
+        assert shared_tasks(index)[(0, 1)] == (0, 1, 2, 3)
+        assert shared_tasks(index)[(0, 4)] == (0, 1)
 
     def test_no_pairs_without_overlap(self):
         tasks = (Task(task_id="t0"), Task(task_id="t1"))
         workers = (WorkerProfile(worker_id="a"), WorkerProfile(worker_id="b"))
         claims = {("a", "t0"): "x", ("b", "t1"): "y"}
         index = DatasetIndex(Dataset(tasks=tasks, workers=workers, claims=claims))
-        assert index.pairs == []
-        assert index.shared_tasks == {}
+        assert co_answering_pairs(index) == []
+        assert shared_tasks(index) == {}
 
 
 class TestInitialAccuracy:
     def test_epsilon_only_on_answered_cells(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        matrix = index.initial_accuracy_matrix(0.5)
+        matrix = initial_accuracy_matrix(index, 0.5)
         assert matrix.shape == (5, 4)
         assert matrix[0, 0] == 0.5
         assert matrix[4, 2] == 0.0  # w5 did not answer t2
-        answered = sum(len(c) for c in index.claims_by_worker)
+        answered = sum(len(c) for c in claims_by_worker(index))
         assert np.count_nonzero(matrix) == answered
 
 
 class TestMajorityVote:
     def test_majority_wins(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        votes = index.majority_vote()
+        votes = majority_vote(index)
         # t1: A has 3 votes (w1, w2, w5) vs B with 2.
         assert votes[1] == "A"
         # t2: A has 2 votes (w1, w2) vs B with 2 -> lexicographic tie.
@@ -96,14 +105,14 @@ class TestMajorityVote:
         workers = (WorkerProfile(worker_id="a"), WorkerProfile(worker_id="b"))
         claims = {("a", "t0"): "zebra", ("b", "t0"): "apple"}
         index = DatasetIndex(Dataset(tasks=tasks, workers=workers, claims=claims))
-        assert index.majority_vote() == ["apple"]
+        assert majority_vote(index) == ["apple"]
 
     def test_unanswered_task_yields_none(self):
         tasks = (Task(task_id="t0"), Task(task_id="t1"))
         workers = (WorkerProfile(worker_id="a"),)
         claims = {("a", "t0"): "x"}
         index = DatasetIndex(Dataset(tasks=tasks, workers=workers, claims=claims))
-        assert index.majority_vote() == ["x", None]
+        assert majority_vote(index) == ["x", None]
 
 
 from tests.conftest import assert_same_claim_arrays as assert_same_arrays
@@ -201,8 +210,8 @@ class TestIndexExtension:
         )
         ext = index.extended(workers=newbies, claims={("w6", "t0"): "B"})
         assert ext.index.worker_ids[-2:] == ["w6", "w7"]
-        assert ext.index.claims_by_worker[5] == {0: "B"}
-        assert ext.index.claims_by_worker[6] == {}
+        assert claims_by_worker(ext.index)[5] == {0: "B"}
+        assert claims_by_worker(ext.index)[6] == {}
 
     def test_validation_errors(self, tiny_dataset):
         from repro.errors import DataFormatError

@@ -22,7 +22,7 @@ from repro.streaming import (
     make_server,
     replay_batches,
 )
-from repro.streaming.server import config_from_spec
+from repro.streaming.server import MAX_BODY_BYTES, config_from_spec
 
 from tests.oracles import reference_auction
 
@@ -477,6 +477,50 @@ class TestLiveServer:
         # The handler survived: the next request is served normally.
         status, body = self.request(server, "GET", "/health")
         assert status == 200 and body["status"] == "ok"
+
+    @pytest.fixture
+    def journaled_server(self, tmp_path):
+        server = make_server(StreamingApp(CampaignStore(journal_dir=tmp_path)), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield server
+        server.shutdown()
+        server.server_close()
+
+    def test_oversized_body_413_unread(self, journaled_server, tmp_path, replay):
+        # 10**12 declared bytes, only "{}" sent: the server answers
+        # without waiting for (or reading) the body, and closes.
+        reply = self.raw_exchange(journaled_server, str(10**12).encode())
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"connection: close" in head.lower()
+        assert str(MAX_BODY_BYTES) in json.loads(body)["error"]
+        assert list(tmp_path.iterdir()) == []
+        status, body = self.request(journaled_server, "GET", "/campaigns")
+        assert status == 200 and body == {"campaigns": []}
+        # A normal upload on a new connection still goes through.
+        status, _ = self.request(
+            journaled_server, "POST", "/campaigns", {"campaign_id": "c1"}
+        )
+        assert status == 201
+        status, body = self.request(
+            journaled_server, "POST", "/campaigns/c1/claims",
+            batch_to_json(replay[0], include_truth=True),
+        )
+        assert status == 200 and body["new_claims"] == replay[0].n_claims
+
+    def test_body_at_the_cap_is_read(self, server):
+        # The cap is inclusive: a body of exactly MAX_BODY_BYTES is read
+        # (and here rejected as JSON, not as too large).
+        port = server.server_address[1]
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/campaigns",
+            data=b" " * (MAX_BODY_BYTES - 1) + b"x",
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
 
 
 @pytest.fixture
