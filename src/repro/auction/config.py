@@ -8,6 +8,7 @@ sweep fails before any auction time is spent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -25,17 +26,19 @@ class AuctionConfig:
     monopoly_payment_factor:
         Payment multiplier for *monopolist* winners — workers without
         whom the requirements cannot be covered, whose critical value
-        is unbounded (DESIGN.md §4).  Must be >= 1 so a winner is never
-        paid below its bid.
+        is unbounded (DESIGN.md §4).  Must be finite and >= 1 so a
+        winner is never paid below its bid, nor an infinite payment.
     """
 
     monopoly_payment_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.monopoly_payment_factor < 1.0:
+        # Written so NaN fails too: every comparison with it is False.
+        if not 1.0 <= self.monopoly_payment_factor < math.inf:
             raise ConfigurationError(
-                "monopoly_payment_factor must be >= 1 (a winner must never "
-                "be paid below its bid)"
+                "monopoly_payment_factor must be finite and >= 1 (a winner "
+                "must never be paid below its bid), got "
+                f"{self.monopoly_payment_factor!r}"
             )
 
     def evolve(self, **changes: Any) -> "AuctionConfig":

@@ -23,10 +23,18 @@ from ..core.date import TruthDiscoveryResult
 from ..errors import ConfigurationError, InfeasibleCoverageError
 from ..types import Bid, Dataset
 
-__all__ = ["SOACInstance", "SparseAccuracy"]
+__all__ = ["SOACInstance", "SparseAccuracy", "check_requirement_cap"]
 
 #: Requirements below this tolerance count as fully covered.
 COVERAGE_TOL = 1e-9
+
+
+def check_requirement_cap(fraction: float) -> None:
+    """Reject a requirement cap outside ``(0, 1]`` (NaN included)."""
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigurationError(
+            f"requirement cap fraction must be in (0, 1], got {fraction!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -307,8 +315,7 @@ class SOACInstance:
         feasible while leaving well-covered tasks untouched (see
         EXPERIMENTS.md).
         """
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigurationError("fraction must be in (0, 1]")
+        check_requirement_cap(fraction)
         available = self.accuracy.sum(axis=0)
         capped = np.minimum(self.requirements, fraction * available)
         return SOACInstance(

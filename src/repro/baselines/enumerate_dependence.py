@@ -76,6 +76,12 @@ class EnumerateDependence(DATE):
             raise ConfigurationError("exact_enumeration_limit must be >= 0")
         self.exact_enumeration_limit = exact_enumeration_limit
 
+    def __fingerprint__(self) -> dict:
+        return {
+            "date": self.config,
+            "exact_enumeration_limit": self.exact_enumeration_limit,
+        }
+
     def _independence_flat(
         self,
         index: DatasetIndex,

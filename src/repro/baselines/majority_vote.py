@@ -28,14 +28,24 @@ class MajorityVote:
 
     method_name = "MV"
 
+    def __fingerprint__(self) -> dict:
+        return {}
+
     def run(
-        self, dataset: Dataset, *, index: DatasetIndex | None = None
+        self,
+        dataset: Dataset | None,
+        *,
+        index: DatasetIndex | None = None,
+        warm_start: TruthDiscoveryResult | None = None,
+        lean: bool = False,
     ) -> TruthDiscoveryResult:
         """Vote once and derive agreement-based worker accuracies.
 
         Runs entirely on the integer-coded claim arrays: the vote, the
         vote-share posteriors, and the per-worker agreement rates are
         all segment reductions over value groups / workers.
+        ``warm_start`` and ``lean`` are accepted and ignored: a one-shot
+        vote has nothing to warm, and its full result is already lean.
         """
         index = index or DatasetIndex(dataset)
         arrays = index.arrays

@@ -39,10 +39,22 @@ class NoCopier:
     def __init__(self, config: DateConfig | None = None):
         self.config = config or DateConfig()
 
+    def __fingerprint__(self) -> dict:
+        return {"date": self.config}
+
     def run(
-        self, dataset: Dataset, *, index: DatasetIndex | None = None
+        self,
+        dataset: Dataset | None,
+        *,
+        index: DatasetIndex | None = None,
+        warm_start: TruthDiscoveryResult | None = None,
+        lean: bool = False,
     ) -> TruthDiscoveryResult:
-        """Iterate posterior/accuracy refinement without dependence."""
+        """Iterate posterior/accuracy refinement without dependence.
+
+        Always starts cold; ``warm_start`` and ``lean`` are accepted and
+        ignored (the result carries no dependence table to skip).
+        """
         index = index or DatasetIndex(dataset)
         cfg = self.config
         arrays = index.arrays

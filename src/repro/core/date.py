@@ -284,6 +284,10 @@ class DATE:
     def __init__(self, config: DateConfig | None = None):
         self.config = config or DateConfig()
 
+    def __fingerprint__(self) -> dict:
+        """Ledger identity: the configuration fixes the computation."""
+        return {"date": self.config}
+
     def _independence_flat(
         self,
         index: DatasetIndex,
@@ -301,13 +305,16 @@ class DATE:
 
     def run(
         self,
-        dataset: Dataset,
+        dataset: Dataset | None,
         *,
         index: DatasetIndex | None = None,
         warm_start: TruthDiscoveryResult | None = None,
         lean: bool = False,
     ) -> TruthDiscoveryResult:
         """Execute Alg. 1 and return the full result bundle.
+
+        Runs on ``index`` when given (a restricted view included);
+        ``dataset`` is read only to build the index otherwise.
 
         ``warm_start`` seeds the worker accuracies (and, for tasks
         present in both datasets, the initial truth estimates) from a

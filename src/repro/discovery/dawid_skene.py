@@ -13,7 +13,7 @@ The Dawid–Skene model with hard (MAP) assignments in the E-step — the
   ``log prior + Σ log C_i[candidate, claimed]`` over the task's claims
   and assign the argmax (ties to the smallest value code).
 
-The candidate × claim cross product is materialized once per fit as a
+The candidate × claim cross product is materialized once per run as a
 flat index pair (groups repeated by their task's claim count), so each
 iteration is a gather plus a ``bincount`` — no Python loops.  The
 computation is deterministic from its majority-vote initialization;
@@ -30,9 +30,9 @@ import numpy as np
 
 from ..core.date import TruthDiscoveryResult, build_result, iterate_truths
 from ..core.engine import _segment_softmax, dense_accuracy, posterior_table, support_table
-from ..core.indexing import ClaimArrays, _concat_ranges, segment_first_argmax_code
+from ..core.indexing import DatasetIndex, _concat_ranges, segment_first_argmax_code
 from ..errors import ConfigurationError
-from .protocol import DiscovererBase
+from ..types import Dataset
 
 __all__ = ["FastDawidSkene", "FastDawidSkeneConfig"]
 
@@ -68,7 +68,7 @@ class FastDawidSkeneConfig:
         return replace(self, **changes)
 
 
-class FastDawidSkene(DiscovererBase):
+class FastDawidSkene:
     """Hard-EM Dawid–Skene over CSR claim arrays."""
 
     method_name = "FDS"
@@ -82,15 +82,18 @@ class FastDawidSkene(DiscovererBase):
     def __fingerprint__(self) -> Any:
         return {"config": self.config, "seed": self.seed}
 
-    def fit(
+    def run(
         self,
-        arrays: ClaimArrays,
+        dataset: Dataset | None,
         *,
+        index: DatasetIndex | None = None,
         warm_start: TruthDiscoveryResult | None = None,
         lean: bool = False,
     ) -> TruthDiscoveryResult:
+        if index is None:
+            index = DatasetIndex(dataset)
         cfg = self.config
-        index = arrays.index
+        arrays = index.arrays
         n_tasks, n_workers = index.n_tasks, index.n_workers
         n_groups = arrays.n_groups
 

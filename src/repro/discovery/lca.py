@@ -30,9 +30,9 @@ import numpy as np
 
 from ..core.date import TruthDiscoveryResult, build_result, iterate_truths
 from ..core.engine import _segment_softmax, dense_accuracy, posterior_table, support_table
-from ..core.indexing import ClaimArrays, segment_first_argmax_code
+from ..core.indexing import DatasetIndex, segment_first_argmax_code
 from ..errors import ConfigurationError
-from .protocol import DiscovererBase
+from ..types import Dataset
 
 __all__ = ["LatentCredibilityAnalysis", "LcaConfig"]
 
@@ -70,7 +70,7 @@ class LcaConfig:
         return replace(self, **changes)
 
 
-class LatentCredibilityAnalysis(DiscovererBase):
+class LatentCredibilityAnalysis:
     """SimpleLCA EM over CSR claim arrays."""
 
     method_name = "LCA"
@@ -82,15 +82,18 @@ class LatentCredibilityAnalysis(DiscovererBase):
     def __fingerprint__(self) -> Any:
         return {"config": self.config, "seed": self.seed}
 
-    def fit(
+    def run(
         self,
-        arrays: ClaimArrays,
+        dataset: Dataset | None,
         *,
+        index: DatasetIndex | None = None,
         warm_start: TruthDiscoveryResult | None = None,
         lean: bool = False,
     ) -> TruthDiscoveryResult:
+        if index is None:
+            index = DatasetIndex(dataset)
         cfg = self.config
-        index = arrays.index
+        arrays = index.arrays
         n_workers = index.n_workers
         lo, hi = cfg.honesty_clamp
 

@@ -1,18 +1,17 @@
 """The ``TruthDiscoverer`` contract every zoo member satisfies.
 
-A truth-discovery algorithm is anything that maps the integer-coded
-claim encoding (:class:`~repro.core.indexing.ClaimArrays`) to a
-:class:`~repro.core.date.TruthDiscoveryResult`:
+A truth-discovery algorithm is one class with one entry point that maps
+a campaign to a :class:`~repro.core.date.TruthDiscoveryResult`:
 
-- ``fit(arrays, *, warm_start=None, lean=False)`` — the array-native
-  entry point.  ``warm_start`` carries a previous result whose truths
-  and worker reputations may seed the iteration (algorithms without a
-  warm path accept and ignore it); ``lean`` permits skipping expensive
+- ``run(dataset, *, index=None, warm_start=None, lean=False)`` — runs
+  on ``index`` when given (a cold :class:`~repro.core.indexing.
+  DatasetIndex` or a restricted view, whose ``dataset`` is ``None``);
+  ``dataset`` is read only to build the index when ``index`` is
+  ``None``.  ``warm_start`` carries a previous result whose truths and
+  worker reputations may seed the iteration (algorithms without a warm
+  path accept and ignore it); ``lean`` permits skipping expensive
   result tables, with the invariant that truths, confidence and
   accuracies are bit-identical to the full run.
-- ``run(dataset, *, index=None, ...)`` — dataset-level convenience
-  shared with the existing engines, so experiment code can treat DATE
-  and any zoo member uniformly.
 - ``__fingerprint__()`` — the algorithm's content identity (class +
   configuration + seed) for the run ledger: two discoverers with equal
   fingerprints compute bit-identical results on equal inputs.
@@ -28,10 +27,10 @@ from __future__ import annotations
 from typing import Any, Protocol, runtime_checkable
 
 from ..core.date import TruthDiscoveryResult
-from ..core.indexing import ClaimArrays, DatasetIndex
+from ..core.indexing import DatasetIndex
 from ..types import Dataset
 
-__all__ = ["DiscovererBase", "TruthDiscoverer"]
+__all__ = ["TruthDiscoverer"]
 
 
 @runtime_checkable
@@ -40,17 +39,9 @@ class TruthDiscoverer(Protocol):
 
     method_name: str
 
-    def fit(
-        self,
-        arrays: ClaimArrays,
-        *,
-        warm_start: TruthDiscoveryResult | None = None,
-        lean: bool = False,
-    ) -> TruthDiscoveryResult: ...
-
     def run(
         self,
-        dataset: Dataset,
+        dataset: Dataset | None,
         *,
         index: DatasetIndex | None = None,
         warm_start: TruthDiscoveryResult | None = None,
@@ -58,39 +49,3 @@ class TruthDiscoverer(Protocol):
     ) -> TruthDiscoveryResult: ...
 
     def __fingerprint__(self) -> Any: ...
-
-
-class DiscovererBase:
-    """Dataset-level glue shared by every concrete zoo member.
-
-    Subclasses implement :meth:`fit` over :class:`ClaimArrays`;
-    :meth:`run` mirrors the existing engines' signature so call sites
-    that hold a :class:`Dataset` (experiments, streaming, the CLI) need
-    no adapter of their own.
-    """
-
-    method_name = "?"
-
-    def fit(
-        self,
-        arrays: ClaimArrays,
-        *,
-        warm_start: TruthDiscoveryResult | None = None,
-        lean: bool = False,
-    ) -> TruthDiscoveryResult:
-        raise NotImplementedError
-
-    def run(
-        self,
-        dataset: Dataset,
-        *,
-        index: DatasetIndex | None = None,
-        warm_start: TruthDiscoveryResult | None = None,
-        lean: bool = False,
-    ) -> TruthDiscoveryResult:
-        if index is None:
-            index = DatasetIndex(dataset)
-        return self.fit(index.arrays, warm_start=warm_start, lean=lean)
-
-    def __fingerprint__(self) -> Any:  # pragma: no cover - overridden
-        raise NotImplementedError

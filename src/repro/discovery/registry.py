@@ -1,7 +1,8 @@
 """The algorithm zoo registry: names → :class:`TruthDiscoverer` factories.
 
-Seven members ship with the repo — the four pre-existing engines behind
-adapters (DATE, MV, NC, ED) plus three numpy-native implementations
+Seven members ship with the repo, each one class built directly: the
+paper's four engines (DATE, MV, NC, ED; kind ``"adapter"``, kept for
+listing stability) plus three numpy-native implementations
 (TruthFinder, Fast Dawid–Skene, SimpleLCA).  Lookup is case-insensitive;
 :func:`make_discoverer` is the single construction point used by the
 ``algo-accuracy`` experiment, the scenario lab, the streaming campaign
@@ -13,14 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..baselines import EnumerateDependence, MajorityVote, NoCopier
 from ..core.config import DateConfig
+from ..core.date import DATE
 from ..errors import ReproError
-from .adapters import (
-    DateAdapter,
-    EnumerateDependenceAdapter,
-    MajorityVoteAdapter,
-    NoCopierAdapter,
-)
 from .dawid_skene import FastDawidSkene
 from .lca import LatentCredibilityAnalysis
 from .protocol import TruthDiscoverer
@@ -55,25 +52,25 @@ _SPECS: tuple[AlgorithmSpec, ...] = (
         "DATE",
         "adapter",
         "Paper Alg. 1: joint source dependence + truth EM (the reproduction target).",
-        lambda date_config, seed: DateAdapter(date_config),
+        lambda date_config, seed: DATE(date_config),
     ),
     AlgorithmSpec(
         "MV",
         "adapter",
         "One-shot majority voting (ties to the lexicographically first value).",
-        lambda date_config, seed: MajorityVoteAdapter(),
+        lambda date_config, seed: MajorityVote(),
     ),
     AlgorithmSpec(
         "NC",
         "adapter",
         "No-copier ablation: accuracy-only iteration, dependence term dropped.",
-        lambda date_config, seed: NoCopierAdapter(date_config),
+        lambda date_config, seed: NoCopier(date_config),
     ),
     AlgorithmSpec(
         "ED",
         "adapter",
         "Exact dependence enumeration over small source sets (DATE upper bound).",
-        lambda date_config, seed: EnumerateDependenceAdapter(date_config),
+        lambda date_config, seed: EnumerateDependence(date_config),
     ),
     AlgorithmSpec(
         "TruthFinder",
@@ -129,7 +126,7 @@ def make_discoverer(
 ) -> TruthDiscoverer:
     """Construct the zoo member called ``name`` (case-insensitive).
 
-    ``date_config`` parameterizes the engine adapters (DATE, NC, ED);
+    ``date_config`` parameterizes the paper's engines (DATE, NC, ED);
     ``seed`` is recorded by the native members for ledger identity.
     """
     return _spec(name).factory(date_config, seed)

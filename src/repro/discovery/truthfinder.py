@@ -29,9 +29,9 @@ import numpy as np
 
 from ..core.date import TruthDiscoveryResult, build_result, iterate_truths
 from ..core.engine import dense_accuracy, posterior_table, support_table
-from ..core.indexing import ClaimArrays, segment_first_argmax_code
+from ..core.indexing import DatasetIndex, segment_first_argmax_code
 from ..errors import ConfigurationError
-from .protocol import DiscovererBase
+from ..types import Dataset
 
 __all__ = ["TruthFinder", "TruthFinderConfig"]
 
@@ -81,7 +81,7 @@ class TruthFinderConfig:
         return replace(self, **changes)
 
 
-class TruthFinder(DiscovererBase):
+class TruthFinder:
     """The TruthFinder fixed point over CSR claim arrays."""
 
     method_name = "TruthFinder"
@@ -93,15 +93,18 @@ class TruthFinder(DiscovererBase):
     def __fingerprint__(self) -> Any:
         return {"config": self.config, "seed": self.seed}
 
-    def fit(
+    def run(
         self,
-        arrays: ClaimArrays,
+        dataset: Dataset | None,
         *,
+        index: DatasetIndex | None = None,
         warm_start: TruthDiscoveryResult | None = None,
         lean: bool = False,
     ) -> TruthDiscoveryResult:
+        if index is None:
+            index = DatasetIndex(dataset)
         cfg = self.config
-        index = arrays.index
+        arrays = index.arrays
         n_workers = index.n_workers
         lo, hi = cfg.trust_clamp
 

@@ -9,7 +9,7 @@ per-variant confidence intervals in ``meta``.
 from __future__ import annotations
 
 from ..analysis.ablation import ABLATION_VARIANTS, run_date_ablation
-from ..artifacts import RunLedger
+from ..artifacts import RunLedger, cached_result
 from ..simulation.sweep import ExperimentResult
 from .common import ScalePreset, base_config, result_run_key
 
@@ -31,33 +31,29 @@ def run_ablation(
         config,
         variants=variants if variants is not None else ABLATION_VARIANTS,
     )
-    if ledger is not None:
-        banked = ledger.get_result(key)
-        if banked is not None:
-            return banked
-    rows = run_date_ablation(config, variants=variants)
-    names = [row.variant for row in rows]
-    result = ExperimentResult(
-        experiment_id="ablation",
-        title="DATE design-choice ablation (precision per variant)",
-        x_label="variant index",
-        y_label="precision",
-        x_values=tuple(range(len(rows))),
-        series={"precision": tuple(row.precision.mean for row in rows)},
-        meta={
-            "variants": names,
-            "per_variant": {
-                row.variant: str(row.precision) for row in rows
+
+    def build() -> ExperimentResult:
+        rows = run_date_ablation(config, variants=variants)
+        return ExperimentResult(
+            experiment_id="ablation",
+            title="DATE design-choice ablation (precision per variant)",
+            x_label="variant index",
+            y_label="precision",
+            x_values=tuple(range(len(rows))),
+            series={"precision": tuple(row.precision.mean for row in rows)},
+            meta={
+                "variants": [row.variant for row in rows],
+                "per_variant": {
+                    row.variant: str(row.precision) for row in rows
+                },
+                "paper_expectation": (
+                    "extension: not in the paper; quantifies the DESIGN.md §4 "
+                    "interpretation choices"
+                ),
+                "instances": config.instances,
+                "base_seed": base_seed,
+                "available_variants": sorted(ABLATION_VARIANTS),
             },
-            "paper_expectation": (
-                "extension: not in the paper; quantifies the DESIGN.md §4 "
-                "interpretation choices"
-            ),
-            "instances": config.instances,
-            "base_seed": base_seed,
-            "available_variants": sorted(ABLATION_VARIANTS),
-        },
-    )
-    if ledger is not None:
-        ledger.put_result(key, result)
-    return result
+        )
+
+    return cached_result(ledger, key, build)

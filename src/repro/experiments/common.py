@@ -10,7 +10,8 @@ Two scale presets parameterize every experiment:
   and therefore the qualitative shapes.
 
 :func:`truth_algorithms` builds fresh instances of the four
-truth-discovery competitors sharing one :class:`DateConfig`;
+truth-discovery competitors sharing one :class:`DateConfig`, through
+the zoo registry's ``make_discoverer``;
 :func:`auction_algorithms` does the same for the three auction
 competitors.
 
@@ -30,15 +31,9 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from ..artifacts import RunKey
-from ..baselines import (
-    EnumerateDependence,
-    GreedyAccuracy,
-    GreedyBid,
-    MajorityVote,
-    NoCopier,
-)
+from ..baselines import GreedyAccuracy, GreedyBid
 from ..core.config import DateConfig
-from ..core.date import DATE
+from ..discovery import make_discoverer
 from ..auction.config import AuctionConfig
 from ..auction.reverse_auction import ReverseAuction
 from ..errors import ConfigurationError
@@ -184,14 +179,8 @@ def truth_algorithms(
     ``include_ed=False`` skips the exponential ED baseline for runs
     where its cost is not the point.
     """
-    algorithms: dict[str, Any] = {
-        "MV": MajorityVote(),
-        "NC": NoCopier(date_config),
-        "DATE": DATE(date_config),
-    }
-    if include_ed:
-        algorithms["ED"] = EnumerateDependence(date_config)
-    return algorithms
+    names = ("MV", "NC", "DATE", "ED") if include_ed else ("MV", "NC", "DATE")
+    return {name: make_discoverer(name, date_config=date_config) for name in names}
 
 
 def auction_algorithms(

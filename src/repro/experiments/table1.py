@@ -16,10 +16,9 @@ realistic answer space rather than just the observed values.
 from __future__ import annotations
 
 from ..artifacts import RunKey, RunLedger, cached_result
-from ..baselines import EnumerateDependence, MajorityVote, NoCopier
 from ..core.config import DateConfig
-from ..core.date import DATE
 from ..core.indexing import DatasetIndex
+from ..discovery import make_discoverer
 from ..simulation.executor import run_jobs
 from ..simulation.sweep import ExperimentResult
 from ..types import Dataset, Task, WorkerProfile
@@ -99,14 +98,10 @@ def build_affiliation_example() -> Dataset:
 
 def _algorithm_estimates(name: str, config: DateConfig) -> dict[str, str]:
     """Estimated truths of one competitor on the example (picklable)."""
-    algorithms = {
-        "MV": lambda: MajorityVote(),
-        "NC": lambda: NoCopier(config),
-        "DATE": lambda: DATE(config),
-        "ED": lambda: EnumerateDependence(config),
-    }
     dataset = build_affiliation_example()
-    result = algorithms[name]().run(dataset, index=DatasetIndex(dataset))
+    result = make_discoverer(name, date_config=config).run(
+        dataset, index=DatasetIndex(dataset)
+    )
     return dict(result.truths)
 
 

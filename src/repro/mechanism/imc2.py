@@ -4,7 +4,8 @@ The two-stage mechanism ``M = (e, f, p)`` of Sec. II-A:
 
 1. **Truth discovery stage** — run :class:`~repro.core.date.DATE` (the
    truth estimation function ``e``), producing the estimated truths
-   ``et`` and the accuracy matrix ``A``;
+   ``et`` and the accuracy matrix ``A``; :meth:`IMC2.run` also takes
+   this stage's result as a value (``truth=``);
 2. **Reverse auction stage** — build the SOAC instance from ``A`` and
    the sealed bids, then run
    :class:`~repro.auction.reverse_auction.ReverseAuction` (the winner
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from ..auction.config import AuctionConfig
 from ..auction.reverse_auction import AuctionOutcome, ReverseAuction
-from ..auction.soac import SOACInstance
+from ..auction.soac import SOACInstance, check_requirement_cap
 from ..core.config import DateConfig
 from ..core.date import DATE, TruthDiscoveryResult
 from ..errors import ConfigurationError
@@ -75,11 +76,8 @@ class IMC2:
     Parameters
     ----------
     date_config:
-        Hyperparameters for the truth-discovery stage.
-    truth_algorithm:
-        Override stage 1 with any object exposing
-        ``run(dataset, index=None) -> TruthDiscoveryResult`` (used by
-        ablations that pair the auction with MV/NC/ED accuracies).
+        Hyperparameters of the DATE run that stage 1 performs when
+        :meth:`run` is not handed a ``truth``.
     auction:
         Override stage 2 (defaults to the paper's reverse auction).
     auction_config:
@@ -91,14 +89,14 @@ class IMC2:
         fraction of its total available accuracy before the auction
         (see :meth:`SOACInstance.with_capped_requirements`); keeps
         sparse campaigns feasible.  ``None`` (default) uses the raw
-        requirements and lets infeasible instances raise.
+        requirements and lets infeasible instances raise.  Checked here,
+        so a bad cap fails before any stage runs.
     """
 
     def __init__(
         self,
         date_config: DateConfig | None = None,
         *,
-        truth_algorithm=None,
         auction: ReverseAuction | None = None,
         auction_config: AuctionConfig | None = None,
         requirement_cap: float | None = None,
@@ -107,7 +105,9 @@ class IMC2:
             raise ConfigurationError(
                 "pass either auction or auction_config, not both"
             )
-        self.truth_algorithm = truth_algorithm or DATE(date_config)
+        if requirement_cap is not None:
+            check_requirement_cap(requirement_cap)
+        self.date_config = date_config
         self.auction = auction or ReverseAuction(auction_config)
         self.requirement_cap = requirement_cap
 
@@ -115,16 +115,22 @@ class IMC2:
         self,
         dataset: Dataset,
         *,
+        truth: TruthDiscoveryResult | None = None,
         bids: Sequence[Bid] | None = None,
         requirements: Mapping[str, float] | None = None,
     ) -> IMC2Outcome:
         """Execute both stages and assemble the welfare accounting.
 
-        ``bids`` defaults to truthful bids (each worker bids its private
-        cost on exactly the tasks it answered); ``requirements``
-        overrides per-task accuracy requirements ``Θ_j``.
+        ``truth`` is a stage-1 result already computed on ``dataset``
+        (any zoo member's, or one result reused across bid vectors —
+        stage 1 does not read the bids); ``None`` runs DATE with
+        ``date_config``.  ``bids`` defaults to truthful bids (each
+        worker bids its private cost on exactly the tasks it answered);
+        ``requirements`` overrides per-task accuracy requirements
+        ``Θ_j``.
         """
-        truth = self.truth_algorithm.run(dataset)
+        if truth is None:
+            truth = DATE(self.date_config).run(dataset)
         instance = SOACInstance.from_truth_discovery(
             dataset, truth, bids=bids, requirements=requirements
         )

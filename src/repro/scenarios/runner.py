@@ -96,16 +96,6 @@ def detection_report(
     )
 
 
-class _PrecomputedTruth:
-    """Adapter handing an already-computed stage-1 result to IMC2."""
-
-    def __init__(self, result: TruthDiscoveryResult):
-        self._result = result
-
-    def run(self, dataset, index=None) -> TruthDiscoveryResult:
-        return self._result
-
-
 def instance_metrics(scenario: Scenario, k: int) -> dict[str, float]:
     """All metrics of one scenario instance (module-level: picklable).
 
@@ -140,11 +130,8 @@ def instance_metrics(scenario: Scenario, k: int) -> dict[str, float]:
         shaded_prices = world.bid_prices()
         # Stage 1 does not depend on the bids, so every auction run
         # reuses the DATE result computed above instead of re-estimating.
-        mechanism = IMC2(
-            truth_algorithm=_PrecomputedTruth(result),
-            requirement_cap=scenario.requirement_cap,
-        )
-        truthful = mechanism.run(dataset)
+        mechanism = IMC2(requirement_cap=scenario.requirement_cap)
+        truthful = mechanism.run(dataset, truth=result)
         shaders = sorted(shaded_prices)
         truthful_utility = sum(
             truthful.worker_utilities.get(w, 0.0) for w in shaders
@@ -156,6 +143,7 @@ def instance_metrics(scenario: Scenario, k: int) -> dict[str, float]:
         for worker_id in shaders:
             solo = mechanism.run(
                 dataset,
+                truth=result,
                 bids=dataset.bids(
                     prices={worker_id: shaded_prices[worker_id]}
                 ),

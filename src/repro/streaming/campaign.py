@@ -105,16 +105,6 @@ class CampaignRecoveringError(ReproError, RuntimeError):
         )
 
 
-class _SnapshotTruth:
-    """Adapter handing a precomputed stage-1 result to IMC2."""
-
-    def __init__(self, result: TruthDiscoveryResult):
-        self._result = result
-
-    def run(self, dataset, index=None) -> TruthDiscoveryResult:
-        return self._result
-
-
 class Campaign:
     """One live campaign: an online estimator plus bookkeeping.
 
@@ -619,18 +609,18 @@ class CampaignStore:
         Stage 1 reuses a fresh full refresh (so the auction prices
         exact, not incrementally approximated, accuracies); stage 2 is
         the reverse auction over truthful bids, on the vectorized
-        engine unless ``auction_config`` selects otherwise.
+        engine unless ``auction_config`` selects otherwise.  The
+        mechanism is built first, so a bad ``requirement_cap`` is
+        rejected before the refresh is journaled or computed.
         """
         campaign = self.get(campaign_id)
+        mechanism = IMC2(
+            auction_config=auction_config, requirement_cap=requirement_cap
+        )
         with campaign.lock:
             truth = self._refresh(campaign)
             campaign.last_update = time.time()
-            mechanism = IMC2(
-                truth_algorithm=_SnapshotTruth(truth),
-                auction_config=auction_config,
-                requirement_cap=requirement_cap,
-            )
-            return mechanism.run(campaign.online.dataset)
+            return mechanism.run(campaign.online.dataset, truth=truth)
 
     def snapshot(self, campaign_id: str) -> dict:
         """JSON-safe campaign state: summary + estimates + reputations."""

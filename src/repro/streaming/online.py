@@ -440,7 +440,7 @@ class OnlineDATE:
             converged=True,
             method="snapshot",
         )
-        result = self._discoverer.fit(sub.arrays, warm_start=warm, lean=True)
+        result = self._discoverer.run(None, index=sub, warm_start=warm, lean=True)
         arrays = sub.arrays
         self._claim_acc[positions] = result.accuracy_matrix[
             arrays.claim_worker, arrays.claim_task

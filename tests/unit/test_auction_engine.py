@@ -30,9 +30,10 @@ class TestAuctionConfig:
         config = AuctionConfig()
         assert config.monopoly_payment_factor == 1.0
 
-    def test_low_monopoly_factor_rejected(self):
+    @pytest.mark.parametrize("factor", [0.9, float("nan"), float("inf")])
+    def test_low_monopoly_factor_rejected(self, factor):
         with pytest.raises(ConfigurationError):
-            AuctionConfig(monopoly_payment_factor=0.9)
+            AuctionConfig(monopoly_payment_factor=factor)
 
     def test_evolve_revalidates(self):
         config = AuctionConfig()

@@ -1,9 +1,8 @@
-"""Differential pins: the zoo adapters change nothing.
+"""Differential pins: building through the registry changes nothing.
 
-The DATE/MV/NC/ED adapters must be bit-identical to calling the
-engines directly — the interface is a veneer, not a reimplementation.
-Covers both entry points (dataset-level ``run`` and array-level
-``fit``) and the warm-start/lean pass-through of the DATE family.
+``make_discoverer`` for DATE/MV/NC/ED must be bit-identical to
+constructing the engines directly.  Covers ``run`` and the
+warm-start/lean pass-through of the DATE family.
 """
 
 from __future__ import annotations
@@ -47,15 +46,6 @@ class TestAdapterDifferential:
         engine_result = _ENGINES[name](config).run(qlf_small, index=index)
         adapter_result = make_discoverer(name, date_config=config).run(
             qlf_small, index=index
-        )
-        _assert_same(engine_result, adapter_result)
-
-    def test_fit_bit_identical_to_engine(self, name, qlf_small):
-        config = DateConfig(copy_prob_r=0.6)
-        index = DatasetIndex(qlf_small)
-        engine_result = _ENGINES[name](config).run(qlf_small, index=index)
-        adapter_result = make_discoverer(name, date_config=config).fit(
-            index.arrays
         )
         _assert_same(engine_result, adapter_result)
 

@@ -43,7 +43,7 @@ class TestIMC2:
         assert outcome.estimated_truths == outcome.truth.truths
 
     def test_custom_truth_algorithm(self, qlf_small):
-        outcome = IMC2(truth_algorithm=MajorityVote()).run(qlf_small)
+        outcome = IMC2().run(qlf_small, truth=MajorityVote().run(qlf_small))
         assert outcome.truth.method == "MV"
 
     def test_custom_date_config(self, qlf_small):

@@ -22,6 +22,7 @@ from repro.streaming import (
     make_server,
     replay_batches,
 )
+from repro.streaming.journal import journal_path
 from repro.streaming.server import MAX_BODY_BYTES, config_from_spec
 
 from tests.oracles import reference_auction
@@ -393,6 +394,35 @@ class TestStreamingApp:
         status, body = app.handle("POST", "/campaigns/c1/auction", payload)
         (unknown,) = set(payload) - {"cap"}
         assert status == 400 and repr(unknown) in body["error"]
+
+
+    @pytest.mark.parametrize("cap", [2.0, 0.0, -1.0])
+    def test_bad_auction_cap_400_before_refresh(
+        self, tmp_path, replay, enabled_registry, cap
+    ):
+        # A cap outside (0, 1] is rejected before the auction's refresh,
+        # which on a journaled store appends a record and runs DATE.
+        app = StreamingApp(CampaignStore(journal_dir=tmp_path))
+        app.handle("POST", "/campaigns", {"campaign_id": "c1"})
+        for batch in replay:
+            app.handle("POST", "/campaigns/c1/claims", batch_to_json(batch))
+        journal = journal_path(tmp_path, "c1")
+        refreshes = enabled_registry.counter(
+            "streaming_refreshes_total",
+            labels={"campaign": "c1", "source": "computed"},
+        )
+        size, count = journal.stat().st_size, refreshes.value
+
+        status, body = app.handle("POST", "/campaigns/c1/auction", {"cap": cap})
+        assert status == 400 and "(0, 1]" in body["error"]
+        assert journal.stat().st_size == size
+        assert refreshes.value == count
+
+        # The same campaign still auctions, and that refresh is seen.
+        status, _ = app.handle("POST", "/campaigns/c1/auction", {"cap": 0.7})
+        assert status == 200
+        assert journal.stat().st_size > size
+        assert refreshes.value == count + 1
 
 
 class TestLiveServer:
