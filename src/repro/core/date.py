@@ -351,13 +351,10 @@ class DATE:
         truth_codes = arrays.majority_codes()
         claim_acc = np.full(arrays.n_claims, cfg.initial_accuracy, dtype=np.float64)
         if warm_start is not None:
-            lookup = arrays.code_lookup
             for j, task_id in enumerate(index.task_ids):
-                carried = warm_start.truths.get(task_id)
-                if carried is not None:
-                    code = lookup[j].get(carried)
-                    if code is not None:
-                        truth_codes[j] = code
+                code = arrays.code_of(j, warm_start.truths.get(task_id))
+                if code >= 0:
+                    truth_codes[j] = code
             for i, worker_id in enumerate(index.worker_ids):
                 carried_accuracy = warm_start.worker_accuracy.get(worker_id)
                 if carried_accuracy is None or carried_accuracy <= 0.0:

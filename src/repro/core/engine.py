@@ -912,7 +912,7 @@ def plain_posterior_groups(
     # General model: per-task K x K false-value matrices, computed once
     # per index (they are iteration-invariant) and cached on the model.
     # Each candidate's score adds its claims' terms in the task's claim
-    # order (``index.claims_by_task``), as the scalar transcription
+    # arrival order (``arrays.claim_seq``), as the scalar transcription
     # does: candidates whose scores tie exactly in real arithmetic then
     # tie in floating point too, and line 28's tie-break decides.
     acc = np.clip(claim_acc, lo, hi)
@@ -924,10 +924,7 @@ def plain_posterior_groups(
         if g0 == g1:
             continue
         c0, c1 = int(arrays.task_ptr[j]), int(arrays.task_ptr[j + 1])
-        rank = {worker: r for r, worker in enumerate(index.claims_by_task[j])}
-        rows = c0 + np.argsort(
-            [rank[worker] for worker in arrays.claim_worker[c0:c1].tolist()]
-        )
+        rows = c0 + np.argsort(arrays.claim_seq[c0:c1])
         q = q_matrices[j]
         codes = arrays.claim_code[rows]
         contrib = _safe_log((1.0 - acc[rows])[:, None] * q[codes, :])

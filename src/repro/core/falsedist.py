@@ -218,6 +218,13 @@ class UniformFalseValues(FalseValueDistribution):
         return "UniformFalseValues()"
 
 
+def _observed_counts(index: DatasetIndex, j: int) -> dict[str, int]:
+    """Task ``j``'s ``value -> claim count``, values in sorted order."""
+    arrays = index.arrays
+    g0, g1 = arrays.task_group_ptr[j], arrays.task_group_ptr[j + 1]
+    return dict(zip(arrays.group_values[g0:g1], arrays.group_size[g0:g1].tolist()))
+
+
 def _normalized_zipf(count: int, exponent: float) -> np.ndarray:
     ranks = np.arange(1, count + 1, dtype=np.float64)
     weights = ranks**-exponent
@@ -247,9 +254,7 @@ class ZipfFalseValues(FalseValueDistribution):
     def prepare(self, index: DatasetIndex) -> None:
         self._ranking = []
         for j in range(index.n_tasks):
-            counts = Counter(
-                {v: len(ws) for v, ws in index.value_groups[j].items()}
-            )
+            counts = Counter(_observed_counts(index, j))
             task = index.tasks[j]
             for domain_value in task.domain:
                 counts.setdefault(domain_value, 0)
@@ -313,7 +318,7 @@ class EmpiricalFalseValues(FalseValueDistribution):
     def prepare(self, index: DatasetIndex) -> None:
         self._counts = []
         for j in range(index.n_tasks):
-            counts = {v: len(ws) for v, ws in index.value_groups[j].items()}
+            counts = _observed_counts(index, j)
             for domain_value in index.tasks[j].domain:
                 counts.setdefault(domain_value, 0)
             self._counts.append(counts)

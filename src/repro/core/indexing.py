@@ -6,12 +6,13 @@ and each pair's shared tasks.  :class:`DatasetIndex` computes them once,
 mapping string ids to dense integer indexes so the hot paths work on
 ints and numpy arrays.
 
-:class:`ClaimArrays` (reachable as :attr:`DatasetIndex.arrays`) goes one
-step further: every claim value is replaced by a small per-task integer
-code and all per-claim, per-value-group and per-worker-pair structures
-are flattened into contiguous numpy arrays (CSR style).  The DATE
-kernels (:mod:`repro.core.engine`) run entirely on these arrays; see
-DESIGN.md §7 for the encoding.
+Its claims live in one form, :class:`ClaimArrays` (reachable as
+:attr:`DatasetIndex.arrays`, built with the index): every claim value is
+replaced by a small per-task integer code and all per-claim,
+per-value-group and per-worker-pair structures are flattened into
+contiguous numpy arrays (CSR style).  The DATE kernels
+(:mod:`repro.core.engine`) run entirely on these arrays; see DESIGN.md
+§7 for the encoding.
 
 Streaming campaigns (:mod:`repro.streaming`) grow an existing index one
 claim batch at a time through :meth:`DatasetIndex.extended`: only the
@@ -45,34 +46,24 @@ class DatasetIndex:
     """
 
     def __init__(self, dataset: Dataset):
-        #: The encoded campaign; ``None`` on a :meth:`restricted` view.
-        self.dataset: Dataset | None = dataset
+        self.__dict__["dataset"] = dataset
+        self._set_members(dataset.tasks, dataset.workers)
+        #: The integer-coded, flattened claim arrays.
+        self.arrays = ClaimArrays(self)
+
+    def _set_members(
+        self, tasks: tuple[Task, ...], workers: tuple[WorkerProfile, ...]
+    ) -> None:
         #: Task records in index order (closed domains, ground truths).
-        self.tasks: tuple[Task, ...] = dataset.tasks
+        self.tasks = tasks
+        #: Worker profiles in index order.
+        self.workers = workers
         #: Task ids in dataset order; positions are the task indexes used below.
-        self.task_ids: list[str] = [t.task_id for t in dataset.tasks]
+        self.task_ids: list[str] = [t.task_id for t in tasks]
         #: Worker ids in dataset order; positions are the worker indexes.
-        self.worker_ids: list[str] = [w.worker_id for w in dataset.workers]
+        self.worker_ids: list[str] = [w.worker_id for w in workers]
         self.task_pos: dict[str, int] = {t: j for j, t in enumerate(self.task_ids)}
         self.worker_pos: dict[str, int] = {w: i for i, w in enumerate(self.worker_ids)}
-
-        #: ``claims_by_task[j]`` is ``{worker_index: value}``.
-        self.claims_by_task: list[dict[int, str]] = [{} for _ in self.task_ids]
-        for (worker_id, task_id), value in dataset.claims.items():
-            self.claims_by_task[self.task_pos[task_id]][self.worker_pos[worker_id]] = value
-
-        #: ``value_groups[j]`` is ``{value: sorted tuple of worker indexes}``
-        #: (the paper's ``W_v^j``), with values in sorted order for
-        #: deterministic iteration.
-        self.value_groups: list[dict[str, tuple[int, ...]]] = [
-            _value_groups(claims) for claims in self.claims_by_task
-        ]
-        #: Effective ``num_j`` (count of false values) per task; see
-        #: :func:`_num_false`.
-        self.num_false = np.array(
-            [_num_false(t, g) for t, g in zip(self.tasks, self.value_groups)],
-            dtype=np.int64,
-        )
 
     @property
     def n_tasks(self) -> int:
@@ -83,9 +74,39 @@ class DatasetIndex:
         return len(self.worker_ids)
 
     @cached_property
-    def arrays(self) -> "ClaimArrays":
-        """The integer-coded, flattened claim arrays for this dataset."""
-        return ClaimArrays(self)
+    def num_false(self) -> np.ndarray:
+        """Effective ``num_j`` (count of false values) per task.
+
+        The declared closed-domain size minus one, or the observed
+        number of distinct values minus one for open domains; at least
+        1 so the false-value probability ``(1 - A)/num`` stays finite.
+        """
+        observed = np.diff(self.arrays.task_group_ptr).tolist()
+        return np.array(
+            [max(t.num_false if t.domain else k - 1, 1) for t, k in zip(self.tasks, observed)],
+            dtype=np.int64,
+        )
+
+    @cached_property
+    def dataset(self) -> Dataset:
+        """The encoded campaign, its claims in arrival order.
+
+        A cold index returns the dataset it was built from; an extended
+        index or a :meth:`restricted` view assembles one from
+        :attr:`tasks`, :attr:`workers` and the claims in
+        ``arrays.claim_seq`` order on first read.
+        """
+        arrays = self.arrays
+        order = np.argsort(arrays.claim_seq)
+        rows = zip(
+            arrays.claim_worker[order].tolist(),
+            arrays.claim_task[order].tolist(),
+            arrays.claim_group[order].tolist(),
+        )
+        claims = {
+            (self.worker_ids[i], self.task_ids[j]): arrays.group_values[g] for i, j, g in rows
+        }
+        return Dataset(tasks=self.tasks, workers=self.workers, claims=claims)
 
     # ------------------------------------------------------------------
     # Incremental extension (streaming append path)
@@ -102,10 +123,9 @@ class DatasetIndex:
 
         Only the *delta* is validated and re-encoded: tasks receiving
         new claims (plus appended tasks) are marked dirty and rebuilt;
-        every other per-task structure — claim dicts, value groups, CSR
-        segments of :attr:`arrays` — is shared or bulk-copied from this
-        index, so the cost is O(affected segments + memcpy), not a full
-        re-encode.  ``self`` is left untouched and remains valid.
+        every clean CSR segment of :attr:`arrays` is bulk-copied from
+        this index, so the cost is O(affected segments + memcpy), not a
+        full re-encode.  ``self`` is left untouched and remains valid.
 
         Raises :class:`~repro.errors.DataFormatError` for ids that
         collide with existing ones, claims referencing unknown tasks or
@@ -117,72 +137,29 @@ class DatasetIndex:
         claims = dict(claims or {})
         self._validate_extension(tasks, workers, claims)
 
-        old_n_tasks, old_n_workers = self.n_tasks, self.n_workers
-        merged = dict(self.dataset.claims)
-        merged.update(claims)
-        dataset = _dataset_append(self.dataset, tasks, workers, merged)
-
         new = object.__new__(DatasetIndex)
-        new.dataset = dataset
-        new.tasks = dataset.tasks
-        new.task_ids = self.task_ids + [t.task_id for t in tasks]
-        new.worker_ids = self.worker_ids + [w.worker_id for w in workers]
-        new.task_pos = dict(self.task_pos)
-        for offset, task in enumerate(tasks):
-            new.task_pos[task.task_id] = old_n_tasks + offset
-        new.worker_pos = dict(self.worker_pos)
-        for offset, worker in enumerate(workers):
-            new.worker_pos[worker.worker_id] = old_n_workers + offset
-
-        dirty_set = {new.task_pos[task_id] for (_, task_id) in claims}
-        dirty_set.update(range(old_n_tasks, len(new.task_ids)))
-        dirty = np.asarray(sorted(dirty_set), dtype=np.int64)
-
-        # Copy-on-write: dirty tasks get fresh dicts; clean ones are
-        # shared with the old, read-only index.
-        by_task = list(self.claims_by_task) + [{} for _ in tasks]
-        for j in dirty_set:
-            if j < old_n_tasks:
-                by_task[j] = dict(by_task[j])
-        for (worker_id, task_id), value in claims.items():
-            by_task[new.task_pos[task_id]][new.worker_pos[worker_id]] = value
-        new.claims_by_task = by_task
-
-        new.value_groups = list(self.value_groups) + [{} for _ in tasks]
-        new.num_false = np.empty(len(new.task_ids), dtype=np.int64)
-        new.num_false[:old_n_tasks] = self.num_false
-        for j in dirty.tolist():
-            new.value_groups[j] = _value_groups(by_task[j])
-            new.num_false[j] = _num_false(new.tasks[j], new.value_groups[j])
-
-        claim_map = None
-        if "arrays" in self.__dict__:
-            arrays, claim_map = _extend_claim_arrays(
-                self.arrays, new, dirty, old_n_tasks
-            )
-            new.__dict__["arrays"] = arrays
-        return IndexExtension(
-            index=new,
-            dirty_tasks=dirty,
-            new_task_positions=np.arange(old_n_tasks, new.n_tasks, dtype=np.int64),
-            new_worker_positions=np.arange(
-                old_n_workers, new.n_workers, dtype=np.int64
-            ),
-            claim_map=claim_map,
+        new._set_members(self.tasks + tasks, self.workers + workers)
+        batch_task = np.array([new.task_pos[t] for _, t in claims], dtype=np.int64)
+        batch_worker = np.array([new.worker_pos[w] for w, _ in claims], dtype=np.int64)
+        dirty = np.union1d(batch_task, np.arange(self.n_tasks, new.n_tasks, dtype=np.int64))
+        new.arrays, claim_map = _extend_claim_arrays(
+            self.arrays, new, dirty, batch_task, batch_worker, list(claims.values())
         )
+        return IndexExtension(index=new, dirty_tasks=dirty, claim_map=claim_map)
 
     def restricted(self, tasks: np.ndarray) -> tuple["DatasetIndex", np.ndarray]:
         """A read-only view over ``tasks`` and the workers answering them.
 
         Streaming runs its dirty-scope re-estimation on this view.
         ``tasks`` are ascending task positions; tasks and workers keep
-        this index's order, workers compressed to the claimants, and
-        each task keeps its claims in arrival order.  The CSR segments
-        of :attr:`arrays` are gathered from this index's arrays rather
-        than re-encoded; pair tables and the slot map stay lazy over the
-        view's own CSR.  Field by field the view equals a cold index of
-        the induced sub-campaign.  It has no ``dataset`` and cannot be
-        extended.
+        this index's order, workers compressed to the claimants (copy
+        sources outside them dropped, as :meth:`Dataset.subset` does),
+        and the view's claims arrive task by task, each task's in this
+        index's arrival order.  The CSR segments of :attr:`arrays` are
+        gathered from this index's arrays rather than re-encoded; pair
+        tables and the slot map stay lazy over the view's own CSR.
+        Field by field the view equals a cold index of the induced
+        sub-campaign.
 
         Returns the view and, for each claim of its arrays, that claim's
         position in this index's arrays.
@@ -196,29 +173,24 @@ class DatasetIndex:
         workers, claim_worker = np.unique(
             parent.claim_worker[positions], return_inverse=True
         )
+        claim_seq = np.argsort(
+            np.lexsort((parent.claim_seq[positions], parent.claim_task[positions]))
+        )
 
         view = object.__new__(DatasetIndex)
-        view.dataset = None
-        task_list = tasks.tolist()
-        view.tasks = tuple(self.tasks[j] for j in task_list)
-        view.task_ids = [self.task_ids[j] for j in task_list]
-        view.worker_ids = [self.worker_ids[i] for i in workers.tolist()]
-        view.task_pos = {t: j for j, t in enumerate(view.task_ids)}
-        view.worker_pos = {w: i for i, w in enumerate(view.worker_ids)}
-        local = dict(zip(workers.tolist(), range(len(workers))))
-        view.claims_by_task = [
-            {local[i]: value for i, value in self.claims_by_task[j].items()}
-            for j in task_list
-        ]
-        view.value_groups = [_value_groups(claims) for claims in view.claims_by_task]
-        view.num_false = self.num_false[tasks]
-        view.__dict__["arrays"] = _assemble_claim_arrays(
+        kept = {self.worker_ids[i] for i in workers.tolist()}
+        view._set_members(
+            tuple(self.tasks[j] for j in tasks.tolist()),
+            tuple(self.workers[i].within(kept) for i in workers.tolist()),
+        )
+        view.arrays = _assemble_claim_arrays(
             object.__new__(ClaimArrays),
             view,
             _offsets(claim_counts),
             _offsets(group_counts),
             claim_worker.astype(np.int64, copy=False),
             parent.claim_code[positions],
+            claim_seq,
             parent.group_size[groups],
             tuple(parent.group_values[g] for g in groups.tolist()),
         )
@@ -271,6 +243,7 @@ class DatasetIndex:
                         f"worker {worker.worker_id} copies from unknown "
                         f"worker {source!r}"
                     )
+        answered = self._answered(claims)
         for (worker_id, task_id), value in claims.items():
             if worker_id not in self.worker_pos and worker_id not in new_worker_ids:
                 raise DataFormatError(
@@ -284,8 +257,7 @@ class DatasetIndex:
                         f"claim references unknown task {task_id!r}"
                     )
                 task = self.tasks[j]
-                i = self.worker_pos.get(worker_id)
-                if i is not None and i in self.claims_by_task[j]:
+                if (worker_id, task_id) in answered:
                     raise DataFormatError(
                         f"duplicate claim: worker {worker_id!r} already "
                         f"answered task {task_id!r}"
@@ -301,6 +273,24 @@ class DatasetIndex:
                     "not in the task's closed domain"
                 )
 
+    def _answered(self, claims: dict[tuple[str, str], str]) -> set[tuple[str, str]]:
+        """The keys of ``claims`` whose worker already answered the task,
+        looked up in the answering workers' segments of the worker CSR."""
+        keys = [k for k in claims if k[0] in self.worker_pos and k[1] in self.task_pos]
+        arrays = self.arrays
+        worker = np.array([self.worker_pos[w] for w, _ in keys], dtype=np.int64)
+        task = np.array([self.task_pos[t] for _, t in keys], dtype=np.int64)
+        ptr, workers = arrays.worker_ptr, np.unique(worker)
+        held = arrays.worker_claims[
+            _concat_ranges(ptr[workers], ptr[workers + 1] - ptr[workers])
+        ]
+        n_tasks = self.n_tasks
+        hit = np.isin(
+            worker * n_tasks + task,
+            arrays.claim_worker[held] * n_tasks + arrays.claim_task[held],
+        )
+        return {key for key, dup in zip(keys, hit.tolist()) if dup}
+
 
 @dataclass(frozen=True)
 class IndexExtension:
@@ -315,21 +305,15 @@ class IndexExtension:
         rebuilt: tasks that received new claims plus appended tasks.
         Task positions of pre-existing tasks are stable across
         extensions, so these double as "affected segment" ids.
-    new_task_positions / new_worker_positions:
-        Positions of the appended tasks / workers in the new index.
     claim_map:
         ``old claim position -> new claim position`` into the extended
         :class:`ClaimArrays`, for carrying per-claim state (for example
-        accuracies) across the extension.  ``None`` when the source
-        index never materialized its ``arrays`` (the new index then
-        encodes lazily from scratch on first use).
+        accuracies) across the extension.
     """
 
     index: DatasetIndex
     dirty_tasks: np.ndarray
-    new_task_positions: np.ndarray
-    new_worker_positions: np.ndarray
-    claim_map: np.ndarray | None
+    claim_map: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -360,43 +344,6 @@ class PairRowClass:
         )
 
 
-def _value_groups(claims: dict[int, str]) -> dict[str, tuple[int, ...]]:
-    """One task's ``W_v^j``: ``{value: ascending worker indexes}`` with
-    values in sorted order, for deterministic iteration."""
-    groups: dict[str, list[int]] = {}
-    for i, value in claims.items():
-        groups.setdefault(value, []).append(i)
-    return {v: tuple(sorted(ws)) for v, ws in sorted(groups.items())}
-
-
-def _num_false(task: Task, groups: dict[str, tuple[int, ...]]) -> int:
-    """Effective ``num_j``: the declared closed-domain size minus one, or
-    the observed number of distinct values minus one for open domains;
-    at least 1 so the false-value probability ``(1 - A)/num`` stays
-    finite."""
-    return max(task.num_false if task.domain else len(groups) - 1, 1)
-
-
-def _dataset_append(
-    old: Dataset,
-    tasks: tuple[Task, ...],
-    workers: tuple[WorkerProfile, ...],
-    merged_claims: dict[tuple[str, str], str],
-) -> Dataset:
-    """Assemble the extended :class:`Dataset` without re-validation.
-
-    ``Dataset.__post_init__`` walks every claim; the caller has already
-    validated the delta against a known-valid dataset, so the extended
-    snapshot is assembled field-by-field to keep the append path
-    O(affected).
-    """
-    dataset = object.__new__(Dataset)
-    object.__setattr__(dataset, "tasks", old.tasks + tasks)
-    object.__setattr__(dataset, "workers", old.workers + workers)
-    object.__setattr__(dataset, "claims", merged_claims)
-    return dataset
-
-
 @dataclass(frozen=True, eq=False)
 class ClaimArrays:
     """Integer-coded, CSR-flattened view of one dataset's claims.
@@ -413,8 +360,12 @@ class ClaimArrays:
     - value groups ``W_v^j`` (``group_ptr`` slices claims per
       (task, value) group; groups of one task are adjacent and ordered
       by code),
-    - and, within a group, workers ascending (matching the sorted
-      tuples of :attr:`DatasetIndex.value_groups`).
+    - and, within a group, workers ascending.
+
+    ``claim_seq`` records each claim's arrival position in the campaign,
+    the one fact the ``(task, code, worker)`` order drops: the
+    undiscounted posterior ranks a task's claims by it, and
+    :attr:`DatasetIndex.dataset` lists the claims in its order.
 
     The co-answering worker pairs are flattened the same way: one row
     per (pair, shared task), grouped by pair via ``pair_ptr``, with
@@ -429,6 +380,7 @@ class ClaimArrays:
     claim_worker: np.ndarray = field(init=False)
     claim_code: np.ndarray = field(init=False)
     claim_group: np.ndarray = field(init=False)
+    claim_seq: np.ndarray = field(init=False)
     task_ptr: np.ndarray = field(init=False)
 
     # -- value groups, in (task, code) order -----------------------------
@@ -450,7 +402,14 @@ class ClaimArrays:
 
     def __post_init__(self) -> None:
         index = self.index
-        claim_counts, group_counts, *segments = _encode_tasks(index, range(index.n_tasks))
+        claims = index.dataset.claims
+        claim_counts, group_counts, *segments = _encode_claims(
+            index.n_tasks,
+            np.array([index.task_pos[t] for _, t in claims], dtype=np.int64),
+            np.array([index.worker_pos[w] for w, _ in claims], dtype=np.int64),
+            list(claims.values()),
+            np.arange(len(claims), dtype=np.int64),
+        )
         _assemble_claim_arrays(
             self, index, _offsets(claim_counts), _offsets(group_counts), *segments
         )
@@ -633,16 +592,6 @@ class ClaimArrays:
             for begin, (m, claim_idx) in zip(bucket_start, buckets)
         ]
 
-    @cached_property
-    def code_lookup(self) -> list[dict[str, int]]:
-        """Per-task ``value -> code`` maps (for warm starts and tests)."""
-        lookup: list[dict[str, int]] = [dict() for _ in range(self.index.n_tasks)]
-        for g in range(self.n_groups):
-            lookup[int(self.group_task[g])][self.group_values[g]] = int(
-                self.group_code[g]
-            )
-        return lookup
-
     # -- conversions between codes and values ----------------------------
 
     def truth_values(self, truth_codes: np.ndarray) -> list[str | None]:
@@ -656,13 +605,16 @@ class ClaimArrays:
                 out.append(self.group_values[int(self.task_group_ptr[j]) + code])
         return out
 
+    def code_of(self, j: int, value: str | None) -> int:
+        """Code of ``value`` within task ``j``'s value groups (-1 if absent)."""
+        values = self.group_values[self.task_group_ptr[j] : self.task_group_ptr[j + 1]]
+        return values.index(value) if value in values else -1
+
     def truth_codes(self, truths: list[str | None]) -> np.ndarray:
         """Encode per-task truth strings to codes (-1 for None/unknown)."""
         codes = np.full(self.index.n_tasks, -1, dtype=np.int64)
-        lookup = self.code_lookup
         for j, value in enumerate(truths):
-            if value is not None:
-                codes[j] = lookup[j].get(value, -1)
+            codes[j] = self.code_of(j, value)
         return codes
 
     def majority_codes(self) -> np.ndarray:
@@ -739,38 +691,49 @@ def _extend_claim_arrays(
     old: ClaimArrays,
     index: DatasetIndex,
     dirty: np.ndarray,
-    old_n_tasks: int,
+    batch_task: np.ndarray,
+    batch_worker: np.ndarray,
+    batch_values: list[str],
 ) -> tuple[ClaimArrays, np.ndarray]:
     """Splice ``old`` into arrays for the extended ``index``.
 
-    Dirty tasks are re-encoded from ``index.value_groups`` (the only
-    Python loop proportional to the batch); clean task segments move as
-    bulk gathers.  Task positions of pre-existing tasks are stable, so
-    a clean task's claims keep their ``(worker, code)`` rows and only
-    their global positions shift.  Returns the new arrays and the
-    ``old claim position -> new claim position`` map.
+    Dirty tasks are re-encoded from their old claims, read back from
+    ``old``, plus the batch's claims (the only Python work proportional
+    to the batch); clean task segments move as bulk gathers.  Task
+    positions of pre-existing tasks are stable, so a clean task's
+    claims keep their ``(worker, code)`` rows and only their global
+    positions shift.  Returns the new arrays and the ``old claim
+    position -> new claim position`` map.
     """
     n_tasks = index.n_tasks
+    old_n_tasks = old.index.n_tasks
     dirty_mask = np.zeros(n_tasks, dtype=bool)
     dirty_mask[dirty] = True
     clean = np.flatnonzero(~dirty_mask[:old_n_tasks])
+    stale = dirty[dirty < old_n_tasks]
 
     old_claim_counts = np.diff(old.task_ptr)
     old_group_counts = np.diff(old.task_group_ptr)
-    claim_counts = np.zeros(n_tasks, dtype=np.int64)
-    group_counts = np.zeros(n_tasks, dtype=np.int64)
-    claim_counts[:old_n_tasks] = old_claim_counts
-    group_counts[:old_n_tasks] = old_group_counts
-    d_claims, d_groups, d_worker, d_code, d_size, d_values = _encode_tasks(
-        index, dirty.tolist()
+    osrc = _concat_ranges(old.task_ptr[stale], old_claim_counts[stale])
+    claim_counts, group_counts, d_worker, d_code, d_seq, d_size, d_values = _encode_claims(
+        n_tasks,
+        np.concatenate([old.claim_task[osrc], batch_task]),
+        np.concatenate([old.claim_worker[osrc], batch_worker]),
+        [old.group_values[g] for g in old.claim_group[osrc].tolist()] + batch_values,
+        np.concatenate(
+            [old.claim_seq[osrc], old.n_claims + np.arange(len(batch_task), dtype=np.int64)]
+        ),
     )
-    claim_counts[dirty] = d_claims
-    group_counts[dirty] = d_groups
+    d_claims = claim_counts[dirty]
+    d_groups = group_counts[dirty]
+    claim_counts[clean] = old_claim_counts[clean]
+    group_counts[clean] = old_group_counts[clean]
     task_ptr = _offsets(claim_counts)
     task_group_ptr = _offsets(group_counts)
 
     claim_worker = np.empty(task_ptr[-1], dtype=np.int64)
     claim_code = np.empty(task_ptr[-1], dtype=np.int64)
+    claim_seq = np.empty(task_ptr[-1], dtype=np.int64)
     group_size = np.empty(task_group_ptr[-1], dtype=np.int64)
     group_values = np.empty(task_group_ptr[-1], dtype=object)
 
@@ -779,6 +742,7 @@ def _extend_claim_arrays(
     dst = _concat_ranges(task_ptr[clean], old_claim_counts[clean])
     claim_worker[dst] = old.claim_worker[src]
     claim_code[dst] = old.claim_code[src]
+    claim_seq[dst] = old.claim_seq[src]
     gsrc = _concat_ranges(old.task_group_ptr[clean], old_group_counts[clean])
     gdst = _concat_ranges(task_group_ptr[clean], old_group_counts[clean])
     group_size[gdst] = old.group_size[gsrc]
@@ -788,21 +752,15 @@ def _extend_claim_arrays(
     ddst = _concat_ranges(task_ptr[dirty], d_claims)
     claim_worker[ddst] = d_worker
     claim_code[ddst] = d_code
+    claim_seq[ddst] = d_seq
     gddst = _concat_ranges(task_group_ptr[dirty], d_groups)
     group_size[gddst] = d_size
     group_values[gddst] = np.asarray(d_values, dtype=object)
 
-    # Old -> new claim positions: clean claims moved with their
-    # segment; an old claim of a dirty task lands on its re-encoded
-    # (task, worker) slot.
-    claim_map = np.empty(old.n_claims, dtype=np.int64)
-    claim_map[src] = dst
-    stale = dirty[dirty < old_n_tasks]
-    osrc = _concat_ranges(old.task_ptr[stale], old_claim_counts[stale])
-    new_keys = np.repeat(dirty, d_claims) * index.n_workers + d_worker
-    old_keys = old.claim_task[osrc] * index.n_workers + old.claim_worker[osrc]
-    order = np.argsort(new_keys)
-    claim_map[osrc] = ddst[order[np.searchsorted(new_keys, old_keys, sorter=order)]]
+    # Old -> new claim positions: every claim keeps its arrival position.
+    position = np.empty(len(claim_seq), dtype=np.int64)
+    position[claim_seq] = np.arange(len(claim_seq), dtype=np.int64)
+    claim_map = position[old.claim_seq]
 
     arrays = _assemble_claim_arrays(
         object.__new__(ClaimArrays),
@@ -811,6 +769,7 @@ def _extend_claim_arrays(
         task_group_ptr,
         claim_worker,
         claim_code,
+        claim_seq,
         group_size,
         tuple(group_values),
     )
@@ -828,39 +787,43 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return ptr
 
 
-def _encode_tasks(
-    index: DatasetIndex, tasks: Iterable[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Integer-code ``tasks`` from ``index.value_groups``.
+def _encode_claims(
+    n_tasks: int,
+    task: np.ndarray,
+    worker: np.ndarray,
+    values: list[str],
+    seq: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Integer-code claims given as parallel per-claim columns.
 
-    Values are numbered in sorted order and each group's workers ascend,
-    so concatenating the groups yields the (task, code, worker) claim
-    order.  Returns the per-task claim and group counts, then the
-    concatenated claim workers, claim codes, group sizes and group
-    values.
+    Each task's distinct values are numbered in sorted order and the
+    claims sorted by (task, code, worker).  Returns the claim and group
+    counts of every one of ``n_tasks`` tasks (0 for tasks without
+    claims here), then the sorted claims' workers, codes and arrival
+    positions, and the groups' sizes and values.
     """
-    claim_counts: list[int] = []
-    group_counts: list[int] = []
-    claim_worker: list[int] = []
-    claim_code: list[int] = []
-    group_size: list[int] = []
-    group_values: list[str] = []
-    for j in tasks:
-        groups = index.value_groups[j]
-        claim_counts.append(len(index.claims_by_task[j]))
-        group_counts.append(len(groups))
-        group_values.extend(groups)
-        for code, workers in enumerate(groups.values()):
-            group_size.append(len(workers))
-            claim_worker.extend(workers)
-            claim_code.extend([code] * len(workers))
+    # Number the distinct values in sorted order; one unique over
+    # ``task * n_values + rank`` then yields the groups in (task, code)
+    # order.
+    ids: dict[str, int] = {}
+    value_id = np.fromiter((ids.setdefault(v, len(ids)) for v in values), np.int64, len(values))
+    names = sorted(ids)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[[ids[v] for v in names]] = np.arange(len(names), dtype=np.int64)
+    n_values = max(len(names), 1)
+    keys, claim_group = np.unique(task * n_values + rank[value_id], return_inverse=True)
+    group_task, group_rank = np.divmod(keys, n_values)
+    group_counts = np.bincount(group_task, minlength=n_tasks)
+    group_code = np.arange(len(keys), dtype=np.int64) - _offsets(group_counts)[group_task]
+    order = np.lexsort((worker, claim_group))
     return (
-        np.asarray(claim_counts, dtype=np.int64),
-        np.asarray(group_counts, dtype=np.int64),
-        np.asarray(claim_worker, dtype=np.int64),
-        np.asarray(claim_code, dtype=np.int64),
-        np.asarray(group_size, dtype=np.int64),
-        tuple(group_values),
+        np.bincount(task, minlength=n_tasks),
+        group_counts,
+        worker[order],
+        group_code[claim_group[order]],
+        seq[order],
+        np.bincount(claim_group, minlength=len(keys)),
+        tuple(names[r] for r in group_rank.tolist()),
     )
 
 
@@ -871,6 +834,7 @@ def _assemble_claim_arrays(
     task_group_ptr: np.ndarray,
     claim_worker: np.ndarray,
     claim_code: np.ndarray,
+    claim_seq: np.ndarray,
     group_size: np.ndarray,
     group_values: tuple[str, ...],
 ) -> ClaimArrays:
@@ -892,6 +856,7 @@ def _assemble_claim_arrays(
         "claim_worker": claim_worker,
         "claim_code": claim_code,
         "claim_group": task_group_ptr[claim_task] + claim_code,
+        "claim_seq": claim_seq,
         "task_ptr": task_ptr,
         "group_ptr": _offsets(group_size),
         "group_task": group_task,

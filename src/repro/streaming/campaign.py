@@ -137,13 +137,13 @@ class Campaign:
 
     def describe(self) -> dict:
         """JSON-safe summary (sizes and counters, no estimates)."""
-        dataset = self.online.dataset
+        index = self.online.index
         return {
             "campaign_id": self.campaign_id,
             "algorithm": self.online.algorithm,
-            "tasks": dataset.n_tasks,
-            "workers": dataset.n_workers,
-            "claims": dataset.n_claims,
+            "tasks": index.n_tasks,
+            "workers": index.n_workers,
+            "claims": index.arrays.n_claims,
             "batches": self.online.n_batches,
             "applied_seq": self.applied_seq,
             "journaled": self.journal is not None,

@@ -164,16 +164,32 @@ def coerce_number(spec: Mapping, key: str, default: float) -> float:
     return number
 
 
+def _array(spec: Mapping, key: str) -> list | tuple:
+    """The optional field ``key`` (default empty), which must be an array."""
+    value = spec.get(key, ())
+    if not isinstance(value, (list, tuple)):
+        raise DataFormatError(f"field {key!r} must be an array, got {value!r}")
+    return value
+
+
+def _string(value, what: str) -> str:
+    """``value``, which must be a string (never stringified)."""
+    if not isinstance(value, str):
+        raise DataFormatError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def task_from_spec(spec: Mapping) -> Task:
     """Build a :class:`Task` from its JSON object form."""
     if not isinstance(spec, Mapping) or "task_id" not in spec:
         raise DataFormatError(f"task spec must be an object with task_id: {spec!r}")
+    truth = spec.get("truth")
     return Task(
-        task_id=str(spec["task_id"]),
-        domain=tuple(str(v) for v in spec.get("domain", ())),
+        task_id=_string(spec["task_id"], "task_id"),
+        domain=tuple(_string(v, "domain value") for v in _array(spec, "domain")),
         requirement=coerce_number(spec, "requirement", 1.0),
         value=coerce_number(spec, "value", 0.0),
-        truth=str(spec["truth"]) if spec.get("truth") is not None else None,
+        truth=None if truth is None else _string(truth, "truth"),
     )
 
 
@@ -184,11 +200,11 @@ def worker_from_spec(spec: Mapping) -> WorkerProfile:
             f"worker spec must be an object with worker_id: {spec!r}"
         )
     return WorkerProfile(
-        worker_id=str(spec["worker_id"]),
+        worker_id=_string(spec["worker_id"], "worker_id"),
         cost=coerce_number(spec, "cost", 1.0),
         reliability=coerce_number(spec, "reliability", 0.7),
         is_copier=bool(spec.get("is_copier", False)),
-        sources=tuple(str(s) for s in spec.get("sources", ())),
+        sources=tuple(_string(s, "source") for s in _array(spec, "sources")),
         copy_prob=coerce_number(spec, "copy_prob", 0.0),
     )
 
@@ -198,26 +214,27 @@ def batch_from_json(payload: Mapping) -> ClaimBatch:
 
     Each claim is ``{"worker": ..., "task": ..., "value": ...}``.
     Raises :class:`~repro.errors.DataFormatError` on malformed input so
-    the server maps it to a 400 response.
+    the server maps it to a 400 response: the three fields must be
+    arrays, and ids and values strings.
     """
     if not isinstance(payload, Mapping):
         raise DataFormatError("batch payload must be a JSON object")
     claims: dict[tuple[str, str], str] = {}
-    for row in payload.get("claims", ()):
+    for row in _array(payload, "claims"):
         if not isinstance(row, Mapping) or not {"worker", "task", "value"} <= set(row):
             raise DataFormatError(
                 f"claim row must have worker/task/value fields: {row!r}"
             )
-        key = (str(row["worker"]), str(row["task"]))
+        key = (_string(row["worker"], "claim worker"), _string(row["task"], "claim task"))
         if key in claims:
             raise DataFormatError(
                 f"duplicate claim in batch: worker {key[0]!r} on task {key[1]!r}"
             )
-        claims[key] = str(row["value"])
+        claims[key] = _string(row["value"], "claim value")
     return ClaimBatch(
         claims=claims,
-        tasks=tuple(task_from_spec(s) for s in payload.get("tasks", ())),
-        workers=tuple(worker_from_spec(s) for s in payload.get("workers", ())),
+        tasks=tuple(task_from_spec(s) for s in _array(payload, "tasks")),
+        workers=tuple(worker_from_spec(s) for s in _array(payload, "workers")),
     )
 
 

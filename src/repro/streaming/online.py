@@ -38,7 +38,7 @@ from ..core.accuracy import claim_mean_by_worker
 from ..core.config import DateConfig
 from ..core.date import TruthDiscoveryResult
 from ..core.engine import DependenceArrays, IncrementalDependence, dense_accuracy
-from ..core.indexing import ClaimArrays, DatasetIndex
+from ..core.indexing import DatasetIndex
 from ..discovery import canonical_algorithm, make_discoverer
 from ..errors import ConfigurationError
 from ..types import Dataset
@@ -139,7 +139,6 @@ class OnlineDATE:
         self._engine: IncrementalDependence | None = None
         self._truth_codes = np.empty(0, dtype=np.int64)
         self._index = DatasetIndex(Dataset(tasks=(), workers=(), claims={}))
-        self._index.arrays  # materialize so every extension splices + maps
         self._claim_acc = np.empty(0, dtype=np.float64)
         self._truths: dict[str, str] = {}
         self._confidence: dict[str, float] = {}
@@ -175,7 +174,10 @@ class OnlineDATE:
 
     @property
     def dataset(self) -> Dataset:
-        """The full campaign accumulated so far."""
+        """The full campaign accumulated so far, claims in arrival order.
+
+        Assembled from the index on first read after each ingest.
+        """
         return self._index.dataset
 
     @property
@@ -226,7 +228,9 @@ class OnlineDATE:
             method="OnlineDATE",
             worker_ids=tuple(index.worker_ids),
             task_ids=tuple(index.task_ids),
-            _ground_truths=dict(index.dataset.truths),
+            _ground_truths={
+                task.task_id: task.truth for task in index.tasks if task.truth is not None
+            },
         )
 
     # -- write side ------------------------------------------------------
@@ -304,8 +308,8 @@ class OnlineDATE:
             if self._track_dependence:
                 arrays = self._index.arrays
                 for j in dirty.tolist():
-                    self._truth_codes[j] = _truth_code_of(
-                        arrays, j, self._truths.get(self._index.task_ids[j])
+                    self._truth_codes[j] = arrays.code_of(
+                        j, self._truths.get(self._index.task_ids[j])
                     )
                 if self._engine is not None:
                     # Fold the merged dirty-task results back in (a
@@ -330,7 +334,7 @@ class OnlineDATE:
         rebuild), and the online state adopts it wholesale.
         """
         index = self._index
-        result = self._discoverer.run(index.dataset, index=index)
+        result = self._discoverer.run(None, index=index)
         return self.adopt_refresh(result)
 
     def adopt_refresh(self, result: TruthDiscoveryResult) -> TruthDiscoveryResult:
@@ -412,9 +416,7 @@ class OnlineDATE:
         codes[: len(self._truth_codes)] = self._truth_codes
         for j in ext.dirty_tasks:
             j = int(j)
-            codes[j] = _truth_code_of(
-                arrays, j, self._truths.get(self._index.task_ids[j])
-            )
+            codes[j] = arrays.code_of(j, self._truths.get(self._index.task_ids[j]))
         return codes
 
     def _rerun(self, dirty: np.ndarray) -> int:
@@ -457,15 +459,3 @@ class OnlineDATE:
             else:
                 self._confidence[task_id] = confidence
         return result.iterations
-
-
-def _truth_code_of(arrays: ClaimArrays, j: int, value: str | None) -> int:
-    """Code of ``value`` within task ``j``'s claim groups (-1 if absent)."""
-    if value is None:
-        return -1
-    g0 = int(arrays.task_group_ptr[j])
-    g1 = int(arrays.task_group_ptr[j + 1])
-    try:
-        return arrays.group_values[g0:g1].index(value)
-    except ValueError:
-        return -1

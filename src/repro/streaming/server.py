@@ -60,7 +60,7 @@ from .campaign import (
     DuplicateCampaignError,
     UnknownCampaignError,
 )
-from .ingest import batch_from_json, coerce_number, task_from_spec, worker_from_spec
+from .ingest import batch_from_json, coerce_number
 from .journal import JournalWriteError
 
 __all__ = ["MAX_BODY_BYTES", "StreamingApp", "config_from_spec", "make_server", "serve"]
@@ -237,10 +237,11 @@ class StreamingApp:
         algorithm = payload.get("algorithm")
         if algorithm is not None:
             algorithm = str(algorithm)
+        seed = batch_from_json({k: payload[k] for k in ("tasks", "workers") if k in payload})
         campaign = self.store.create(
             str(payload["campaign_id"]),
-            tasks=tuple(task_from_spec(s) for s in payload.get("tasks", ())),
-            workers=tuple(worker_from_spec(s) for s in payload.get("workers", ())),
+            tasks=seed.tasks,
+            workers=seed.workers,
             config=config_from_spec(
                 payload.get("config"), self.store.default_config
             ),

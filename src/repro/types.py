@@ -24,7 +24,7 @@ exist for data generation and evaluation only; no algorithm in
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -135,6 +135,19 @@ class WorkerProfile:
     def with_cost(self, cost: float) -> "WorkerProfile":
         """Return a copy of the profile with a different private cost."""
         return replace(self, cost=cost)
+
+    def within(self, worker_ids: Container[str]) -> "WorkerProfile":
+        """This profile with copy sources outside ``worker_ids`` dropped.
+
+        A copier left without sources becomes independent, so the
+        profile stays valid in a sub-campaign of those workers.
+        """
+        sources = tuple(s for s in self.sources if s in worker_ids)
+        if sources == self.sources:
+            return self
+        if self.is_copier and not sources:
+            return replace(self, is_copier=False, sources=(), copy_prob=0.0)
+        return replace(self, sources=sources)
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,16 +317,11 @@ class Dataset:
                 f"subset references unknown workers: {unknown_workers}"
             )
         tasks = tuple(t for t in self.tasks if t.task_id in keep_tasks)
-        workers = []
-        for worker in self.workers:
-            if worker.worker_id not in keep_workers:
-                continue
-            sources = tuple(s for s in worker.sources if s in keep_workers)
-            if worker.is_copier and not sources:
-                worker = replace(worker, is_copier=False, sources=(), copy_prob=0.0)
-            else:
-                worker = replace(worker, sources=sources)
-            workers.append(worker)
+        workers = [
+            worker.within(keep_workers)
+            for worker in self.workers
+            if worker.worker_id in keep_workers
+        ]
         claims = {
             (w, t): v
             for (w, t), v in self.claims.items()

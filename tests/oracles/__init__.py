@@ -4,8 +4,8 @@ The product runs one array engine per algorithm: DATE, ED and NC on
 :mod:`repro.core.engine`, the reverse auction on
 :mod:`repro.auction.engine`.  The modules here are the per-element
 Python loops those engines replaced — each equation transcribed line
-by line over the dict-side :class:`~repro.core.indexing.DatasetIndex`
-structures — and the differential suites pin engine == oracle:
+by line over dict views of a :class:`~repro.core.indexing.DatasetIndex`
+(:mod:`.indexing`) — and the differential suites pin engine == oracle:
 
 - :mod:`.dependence` — step 1, pairwise copier posteriors (Eqs. 7-15);
 - :mod:`.independence` — step 2, greedy-order independence (Eq. 16),
@@ -16,8 +16,9 @@ structures — and the differential suites pin engine == oracle:
   Eq. 21);
 - :mod:`.date` — the Alg. 1 drivers for DATE, ED and NC;
 - :mod:`.auction` — Alg. 2's greedy cover and critical payments;
-- :mod:`.indexing` — the per-worker claims, co-answering pairs,
-  initial accuracies and majority vote the oracles read off an index;
+- :mod:`.indexing` — the per-task, per-value and per-worker claim
+  dicts, co-answering pairs, initial accuracies and majority vote the
+  oracles read off an index's campaign;
 - :mod:`.streaming` — the sub-dataset rebuild that streaming's
   restricted index view replaced.
 """
@@ -49,17 +50,20 @@ from .independence import (
     order_value_group,
 )
 from .indexing import (
+    claims_by_task,
     claims_by_worker,
     co_answering_pairs,
     initial_accuracy_matrix,
     majority_vote,
     shared_tasks,
+    value_groups,
 )
 from .support import select_truths, support_counts
 
 __all__ = [
     "IndependenceTable",
     "batched_independence_flat",
+    "claims_by_task",
     "claims_by_worker",
     "co_answering_pairs",
     "compute_pairwise_dependence",
@@ -84,5 +88,6 @@ __all__ = [
     "support_counts",
     "total_dependence",
     "update_accuracy_matrix",
+    "value_groups",
     "value_posteriors",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.falsedist import FalseValueDistribution, UniformFalseValues
 from repro.core.indexing import DatasetIndex
 
-from .indexing import claims_by_worker
+from .indexing import claims_by_task, claims_by_worker, value_groups
 
 __all__ = [
     "value_posteriors",
@@ -50,12 +50,12 @@ def value_posteriors(
     false_values = false_values or UniformFalseValues()
     lo, hi = accuracy_clamp
     table: PosteriorTable = []
-    for j in range(index.n_tasks):
-        groups = index.value_groups[j]
+    by_task = claims_by_task(index)
+    for j, groups in enumerate(value_groups(index)):
         if not groups:
             table.append({})
             continue
-        claims = index.claims_by_task[j]
+        claims = by_task[j]
         log_scores: dict[str, float] = {}
         for candidate in groups:
             log_score = 0.0
@@ -104,8 +104,7 @@ def discounted_value_posteriors(
     false_values = false_values or UniformFalseValues()
     lo, hi = accuracy_clamp
     table: PosteriorTable = []
-    for j in range(index.n_tasks):
-        groups = index.value_groups[j]
+    for j, groups in enumerate(value_groups(index)):
         if not groups:
             table.append({})
             continue

@@ -32,7 +32,12 @@ from .accuracy import (
 )
 from .dependence import compute_pairwise_dependence, directed_probability
 from .independence import IndependenceTable, independence_probabilities
-from .indexing import claims_by_worker, initial_accuracy_matrix, majority_vote
+from .indexing import (
+    claims_by_worker,
+    initial_accuracy_matrix,
+    majority_vote,
+    value_groups,
+)
 from .support import select_truths, support_counts
 
 __all__ = [
@@ -69,9 +74,9 @@ def ed_independence(
     """ED's step 2: explicit enumeration over every co-provider."""
     r = config.copy_prob_r
     table: IndependenceTable = []
-    for j in range(index.n_tasks):
+    for groups in value_groups(index):
         per_value: dict[str, dict[int, float]] = {}
-        for value, group in index.value_groups[j].items():
+        for value, group in groups.items():
             scores: dict[int, float] = {}
             for worker in group:
                 edge_probs = [
@@ -103,9 +108,10 @@ def date_reference(
     truths = majority_vote(index)
     accuracy = initial_accuracy_matrix(index, cfg.initial_accuracy)
     if warm_start is not None:
+        groups = value_groups(index)
         for j, task_id in enumerate(index.task_ids):
             carried = warm_start.truths.get(task_id)
-            if carried is not None and carried in index.value_groups[j]:
+            if carried is not None and carried in groups[j]:
                 truths[j] = carried
         by_worker = claims_by_worker(index)
         for i, worker_id in enumerate(index.worker_ids):
@@ -190,7 +196,7 @@ def no_copier_reference(config: DateConfig, index: DatasetIndex) -> TruthDiscove
     # All workers fully independent: I_v^j(i) = 1 everywhere.
     independence = [
         {value: {i: 1.0 for i in group} for value, group in groups.items()}
-        for groups in index.value_groups
+        for groups in value_groups(index)
     ]
 
     posteriors: list[dict[str, float]] = []

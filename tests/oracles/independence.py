@@ -32,6 +32,7 @@ from repro.core.engine import DependenceArrays, KernelScratch, _thread_scratch
 from repro.core.indexing import ClaimArrays, DatasetIndex
 
 from .dependence import directed_probability, total_dependence
+from .indexing import value_groups
 
 __all__ = [
     "batched_independence_flat",
@@ -121,9 +122,9 @@ def independence_probabilities(
             f"discount_mode must be one of {_DISCOUNT_MODES}, got {discount_mode!r}"
         )
     table: IndependenceTable = []
-    for j in range(index.n_tasks):
+    for groups in value_groups(index):
         per_value: dict[str, dict[int, float]] = {}
-        for value, group in index.value_groups[j].items():
+        for value, group in groups.items():
             order = order_value_group(group, posteriors, ordering=ordering)
             scores: dict[int, float] = {}
             for position, worker in enumerate(order):

@@ -1,8 +1,10 @@
 """Dict-side views of a :class:`~repro.core.indexing.DatasetIndex`.
 
-The scalar oracles and the tests read a few per-worker and per-pair
-structures that no product path needs; they are derived here from an
-index's claims instead of being kept on every index.
+An index holds its claims once, as :class:`~repro.core.indexing.ClaimArrays`.
+The scalar oracles and the tests read them through the per-task,
+per-value, per-worker and per-pair dicts derived here from the index's
+campaign (``index.dataset.claims``, in arrival order) — never from the
+arrays the oracles check.
 """
 
 from __future__ import annotations
@@ -12,27 +14,41 @@ import numpy as np
 from repro.core.indexing import DatasetIndex
 
 __all__ = [
+    "claims_by_task",
     "claims_by_worker",
     "initial_accuracy_matrix",
     "majority_vote",
     "co_answering_pairs",
     "shared_tasks",
+    "value_groups",
 ]
 
 
-def claims_by_worker(index: DatasetIndex) -> list[dict[int, str]]:
-    """``claims_by_worker(index)[i]`` is ``{task_index: value}``.
+def claims_by_task(index: DatasetIndex) -> list[dict[int, str]]:
+    """``claims_by_task(index)[j]`` is ``{worker_index: value}``, each
+    task's claims in arrival order."""
+    by_task: list[dict[int, str]] = [{} for _ in range(index.n_tasks)]
+    for (worker_id, task_id), value in index.dataset.claims.items():
+        by_task[index.task_pos[task_id]][index.worker_pos[worker_id]] = value
+    return by_task
 
-    Each worker's claims keep the campaign's arrival order; a
-    :meth:`~repro.core.indexing.DatasetIndex.restricted` view has no
-    campaign, so its claims come in task order.
-    """
+
+def value_groups(index: DatasetIndex) -> list[dict[str, tuple[int, ...]]]:
+    """``value_groups(index)[j]`` is ``{value: ascending worker indexes}``
+    (the paper's ``W_v^j``), values in sorted order."""
+    groups = []
+    for claims in claims_by_task(index):
+        by_value: dict[str, list[int]] = {}
+        for i, value in claims.items():
+            by_value.setdefault(value, []).append(i)
+        groups.append({v: tuple(sorted(ws)) for v, ws in sorted(by_value.items())})
+    return groups
+
+
+def claims_by_worker(index: DatasetIndex) -> list[dict[int, str]]:
+    """``claims_by_worker(index)[i]`` is ``{task_index: value}``, each
+    worker's claims in arrival order."""
     by_worker: list[dict[int, str]] = [{} for _ in range(index.n_workers)]
-    if index.dataset is None:
-        for j, claims in enumerate(index.claims_by_task):
-            for i, value in claims.items():
-                by_worker[i][j] = value
-        return by_worker
     for (worker_id, task_id), value in index.dataset.claims.items():
         by_worker[index.worker_pos[worker_id]][index.task_pos[task_id]] = value
     return by_worker
@@ -50,7 +66,7 @@ def co_answering_pairs(index: DatasetIndex) -> list[tuple[int, int]]:
 def shared_tasks(index: DatasetIndex) -> dict[tuple[int, int], tuple[int, ...]]:
     """``(a, b) -> task indexes answered by both`` for every pair."""
     shared: dict[tuple[int, int], list[int]] = {}
-    for j, claims in enumerate(index.claims_by_task):
+    for j, claims in enumerate(claims_by_task(index)):
         members = sorted(claims)
         for x in range(len(members)):
             for y in range(x + 1, len(members)):
@@ -66,7 +82,7 @@ def initial_accuracy_matrix(index: DatasetIndex, epsilon: float) -> np.ndarray:
     coverage in the auction stage).
     """
     matrix = np.zeros((index.n_workers, index.n_tasks), dtype=np.float64)
-    for j, claims in enumerate(index.claims_by_task):
+    for j, claims in enumerate(claims_by_task(index)):
         for i in claims:
             matrix[i, j] = epsilon
     return matrix
@@ -81,7 +97,7 @@ def majority_vote(index: DatasetIndex) -> list[str | None]:
     obtained through the voting mechanism ... initially").
     """
     winners: list[str | None] = []
-    for groups in index.value_groups:
+    for groups in value_groups(index):
         if not groups:
             winners.append(None)
             continue

@@ -3,7 +3,7 @@
 :meth:`repro.core.indexing.DatasetIndex.restricted` gathers the dirty
 tasks' CSR segments straight from the campaign index.  Before it, each
 ingest rebuilt those tasks as a fresh :class:`~repro.types.Dataset` and
-indexed it cold; :func:`_subcampaign` is that rebuild, kept verbatim so
+indexed it cold; :func:`_subcampaign` is that rebuild, kept so
 the property suite can pin ``DatasetIndex(_subcampaign(index, dirty))``
 and ``index.restricted(dirty)`` together field by field.
 """
@@ -15,6 +15,8 @@ from dataclasses import replace as dc_replace
 from repro.core.indexing import DatasetIndex
 from repro.types import Dataset
 
+from .indexing import claims_by_task
+
 __all__ = ["_subcampaign"]
 
 
@@ -25,10 +27,9 @@ def _subcampaign(index: DatasetIndex, dirty: list[int]) -> Dataset:
     kept worker set are dropped) without its full-campaign scan.
     """
     dataset = index.dataset
+    by_task = claims_by_task(index)
     tasks = tuple(dataset.tasks[j] for j in dirty)
-    worker_positions = sorted(
-        {i for j in dirty for i in index.claims_by_task[j]}
-    )
+    worker_positions = sorted({i for j in dirty for i in by_task[j]})
     keep_ids = {index.worker_ids[i] for i in worker_positions}
     workers = []
     for i in worker_positions:
@@ -44,6 +45,6 @@ def _subcampaign(index: DatasetIndex, dirty: list[int]) -> Dataset:
     claims = {
         (index.worker_ids[i], index.task_ids[j]): value
         for j in dirty
-        for i, value in index.claims_by_task[j].items()
+        for i, value in by_task[j].items()
     }
     return Dataset(tasks=tasks, workers=tuple(workers), claims=claims)

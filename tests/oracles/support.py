@@ -15,6 +15,7 @@ from repro.core.indexing import DatasetIndex
 from repro.core.support import SimilarityFn
 
 from .independence import IndependenceTable
+from .indexing import value_groups
 
 __all__ = ["support_counts", "select_truths"]
 
@@ -41,8 +42,7 @@ def support_counts(
             f"similarity_weight must be in [0, 1], got {similarity_weight}"
         )
     table: SupportTable = []
-    for j in range(index.n_tasks):
-        groups = index.value_groups[j]
+    for j, groups in enumerate(value_groups(index)):
         base: dict[str, float] = {}
         for value, group in groups.items():
             scores = independence[j][value]

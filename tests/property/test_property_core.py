@@ -25,6 +25,7 @@ from tests.oracles import (
     select_truths,
     support_counts,
     update_accuracy_matrix,
+    value_groups,
     value_posteriors,
 )
 
@@ -100,9 +101,9 @@ class TestIndependenceInvariants:
         table = independence_probabilities(
             index, deps, copy_prob_r=params["copy_prob_r"]
         )
-        for j in range(index.n_tasks):
+        for j, groups in enumerate(value_groups(index)):
             for value, scores in table[j].items():
-                assert set(scores) == set(index.value_groups[j][value])
+                assert set(scores) == set(groups[value])
                 for score in scores.values():
                     assert 0.0 < score <= 1.0
                 # The first worker in every group is undiscounted.
@@ -116,8 +117,8 @@ class TestPosteriorInvariants:
         index = DatasetIndex(dataset)
         accuracy = initial_accuracy_matrix(index, epsilon)
         posteriors = value_posteriors(index, accuracy)
-        for j, table in enumerate(posteriors):
-            if index.value_groups[j]:
+        for table, groups in zip(posteriors, value_groups(index)):
+            if groups:
                 assert math.isclose(sum(table.values()), 1.0, abs_tol=1e-9)
                 for p in table.values():
                     assert 0.0 <= p <= 1.0
@@ -134,8 +135,8 @@ class TestPosteriorInvariants:
             index, deps, copy_prob_r=params["copy_prob_r"]
         )
         posteriors = discounted_value_posteriors(index, accuracy, independence)
-        for j, table in enumerate(posteriors):
-            if index.value_groups[j]:
+        for table, groups in zip(posteriors, value_groups(index)):
+            if groups:
                 assert math.isclose(sum(table.values()), 1.0, abs_tol=1e-9)
 
     @given(dataset=claim_matrices())
@@ -168,11 +169,11 @@ class TestSupportInvariants:
         )
         support = support_counts(index, accuracy, independence)
         truths = select_truths(support)
-        for j in range(index.n_tasks):
+        for j, groups in enumerate(value_groups(index)):
             for count in support[j].values():
                 assert count >= 0.0
-            if index.value_groups[j]:
-                assert truths[j] in index.value_groups[j]
+            if groups:
+                assert truths[j] in groups
             else:
                 assert truths[j] is None
 

@@ -25,7 +25,7 @@ from repro.core import DatasetIndex
 from repro.core.falsedist import ZipfFalseValues
 
 from tests.conftest import assert_same_claim_arrays
-from tests.oracles import claims_by_worker
+from tests.oracles import claims_by_task, claims_by_worker, value_groups
 from tests.oracles.streaming import _subcampaign
 
 VALUES = ("A", "B", "C", "D")
@@ -115,9 +115,9 @@ def assert_view_matches_cold(view: DatasetIndex, cold: DatasetIndex) -> None:
     assert view.worker_pos == cold.worker_pos
     assert view.tasks == cold.tasks
     # Order matters: the undiscounted posterior ranks claims by arrival.
-    assert _items(view.claims_by_task) == _items(cold.claims_by_task)
+    assert _items(claims_by_task(view)) == _items(claims_by_task(cold))
     assert _items(claims_by_worker(view)) == _items(claims_by_worker(cold))
-    assert _items(view.value_groups) == _items(cold.value_groups)
+    assert _items(value_groups(view)) == _items(value_groups(cold))
     np.testing.assert_array_equal(view.num_false, cold.num_false)
     assert view.num_false.dtype == cold.num_false.dtype
     assert_same_claim_arrays(view.arrays, cold.arrays)
@@ -137,8 +137,10 @@ class TestRestrictedIndex:
     def test_view_matches_cold_subcampaign_index(self, case):
         index, dirty = case
         view, positions = index.restricted(np.asarray(dirty, dtype=np.int64))
-        assert_view_matches_cold(view, DatasetIndex(_subcampaign(index, dirty)))
-        assert view.dataset is None
+        sub = _subcampaign(index, dirty)
+        assert_view_matches_cold(view, DatasetIndex(sub))
+        assert view.dataset == sub
+        assert list(view.dataset.claims.items()) == list(sub.claims.items())
 
         # Each view claim maps back to the same (worker, task, value).
         arrays = index.arrays

@@ -15,6 +15,7 @@ from tests.oracles import (
     discounted_value_posteriors,
     initial_accuracy_matrix,
     update_accuracy_matrix,
+    value_groups,
     value_posteriors,
 )
 
@@ -24,8 +25,8 @@ class TestValuePosteriors:
         index = DatasetIndex(tiny_dataset)
         accuracy = initial_accuracy_matrix(index, 0.6)
         posteriors = value_posteriors(index, accuracy)
-        for j, table in enumerate(posteriors):
-            if index.value_groups[j]:
+        for table, groups in zip(posteriors, value_groups(index)):
+            if groups:
                 assert sum(table.values()) == pytest.approx(1.0)
 
     def test_majority_value_wins_at_equal_accuracy(self, tiny_dataset):
@@ -45,10 +46,10 @@ class TestValuePosteriors:
             for j in claims:
                 accuracy[i, j] = rng.uniform(0.2, 0.9)
         posteriors = value_posteriors(index, accuracy)
-        for j in range(index.n_tasks):
+        for j, groups in enumerate(value_groups(index)):
             num = float(index.num_false[j])
             scores = {}
-            for value, group in index.value_groups[j].items():
+            for value, group in groups.items():
                 scores[value] = math.prod(
                     num * accuracy[i, j] / (1.0 - accuracy[i, j]) for i in group
                 )
@@ -88,7 +89,7 @@ class TestDiscountedPosteriors:
     def _full_independence(self, index):
         return [
             {value: {i: 1.0 for i in group} for value, group in groups.items()}
-            for groups in index.value_groups
+            for groups in value_groups(index)
         ]
 
     def test_equals_plain_when_independence_is_one(self, tiny_dataset):
@@ -107,7 +108,7 @@ class TestDiscountedPosteriors:
         accuracy = initial_accuracy_matrix(index, 0.6)
         independence = self._full_independence(index)
         # Mark one of the B-supporters on t1 as a near-certain copier.
-        b_group = index.value_groups[1]["B"]
+        b_group = value_groups(index)[1]["B"]
         independence[1]["B"][b_group[-1]] = 0.05
         plain = discounted_value_posteriors(
             index, accuracy, self._full_independence(index)
@@ -122,8 +123,8 @@ class TestDiscountedPosteriors:
         tables = discounted_value_posteriors(
             index, accuracy, self._full_independence(index)
         )
-        for j, table in enumerate(tables):
-            if index.value_groups[j]:
+        for table, groups in zip(tables, value_groups(index)):
+            if groups:
                 assert sum(table.values()) == pytest.approx(1.0)
 
 

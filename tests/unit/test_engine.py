@@ -29,6 +29,7 @@ from repro.core.falsedist import UniformFalseValues
 from repro.datasets import generate_qatar_living_like
 
 from tests.oracles import (
+    claims_by_task,
     claims_by_worker,
     co_answering_pairs,
     compute_pairwise_dependence,
@@ -41,6 +42,7 @@ from tests.oracles import (
     shared_tasks,
     support_counts,
     update_accuracy_matrix,
+    value_groups,
     value_posteriors,
 )
 
@@ -70,14 +72,15 @@ class TestClaimArraysStructure:
         assert arrays.worker_ptr[-1] == arrays.n_claims
 
     def test_claims_match_index(self, index, arrays):
+        by_task = claims_by_task(index)
         for c in range(arrays.n_claims):
             i = int(arrays.claim_worker[c])
             j = int(arrays.claim_task[c])
             value = arrays.group_values[int(arrays.claim_group[c])]
-            assert index.claims_by_task[j][i] == value
+            assert by_task[j][i] == value
 
     def test_groups_match_value_groups(self, index, arrays):
-        for j in range(index.n_tasks):
+        for j, groups in enumerate(value_groups(index)):
             g0, g1 = int(arrays.task_group_ptr[j]), int(arrays.task_group_ptr[j + 1])
             observed = {}
             for g in range(g0, g1):
@@ -85,7 +88,7 @@ class TestClaimArraysStructure:
                 observed[arrays.group_values[g]] = tuple(
                     int(w) for w in arrays.claim_worker[c0:c1]
                 )
-            assert observed == index.value_groups[j]
+            assert observed == groups
             # Codes follow sorted value order.
             assert list(observed) == sorted(observed)
 
@@ -217,7 +220,7 @@ class TestKernelAgreement:
 
         ones = [
             {value: {i: 1.0 for i in group} for value, group in groups.items()}
-            for groups in index.value_groups
+            for groups in value_groups(index)
         ]
         support_ref = support_counts(index, acc_ref, ones)
         group_support = support_flat(
@@ -289,8 +292,7 @@ class TestMajorityVoteArrayNative:
             index.task_ids[j]: v for j, v in enumerate(truths) if v is not None
         }
         assert result.truths == expected
-        for j, task_id in enumerate(index.task_ids):
-            groups = index.value_groups[j]
+        for task_id, groups in zip(index.task_ids, value_groups(index)):
             if not groups:
                 assert task_id not in result.support
                 continue

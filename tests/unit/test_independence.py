@@ -13,6 +13,7 @@ from tests.oracles import (
     initial_accuracy_matrix,
     majority_vote,
     order_value_group,
+    value_groups,
 )
 
 
@@ -100,9 +101,9 @@ class TestIndependenceTable:
     def test_covers_every_provider(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
         table = independence_probabilities(index, {}, copy_prob_r=0.4)
-        for j in range(index.n_tasks):
-            assert set(table[j]) == set(index.value_groups[j])
-            for value, group in index.value_groups[j].items():
+        for j, groups in enumerate(value_groups(index)):
+            assert set(table[j]) == set(groups)
+            for value, group in groups.items():
                 assert set(table[j][value]) == set(group)
 
     def test_no_dependence_means_no_discount(self, tiny_dataset):

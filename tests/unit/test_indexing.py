@@ -14,6 +14,7 @@ from tests.oracles import (
     initial_accuracy_matrix,
     majority_vote,
     shared_tasks,
+    value_groups,
 )
 
 
@@ -26,17 +27,21 @@ class TestIndexStructure:
         assert index.worker_pos["w4"] == 3
 
     def test_claims_round_trip(self, tiny_dataset):
+        # The arrays alone give back every claim, in arrival order.
         index = DatasetIndex(tiny_dataset)
-        by_worker = claims_by_worker(index)
-        for (worker_id, task_id), value in tiny_dataset.claims.items():
-            i = index.worker_pos[worker_id]
-            j = index.task_pos[task_id]
-            assert index.claims_by_task[j][i] == value
-            assert by_worker[i][j] == value
+        arrays = index.arrays
+        decoded = [
+            (
+                (index.worker_ids[arrays.claim_worker[c]], index.task_ids[arrays.claim_task[c]]),
+                arrays.group_values[arrays.claim_group[c]],
+            )
+            for c in np.argsort(arrays.claim_seq)
+        ]
+        assert decoded == list(tiny_dataset.claims.items())
 
     def test_value_groups_sorted_and_complete(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        groups = index.value_groups[1]  # task t1
+        groups = value_groups(index)[1]  # task t1
         assert list(groups) == sorted(groups)
         assert groups["A"] == (0, 1, 4)
         assert groups["B"] == (2, 3)
@@ -115,6 +120,7 @@ class TestMajorityVote:
         assert majority_vote(index) == ["x", None]
 
 
+from tests.conftest import CLAIM_ARRAY_FIELDS
 from tests.conftest import assert_same_claim_arrays as assert_same_arrays
 
 
@@ -138,7 +144,7 @@ class TestIndexExtension:
         ext = index.extended(tasks=new_tasks, claims=new_claims)
         cold = DatasetIndex(tiny_dataset)
         assert ext.index.task_ids == cold.task_ids
-        assert ext.index.value_groups == cold.value_groups
+        assert value_groups(ext.index) == value_groups(cold)
         np.testing.assert_array_equal(ext.index.num_false, cold.num_false)
         assert_same_arrays(ext.index.arrays, cold.arrays)
 
@@ -159,7 +165,6 @@ class TestIndexExtension:
         index.arrays
         ext = index.extended(claims={("w5", "t2"): "C", ("w5", "t3"): "A"})
         assert sorted(ext.dirty_tasks.tolist()) == [2, 3]
-        assert len(ext.new_task_positions) == 0
         merged = dict(tiny_dataset.claims)
         merged.update({("w5", "t2"): "C", ("w5", "t3"): "A"})
         cold = DatasetIndex(
@@ -182,21 +187,16 @@ class TestIndexExtension:
         # exactly one new claim got no carried state
         assert (carried < 0).sum() == 1
 
-    def test_claim_map_none_without_materialized_arrays(self, tiny_dataset):
-        index = DatasetIndex(tiny_dataset)
-        ext = index.extended(claims={("w5", "t2"): "C"})
-        assert ext.claim_map is None
-        # the new index still encodes correctly, just lazily
-        assert ext.index.arrays.n_claims == index.dataset.n_claims + 1
-
     def test_old_index_is_not_mutated(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
-        before_groups = {j: dict(g) for j, g in enumerate(index.value_groups)}
-        before_claims = {j: dict(c) for j, c in enumerate(index.claims_by_task)}
-        index.arrays
+        before = {
+            name: getattr(index.arrays, name).copy()
+            for name in CLAIM_ARRAY_FIELDS + ("claim_seq",)
+        }
         index.extended(claims={("w5", "t2"): "C"})
-        assert {j: dict(g) for j, g in enumerate(index.value_groups)} == before_groups
-        assert {j: dict(c) for j, c in enumerate(index.claims_by_task)} == before_claims
+        for name, array in before.items():
+            np.testing.assert_array_equal(getattr(index.arrays, name), array, err_msg=name)
+        assert index.dataset is tiny_dataset
         assert index.arrays.n_claims == tiny_dataset.n_claims
 
     def test_new_workers_and_sources(self, tiny_dataset):

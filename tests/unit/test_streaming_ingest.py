@@ -9,7 +9,7 @@ import pytest
 from repro import Task, WorkerProfile
 from repro.errors import DataFormatError
 from repro.streaming import ClaimBatch, batch_from_json, batch_to_json, replay_batches
-from repro.streaming.ingest import coerce_number
+from repro.streaming.ingest import coerce_number, task_from_spec, worker_from_spec
 
 
 class TestClaimBatch:
@@ -125,6 +125,46 @@ class TestJsonRoundTrip:
             batch_from_json({"tasks": [{"domain": ["A"]}]})
         with pytest.raises(DataFormatError, match="worker_id"):
             batch_from_json({"workers": [{}]})
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ({"claims": 5}, "'claims' must be an array"),
+            ({"claims": {"worker": "w", "task": "t", "value": "A"}}, "'claims' must be an array"),
+            ({"tasks": "t1"}, "'tasks' must be an array"),
+            ({"workers": {"worker_id": "w"}}, "'workers' must be an array"),
+            ({"tasks": [{"task_id": "t", "domain": "AB"}]}, "'domain' must be an array"),
+            ({"workers": [{"worker_id": "w", "sources": "w12"}]}, "'sources' must be an array"),
+        ],
+    )
+    def test_non_array_fields_rejected(self, payload, match):
+        with pytest.raises(DataFormatError, match=match):
+            batch_from_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ({"claims": [{"worker": "w", "task": "t", "value": None}]}, "claim value"),
+            ({"claims": [{"worker": "w", "task": "t", "value": 1}]}, "claim value"),
+            ({"claims": [{"worker": 7, "task": "t", "value": "A"}]}, "claim worker"),
+            ({"claims": [{"worker": "w", "task": None, "value": "A"}]}, "claim task"),
+            ({"tasks": [{"task_id": None}]}, "task_id"),
+            ({"tasks": [{"task_id": 3}]}, "task_id"),
+            ({"tasks": [{"task_id": "t", "domain": ["A", 2]}]}, "domain value"),
+            ({"tasks": [{"task_id": "t", "truth": 1}]}, "truth"),
+            ({"workers": [{"worker_id": None}]}, "worker_id"),
+            ({"workers": [{"worker_id": "w", "sources": [12]}]}, "source"),
+        ],
+    )
+    def test_non_string_ids_and_values_rejected(self, payload, match):
+        with pytest.raises(DataFormatError, match=f"{match} must be a string"):
+            batch_from_json(payload)
+
+    def test_spec_decoders_reject_non_strings(self):
+        with pytest.raises(DataFormatError, match="task_id must be a string"):
+            task_from_spec({"task_id": None})
+        with pytest.raises(DataFormatError, match="'sources' must be an array"):
+            worker_from_spec({"worker_id": "w", "sources": "w12"})
 
     @pytest.mark.parametrize(
         "value", ["nan", "inf", "-Infinity", float("nan"), float("inf")]

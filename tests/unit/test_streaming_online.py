@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro import DATE, Dataset, DateConfig, Task, WorkerProfile
+from repro.artifacts.ledger import snapshot_fingerprint
 from repro.core.indexing import ClaimArrays, DatasetIndex
 from repro.datasets import generate_qatar_living_like
 from repro.errors import ConfigurationError, DataFormatError
 from repro.streaming import ClaimBatch, OnlineDATE, replay_batches
+from repro.streaming.campaign import _campaign_content_key
 
 from tests.oracles import run_reference
 
@@ -167,6 +169,53 @@ class TestOneEncoding:
         assert not any(update.refreshed for update in updates)
         assert all(update.iterations > 0 for update in updates)
         assert calls == {"DatasetIndex": 0, "ClaimArrays": 0, "Dataset": 0}
+
+
+class TestDatasetAfterReplay:
+    @pytest.fixture
+    def shuffled_replay(self, qlf_small):
+        """``qlf_small`` in 4 batches, each listing its claims shuffled;
+        every worker registers with the first batch, in dataset order."""
+        rng = np.random.default_rng(7)
+        batches = []
+        for k, batch in enumerate(replay_batches(qlf_small, 4)):
+            items = list(batch.claims.items())
+            order = rng.permutation(len(items))
+            batches.append(
+                ClaimBatch(
+                    claims=dict(items[i] for i in order),
+                    tasks=batch.tasks,
+                    workers=qlf_small.workers if k == 0 else (),
+                )
+            )
+        return batches
+
+    def test_dataset_equals_source_in_arrival_order(self, qlf_small, shuffled_replay):
+        online = OnlineDATE()
+        for batch in shuffled_replay:
+            online.ingest(batch)
+        dataset = online.dataset
+        assert dataset == qlf_small
+        assert dataset.tasks == qlf_small.tasks
+        assert dataset.workers == qlf_small.workers
+        arrived = [item for batch in shuffled_replay for item in batch.claims.items()]
+        assert list(dataset.claims.items()) == arrived
+        assert list(dataset.claims.items()) != list(qlf_small.claims.items())
+
+    def test_refresh_fingerprint_matches_source(self, qlf_small, shuffled_replay):
+        online = OnlineDATE()
+        for batch in shuffled_replay:
+            online.ingest(batch)
+        want = snapshot_fingerprint(
+            {
+                "date": online.config,
+                "algorithm": online.algorithm,
+                "tasks": qlf_small.tasks,
+                "workers": qlf_small.workers,
+                "claims": qlf_small.claims,
+            }
+        )
+        assert snapshot_fingerprint(_campaign_content_key(online)) == want
 
 
 class TestLeanRun:

@@ -367,6 +367,39 @@ class TestStreamingApp:
         assert app.handle("GET", "/campaigns", None)[1] == {"campaigns": []}
 
     @pytest.mark.parametrize(
+        "batch",
+        [
+            {"claims": 5},
+            {"claims": [{"worker": "w0", "task": "t0", "value": None}]},
+            {"claims": [{"worker": "w0", "task": None, "value": "A"}]},
+            {"workers": [{"worker_id": "w9", "sources": "w12"}]},
+            {"tasks": [{"task_id": None}]},
+        ],
+    )
+    def test_malformed_wire_batch_400_before_journal(self, tmp_path, batch):
+        # Wrong JSON types are a 400 at the decode edge: never a 500,
+        # never a claim or id silently stringified into the journal.
+        app = StreamingApp(CampaignStore(journal_dir=tmp_path))
+        seed = {
+            "tasks": [{"task_id": "t0"}],
+            "workers": [{"worker_id": "w0"}, {"worker_id": "w1"}, {"worker_id": "w12"}],
+        }
+        assert app.handle("POST", "/campaigns", {"campaign_id": "c1", **seed})[0] == 201
+        journal = journal_path(tmp_path, "c1")
+        size = journal.stat().st_size
+
+        status, body = app.handle("POST", "/campaigns/c1/claims", batch)
+        assert status == 400 and "error" in body
+        assert journal.stat().st_size == size
+        assert app.handle("GET", "/campaigns/c1", None)[1]["claims"] == 0
+
+        # The create route decodes its tasks and workers the same way.
+        if "claims" not in batch:
+            status, body = app.handle("POST", "/campaigns", {"campaign_id": "c2", **batch})
+            assert status == 400 and "error" in body
+            assert not journal_path(tmp_path, "c2").exists()
+
+    @pytest.mark.parametrize(
         "config",
         [
             {"accuracy_clamp": [0.1]},

@@ -10,13 +10,14 @@ from tests.oracles import (
     initial_accuracy_matrix,
     select_truths,
     support_counts,
+    value_groups,
 )
 
 
 def full_independence(index):
     return [
         {value: {i: 1.0 for i in group} for value, group in groups.items()}
-        for groups in index.value_groups
+        for groups in value_groups(index)
     ]
 
 
@@ -33,7 +34,7 @@ class TestSupportCounts:
         index = DatasetIndex(tiny_dataset)
         accuracy = initial_accuracy_matrix(index, 0.5)
         independence = full_independence(index)
-        b_group = index.value_groups[1]["B"]
+        b_group = value_groups(index)[1]["B"]
         independence[1]["B"][b_group[-1]] = 0.2
         table = support_counts(index, accuracy, independence)
         assert table[1]["B"] == pytest.approx(0.5 + 0.5 * 0.2)
