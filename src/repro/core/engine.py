@@ -2,8 +2,11 @@
 
 This module executes the four steps of Alg. 1 (documented in
 :mod:`~repro.core.dependence`, :mod:`~repro.core.accuracy` and
-:mod:`~repro.core.support`) as flat numpy passes over the integer-coded
-claim arrays.  State lives in three flat arrays between iterations:
+:mod:`~repro.core.support`) as flat passes over the integer-coded
+claim arrays: numpy, plus the compiled kernels of
+:mod:`~repro.core.native` for the pair-row arithmetic of step 1 and
+the greedy of step 2.  State lives in three flat arrays between
+iterations:
 
 - ``claim_acc`` — one accuracy per claim (the non-zero entries of the
   dense ``A`` matrix, in claim order);
@@ -30,12 +33,11 @@ import numpy as np
 from .dependence import DependencePosterior
 from .indexing import (
     ClaimArrays,
-    PairRowClass,
     _concat_ranges,
     pair_row_keys,
     segment_first_argmax_code,
 )
-from .native import load_independence_bucket
+from .native import load_kernels
 
 __all__ = [
     "DependenceArrays",
@@ -56,8 +58,14 @@ __all__ = [
 ]
 
 # Likelihood terms are clamped away from 0 so a single impossible-looking
-# observation cannot produce -inf log likelihoods.
+# observation cannot produce -inf log likelihoods (dependence.c floors
+# the pair-row terms at the same value).
 _MIN_PROB = 1e-12
+
+# The compiled kernels (dependence.c, independence.c); built into the
+# per-user cache on first import (an ImportError names a missing C
+# compiler).
+_kernels = load_kernels()
 
 
 def _safe_log(x: np.ndarray) -> np.ndarray:
@@ -225,132 +233,99 @@ def _score_pair_rows(
     collision: np.ndarray,
     lo: float,
     hi: float,
-    rows,
+    rows: np.ndarray | None,
     out_ind: np.ndarray,
     out_ab: np.ndarray,
     out_ba: np.ndarray,
-    scratch: KernelScratch,
 ) -> None:
     """Per-row hypothesis log-likelihood terms for ``rows`` (Eqs. 7-13).
 
-    Every output element depends only on that row's own inputs, so
-    scoring any subset — the scattered rows of a few touched tasks —
-    reproduces bit for bit what a full pass writes at those positions.
-    That elementwise property is what :class:`IncrementalDependence`
-    leans on.
-    ``rows`` is a slice or an int index array; ``out_*`` hold one entry
-    per row of ``rows``.
-
-    Rows are scored per static class (:attr:`ClaimArrays.pair_row_classes`):
-    differing rows need neither the truth nor the same-value terms, and
-    same-value rows need no ``P_d``.  Each class writes its results at
-    its own positions, so splitting changes no row's arithmetic.
+    ``rows`` is ``None`` for every pair-table row or an int index array;
+    ``out_*`` are contiguous float64 arrays with one entry per scored
+    row.  The compiled ``score_pair_rows`` writes each row's three
+    likelihoods before the log, reading the pair tables, claim codes
+    and accuracies directly; numpy's ``log`` then runs in place on the
+    three outputs.  Every output element depends only on that row's own
+    inputs, so scoring any subset — the scattered rows of a few touched
+    tasks — reproduces bit for bit what a full pass writes at those
+    positions.  That elementwise property is what
+    :class:`IncrementalDependence` leans on.
     """
-    (same_at, same), (differ_at, differ) = _row_classes(arrays, rows)
-
-    # Differing rows (T_d): P_d = 1 - P_s - P_f, with both copy
-    # directions sharing log(P_d · (1 - r)) (Eqs. 9, 13, 14).
-    n = len(differ.rows)
-    acc_a = _clipped_take(claim_acc, differ.claim_a, lo, hi, scratch.array("sc_acc_a", n))
-    acc_b = _clipped_take(claim_acc, differ.claim_b, lo, hi, scratch.array("sc_acc_b", n))
-    p_diff = np.multiply(acc_a, acc_b, out=scratch.array("sc_p", n))
-    np.subtract(1.0, p_diff, out=p_diff)
-    np.subtract(1.0, acc_a, out=acc_a)
-    np.subtract(1.0, acc_b, out=acc_b)
-    np.multiply(acc_a, acc_b, out=acc_a)
-    np.multiply(acc_a, np.take(collision, differ.task, out=acc_b, mode="clip"), out=acc_a)
-    np.subtract(p_diff, acc_a, out=p_diff)
-    np.maximum(p_diff, _MIN_PROB, out=p_diff)
-    out_ind[differ_at] = np.log(p_diff, out=acc_a)
-    np.multiply(p_diff, 1.0 - r, out=p_diff)
-    np.maximum(p_diff, _MIN_PROB, out=p_diff)
-    np.log(p_diff, out=p_diff)
-    out_ab[differ_at] = p_diff
-    out_ba[differ_at] = p_diff
-
-    # Same-value rows: T_s rows (the shared value is the truth) score
-    # the true-agreement likelihood P_s = A·A' with copy source A, T_f
-    # rows the false collision P_f = (1-A)(1-A')·col with source 1 - A
-    # (Eqs. 7, 8, 11, 12, 22); both directions are log(src · r +
-    # P · (1 - r)).
-    n = len(same.rows)
-    src_a = _clipped_take(claim_acc, same.claim_a, lo, hi, scratch.array("sc_acc_a", n))
-    src_b = _clipped_take(claim_acc, same.claim_b, lo, hi, scratch.array("sc_acc_b", n))
-    truth = np.take(
-        truth_codes, same.task, out=scratch.array("sc_truth", n, np.int64), mode="clip"
+    n_rows = len(arrays.ps_pair)
+    if rows is not None:
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        if len(rows) and not (0 <= rows.min() and rows.max() < n_rows):
+            raise IndexError(f"pair-table rows out of range [0, {n_rows})")
+    n = n_rows if rows is None else len(rows)
+    n_tasks = arrays.index.n_tasks
+    if len(truth_codes) != n_tasks or len(collision) != n_tasks:
+        raise ValueError(
+            f"{len(truth_codes)} truth codes / {len(collision)} collision "
+            f"probabilities for {n_tasks} tasks"
+        )
+    if len(claim_acc) != arrays.n_claims:
+        raise ValueError(f"{len(claim_acc)} accuracies for {arrays.n_claims} claims")
+    _check_buffers((out_ind, out_ab, out_ba), n)
+    inputs = (
+        np.ascontiguousarray(arrays.ps_claim_a, dtype=np.int64),
+        np.ascontiguousarray(arrays.ps_claim_b, dtype=np.int64),
+        np.ascontiguousarray(arrays.ps_task, dtype=np.int64),
+        np.ascontiguousarray(arrays.claim_code, dtype=np.int64),
+        np.ascontiguousarray(claim_acc, dtype=np.float64),
+        np.ascontiguousarray(truth_codes, dtype=np.int64),
+        np.ascontiguousarray(collision, dtype=np.float64),
     )
-    on_truth = np.equal(same.code, truth, out=scratch.array("sc_on_truth", n))
-    off_truth = np.subtract(1.0, on_truth, out=scratch.array("sc_off_truth", n))
-    for src in (src_a, src_b):
-        _select(on_truth, src, off_truth, np.subtract(1.0, src, out=scratch.array("sc_tmp", n)))
-    p_same = np.multiply(src_a, src_b, out=scratch.array("sc_p", n))
-    col = np.take(collision, same.task, out=scratch.array("sc_tmp", n), mode="clip")
-    # The collision factor is an exact 1.0 on T_s rows: col · 0 + 1.
-    np.multiply(col, off_truth, out=col)
-    np.add(col, on_truth, out=col)
-    np.multiply(p_same, col, out=p_same)
-    np.maximum(p_same, _MIN_PROB, out=col)
-    out_ind[same_at] = np.log(col, out=col)
-    np.multiply(p_same, 1.0 - r, out=p_same)
-    for src, out in ((src_b, out_ab), (src_a, out_ba)):
-        np.multiply(src, r, out=src)
-        np.add(src, p_same, out=src)
-        np.maximum(src, _MIN_PROB, out=src)
-        out[same_at] = np.log(src, out=src)
-
-
-def _clipped_take(
-    values: np.ndarray, index: np.ndarray, lo: float, hi: float, out: np.ndarray
-) -> np.ndarray:
-    """``clip(values[index], lo, hi)`` written into ``out``.
-
-    ``index`` holds the arrays' own claim positions, always in range;
-    ``mode="clip"`` spares ``take`` the buffered copy its bounds-checking
-    default makes when given ``out``.
-    """
-    np.take(values, index, out=out, mode="clip")
-    return np.clip(out, lo, hi, out=out)
-
-
-def _select(
-    mask: np.ndarray, values: np.ndarray, other_mask: np.ndarray, other: np.ndarray
-) -> np.ndarray:
-    """``where(mask, values, other)`` written into ``values``.
-
-    ``mask`` and ``other_mask = 1 - mask`` are 0.0/1.0 arrays, so this is
-    the blend ``values · mask + other · other_mask`` (``other`` is
-    overwritten) — exact for finite inputs, as ``x · 1 = x``,
-    ``x · 0 = ±0`` and ``x + ±0 = x``, and cheaper than a masked
-    ``copyto``.
-    """
-    np.multiply(values, mask, out=values)
-    np.multiply(other, other_mask, out=other)
-    return np.add(values, other, out=values)
-
-
-def _row_classes(
-    arrays: ClaimArrays, rows
-) -> tuple[tuple[np.ndarray, PairRowClass], tuple[np.ndarray, PairRowClass]]:
-    """``rows`` split into its ``(same_value, differing)`` classes.
-
-    Each class comes with its positions within ``rows`` — where its
-    scores land in the caller's outputs.  A slice takes contiguous
-    views of the cached classes (their rows ascend); an index array
-    splits by the per-row flag and gathers its classes' inputs.
-    """
-    if isinstance(rows, slice):
-        parts = []
-        for cls in arrays.pair_row_classes:
-            first, last = np.searchsorted(cls.rows, (rows.start, rows.stop))
-            part = cls[first:last]
-            parts.append((part.rows - rows.start if rows.start else part.rows, part))
-        return parts[0], parts[1]
-    flag = arrays.pair_row_same[rows]
-    same_at, differ_at = np.flatnonzero(flag), np.flatnonzero(~flag)
-    return (
-        (same_at, arrays.pair_row_class(rows[same_at], same=True)),
-        (differ_at, arrays.pair_row_class(rows[differ_at], same=False)),
+    _kernels.score_pair_rows(
+        n,
+        None if rows is None else rows.ctypes.data,
+        *(a.ctypes.data for a in inputs),
+        lo,
+        hi,
+        r,
+        *(a.ctypes.data for a in (out_ind, out_ab, out_ba)),
     )
+    for out in (out_ind, out_ab, out_ba):
+        np.log(out, out=out)
+
+
+def _pair_sums(
+    arrays: ClaimArrays,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray],
+    sums: tuple[np.ndarray, np.ndarray, np.ndarray],
+    pairs: np.ndarray | None = None,
+) -> None:
+    """Sum each pair's row terms into ``sums`` at the pair's index.
+
+    ``terms`` are the three full-length row-term arrays, ``sums`` three
+    per-pair arrays; ``pairs`` lists the pairs to sum (``None``: all).
+    Each sum adds the pair's contiguous row segment sequentially from
+    +0.0 in row order — exactly ``np.bincount(ps_pair, weights=...)``'s
+    order, so summing a subset of pairs writes the bits a full pass
+    writes there (``np.add.reduceat`` would not: its pairwise summation
+    reassociates).
+    """
+    n_pairs = arrays.n_pairs
+    if pairs is not None:
+        pairs = np.ascontiguousarray(pairs, dtype=np.int64)
+        if len(pairs) and not (0 <= pairs.min() and pairs.max() < n_pairs):
+            raise IndexError(f"pairs out of range [0, {n_pairs})")
+    _check_buffers(terms, len(arrays.ps_pair))
+    _check_buffers(sums, n_pairs)
+    pair_ptr = np.ascontiguousarray(arrays.pair_ptr, dtype=np.int64)
+    _kernels.pair_sums(
+        n_pairs if pairs is None else len(pairs),
+        None if pairs is None else pairs.ctypes.data,
+        pair_ptr.ctypes.data,
+        *(a.ctypes.data for a in terms),
+        *(a.ctypes.data for a in sums),
+    )
+
+
+def _check_buffers(arrays, size: int) -> None:
+    """Refuse buffers a kernel cannot address as ``size`` float64s."""
+    for values in arrays:
+        if values.dtype != np.float64 or not values.flags.c_contiguous or len(values) != size:
+            raise ValueError(f"kernel buffers must be {size} contiguous float64 entries")
 
 
 def _dependence_posteriors(
@@ -412,9 +387,7 @@ def pairwise_dependence_arrays(
     scratch = scratch if scratch is not None else _thread_scratch()
     n_rows = len(arrays.ps_pair)
     n_pairs = arrays.n_pairs
-    out_ind = scratch.array("dep_ind", n_rows)
-    out_ab = scratch.array("dep_ab", n_rows)
-    out_ba = scratch.array("dep_ba", n_rows)
+    terms = tuple(scratch.array(f"dep_{name}", n_rows) for name in ("ind", "ab", "ba"))
     _score_pair_rows(
         arrays,
         truth_codes,
@@ -423,19 +396,14 @@ def pairwise_dependence_arrays(
         collision=collision,
         lo=lo,
         hi=hi,
-        rows=slice(0, n_rows),
-        out_ind=out_ind,
-        out_ab=out_ab,
-        out_ba=out_ba,
-        scratch=scratch,
+        rows=None,
+        out_ind=terms[0],
+        out_ab=terms[1],
+        out_ba=terms[2],
     )
-    p_ab, p_ba = _dependence_posteriors(
-        np.bincount(arrays.ps_pair, weights=out_ind, minlength=n_pairs),
-        np.bincount(arrays.ps_pair, weights=out_ab, minlength=n_pairs),
-        np.bincount(arrays.ps_pair, weights=out_ba, minlength=n_pairs),
-        prior_alpha,
-        scratch,
-    )
+    sums = tuple(scratch.array(f"dep_sum_{name}", n_pairs) for name in ("ind", "ab", "ba"))
+    _pair_sums(arrays, terms, sums)
+    p_ab, p_ba = _dependence_posteriors(*sums, prior_alpha, scratch)
     return DependenceArrays(p_ab=p_ab, p_ba=p_ba)
 
 
@@ -456,11 +424,9 @@ class IncrementalDependence:
       rows, and rows whose inputs (truth code, the two claim
       accuracies, the task's collision probability) did not change
       keep their cached contributions unchanged;
-    - per-pair sums use the same sequential-accumulation primitive as
-      the full pass (``np.bincount``), re-summing each *affected* pair
-      over its full contiguous row segment — same addends, same order,
-      same bits (``np.add.reduceat`` would not qualify: its pairwise
-      summation reassociates);
+    - per-pair sums use the full pass's own kernel (:func:`_pair_sums`),
+      re-summing each *affected* pair over its full contiguous row
+      segment — same addends, same order, same bits;
     - posterior normalization is elementwise over pairs
       (:func:`_dependence_posteriors`), so renormalizing only the
       affected pairs leaves the rest bit-frozen.
@@ -654,6 +620,8 @@ class IncrementalDependence:
 
     def _refresh_full(self, truth_codes: np.ndarray, claim_acc: np.ndarray) -> None:
         arrays = self._arrays
+        terms = (self._row_ind, self._row_ab, self._row_ba)
+        sums = (self._sum_ind, self._sum_ab, self._sum_ba)
         _score_pair_rows(
             arrays,
             truth_codes,
@@ -662,25 +630,13 @@ class IncrementalDependence:
             collision=self._collision,
             lo=self._lo,
             hi=self._hi,
-            rows=slice(0, len(arrays.ps_pair)),
-            out_ind=self._row_ind,
-            out_ab=self._row_ab,
-            out_ba=self._row_ba,
-            scratch=self._scratch,
+            rows=None,
+            out_ind=terms[0],
+            out_ab=terms[1],
+            out_ba=terms[2],
         )
-        n_pairs = arrays.n_pairs
-        self._sum_ind = np.bincount(
-            arrays.ps_pair, weights=self._row_ind, minlength=n_pairs
-        )
-        self._sum_ab = np.bincount(
-            arrays.ps_pair, weights=self._row_ab, minlength=n_pairs
-        )
-        self._sum_ba = np.bincount(
-            arrays.ps_pair, weights=self._row_ba, minlength=n_pairs
-        )
-        self._p_ab, self._p_ba = _dependence_posteriors(
-            self._sum_ind, self._sum_ab, self._sum_ba, self._alpha, self._scratch
-        )
+        _pair_sums(arrays, terms, sums)
+        self._p_ab, self._p_ba = _dependence_posteriors(*sums, self._alpha, self._scratch)
 
     def _refresh_tasks(
         self,
@@ -716,7 +672,6 @@ class IncrementalDependence:
             out_ind=out_ind,
             out_ab=out_ab,
             out_ba=out_ba,
-            scratch=scratch,
         )
         self._row_ind[rows] = out_ind
         self._row_ab[rows] = out_ab
@@ -728,36 +683,16 @@ class IncrementalDependence:
         mask[:] = False
         mask[arrays.ps_pair[rows]] = True
         affected = np.flatnonzero(mask)
-        pair_ptr = arrays.pair_ptr
-        lengths = pair_ptr[affected + 1] - pair_ptr[affected]
-        gathered = _concat_ranges(pair_ptr[affected], lengths)
-        segments = np.repeat(np.arange(len(affected)), lengths)
         # Re-sum each affected pair over its full contiguous row
-        # segment with the full pass's own primitive — same addends in
-        # the same sequential order, hence the same bits.
-        self._sum_ind[affected] = np.bincount(
-            segments, weights=self._row_ind[gathered], minlength=len(affected)
-        )
-        self._sum_ab[affected] = np.bincount(
-            segments, weights=self._row_ab[gathered], minlength=len(affected)
-        )
-        self._sum_ba[affected] = np.bincount(
-            segments, weights=self._row_ba[gathered], minlength=len(affected)
-        )
+        # segment with the full pass's own kernel — same addends in the
+        # same sequential order, hence the same bits.
+        sums = (self._sum_ind, self._sum_ab, self._sum_ba)
+        _pair_sums(arrays, (self._row_ind, self._row_ab, self._row_ba), sums, affected)
         p_ab, p_ba = _dependence_posteriors(
-            self._sum_ind[affected],
-            self._sum_ab[affected],
-            self._sum_ba[affected],
-            self._alpha,
-            scratch,
+            *(values[affected] for values in sums), self._alpha, scratch
         )
         self._p_ab[affected] = p_ab
         self._p_ba[affected] = p_ba
-
-
-# The compiled Eq. 16 kernel; built into the per-user cache on first
-# import (an ImportError names a missing C compiler).
-_independence_bucket = load_independence_bucket()
 
 
 def independence_flat(
@@ -838,7 +773,7 @@ def independence_flat(
     for (m, claim_idx), slots in zip(buckets, arrays.multi_group_slots):
         claim_idx = np.ascontiguousarray(claim_idx, dtype=np.int64)
         slots = np.ascontiguousarray(slots, dtype=np.intp)
-        _independence_bucket(
+        _kernels.independence_bucket(
             len(claim_idx), m, claim_idx.ctypes.data, slots.ctypes.data,
             ab, ba, copy_prob_r, dependent_first, total_mode,
             work_at, order_at, indep_at,

@@ -33,7 +33,7 @@ import numpy as np
 from ..errors import DataFormatError
 from ..types import Dataset, Task, WorkerProfile
 
-__all__ = ["ClaimArrays", "DatasetIndex", "IndexExtension", "PairRowClass"]
+__all__ = ["ClaimArrays", "DatasetIndex", "IndexExtension"]
 
 
 class DatasetIndex:
@@ -316,34 +316,6 @@ class IndexExtension:
     claim_map: np.ndarray
 
 
-@dataclass(frozen=True)
-class PairRowClass:
-    """Pair-table rows of one static class, with their inputs gathered.
-
-    ``rows`` are positions into the ``ps_*`` tables (ascending in the
-    cached :attr:`ClaimArrays.pair_row_classes`); ``claim_a``,
-    ``claim_b`` and ``task`` are those rows' ``ps_claim_a``,
-    ``ps_claim_b`` and ``ps_task``; ``code`` is the value code both
-    claims share in the same-value class and ``None`` in the differing
-    class.  Slicing slices every field.
-    """
-
-    rows: np.ndarray
-    claim_a: np.ndarray
-    claim_b: np.ndarray
-    task: np.ndarray
-    code: np.ndarray | None
-
-    def __getitem__(self, part: slice) -> "PairRowClass":
-        return PairRowClass(
-            rows=self.rows[part],
-            claim_a=self.claim_a[part],
-            claim_b=self.claim_b[part],
-            task=self.task[part],
-            code=None if self.code is None else self.code[part],
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class ClaimArrays:
     """Integer-coded, CSR-flattened view of one dataset's claims.
@@ -463,32 +435,11 @@ class ClaimArrays:
     def pair_row_same(self) -> np.ndarray:
         """Per pair-table row: do the pair's two claims carry one value?
 
-        Static for the life of the arrays — claim codes never change —
-        which is what lets the dependence kernel score the two classes
-        with separate formulas (same-value rows are the only ones whose
-        likelihood depends on the current truth).
+        Static for the life of the arrays — claim codes never change.
+        Its true rows are the same-group pair rows
+        :attr:`multi_group_slots` scatters.
         """
         return self.claim_code[self.ps_claim_a] == self.claim_code[self.ps_claim_b]
-
-    @cached_property
-    def pair_row_classes(self) -> tuple["PairRowClass", "PairRowClass"]:
-        """All pair-table rows as ``(same_value, differing)`` classes."""
-        same = self.pair_row_same
-        return (
-            self.pair_row_class(np.flatnonzero(same), same=True),
-            self.pair_row_class(np.flatnonzero(~same), same=False),
-        )
-
-    def pair_row_class(self, rows: np.ndarray, *, same: bool) -> "PairRowClass":
-        """The pair-table ``rows`` (all of one class) with their inputs."""
-        claim_a = self.ps_claim_a[rows]
-        return PairRowClass(
-            rows=rows,
-            claim_a=claim_a,
-            claim_b=self.ps_claim_b[rows],
-            task=self.ps_task[rows],
-            code=self.claim_code[claim_a] if same else None,
-        )
 
     @cached_property
     def pair_rows_by_task(self) -> tuple[np.ndarray, np.ndarray]:
@@ -562,9 +513,8 @@ class ClaimArrays:
         ``k > l``, and the trailing ``2 * n_pairs`` on the diagonal.
         The layout depends only on the claims, so Eq. 16 gathers its
         member-pair dependence with one ``take`` per bucket.  Built by
-        a single scatter of the same-group pair rows — the same-value
-        class of :attr:`pair_row_classes`, since a row's two claims
-        share its task.
+        a single scatter of the same-group pair rows — the rows of
+        :attr:`pair_row_same`, since a row's two claims share its task.
         """
         buckets = self.multi_group_buckets
         n_pairs = self.n_pairs
@@ -578,13 +528,15 @@ class ClaimArrays:
             block[self.claim_group[claim_idx[:, 0]]] = total + m * m * np.arange(len(claim_idx))
             total += claim_idx.size * m
         flat = np.full(total, 2 * n_pairs, dtype=np.intp)
-        same = self.pair_row_classes[0]
-        group = self.claim_group[same.claim_a]
+        same = np.flatnonzero(self.pair_row_same)
+        claim_a = self.ps_claim_a[same]
+        claim_b = self.ps_claim_b[same]
+        group = self.claim_group[claim_a]
         start = self.group_ptr[group]
         size = self.group_size[group]
-        local_a = same.claim_a - start
-        local_b = same.claim_b - start
-        pair = self.ps_pair[same.rows]
+        local_a = claim_a - start
+        local_b = claim_b - start
+        pair = self.ps_pair[same]
         flat[block[group] + local_a * size + local_b] = pair
         flat[block[group] + local_b * size + local_a] = pair + n_pairs
         return [

@@ -1,15 +1,19 @@
-"""Build-once loader for the compiled Eq. 16 kernel (``independence.c``).
+"""Build-once loader for the compiled DATE kernels.
 
-The C source ships inside the package.  The first import on a machine
-compiles it with the system C compiler into a per-user cache
+Two C sources ship inside the package: ``dependence.c`` (the Eqs. 7-13
+pair-row scorer and its per-pair sums) and ``independence.c`` (the
+Eq. 16 greedy).  The first import on a machine compiles both into one
+shared library with the system C compiler, cached per user
 (``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``) under a name that
-is a SHA-256 of the source, the flags and the platform tag; later
+is a SHA-256 of the sources, the flags and the platform tag; later
 imports load the cached library with :mod:`ctypes`.  Builds go to a
 temporary file in the cache directory and are renamed into place, so
 processes that build at the same moment (spawn-pool children, parallel
 test runs) each install a complete library and the last rename wins.
+A cached file that does not load (truncated, or built by a foreign
+toolchain) is rebuilt once in its place.
 
-The flags keep the kernel's floating point exactly numpy's: no
+The flags keep the kernels' floating point exactly numpy's: no
 contraction into fused multiply-adds, no fast-math, no ``-march``.
 """
 
@@ -24,11 +28,38 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
-__all__ = ["load_independence_bucket"]
+__all__ = ["load_kernels"]
 
-_SOURCE = Path(__file__).with_name("independence.c")
+_SOURCES = tuple(
+    Path(__file__).with_name(name) for name in ("dependence.c", "independence.c")
+)
 _FLAGS = ("-O3", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 _COMPILERS = ("cc", "gcc", "clang")
+
+_i64, _ptr, _f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+#: ``name -> argtypes`` of every exported kernel (all return void).
+_SIGNATURES = {
+    "score_pair_rows": [
+        _i64, _ptr,  # n, rows
+        _ptr, _ptr, _ptr,  # ps_claim_a, ps_claim_b, ps_task
+        _ptr, _ptr,  # claim_code, claim_acc
+        _ptr, _ptr,  # truth_codes, collision
+        _f64, _f64, _f64,  # lo, hi, r
+        _ptr, _ptr, _ptr,  # out_ind, out_ab, out_ba
+    ],
+    "pair_sums": [
+        _i64, _ptr, _ptr,  # n, pairs, pair_ptr
+        _ptr, _ptr, _ptr,  # row_ind, row_ab, row_ba
+        _ptr, _ptr, _ptr,  # sum_ind, sum_ab, sum_ba
+    ],
+    "independence_bucket": [
+        _i64, _i64,  # n_groups, m
+        _ptr, _ptr,  # claims, slots
+        _ptr, _ptr,  # p_ab, p_ba
+        _f64, ctypes.c_int, ctypes.c_int,  # r, dependent_first, total_mode
+        _ptr, _ptr, _ptr,  # work, order, indep
+    ],
+}
 
 
 def _cache_dir() -> Path:
@@ -39,34 +70,35 @@ def _cache_dir() -> Path:
     return Path(base) / "repro"
 
 
-def _library_path(source: bytes) -> Path:
-    """Where the library built from ``source`` is cached."""
+def _library_path() -> Path:
+    """Where the library built from the current sources is cached."""
     key = hashlib.sha256()
-    for part in (source, " ".join(_FLAGS).encode(), sysconfig.get_platform().encode()):
+    parts = [path.read_bytes() for path in _SOURCES]
+    parts += [" ".join(_FLAGS).encode(), sysconfig.get_platform().encode()]
+    for part in parts:
         key.update(part)
         key.update(b"\0")
-    return _cache_dir() / f"independence-{key.hexdigest()[:32]}.so"
+    return _cache_dir() / f"kernels-{key.hexdigest()[:32]}.so"
 
 
-def _compile(source: bytes, target: Path) -> None:
+def _compile(target: Path) -> None:
     compiler = next(filter(None, map(shutil.which, _COMPILERS)), None)
     if compiler is None:
         raise ImportError(
-            "repro builds its Eq. 16 kernel with a C compiler, but none of "
-            f"{', '.join(_COMPILERS)} is on PATH"
+            "repro builds its DATE kernels (Eqs. 7-13 and 16) with a C "
+            f"compiler, but none of {', '.join(_COMPILERS)} is on PATH"
         )
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", dir=target.parent)
     os.close(fd)
     try:
         built = subprocess.run(
-            [compiler, *_FLAGS, "-x", "c", "-", "-o", tmp],
-            input=source,
+            [compiler, *_FLAGS, *map(str, _SOURCES), "-o", tmp],
             capture_output=True,
         )
         if built.returncode != 0:
             raise ImportError(
-                f"{compiler} failed to build {_SOURCE.name}:\n"
+                f"{compiler} failed to build {', '.join(p.name for p in _SOURCES)}:\n"
                 + built.stderr.decode(errors="replace")
             )
         os.replace(tmp, target)
@@ -75,20 +107,22 @@ def _compile(source: bytes, target: Path) -> None:
             os.unlink(tmp)
 
 
-def load_independence_bucket():
-    """The C ``independence_bucket`` function, built on first use."""
-    source = _SOURCE.read_bytes()
-    path = _library_path(source)
+def load_kernels() -> ctypes.CDLL:
+    """The compiled kernel library, built on first use.
+
+    A cached library that ``dlopen`` refuses is replaced by a fresh
+    build once; a fresh build that still does not load raises.
+    """
+    path = _library_path()
     if not path.exists():
-        _compile(source, path)
-    fn = ctypes.CDLL(str(path)).independence_bucket
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [
-        i64, i64,  # n_groups, m
-        ptr, ptr,  # claims, slots
-        ptr, ptr,  # p_ab, p_ba
-        ctypes.c_double, ctypes.c_int, ctypes.c_int,  # r, dependent_first, total_mode
-        ptr, ptr, ptr,  # work, order, indep
-    ]
-    fn.restype = None
-    return fn
+        _compile(path)
+    try:
+        library = ctypes.CDLL(str(path))
+    except OSError:
+        _compile(path)
+        library = ctypes.CDLL(str(path))
+    for name, argtypes in _SIGNATURES.items():
+        fn = getattr(library, name)
+        fn.argtypes = argtypes
+        fn.restype = None
+    return library

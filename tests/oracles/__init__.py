@@ -7,7 +7,8 @@ Python loops those engines replaced — each equation transcribed line
 by line over dict views of a :class:`~repro.core.indexing.DatasetIndex`
 (:mod:`.indexing`) — and the differential suites pin engine == oracle:
 
-- :mod:`.dependence` — step 1, pairwise copier posteriors (Eqs. 7-15);
+- :mod:`.dependence` — step 1, pairwise copier posteriors (Eqs. 7-15),
+  and the numpy pair-row scorer the compiled one replaced;
 - :mod:`.independence` — step 2, greedy-order independence (Eq. 16),
   and the batched numpy kernel the compiled one replaced;
 - :mod:`.accuracy` — step 3, value posteriors and accuracies
@@ -37,6 +38,7 @@ from .date import (
     run_reference,
 )
 from .dependence import (
+    classwise_score_pair_rows,
     compute_pairwise_dependence,
     directed_matrix,
     directed_probability,
@@ -65,6 +67,7 @@ __all__ = [
     "batched_independence_flat",
     "claims_by_task",
     "claims_by_worker",
+    "classwise_score_pair_rows",
     "co_answering_pairs",
     "compute_pairwise_dependence",
     "date_independence",

@@ -6,24 +6,33 @@ log-likelihood terms to the three hypotheses, then Bayes' rule with the
 α/2 prior split normalizes in log space.  The product computes the same
 posteriors with :func:`repro.core.engine.pairwise_dependence_arrays`;
 the differential suites pin the two together.
+
+:func:`classwise_score_pair_rows` is the numpy pair-row scorer the
+compiled ``dependence.c`` pass replaced, kept as its byte-identity
+reference.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.dependence import DependencePosterior
-from repro.core.engine import DependenceArrays
+from repro.core.engine import DependenceArrays, KernelScratch
 from repro.core.falsedist import FalseValueDistribution, UniformFalseValues
 from repro.core.indexing import ClaimArrays, DatasetIndex
 
 from .indexing import claims_by_worker, shared_tasks
 
 __all__ = [
+    "PairRowClass",
+    "classwise_score_pair_rows",
     "compute_pairwise_dependence",
+    "pair_row_class",
+    "pair_row_classes",
     "directed_matrix",
     "directed_probability",
     "total_dependence",
@@ -185,3 +194,188 @@ def directed_matrix(dependence: DependenceArrays, arrays: ClaimArrays) -> np.nda
     matrix[arrays.pair_a, arrays.pair_b] = dependence.p_ab
     matrix[arrays.pair_b, arrays.pair_a] = dependence.p_ba
     return matrix
+
+
+# -- the classwise numpy pair-row scorer ---------------------------------
+
+
+@dataclass(frozen=True)
+class PairRowClass:
+    """Pair-table rows of one static class, with their inputs gathered.
+
+    ``rows`` are positions into the ``ps_*`` tables (ascending in
+    :func:`pair_row_classes`); ``claim_a``, ``claim_b`` and ``task`` are
+    those rows' ``ps_claim_a``, ``ps_claim_b`` and ``ps_task``; ``code``
+    is the value code both claims share in the same-value class and
+    ``None`` in the differing class.  Slicing slices every field.
+    """
+
+    rows: np.ndarray
+    claim_a: np.ndarray
+    claim_b: np.ndarray
+    task: np.ndarray
+    code: np.ndarray | None
+
+    def __getitem__(self, part: slice) -> "PairRowClass":
+        return PairRowClass(
+            rows=self.rows[part],
+            claim_a=self.claim_a[part],
+            claim_b=self.claim_b[part],
+            task=self.task[part],
+            code=None if self.code is None else self.code[part],
+        )
+
+
+def pair_row_classes(arrays: ClaimArrays) -> tuple[PairRowClass, PairRowClass]:
+    """All pair-table rows as ``(same_value, differing)`` classes."""
+    same = arrays.pair_row_same
+    return (
+        pair_row_class(arrays, np.flatnonzero(same), same=True),
+        pair_row_class(arrays, np.flatnonzero(~same), same=False),
+    )
+
+
+def pair_row_class(arrays: ClaimArrays, rows: np.ndarray, *, same: bool) -> PairRowClass:
+    """The pair-table ``rows`` (all of one class) with their inputs."""
+    claim_a = arrays.ps_claim_a[rows]
+    return PairRowClass(
+        rows=rows,
+        claim_a=claim_a,
+        claim_b=arrays.ps_claim_b[rows],
+        task=arrays.ps_task[rows],
+        code=arrays.claim_code[claim_a] if same else None,
+    )
+
+
+def classwise_score_pair_rows(
+    arrays: ClaimArrays,
+    truth_codes: np.ndarray,
+    claim_acc: np.ndarray,
+    *,
+    r: float,
+    collision: np.ndarray,
+    lo: float,
+    hi: float,
+    rows,
+    out_ind: np.ndarray,
+    out_ab: np.ndarray,
+    out_ba: np.ndarray,
+    scratch: KernelScratch,
+) -> None:
+    """Per-row hypothesis log-likelihood terms for ``rows`` (Eqs. 7-13).
+
+    Every output element depends only on that row's own inputs, so
+    scoring any subset reproduces bit for bit what a full pass writes at
+    those positions.  ``rows`` is a slice or an int index array;
+    ``out_*`` hold one entry per row of ``rows``.
+
+    Rows are scored per static class (:func:`pair_row_classes`):
+    differing rows need neither the truth nor the same-value terms, and
+    same-value rows need no ``P_d``.  Each class writes its results at
+    its own positions, so splitting changes no row's arithmetic.
+    """
+    (same_at, same), (differ_at, differ) = _row_classes(arrays, rows)
+
+    # Differing rows (T_d): P_d = 1 - P_s - P_f, with both copy
+    # directions sharing log(P_d · (1 - r)) (Eqs. 9, 13, 14).
+    n = len(differ.rows)
+    acc_a = _clipped_take(claim_acc, differ.claim_a, lo, hi, scratch.array("sc_acc_a", n))
+    acc_b = _clipped_take(claim_acc, differ.claim_b, lo, hi, scratch.array("sc_acc_b", n))
+    p_diff = np.multiply(acc_a, acc_b, out=scratch.array("sc_p", n))
+    np.subtract(1.0, p_diff, out=p_diff)
+    np.subtract(1.0, acc_a, out=acc_a)
+    np.subtract(1.0, acc_b, out=acc_b)
+    np.multiply(acc_a, acc_b, out=acc_a)
+    np.multiply(acc_a, np.take(collision, differ.task, out=acc_b, mode="clip"), out=acc_a)
+    np.subtract(p_diff, acc_a, out=p_diff)
+    np.maximum(p_diff, _MIN_PROB, out=p_diff)
+    out_ind[differ_at] = np.log(p_diff, out=acc_a)
+    np.multiply(p_diff, 1.0 - r, out=p_diff)
+    np.maximum(p_diff, _MIN_PROB, out=p_diff)
+    np.log(p_diff, out=p_diff)
+    out_ab[differ_at] = p_diff
+    out_ba[differ_at] = p_diff
+
+    # Same-value rows: T_s rows (the shared value is the truth) score
+    # the true-agreement likelihood P_s = A·A' with copy source A, T_f
+    # rows the false collision P_f = (1-A)(1-A')·col with source 1 - A
+    # (Eqs. 7, 8, 11, 12, 22); both directions are log(src · r +
+    # P · (1 - r)).
+    n = len(same.rows)
+    src_a = _clipped_take(claim_acc, same.claim_a, lo, hi, scratch.array("sc_acc_a", n))
+    src_b = _clipped_take(claim_acc, same.claim_b, lo, hi, scratch.array("sc_acc_b", n))
+    truth = np.take(
+        truth_codes, same.task, out=scratch.array("sc_truth", n, np.int64), mode="clip"
+    )
+    on_truth = np.equal(same.code, truth, out=scratch.array("sc_on_truth", n))
+    off_truth = np.subtract(1.0, on_truth, out=scratch.array("sc_off_truth", n))
+    for src in (src_a, src_b):
+        _select(on_truth, src, off_truth, np.subtract(1.0, src, out=scratch.array("sc_tmp", n)))
+    p_same = np.multiply(src_a, src_b, out=scratch.array("sc_p", n))
+    col = np.take(collision, same.task, out=scratch.array("sc_tmp", n), mode="clip")
+    # The collision factor is an exact 1.0 on T_s rows: col · 0 + 1.
+    np.multiply(col, off_truth, out=col)
+    np.add(col, on_truth, out=col)
+    np.multiply(p_same, col, out=p_same)
+    np.maximum(p_same, _MIN_PROB, out=col)
+    out_ind[same_at] = np.log(col, out=col)
+    np.multiply(p_same, 1.0 - r, out=p_same)
+    for src, out in ((src_b, out_ab), (src_a, out_ba)):
+        np.multiply(src, r, out=src)
+        np.add(src, p_same, out=src)
+        np.maximum(src, _MIN_PROB, out=src)
+        out[same_at] = np.log(src, out=src)
+
+
+def _clipped_take(
+    values: np.ndarray, index: np.ndarray, lo: float, hi: float, out: np.ndarray
+) -> np.ndarray:
+    """``clip(values[index], lo, hi)`` written into ``out``.
+
+    ``index`` holds the arrays' own claim positions, always in range;
+    ``mode="clip"`` spares ``take`` the buffered copy its bounds-checking
+    default makes when given ``out``.
+    """
+    np.take(values, index, out=out, mode="clip")
+    return np.clip(out, lo, hi, out=out)
+
+
+def _select(
+    mask: np.ndarray, values: np.ndarray, other_mask: np.ndarray, other: np.ndarray
+) -> np.ndarray:
+    """``where(mask, values, other)`` written into ``values``.
+
+    ``mask`` and ``other_mask = 1 - mask`` are 0.0/1.0 arrays, so this is
+    the blend ``values · mask + other · other_mask`` (``other`` is
+    overwritten) — exact for finite inputs, as ``x · 1 = x``,
+    ``x · 0 = ±0`` and ``x + ±0 = x``, and cheaper than a masked
+    ``copyto``.
+    """
+    np.multiply(values, mask, out=values)
+    np.multiply(other, other_mask, out=other)
+    return np.add(values, other, out=values)
+
+
+def _row_classes(
+    arrays: ClaimArrays, rows
+) -> tuple[tuple[np.ndarray, PairRowClass], tuple[np.ndarray, PairRowClass]]:
+    """``rows`` split into its ``(same_value, differing)`` classes.
+
+    Each class comes with its positions within ``rows`` — where its
+    scores land in the caller's outputs.  A slice takes contiguous
+    views of the classes (their rows ascend); an index array splits by
+    the per-row flag and gathers its classes' inputs.
+    """
+    if isinstance(rows, slice):
+        parts = []
+        for cls in pair_row_classes(arrays):
+            first, last = np.searchsorted(cls.rows, (rows.start, rows.stop))
+            part = cls[first:last]
+            parts.append((part.rows - rows.start if rows.start else part.rows, part))
+        return parts[0], parts[1]
+    flag = arrays.pair_row_same[rows]
+    same_at, differ_at = np.flatnonzero(flag), np.flatnonzero(~flag)
+    return (
+        (same_at, pair_row_class(arrays, rows[same_at], same=True)),
+        (differ_at, pair_row_class(arrays, rows[differ_at], same=False)),
+    )

@@ -8,8 +8,8 @@ group sizes on each side of numpy's pairwise-summation thresholds (below
 8, up to 128, above 128), exact ties in the totals and in the
 attachments, non-finite dependence, and campaigns with no
 multi-provider group at all.  Two process-level tests build the kernel
-from an empty cache in two spawn processes at once, and check that a
-missing C compiler is an ImportError that says so.
+library from an empty cache in two spawn processes at once, and check
+that a missing C compiler is an ImportError that says so.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ def test_concurrent_cold_builds_share_one_cache_file(tmp_path, monkeypatch):
     assert bytes_a == bytes_b == expected
     # Both builds renamed the same library into place; no temp is left.
     (cached,) = (tmp_path / "repro").iterdir()
-    assert cached.name.startswith("independence-") and cached.suffix == ".so"
+    assert cached.name.startswith("kernels-") and cached.suffix == ".so"
 
 
 def test_missing_compiler_is_a_named_import_error(tmp_path):
@@ -215,5 +215,8 @@ def test_missing_compiler_is_a_named_import_error(tmp_path):
         timeout=300,
     )
     assert run.returncode != 0
-    assert "ImportError: repro builds its Eq. 16 kernel with a C compiler" in run.stderr
+    assert (
+        "ImportError: repro builds its DATE kernels (Eqs. 7-13 and 16) with a C compiler"
+        in run.stderr
+    )
     assert "cc, gcc, clang" in run.stderr
