@@ -14,10 +14,6 @@ and gates the acceptance criteria:
   wall-clock gate; run locally with::
 
       pytest benchmarks/test_dependence_bench.py -k speedup -s
-
-- **Streaming re-run** (`test_streaming_ingest_new_path`): the online
-  replay with the ``track_dependence`` snapshot stays bit-identical to
-  the cold path.
 """
 
 from __future__ import annotations
@@ -27,12 +23,10 @@ import time
 import numpy as np
 import pytest
 
-from repro import DATE
 from repro.core.config import DateConfig
 from repro.core.engine import IncrementalDependence, pairwise_dependence_arrays
 from repro.core.indexing import DatasetIndex
 from repro.datasets import generate_qatar_living_like
-from repro.streaming import OnlineDATE, replay_batches
 
 from benchmarks.conftest import BENCH_SEED
 
@@ -145,38 +139,3 @@ def test_incremental_ingest_speedup(dep_state):
     assert speedup >= 5.0, (
         f"incremental refresh only {speedup:.2f}x faster than full recompute"
     )
-
-
-def test_streaming_ingest_new_path():
-    """Online replay with the tracked dependence snapshot stays cold-exact."""
-    dataset = generate_qatar_living_like(
-        seed=BENCH_SEED, n_tasks=200, n_workers=100, n_copiers=25,
-        target_claims=4000,
-    )
-    batches = replay_batches(dataset, 8)
-    online = OnlineDATE(track_dependence=True)
-    ingest_ms = 0.0
-    for batch in batches:
-        start = time.perf_counter()
-        online.ingest(batch)
-        ingest_ms += (time.perf_counter() - start) * 1e3
-    snap = online.dependence_snapshot()
-    cfg = online.config
-    index = online.index
-    cfg.false_values.prepare(index)
-    cold = pairwise_dependence_arrays(
-        index.arrays,
-        online._truth_codes,
-        online._claim_acc,
-        copy_prob_r=cfg.copy_prob_r,
-        prior_alpha=cfg.prior_alpha,
-        collision=cfg.false_values.collision_array(index),
-        accuracy_clamp=cfg.accuracy_clamp,
-    )
-    assert np.array_equal(snap.p_ab, cold.p_ab)
-    assert np.array_equal(snap.p_ba, cold.p_ba)
-    final = online.refresh()
-    batch_run = DATE().run(dataset)
-    assert final.truths == batch_run.truths
-    assert final.iterations == batch_run.iterations
-    print(f"\nreplay ingest total {ingest_ms:.1f} ms over {len(batches)} batches")

@@ -34,7 +34,6 @@ from .dependence import DependencePosterior
 from .indexing import (
     ClaimArrays,
     _concat_ranges,
-    pair_row_keys,
     segment_first_argmax_code,
 )
 from .native import load_kernels
@@ -408,7 +407,7 @@ def pairwise_dependence_arrays(
 
 
 class IncrementalDependence:
-    """Updatable per-pair dependence aggregates (ROADMAP item 4).
+    """Updatable per-pair dependence aggregates over one fixed index.
 
     Maintains, between refreshes, every (pair, shared task) row's
     hypothesis log-likelihood contributions together with their
@@ -432,9 +431,13 @@ class IncrementalDependence:
       affected pairs leaves the rest bit-frozen.
 
     tests/property/test_property_incremental_dependence.py pins this
-    against randomized edit and ingest sequences; DESIGN.md §12 has the
-    full argument, including why the streaming dirty-task path keeps
-    untouched rows' inputs frozen.
+    against randomized edit sequences; DESIGN.md §12 has the full
+    argument.
+
+    No product path constructs this class.  It stays, with
+    :attr:`ClaimArrays.pair_rows_by_task`, only because the perf
+    harness's tracer wraps both by name; they go together with that
+    harness edit (ROADMAP item 1).
     """
 
     def __init__(
@@ -456,9 +459,6 @@ class IncrementalDependence:
         self._scratch = KernelScratch()
         self._truth_codes: np.ndarray | None = None
         self._claim_acc: np.ndarray | None = None
-        self._bind(arrays, collision)
-
-    def _bind(self, arrays: ClaimArrays, collision: np.ndarray) -> None:
         self._arrays = arrays
         self._collision = np.array(collision, dtype=np.float64, copy=True)
         n_rows = len(arrays.ps_pair)
@@ -471,11 +471,6 @@ class IncrementalDependence:
         self._sum_ba = np.empty(n_pairs)
         self._p_ab = np.empty(n_pairs)
         self._p_ba = np.empty(n_pairs)
-
-    @property
-    def arrays(self) -> ClaimArrays:
-        """The claim arrays the aggregates are currently bound to."""
-        return self._arrays
 
     def posteriors(self) -> DependenceArrays:
         """The current posteriors (copies — refreshes mutate in place)."""
@@ -505,104 +500,6 @@ class IncrementalDependence:
             self._refresh_tasks(
                 np.asarray(touched_tasks, dtype=np.int64), truth_codes, claim_acc
             )
-        self._truth_codes = truth_codes.copy()
-        self._claim_acc = claim_acc.copy()
-        return self.posteriors()
-
-    def rebind(
-        self,
-        arrays: ClaimArrays,
-        *,
-        collision: np.ndarray,
-        dirty_tasks,
-        truth_codes: np.ndarray,
-        claim_acc: np.ndarray,
-    ) -> DependenceArrays:
-        """Carry the aggregates across an index extension and refresh.
-
-        ``arrays`` must extend the bound arrays in the sense of
-        :meth:`~repro.core.indexing.DatasetIndex.extended`: task
-        positions stable, every old (pair, shared task) row surviving.
-        Inputs may differ from the stored state only on ``dirty_tasks``
-        (tasks whose collision probability changed under the new index
-        are detected and re-scored here as well) — exactly the contract
-        the streaming ingest path satisfies, because its merge step
-        writes truths and claim accuracies for dirty tasks only.
-
-        Surviving rows and pairs carry their cached contributions over
-        through a sorted-key scatter; new rows (all on dirty tasks —
-        a clean shared task would mean the pair row already existed)
-        are scored by the dirty refresh.
-        """
-        old = self._arrays
-        truth_codes = np.asarray(truth_codes, dtype=np.int64)
-        claim_acc = np.asarray(claim_acc, dtype=np.float64)
-        collision = np.asarray(collision, dtype=np.float64)
-        if self._truth_codes is None:
-            self._bind(arrays, collision)
-            return self.refresh(truth_codes, claim_acc)
-
-        n_workers = arrays.index.n_workers
-        n_tasks = arrays.index.n_tasks
-        # Row identity is (pair worker ids, shared task).  Both tables
-        # sort rows by (pair_a, pair_b, task), which is ascending key
-        # order for any worker and task counts at least as large as the
-        # ids, so old keys form an ascending subsequence of the new ones.
-        old_keys = pair_row_keys(
-            old.pair_a[old.ps_pair], old.pair_b[old.ps_pair], old.ps_task, n_workers, n_tasks
-        )
-        new_keys = pair_row_keys(
-            arrays.pair_a[arrays.ps_pair],
-            arrays.pair_b[arrays.ps_pair],
-            arrays.ps_task,
-            n_workers,
-            n_tasks,
-        )
-        row_pos = np.searchsorted(new_keys, old_keys)
-        old_pair_keys = old.pair_a * n_workers + old.pair_b
-        new_pair_keys = arrays.pair_a * n_workers + arrays.pair_b
-        pair_pos = np.searchsorted(new_pair_keys, old_pair_keys)
-        if (
-            len(old_keys) > 0
-            and not (
-                np.array_equal(new_keys[np.minimum(row_pos, len(new_keys) - 1)], old_keys)
-                and np.array_equal(
-                    new_pair_keys[np.minimum(pair_pos, len(new_pair_keys) - 1)],
-                    old_pair_keys,
-                )
-            )
-        ):
-            raise ValueError(
-                "rebind target does not extend the bound claim arrays: "
-                "an existing (pair, shared task) row is missing"
-            )
-
-        def carry(values: np.ndarray, size: int, positions: np.ndarray) -> np.ndarray:
-            fresh = np.empty(size)
-            fresh[positions] = values
-            return fresh
-
-        n_rows = len(new_keys)
-        self._row_ind = carry(self._row_ind, n_rows, row_pos)
-        self._row_ab = carry(self._row_ab, n_rows, row_pos)
-        self._row_ba = carry(self._row_ba, n_rows, row_pos)
-        n_pairs = arrays.n_pairs
-        self._sum_ind = carry(self._sum_ind, n_pairs, pair_pos)
-        self._sum_ab = carry(self._sum_ab, n_pairs, pair_pos)
-        self._sum_ba = carry(self._sum_ba, n_pairs, pair_pos)
-        self._p_ab = carry(self._p_ab, n_pairs, pair_pos)
-        self._p_ba = carry(self._p_ba, n_pairs, pair_pos)
-
-        touched = np.zeros(n_tasks, dtype=bool)
-        touched[np.asarray(dirty_tasks, dtype=np.int64)] = True
-        old_n_tasks = old.index.n_tasks
-        # A non-dirty task's collision probability can still move under
-        # data-driven false-value models (the empirical ones re-fit on
-        # the grown campaign) — its rows must be re-scored too.
-        touched[:old_n_tasks] |= collision[:old_n_tasks] != self._collision
-        self._arrays = arrays
-        self._collision = collision.copy()
-        self._refresh_tasks(np.flatnonzero(touched), truth_codes, claim_acc)
         self._truth_codes = truth_codes.copy()
         self._claim_acc = claim_acc.copy()
         return self.posteriors()

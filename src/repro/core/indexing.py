@@ -127,6 +127,14 @@ class DatasetIndex:
         this index, so the cost is O(affected segments + memcpy), not a
         full re-encode.  ``self`` is left untouched and remains valid.
 
+        Only the claim and group encodings are carried.  What the
+        arrays derive lazily — the pair tables and everything built on
+        them, such as the Eq. 16 slot map — starts unmaterialized on
+        the extension even when ``self`` has built it, and is rebuilt
+        from the extension's own CSR on first use: an ingest never pays
+        O(pair rows), and the rebuild is byte-identical to a cold
+        index's (row keys are unique, so the row order is determined).
+
         Raises :class:`~repro.errors.DataFormatError` for ids that
         collide with existing ones, claims referencing unknown tasks or
         workers, out-of-domain values, and duplicate ``(worker, task)``
@@ -390,11 +398,11 @@ class ClaimArrays:
     def _pair_tables(self) -> tuple[np.ndarray, ...]:
         """Pair tables: every unordered co-answering pair, one row per
         shared task, grouped by pair and ordered by task within a pair.
-        Built on first
-        access — only the dependence kernels need them.
+        Built on first access — only the dependence kernels need them.
+        :meth:`DatasetIndex.extended` never carries them across, so an
+        extension builds its own here too.
         """
-        all_tasks = np.arange(self.index.n_tasks, dtype=np.int64)
-        return _sorted_pair_tables(self, *_task_claim_pairs(self, all_tasks))
+        return _sorted_pair_tables(self, *_task_claim_pairs(self))
 
     @property
     def pair_a(self) -> np.ndarray:
@@ -725,10 +733,6 @@ def _extend_claim_arrays(
         group_size,
         tuple(group_values),
     )
-    if "_pair_tables" in old.__dict__:
-        arrays.__dict__["_pair_tables"] = _extend_pair_tables(
-            old, arrays, dirty, dirty_mask, claim_map
-        )
     return arrays, claim_map
 
 
@@ -825,32 +829,6 @@ def _assemble_claim_arrays(
     return arrays
 
 
-def _extend_pair_tables(
-    old: ClaimArrays,
-    arrays: ClaimArrays,
-    dirty: np.ndarray,
-    dirty_mask: np.ndarray,
-    claim_map: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """Extend materialized pair tables: keep clean-task rows, regenerate
-    dirty-task rows, merge by one sort.
-
-    Rows of clean tasks keep their worker pair and task; only their
-    claim back-pointers shift (via ``claim_map``).  Rows of dirty tasks
-    are re-enumerated from the new segments by the cold build's own
-    :func:`_task_claim_pairs` — the O(Σ m_j²) triangle work runs over
-    affected tasks only.
-    """
-    old_ps_task, old_ps_ca, old_ps_cb = old._pair_tables[4:]
-    keep = ~dirty_mask[old_ps_task]
-    dirty_a, dirty_b = _task_claim_pairs(arrays, dirty)
-    return _sorted_pair_tables(
-        arrays,
-        np.concatenate([claim_map[old_ps_ca[keep]], dirty_a]),
-        np.concatenate([claim_map[old_ps_cb[keep]], dirty_b]),
-    )
-
-
 def pair_row_keys(
     first: np.ndarray,
     second: np.ndarray,
@@ -875,11 +853,8 @@ def pair_row_keys(
     return (first * n_workers + second) * n_tasks + task
 
 
-def _task_claim_pairs(
-    arrays: ClaimArrays, tasks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair of claims on one of ``tasks`` (ascending), smaller
-    worker's claim first.
+def _task_claim_pairs(arrays: ClaimArrays) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of claims on one task, smaller worker's claim first.
 
     The upper triangles of the tasks' claim blocks with each block
     ordered by worker, enumerated by arithmetic instead of a per-task
@@ -888,13 +863,10 @@ def _task_claim_pairs(
     claims repeat each offset that many times and the second ones
     concatenate the ranges ``k + 1 .. e - 1``.
     """
-    starts = arrays.task_ptr[tasks]
-    sizes = arrays.task_ptr[tasks + 1] - starts
-    claims = _concat_ranges(starts, sizes)
-    by_worker = arrays.claim_task[claims] * arrays.index.n_workers + arrays.claim_worker[claims]
-    claims = claims[np.argsort(by_worker)]
+    claim_task = arrays.claim_task
+    claims = np.argsort(claim_task * arrays.index.n_workers + arrays.claim_worker)
     offsets = np.arange(len(claims), dtype=np.int64)
-    later = np.repeat(np.cumsum(sizes), sizes) - offsets - 1
+    later = arrays.task_ptr[claim_task + 1] - offsets - 1
     return claims[np.repeat(offsets, later)], claims[_concat_ranges(offsets + 1, later)]
 
 

@@ -164,6 +164,23 @@ def coerce_number(spec: Mapping, key: str, default: float) -> float:
     return number
 
 
+def coerce_integer(spec: Mapping, key: str, default: int) -> int:
+    """Read an optional integer field, mapping junk to DataFormatError.
+
+    Booleans and non-integral numbers are junk: truncating ``2.5`` to
+    ``2`` would turn a new ingest seq into a duplicate and drop it.
+    """
+    value = spec.get(key, default)
+    if isinstance(value, bool):
+        raise DataFormatError(f"field {key!r} must be an integer, got {value!r}")
+    if isinstance(value, int):
+        return value
+    number = coerce_number(spec, key, default)
+    if not number.is_integer():
+        raise DataFormatError(f"field {key!r} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _array(spec: Mapping, key: str) -> list | tuple:
     """The optional field ``key`` (default empty), which must be an array."""
     value = spec.get(key, ())

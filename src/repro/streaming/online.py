@@ -37,7 +37,7 @@ import numpy as np
 from ..core.accuracy import claim_mean_by_worker
 from ..core.config import DateConfig
 from ..core.date import TruthDiscoveryResult
-from ..core.engine import DependenceArrays, IncrementalDependence, dense_accuracy
+from ..core.engine import dense_accuracy
 from ..core.indexing import DatasetIndex
 from ..discovery import canonical_algorithm, make_discoverer
 from ..errors import ConfigurationError
@@ -106,15 +106,6 @@ class OnlineDATE:
         see :func:`repro.discovery.list_algorithms`).  Algorithms
         without a warm-start path simply re-estimate the dirty scope
         cold — the refresh exactness guarantee is unchanged.
-    track_dependence:
-        Maintain campaign-level pairwise dependence posteriors
-        incrementally across batches
-        (:class:`~repro.core.engine.IncrementalDependence`): each
-        ingest carries the untouched rows' cached contributions across
-        the index extension and re-scores only the dirty tasks' rows,
-        so :meth:`dependence_snapshot` stays bit-identical to a full
-        recompute at a fraction of its cost (DESIGN.md §12).  Off by
-        default — the aggregates cost O(pair rows) memory.
     """
 
     def __init__(
@@ -122,7 +113,6 @@ class OnlineDATE:
         config: DateConfig | None = None,
         *,
         refresh_every: int = 0,
-        track_dependence: bool = False,
         algorithm: str = "DATE",
     ):
         if refresh_every < 0:
@@ -135,15 +125,11 @@ class OnlineDATE:
             self._algorithm, date_config=self._config
         )
         self.refresh_every = refresh_every
-        self._track_dependence = track_dependence
-        self._engine: IncrementalDependence | None = None
-        self._truth_codes = np.empty(0, dtype=np.int64)
         self._index = DatasetIndex(Dataset(tasks=(), workers=(), claims={}))
         self._claim_acc = np.empty(0, dtype=np.float64)
         self._truths: dict[str, str] = {}
         self._confidence: dict[str, float] = {}
         self._batches = 0
-        self._last_refresh: TruthDiscoveryResult | None = None
 
     @classmethod
     def from_dataset(
@@ -275,21 +261,6 @@ class OnlineDATE:
         self._index = ext.index
         self._claim_acc = claim_acc
         self._batches += 1
-        if self._track_dependence:
-            self._truth_codes = self._extend_truth_codes(ext)
-            if self._engine is not None:
-                # Carry the untouched rows' cached contributions across
-                # the extension; only the dirty tasks' rows re-score.
-                # Valid because the merge step below writes truths and
-                # claim accuracies for dirty tasks only, so every other
-                # row's inputs are bit-frozen between batches.
-                self._engine.rebind(
-                    self._index.arrays,
-                    collision=self._collision_array(),
-                    dirty_tasks=np.asarray(ext.dirty_tasks, dtype=np.int64),
-                    truth_codes=self._truth_codes,
-                    claim_acc=self._claim_acc,
-                )
 
         iterations = 0
         refreshed = (
@@ -305,16 +276,6 @@ class OnlineDATE:
             dirty = ext.dirty_tasks[claimed]
             if len(dirty):
                 iterations = self._rerun(dirty)
-            if self._track_dependence:
-                arrays = self._index.arrays
-                for j in dirty.tolist():
-                    self._truth_codes[j] = arrays.code_of(
-                        j, self._truths.get(self._index.task_ids[j])
-                    )
-                if self._engine is not None:
-                    # Fold the merged dirty-task results back in (a
-                    # stored-state diff finds exactly those tasks).
-                    self._engine.refresh(self._truth_codes, self._claim_acc)
         return OnlineUpdate(
             batch=self._batches,
             new_tasks=len(batch.tasks),
@@ -362,62 +323,9 @@ class OnlineDATE:
         ]
         self._truths = dict(result.truths)
         self._confidence = dict(result.confidence)
-        self._last_refresh = result
-        if self._track_dependence:
-            self._truth_codes = arrays.truth_codes(
-                [result.truths.get(task_id) for task_id in index.task_ids]
-            )
-            # A refresh rewrites accuracies campaign-wide; the next
-            # snapshot/ingest rebuilds the aggregates from scratch.
-            self._engine = None
         return result
 
-    def dependence_snapshot(self) -> DependenceArrays:
-        """Current campaign-level pairwise dependence posteriors.
-
-        Requires ``track_dependence=True``.  The first call (and the
-        first after a full refresh) pays one full scoring pass; later
-        calls re-score only what ingests dirtied since — bit-identical
-        to recomputing from the current truths and accuracies.
-        """
-        if not self._track_dependence:
-            raise ConfigurationError(
-                "dependence_snapshot requires OnlineDATE(track_dependence=True)"
-            )
-        if self._engine is None:
-            self._engine = IncrementalDependence(
-                self._index.arrays,
-                copy_prob_r=self._config.copy_prob_r,
-                prior_alpha=self._config.prior_alpha,
-                collision=self._collision_array(),
-                accuracy_clamp=self._config.accuracy_clamp,
-            )
-        self._engine.refresh(self._truth_codes, self._claim_acc)
-        return self._engine.posteriors()
-
     # -- internals -------------------------------------------------------
-
-    def _collision_array(self) -> np.ndarray:
-        fv = self._config.false_values
-        fv.prepare(self._index)
-        return fv.collision_array(self._index)
-
-    def _extend_truth_codes(self, ext) -> np.ndarray:
-        """Carry truth codes across an index extension.
-
-        Task positions are stable under extension, and a clean task's
-        value groups are spliced verbatim, so old codes stay valid
-        everywhere except the dirty tasks — whose codes are re-derived
-        from the (unchanged) truth strings against the re-encoded
-        groups.
-        """
-        arrays = self._index.arrays
-        codes = np.full(self._index.n_tasks, -1, dtype=np.int64)
-        codes[: len(self._truth_codes)] = self._truth_codes
-        for j in ext.dirty_tasks:
-            j = int(j)
-            codes[j] = arrays.code_of(j, self._truths.get(self._index.task_ids[j]))
-        return codes
 
     def _rerun(self, dirty: np.ndarray) -> int:
         """Re-estimate the claimed dirty tasks on a restricted view.

@@ -60,7 +60,7 @@ from .campaign import (
     DuplicateCampaignError,
     UnknownCampaignError,
 )
-from .ingest import batch_from_json, coerce_number
+from .ingest import batch_from_json, coerce_integer, coerce_number
 from .journal import JournalWriteError
 
 __all__ = ["MAX_BODY_BYTES", "StreamingApp", "config_from_spec", "make_server", "serve"]
@@ -233,7 +233,7 @@ class StreamingApp:
             return 400, {"error": "create payload must carry a campaign_id"}
         refresh_every = payload.get("refresh_every")
         if refresh_every is not None:
-            refresh_every = int(coerce_number(payload, "refresh_every", 0))
+            refresh_every = coerce_integer(payload, "refresh_every", 0)
         algorithm = payload.get("algorithm")
         if algorithm is not None:
             algorithm = str(algorithm)
@@ -253,7 +253,7 @@ class StreamingApp:
     def _ingest(self, campaign_id: str, payload: dict):
         seq = payload.get("seq")
         if seq is not None:
-            seq = int(coerce_number(payload, "seq", 0))
+            seq = coerce_integer(payload, "seq", 0)
         batch = batch_from_json(payload)
         update = self.store.ingest(campaign_id, batch, seq=seq)
         if update is None:

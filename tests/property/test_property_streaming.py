@@ -81,7 +81,7 @@ def streamed_campaigns(draw, max_workers=6, max_tasks=6, max_batches=4):
 
 def grow_through_extensions(batches) -> DatasetIndex:
     index = DatasetIndex(Dataset(tasks=(), workers=(), claims={}))
-    index.arrays._pair_tables  # materialize so every step takes the splice path
+    index.arrays._pair_tables  # materialized; the first extension drops them
     for batch in batches:
         index = index.extended(
             tasks=batch.tasks, workers=batch.workers, claims=batch.claims
@@ -170,6 +170,31 @@ class TestOnlineEquivalence:
         online = OnlineDATE()
         for batch in batches:
             online.ingest(batch)
+        final = online.refresh()
+        cold = DATE().run(dataset)
+        assert final.truths == cold.truths
+        assert final.iterations == cold.iterations
+        np.testing.assert_allclose(
+            final.accuracy_matrix, cold.accuracy_matrix, atol=TOL, rtol=0
+        )
+        for worker_id, accuracy in cold.worker_accuracy.items():
+            assert abs(final.worker_accuracy[worker_id] - accuracy) <= TOL
+        assert final.confidence.keys() == cold.confidence.keys()
+        for task_id, value in cold.confidence.items():
+            assert abs(final.confidence[task_id] - value) <= TOL
+
+    @given(campaign=streamed_campaigns(max_batches=5), data=st.data())
+    @settings(max_examples=30, derandomize=True)
+    def test_ingest_after_refresh_matches_cold_run(self, campaign, data):
+        # A refresh materializes the campaign index's pair tables; the
+        # batches after it extend that index and must still end cold-exact.
+        dataset, batches = campaign
+        k = data.draw(st.integers(0, len(batches) - 1), label="refresh after")
+        online = OnlineDATE()
+        for position, batch in enumerate(batches):
+            online.ingest(batch)
+            if position == k:
+                online.refresh()
         final = online.refresh()
         cold = DATE().run(dataset)
         assert final.truths == cold.truths

@@ -148,16 +148,18 @@ class TestIndexExtension:
         np.testing.assert_array_equal(ext.index.num_false, cold.num_false)
         assert_same_arrays(ext.index.arrays, cold.arrays)
 
-    def test_pair_tables_extend_when_materialized(self, tiny_dataset):
+    def test_materialized_pair_tables_are_not_carried(self, tiny_dataset):
         base, new_tasks, new_claims = self.split(tiny_dataset, 2)
         index = DatasetIndex(base)
         index.arrays._pair_tables
         ext = index.extended(tasks=new_tasks, claims=new_claims)
-        assert "_pair_tables" in ext.index.arrays.__dict__
+        assert "_pair_tables" not in ext.index.arrays.__dict__
+        assert "_pair_tables" in index.arrays.__dict__  # source untouched
         cold = DatasetIndex(tiny_dataset)
         for got, want in zip(
             ext.index.arrays._pair_tables, cold.arrays._pair_tables
         ):
+            assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
     def test_claims_on_existing_tasks_mark_them_dirty(self, tiny_dataset):

@@ -5,9 +5,10 @@ the upper triangle of its claim block via ``np.triu_indices``, each
 pair oriented so its first claim is the smaller worker's, then a
 three-key ``lexsort`` by (first worker, second worker, task) and an
 ``np.unique`` over the worker pairs.  The cold build
-(``ClaimArrays._pair_tables``) and the streaming splice
-(``_extend_pair_tables``, reached through ``DatasetIndex.extended``)
-must both reproduce its seven arrays exactly, dtypes included.
+(``ClaimArrays._pair_tables``) must reproduce its seven arrays exactly,
+dtypes included — on a cold index and on one grown through
+``DatasetIndex.extended``, which never carries materialized tables, so
+the extension rebuilds its own on first use.
 """
 
 from __future__ import annotations
@@ -129,9 +130,9 @@ class TestExtension:
     @staticmethod
     def _extend(base: Dataset, **delta):
         index = DatasetIndex(base)
-        index.arrays._pair_tables  # materialized, so extended() splices them
+        index.arrays._pair_tables  # materialized, yet extended() drops them
         arrays = index.extended(**delta).index.arrays
-        assert "_pair_tables" in arrays.__dict__
+        assert "_pair_tables" not in arrays.__dict__
         return arrays
 
     def test_only_new_tasks(self):
@@ -181,6 +182,7 @@ class TestExtension:
             index = index.extended(
                 tasks=batch.tasks, workers=batch.workers, claims=batch.claims
             ).index
+            assert "_pair_tables" not in index.arrays.__dict__
             assert_matches_oracle(index.arrays)
 
 

@@ -92,6 +92,18 @@ class TestEstimates:
         cold = DATE().run(online.dataset)
         assert online.truths == cold.truths
 
+    def test_ingest_after_refresh_drops_pair_tables(self, qlf_small):
+        # The refresh builds the campaign index's pair tables; the next
+        # extension must not carry them (re-sorting O(campaign) rows).
+        online = OnlineDATE()
+        batches = replay_batches(qlf_small, 4)
+        for batch in batches[:2]:
+            online.ingest(batch)
+        online.refresh()
+        assert "_pair_tables" in online.index.arrays.__dict__
+        online.ingest(batches[2])
+        assert "_pair_tables" not in online.index.arrays.__dict__
+
     def test_dirty_scope_estimates_cover_ingested_tasks(self, qlf_small):
         online = OnlineDATE()
         batches = replay_batches(qlf_small, 4)

@@ -399,6 +399,44 @@ class TestStreamingApp:
             assert status == 400 and "error" in body
             assert not journal_path(tmp_path, "c2").exists()
 
+    @pytest.mark.parametrize("seq", [2.5, 3.5, True, "3.0x"])
+    def test_non_integer_seq_400_before_journal(self, tmp_path, replay, seq):
+        # Truncating 2.5 to 2 used to acknowledge a new batch as a
+        # duplicate of seq 2 and silently drop its claims.
+        app = StreamingApp(CampaignStore(journal_dir=tmp_path))
+        app.handle("POST", "/campaigns", {"campaign_id": "c1"})
+        for number, batch in enumerate(replay[:2], start=1):
+            status, _ = app.handle(
+                "POST", "/campaigns/c1/claims", {**batch_to_json(batch), "seq": number}
+            )
+            assert status == 200
+        journal = journal_path(tmp_path, "c1")
+        size = journal.stat().st_size
+        before = app.handle("GET", "/campaigns/c1", None)[1]
+
+        status, body = app.handle(
+            "POST", "/campaigns/c1/claims", {**batch_to_json(replay[2]), "seq": seq}
+        )
+        assert status == 400 and "seq" in body["error"]
+        assert journal.stat().st_size == size
+        assert app.handle("GET", "/campaigns/c1", None)[1] == before
+
+        # The batch still goes through under its integral seq.
+        status, body = app.handle(
+            "POST", "/campaigns/c1/claims", {**batch_to_json(replay[2]), "seq": 3.0}
+        )
+        assert status == 200 and body["batch"] == 3
+
+    @pytest.mark.parametrize("refresh_every", [0.5, 2.5, True, False])
+    def test_non_integer_refresh_every_400_before_journal(self, tmp_path, refresh_every):
+        app = StreamingApp(CampaignStore(journal_dir=tmp_path))
+        status, body = app.handle(
+            "POST", "/campaigns", {"campaign_id": "c1", "refresh_every": refresh_every}
+        )
+        assert status == 400 and "refresh_every" in body["error"]
+        assert list(tmp_path.iterdir()) == []
+        assert app.handle("GET", "/campaigns", None)[1] == {"campaigns": []}
+
     @pytest.mark.parametrize(
         "config",
         [
