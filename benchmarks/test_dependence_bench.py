@@ -51,7 +51,6 @@ def dep_state():
     index = DatasetIndex(dataset)
     arrays = index.arrays
     cfg = DateConfig()
-    cfg.false_values.prepare(index)
     collision = cfg.false_values.collision_array(index)
     rng = np.random.default_rng(BENCH_SEED)
     truth_codes = arrays.majority_codes()
@@ -62,7 +61,7 @@ def dep_state():
         collision=collision,
         accuracy_clamp=cfg.accuracy_clamp,
     )
-    # Warm the pair tables + scratch so timings measure the kernels.
+    # Warm the pair tables so timings measure the kernels.
     pairwise_dependence_arrays(arrays, truth_codes, claim_acc, **params)
     return index, arrays, truth_codes, claim_acc, params
 

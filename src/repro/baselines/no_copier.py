@@ -58,7 +58,6 @@ class NoCopier:
         index = index or DatasetIndex(dataset)
         cfg = self.config
         arrays = index.arrays
-        cfg.false_values.prepare(index)
 
         truth_codes = arrays.majority_codes()
         claim_acc = np.full(arrays.n_claims, cfg.initial_accuracy, dtype=np.float64)

@@ -128,6 +128,11 @@ class DateConfig:
                 f"discount_mode must be 'directed' or 'total', got "
                 f"{self.discount_mode!r}"
             )
+        if not isinstance(self.discounted_posterior, bool):
+            raise ConfigurationError(
+                "discounted_posterior must be a bool, got "
+                f"{self.discounted_posterior!r}"
+            )
         if not isinstance(self.false_values, FalseValueDistribution):
             raise ConfigurationError(
                 "false_values must be a FalseValueDistribution instance"

@@ -340,7 +340,6 @@ class DATE:
         arrays = index.arrays
         telemetry = _run_telemetry()
         run_start = time.perf_counter() if telemetry is not None else 0.0
-        cfg.false_values.prepare(index)
         collision = cfg.false_values.collision_array(index)
         group_q = (
             cfg.false_values.value_probability_array(index)

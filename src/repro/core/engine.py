@@ -5,7 +5,9 @@ This module executes the four steps of Alg. 1 (documented in
 :mod:`~repro.core.support`) as flat passes over the integer-coded
 claim arrays: numpy, plus the compiled kernels of
 :mod:`~repro.core.native` for the pair-row arithmetic of step 1 and
-the greedy of step 2.  State lives in three flat arrays between
+the greedy of step 2.  The kernels keep no state of their own: every
+temporary is a fresh numpy array freed when the call returns, and a
+run's state lives in three flat arrays its caller passes between
 iterations:
 
 - ``claim_acc`` — one accuracy per claim (the non-zero entries of the
@@ -24,7 +26,6 @@ scalar transcriptions kept in tests/oracles/.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 
@@ -42,7 +43,6 @@ __all__ = [
     "DependenceArrays",
     "DependenceView",
     "IncrementalDependence",
-    "KernelScratch",
     "pairwise_dependence_arrays",
     "independence_flat",
     "plain_posterior_groups",
@@ -69,70 +69,6 @@ _kernels = load_kernels()
 
 def _safe_log(x: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(x, _MIN_PROB))
-
-
-def _note_scratch_growth(nbytes: int) -> None:
-    """Record one scratch slab (re)allocation when telemetry is on.
-
-    Growth is rare by design (slabs persist across iterations), so this
-    sits outside the hot path; the lazy import keeps the kernel module
-    import-light.
-    """
-    from ..obs.metrics import get_registry
-
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter(
-            "date_scratch_growth_total",
-            "KernelScratch slab allocations (growth or dtype change).",
-        ).inc()
-        registry.counter(
-            "date_scratch_bytes_total",
-            "Total bytes allocated into KernelScratch slabs.",
-        ).inc(nbytes)
-
-
-class KernelScratch:
-    """Named, growable scratch slabs for the hot kernels' temporaries.
-
-    The fixed-point loop's dependence, pair-posterior and group-posterior
-    kernels draw their temporaries from named slabs that persist across
-    iterations, so allocating them is a one-time cost.  :meth:`array`
-    hands out a view of the slab for ``name`` (grown when needed), so a
-    caller must be done with the previous view of a name before
-    requesting it again.  One scratch is not thread-safe — concurrent
-    campaigns each use their thread's own instance
-    (:func:`_thread_scratch`).
-    """
-
-    def __init__(self) -> None:
-        self._slabs: dict[str, np.ndarray] = {}
-
-    def array(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        """A writable, uninitialized ``shape`` view of the ``name`` slab."""
-        if isinstance(shape, int):
-            shape = (shape,)
-        size = 1
-        for extent in shape:
-            size *= int(extent)
-        slab = self._slabs.get(name)
-        if slab is None or slab.dtype != np.dtype(dtype) or slab.size < size:
-            slab = np.empty(max(size, 1), dtype=dtype)
-            self._slabs[name] = slab
-            _note_scratch_growth(slab.nbytes)
-        return slab[:size].reshape(shape)
-
-
-_TLS = threading.local()
-
-
-def _thread_scratch() -> KernelScratch:
-    """The calling thread's own :class:`KernelScratch` (created once)."""
-    scratch = getattr(_TLS, "scratch", None)
-    if scratch is None:
-        scratch = KernelScratch()
-        _TLS.scratch = scratch
-    return scratch
 
 
 @dataclass(frozen=True)
@@ -332,7 +268,6 @@ def _dependence_posteriors(
     sum_ab: np.ndarray,
     sum_ba: np.ndarray,
     prior_alpha: float,
-    scratch: KernelScratch,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bayes' rule with the α/2 prior split, normalized in log space.
 
@@ -340,12 +275,11 @@ def _dependence_posteriors(
     same bits as normalizing all of them and selecting the subset.  The
     two returned arrays are fresh; the sums are not modified.
     """
-    n = len(sum_ind)
-    w_ind = np.add(sum_ind, math.log(1.0 - prior_alpha), out=scratch.array("post_ind", n))
+    w_ind = np.add(sum_ind, math.log(1.0 - prior_alpha))
     log_prior_dep = math.log(prior_alpha / 2.0)
     w_ab = np.add(sum_ab, log_prior_dep)
     w_ba = np.add(sum_ba, log_prior_dep)
-    peak = np.maximum(w_ab, w_ba, out=scratch.array("post_peak", n))
+    peak = np.maximum(w_ab, w_ba)
     np.maximum(w_ind, peak, out=peak)
     for w in (w_ind, w_ab, w_ba):
         np.subtract(w, peak, out=w)
@@ -366,7 +300,6 @@ def pairwise_dependence_arrays(
     prior_alpha: float,
     collision: np.ndarray,
     accuracy_clamp: tuple[float, float] = (0.01, 0.99),
-    scratch: KernelScratch | None = None,
 ) -> DependenceArrays:
     """Step 1 (Eqs. 7-15) as one pass over the (pair, shared task) rows.
 
@@ -375,18 +308,13 @@ def pairwise_dependence_arrays(
     the α/2 prior split normalizes in log space.  ``collision`` is the
     per-task false-value collision probability (Eq. 22's integral),
     typically :meth:`FalseValueDistribution.collision_array`.
-    ``scratch`` reuses the temporaries across calls (defaults to the
-    calling thread's shared scratch).
     """
     if not 0.0 < copy_prob_r < 1.0:
         raise ValueError(f"copy_prob_r must be in (0, 1), got {copy_prob_r}")
     if not 0.0 < prior_alpha < 1.0:
         raise ValueError(f"prior_alpha must be in (0, 1), got {prior_alpha}")
     lo, hi = accuracy_clamp
-    scratch = scratch if scratch is not None else _thread_scratch()
-    n_rows = len(arrays.ps_pair)
-    n_pairs = arrays.n_pairs
-    terms = tuple(scratch.array(f"dep_{name}", n_rows) for name in ("ind", "ab", "ba"))
+    terms = tuple(np.empty(len(arrays.ps_pair)) for _ in range(3))
     _score_pair_rows(
         arrays,
         truth_codes,
@@ -400,9 +328,9 @@ def pairwise_dependence_arrays(
         out_ab=terms[1],
         out_ba=terms[2],
     )
-    sums = tuple(scratch.array(f"dep_sum_{name}", n_pairs) for name in ("ind", "ab", "ba"))
+    sums = tuple(np.empty(arrays.n_pairs) for _ in range(3))
     _pair_sums(arrays, terms, sums)
-    p_ab, p_ba = _dependence_posteriors(*sums, prior_alpha, scratch)
+    p_ab, p_ba = _dependence_posteriors(*sums, prior_alpha)
     return DependenceArrays(p_ab=p_ab, p_ba=p_ba)
 
 
@@ -456,7 +384,6 @@ class IncrementalDependence:
         self._r = copy_prob_r
         self._alpha = prior_alpha
         self._lo, self._hi = accuracy_clamp
-        self._scratch = KernelScratch()
         self._truth_codes: np.ndarray | None = None
         self._claim_acc: np.ndarray | None = None
         self._arrays = arrays
@@ -533,7 +460,7 @@ class IncrementalDependence:
             out_ba=terms[2],
         )
         _pair_sums(arrays, terms, sums)
-        self._p_ab, self._p_ba = _dependence_posteriors(*sums, self._alpha, self._scratch)
+        self._p_ab, self._p_ba = _dependence_posteriors(*sums, self._alpha)
 
     def _refresh_tasks(
         self,
@@ -544,7 +471,6 @@ class IncrementalDependence:
         if len(touched) == 0:
             return
         arrays = self._arrays
-        scratch = self._scratch
         task_row_ptr, rows_by_task = arrays.pair_rows_by_task
         rows = rows_by_task[
             _concat_ranges(
@@ -553,10 +479,7 @@ class IncrementalDependence:
         ]
         if len(rows) == 0:
             return
-        n = len(rows)
-        out_ind = scratch.array("inc_ind", n)
-        out_ab = scratch.array("inc_ab", n)
-        out_ba = scratch.array("inc_ba", n)
+        out_ind, out_ab, out_ba = (np.empty(len(rows)) for _ in range(3))
         _score_pair_rows(
             arrays,
             truth_codes,
@@ -576,8 +499,7 @@ class IncrementalDependence:
 
         # Affected pairs = pairs owning a re-scored row (a boolean
         # scatter — orders of magnitude cheaper than np.unique here).
-        mask = scratch.array("inc_pair_mask", arrays.n_pairs, bool)
-        mask[:] = False
+        mask = np.zeros(arrays.n_pairs, dtype=bool)
         mask[arrays.ps_pair[rows]] = True
         affected = np.flatnonzero(mask)
         # Re-sum each affected pair over its full contiguous row
@@ -586,7 +508,7 @@ class IncrementalDependence:
         sums = (self._sum_ind, self._sum_ab, self._sum_ba)
         _pair_sums(arrays, (self._row_ind, self._row_ab, self._row_ba), sums, affected)
         p_ab, p_ba = _dependence_posteriors(
-            *(values[affected] for values in sums), self._alpha, scratch
+            *(values[affected] for values in sums), self._alpha
         )
         self._p_ab[affected] = p_ab
         self._p_ba[affected] = p_ba
@@ -599,7 +521,6 @@ def independence_flat(
     copy_prob_r: float,
     ordering: str = "dependent_first",
     discount_mode: str = "directed",
-    scratch: KernelScratch | None = None,
 ) -> np.ndarray:
     """Step 2 (Eq. 16): one independence probability per claim.
 
@@ -651,10 +572,9 @@ def independence_flat(
     if not buckets:
         return indep
 
-    scratch = scratch if scratch is not None else _thread_scratch()
     largest = max(m for m, _ in buckets)
-    work = scratch.array("indep_work", largest * largest + 3 * largest)
-    order = scratch.array("indep_order", 2 * largest, np.int64)
+    work = np.empty(largest * largest + 3 * largest)
+    order = np.empty(2 * largest, dtype=np.int64)
     p_ab = np.ascontiguousarray(dependence.p_ab, dtype=np.float64)
     p_ba = np.ascontiguousarray(dependence.p_ba, dtype=np.float64)
     if not len(p_ab) == len(p_ba) == arrays.n_pairs:
@@ -703,7 +623,6 @@ def plain_posterior_groups(
     *,
     false_values,
     accuracy_clamp: tuple[float, float] = (0.01, 0.99),
-    scratch: KernelScratch | None = None,
 ) -> np.ndarray:
     """Eq. 20 posteriors (undiscounted), one probability per value group.
 
@@ -714,16 +633,14 @@ def plain_posterior_groups(
     """
     lo, hi = accuracy_clamp
     index = arrays.index
-    scratch = scratch if scratch is not None else _thread_scratch()
+    acc = np.clip(claim_acc, lo, hi)
+    log_acc = np.log(acc)
 
     if getattr(false_values, "candidate_free", False):
         value_q = false_values.value_probability_array(index)
-        n = arrays.n_claims
         # Per-claim ln A and ln((1-A) q).
-        acc = np.clip(claim_acc, lo, hi, out=scratch.array("pp_acc", n))
-        log_acc = np.log(acc, out=scratch.array("pp_log_acc", n))
-        log_false = np.subtract(1.0, acc, out=scratch.array("pp_log_false", n))
-        q = np.take(value_q, arrays.claim_group, out=scratch.array("pp_q", n))
+        log_false = np.subtract(1.0, acc)
+        q = np.take(value_q, arrays.claim_group)
         np.multiply(log_false, q, out=log_false)
         np.maximum(log_false, _MIN_PROB, out=log_false)
         np.log(log_false, out=log_false)
@@ -742,13 +659,11 @@ def plain_posterior_groups(
         return _segment_softmax(scores, arrays.group_task, arrays.task_group_ptr)
 
     # General model: per-task K x K false-value matrices, computed once
-    # per index (they are iteration-invariant) and cached on the model.
+    # per (model, index) — they are iteration-invariant.
     # Each candidate's score adds its claims' terms in the task's claim
     # arrival order (``arrays.claim_seq``), as the scalar transcription
     # does: candidates whose scores tie exactly in real arithmetic then
     # tie in floating point too, and line 28's tie-break decides.
-    acc = np.clip(claim_acc, lo, hi)
-    log_acc = np.log(acc)
     q_matrices = false_values.value_probability_matrices(index)
     scores = np.empty(arrays.n_groups, dtype=np.float64)
     for j in range(index.n_tasks):
@@ -773,7 +688,6 @@ def discounted_posterior_groups(
     *,
     group_q: np.ndarray,
     accuracy_clamp: tuple[float, float] = (0.01, 0.99),
-    scratch: KernelScratch | None = None,
 ) -> np.ndarray:
     """Independence-weighted posteriors, one per value group.
 
@@ -785,12 +699,10 @@ def discounted_posterior_groups(
     :meth:`FalseValueDistribution.value_probability_array`.
     """
     lo, hi = accuracy_clamp
-    scratch = scratch if scratch is not None else _thread_scratch()
-    n = arrays.n_claims
-    acc = np.clip(claim_acc, lo, hi, out=scratch.array("dq_acc", n))
-    term = np.log(acc, out=scratch.array("dq_term", n))
-    false_part = np.subtract(1.0, acc, out=scratch.array("dq_false", n))
-    q = np.take(group_q, arrays.claim_group, out=scratch.array("dq_q", n))
+    acc = np.clip(claim_acc, lo, hi)
+    term = np.log(acc)
+    false_part = np.subtract(1.0, acc)
+    q = np.take(group_q, arrays.claim_group)
     np.multiply(false_part, q, out=false_part)
     np.maximum(false_part, _MIN_PROB, out=false_part)
     np.log(false_part, out=false_part)

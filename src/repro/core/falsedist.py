@@ -21,12 +21,15 @@ two quantities the formulas actually consume:
 
 With :class:`UniformFalseValues` both reduce exactly to the paper's
 original formulas, so the base algorithm is the special case.
+
+Both are functions of the dataset index alone: a model caches what it
+derives from an index on that index, never on itself, so one instance
+can be shared across runs, campaigns and threads.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import Counter
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -47,6 +50,12 @@ class FalseValueDistribution(ABC):
 
     Implementations may use the dataset index (for example to rank
     values by observed popularity) but must not use task ground truths.
+
+    A model keeps no per-dataset state: everything it derives from an
+    index (a ranking, counts, the batch arrays below) lives in that
+    index's per-model cache (:meth:`_cached`), so its answers for an
+    index depend on that index alone and one instance can serve any
+    number of indexes from any number of threads.
 
     The DATE kernels consume the two batch views
     :meth:`collision_array` and :meth:`value_probability_array`; their
@@ -72,25 +81,23 @@ class FalseValueDistribution(ABC):
         """
         return {}
 
-    def prepare(self, index: DatasetIndex) -> None:
-        """Hook called once per DATE run before any queries.
+    def _cached(self, index: DatasetIndex, key: str, build):
+        """``build()``, computed once per (model, index) under ``key``.
 
-        Models that derive their shape from the data (Zipf ranking,
-        empirical fitting) compute their per-task tables here.
-        """
-
-    def _array_cache(self, index: DatasetIndex) -> dict:
-        """Per-(model, index) cache for the batch views below.
-
-        Lives on the index's array view inside a ``WeakKeyDictionary``
-        keyed by the model, so a long-lived shared index does not pin
-        every model a sweep ever instantiated (each grid point's model
-        and its arrays are released when the model goes away).
+        The cache lives on the index's array view inside a
+        ``WeakKeyDictionary`` keyed by the model, so a long-lived shared
+        index does not pin every model a sweep ever instantiated (each
+        grid point's model and its entries are released when the model
+        goes away).  Every entry is a pure function of the index, so
+        two threads that race to fill one store equal values.
         """
         caches = index.arrays.__dict__.setdefault(
             "_falsedist_cache", WeakKeyDictionary()
         )
-        return caches.setdefault(self, {})
+        cache = caches.setdefault(self, {})
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
     def collision_array(self, index: DatasetIndex) -> np.ndarray:
         """Per-task collision probabilities as one array (Eq. 22).
@@ -99,16 +106,14 @@ class FalseValueDistribution(ABC):
         pure function of the dataset; it is computed once per index and
         cached (the scalar kernels recompute the same values per call).
         """
-        cache = self._array_cache(index)
-        if "collision" not in cache:
-            cache["collision"] = np.array(
-                [
-                    self.collision_probability(j, index)
-                    for j in range(index.n_tasks)
-                ],
+        return self._cached(
+            index,
+            "collision",
+            lambda: np.array(
+                [self.collision_probability(j, index) for j in range(index.n_tasks)],
                 dtype=np.float64,
-            )
-        return cache["collision"]
+            ),
+        )
 
     def value_probability_array(self, index: DatasetIndex) -> np.ndarray:
         """Per-value-group false probabilities ``q_j(v)``, truth-free.
@@ -117,25 +122,18 @@ class FalseValueDistribution(ABC):
         the query the discounted posterior makes), floored at the
         likelihood clamp like the scalar kernel.  Cached per index.
         """
-        cache = self._array_cache(index)
-        if "group_q" not in cache:
-            arrays = index.arrays
-            cache["group_q"] = np.maximum(
-                np.array(
-                    [
-                        self.value_probability(
-                            int(arrays.group_task[g]),
-                            index,
-                            arrays.group_values[g],
-                            None,
-                        )
-                        for g in range(arrays.n_groups)
-                    ],
-                    dtype=np.float64,
-                ),
-                1e-12,
-            )
-        return cache["group_q"]
+        arrays = index.arrays
+
+        def build() -> np.ndarray:
+            q = [
+                self.value_probability(
+                    int(arrays.group_task[g]), index, arrays.group_values[g], None
+                )
+                for g in range(arrays.n_groups)
+            ]
+            return np.maximum(np.array(q, dtype=np.float64), 1e-12)
+
+        return self._cached(index, "group_q", build)
 
     def value_probability_matrices(self, index: DatasetIndex) -> list[np.ndarray]:
         """Per-task ``K_j x K_j`` matrices ``Q[v, c] = q_j(v | c true)``.
@@ -146,28 +144,19 @@ class FalseValueDistribution(ABC):
         posterior kernel computes them once per index and reuses them
         every iteration.
         """
-        cache = self._array_cache(index)
-        if "q_matrices" not in cache:
-            arrays = index.arrays
-            matrices: list[np.ndarray] = []
-            for j in range(index.n_tasks):
-                g0 = int(arrays.task_group_ptr[j])
-                g1 = int(arrays.task_group_ptr[j + 1])
-                values = arrays.group_values[g0:g1]
-                matrices.append(
-                    np.array(
-                        [
-                            [
-                                self.value_probability(j, index, value, candidate)
-                                for candidate in values
-                            ]
-                            for value in values
-                        ],
-                        dtype=np.float64,
-                    )
-                )
-            cache["q_matrices"] = matrices
-        return cache["q_matrices"]
+        arrays = index.arrays
+
+        def matrix(j: int) -> np.ndarray:
+            g0, g1 = int(arrays.task_group_ptr[j]), int(arrays.task_group_ptr[j + 1])
+            values = arrays.group_values[g0:g1]
+            return np.array(
+                [[self.value_probability(j, index, v, c) for c in values] for v in values],
+                dtype=np.float64,
+            )
+
+        return self._cached(
+            index, "q_matrices", lambda: [matrix(j) for j in range(index.n_tasks)]
+        )
 
     @abstractmethod
     def collision_probability(self, task_index: int, index: DatasetIndex) -> float:
@@ -218,11 +207,18 @@ class UniformFalseValues(FalseValueDistribution):
         return "UniformFalseValues()"
 
 
-def _observed_counts(index: DatasetIndex, j: int) -> dict[str, int]:
-    """Task ``j``'s ``value -> claim count``, values in sorted order."""
+def _domain_counts(index: DatasetIndex) -> list[dict[str, int]]:
+    """Per task, ``value -> claim count``: the observed values in sorted
+    order, then the task's unobserved domain values at count 0."""
     arrays = index.arrays
-    g0, g1 = arrays.task_group_ptr[j], arrays.task_group_ptr[j + 1]
-    return dict(zip(arrays.group_values[g0:g1], arrays.group_size[g0:g1].tolist()))
+    table = []
+    for j, task in enumerate(index.tasks):
+        g0, g1 = arrays.task_group_ptr[j], arrays.task_group_ptr[j + 1]
+        counts = dict(zip(arrays.group_values[g0:g1], arrays.group_size[g0:g1].tolist()))
+        for domain_value in task.domain:
+            counts.setdefault(domain_value, 0)
+        table.append(counts)
+    return table
 
 
 def _normalized_zipf(count: int, exponent: float) -> np.ndarray:
@@ -246,27 +242,25 @@ class ZipfFalseValues(FalseValueDistribution):
         if exponent < 0:
             raise ConfigurationError("Zipf exponent must be >= 0")
         self.exponent = float(exponent)
-        self._ranking: list[list[str]] = []
 
     def __fingerprint__(self) -> dict:
         return {"exponent": self.exponent}
 
-    def prepare(self, index: DatasetIndex) -> None:
-        self._ranking = []
-        for j in range(index.n_tasks):
-            counts = Counter(_observed_counts(index, j))
-            task = index.tasks[j]
-            for domain_value in task.domain:
-                counts.setdefault(domain_value, 0)
-            ordered = sorted(counts, key=lambda v: (-counts[v], v))
-            self._ranking.append(ordered)
+    def _rankings(self, index: DatasetIndex) -> list[list[str]]:
+        """Per task, its values by descending count, ties lexicographic."""
+        return self._cached(
+            index,
+            "ranking",
+            lambda: [
+                sorted(counts, key=lambda v: (-counts[v], v))
+                for counts in _domain_counts(index)
+            ],
+        )
 
     def _probabilities(
         self, task_index: int, index: DatasetIndex, assumed_truth: str | None
     ) -> dict[str, float]:
-        if not self._ranking:
-            self.prepare(index)
-        ordered = [v for v in self._ranking[task_index] if v != assumed_truth]
+        ordered = [v for v in self._rankings(index)[task_index] if v != assumed_truth]
         count = max(len(ordered), int(index.num_false[task_index]))
         probs = _normalized_zipf(count, self.exponent)
         return {v: float(probs[rank]) for rank, v in enumerate(ordered)}
@@ -310,25 +304,17 @@ class EmpiricalFalseValues(FalseValueDistribution):
         if smoothing <= 0:
             raise ConfigurationError("smoothing must be > 0")
         self.smoothing = float(smoothing)
-        self._counts: list[dict[str, int]] = []
 
     def __fingerprint__(self) -> dict:
         return {"smoothing": self.smoothing}
 
-    def prepare(self, index: DatasetIndex) -> None:
-        self._counts = []
-        for j in range(index.n_tasks):
-            counts = _observed_counts(index, j)
-            for domain_value in index.tasks[j].domain:
-                counts.setdefault(domain_value, 0)
-            self._counts.append(counts)
+    def _task_counts(self, task_index: int, index: DatasetIndex) -> dict[str, int]:
+        return self._cached(index, "counts", lambda: _domain_counts(index))[task_index]
 
     def _smoothed(
         self, task_index: int, index: DatasetIndex, assumed_truth: str | None
     ) -> dict[str, float]:
-        if not self._counts:
-            self.prepare(index)
-        counts = self._counts[task_index]
+        counts = self._task_counts(task_index, index)
         items = {
             v: c + self.smoothing for v, c in counts.items() if v != assumed_truth
         }
@@ -354,7 +340,7 @@ class EmpiricalFalseValues(FalseValueDistribution):
         if value in probs:
             return probs[value]
         # Unseen value: pretend it had a zero count, i.e. smoothing mass.
-        total = sum(self._counts[task_index].values()) + self.smoothing * (
+        total = sum(self._task_counts(task_index, index).values()) + self.smoothing * (
             len(probs) + 1
         )
         return self.smoothing / total if total > 0 else 1.0 / float(

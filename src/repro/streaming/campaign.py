@@ -795,7 +795,7 @@ class CampaignStore:
         create = scan.records[0]
         try:
             config = verify_config(create["config"], create.get("config_fp"))
-        except JournalError as exc:
+        except ReproError as exc:  # a digest mismatch or an invalid field
             journal.close()
             raise JournalError(f"{path.name}: {exc}") from exc
         online = OnlineDATE(

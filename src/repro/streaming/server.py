@@ -229,17 +229,18 @@ class StreamingApp:
         return 404, {"error": f"no route for {method} /{'/'.join(parts)}"}
 
     def _create(self, payload: dict):
-        if not isinstance(payload, dict) or not payload.get("campaign_id"):
-            return 400, {"error": "create payload must carry a campaign_id"}
+        campaign_id = payload.get("campaign_id")
+        if not isinstance(campaign_id, str) or not campaign_id:
+            return 400, {"error": "create payload must carry a non-empty string campaign_id"}
+        algorithm = payload.get("algorithm")
+        if algorithm is not None and not isinstance(algorithm, str):
+            return 400, {"error": f"algorithm must be a string, got {algorithm!r}"}
         refresh_every = payload.get("refresh_every")
         if refresh_every is not None:
             refresh_every = coerce_integer(payload, "refresh_every", 0)
-        algorithm = payload.get("algorithm")
-        if algorithm is not None:
-            algorithm = str(algorithm)
         seed = batch_from_json({k: payload[k] for k in ("tasks", "workers") if k in payload})
         campaign = self.store.create(
-            str(payload["campaign_id"]),
+            campaign_id,
             tasks=seed.tasks,
             workers=seed.workers,
             config=config_from_spec(

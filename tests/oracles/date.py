@@ -103,7 +103,6 @@ def date_reference(
 ) -> TruthDiscoveryResult:
     """Alg. 1 over the scalar per-element kernels."""
     cfg = config
-    cfg.false_values.prepare(index)
 
     truths = majority_vote(index)
     accuracy = initial_accuracy_matrix(index, cfg.initial_accuracy)
@@ -188,7 +187,6 @@ def date_reference(
 def no_copier_reference(config: DateConfig, index: DatasetIndex) -> TruthDiscoveryResult:
     """NC over the scalar kernels: step 3 only, every ``I = 1``."""
     cfg = config
-    cfg.false_values.prepare(index)
 
     truths = majority_vote(index)
     accuracy = initial_accuracy_matrix(index, cfg.initial_accuracy)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.dependence import DependencePosterior
-from repro.core.engine import DependenceArrays, KernelScratch
+from repro.core.engine import DependenceArrays
 from repro.core.falsedist import FalseValueDistribution, UniformFalseValues
 from repro.core.indexing import ClaimArrays, DatasetIndex
 
@@ -260,7 +260,6 @@ def classwise_score_pair_rows(
     out_ind: np.ndarray,
     out_ab: np.ndarray,
     out_ba: np.ndarray,
-    scratch: KernelScratch,
 ) -> None:
     """Per-row hypothesis log-likelihood terms for ``rows`` (Eqs. 7-13).
 
@@ -279,9 +278,9 @@ def classwise_score_pair_rows(
     # Differing rows (T_d): P_d = 1 - P_s - P_f, with both copy
     # directions sharing log(P_d · (1 - r)) (Eqs. 9, 13, 14).
     n = len(differ.rows)
-    acc_a = _clipped_take(claim_acc, differ.claim_a, lo, hi, scratch.array("sc_acc_a", n))
-    acc_b = _clipped_take(claim_acc, differ.claim_b, lo, hi, scratch.array("sc_acc_b", n))
-    p_diff = np.multiply(acc_a, acc_b, out=scratch.array("sc_p", n))
+    acc_a = _clipped_take(claim_acc, differ.claim_a, lo, hi, np.empty(n))
+    acc_b = _clipped_take(claim_acc, differ.claim_b, lo, hi, np.empty(n))
+    p_diff = np.multiply(acc_a, acc_b, out=np.empty(n))
     np.subtract(1.0, p_diff, out=p_diff)
     np.subtract(1.0, acc_a, out=acc_a)
     np.subtract(1.0, acc_b, out=acc_b)
@@ -302,17 +301,17 @@ def classwise_score_pair_rows(
     # (Eqs. 7, 8, 11, 12, 22); both directions are log(src · r +
     # P · (1 - r)).
     n = len(same.rows)
-    src_a = _clipped_take(claim_acc, same.claim_a, lo, hi, scratch.array("sc_acc_a", n))
-    src_b = _clipped_take(claim_acc, same.claim_b, lo, hi, scratch.array("sc_acc_b", n))
+    src_a = _clipped_take(claim_acc, same.claim_a, lo, hi, np.empty(n))
+    src_b = _clipped_take(claim_acc, same.claim_b, lo, hi, np.empty(n))
     truth = np.take(
-        truth_codes, same.task, out=scratch.array("sc_truth", n, np.int64), mode="clip"
+        truth_codes, same.task, out=np.empty(n, dtype=np.int64), mode="clip"
     )
-    on_truth = np.equal(same.code, truth, out=scratch.array("sc_on_truth", n))
-    off_truth = np.subtract(1.0, on_truth, out=scratch.array("sc_off_truth", n))
+    on_truth = np.equal(same.code, truth, out=np.empty(n))
+    off_truth = np.subtract(1.0, on_truth, out=np.empty(n))
     for src in (src_a, src_b):
-        _select(on_truth, src, off_truth, np.subtract(1.0, src, out=scratch.array("sc_tmp", n)))
-    p_same = np.multiply(src_a, src_b, out=scratch.array("sc_p", n))
-    col = np.take(collision, same.task, out=scratch.array("sc_tmp", n), mode="clip")
+        _select(on_truth, src, off_truth, np.subtract(1.0, src, out=np.empty(n)))
+    p_same = np.multiply(src_a, src_b, out=np.empty(n))
+    col = np.take(collision, same.task, out=np.empty(n), mode="clip")
     # The collision factor is an exact 1.0 on T_s rows: col · 0 + 1.
     np.multiply(col, off_truth, out=col)
     np.add(col, on_truth, out=col)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.dependence import DependencePosterior
-from repro.core.engine import DependenceArrays, KernelScratch, _thread_scratch
+from repro.core.engine import DependenceArrays
 from repro.core.indexing import ClaimArrays, DatasetIndex
 
 from .dependence import directed_probability, total_dependence
@@ -165,7 +165,6 @@ def batched_independence_flat(
     copy_prob_r: float,
     ordering: str = "dependent_first",
     discount_mode: str = "directed",
-    scratch: KernelScratch | None = None,
 ) -> np.ndarray:
     """Step 2 (Eq. 16) as the batched numpy kernel, one value per claim.
 
@@ -212,7 +211,6 @@ def batched_independence_flat(
             f"discount_mode must be 'directed' or 'total', got {discount_mode!r}"
         )
     r = copy_prob_r
-    scratch = scratch if scratch is not None else _thread_scratch()
     indep = np.ones(arrays.n_claims, dtype=np.float64)
     buckets = arrays.multi_group_buckets
     if not buckets:
@@ -225,26 +223,26 @@ def batched_independence_flat(
         n_groups = len(claim_idx)
         sub = values.take(slots)
         total_sub = np.add(
-            sub, sub.transpose(0, 2, 1), out=scratch.array("if_total", (n_groups, m, m))
+            sub, sub.transpose(0, 2, 1), out=np.empty((n_groups, m, m))
         )
-        totals = np.sum(total_sub, axis=2, out=scratch.array("if_totals", (n_groups, m)))
+        totals = np.sum(total_sub, axis=2, out=np.empty((n_groups, m)))
         if ordering == "dependent_first":
             first = np.argmax(totals, axis=1)
         else:
             first = np.argmin(totals, axis=1)
 
         rows = np.arange(n_groups)
-        order = scratch.array("if_order", (n_groups, m), np.int64)
+        order = np.empty((n_groups, m), dtype=np.int64)
         order[:, 0] = first
-        selected = scratch.array("if_selected", (n_groups, m), bool)
+        selected = np.empty((n_groups, m), dtype=bool)
         selected[:] = False
         selected[rows, first] = True
         # Best directed attachment to any already-selected member
         # (Alg. 1 line 19), grown one selection at a time for every
         # group of this size simultaneously.
-        attachment = scratch.array("if_attach", (n_groups, m))
+        attachment = np.empty((n_groups, m))
         attachment[:] = sub[rows, :, first]
-        masked = scratch.array("if_masked", (n_groups, m))
+        masked = np.empty((n_groups, m))
         for position in range(1, m):
             np.copyto(masked, attachment)
             masked[selected] = -np.inf
@@ -259,7 +257,7 @@ def batched_independence_flat(
         ]
         # score[k] = prod over predecessors l < k of (1 - r * dep[k, l]);
         # non-predecessor entries contribute a factor of exactly 1.
-        factors = np.multiply(ordered, -r, out=scratch.array("if_factors", (n_groups, m, m)))
+        factors = np.multiply(ordered, -r, out=np.empty((n_groups, m, m)))
         np.add(factors, 1.0, out=factors)
         factors[:, ~np.tri(m, k=-1, dtype=bool)] = 1.0
         flat_positions = np.take_along_axis(claim_idx, order, axis=1)

@@ -24,7 +24,6 @@ from tests.property.test_property_streaming import streamed_campaigns
 
 
 def _kernel_params(index: DatasetIndex, cfg: DateConfig) -> dict:
-    cfg.false_values.prepare(index)
     return dict(
         copy_prob_r=cfg.copy_prob_r,
         prior_alpha=cfg.prior_alpha,

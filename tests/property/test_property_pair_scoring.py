@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 
 from repro import Dataset, Task, WorkerProfile
 from repro.core import DatasetIndex
-from repro.core.engine import KernelScratch, _pair_sums, _score_pair_rows, accuracy_flat
+from repro.core.engine import _pair_sums, _score_pair_rows, accuracy_flat
 from repro.core.falsedist import UniformFalseValues, ZipfFalseValues
 
 from tests.oracles import classwise_score_pair_rows
@@ -93,7 +93,6 @@ def scoring_cases(draw):
 
     model = draw(st.sampled_from(["uniform", "zipf"]))
     false_values = ZipfFalseValues(1.3) if model == "zipf" else UniformFalseValues()
-    false_values.prepare(index)
     collision = false_values.collision_array(index)
 
     lo, hi = draw(st.sampled_from([(0.01, 0.99), (0.2, 0.7), (0.0, 1.0)]))
@@ -155,7 +154,6 @@ def _numpy_score(arrays, truth_codes, claim_acc, params, rows):
         out_ind=outs[0],
         out_ab=outs[1],
         out_ba=outs[2],
-        scratch=KernelScratch(),
         **params,
     )
     return outs

@@ -33,6 +33,10 @@ class TestDateConfig:
             ("ordering", "random"),
             ("discount_mode", "either"),
             ("similarity_weight", 1.5),
+            ("discounted_posterior", "no"),
+            ("discounted_posterior", []),
+            ("discounted_posterior", 1),
+            ("discounted_posterior", None),
         ],
     )
     def test_validation(self, field, value):

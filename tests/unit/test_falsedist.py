@@ -50,7 +50,6 @@ class TestZipf:
 
     def test_zero_exponent_is_uniform(self, skewed_index):
         model = ZipfFalseValues(exponent=0.0)
-        model.prepare(skewed_index)
         probs = [
             model.value_probability(0, skewed_index, v, "truth")
             for v in ("popular", "rare", "never")
@@ -59,14 +58,12 @@ class TestZipf:
 
     def test_popular_value_gets_higher_probability(self, skewed_index):
         model = ZipfFalseValues(exponent=1.5)
-        model.prepare(skewed_index)
         p_popular = model.value_probability(0, skewed_index, "popular", "truth")
         p_rare = model.value_probability(0, skewed_index, "rare", "truth")
         assert p_popular > p_rare
 
     def test_probabilities_sum_near_one(self, skewed_index):
         model = ZipfFalseValues(exponent=1.0)
-        model.prepare(skewed_index)
         total = sum(
             model.value_probability(0, skewed_index, v, "truth")
             for v in ("popular", "rare", "never")
@@ -76,7 +73,6 @@ class TestZipf:
     def test_collision_above_uniform(self, skewed_index):
         # A skewed distribution collides more often than uniform.
         zipf = ZipfFalseValues(exponent=1.5)
-        zipf.prepare(skewed_index)
         uniform = UniformFalseValues()
         assert zipf.collision_probability(0, skewed_index) > uniform.collision_probability(
             0, skewed_index
@@ -84,7 +80,6 @@ class TestZipf:
 
     def test_collision_in_unit_interval(self, skewed_index):
         model = ZipfFalseValues(exponent=2.0)
-        model.prepare(skewed_index)
         c = model.collision_probability(0, skewed_index)
         assert 0.0 < c <= 1.0
 
@@ -96,14 +91,12 @@ class TestEmpirical:
 
     def test_probability_tracks_counts(self, skewed_index):
         model = EmpiricalFalseValues(smoothing=0.5)
-        model.prepare(skewed_index)
         p_popular = model.value_probability(0, skewed_index, "popular", "truth")
         p_never = model.value_probability(0, skewed_index, "never", "truth")
         assert p_popular > p_never > 0.0
 
     def test_excludes_assumed_truth(self, skewed_index):
         model = EmpiricalFalseValues()
-        model.prepare(skewed_index)
         total = sum(
             model.value_probability(0, skewed_index, v, "truth")
             for v in ("popular", "rare", "never")
@@ -112,11 +105,9 @@ class TestEmpirical:
 
     def test_collision_positive(self, skewed_index):
         model = EmpiricalFalseValues()
-        model.prepare(skewed_index)
         assert 0.0 < model.collision_probability(0, skewed_index) <= 1.0
 
     def test_none_assumed_truth_supported(self, skewed_index):
         model = EmpiricalFalseValues()
-        model.prepare(skewed_index)
         p = model.value_probability(0, skewed_index, "popular", None)
         assert 0.0 < p < 1.0

@@ -179,6 +179,28 @@ class TestConfigCodec:
         with pytest.raises(JournalCorruptError, match="unknown config field"):
             config_from_payload(payload)
 
+    def test_junk_discounted_posterior_recovers_as_corrupt(self, tmp_path):
+        # The create record a journaled server wrote for
+        # ``{"discounted_posterior": "no"}`` before the field was
+        # type-checked: payload and digest agree on the junk value.
+        from repro.streaming import CampaignStore
+
+        junk = DateConfig()
+        object.__setattr__(junk, "discounted_posterior", "no")
+        record = create_record(
+            "c1", config=junk, algorithm="DATE", refresh_every=0, created_at=0.0
+        )
+        journal = CampaignJournal(journal_path(tmp_path, "c1"))
+        journal.append(record)
+        journal.close()
+
+        store = CampaignStore(journal_dir=tmp_path)
+        (report,) = store.last_recovery
+        assert report["status"] == "corrupt"
+        assert "discounted_posterior" in report["error"]
+        assert "c1" not in store
+        store.close()
+
     def test_non_default_objects_shift_the_fingerprint(self):
         # false_values/similarity are not in the JSON payload; the
         # fingerprint is what catches a config that cannot round-trip.

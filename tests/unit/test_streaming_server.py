@@ -152,6 +152,38 @@ class TestStreamingApp:
         status, body = app.handle("POST", "/campaigns", {})
         assert status == 400
 
+    @pytest.mark.parametrize("campaign_id", [True, 5, ["a", "b"], {"id": "a"}, None])
+    def test_non_string_campaign_id_400_before_journal(self, tmp_path, campaign_id):
+        # Never stringified into a campaign (true -> "True") and journaled.
+        app = StreamingApp(CampaignStore(journal_dir=tmp_path))
+        status, body = app.handle("POST", "/campaigns", {"campaign_id": campaign_id})
+        assert status == 400 and "campaign_id" in body["error"]
+        assert len(app.store) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("algorithm", [True, 5, ["DATE"], {"name": "DATE"}])
+    def test_non_string_algorithm_400_before_journal(self, tmp_path, algorithm):
+        app = StreamingApp(CampaignStore(journal_dir=tmp_path))
+        status, body = app.handle(
+            "POST", "/campaigns", {"campaign_id": "c1", "algorithm": algorithm}
+        )
+        assert status == 400 and "algorithm" in body["error"]
+        assert len(app.store) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["no", [], 1, None])
+    def test_non_bool_discounted_posterior_400_before_journal(self, tmp_path, value):
+        # "no" used to run the discounted posterior and [] the literal one.
+        app = StreamingApp(CampaignStore(journal_dir=tmp_path))
+        status, body = app.handle(
+            "POST",
+            "/campaigns",
+            {"campaign_id": "c1", "config": {"discounted_posterior": value}},
+        )
+        assert status == 400 and "discounted_posterior" in body["error"]
+        assert len(app.store) == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_store_not_discarded(self):
         # CampaignStore defines __len__, so a configured-but-empty
         # store is falsy; the app must still adopt it (`store or ...`
