@@ -1,7 +1,7 @@
-"""Durability benchmark: journaled-ingest overhead and recovery wall time.
+"""Durability benchmark: journaled-ingest overhead (DESIGN.md §15).
 
-Two acceptance gates for the write-ahead journal (DESIGN.md §15):
-
+- **Exactness** (`test_journaled_ingest_matches_unjournaled_exactly`):
+  journaling never changes an estimate.
 - **Overhead** (`test_journaled_ingest_overhead`): replaying a
   paper-scale campaign through a journaled store costs <= 1.5x the
   journal-off store.  The journal adds one compact-JSON frame + fsync
@@ -12,12 +12,8 @@ Two acceptance gates for the write-ahead journal (DESIGN.md §15):
 
       pytest benchmarks/test_durability_bench.py -k overhead -s
 
-- **Recovery** (`test_recovery_snapshot_speedup` + the plain recovery
-  timing): replaying the journal with a banked ledger refresh snapshot
-  must beat the snapshot-less replay (the adopt path skips the full
-  re-estimation), and both recoveries must land bit-identical to the
-  live store.  The correctness half always runs; the ratio is a
-  ``speedup``-named gate for quiet machines only.
+Recovery exactness, journaled refreshes included, is covered by
+``tests/integration/test_crash_recovery.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ import time
 
 import pytest
 
-from repro.artifacts import RunLedger
 from repro.datasets import generate_qatar_living_like
 from repro.streaming import CampaignStore, replay_batches
 
@@ -37,8 +32,6 @@ SCALE = dict(n_tasks=240, n_workers=100, n_copiers=25, target_claims=4800)
 
 #: The acceptance gate: journaled ingest <= this multiple of journal-off.
 MAX_OVERHEAD = 1.5
-#: Alternating cold/warm recoveries per side; each side keeps its minimum.
-RECOVERY_REPEATS = 3
 
 
 @pytest.fixture(scope="module")
@@ -96,42 +89,3 @@ def test_journaled_ingest_overhead(tmp_path_factory, stream_batches):
     )
     assert overhead <= MAX_OVERHEAD
 
-
-def test_recovery_snapshot_speedup(tmp_path_factory, stream_batches):
-    """Ledger-snapshot recovery beats recompute recovery, both exact."""
-    wal = tmp_path_factory.mktemp("wal-recover")
-    ledger_root = tmp_path_factory.mktemp("ledger")
-    live = CampaignStore(journal_dir=wal, ledger=RunLedger(ledger_root))
-    _replay(live, stream_batches)
-    live.estimate("bench", refresh=True)  # journals intent + banks snapshot
-    reference = _state(live)
-    live.close()
-
-    # Each side is the minimum of RECOVERY_REPEATS alternating runs, each
-    # recovering into a fresh store: single shots are too noisy on a
-    # small, shared box for the ordering assert below.
-    cold_times, warm_times = [], []
-    for _ in range(RECOVERY_REPEATS):
-        # Cold recovery: no ledger, the refresh record recomputes.
-        start = time.perf_counter()
-        cold = CampaignStore(journal_dir=wal)
-        cold_times.append(time.perf_counter() - start)
-        assert cold.last_recovery[0]["snapshot_hits"] == 0
-        assert _state(cold) == reference
-        cold.close()
-
-        # Warm recovery: the banked snapshot's fingerprint matches and is
-        # adopted instead of recomputed.
-        start = time.perf_counter()
-        warm = CampaignStore(journal_dir=wal, ledger=RunLedger(ledger_root))
-        warm_times.append(time.perf_counter() - start)
-        assert warm.last_recovery[0]["snapshot_hits"] == 1
-        assert _state(warm) == reference
-        warm.close()
-
-    cold_s, warm_s = min(cold_times), min(warm_times)
-    print(
-        f"\nrecovery (min of {RECOVERY_REPEATS}): recompute {cold_s * 1e3:.1f} ms, "
-        f"snapshot-hit {warm_s * 1e3:.1f} ms -> {cold_s / warm_s:.2f}x"
-    )
-    assert warm_s < cold_s

@@ -66,6 +66,7 @@ import urllib.request
 from pathlib import Path
 
 from .artifacts import LedgerError, RunLedger
+from .artifacts.ledger import KINDS as LEDGER_KINDS
 from .core.config import DateConfig
 from .datasets.io import load_dataset, save_dataset
 from .datasets.qatar_living import generate_qatar_living_like
@@ -315,13 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "claim batch are fsync'd here before they are applied, and a "
         "restarted server replays them back to the pre-crash state",
     )
-    server.add_argument(
-        "--store",
-        type=Path,
-        default=None,
-        help="run-ledger directory for banked refresh snapshots (speeds "
-        "up recovery; default: no ledger)",
-    )
 
     recover = sub.add_parser(
         "recover",
@@ -332,13 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=Path,
         required=True,
         help="journal directory written by 'repro serve --journal-dir'",
-    )
-    recover.add_argument(
-        "--store",
-        type=Path,
-        default=None,
-        help="run-ledger directory with banked refresh snapshots "
-        "(recovery adopts matching snapshots instead of recomputing)",
     )
     recover.add_argument(
         "--json",
@@ -441,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ledger_list.add_argument(
         "--kind",
-        choices=("rows", "points", "results", "snapshots"),
+        choices=LEDGER_KINDS,
         default=None,
         help="restrict to one artifact kind",
     )
@@ -471,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ledger_gc.add_argument(
         "--kind",
-        choices=("rows", "points", "results", "snapshots"),
+        choices=LEDGER_KINDS,
         default=None,
         help="restrict to one artifact kind",
     )
@@ -700,7 +687,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         refresh_every=args.refresh_every,
         max_campaigns=args.max_campaigns,
         algorithm=args.algorithm,
-        ledger=RunLedger(args.store) if args.store is not None else None,
         journal_dir=args.journal_dir,
     )
     if store.last_recovery:
@@ -717,10 +703,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
-    store = CampaignStore(
-        ledger=RunLedger(args.store) if args.store is not None else None,
-        journal_dir=args.journal_dir,
-    )
+    store = CampaignStore(journal_dir=args.journal_dir)
     reports = store.last_recovery
     store.close()
     if args.json:
@@ -736,7 +719,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             r.get("batches", ""),
             r.get("claims", ""),
             r.get("refreshes", ""),
-            r.get("snapshot_hits", ""),
             "yes" if r.get("torn") else "",
             f"{r.get('seconds', 0.0):.3f}",
         ]
@@ -744,7 +726,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     ]
     print(format_table(
         ["campaign", "status", "batches", "claims",
-         "refreshes", "snapshot hits", "torn tail", "seconds"],
+         "refreshes", "torn tail", "seconds"],
         rows,
     ))
     bad = [r for r in reports if r["status"] == "corrupt"]

@@ -8,12 +8,10 @@ cache (DESIGN.md §11):
 - :mod:`~repro.artifacts.fingerprint` lowers declarative work
   descriptions into canonical JSON and hashes them (SHA-256 + schema
   salt);
-- :mod:`~repro.artifacts.ledger` persists instance rows, sweep points,
-  finished results, and streaming refresh snapshots under those
-  fingerprints, making sweeps resumable at instance granularity and
-  repeated runs O(delta) instead of O(full recompute);
-- :mod:`~repro.artifacts.serialize` holds the lossless JSON codecs for
-  result bundles.
+- :mod:`~repro.artifacts.ledger` persists instance rows, sweep points
+  and finished results under those fingerprints, making sweeps
+  resumable at instance granularity and repeated runs O(delta) instead
+  of O(full recompute).
 """
 
 from .fingerprint import (
@@ -31,9 +29,7 @@ from .ledger import (
     RunLedger,
     cached_result,
     default_store_path,
-    snapshot_fingerprint,
 )
-from .serialize import truth_result_from_payload, truth_result_to_payload
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -48,7 +44,4 @@ __all__ = [
     "canonical_json",
     "default_store_path",
     "fingerprint",
-    "snapshot_fingerprint",
-    "truth_result_from_payload",
-    "truth_result_to_payload",
 ]

@@ -17,10 +17,6 @@ description of the work that made it (:mod:`repro.artifacts.fingerprint`):
 - ``results`` — a finished :class:`~repro.simulation.sweep.
   ExperimentResult`, keyed by the full configuration including the
   instance count; a hit short-circuits the whole run.
-- ``snapshots`` — a streaming campaign's full-refresh estimate, keyed
-  by ``(DATE config, campaign content)``, making a restarted
-  :class:`~repro.streaming.campaign.CampaignStore` warm: replaying the
-  same campaign reads the refresh instead of recomputing it.
 
 Storage is one JSON file per entry under ``<root>/<kind>/<fp[:2]>/
 <fp>.json`` (sharded so no directory grows unbounded), written
@@ -59,11 +55,10 @@ __all__ = [
     "RunLedger",
     "cached_result",
     "default_store_path",
-    "snapshot_fingerprint",
 ]
 
 #: Artifact namespaces, in display order.
-KINDS = ("rows", "points", "results", "snapshots")
+KINDS = ("rows", "points", "results")
 
 
 class LedgerError(ReproError, RuntimeError):
@@ -136,17 +131,6 @@ def result_fingerprint(key: RunKey) -> str:
     )
 
 
-def snapshot_fingerprint(payload: Any) -> str:
-    """The content fingerprint of one streaming refresh snapshot.
-
-    Module-level so the streaming journal can stamp refresh records
-    with the exact fingerprint the ledger would store the snapshot
-    under — recovery compares the two to decide whether a banked
-    refresh may be adopted mid-replay (DESIGN.md §15).
-    """
-    return fingerprint({"kind": "snapshot", "config": canonical(payload)})
-
-
 @dataclass
 class LedgerStats:
     """Per-process cache counters (reset with :meth:`RunLedger.reset_stats`)."""
@@ -204,9 +188,6 @@ class RunLedger:
     def result_fingerprint(self, key: RunKey) -> str:
         return result_fingerprint(key)
 
-    def snapshot_fingerprint(self, payload: Any) -> str:
-        return snapshot_fingerprint(payload)
-
     # -- rows ------------------------------------------------------------
 
     def get_row(self, key: RunKey, instance: int) -> dict[str, float] | None:
@@ -262,37 +243,6 @@ class RunLedger:
         self._write(
             "results", fp, key, body=result.to_payload(), detail="result"
         )
-        return fp
-
-    # -- streaming snapshots ---------------------------------------------
-
-    def get_snapshot(self, snapshot_key: Any) -> dict | None:
-        """A persisted campaign refresh snapshot, or ``None``."""
-        entry = self._read("snapshots", self.snapshot_fingerprint(snapshot_key))
-        return None if entry is None else entry["body"]
-
-    def get_snapshot_fp(self, fp: str) -> dict | None:
-        """A snapshot by its already-computed fingerprint, or ``None``.
-
-        Journal recovery already holds the fingerprint (the refresh
-        record carries it), so this skips re-canonicalizing the whole
-        campaign content just to re-derive a digest it has.
-        """
-        entry = self._read("snapshots", fp)
-        return None if entry is None else entry["body"]
-
-    def put_snapshot(self, snapshot_key: Any, body: Mapping[str, Any]) -> str:
-        fp = self.snapshot_fingerprint(snapshot_key)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "fingerprint": fp,
-            "kind": "snapshots",
-            "experiment_id": "streaming",
-            "detail": "refresh snapshot",
-            "created_at": time.time(),
-            "body": dict(body),
-        }
-        self._write_payload("snapshots", fp, payload)
         return fp
 
     # -- maintenance -----------------------------------------------------
@@ -469,9 +419,6 @@ class RunLedger:
             "created_at": time.time(),
             "body": body,
         }
-        self._write_payload(kind, fp, payload)
-
-    def _write_payload(self, kind: str, fp: str, payload: dict) -> None:
         path = self._path(self._check_kind(kind), fp)
         path.parent.mkdir(parents=True, exist_ok=True)
         # No sort_keys: insertion order IS part of the stored value —

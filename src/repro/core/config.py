@@ -137,6 +137,10 @@ class DateConfig:
             raise ConfigurationError(
                 "false_values must be a FalseValueDistribution instance"
             )
+        if self.similarity is not None and not callable(self.similarity):
+            raise ConfigurationError(
+                f"similarity must be callable or None, got {self.similarity!r}"
+            )
         if not 0.0 <= self.similarity_weight <= 1.0:
             raise ConfigurationError(
                 f"similarity_weight must be in [0, 1], got {self.similarity_weight}"

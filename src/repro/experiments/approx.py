@@ -15,7 +15,7 @@ experiment does, on instances small enough for the exact ILP
 
 from __future__ import annotations
 
-from ..artifacts import RunLedger
+from ..artifacts import RunLedger, cached_result
 from ..auction.optimal import solve_optimal
 from ..auction.properties import approximation_bound
 from ..auction.reverse_auction import ReverseAuction
@@ -53,52 +53,49 @@ def run_approx(
         base_seed=base_seed,
     )
     key = result_run_key("approx", config, requirement_cap=REQUIREMENT_CAP)
-    if ledger is not None:
-        banked = ledger.get_result(key)
-        if banked is not None:
-            return banked
-    auction = ReverseAuction()
-    greedy_costs: list[float] = []
-    optimal_costs: list[float] = []
-    ratios: list[float] = []
-    bounds: list[float] = []
-    for k in range(config.instances):
-        dataset = config.dataset_for(k)
-        result = DATE(config.date).run(dataset)
-        instance = SOACInstance.from_truth_discovery(dataset, result)
-        instance = instance.with_capped_requirements(REQUIREMENT_CAP)
-        greedy = auction.run(instance)
-        optimal = solve_optimal(instance)
-        greedy_costs.append(greedy.social_cost)
-        optimal_costs.append(optimal.social_cost)
-        ratios.append(
-            greedy.social_cost / optimal.social_cost
-            if optimal.social_cost > 0
-            else 1.0
+
+    def build() -> ExperimentResult:
+        auction = ReverseAuction()
+        greedy_costs: list[float] = []
+        optimal_costs: list[float] = []
+        ratios: list[float] = []
+        bounds: list[float] = []
+        for k in range(config.instances):
+            dataset = config.dataset_for(k)
+            result = DATE(config.date).run(dataset)
+            instance = SOACInstance.from_truth_discovery(dataset, result)
+            instance = instance.with_capped_requirements(REQUIREMENT_CAP)
+            greedy = auction.run(instance)
+            optimal = solve_optimal(instance)
+            greedy_costs.append(greedy.social_cost)
+            optimal_costs.append(optimal.social_cost)
+            ratios.append(
+                greedy.social_cost / optimal.social_cost
+                if optimal.social_cost > 0
+                else 1.0
+            )
+            bounds.append(approximation_bound(instance))
+        return ExperimentResult(
+            experiment_id="approx",
+            title="Greedy reverse auction versus exact ILP optimum",
+            x_label="instance",
+            y_label="social cost",
+            x_values=tuple(range(config.instances)),
+            series={
+                "RA": tuple(greedy_costs),
+                "OPT": tuple(optimal_costs),
+                "ratio": tuple(ratios),
+            },
+            meta={
+                "paper_expectation": (
+                    "Theorem 3 guarantees ratio <= 2 e H_Omega; empirically "
+                    "the greedy should sit near the optimum"
+                ),
+                "theoretical_bounds": bounds,
+                "max_ratio": max(ratios),
+                "mean_ratio": sum(ratios) / len(ratios),
+                "base_seed": base_seed,
+            },
         )
-        bounds.append(approximation_bound(instance))
-    result = ExperimentResult(
-        experiment_id="approx",
-        title="Greedy reverse auction versus exact ILP optimum",
-        x_label="instance",
-        y_label="social cost",
-        x_values=tuple(range(config.instances)),
-        series={
-            "RA": tuple(greedy_costs),
-            "OPT": tuple(optimal_costs),
-            "ratio": tuple(ratios),
-        },
-        meta={
-            "paper_expectation": (
-                "Theorem 3 guarantees ratio <= 2 e H_Omega; empirically "
-                "the greedy should sit near the optimum"
-            ),
-            "theoretical_bounds": bounds,
-            "max_ratio": max(ratios),
-            "mean_ratio": sum(ratios) / len(ratios),
-            "base_seed": base_seed,
-        },
-    )
-    if ledger is not None:
-        ledger.put_result(key, result)
-    return result
+
+    return cached_result(ledger, key, build)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..artifacts import RunLedger
+from ..artifacts import RunLedger, cached_result
 from ..auction.config import AuctionConfig
 from ..auction.soac import SOACInstance
 from ..core.date import DATE
@@ -89,69 +89,66 @@ def _run(
         if ledger is not None
         else None
     )
-    if ledger is not None and key is not None:
-        banked = ledger.get_result(key)
-        if banked is not None:
-            return banked
-    datasets = config.datasets()
 
-    # Cache per (instance, size): SOAC instance built from one DATE run.
-    cache: dict[tuple[int, int], SOACInstance] = {}
+    def build() -> ExperimentResult:
+        datasets = config.datasets()
 
-    def soac_for(k: int, size: int) -> SOACInstance:
-        key = (k, size)
-        if key not in cache:
-            full = datasets[k]
-            if vary == "tasks":
-                ds = full.subset(task_ids=[t.task_id for t in full.tasks[:size]])
-            else:
-                ds = full.subset(
-                    worker_ids=[w.worker_id for w in full.workers[:size]]
-                )
-            result = DATE(config.date).run(ds, index=DatasetIndex(ds))
-            instance = SOACInstance.from_truth_discovery(ds, result)
-            cache[key] = instance.with_capped_requirements(REQUIREMENT_CAP)
-        return cache[key]
+        # Cache per (instance, size): SOAC instance built from one DATE run.
+        cache: dict[tuple[int, int], SOACInstance] = {}
 
-    def point(size: float) -> dict[str, float]:
-        size = int(size)
-        sums: dict[str, float] = {}
-        for k in range(len(datasets)):
-            instance = soac_for(k, size)
-            for name, algorithm in auction_algorithms(auction_config).items():
-                outcome, seconds = timed(algorithm.run, instance)
-                if metric == "social_cost":
-                    value = outcome.social_cost
-                elif metric == "total_payment":
-                    value = outcome.total_payment
+        def soac_for(k: int, size: int) -> SOACInstance:
+            key = (k, size)
+            if key not in cache:
+                full = datasets[k]
+                if vary == "tasks":
+                    ds = full.subset(task_ids=[t.task_id for t in full.tasks[:size]])
                 else:
-                    value = seconds
-                sums[name] = sums.get(name, 0.0) + value
-        return {name: total / len(datasets) for name, total in sums.items()}
+                    ds = full.subset(
+                        worker_ids=[w.worker_id for w in full.workers[:size]]
+                    )
+                result = DATE(config.date).run(ds, index=DatasetIndex(ds))
+                instance = SOACInstance.from_truth_discovery(ds, result)
+                cache[key] = instance.with_capped_requirements(REQUIREMENT_CAP)
+            return cache[key]
 
-    result = sweep_series(
-        experiment_id,
-        title,
-        f"number of {vary}",
-        {
-            "social_cost": "social cost",
-            "total_payment": "total payment",
-        }.get(metric, "seconds"),
-        grid,
-        point,
-        meta={
-            "paper_expectation": paper_expectation,
-            "requirement_cap": REQUIREMENT_CAP,
-            "instances": config.instances,
-            "base_seed": base_seed,
-            "scale": preset.name,
-        },
-        ledger=ledger,
-        key=key,
-    )
-    if ledger is not None and key is not None:
-        ledger.put_result(key, result)
-    return result
+        def point(size: float) -> dict[str, float]:
+            size = int(size)
+            sums: dict[str, float] = {}
+            for k in range(len(datasets)):
+                instance = soac_for(k, size)
+                for name, algorithm in auction_algorithms(auction_config).items():
+                    outcome, seconds = timed(algorithm.run, instance)
+                    if metric == "social_cost":
+                        value = outcome.social_cost
+                    elif metric == "total_payment":
+                        value = outcome.total_payment
+                    else:
+                        value = seconds
+                    sums[name] = sums.get(name, 0.0) + value
+            return {name: total / len(datasets) for name, total in sums.items()}
+
+        return sweep_series(
+            experiment_id,
+            title,
+            f"number of {vary}",
+            {
+                "social_cost": "social cost",
+                "total_payment": "total payment",
+            }.get(metric, "seconds"),
+            grid,
+            point,
+            meta={
+                "paper_expectation": paper_expectation,
+                "requirement_cap": REQUIREMENT_CAP,
+                "instances": config.instances,
+                "base_seed": base_seed,
+                "scale": preset.name,
+            },
+            ledger=ledger,
+            key=key,
+        )
+
+    return cached_result(ledger, key, build)
 
 
 def run_fig6a(

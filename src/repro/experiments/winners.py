@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..artifacts import RunLedger
+from ..artifacts import RunLedger, cached_result
 from ..auction.config import AuctionConfig
 from ..auction.reverse_auction import ReverseAuction
 from ..auction.soac import SOACInstance
@@ -57,65 +57,62 @@ def run_winners_quality(
         requirement_cap=REQUIREMENT_CAP,
         auction=auction_config or AuctionConfig(),
     )
-    if ledger is not None:
-        banked = ledger.get_result(key)
-        if banked is not None:
-            return banked
-    datasets = config.datasets()
-    auction = ReverseAuction(auction_config)
 
-    prepared = []
-    for dataset in datasets:
-        index = DatasetIndex(dataset)
-        result = DATE(config.date).run(dataset, index=index)
-        instance = SOACInstance.from_truth_discovery(dataset, result)
-        instance = instance.with_capped_requirements(REQUIREMENT_CAP)
-        prepared.append((dataset, result, instance))
+    def build() -> ExperimentResult:
+        datasets = config.datasets()
+        auction = ReverseAuction(auction_config)
 
-    def point(scale_factor: float) -> dict[str, float]:
-        all_total, winners_total, fraction_total = 0.0, 0.0, 0.0
-        for dataset, full_result, instance in prepared:
-            scaled = SOACInstance(
-                worker_ids=instance.worker_ids,
-                task_ids=instance.task_ids,
-                requirements=instance.requirements * scale_factor,
-                accuracy=instance.accuracy,
-                bids=instance.bids,
-                costs=instance.costs,
-                task_values=instance.task_values,
-            )
-            outcome = auction.run(scaled)
-            winner_ids = set(outcome.winner_ids)
-            winner_view = dataset.subset(worker_ids=winner_ids)
-            winner_result = DATE(config.date).run(winner_view)
-            all_total += full_result.precision()
-            winners_total += winner_result.precision(dataset.truths)
-            fraction_total += len(winner_ids) / max(instance.n_workers, 1)
-        count = len(prepared)
-        return {
-            "all workers": all_total / count,
-            "winners only": winners_total / count,
-            "winner fraction": fraction_total / count,
-        }
+        prepared = []
+        for dataset in datasets:
+            index = DatasetIndex(dataset)
+            result = DATE(config.date).run(dataset, index=index)
+            instance = SOACInstance.from_truth_discovery(dataset, result)
+            instance = instance.with_capped_requirements(REQUIREMENT_CAP)
+            prepared.append((dataset, result, instance))
 
-    result = sweep_series(
-        "winners",
-        "Truth-discovery precision using only the auction's winners",
-        "requirement scale",
-        "precision / fraction",
-        requirement_scales,
-        point,
-        meta={
-            "paper_expectation": (
-                "extension: not in the paper; tests the SOAC premise that "
-                "covering the accuracy requirement preserves truth quality "
-                "— higher requirements buy more winners and close the gap"
-            ),
-            "requirement_cap": REQUIREMENT_CAP,
-            "instances": config.instances,
-            "base_seed": base_seed,
-        },
-    )
-    if ledger is not None:
-        ledger.put_result(key, result)
-    return result
+        def point(scale_factor: float) -> dict[str, float]:
+            all_total, winners_total, fraction_total = 0.0, 0.0, 0.0
+            for dataset, full_result, instance in prepared:
+                scaled = SOACInstance(
+                    worker_ids=instance.worker_ids,
+                    task_ids=instance.task_ids,
+                    requirements=instance.requirements * scale_factor,
+                    accuracy=instance.accuracy,
+                    bids=instance.bids,
+                    costs=instance.costs,
+                    task_values=instance.task_values,
+                )
+                outcome = auction.run(scaled)
+                winner_ids = set(outcome.winner_ids)
+                winner_view = dataset.subset(worker_ids=winner_ids)
+                winner_result = DATE(config.date).run(winner_view)
+                all_total += full_result.precision()
+                winners_total += winner_result.precision(dataset.truths)
+                fraction_total += len(winner_ids) / max(instance.n_workers, 1)
+            count = len(prepared)
+            return {
+                "all workers": all_total / count,
+                "winners only": winners_total / count,
+                "winner fraction": fraction_total / count,
+            }
+
+        return sweep_series(
+            "winners",
+            "Truth-discovery precision using only the auction's winners",
+            "requirement scale",
+            "precision / fraction",
+            requirement_scales,
+            point,
+            meta={
+                "paper_expectation": (
+                    "extension: not in the paper; tests the SOAC premise that "
+                    "covering the accuracy requirement preserves truth quality "
+                    "— higher requirements buy more winners and close the gap"
+                ),
+                "requirement_cap": REQUIREMENT_CAP,
+                "instances": config.instances,
+                "base_seed": base_seed,
+            },
+        )
+
+    return cached_result(ledger, key, build)

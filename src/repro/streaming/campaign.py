@@ -11,10 +11,9 @@ With ``journal_dir`` set the store is **crash-safe** (DESIGN.md §15):
 campaign creation and every claim batch are journaled — fsync'd —
 *before* the estimator applies them, explicit refreshes are journaled
 as intents, and a restarted store replays the journals back to the
-exact pre-crash state (adopting the run ledger's banked refresh
-snapshots mid-replay when their fingerprints still match, so recovery
-is fast *and* bit-identical).  Batch sequence numbers double as the
-exactly-once dedup key for retried ingests.
+exact pre-crash state, re-running each journaled refresh (a refresh is
+a deterministic function of the campaign's claims).  Batch sequence
+numbers double as the exactly-once dedup key for retried ingests.
 """
 
 from __future__ import annotations
@@ -27,12 +26,6 @@ from collections import OrderedDict
 from collections.abc import Iterable
 from pathlib import Path
 
-from ..artifacts import (
-    RunLedger,
-    snapshot_fingerprint,
-    truth_result_from_payload,
-    truth_result_to_payload,
-)
 from ..auction.config import AuctionConfig
 from ..core.config import DateConfig
 from ..core.date import TruthDiscoveryResult
@@ -177,14 +170,6 @@ class CampaignStore:
     max_campaigns:
         When set, creating a campaign beyond this count evicts the
         least recently touched one.
-    ledger:
-        Optional :class:`~repro.artifacts.RunLedger`.  Every full
-        refresh (explicit ``estimate(refresh=True)`` or the one the
-        auction runs) is persisted under the fingerprint of ``(DATE
-        config, campaign content)``, and looked up before recomputing —
-        so a *restarted* store replaying the same campaign warm-starts
-        from the banked refresh instead of re-estimating, bit-identical
-        because the fingerprint covers every byte the estimation reads.
     journal_dir:
         When set, the store is durable: campaign creation and every
         claim batch are appended — fsync'd — to a per-campaign
@@ -205,7 +190,6 @@ class CampaignStore:
         config: DateConfig | None = None,
         refresh_every: int = 0,
         max_campaigns: int | None = None,
-        ledger: RunLedger | None = None,
         algorithm: str = "DATE",
         journal_dir: str | Path | None = None,
         defer_recovery: bool = False,
@@ -218,7 +202,6 @@ class CampaignStore:
         self.default_refresh_every = refresh_every
         self.default_algorithm = canonical_algorithm(algorithm)
         self.max_campaigns = max_campaigns
-        self.ledger = ledger
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         self._campaigns: OrderedDict[str, Campaign] = OrderedDict()
         self._lock = threading.RLock()
@@ -521,52 +504,28 @@ class CampaignStore:
         return update
 
     def _refresh(self, campaign: Campaign) -> TruthDiscoveryResult:
-        """Full refresh through the ledger (campaign lock must be held).
+        """Full refresh (campaign lock must be held).
 
-        With a ledger, the refresh for *exactly this campaign content
-        and config* is looked up first and adopted wholesale on a hit
-        (:meth:`OnlineDATE.adopt_refresh`); a miss computes cold and
-        banks the result.  Without a ledger this is a plain refresh.
-
-        On a journaled campaign the refresh *intent* is appended first
-        (with the content fingerprint the result will be banked under),
-        so recovery re-executes the refresh at the same point in the
-        batch sequence — through the ledger when the fingerprint still
-        matches, which is what makes replay fast.
+        On a journaled campaign the refresh *intent* is appended first,
+        so recovery re-runs the refresh at the same point in the batch
+        sequence.
         """
-        online = campaign.online
         registry = get_registry()
         start = time.perf_counter()
-        snapshot_key = None
-        if campaign.journal is not None or self.ledger is not None:
-            snapshot_key = _campaign_content_key(online)
         if campaign.journal is not None:
-            fp = snapshot_fingerprint(snapshot_key)
-            campaign.journal.append(refresh_record(campaign.applied_seq, fp))
+            campaign.journal.append(refresh_record(campaign.applied_seq))
             get_injector().fire("store.mid_refresh")
-        if self.ledger is None:
-            result = online.refresh()
-            source = "computed"
-        else:
-            payload = self.ledger.get_snapshot(snapshot_key)
-            if payload is not None:
-                result = online.adopt_refresh(truth_result_from_payload(payload))
-                source = "ledger"
-            else:
-                result = online.refresh()
-                self.ledger.put_snapshot(
-                    snapshot_key, truth_result_to_payload(result)
-                )
-                source = "computed"
+        result = campaign.online.refresh()
+        labels = {"campaign": campaign.campaign_id}
         registry.counter(
             "streaming_refreshes_total",
-            "Full re-estimations per campaign, by how they were served.",
-            labels={"campaign": campaign.campaign_id, "source": source},
+            "Full re-estimations per campaign.",
+            labels=labels,
         ).inc()
         registry.timer(
             "streaming_refresh_seconds",
-            "Wall time of one full refresh (ledger lookups included).",
-            labels={"campaign": campaign.campaign_id},
+            "Wall time of one full refresh.",
+            labels=labels,
         ).observe(time.perf_counter() - start)
         return result
 
@@ -683,8 +642,7 @@ class CampaignStore:
         Idempotent; campaigns already live are skipped.  Each journal
         is scanned (a torn tail is dropped and truncated), its create
         record rebuilds the estimator, and its batch/refresh records
-        replay in order — refreshes through the ledger when the banked
-        snapshot's fingerprint still matches the replayed content.
+        replay in order.
 
         A corrupt journal fails *its* campaign only: the campaign is
         reported (``status: "corrupt"``) and skipped, the store keeps
@@ -775,7 +733,6 @@ class CampaignStore:
             "batches": 0,
             "claims": 0,
             "refreshes": 0,
-            "snapshot_hits": 0,
             "torn": scan.torn,
         }
         if scan.torn:
@@ -813,10 +770,9 @@ class CampaignStore:
                 applied_seq = int(record["seq"])
                 report["batches"] += 1
                 report["claims"] += batch.n_claims
-            else:  # refresh
+            else:  # refresh (older records' ``fingerprint`` is ignored)
+                online.refresh()
                 report["refreshes"] += 1
-                if self._replay_refresh(online, record):
-                    report["snapshot_hits"] += 1
         campaign = Campaign(
             campaign_id,
             online,
@@ -830,46 +786,3 @@ class CampaignStore:
             "Claim batches replayed from journals during recovery.",
         ).inc(report["batches"])
         return campaign, report
-
-    def _replay_refresh(self, online: OnlineDATE, record: dict) -> bool:
-        """Re-execute one journaled refresh; True = served from ledger.
-
-        The banked snapshot is adopted only when the fingerprint of the
-        *replayed* content equals the one the journal recorded at
-        intent time — anything else (ledger GC'd, content divergence)
-        recomputes, which is always correct because a refresh is a pure
-        function of the campaign content.
-        """
-        if self.ledger is not None:
-            key = _campaign_content_key(online)
-            fp = snapshot_fingerprint(key)
-            if fp == record.get("fingerprint"):
-                payload = self.ledger.get_snapshot_fp(fp)
-                if payload is not None:
-                    online.adopt_refresh(truth_result_from_payload(payload))
-                    return True
-            result = online.refresh()
-            self.ledger.put_snapshot(key, truth_result_to_payload(result))
-            return False
-        online.refresh()
-        return False
-
-
-def _campaign_content_key(online: OnlineDATE) -> dict:
-    """The snapshot fingerprint inputs: config + full campaign content.
-
-    Everything the refresh estimation reads is here — the DATE
-    hyperparameters and every task, worker profile, and claim, in
-    index order (the result's worker/task orderings follow it, so two
-    campaigns that accumulated the same content in different arrival
-    orders are distinct work units).  A ledger hit is therefore
-    guaranteed to carry the refresh this exact campaign would compute.
-    """
-    dataset = online.dataset
-    return {
-        "date": online.config,
-        "algorithm": online.algorithm,
-        "tasks": dataset.tasks,
-        "workers": dataset.workers,
-        "claims": dataset.claims,
-    }

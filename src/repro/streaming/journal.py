@@ -36,10 +36,12 @@ Record kinds (``record["kind"]``)
   ingest carrying an already-applied ``seq`` is acknowledged without
   being re-applied.
 - ``refresh`` — an explicit full-refresh intent (``after_seq`` names
-  the last applied batch; does not consume a sequence number) plus the
-  snapshot fingerprint of the campaign content at that point, which is
-  what lets recovery adopt the run ledger's banked refresh instead of
-  recomputing it — when, and only when, the fingerprint still matches.
+  the last applied batch; does not consume a sequence number).  The
+  record holds no result: recovery re-runs the refresh at that point,
+  which reproduces the live one bit for bit because a refresh is a
+  deterministic function of the campaign's claims.  Records written
+  by older versions also carry a ``fingerprint`` of the campaign
+  content; replay ignores it.
 """
 
 from __future__ import annotations
@@ -344,13 +346,9 @@ def batch_record(seq: int, batch: ClaimBatch) -> dict:
     }
 
 
-def refresh_record(after_seq: int, snapshot_fp: str) -> dict:
+def refresh_record(after_seq: int) -> dict:
     """An explicit full-refresh intent after batch ``after_seq``."""
-    return {
-        "kind": "refresh",
-        "after_seq": after_seq,
-        "fingerprint": snapshot_fp,
-    }
+    return {"kind": "refresh", "after_seq": after_seq}
 
 
 def batch_from_record(record: dict) -> ClaimBatch:

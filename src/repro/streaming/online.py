@@ -296,27 +296,6 @@ class OnlineDATE:
         """
         index = self._index
         result = self._discoverer.run(None, index=index)
-        return self.adopt_refresh(result)
-
-    def adopt_refresh(self, result: TruthDiscoveryResult) -> TruthDiscoveryResult:
-        """Adopt an externally computed full refresh wholesale.
-
-        This is the warm-restart entry point: a refresh persisted by
-        the run ledger for *exactly this campaign content and config*
-        (the ledger's snapshot fingerprint guarantees it) replaces the
-        re-estimation.  The result must cover the maintained index —
-        mismatched worker/task orderings raise rather than silently
-        corrupting the per-claim accuracy state.
-        """
-        index = self._index
-        if (
-            result.worker_ids != tuple(index.worker_ids)
-            or result.task_ids != tuple(index.task_ids)
-        ):
-            raise ConfigurationError(
-                "adopted refresh does not match the campaign: worker/task "
-                "orderings differ from the maintained index"
-            )
         arrays = index.arrays
         self._claim_acc = result.accuracy_matrix[
             arrays.claim_worker, arrays.claim_task

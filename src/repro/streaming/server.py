@@ -61,7 +61,7 @@ from .campaign import (
     UnknownCampaignError,
 )
 from .ingest import batch_from_json, coerce_integer, coerce_number
-from .journal import JournalWriteError
+from .journal import _CONFIG_FIELDS, JournalWriteError
 
 __all__ = ["MAX_BODY_BYTES", "StreamingApp", "config_from_spec", "make_server", "serve"]
 
@@ -85,7 +85,11 @@ DEFAULT_REQUEST_TIMEOUT = 30.0
 
 
 def config_from_spec(spec: dict | None, base: DateConfig) -> DateConfig:
-    """Evolve ``base`` with the JSON config object ``spec``."""
+    """Evolve ``base`` with the JSON config object ``spec``.
+
+    Only the fields the journal round-trips (and their aliases) are
+    accepted, so every campaign the service creates can be replayed.
+    """
     if not spec:
         return base
     if not isinstance(spec, dict):
@@ -93,13 +97,18 @@ def config_from_spec(spec: dict | None, base: DateConfig) -> DateConfig:
     changes = {}
     for key, value in spec.items():
         field_name = _CONFIG_ALIASES.get(key, key)
+        if field_name not in _CONFIG_FIELDS:
+            raise ReproError(
+                f"unsupported config field {key!r}; expected one of "
+                f"{sorted((*_CONFIG_FIELDS, *_CONFIG_ALIASES))}"
+            )
         if field_name == "accuracy_clamp" and isinstance(value, list):
             value = tuple(value)
         changes[field_name] = value
     try:
         return base.evolve(**changes)
     except TypeError as exc:
-        # Unknown field names and non-numeric values both land here.
+        # Non-numeric values land here.
         raise ReproError(f"invalid config: {exc}") from exc
 
 

@@ -12,9 +12,9 @@ rebooted ``repro serve --journal-dir`` does.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.artifacts import RunLedger
 from repro.datasets.qatar_living import generate_qatar_living_like
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.streaming import (
@@ -179,47 +179,45 @@ class TestCrashDifferential:
         twice.close()
 
 
-class TestLedgerAssistedRecovery:
-    def test_refresh_snapshot_is_adopted_when_fingerprint_matches(
-        self, tmp_path, batches
-    ):
-        ledger = RunLedger(tmp_path / "ledger")
-        wal = tmp_path / "wal"
-        store = CampaignStore(journal_dir=wal, ledger=ledger)
-        store.create("c")
-        for seq, batch in enumerate(batches, start=1):
-            store.ingest("c", batch, seq=seq)
-        banked = store.estimate("c", refresh=True)
-        state = _state(store, "c")
-        store.close()
+class TestRefreshReplay:
+    """A journaled refresh is an intent that recovery re-runs."""
 
-        recovered = CampaignStore(
-            journal_dir=wal, ledger=RunLedger(tmp_path / "ledger")
-        )
-        report = recovered.last_recovery[0]
-        assert report["refreshes"] == 1
-        assert report["snapshot_hits"] == 1  # adopted, not recomputed
-        assert _state(recovered, "c") == state
-        assert recovered.estimate("c").truths == banked.truths
-        recovered.close()
-
-    def test_missing_snapshot_recomputes_identically(self, tmp_path, batches):
+    def test_recovered_refresh_matches_live_refresh(self, tmp_path, batches):
         wal = tmp_path / "wal"
-        store = CampaignStore(journal_dir=wal, ledger=RunLedger(tmp_path / "a"))
+        store = CampaignStore(journal_dir=wal)
         store.create("c")
         for seq, batch in enumerate(batches, start=1):
             store.ingest("c", batch, seq=seq)
         store.estimate("c", refresh=True)
+        live = store.estimate("c")
         state = _state(store, "c")
         store.close()
 
-        # Recover against an EMPTY ledger: every fingerprint misses.
-        recovered = CampaignStore(
-            journal_dir=wal, ledger=RunLedger(tmp_path / "b")
-        )
-        assert recovered.last_recovery[0]["snapshot_hits"] == 0
+        recovered = CampaignStore(journal_dir=wal)
+        assert recovered.last_recovery[0]["refreshes"] == 1
         assert _state(recovered, "c") == state
+        replayed = recovered.estimate("c")
+        assert replayed.truths == live.truths
+        assert replayed.confidence == live.confidence
+        assert replayed.worker_accuracy == live.worker_accuracy
+        assert replayed.dependence == live.dependence
+        assert replayed.support == live.support
+        assert np.array_equal(replayed.accuracy_matrix, live.accuracy_matrix)
+        assert replayed.iterations == live.iterations
+        assert replayed.converged == live.converged
         recovered.close()
+
+    def test_refresh_record_carries_only_its_position(self, tmp_path, batches):
+        wal = tmp_path / "wal"
+        store = CampaignStore(journal_dir=wal)
+        store.create("c")
+        for seq in (1, 2):
+            store.ingest("c", batches[seq - 1], seq=seq)
+        store.estimate("c", refresh=True)
+        store.close()
+        records = read_journal(journal_path(wal, "c")).records
+        assert [r["kind"] for r in records] == ["create", "batch", "batch", "refresh"]
+        assert records[-1] == {"kind": "refresh", "after_seq": 2}
 
 
 class TestExactlyOnce:

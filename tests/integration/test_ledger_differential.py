@@ -7,9 +7,7 @@ The acceptance contract of the run ledger (ISSUE 5 / DESIGN.md §11):
 - an *interrupted* sweep resumes at instance granularity — already
   banked rows are never recomputed;
 - growing ``--instances`` reuses the banked prefix and computes only
-  the delta;
-- a restarted streaming campaign store warm-starts its refresh from
-  the ledger, bit-identical to the cold estimate.
+  the delta.
 
 Everything runs at a deliberately tiny scale: the point is provenance
 plumbing, not statistics.
@@ -17,17 +15,13 @@ plumbing, not statistics.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.artifacts import RunKey, RunLedger
-from repro.core.config import DateConfig
-from repro.datasets import generate_qatar_living_like
 from repro.experiments.registry import run_experiment
 from repro.scenarios import get_scenario, run_scenario
 from repro.scenarios.runner import scenario_run_key, sweep_scenario
 from repro.simulation.runner import run_instances
-from repro.streaming import CampaignStore, replay_batches
 
 pytestmark = pytest.mark.filterwarnings("ignore::repro.errors.ConvergenceWarning")
 
@@ -156,50 +150,3 @@ class TestScenarioSweep:
         again = sweep_scenario(base, **kwargs, ledger=ledger)
         assert again.to_payload() == cold.to_payload()
         assert ledger.stats.misses == 0
-
-
-class TestStreamingWarmRestart:
-    def _dataset(self):
-        return generate_qatar_living_like(
-            seed=5, n_tasks=24, n_workers=12, n_copiers=3, target_claims=300
-        )
-
-    def _replay(self, ledger):
-        store = CampaignStore(config=DateConfig(copy_prob_r=0.6), ledger=ledger)
-        store.create("campaign")
-        for batch in replay_batches(self._dataset(), 3):
-            store.ingest("campaign", batch)
-        return store, store.estimate("campaign", refresh=True)
-
-    def test_restarted_store_reads_banked_refresh(self, ledger):
-        _, cold = self._replay(None)
-        _, first = self._replay(ledger)
-        assert ledger.stats.writes == 1
-        ledger.reset_stats()
-        restarted, warm = self._replay(ledger)
-        assert ledger.stats.hits == 1 and ledger.stats.misses == 0
-        for result in (first, warm):
-            assert result.truths == cold.truths
-            assert result.confidence == cold.confidence
-            assert result.dependence == cold.dependence
-            assert result.support == cold.support
-            assert np.array_equal(result.accuracy_matrix, cold.accuracy_matrix)
-            assert result.iterations == cold.iterations
-            assert result.converged == cold.converged
-        # The adopted state drives subsequent reads identically.
-        cold_store, _ = self._replay(None)
-        assert restarted.truths("campaign") == cold_store.truths("campaign")
-        assert (
-            restarted.worker_accuracy("campaign")
-            == cold_store.worker_accuracy("campaign")
-        )
-
-    def test_different_config_misses(self, ledger):
-        self._replay(ledger)
-        ledger.reset_stats()
-        store = CampaignStore(config=DateConfig(copy_prob_r=0.4), ledger=ledger)
-        store.create("campaign")
-        for batch in replay_batches(self._dataset(), 3):
-            store.ingest("campaign", batch)
-        store.estimate("campaign", refresh=True)
-        assert ledger.stats.hits == 0 and ledger.stats.misses == 1

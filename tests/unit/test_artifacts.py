@@ -271,13 +271,20 @@ class TestRunLedger:
         assert removed == 1
         assert [e.kind for e in ledger.entries()] == ["rows"]
 
-    def test_snapshot_round_trip(self, ledger):
-        body = {"truths": {"t1": "a"}, "value": 0.1 + 0.2}
-        snapshot_key = {"config": DateConfig(), "claims": {("w", "t"): "a"}}
-        assert ledger.get_snapshot(snapshot_key) is None
-        ledger.put_snapshot(snapshot_key, body)
-        assert ledger.get_snapshot(snapshot_key) == body
-
+    def test_leftover_snapshots_directory_is_ignored(self, ledger, key):
+        # Stores written before refresh snapshots were removed may hold
+        # a snapshots/ directory; nothing reads, counts or deletes it.
+        ledger.put_row(key, 0, {"m": 1.0})
+        leftover = ledger.root / "snapshots" / "ab" / "abcd.json"
+        leftover.parent.mkdir(parents=True)
+        leftover.write_text('{"fingerprint": "abcd", "body": {}}')
+        assert [e.kind for e in ledger.entries()] == ["rows"]
+        assert "snapshots" not in ledger.describe()["per_kind"]
+        with pytest.raises(ConfigurationError, match="unknown ledger kind"):
+            ledger.entries("snapshots")
+        removed, _ = ledger.gc()
+        assert removed == 1  # the row only
+        assert leftover.exists()
 
 class TestCachedResult:
     def _result(self) -> ExperimentResult:

@@ -142,6 +142,70 @@ class TestIngest:
             server.server_close()
 
 
+class TestRecover:
+    @pytest.fixture
+    def wal(self, campaign_dir, tmp_path):
+        """A journal directory holding one campaign with a refresh record."""
+        from repro.streaming import CampaignStore, replay_batches
+
+        wal = tmp_path / "wal"
+        store = CampaignStore(journal_dir=wal)
+        store.create("c1")
+        for seq, batch in enumerate(
+            replay_batches(load_dataset(campaign_dir), 3), start=1
+        ):
+            store.ingest("c1", batch, seq=seq)
+        store.estimate("c1", refresh=True)
+        store.close()
+        return wal
+
+    @staticmethod
+    def _table(out: str) -> dict[str, list[str]]:
+        """The printed table's rows by their first cell, header included."""
+        rows = [
+            [cell.strip() for cell in line.split("|")]
+            for line in out.splitlines()
+            if "|" in line
+        ]
+        return {row[0]: row for row in rows}
+
+    def test_table_replays_the_refresh(self, wal, capsys):
+        assert main(["recover", "--journal-dir", str(wal)]) == 0
+        table = self._table(capsys.readouterr().out)
+        assert table["campaign"] == [
+            "campaign", "status", "batches", "claims",
+            "refreshes", "torn tail", "seconds",
+        ]
+        assert table["c1"][1:3] == ["recovered", "3"]
+        assert table["c1"][4] == "1"
+
+    def test_json_prints_the_reports(self, wal, capsys):
+        assert main(["recover", "--journal-dir", str(wal), "--json"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)
+        assert report["campaign_id"] == "c1"
+        assert report["status"] == "recovered"
+        assert (report["batches"], report["refreshes"]) == (3, 1)
+        assert "snapshot_hits" not in report
+
+    def test_corrupt_journal_exits_1(self, wal, capsys):
+        from repro.streaming.journal import (
+            CampaignJournal,
+            journal_path,
+            refresh_record,
+        )
+
+        # A journal that does not open with a create record is corrupt.
+        bad = CampaignJournal(journal_path(wal, "bad"))
+        bad.append(refresh_record(0))
+        bad.close()
+        assert main(["recover", "--journal-dir", str(wal)]) == 1
+        out = capsys.readouterr().out
+        assert "corrupt journal for 'bad'" in out
+        table = self._table(out)
+        assert table["bad"][1] == "corrupt"
+        assert table["c1"][1] == "recovered"
+
+
 class TestAblationExperiment:
     def test_registered_and_runs(self, capsys):
         from repro.experiments import run_experiment

@@ -47,6 +47,13 @@ class TestDateConfig:
         with pytest.raises(ConfigurationError):
             DateConfig(similarity_weight=0.5, similarity=None)
 
+    def test_similarity_must_be_callable(self):
+        # A string used to pass, then fail every ingest with a TypeError.
+        with pytest.raises(ConfigurationError, match="similarity"):
+            DateConfig(similarity="abc", similarity_weight=0.5)  # type: ignore[arg-type]
+        with pytest.raises(ConfigurationError, match="similarity"):
+            DateConfig(similarity="abc")  # type: ignore[arg-type]
+
     def test_false_values_type_checked(self):
         with pytest.raises(ConfigurationError):
             DateConfig(false_values="uniform")  # type: ignore[arg-type]

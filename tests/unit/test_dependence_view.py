@@ -1,6 +1,5 @@
 """Contract of the array-backed dependence results
-(repro.core.engine.DependenceView) and its ledger codec
-(repro.artifacts.serialize).
+(repro.core.engine.DependenceView).
 
 The view replaced a dict of per-pair ``DependencePosterior`` objects, so
 every test here compares it against that dict, built the old way.
@@ -8,15 +7,12 @@ every test here compares it against that dict, built the old way.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import pickle
 
 import numpy as np
 import pytest
 
 from repro import DATE
-from repro.artifacts import truth_result_from_payload, truth_result_to_payload
 from repro.core.dependence import DependencePosterior
 from repro.core.engine import (
     DependenceView,
@@ -149,65 +145,3 @@ class TestDependenceView:
         assert result.dependence.ids == result.worker_ids
         a, b = next(iter(result.dependence))
         assert result.worker_ids.index(a) < result.worker_ids.index(b)
-
-
-class TestDependenceCodec:
-    @pytest.fixture
-    def results(self, qlf_small):
-        view_backed = DATE().run(qlf_small)
-        dict_backed = dataclasses.replace(
-            view_backed, dependence=dict(view_backed.dependence.items())
-        )
-        return view_backed, dict_backed
-
-    @staticmethod
-    def _encode(result) -> str:
-        return json.dumps(truth_result_to_payload(result))
-
-    def test_view_and_dict_encode_to_the_same_bytes(self, results):
-        view_backed, dict_backed = results
-        assert isinstance(dict_backed.dependence, dict)
-        assert self._encode(view_backed) == self._encode(dict_backed)
-
-    def test_old_payload_decodes_to_an_equal_result(self, results):
-        view_backed, dict_backed = results
-        # A dict-backed result is encoded by the pre-view code path.
-        restored = truth_result_from_payload(json.loads(self._encode(dict_backed)))
-        assert isinstance(restored.dependence, DependenceView)
-        assert restored.dependence == dict_backed.dependence
-        assert list(restored.dependence.items()) == list(dict_backed.dependence.items())
-        assert restored.truths == view_backed.truths
-        assert restored.confidence == view_backed.confidence
-        assert restored.support == view_backed.support
-        assert restored.accuracy_matrix.tobytes() == view_backed.accuracy_matrix.tobytes()
-        assert self._encode(restored) == self._encode(dict_backed)
-
-    def test_literal_payload_rows(self):
-        rows = [["w1", "w2", 0.125, 0.25], ["w1", "w3", 0.0, 1e-9], ["w2", "w3", 0.5, 0.5]]
-        payload = {
-            "truths": {},
-            "accuracy_matrix": [],
-            "worker_accuracy": {},
-            "confidence": {},
-            "support": {},
-            "dependence": rows,
-            "iterations": 1,
-            "converged": True,
-            "method": "DATE",
-            "worker_ids": [],
-            "task_ids": [],
-            "ground_truths": {},
-        }
-        restored = truth_result_from_payload(payload)
-        assert restored.dependence == {
-            (a, b): DependencePosterior(p_a_to_b=ab, p_b_to_a=ba) for a, b, ab, ba in rows
-        }
-        assert truth_result_to_payload(restored)["dependence"] == rows
-
-    def test_empty_dependence_round_trip(self, tiny_dataset):
-        from repro.baselines import MajorityVote
-
-        result = MajorityVote().run(tiny_dataset)
-        payload = json.loads(json.dumps(truth_result_to_payload(result)))
-        assert payload["dependence"] == []
-        assert truth_result_from_payload(payload).dependence == {}

@@ -11,7 +11,7 @@ interface must pass *all* of these, on the same parametrized axis:
 - value-relabel equivariance (order-preserving bijections exactly;
   arbitrary bijections on tie-free data);
 - lean/full consistency of the estimate-carrying fields;
-- lossless ledger round-trips through JSON;
+- a caller's prebuilt index changes nothing (bit-identity);
 - telemetry on/off bit-identity;
 - warm starts accepted (used or ignored, never an error);
 - unanswered tasks omitted from the truth map.
@@ -23,17 +23,12 @@ this file unchanged.
 from __future__ import annotations
 
 import dataclasses
-import json
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.artifacts import (
-    fingerprint,
-    truth_result_from_payload,
-    truth_result_to_payload,
-)
+from repro.artifacts import fingerprint
 from repro.core.indexing import DatasetIndex
 from repro.datasets.qatar_living import generate_qatar_living_like
 from repro.discovery import (
@@ -212,14 +207,13 @@ class TestConformance:
         assert lean.worker_accuracy == full.worker_accuracy
         assert np.array_equal(lean.accuracy_matrix, full.accuracy_matrix)
 
-    def test_ledger_round_trip_bit_identity(self, name, campaign):
+    def test_prebuilt_index_bit_identity(self, name, campaign):
         dataset, index = campaign
-        result = _run(name, dataset, index=index)
-        payload = json.loads(json.dumps(truth_result_to_payload(result)))
-        restored = truth_result_from_payload(payload)
-        _assert_bit_identical(result, restored)
-        assert restored.worker_ids == result.worker_ids
-        assert restored.task_ids == result.task_ids
+        built = _run(name, dataset)
+        reused = _run(name, dataset, index=index)
+        _assert_bit_identical(built, reused)
+        assert reused.worker_ids == built.worker_ids
+        assert reused.task_ids == built.task_ids
 
     def test_telemetry_bit_identity(self, name, campaign):
         dataset, index = campaign

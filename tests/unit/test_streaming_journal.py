@@ -72,7 +72,7 @@ def _create(**overrides):
 
 class TestFraming:
     def test_round_trip(self, tmp_path):
-        records = [_create(), batch_record(1, _batch(0)), refresh_record(1, "fp")]
+        records = [_create(), batch_record(1, _batch(0)), refresh_record(1)]
         path = _write(tmp_path, records)
         scan = read_journal(path)
         assert not scan.torn

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from repro import DATE, Dataset, DateConfig, Task, WorkerProfile
-from repro.artifacts.ledger import snapshot_fingerprint
 from repro.core.indexing import ClaimArrays, DatasetIndex
 from repro.datasets import generate_qatar_living_like
 from repro.errors import ConfigurationError, DataFormatError
 from repro.streaming import ClaimBatch, OnlineDATE, replay_batches
-from repro.streaming.campaign import _campaign_content_key
 
 from tests.oracles import run_reference
 
@@ -213,22 +211,6 @@ class TestDatasetAfterReplay:
         arrived = [item for batch in shuffled_replay for item in batch.claims.items()]
         assert list(dataset.claims.items()) == arrived
         assert list(dataset.claims.items()) != list(qlf_small.claims.items())
-
-    def test_refresh_fingerprint_matches_source(self, qlf_small, shuffled_replay):
-        online = OnlineDATE()
-        for batch in shuffled_replay:
-            online.ingest(batch)
-        want = snapshot_fingerprint(
-            {
-                "date": online.config,
-                "algorithm": online.algorithm,
-                "tasks": qlf_small.tasks,
-                "workers": qlf_small.workers,
-                "claims": qlf_small.claims,
-            }
-        )
-        assert snapshot_fingerprint(_campaign_content_key(online)) == want
-
 
 class TestLeanRun:
     def test_lean_matches_full_estimates(self, qlf_small):

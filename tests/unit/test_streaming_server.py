@@ -489,6 +489,68 @@ class TestStreamingApp:
         assert list(tmp_path.iterdir()) == []
         assert app.handle("GET", "/campaigns", None)[1] == {"campaigns": []}
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"similarity": "abc"}, "similarity"),
+            ({"similarity": "abc", "similarity_weight": 0.5}, "similarity"),
+            ({"false_values": "zipf"}, "false_values"),
+            ({"r": 0.5, "nonsense": 1}, "nonsense"),
+        ],
+    )
+    def test_unjournalable_config_field_400_before_journal(
+        self, tmp_path, config, field
+    ):
+        # Only fields the journal round-trips are accepted: a similarity
+        # string used to be created, then recover as corrupt.
+        app = StreamingApp(CampaignStore(journal_dir=tmp_path))
+        status, body = app.handle(
+            "POST", "/campaigns", {"campaign_id": "c1", "config": config}
+        )
+        assert status == 400 and repr(field) in body["error"]
+        assert list(tmp_path.iterdir()) == []
+        assert app.handle("GET", "/campaigns", None)[1] == {"campaigns": []}
+
+    def test_every_created_campaign_recovers(self, tmp_path, replay):
+        app = StreamingApp(CampaignStore(journal_dir=tmp_path))
+        specs = {
+            "aliases": {"r": 0.6, "alpha": 0.3, "epsilon": 0.4},
+            "fields": {
+                "max_iterations": 7,
+                "accuracy_clamp": [0.05, 0.95],
+                "granularity": "task",
+                "ordering": "independent_first",
+                "discount_mode": "total",
+                "discounted_posterior": False,
+                "similarity_weight": 0.0,
+            },
+            "similarity": {"similarity": "abc"},
+        }
+        created = []
+        for campaign_id, config in specs.items():
+            status, _ = app.handle(
+                "POST", "/campaigns", {"campaign_id": campaign_id, "config": config}
+            )
+            if status == 201:
+                created.append(campaign_id)
+                for batch in replay:
+                    app.handle(
+                        "POST", f"/campaigns/{campaign_id}/claims", batch_to_json(batch)
+                    )
+        assert created == ["aliases", "fields"]
+        app.store.close()
+
+        restarted = CampaignStore(journal_dir=tmp_path)
+        assert {r["campaign_id"]: r["status"] for r in restarted.last_recovery} == {
+            campaign_id: "recovered" for campaign_id in created
+        }
+        for campaign_id in created:
+            assert restarted.truths(campaign_id) == app.store.truths(campaign_id)
+            assert restarted.worker_accuracy(campaign_id) == app.store.worker_accuracy(
+                campaign_id
+            )
+        restarted.close()
+
     @pytest.mark.parametrize("payload", [{"cap ": 0.7}, {"cap": 0.7, "backend": "vectorized"}])
     def test_unknown_auction_field_400(self, app, replay, payload):
         app.handle("POST", "/campaigns", {"campaign_id": "c1"})
@@ -512,7 +574,7 @@ class TestStreamingApp:
         journal = journal_path(tmp_path, "c1")
         refreshes = enabled_registry.counter(
             "streaming_refreshes_total",
-            labels={"campaign": "c1", "source": "computed"},
+            labels={"campaign": "c1"},
         )
         size, count = journal.stat().st_size, refreshes.value
 
