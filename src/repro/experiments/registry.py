@@ -91,7 +91,7 @@ _register(
     "Table 1",
     "Motivating example: majority voting fooled by two copiers",
     run_table1,
-    features="parallel ledger",
+    features="ledger",
 )
 _register(
     "fig3a",

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from ..artifacts import RunKey, RunLedger, cached_result
 from ..core.config import DateConfig
-from ..core.indexing import DatasetIndex
 from ..discovery import make_discoverer
-from ..simulation.executor import run_jobs
 from ..simulation.sweep import ExperimentResult
 from ..types import Dataset, Task, WorkerProfile
 
@@ -96,20 +94,10 @@ def build_affiliation_example() -> Dataset:
     return Dataset(tasks=tuple(tasks), workers=workers, claims=claims)
 
 
-def _algorithm_estimates(name: str, config: DateConfig) -> dict[str, str]:
-    """Estimated truths of one competitor on the example (picklable)."""
-    dataset = build_affiliation_example()
-    result = make_discoverer(name, date_config=config).run(
-        dataset, index=DatasetIndex(dataset)
-    )
-    return dict(result.truths)
-
-
 def run_table1(
     *,
     date_config: DateConfig | None = None,
     base_seed: int = 42,
-    parallel: int | None = 1,
     ledger: RunLedger | None = None,
 ) -> ExperimentResult:
     """Reproduce the Table 1 story: MV fails on 3 tasks, DATE recovers.
@@ -117,11 +105,8 @@ def run_table1(
     Series are per-task correctness indicators (1 = estimated truth
     matches ground truth); meta carries the estimated value strings for
     inspection.  ``base_seed`` is accepted for registry uniformity; the
-    example is fully deterministic, so the ``parallel`` fan-out (one
-    job per algorithm through the shared process pool) cannot change
-    the result — it exists as differential-test coverage of the
-    executor on a heterogeneous job list, not as an optimization (the
-    5-task example runs in milliseconds either way).
+    example is fully deterministic, and its four algorithms run in
+    milliseconds, one after another.
     """
     # A near-1 assumed r suits wholesale copying (worker 4 copies 100%
     # of worker 3's data), a strong prior α gives the five-task evidence
@@ -135,15 +120,13 @@ def run_table1(
     )
 
     def build() -> ExperimentResult:
-        names = ("MV", "NC", "DATE", "ED")
-        results = run_jobs(
-            [(_algorithm_estimates, (name, config)) for name in names],
-            parallel=parallel,
-        )
+        dataset = build_affiliation_example()
         task_names = list(TABLE1_TRUTHS)
         series: dict[str, tuple[float, ...]] = {}
         estimates: dict[str, dict[str, str]] = {}
-        for name, truths in zip(names, results):
+        for name in ("MV", "NC", "DATE", "ED"):
+            result = make_discoverer(name, date_config=config).run(dataset)
+            truths = dict(result.truths)
             estimates[name] = truths
             series[name] = tuple(
                 1.0 if truths.get(task) == TABLE1_TRUTHS[task] else 0.0
@@ -169,8 +152,8 @@ def run_table1(
         )
 
     # The example is fully deterministic given the DateConfig — the
-    # config alone is the declared fingerprint input (base_seed and
-    # parallel are accepted for uniformity but never read).
+    # config alone is the declared fingerprint input (base_seed is
+    # accepted for uniformity but never read).
     return cached_result(
         ledger, RunKey("table1", {"date": config}), build
     )

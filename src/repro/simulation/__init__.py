@@ -8,8 +8,9 @@ measured:
   (world shape × algorithm hyperparameters × instance count);
 - :mod:`repro.simulation.runner` — run a metric function over seeded
   instances and aggregate;
-- :mod:`repro.simulation.executor` — the deterministic process-pool
-  fan-out behind every ``parallel=N`` knob;
+- :mod:`repro.simulation.executor` — the deterministic fan-out
+  (:func:`~repro.simulation.executor.parallel_imap`, in-process or over
+  a spawn pool) behind every ``parallel=N`` knob, ledger or not;
 - :mod:`repro.simulation.sweep` — parameter sweeps producing plot-ready
   series;
 - :mod:`repro.simulation.metrics` — precision, copier detection,
@@ -20,7 +21,7 @@ measured:
 """
 
 from .config import ExperimentConfig
-from .executor import available_cpus, parallel_map, run_jobs
+from .executor import available_cpus, parallel_map
 from .metrics import (
     auction_report,
     copier_detection_report,
@@ -43,7 +44,6 @@ __all__ = [
     "parallel_map",
     "precision",
     "run_instances",
-    "run_jobs",
     "summarize",
     "sweep_series",
     "timed",

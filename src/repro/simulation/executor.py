@@ -1,9 +1,11 @@
 """Seeded, deterministic process-pool fan-out.
 
-:func:`parallel_map` is the one parallel primitive the whole experiment
+:func:`parallel_imap` is the one parallel primitive the whole experiment
 stack runs on: :func:`~repro.simulation.runner.run_instances`,
 :func:`~repro.simulation.sweep.sweep_series`, the scenario runner, and
-the figure runners all fan out through it.  The contract is strict:
+the figure runners all fan out through it, with or without a run
+ledger, and :func:`parallel_map` is its list form.  The contract is
+strict:
 
 - **Bit-identical to serial.**  ``parallel_map(fn, items, parallel=N)``
   returns exactly ``[fn(item) for item in items]`` for every ``N``.
@@ -20,6 +22,8 @@ the figure runners all fan out through it.  The contract is strict:
 - **Pool reuse.**  Spawned workers pay a full interpreter + import
   start-up, so pools are cached per worker count and reused across
   calls for the life of the process (shut down atexit).
+- **One retry.**  A broken pool is evicted and the items not yet
+  yielded re-run once on a fresh pool; a second break propagates.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ import multiprocessing
 import os
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, TypeVar
+from typing import TypeVar
 
 from ..errors import ConfigurationError
 from ..obs.metrics import get_registry
@@ -42,7 +46,6 @@ __all__ = [
     "parallel_imap",
     "parallel_map",
     "resolve_parallel",
-    "run_jobs",
     "shutdown_pools",
 ]
 
@@ -114,10 +117,10 @@ atexit.register(shutdown_pools)
 class _TimedTask:
     """Picklable wrapper returning ``(fn(item), seconds)`` per item.
 
-    Spawn pools require module-level picklables, so the per-instance
-    wall clock is measured inside the worker by this class rather than
-    a closure.  Used only while the metrics registry is enabled; the
-    wrapped call itself is unchanged, so results stay bit-identical.
+    Spawn pools require module-level picklables, so the per-item wall
+    clock is measured inside the worker by this class rather than a
+    closure.  The wrapped call itself is unchanged, so results stay
+    bit-identical.
     """
 
     def __init__(self, fn: Callable[[T], R]):
@@ -129,9 +132,10 @@ class _TimedTask:
         return result, time.perf_counter() - start
 
 
-def _record_map(registry, *, mode: str, items: int, workers: int,
-                busy: float, wall: float) -> None:
+def _record_map(registry, *, items: int, workers: int, busy: float,
+                wall: float) -> None:
     """Registry bookkeeping for one fan-out (registry already enabled)."""
+    mode = "serial" if workers == 1 else "pooled"
     registry.counter(
         "executor_items_total",
         "Work items executed through the parallel primitives.",
@@ -139,14 +143,14 @@ def _record_map(registry, *, mode: str, items: int, workers: int,
     ).inc(items)
     registry.timer(
         "executor_map_seconds",
-        "Wall time of one parallel_map fan-out.",
+        "Wall time of one fan-out.",
         labels={"mode": mode},
     ).observe(wall)
     registry.gauge(
         "executor_pool_workers",
-        "Worker count of the most recent pooled fan-out.",
+        "Worker count of the most recent fan-out.",
     ).set(workers)
-    if wall > 0.0 and workers > 0:
+    if wall > 0.0:
         registry.gauge(
             "executor_pool_utilization",
             "Busy fraction (sum of instance seconds / workers * wall) "
@@ -159,81 +163,10 @@ def parallel_map(
     items: Sequence[T],
     *,
     parallel: int | None = 1,
-    chunksize: int = 1,
 ) -> list[R]:
-    """``[fn(item) for item in items]``, optionally across processes.
-
-    ``parallel=1`` (the default) runs serially in-process — no pool, no
-    pickling requirement.  ``parallel=N`` fans out over a cached
-    N-worker spawn pool; results always come back in submission order,
-    so the output is independent of scheduling.  ``parallel=None`` uses
-    every available CPU.
-    """
-    workers = resolve_parallel(parallel)
-    items = list(items)
-    registry = get_registry()
-    if workers == 1 or len(items) <= 1:
-        if registry.enabled and items:
-            instance_timer = registry.timer(
-                "executor_instance_seconds",
-                "Wall time of one work item inside the executor.",
-            )
-            start = time.perf_counter()
-            results = []
-            for item in items:
-                item_start = time.perf_counter()
-                results.append(fn(item))
-                instance_timer.observe(time.perf_counter() - item_start)
-            wall = time.perf_counter() - start
-            _record_map(
-                registry, mode="serial", items=len(items), workers=1,
-                busy=wall, wall=wall,
-            )
-            return results
-        return [fn(item) for item in items]
-    if registry.enabled:
-        instance_timer = registry.timer(
-            "executor_instance_seconds",
-            "Wall time of one work item inside the executor.",
-        )
-        start = time.perf_counter()
-        pairs = _pool_map(_TimedTask(fn), items, workers, chunksize)
-        wall = time.perf_counter() - start
-        busy = 0.0
-        results = []
-        for result, seconds in pairs:
-            instance_timer.observe(seconds)
-            busy += seconds
-            results.append(result)
-        _record_map(
-            registry, mode="pooled", items=len(items), workers=workers,
-            busy=busy, wall=wall,
-        )
-        return results
-    return _pool_map(fn, items, workers, chunksize)
-
-
-def _pool_map(fn, items, workers: int, chunksize: int) -> list:
-    """Pooled body of :func:`parallel_map`, with the broken-pool retry."""
-    pool = _pool(workers)
-    try:
-        return list(pool.map(fn, items, chunksize=chunksize))
-    except BrokenProcessPool:
-        # A killed worker (OOM, segfault) permanently breaks its
-        # executor.  Evict the poisoned pool and retry once on a fresh
-        # one — work items are pure functions of their arguments, so a
-        # re-run is safe; a second break propagates.
-        get_registry().counter(
-            "executor_pool_retries_total",
-            "Broken-pool evictions followed by a fresh-pool retry.",
-        ).inc()
-        _evict_pool(workers, pool)
-        pool = _pool(workers)
-        try:
-            return list(pool.map(fn, items, chunksize=chunksize))
-        except BrokenProcessPool:
-            _evict_pool(workers, pool)
-            raise
+    """``[fn(item) for item in items]``, optionally across processes:
+    :func:`parallel_imap` collected into a list."""
+    return list(parallel_imap(fn, items, parallel=parallel))
 
 
 def parallel_imap(
@@ -241,86 +174,76 @@ def parallel_imap(
     items: Sequence[T],
     *,
     parallel: int | None = 1,
-    chunksize: int = 1,
-):
-    """Iterator twin of :func:`parallel_map`: results stream back in
-    submission order as they complete.
+) -> Iterator[R]:
+    """``fn(item)`` for each item, streamed back in submission order.
 
-    This is what the run ledger's resumable path consumes — each
-    finished result can be persisted *before* the next one computes, so
-    an interruption (^C, OOM, a broken pool) loses at most the work in
-    flight, never the finished prefix.  Unlike :func:`parallel_map`
-    there is no transparent broken-pool retry: a consumer that already
-    observed results cannot be replayed safely, so the error propagates
-    and the caller's next run resumes from what it banked.
+    ``parallel=1`` (the default) runs in-process — no pool, no
+    pickling requirement — and so does a single item.  ``parallel=N``
+    fans out over a cached N-worker spawn pool; ``parallel=None`` uses
+    every available CPU.  Results arrive in submission order whatever
+    the scheduling, so a consumer can persist each one *before* the
+    next is needed: an interruption (^C, OOM) loses at most the work
+    in flight, never the finished prefix.
+
+    A killed worker (OOM, segfault) permanently breaks its pool.  The
+    poisoned pool is evicted and the items not yet yielded re-run once
+    on a fresh one — items are pure functions of their arguments, so a
+    re-run is safe even for a consumer that already banked the earlier
+    results; a second break propagates.
     """
     workers = resolve_parallel(parallel)
     items = list(items)
-    if workers == 1 or len(items) <= 1:
-        return (fn(item) for item in items)
-    return _imap_pooled(fn, items, workers, chunksize)
+    if len(items) <= 1:
+        workers = 1
+    return _fan_out(_TimedTask(fn), items, workers)
 
 
-def _imap_pooled(fn, items, workers: int, chunksize: int):
-    """Pool-backed body of :func:`parallel_imap`.
+def _fan_out(task: _TimedTask, items: list, workers: int) -> Iterator:
+    """Body of :func:`parallel_imap`: yield results, record metrics.
 
-    A broken pool is evicted from the cache before the error
-    propagates — the consumer cannot be replayed, but its *next* call
-    must get a fresh pool instead of the poisoned one forever.
+    The fan-out's metrics are recorded *before* the last result is
+    yielded: a consumer such as ``zip(keys, results)`` never asks for
+    one item past the last, so code after the loop might never run.
     """
-    pool = _pool(workers)
+    if not items:
+        return
     registry = get_registry()
-    if registry.enabled:
-        instance_timer = registry.timer(
-            "executor_instance_seconds",
-            "Wall time of one work item inside the executor.",
-        )
-        registry.gauge(
-            "executor_pool_workers",
-            "Worker count of the most recent pooled fan-out.",
-        ).set(workers)
-        registry.counter(
-            "executor_items_total",
-            "Work items executed through the parallel primitives.",
-            labels={"mode": "streamed"},
-        ).inc(len(items))
+    instance_timer = registry.timer(
+        "executor_instance_seconds",
+        "Wall time of one work item inside the executor.",
+    )
+    start = time.perf_counter()
+    busy = 0.0
+    pairs = (
+        map(task, items) if workers == 1 else _pooled(task, items, workers)
+    )
+    for position, (result, seconds) in enumerate(pairs, start=1):
+        instance_timer.observe(seconds)
+        busy += seconds
+        if position == len(items) and registry.enabled:
+            _record_map(
+                registry, items=len(items), workers=workers, busy=busy,
+                wall=time.perf_counter() - start,
+            )
+        yield result
+
+
+def _pooled(task: _TimedTask, items: list, workers: int) -> Iterator:
+    """``map(task, items)`` over the cached pool, with one retry of the
+    items not yet yielded when the pool breaks."""
+    done = 0
+    for attempt in range(2):
+        pool = _pool(workers)
         try:
-            for result, seconds in pool.map(
-                _TimedTask(fn), items, chunksize=chunksize
-            ):
-                instance_timer.observe(seconds)
-                yield result
+            for pair in pool.map(task, items[done:]):
+                done += 1
+                yield pair
+            return
         except BrokenProcessPool:
             _evict_pool(workers, pool)
-            raise
-        return
-    try:
-        yield from pool.map(fn, items, chunksize=chunksize)
-    except BrokenProcessPool:
-        _evict_pool(workers, pool)
-        raise
-
-
-def run_jobs(
-    jobs: Sequence[Callable[[], Any]] | Sequence[tuple[Callable[..., Any], tuple]],
-    *,
-    parallel: int | None = 1,
-) -> list[Any]:
-    """Run heterogeneous ``(fn, args)`` jobs, results in job order.
-
-    Like :func:`parallel_map` but for a fixed list of distinct calls
-    (e.g. one job per algorithm); each job is ``(fn, args_tuple)``.
-    """
-    normalized: list[tuple[Callable[..., Any], tuple]] = []
-    for job in jobs:
-        if callable(job):
-            normalized.append((job, ()))
-        else:
-            fn, args = job
-            normalized.append((fn, tuple(args)))
-    return parallel_map(_call_job, normalized, parallel=parallel)
-
-
-def _call_job(job: tuple[Callable[..., Any], tuple]) -> Any:
-    fn, args = job
-    return fn(*args)
+            if attempt:
+                raise
+            get_registry().counter(
+                "executor_pool_retries_total",
+                "Broken-pool evictions followed by a fresh-pool retry.",
+            ).inc()

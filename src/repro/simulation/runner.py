@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError, MetricMismatchError
 from ..obs import trace as obs_trace
-from .executor import parallel_imap, parallel_map
+from .executor import parallel_imap
 from .stats import SummaryStats, summarize
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -114,7 +114,7 @@ def run_instances(
     seed (typically via :meth:`ExperimentConfig.dataset_for`), which is
     what makes the fan-out deterministic: ``parallel=N`` distributes the
     instances over an N-worker process pool
-    (:func:`~repro.simulation.executor.parallel_map`) and yields a table
+    (:func:`~repro.simulation.executor.parallel_imap`) and yields a table
     bit-identical to the serial run.  With ``parallel > 1`` the metric
     function must be picklable (a module-level function or a partial of
     one).
@@ -122,9 +122,11 @@ def run_instances(
     ``ledger`` + ``key`` route the run through the content-addressed
     store: cached instance rows are read back instead of recomputed,
     only the missing indexes hit the pool, and freshly computed rows
-    are persisted.  ``key.payload`` must describe everything
-    ``metric_fn`` reads *except* the instance count (so prefixes stay
-    shared across differently sized runs).
+    are persisted as they arrive.  ``key.payload`` must describe
+    everything ``metric_fn`` reads *except* the instance count (so
+    prefixes stay shared across differently sized runs).  Without a
+    ledger every index is missing and the same loop runs, reading and
+    banking nothing.
     """
     if instances < 1:
         raise ValueError("instances must be >= 1")
@@ -132,21 +134,12 @@ def run_instances(
         raise ConfigurationError(
             "run_instances got a ledger but no key declaring the work"
         )
-    if ledger is None or key is None:
-        with obs_trace.span("run_instances", instances=instances):
-            rows = [
-                _checked(raw, k)
-                for k, raw in enumerate(
-                    parallel_map(metric_fn, range(instances), parallel=parallel)
-                )
-            ]
-        return InstanceTable(rows=tuple(rows))
-
     banked: list[dict[str, float] | None] = [
-        ledger.get_row(key, k) for k in range(instances)
+        None if ledger is None else ledger.get_row(key, k)
+        for k in range(instances)
     ]
     missing = [k for k, row in enumerate(banked) if row is None]
-    writer = obs_trace.active()
+    writer = obs_trace.active() if ledger is not None else None
     if writer is not None:
         # Each instance event carries the ledger's own row digest — the
         # trace↔provenance join (DESIGN.md §13).
@@ -170,8 +163,9 @@ def run_instances(
             missing, parallel_imap(metric_fn, missing, parallel=parallel)
         ):
             row = _checked(raw, k)
-            ledger.put_row(key, k, row)
             banked[k] = row
+            if ledger is not None:
+                ledger.put_row(key, k, row)
             if writer is not None:
                 writer.emit(
                     "instance_row",

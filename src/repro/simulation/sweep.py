@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ConfigurationError
-from .executor import parallel_imap, parallel_map
+from .executor import parallel_imap
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from ..artifacts import RunKey, RunLedger
@@ -141,7 +141,8 @@ def sweep_series(
     fingerprint of ``(key, x)``, already-banked points are read back
     instead of recomputed, and only the missing grid points run
     (serially or over the pool).  An interrupted sweep therefore
-    resumes at the first unevaluated x.
+    resumes at the first unevaluated x.  Without a ledger every point
+    is missing and the same loop runs, reading and banking nothing.
     """
     x_values = tuple(x_values)
     if not x_values:
@@ -151,25 +152,21 @@ def sweep_series(
             "sweep_series got a ledger but no key declaring the work"
         )
 
-    if ledger is None or key is None:
-        points = parallel_map(point_fn, x_values, parallel=parallel)
-    else:
-        banked: list[dict[str, float] | None] = [
-            ledger.get_point(key, x) for x in x_values
-        ]
-        missing = [
-            i for i, point in enumerate(banked) if point is None
-        ]
-        # Bank each point as it completes so an interrupted sweep
-        # resumes at the first unevaluated grid point.
-        computed = parallel_imap(
-            point_fn, [x_values[i] for i in missing], parallel=parallel
-        )
-        for i, raw in zip(missing, computed):
-            point = {name: float(v) for name, v in dict(raw).items()}
+    points: list[dict[str, float] | None] = [
+        None if ledger is None else ledger.get_point(key, x)
+        for x in x_values
+    ]
+    missing = [i for i, point in enumerate(points) if point is None]
+    # Bank each point as it completes so an interrupted sweep resumes
+    # at the first unevaluated grid point.
+    computed = parallel_imap(
+        point_fn, [x_values[i] for i in missing], parallel=parallel
+    )
+    for i, raw in zip(missing, computed):
+        point = {name: float(v) for name, v in dict(raw).items()}
+        points[i] = point
+        if ledger is not None:
             ledger.put_point(key, x_values[i], point)
-            banked[i] = point
-        points = banked
 
     collected: dict[str, list[float]] = {}
     names: list[str] | None = None

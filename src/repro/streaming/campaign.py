@@ -322,7 +322,6 @@ class CampaignStore:
             except BaseException:
                 journal.delete()
                 raise
-        evicted_campaigns: list[Campaign] = []
         try:
             with self._lock:
                 if campaign_id in self._campaigns:
@@ -337,14 +336,7 @@ class CampaignStore:
                     )
                     fsync_dir(self.journal_dir)
                     campaign.journal = journal
-                self._campaigns[campaign_id] = campaign
-                while (
-                    self.max_campaigns is not None
-                    and len(self._campaigns) > self.max_campaigns
-                ):
-                    _, evicted = self._campaigns.popitem(last=False)
-                    evicted_campaigns.append(evicted)
-                live = len(self._campaigns)
+                evicted = self._admit(campaign)
         except (DuplicateCampaignError, CampaignRecoveringError):
             # Lost the race to another create: discard the never-linked
             # temp journal; the winner's file is untouched.
@@ -355,33 +347,51 @@ class CampaignStore:
         registry.counter(
             "streaming_campaigns_created_total", "Campaigns created."
         ).inc()
-        for evicted in evicted_campaigns:
-            # LRU eviction drops only the in-memory state: the journal
-            # file stays, so a durable store resurrects the campaign on
-            # the next recovery (re-creating the id rotates the file).
-            self._release(evicted, registry)
-        if evicted_campaigns:
+        self._dropped(evicted, registry)
+        return campaign
+
+    def _admit(self, campaign: Campaign) -> list[Campaign]:
+        """Insert ``campaign`` as most recently used and pop the least
+        recently used ones past ``max_campaigns``.
+
+        The caller holds the store lock and hands the popped campaigns
+        to :meth:`_dropped` once it has let go of it.  LRU eviction
+        drops only the in-memory state: the journal file stays, so a
+        durable store resurrects the campaign on the next recovery
+        (re-creating the id rotates the file).
+        """
+        self._campaigns[campaign.campaign_id] = campaign
+        evicted = []
+        while (
+            self.max_campaigns is not None
+            and len(self._campaigns) > self.max_campaigns
+        ):
+            evicted.append(self._campaigns.popitem(last=False)[1])
+        return evicted
+
+    def _dropped(self, campaigns: list[Campaign], registry) -> None:
+        """Release campaigns just taken out of the store, count them and
+        update the live gauge.
+
+        Releasing closes each journal and drops the campaign's labelled
+        metric series, which caps label cardinality on long-lived
+        servers — an evicted campaign's counters would otherwise be
+        exported forever.
+        """
+        for campaign in campaigns:
+            if campaign.journal is not None:
+                with campaign.lock:
+                    campaign.journal.close()
+            if registry.enabled:
+                registry.drop_labels("campaign", campaign.campaign_id)
+        if campaigns:
             registry.counter(
                 "streaming_campaigns_evicted_total",
                 "Campaigns dropped (LRU capacity or explicit delete).",
-            ).inc(len(evicted_campaigns))
+            ).inc(len(campaigns))
         registry.gauge(
             "streaming_campaigns_live", "Campaigns currently in the store."
-        ).set(live)
-        return campaign
-
-    def _release(self, campaign: Campaign, registry) -> None:
-        """Post-eviction cleanup: close the journal, drop its series.
-
-        Dropping the campaign's labelled metric series caps label
-        cardinality on long-lived servers — an evicted campaign's
-        counters would otherwise be exported forever.
-        """
-        if campaign.journal is not None:
-            with campaign.lock:
-                campaign.journal.close()
-        if registry.enabled:
-            registry.drop_labels("campaign", campaign.campaign_id)
+        ).set(len(self))
 
     def get(self, campaign_id: str) -> Campaign:
         with self._lock:
@@ -605,20 +615,10 @@ class CampaignStore:
                 if campaign_id in self._recovering:
                     raise CampaignRecoveringError(campaign_id)
                 raise UnknownCampaignError(campaign_id)
-            live = len(self._campaigns)
-        registry = get_registry()
         if campaign.journal is not None:
             with campaign.lock:
                 campaign.journal.delete()
-        if registry.enabled:
-            registry.drop_labels("campaign", campaign_id)
-        registry.counter(
-            "streaming_campaigns_evicted_total",
-            "Campaigns dropped (LRU capacity or explicit delete).",
-        ).inc()
-        registry.gauge(
-            "streaming_campaigns_live", "Campaigns currently in the store."
-        ).set(live)
+        self._dropped([campaign], get_registry())
 
     def list_campaigns(self) -> list[dict]:
         """Summaries of all live campaigns, least recently used first."""
@@ -681,19 +681,10 @@ class CampaignStore:
                     error=str(exc),
                 )
             report["seconds"] = round(time.perf_counter() - start, 6)
-            evicted_campaigns: list[Campaign] = []
             with self._lock:
-                if campaign is not None:
-                    self._campaigns[campaign.campaign_id] = campaign
-                    while (
-                        self.max_campaigns is not None
-                        and len(self._campaigns) > self.max_campaigns
-                    ):
-                        _, evicted = self._campaigns.popitem(last=False)
-                        evicted_campaigns.append(evicted)
+                evicted = [] if campaign is None else self._admit(campaign)
                 self._recovering.discard(campaign_id)
-            for evicted in evicted_campaigns:
-                self._release(evicted, registry)
+            self._dropped(evicted, registry)
             registry.counter(
                 "streaming_recovered_campaigns_total",
                 "Journal replays at startup, by outcome.",
@@ -702,10 +693,6 @@ class CampaignStore:
             reports.append(report)
         with self._lock:
             self._recovery_pending = False
-            live = len(self._campaigns)
-        registry.gauge(
-            "streaming_campaigns_live", "Campaigns currently in the store."
-        ).set(live)
         registry.timer(
             "streaming_recovery_seconds",
             "Wall time of one full journal-directory recovery.",

@@ -255,19 +255,13 @@ def batch_from_json(payload: Mapping) -> ClaimBatch:
     )
 
 
-def batch_to_json(
-    batch: ClaimBatch,
-    *,
-    include_truth: bool = False,
-    sort_claims: bool = True,
-) -> dict:
+def batch_to_json(batch: ClaimBatch, *, include_truth: bool = False) -> dict:
     """Encode a batch into the wire format accepted by the server.
 
-    ``sort_claims=False`` keeps the batch's claim arrival order — the
-    write-ahead journal needs it so a replayed batch builds the same
-    claims dict the estimator saw live (dict order feeds the index
-    extension); the HTTP wire format keeps the sorted default for
-    stable, diffable request bodies.
+    Claims keep the batch's arrival order: the decoded batch builds the
+    same claims dict, and dict order feeds the index extension's claim
+    sequence, so a batch sent over HTTP or replayed from the journal
+    reaches the estimator exactly as one applied in-process.
     """
     tasks = []
     for task in batch.tasks:
@@ -290,9 +284,8 @@ def batch_to_json(
         }
         for worker in batch.workers
     ]
-    items = sorted(batch.claims.items()) if sort_claims else batch.claims.items()
     claims = [
         {"worker": worker_id, "task": task_id, "value": value}
-        for (worker_id, task_id), value in items
+        for (worker_id, task_id), value in batch.claims.items()
     ]
     return {"tasks": tasks, "workers": workers, "claims": claims}

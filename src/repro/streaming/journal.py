@@ -328,7 +328,6 @@ def create_record(
         record["seed"] = batch_to_json(
             ClaimBatch(tasks=seed_tasks, workers=seed_workers),
             include_truth=True,
-            sort_claims=False,
         )
     return record
 
@@ -336,13 +335,13 @@ def create_record(
 def batch_record(seq: int, batch: ClaimBatch) -> dict:
     """One ingested claim batch under its exactly-once sequence number.
 
-    Claims keep their arrival order (``sort_claims=False``) so a replay
-    feeds the estimator byte-for-byte the batch it saw live.
+    Claims keep their arrival order so a replay feeds the estimator
+    byte-for-byte the batch it saw live.
     """
     return {
         "kind": "batch",
         "seq": seq,
-        "batch": batch_to_json(batch, include_truth=True, sort_claims=False),
+        "batch": batch_to_json(batch, include_truth=True),
     }
 
 

@@ -1,12 +1,12 @@
 """Differential tests: the parallel executor is bit-identical to serial.
 
 Every ``parallel=N`` knob in the stack routes through
-:func:`repro.simulation.executor.parallel_map`, whose contract is that
+:func:`repro.simulation.executor.parallel_imap`, whose contract is that
 scheduling can never leak into results — all per-instance seeds derive
 from the root seed before submission.  These tests pin that contract
 end to end: identical :class:`InstanceTable` rows and
 :class:`ExperimentResult` series for ``parallel=1`` versus
-``parallel=4`` across fig3, table1, and two scenario sweeps.
+``parallel=4`` across fig3 and two scenario sweeps.
 
 The ``parallel=4`` runs go through a real 4-worker spawn pool even on
 smaller machines (workers just idle), so this also proves spawn-safety
@@ -19,7 +19,6 @@ from functools import partial
 
 from repro.experiments import ScalePreset
 from repro.experiments.fig3 import run_fig3a, run_fig3b
-from repro.experiments.table1 import run_table1
 from repro.scenarios import get_scenario, run_scenario, sweep_scenario
 from repro.scenarios.runner import instance_metrics
 from repro.simulation.runner import run_instances
@@ -62,12 +61,6 @@ class TestExperimentRunners:
         _assert_same_result(
             run_fig3b(**kwargs, parallel=1), run_fig3b(**kwargs, parallel=PARALLEL)
         )
-
-    def test_table1_parallel_matches_serial(self):
-        serial = run_table1(parallel=1)
-        parallel = run_table1(parallel=PARALLEL)
-        _assert_same_result(serial, parallel)
-        assert serial.meta["estimates"] == parallel.meta["estimates"]
 
 
 def _sweep_point(x: float) -> dict[str, float]:

@@ -6,9 +6,18 @@ import json
 
 import pytest
 
-from repro import Task, WorkerProfile
+from repro import DateConfig, Task, WorkerProfile, ZipfFalseValues
+from repro.datasets import generate_qatar_living_like
 from repro.errors import DataFormatError
-from repro.streaming import ClaimBatch, batch_from_json, batch_to_json, replay_batches
+from repro.streaming import (
+    CampaignStore,
+    ClaimBatch,
+    StreamingApp,
+    batch_from_json,
+    batch_to_json,
+    replay_batches,
+)
+from repro.streaming.online import OnlineDATE
 from repro.streaming.ingest import coerce_number, task_from_spec, worker_from_spec
 
 
@@ -188,3 +197,41 @@ class TestJsonRoundTrip:
         ]
         with pytest.raises(DataFormatError, match="duplicate claim"):
             batch_from_json({"claims": rows})
+
+
+class TestWireArrivalOrder:
+    """A batch sent over HTTP reaches the estimator in the order it
+    arrives in-process: the claim sequence feeds the index extension,
+    and under a config without the discounted posterior and with Zipf
+    false values, a different order changes confidences and worker
+    accuracies in the last bits."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_http_ingest_matches_in_process(self, seed):
+        config = DateConfig(
+            discounted_posterior=False, false_values=ZipfFalseValues()
+        )
+        dataset = generate_qatar_living_like(
+            seed=seed, n_tasks=120, n_workers=40, n_copiers=8,
+            target_claims=1500,
+        )
+        batches = replay_batches(dataset, 6)
+        app = StreamingApp(CampaignStore())
+        app.store.create("c", config=config)
+        for batch in batches:
+            status, _ = app.handle(
+                "POST", "/campaigns/c/claims",
+                batch_to_json(batch, include_truth=True),
+            )
+            assert status == 200
+        wire = app.store.get("c").online
+        local = OnlineDATE(config)
+        for batch in batches:
+            local.ingest(batch)
+
+        assert list(wire.dataset.claims) == list(local.dataset.claims)
+        wire.refresh()
+        local.refresh()
+        assert wire.truths == local.truths
+        assert wire.confidence == local.confidence
+        assert wire.worker_accuracy == local.worker_accuracy
