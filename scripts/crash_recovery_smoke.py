@@ -15,7 +15,8 @@ What it does:
    first half of the same campaign, and ``kill -9``'s the process —
    no flush, no goodbye;
 3. restarts the server over the surviving journal directory, waits for
-   ``/healthz`` to leave the recovering state, re-sends the unacked
+   ``/healthz`` to answer (the server replays every journal before it
+   binds, so until then connections are refused), re-sends the unacked
    batch (same sequence number) and the rest of the stream;
 4. asserts the recovered campaign's truths, confidences, and worker
    accuracies are **byte-identical** (as canonical JSON) to the

@@ -760,13 +760,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
         def finalize(already_refreshed: bool):
             if already_refreshed:
-                return online.snapshot().truths, None
+                return online.truths, None
             final = online.refresh()
             return final.truths, final.iterations
 
     else:
         # The remote path goes through the retrying client: timeouts,
-        # backoff against a recovering server, and client-assigned
+        # backoff against a restarting server, and client-assigned
         # sequence numbers so a retried batch is applied exactly once.
         client = StreamingClient(args.url)
         where = f" on {client.base_url}"

@@ -19,7 +19,6 @@ kill-and-recover tests drive.
 
 from .campaign import (
     Campaign,
-    CampaignRecoveringError,
     CampaignStore,
     DuplicateCampaignError,
     UnknownCampaignError,
@@ -48,7 +47,6 @@ from .server import StreamingApp, make_server, serve
 __all__ = [
     "Campaign",
     "CampaignJournal",
-    "CampaignRecoveringError",
     "CampaignStore",
     "ClaimBatch",
     "ClientError",

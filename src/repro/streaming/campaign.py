@@ -54,7 +54,6 @@ from .online import OnlineDATE, OnlineUpdate
 
 __all__ = [
     "Campaign",
-    "CampaignRecoveringError",
     "CampaignStore",
     "DuplicateCampaignError",
     "UnknownCampaignError",
@@ -78,24 +77,6 @@ class DuplicateCampaignError(ReproError, ValueError):
     def __init__(self, campaign_id: str):
         self.campaign_id = campaign_id
         super().__init__(f"campaign {campaign_id!r} already exists")
-
-
-class CampaignRecoveringError(ReproError, RuntimeError):
-    """A campaign's journal replay has not finished yet.
-
-    The server maps this to ``503 Retry-After`` — the campaign exists
-    durably and will be back; failing the request is wrong, and
-    serving a half-replayed estimate would be worse.
-    """
-
-    retry_after = 1.0
-
-    def __init__(self, campaign_id: str):
-        self.campaign_id = campaign_id
-        super().__init__(
-            f"campaign {campaign_id!r} is recovering from its journal; "
-            f"retry shortly"
-        )
 
 
 class Campaign:
@@ -124,7 +105,6 @@ class Campaign:
         self.lock = threading.RLock()
         self.created_at = time.time() if created_at is None else created_at
         self.last_update = self.created_at
-        self.claims_ingested = 0
         self.applied_seq = 0
         self.journal = journal
 
@@ -149,9 +129,11 @@ class CampaignStore:
     """Thread-safe map of live campaigns with LRU capacity eviction.
 
     Locking is two-level: the store lock guards only the campaign map
-    (membership, LRU order, recovery marks), while each campaign
-    carries its own lock held for estimator work — so a slow refresh or
-    auction on one campaign never stalls requests to the others.  An
+    (membership and LRU order), while each campaign carries its own
+    lock held for estimator work — so a slow refresh or auction on one
+    campaign never stalls requests to the others.  An auction holds its
+    campaign's lock only to journal and run the refresh and to capture
+    the index it prices; the reverse auction runs outside it.  An
     eviction racing an in-flight operation lets that operation finish
     on the orphaned campaign object; the store simply stops handing it
     out.
@@ -175,13 +157,8 @@ class CampaignStore:
         claim batch are appended — fsync'd — to a per-campaign
         write-ahead journal *before* the estimator applies them, and
         construction replays existing journals back into live
-        campaigns (pass ``defer_recovery=True`` to run
-        :meth:`recover` yourself, e.g. on a background thread while
-        the HTTP listener already answers health checks).
-    defer_recovery:
-        Skip the journal replay in the constructor.  Until
-        :meth:`recover` finishes, requests touching a journaled-but-
-        unreplayed campaign raise :class:`CampaignRecoveringError`.
+        campaigns (:meth:`recover`), so the store serves nothing
+        before every journal is replayed.
     """
 
     def __init__(
@@ -192,7 +169,6 @@ class CampaignStore:
         max_campaigns: int | None = None,
         algorithm: str = "DATE",
         journal_dir: str | Path | None = None,
-        defer_recovery: bool = False,
     ):
         if max_campaigns is not None and max_campaigns < 1:
             raise ConfigurationError(
@@ -205,7 +181,6 @@ class CampaignStore:
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         self._campaigns: OrderedDict[str, Campaign] = OrderedDict()
         self._lock = threading.RLock()
-        self._recovering: set[str] = set()
         self.last_recovery: list[dict] = []
         if self.journal_dir is not None:
             self.journal_dir.mkdir(parents=True, exist_ok=True)
@@ -214,15 +189,7 @@ class CampaignStore:
             # was never acknowledged, so the debris just goes.
             for orphan in self.journal_dir.glob(".*.tmp"):
                 orphan.unlink(missing_ok=True)
-            # Mark every journaled campaign recovering *now*, so a
-            # deferred (background) recovery never races a request into
-            # a half-empty store: until replay finishes these ids 503.
-            self._recovering = {cid for cid, _ in list_journals(self.journal_dir)}
-            self._recovery_pending = True
-            if not defer_recovery:
-                self.recover()
-        else:
-            self._recovery_pending = False
+            self.recover()
 
     def __len__(self) -> int:
         with self._lock:
@@ -232,17 +199,9 @@ class CampaignStore:
         with self._lock:
             return campaign_id in self._campaigns
 
-    @property
-    def recovering(self) -> bool:
-        """Whether any journal replay is still pending or in flight."""
-        with self._lock:
-            return self._recovery_pending or bool(self._recovering)
-
     def _get(self, campaign_id: str) -> Campaign:
         campaign = self._campaigns.get(campaign_id)
         if campaign is None:
-            if campaign_id in self._recovering:
-                raise CampaignRecoveringError(campaign_id)
             raise UnknownCampaignError(campaign_id)
         self._campaigns.move_to_end(campaign_id)
         return campaign
@@ -278,8 +237,6 @@ class CampaignStore:
         with self._lock:
             if campaign_id in self._campaigns:
                 raise DuplicateCampaignError(campaign_id)
-            if campaign_id in self._recovering:
-                raise CampaignRecoveringError(campaign_id)
         # Seed outside the store lock: pre-publishing a large task set
         # must not stall requests to other campaigns.  Two racing
         # creates of the same id both seed; the second insert loses.
@@ -326,8 +283,6 @@ class CampaignStore:
             with self._lock:
                 if campaign_id in self._campaigns:
                     raise DuplicateCampaignError(campaign_id)
-                if campaign_id in self._recovering:
-                    raise CampaignRecoveringError(campaign_id)
                 if journal is not None:
                     # One atomic rename, clobbering any stale file an
                     # LRU-evicted ancestor of this id left behind.
@@ -337,7 +292,7 @@ class CampaignStore:
                     fsync_dir(self.journal_dir)
                     campaign.journal = journal
                 evicted = self._admit(campaign)
-        except (DuplicateCampaignError, CampaignRecoveringError):
+        except DuplicateCampaignError:
             # Lost the race to another create: discard the never-linked
             # temp journal; the winner's file is untouched.
             if journal is not None:
@@ -493,7 +448,6 @@ class CampaignStore:
                 raise
             elapsed = time.perf_counter() - start
             campaign.applied_seq = seq
-            campaign.claims_ingested += batch.n_claims
             campaign.last_update = time.time()
         labels = {"campaign": campaign_id}
         registry.counter(
@@ -581,6 +535,11 @@ class CampaignStore:
         engine unless ``auction_config`` selects otherwise.  The
         mechanism is built first, so a bad ``requirement_cap`` is
         rejected before the refresh is journaled or computed.
+
+        Only the refresh and the capture of its index hold the campaign
+        lock; the mechanism prices a private copy of that index outside
+        it, so reads and ingests proceed meanwhile and the ``Dataset``
+        it assembles dies with the run.
         """
         campaign = self.get(campaign_id)
         mechanism = IMC2(
@@ -589,7 +548,8 @@ class CampaignStore:
         with campaign.lock:
             truth = self._refresh(campaign)
             campaign.last_update = time.time()
-            return mechanism.run(campaign.online.dataset, truth=truth)
+            index = campaign.online.index
+        return mechanism.run(index.extended().index.dataset, truth=truth)
 
     def snapshot(self, campaign_id: str) -> dict:
         """JSON-safe campaign state: summary + estimates + reputations."""
@@ -612,8 +572,6 @@ class CampaignStore:
         with self._lock:
             campaign = self._campaigns.pop(campaign_id, None)
             if campaign is None:
-                if campaign_id in self._recovering:
-                    raise CampaignRecoveringError(campaign_id)
                 raise UnknownCampaignError(campaign_id)
         if campaign.journal is not None:
             with campaign.lock:
@@ -650,7 +608,6 @@ class CampaignStore:
         (also kept on :attr:`last_recovery`).
         """
         if self.journal_dir is None:
-            self._recovery_pending = False
             return []
         log = get_logger("repro.streaming.recovery")
         registry = get_registry()
@@ -663,7 +620,6 @@ class CampaignStore:
                 for cid, path in found
                 if cid not in self._campaigns
             ]
-            self._recovering.update(cid for cid, _ in pending)
         for campaign_id, path in pending:
             start = time.perf_counter()
             try:
@@ -683,7 +639,6 @@ class CampaignStore:
             report["seconds"] = round(time.perf_counter() - start, 6)
             with self._lock:
                 evicted = [] if campaign is None else self._admit(campaign)
-                self._recovering.discard(campaign_id)
             self._dropped(evicted, registry)
             registry.counter(
                 "streaming_recovered_campaigns_total",
@@ -691,8 +646,6 @@ class CampaignStore:
                 labels={"status": report["status"]},
             ).inc()
             reports.append(report)
-        with self._lock:
-            self._recovery_pending = False
         registry.timer(
             "streaming_recovery_seconds",
             "Wall time of one full journal-directory recovery.",
@@ -767,7 +720,6 @@ class CampaignStore:
             created_at=float(create.get("created_at") or time.time()),
         )
         campaign.applied_seq = applied_seq
-        campaign.claims_ingested = report["claims"]
         registry.counter(
             "streaming_recovered_batches_total",
             "Claim batches replayed from journals during recovery.",

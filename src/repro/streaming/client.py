@@ -160,8 +160,8 @@ class StreamingClient:
         base = min(self.backoff * (2.0**attempt), self.max_backoff)
         delay = base * (1.0 + self._rng.uniform(0.0, self.jitter))
         if retry_after is not None:
-            # The server knows how long its recovery needs; never wait
-            # less than it asked for.
+            # The server knows when it expects to accept the request
+            # again; never wait less than it asked for.
             delay = max(delay, retry_after)
         return delay
 
@@ -171,19 +171,15 @@ class StreamingClient:
         return self.request("GET", "/healthz")
 
     def wait_ready(self, deadline: float = 30.0, poll: float = 0.1) -> dict:
-        """Poll ``/healthz`` until the server answers and has finished
-        recovering; raises :class:`ServerUnavailableError` at deadline."""
+        """Poll ``/healthz`` until the server answers; raises
+        :class:`ServerUnavailableError` at deadline."""
         start = time.monotonic()
         last_error = "never polled"
         while time.monotonic() - start < deadline:
             try:
-                health = self.request("GET", "/healthz")
+                return self.request("GET", "/healthz")
             except (ServerUnavailableError, ClientError) as exc:
                 last_error = str(exc)
-            else:
-                if not health.get("recovering"):
-                    return health
-                last_error = "server still recovering"
             self._sleep(poll)
         raise ServerUnavailableError(
             "GET", self.base_url + "/healthz", 0, f"not ready: {last_error}"

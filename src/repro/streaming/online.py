@@ -293,8 +293,11 @@ class OnlineDATE:
         ``DATE(config).run(dataset)`` on the campaign accumulated so
         far (the incremental index is pinned equivalent to a cold
         rebuild), and the online state adopts it wholesale.
+
+        It runs on a private copy of the index (an empty extension), so
+        the pair tables and slot map it builds die with the run.
         """
-        index = self._index
+        index = self._index.extended().index
         result = self._discoverer.run(None, index=index)
         arrays = index.arrays
         self._claim_acc = result.accuracy_matrix[

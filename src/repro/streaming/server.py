@@ -9,9 +9,9 @@ and the handler class only parses/serializes JSON.
 Routes (all bodies JSON unless noted):
 
 - ``GET  /health`` — liveness + campaign count;
-- ``GET  /healthz`` — liveness + uptime + recovery state
-  (Kubernetes-style probe; ``status`` is ``"recovering"`` while a
-  journal replay is still pending);
+- ``GET  /healthz`` — liveness + uptime + campaign count (Kubernetes-
+  style probe; the store replays every journal before the listener
+  binds, so a server that answers has finished recovery);
 - ``GET  /metrics`` — Prometheus text exposition of the process
   metrics registry (plain text, not JSON);
 - ``GET  /campaigns`` — list campaign summaries;
@@ -34,9 +34,9 @@ Routes (all bodies JSON unless noted):
 Errors map onto status codes: malformed input and infeasible auctions
 are 400, unknown campaigns/routes 404, duplicate campaigns 409, bodies
 over :data:`MAX_BODY_BYTES` 413, and
-degradation is 503 with a ``Retry-After`` header — either the campaign
-is still replaying its journal, or the journal disk rejected a write
-(the batch was NOT applied; retrying the same ``seq`` is safe).
+degradation is 503 with a ``Retry-After`` header — the journal disk
+rejected a write (the batch was NOT applied; retrying the same ``seq``
+is safe).
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from ..obs.exposition import CONTENT_TYPE, render_prometheus
 from ..obs.logging import get_logger
 from ..obs.metrics import get_registry
 from .campaign import (
-    CampaignRecoveringError,
     CampaignStore,
     DuplicateCampaignError,
     UnknownCampaignError,
@@ -156,11 +155,6 @@ class StreamingApp:
                 }
             except DuplicateCampaignError as exc:
                 status, body = 409, {"error": str(exc)}
-            except CampaignRecoveringError as exc:
-                status, body = 503, {
-                    "error": str(exc),
-                    "retry_after": exc.retry_after,
-                }
             except JournalWriteError as exc:
                 # The batch was NOT applied (append rolls back or the
                 # journal refuses): the client may retry the same seq.
@@ -187,10 +181,8 @@ class StreamingApp:
         if parts == ["metrics"] and method == "GET":
             return 200, render_prometheus(get_registry())
         if parts == ["healthz"] and method == "GET":
-            recovering = self.store.recovering
             return 200, {
-                "status": "recovering" if recovering else "ok",
-                "recovering": recovering,
+                "status": "ok",
                 "uptime_seconds": round(time.time() - self.started_at, 3),
                 "campaigns": len(self.store),
                 "journaled": self.store.journal_dir is not None,
@@ -348,10 +340,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         if status == 503:
-            retry_after = 1.0
-            if isinstance(body, dict):
-                retry_after = float(body.get("retry_after") or 1.0)
-            self.send_header("Retry-After", str(max(1, round(retry_after))))
+            self.send_header("Retry-After", str(max(1, round(body["retry_after"]))))
         if close:
             self.send_header("Connection", "close")
         self.end_headers()

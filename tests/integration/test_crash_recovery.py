@@ -18,7 +18,6 @@ import pytest
 from repro.datasets.qatar_living import generate_qatar_living_like
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.streaming import (
-    CampaignRecoveringError,
     CampaignStore,
     FaultInjector,
     InjectedCrash,
@@ -396,33 +395,6 @@ class TestDegradation:
             store.ingest("c", batches[0], seq=1)
         set_injector(FaultInjector())
         store.close()
-
-    def test_deferred_recovery_answers_503_until_replayed(
-        self, tmp_path, batches
-    ):
-        wal = tmp_path / "wal"
-        store = CampaignStore(journal_dir=wal)
-        store.create("c")
-        store.ingest("c", batches[0], seq=1)
-        store.close()
-
-        deferred = CampaignStore(journal_dir=wal, defer_recovery=True)
-        assert deferred.recovering
-        with pytest.raises(CampaignRecoveringError):
-            deferred.truths("c")
-        app = StreamingApp(deferred)
-        status, body = app.handle("GET", "/campaigns/c/truths")
-        assert status == 503 and body["retry_after"] > 0
-        status, health = app.handle("GET", "/healthz")
-        assert health["status"] == "recovering"
-
-        deferred.recover()
-        assert not deferred.recovering
-        status, _ = app.handle("GET", "/campaigns/c/truths")
-        assert status == 200
-        status, health = app.handle("GET", "/healthz")
-        assert health["status"] == "ok"
-        deferred.close()
 
     def test_corrupt_journal_fails_only_its_campaign(self, tmp_path, batches):
         wal = tmp_path / "wal"
