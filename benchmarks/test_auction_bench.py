@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import DATE, ReverseAuction, SOACInstance
-from repro.auction.engine import batched_greedy_cover, run_auction, vectorized_cover
+from repro.auction.engine import batched_greedy_cover, run_auction
 from repro.datasets import generate_qatar_living_like
 
 from tests.oracles import greedy_cover, reference_auction, reference_payments
@@ -108,9 +108,10 @@ def test_backends_exactly_equal_on_paper_scale_imc2():
 def test_selection_traces_equal_at_gate_scale(gate_instance):
     """The batched cover replays the scalar greedy round for round."""
     scalar = greedy_cover(gate_instance)
-    batched = vectorized_cover(gate_instance)
-    assert [w for w, _ in scalar] == [w for w, _ in batched]
-    for (_, res_scalar), (_, res_batched) in zip(scalar, batched):
+    trace = batched_greedy_cover(gate_instance)
+    assert [w for w, _ in scalar] == trace.winners.tolist()
+    assert len(trace.residuals) == len(scalar)
+    for (_, res_scalar), res_batched in zip(scalar, trace.residuals):
         assert np.array_equal(res_scalar, res_batched)
 
 

@@ -57,7 +57,7 @@ import numpy as np
 from ..errors import InfeasibleCoverageError
 from .soac import COVERAGE_TOL, SOACInstance
 
-__all__ = ["CoverTrace", "batched_greedy_cover", "run_auction", "vectorized_cover"]
+__all__ = ["CoverTrace", "batched_greedy_cover", "run_auction"]
 
 
 @dataclass(frozen=True)
@@ -176,26 +176,6 @@ def batched_greedy_cover(instance: SOACInstance) -> CoverTrace:
         ),
         scores=np.asarray(scores) if scores else np.empty((0, n)),
     )
-
-
-def vectorized_cover(
-    instance: SOACInstance, *, exclude: int | None = None
-) -> list[tuple[int, np.ndarray]]:
-    """Drop-in twin of the oracle's scalar ``greedy_cover``.
-
-    Same ``(worker, residual-before)`` pairs, same exceptions — computed
-    by the batched engine.  Used by the equivalence suites and anywhere
-    only the selection (not the trace) is wanted.
-    """
-    cover = _Cover(instance, instance.requirements.astype(np.float64).copy())
-    if exclude is not None:
-        cover.eligible[exclude] = False
-    chosen: list[tuple[int, np.ndarray]] = []
-    while not cover.covered():
-        winner = cover.pick()
-        chosen.append((winner, cover.residual.copy()))
-        cover.apply(winner)
-    return chosen
 
 
 def _prefix_terms(instance: SOACInstance, trace: CoverTrace) -> np.ndarray:

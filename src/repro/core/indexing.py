@@ -135,15 +135,13 @@ class DatasetIndex:
         O(pair rows), and the rebuild is byte-identical to a cold
         index's (row keys are unique, so the row order is determined).
 
-        Raises :class:`~repro.errors.DataFormatError` for ids that
-        collide with existing ones, claims referencing unknown tasks or
-        workers, out-of-domain values, and duplicate ``(worker, task)``
-        claims — the invariants streaming replay depends on.
+        Raises what :meth:`validate_extension` raises, before anything
+        is built.
         """
         tasks = tuple(tasks)
         workers = tuple(workers)
         claims = dict(claims or {})
-        self._validate_extension(tasks, workers, claims)
+        self.validate_extension(tasks=tasks, workers=workers, claims=claims)
 
         new = object.__new__(DatasetIndex)
         new._set_members(self.tasks + tasks, self.workers + workers)
@@ -213,23 +211,15 @@ class DatasetIndex:
     ) -> None:
         """Validate a delta without building the extension.
 
-        Runs exactly the checks :meth:`extended` performs — colliding
-        ids, claims on unknown tasks or workers, duplicate ``(worker,
-        task)`` claims, out-of-domain values — and raises
-        :class:`~repro.errors.DataFormatError` on the first violation,
-        touching nothing.  The durable streaming store calls this
-        *before* a batch reaches the write-ahead journal, so a rejected
-        batch never persists as an unreplayable record.
+        Runs exactly the checks :meth:`extended` performs (it calls
+        this) — colliding ids, claims on unknown tasks or workers,
+        duplicate ``(worker, task)`` claims, out-of-domain values — and
+        raises :class:`~repro.errors.DataFormatError` on the first
+        violation, touching nothing.  Only the delta is checked: the
+        index's own rows are known-valid.
         """
-        self._validate_extension(tuple(tasks), tuple(workers), dict(claims or {}))
-
-    def _validate_extension(
-        self,
-        tasks: tuple[Task, ...],
-        workers: tuple[WorkerProfile, ...],
-        claims: dict[tuple[str, str], str],
-    ) -> None:
-        """Check the delta against this index (old rows are known-valid)."""
+        workers = tuple(workers)
+        claims = claims or {}
         new_task_by_id: dict[str, Task] = {}
         for task in tasks:
             if task.task_id in self.task_pos or task.task_id in new_task_by_id:

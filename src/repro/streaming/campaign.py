@@ -9,7 +9,7 @@ one process can serve an unbounded campaign churn with bounded memory.
 
 With ``journal_dir`` set the store is **crash-safe** (DESIGN.md §15):
 campaign creation and every claim batch are journaled — fsync'd —
-*before* the estimator applies them, explicit refreshes are journaled
+*before* the estimator publishes them, explicit refreshes are journaled
 as intents, and a restarted store replays the journals back to the
 exact pre-crash state, re-running each journaled refresh (a refresh is
 a deterministic function of the campaign's claims).  Batch sequence
@@ -18,6 +18,7 @@ numbers double as the exactly-once dedup key for retried ingests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import threading
@@ -35,7 +36,7 @@ from ..mechanism.imc2 import IMC2, IMC2Outcome
 from ..obs.logging import get_logger
 from ..obs.metrics import get_registry
 from ..types import Task, WorkerProfile
-from .faults import InjectedCrash, get_injector
+from .faults import get_injector
 from .ingest import ClaimBatch, batch_from_json
 from .journal import (
     CampaignJournal,
@@ -50,7 +51,7 @@ from .journal import (
     refresh_record,
     verify_config,
 )
-from .online import OnlineDATE, OnlineUpdate
+from .online import OnlineDATE, OnlineState, OnlineUpdate
 
 __all__ = [
     "Campaign",
@@ -82,14 +83,17 @@ class DuplicateCampaignError(ReproError, ValueError):
 class Campaign:
     """One live campaign: an online estimator plus bookkeeping.
 
-    ``lock`` serializes all estimator access for this campaign only, so
-    a long refresh on one campaign never blocks traffic to another; the
-    store's own lock guards nothing but the campaign map.
+    ``lock`` serializes this campaign's writers only, so a long refresh
+    on one campaign never blocks traffic to another; the store's own
+    lock guards nothing but the campaign map.  Reads take no lock: each
+    reads the estimator's published state once.
 
     ``applied_seq`` is the sequence number of the last claim batch the
     estimator applied — the exactly-once watermark retried ingests are
-    deduplicated against.  ``journal`` is the campaign's write-ahead
-    journal when the store is durable, else ``None``.
+    deduplicated against; set just after the batch is published, a
+    lock-free read may see it one behind.  ``journal`` is the
+    campaign's write-ahead journal when the store is durable, else
+    ``None``.
     """
 
     def __init__(
@@ -108,16 +112,18 @@ class Campaign:
         self.applied_seq = 0
         self.journal = journal
 
-    def describe(self) -> dict:
-        """JSON-safe summary (sizes and counters, no estimates)."""
-        index = self.online.index
+    def describe(self, state: OnlineState | None = None) -> dict:
+        """JSON-safe summary (sizes and counters, no estimates) of
+        ``state``, by default the published one."""
+        state = state or self.online.state
+        index = state.index
         return {
             "campaign_id": self.campaign_id,
             "algorithm": self.online.algorithm,
             "tasks": index.n_tasks,
             "workers": index.n_workers,
             "claims": index.arrays.n_claims,
-            "batches": self.online.n_batches,
+            "batches": state.batches,
             "applied_seq": self.applied_seq,
             "journaled": self.journal is not None,
             "created_at": self.created_at,
@@ -130,13 +136,15 @@ class CampaignStore:
 
     Locking is two-level: the store lock guards only the campaign map
     (membership and LRU order), while each campaign carries its own
-    lock held for estimator work — so a slow refresh or auction on one
-    campaign never stalls requests to the others.  An auction holds its
-    campaign's lock only to journal and run the refresh and to capture
-    the index it prices; the reverse auction runs outside it.  An
-    eviction racing an in-flight operation lets that operation finish
-    on the orphaned campaign object; the store simply stops handing it
-    out.
+    lock that serializes its writers — so a slow refresh or auction on
+    one campaign never stalls requests to the others.  Reads take no
+    campaign lock: they read the estimator's published state once, so
+    they never wait for a refresh, an auction or an ingest.  An auction
+    holds its campaign's lock only for its refresh and to capture the
+    index that refresh published; the reverse auction runs outside it.
+    An eviction racing an in-flight operation lets
+    that operation finish on the orphaned campaign object; the store
+    simply stops handing it out.
 
     Parameters
     ----------
@@ -155,7 +163,7 @@ class CampaignStore:
     journal_dir:
         When set, the store is durable: campaign creation and every
         claim batch are appended — fsync'd — to a per-campaign
-        write-ahead journal *before* the estimator applies them, and
+        write-ahead journal *before* the estimator publishes them, and
         construction replays existing journals back into live
         campaigns (:meth:`recover`), so the store serves nothing
         before every journal is replayed.
@@ -358,94 +366,48 @@ class CampaignStore:
         """Apply a claim batch to one campaign — exactly once.
 
         ``seq`` is the client-assigned batch sequence number (1-based,
-        contiguous per campaign).  A batch whose ``seq`` is at or below
-        the campaign's applied watermark was already journaled and
-        applied — the retry of an ingest whose acknowledgement was
-        lost — and returns ``None`` without touching the estimator.
-        Without ``seq`` the store assigns the next number itself.
+        contiguous per campaign; below 1 is a
+        :class:`~repro.errors.ConfigurationError`).  A batch whose
+        ``seq`` is at or below the campaign's applied watermark was
+        already journaled and applied — the retry of an ingest whose
+        acknowledgement was lost — and returns ``None`` without
+        touching the estimator.  Without ``seq`` the store assigns the
+        next number itself.
 
-        On a journaled campaign the batch is validated against the
-        campaign first, then its record is appended and fsync'd
-        *before* the estimator runs: a batch destined for a 400 never
-        reaches the journal, an acknowledged ingest survives any crash,
-        and a crash between append and apply is replayed to the same
-        state on recovery.
+        One ingest is one transaction: the estimator validates the
+        batch and computes its next state, the store appends and
+        fsyncs the batch record, then the estimator publishes.  A
+        failure before the append (a 400 included) leaves nothing
+        behind, and a crash after it is replayed to the same state.
         """
+        if seq is not None:
+            seq = int(seq)
+            if seq < 1:
+                raise ConfigurationError(f"batch seq must be >= 1, got {seq}")
         campaign = self.get(campaign_id)
         registry = get_registry()
         with campaign.lock:
             if seq is None:
                 seq = campaign.applied_seq + 1
-            else:
-                seq = int(seq)
-                if seq <= campaign.applied_seq:
-                    registry.counter(
-                        "streaming_duplicate_ingests_total",
-                        "Retried claim batches deduplicated by sequence "
-                        "number (exactly-once ingest).",
-                        labels={"campaign": campaign_id},
-                    ).inc()
-                    return None
-                if seq != campaign.applied_seq + 1:
-                    raise ConfigurationError(
-                        f"out-of-order ingest: seq {seq} after applied "
-                        f"seq {campaign.applied_seq} (expected "
-                        f"{campaign.applied_seq + 1})"
-                    )
-            pre_append = 0
-            if campaign.journal is not None:
-                # Validate against the campaign *before* the append: a
-                # batch the estimator would reject (unknown references,
-                # duplicate claims, out-of-domain values — a 400) must
-                # never persist, or every later recovery would replay
-                # into the same error and report the journal corrupt.
-                campaign.online.validate(batch)
-                journal_start = time.perf_counter()
-                pre_append = campaign.journal.size
-                try:
-                    campaign.journal.append(batch_record(seq, batch))
-                except JournalError:
-                    registry.counter(
-                        "streaming_journal_write_failures_total",
-                        "Ingest journal appends that failed (each one "
-                        "became a 503, never an applied batch).",
-                    ).inc()
-                    raise
+            elif seq <= campaign.applied_seq:
                 registry.counter(
-                    "streaming_journal_appends_total",
-                    "Write-ahead journal records appended per campaign.",
+                    "streaming_duplicate_ingests_total",
+                    "Retried claim batches deduplicated by sequence "
+                    "number (exactly-once ingest).",
                     labels={"campaign": campaign_id},
                 ).inc()
-                registry.timer(
-                    "streaming_journal_append_seconds",
-                    "Wall time of one fsync'd journal append.",
-                ).observe(time.perf_counter() - journal_start)
+                return None
+            elif seq != campaign.applied_seq + 1:
+                raise ConfigurationError(
+                    f"out-of-order ingest: seq {seq} after applied "
+                    f"seq {campaign.applied_seq} (expected "
+                    f"{campaign.applied_seq + 1})"
+                )
+            journal = None if campaign.journal is None else functools.partial(
+                self._journal_batch, campaign, seq, batch
+            )
             start = time.perf_counter()
-            try:
-                update = campaign.online.ingest(batch)
-            except InjectedCrash:
-                # Simulated process death: a real crash leaves the
-                # journaled record behind, and so must we — recovery
-                # replaying it is exactly the contract under test.
-                raise
-            except BaseException:
-                # The batch passed validation, so this is unexpected —
-                # but the journal may only hold applied-or-replayable
-                # records, and a retry under the same seq must not
-                # append a second record.  Undo the append, then
-                # surface the original error (a failed rollback marks
-                # the journal failed; later appends refuse).
-                if campaign.journal is not None:
-                    try:
-                        campaign.journal.rollback_to(pre_append)
-                    except JournalError:
-                        pass
-                    registry.counter(
-                        "streaming_journal_rollbacks_total",
-                        "Journal records rolled back because the "
-                        "estimator refused the batch after the append.",
-                    ).inc()
-                raise
+            update = campaign.online.ingest(batch, journal)
             elapsed = time.perf_counter() - start
             campaign.applied_seq = seq
             campaign.last_update = time.time()
@@ -462,24 +424,49 @@ class CampaignStore:
         ).inc(batch.n_claims)
         registry.timer(
             "streaming_ingest_seconds",
-            "Wall time of one claim-batch ingest (estimator update included).",
+            "Wall time of one claim-batch ingest (estimator update and "
+            "journal append included).",
             labels=labels,
         ).observe(elapsed)
         return update
 
+    @staticmethod
+    def _journal_batch(campaign: Campaign, seq: int, batch: ClaimBatch) -> None:
+        """Append and fsync one batch record (campaign lock held)."""
+        registry = get_registry()
+        start = time.perf_counter()
+        try:
+            campaign.journal.append(batch_record(seq, batch))
+        except JournalError:
+            registry.counter(
+                "streaming_journal_write_failures_total",
+                "Ingest journal appends that failed (each one "
+                "became a 503, never an applied batch).",
+            ).inc()
+            raise
+        registry.counter(
+            "streaming_journal_appends_total",
+            "Write-ahead journal records appended per campaign.",
+            labels={"campaign": campaign.campaign_id},
+        ).inc()
+        registry.timer(
+            "streaming_journal_append_seconds",
+            "Wall time of one fsync'd journal append.",
+        ).observe(time.perf_counter() - start)
+
     def _refresh(self, campaign: Campaign) -> TruthDiscoveryResult:
         """Full refresh (campaign lock must be held).
 
-        On a journaled campaign the refresh *intent* is appended first,
-        so recovery re-runs the refresh at the same point in the batch
-        sequence.
+        On a journaled campaign the refresh *intent* is appended after
+        the refresh is computed and before it is published, so recovery
+        re-runs the refresh at the same point in the batch sequence.
         """
         registry = get_registry()
         start = time.perf_counter()
-        if campaign.journal is not None:
-            campaign.journal.append(refresh_record(campaign.applied_seq))
-            get_injector().fire("store.mid_refresh")
-        result = campaign.online.refresh()
+        journal = None if campaign.journal is None else functools.partial(
+            self._journal_refresh, campaign
+        )
+        result = campaign.online.refresh(journal)
         labels = {"campaign": campaign.campaign_id}
         registry.counter(
             "streaming_refreshes_total",
@@ -493,32 +480,34 @@ class CampaignStore:
         ).observe(time.perf_counter() - start)
         return result
 
+    @staticmethod
+    def _journal_refresh(campaign: Campaign) -> None:
+        """Append and fsync a refresh intent (campaign lock held)."""
+        campaign.journal.append(refresh_record(campaign.applied_seq))
+        get_injector().fire("store.mid_refresh")
+
     def estimate(
         self, campaign_id: str, *, refresh: bool = False
     ) -> TruthDiscoveryResult:
-        """Current estimate; ``refresh=True`` forces a full re-run."""
+        """Current estimate (a lock-free read); ``refresh=True`` forces
+        a full re-run."""
         campaign = self.get(campaign_id)
-        with campaign.lock:
-            if refresh:
-                result = self._refresh(campaign)
-                campaign.last_update = time.time()
-                return result
+        if not refresh:
             return campaign.online.snapshot()
+        with campaign.lock:
+            result = self._refresh(campaign)
+            campaign.last_update = time.time()
+            return result
 
     def truths(self, campaign_id: str) -> dict:
-        """Current truths + confidence of one campaign (locked read)."""
-        campaign = self.get(campaign_id)
-        with campaign.lock:
-            return {
-                "truths": campaign.online.truths,
-                "confidence": campaign.online.confidence,
-            }
+        """Current truths + confidence of one campaign, both from one
+        published state (lock-free read)."""
+        state = self.get(campaign_id).online.state
+        return {"truths": dict(state.truths), "confidence": dict(state.confidence)}
 
     def worker_accuracy(self, campaign_id: str) -> dict[str, float]:
-        """Current worker reputations of one campaign (locked read)."""
-        campaign = self.get(campaign_id)
-        with campaign.lock:
-            return campaign.online.worker_accuracy
+        """Current worker reputations of one campaign (lock-free read)."""
+        return self.get(campaign_id).online.worker_accuracy
 
     def auction(
         self,
@@ -536,10 +525,10 @@ class CampaignStore:
         mechanism is built first, so a bad ``requirement_cap`` is
         rejected before the refresh is journaled or computed.
 
-        Only the refresh and the capture of its index hold the campaign
-        lock; the mechanism prices a private copy of that index outside
-        it, so reads and ingests proceed meanwhile and the ``Dataset``
-        it assembles dies with the run.
+        Only the refresh and the capture of the index it published hold
+        the campaign lock; the mechanism prices a private copy of that
+        index outside it, so ingests proceed meanwhile (reads never
+        wait) and the ``Dataset`` it assembles dies with the run.
         """
         campaign = self.get(campaign_id)
         mechanism = IMC2(
@@ -548,20 +537,20 @@ class CampaignStore:
         with campaign.lock:
             truth = self._refresh(campaign)
             campaign.last_update = time.time()
-            index = campaign.online.index
+            index = campaign.online.state.index
         return mechanism.run(index.extended().index.dataset, truth=truth)
 
     def snapshot(self, campaign_id: str) -> dict:
-        """JSON-safe campaign state: summary + estimates + reputations."""
+        """JSON-safe campaign state: summary + estimates + reputations,
+        all from one published state (lock-free read)."""
         campaign = self.get(campaign_id)
-        with campaign.lock:
-            online = campaign.online
-            return {
-                **campaign.describe(),
-                "truths": online.truths,
-                "confidence": online.confidence,
-                "worker_accuracy": online.worker_accuracy,
-            }
+        state = campaign.online.state
+        return {
+            **campaign.describe(state),
+            "truths": dict(state.truths),
+            "confidence": dict(state.confidence),
+            "worker_accuracy": state.worker_accuracy(),
+        }
 
     def evict(self, campaign_id: str) -> None:
         """Drop a campaign (raises if unknown).

@@ -32,9 +32,10 @@ Defined fault points (the write path consults these by name):
 
 - ``journal.pre_append`` — before any bytes of a record are written;
 - ``journal.mid_append`` — inside the record write (``partial``);
-- ``journal.post_append`` — record fsync'd, estimator not yet updated;
-- ``store.mid_refresh`` — refresh intent journaled, result not yet
-  computed/adopted.
+- ``journal.post_append`` — record fsync'd, the estimator's new state
+  computed but not yet published;
+- ``store.mid_refresh`` — refresh computed and its intent journaled,
+  result not yet published.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Every journaled campaign owns one append-only JSONL file under the
 store's ``journal_dir``.  A record is written — flushed and fsync'd —
-*before* the estimator applies it, so the file is a classic write-ahead
-log: whatever the in-memory store acknowledged is on disk first, and a
+*before* the estimator publishes the state it computed from it, so the
+file is a classic write-ahead log: whatever the in-memory store acknowledged is on disk first, and a
 killed process replays the journal back to the exact pre-crash state
 (DESIGN.md §15).
 
@@ -408,7 +408,7 @@ class CampaignJournal:
     ``journal.mid_append`` may cut the write short (a torn record stays
     on disk, exactly like a real crash), ``journal.post_append`` fires
     after the fsync — the record is durable, the estimator has not yet
-    applied it.
+    published it.
 
     A *real* ``OSError`` during the write rolls the file back to the
     pre-append length and surfaces as :class:`JournalWriteError`; if
@@ -422,18 +422,6 @@ class CampaignJournal:
         self._file = None
         self._size: int | None = None
         self._failed = False
-
-    @property
-    def failed(self) -> bool:
-        return self._failed
-
-    @property
-    def size(self) -> int:
-        """Current journal length in bytes — the rollback point callers
-        capture before an append they may need to undo."""
-        if self._size is None:
-            self._handle()
-        return self._size
 
     def _handle(self):
         if self._file is None:
@@ -488,34 +476,14 @@ class CampaignJournal:
     def truncate_to(self, size: int) -> None:
         """Shrink the file to ``size`` bytes — durably.
 
-        Used to heal a torn tail during recovery and to roll back an
-        appended record whose apply was rejected.  The fsync matters in
-        the rollback case: the dropped record was already durable, so
-        without it a crash could resurrect a batch the client was told
-        was refused.
+        Used to heal a torn tail during recovery, before anything
+        appends after it.
         """
         handle = self._handle()
         handle.truncate(size)
         handle.seek(size)
         os.fsync(handle.fileno())
         self._size = size
-
-    def rollback_to(self, size: int) -> None:
-        """Durably undo appends past ``size``; failure poisons the journal.
-
-        This is the undo path for a record whose apply was refused
-        *after* the append was already fsync'd.  If even the truncate
-        fails, the refused record cannot be removed — the journal marks
-        itself failed so no later append buries it under acknowledged
-        records, and the server degrades to 503s.
-        """
-        try:
-            self.truncate_to(size)
-        except OSError as exc:
-            self._failed = True
-            raise JournalWriteError(
-                f"journal rollback of {self.path.name} failed: {exc}"
-            ) from exc
 
     def rename_to(self, path: str | Path) -> None:
         """Atomically move the journal file to ``path``.
@@ -528,15 +496,11 @@ class CampaignJournal:
         os.replace(self.path, path)
         self.path = path
 
-    def flush(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-            os.fsync(self._file.fileno())
-
     def close(self) -> None:
         if self._file is not None:
             try:
-                self.flush()
+                self._file.flush()
+                os.fsync(self._file.fileno())
             except OSError:
                 pass
             self._file.close()

@@ -25,12 +25,14 @@ claims arrive, without paying a cold re-encode + full re-run per batch:
    ``DATE(config).run(full_dataset)`` bit for bit, because it is the
    same computation over an index pinned equivalent to a cold rebuild.
 
-See DESIGN.md §8 for the invariants.
+Writes compute, journal, then publish one :class:`OnlineState`; reads
+take the published one and need no lock.  See DESIGN.md §8.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from ..errors import ConfigurationError
 from ..types import Dataset
 from .ingest import ClaimBatch
 
-__all__ = ["OnlineDATE", "OnlineUpdate"]
+__all__ = ["OnlineDATE", "OnlineState", "OnlineUpdate"]
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,35 @@ class OnlineUpdate:
     """
 
     batch: int
-    new_tasks: int
-    new_workers: int
-    new_claims: int
-    dirty_tasks: int
-    iterations: int
-    refreshed: bool
+    new_tasks: int = 0
+    new_workers: int = 0
+    new_claims: int = 0
+    dirty_tasks: int = 0
+    iterations: int = 0
+    refreshed: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class OnlineState:
+    """One published estimate, never mutated: writers build a new one.
+
+    ``claim_acc`` holds each claim's accuracy in the index's claim
+    order; ``batches`` counts the non-empty batches applied.
+    """
+
+    index: DatasetIndex
+    claim_acc: np.ndarray
+    truths: dict[str, str]
+    confidence: dict[str, float]
+    batches: int
+
+    def worker_accuracy(self) -> dict[str, float]:
+        """``worker_id -> mean accuracy`` (reputation)."""
+        means = claim_mean_by_worker(self.index.arrays, self.claim_acc)
+        return {
+            worker_id: float(means[i])
+            for i, worker_id in enumerate(self.index.worker_ids)
+        }
 
 
 class OnlineDATE:
@@ -125,11 +150,8 @@ class OnlineDATE:
             self._algorithm, date_config=self._config
         )
         self.refresh_every = refresh_every
-        self._index = DatasetIndex(Dataset(tasks=(), workers=(), claims={}))
-        self._claim_acc = np.empty(0, dtype=np.float64)
-        self._truths: dict[str, str] = {}
-        self._confidence: dict[str, float] = {}
-        self._batches = 0
+        empty = DatasetIndex(Dataset(tasks=(), workers=(), claims={}))
+        self._state = OnlineState(empty, np.empty(0, dtype=np.float64), {}, {}, 0)
 
     @classmethod
     def from_dataset(
@@ -159,40 +181,41 @@ class OnlineDATE:
         return self._algorithm
 
     @property
+    def state(self) -> OnlineState:
+        """The published estimate; read it once per answer."""
+        return self._state
+
+    @property
     def dataset(self) -> Dataset:
         """The full campaign accumulated so far, claims in arrival order.
 
         Assembled from the index on first read after each ingest.
         """
-        return self._index.dataset
+        return self._state.index.dataset
 
     @property
     def index(self) -> DatasetIndex:
         """The incrementally maintained index over :attr:`dataset`."""
-        return self._index
+        return self._state.index
 
     @property
     def n_batches(self) -> int:
-        return self._batches
+        return self._state.batches
 
     @property
     def truths(self) -> dict[str, str]:
         """Current ``task_id -> estimated truth``."""
-        return dict(self._truths)
+        return dict(self._state.truths)
 
     @property
     def confidence(self) -> dict[str, float]:
         """Current ``task_id -> posterior of the selected truth``."""
-        return dict(self._confidence)
+        return dict(self._state.confidence)
 
     @property
     def worker_accuracy(self) -> dict[str, float]:
         """Current ``worker_id -> mean accuracy`` (reputation)."""
-        means = claim_mean_by_worker(self._index.arrays, self._claim_acc)
-        return {
-            worker_id: float(means[i])
-            for i, worker_id in enumerate(self._index.worker_ids)
-        }
+        return self._state.worker_accuracy()
 
     def snapshot(self) -> TruthDiscoveryResult:
         """The current estimate as a standard result bundle.
@@ -201,12 +224,13 @@ class OnlineDATE:
         online path does not maintain between refreshes; they are empty
         here and populated on the result returned by :meth:`refresh`.
         """
-        index = self._index
+        state = self._state
+        index = state.index
         return TruthDiscoveryResult(
-            truths=dict(self._truths),
-            accuracy_matrix=dense_accuracy(index.arrays, self._claim_acc),
-            worker_accuracy=self.worker_accuracy,
-            confidence=dict(self._confidence),
+            truths=dict(state.truths),
+            accuracy_matrix=dense_accuracy(index.arrays, state.claim_acc),
+            worker_accuracy=state.worker_accuracy(),
+            confidence=dict(state.confidence),
             support={},
             dependence={},
             iterations=0,
@@ -220,64 +244,51 @@ class OnlineDATE:
         )
 
     # -- write side ------------------------------------------------------
+    # Writers are serialized by the caller.  Each computes its next
+    # state, calls ``journal`` (the store's write-ahead append), then
+    # publishes it with one assignment; one that raises publishes none.
 
-    def validate(self, batch: ClaimBatch) -> None:
-        """Check ``batch`` against the campaign without applying it.
+    def ingest(
+        self, batch: ClaimBatch, journal: Callable[[], None] | None = None
+    ) -> OnlineUpdate:
+        """Apply one claim batch and re-estimate the affected tasks.
 
-        Raises :class:`~repro.errors.DataFormatError` for exactly the
-        violations :meth:`ingest` would reject — unknown task/worker
-        references, duplicate claims, out-of-domain values — and
-        touches no state.  The durable store runs this before the
-        write-ahead journal append, so a batch destined for a 400 never
-        becomes a journal record that would poison every later replay.
+        Extending the index validates the batch: a refused one raises
+        :class:`~repro.errors.DataFormatError` before ``journal`` runs.
         """
+        state = self._state
         if batch.is_empty:
-            return
-        self._index.validate_extension(
+            if journal is not None:
+                journal()
+            return OnlineUpdate(batch=state.batches)
+        ext = state.index.extended(
             tasks=batch.tasks, workers=batch.workers, claims=batch.claims
         )
-
-    def ingest(self, batch: ClaimBatch) -> OnlineUpdate:
-        """Apply one claim batch and re-estimate the affected tasks."""
-        if batch.is_empty:
-            return OnlineUpdate(
-                batch=self._batches,
-                new_tasks=0,
-                new_workers=0,
-                new_claims=0,
-                dirty_tasks=0,
-                iterations=0,
-                refreshed=False,
-            )
-        ext = self._index.extended(
-            tasks=batch.tasks, workers=batch.workers, claims=batch.claims
+        n_claims = ext.index.arrays.n_claims
+        claim_acc = np.full(n_claims, self._config.initial_accuracy, dtype=np.float64)
+        claim_acc[ext.claim_map] = state.claim_acc
+        state = replace(
+            state, index=ext.index, claim_acc=claim_acc, batches=state.batches + 1
         )
-        claim_acc = np.full(
-            ext.index.arrays.n_claims,
-            self._config.initial_accuracy,
-            dtype=np.float64,
-        )
-        claim_acc[ext.claim_map] = self._claim_acc
-        self._index = ext.index
-        self._claim_acc = claim_acc
-        self._batches += 1
 
         iterations = 0
-        refreshed = (
-            self.refresh_every > 0 and self._batches % self.refresh_every == 0
-        )
+        refreshed = self.refresh_every > 0 and state.batches % self.refresh_every == 0
         if refreshed:
             # The full refresh subsumes the dirty-scope pass — running
             # both would just throw the sub-run's result away.
-            iterations = self.refresh().iterations
+            state, result = self._refreshed(state)
+            iterations = result.iterations
         else:
-            task_ptr = self._index.arrays.task_ptr
+            task_ptr = ext.index.arrays.task_ptr
             claimed = task_ptr[ext.dirty_tasks + 1] > task_ptr[ext.dirty_tasks]
             dirty = ext.dirty_tasks[claimed]
             if len(dirty):
-                iterations = self._rerun(dirty)
+                state, iterations = self._rerun(state, dirty)
+        if journal is not None:
+            journal()
+        self._state = state
         return OnlineUpdate(
-            batch=self._batches,
+            batch=state.batches,
             new_tasks=len(batch.tasks),
             new_workers=len(batch.workers),
             new_claims=batch.n_claims,
@@ -286,43 +297,61 @@ class OnlineDATE:
             refreshed=refreshed,
         )
 
-    def refresh(self) -> TruthDiscoveryResult:
+    def refresh(
+        self, journal: Callable[[], None] | None = None
+    ) -> TruthDiscoveryResult:
         """Full cold re-estimation over the maintained index.
 
         Restores exactness: the returned result is identical to
         ``DATE(config).run(dataset)`` on the campaign accumulated so
         far (the incremental index is pinned equivalent to a cold
-        rebuild), and the online state adopts it wholesale.
-
-        It runs on a private copy of the index (an empty extension), so
-        the pair tables and slot map it builds die with the run.
+        rebuild), and is published wholesale once ``journal`` returns.
         """
-        index = self._index.extended().index
-        result = self._discoverer.run(None, index=index)
-        arrays = index.arrays
-        self._claim_acc = result.accuracy_matrix[
-            arrays.claim_worker, arrays.claim_task
-        ]
-        self._truths = dict(result.truths)
-        self._confidence = dict(result.confidence)
+        state, result = self._refreshed(self._state)
+        if journal is not None:
+            journal()
+        self._state = state
         return result
 
     # -- internals -------------------------------------------------------
 
-    def _rerun(self, dirty: np.ndarray) -> int:
+    def _refreshed(
+        self, state: OnlineState
+    ) -> tuple[OnlineState, TruthDiscoveryResult]:
+        """``state`` re-estimated cold, and the run's result.
+
+        The run works on a private copy of the index (an empty
+        extension), so the pair tables and slot map it builds die with
+        it.
+        """
+        index = state.index.extended().index
+        result = self._discoverer.run(None, index=index)
+        arrays = index.arrays
+        return replace(
+            state,
+            claim_acc=result.accuracy_matrix[arrays.claim_worker, arrays.claim_task],
+            truths=dict(result.truths),
+            confidence=dict(result.confidence),
+        ), result
+
+    def _rerun(
+        self, state: OnlineState, dirty: np.ndarray
+    ) -> tuple[OnlineState, int]:
         """Re-estimate the claimed dirty tasks on a restricted view.
 
         The sub-run is warm-started from the current truths of its tasks
         and the campaign-wide reputations of its workers; its per-claim
-        accuracies scatter back through the view's claim positions, and
-        its truths and confidences replace those of its tasks.  Returns
-        the sub-run's iteration count.
+        accuracies scatter back into the unpublished ``state.claim_acc``
+        through the view's claim positions, and its truths and
+        confidences replace those of its tasks in new dicts.  Returns
+        the new state and the sub-run's iteration count.
         """
-        sub, positions = self._index.restricted(dirty)
-        means = claim_mean_by_worker(self._index.arrays, self._claim_acc)
-        worker_pos = self._index.worker_pos
+        index, claim_acc = state.index, state.claim_acc
+        sub, positions = index.restricted(dirty)
+        means = claim_mean_by_worker(index.arrays, claim_acc)
+        worker_pos = index.worker_pos
         warm = TruthDiscoveryResult(
-            truths={t: self._truths[t] for t in sub.task_ids if t in self._truths},
+            truths={t: state.truths[t] for t in sub.task_ids if t in state.truths},
             accuracy_matrix=np.zeros((0, 0)),
             worker_accuracy={w: float(means[worker_pos[w]]) for w in sub.worker_ids},
             confidence={},
@@ -334,18 +363,19 @@ class OnlineDATE:
         )
         result = self._discoverer.run(None, index=sub, warm_start=warm, lean=True)
         arrays = sub.arrays
-        self._claim_acc[positions] = result.accuracy_matrix[
+        claim_acc[positions] = result.accuracy_matrix[
             arrays.claim_worker, arrays.claim_task
         ]
+        truths, confidence = dict(state.truths), dict(state.confidence)
         for task_id in sub.task_ids:
             value = result.truths.get(task_id)
-            confidence = result.confidence.get(task_id)
+            task_confidence = result.confidence.get(task_id)
             if value is None:
-                self._truths.pop(task_id, None)
+                truths.pop(task_id, None)
             else:
-                self._truths[task_id] = value
-            if value is None or confidence is None:
-                self._confidence.pop(task_id, None)
+                truths[task_id] = value
+            if value is None or task_confidence is None:
+                confidence.pop(task_id, None)
             else:
-                self._confidence[task_id] = confidence
-        return result.iterations
+                confidence[task_id] = task_confidence
+        return replace(state, truths=truths, confidence=confidence), result.iterations

@@ -22,17 +22,21 @@ Routes (all bodies JSON unless noted):
   journal goes with it);
 - ``POST /campaigns/<id>/claims`` — ingest a claim batch
   (``{"tasks": [...], "workers": [...], "claims": [{"worker": ...,
-  "task": ..., "value": ...}], "seq": N}``; the optional ``seq`` is the
-  client-assigned batch sequence number that makes retries exactly-once
-  — a replayed duplicate answers 200 with ``"duplicate": true``);
+  "task": ..., "value": ...}], "seq": N}``; the optional ``seq`` (>= 1)
+  is the client-assigned batch sequence number that makes retries
+  exactly-once — a replayed duplicate answers 200 with
+  ``"duplicate": true``);
 - ``GET  /campaigns/<id>/truths`` — current truths + confidence;
 - ``GET  /campaigns/<id>/workers`` — worker reputations;
 - ``POST /campaigns/<id>/refresh`` — force a full re-estimation;
 - ``POST /campaigns/<id>/auction`` — run IMC2 (``{"cap": 0.8}``; the
   optional ``cap`` is the only accepted key).
 
-Errors map onto status codes: malformed input and infeasible auctions
-are 400, unknown campaigns/routes 404, duplicate campaigns 409, bodies
+Reads (``GET`` of a campaign, its truths or its workers) answer from
+one published estimate without a lock, so none waits for a write.
+
+Errors map onto status codes: malformed input (a ``seq`` below 1
+included) and infeasible auctions are 400, unknown campaigns/routes 404, duplicate campaigns 409, bodies
 over :data:`MAX_BODY_BYTES` 413, and
 degradation is 503 with a ``Retry-After`` header — the journal disk
 rejected a write (the batch was NOT applied; retrying the same ``seq``

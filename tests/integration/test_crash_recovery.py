@@ -21,6 +21,7 @@ from repro.streaming import (
     CampaignStore,
     FaultInjector,
     InjectedCrash,
+    OnlineDATE,
     StreamingApp,
     replay_batches,
 )
@@ -287,59 +288,47 @@ class TestRejectedBatchHygiene:
         assert recovered.get("c").applied_seq == 2
         recovered.close()
 
-    def test_apply_failure_rolls_the_journal_back(self, tmp_path, batches):
+    def test_refused_subrun_leaves_journal_and_state_unchanged(
+        self, tmp_path, batches, monkeypatch
+    ):
+        # The estimator fails *after* validation passed: the sub-run of
+        # seq 2 raises.  It computes before the append and publishes
+        # after it, so nothing of the batch may reach the journal or the
+        # live estimate, and a retry of the same seq must apply.
         wal = tmp_path / "wal"
+        path = journal_path(wal, "c")
         store = CampaignStore(journal_dir=wal)
         store.create("c")
         store.ingest("c", batches[0], seq=1)
         campaign = store.get("c")
-        pre_crash = campaign.journal.size
-        # An estimator failure *after* the fsync'd append (validation
-        # passed, apply blew up): the record must be rolled back so the
-        # journal never holds an unapplied, unacknowledged batch.
-        original_ingest = campaign.online.ingest
-        campaign.online.ingest = lambda batch: (_ for _ in ()).throw(
-            RuntimeError("estimator exploded")
-        )
-        with pytest.raises(RuntimeError, match="estimator exploded"):
-            store.ingest("c", batches[1], seq=2)
-        campaign.online.ingest = original_ingest
-        assert campaign.journal.size == pre_crash
+        journal_bytes = path.read_bytes()
+        claims = campaign.online.index.arrays.n_claims
+        n_batches = campaign.online.n_batches
+        truths = store.truths("c")
+
+        def refused(*_args):
+            raise RuntimeError("sub-run exploded")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(OnlineDATE, "_rerun", refused)
+            with pytest.raises(RuntimeError, match="sub-run exploded"):
+                store.ingest("c", batches[1], seq=2)
+        assert path.read_bytes() == journal_bytes
         assert campaign.applied_seq == 1
+        assert campaign.online.index.arrays.n_claims == claims
+        assert campaign.online.n_batches == n_batches
+        assert store.truths("c") == truths
+
         # The retried seq appends exactly one record and applies.
         assert store.ingest("c", batches[1], seq=2) is not None
-        scan = read_journal(journal_path(wal, "c"))
+        scan = read_journal(path)
         assert [r["seq"] for r in scan.records if r["kind"] == "batch"] == [1, 2]
+        live = _state(store, "c")
         store.close()
 
         recovered = CampaignStore(journal_dir=wal)
         assert recovered.last_recovery[0]["status"] == "recovered"
-        assert recovered.get("c").applied_seq == 2
-        recovered.close()
-
-    def test_injected_crash_during_apply_keeps_the_record(
-        self, tmp_path, batches
-    ):
-        # A *crash* (process death) between append and apply is the
-        # opposite contract: the record is durable and must survive for
-        # recovery to replay — only refusals roll back.
-        wal = tmp_path / "wal"
-        store = CampaignStore(journal_dir=wal)
-        store.create("c")
-        campaign = store.get("c")
-        original_ingest = campaign.online.ingest
-        campaign.online.ingest = lambda batch: (_ for _ in ()).throw(
-            InjectedCrash("store.mid_apply")
-        )
-        with pytest.raises(InjectedCrash):
-            store.ingest("c", batches[0], seq=1)
-        campaign.online.ingest = original_ingest
-        scan = read_journal(journal_path(wal, "c"))
-        assert [r["seq"] for r in scan.records if r["kind"] == "batch"] == [1]
-        store.close()
-
-        recovered = CampaignStore(journal_dir=wal)
-        assert recovered.get("c").applied_seq == 1
+        assert _state(recovered, "c") == live
         recovered.close()
 
     def test_http_invalid_batch_is_400_and_journal_stays_clean(

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import InfeasibleCoverageError, ReverseAuction, SOACInstance
-from repro.auction.engine import vectorized_cover
+from repro.auction.engine import batched_greedy_cover
 
 from tests.oracles import greedy_cover, reference_auction
 
@@ -148,33 +148,13 @@ class TestRandomInstances:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40)
     def test_selection_traces_identical(self, seed):
-        """vectorized_cover is a drop-in for greedy_cover, residuals included."""
+        """The batched cover's trace replays greedy_cover, residuals included."""
         instance = build_instance(seed)
         scalar = greedy_cover(instance)
-        batched = vectorized_cover(instance)
-        assert [w for w, _ in scalar] == [w for w, _ in batched]
-        for (_, res_scalar), (_, res_batched) in zip(scalar, batched):
-            assert np.array_equal(res_scalar, res_batched)
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        exclude=st.integers(min_value=0, max_value=3),
-    )
-    @settings(max_examples=30)
-    def test_excluded_traces_identical(self, seed, exclude):
-        """Exclusion (the payment rerun's W \\ {i}) matches too."""
-        instance = build_instance(seed)
-        exclude = exclude % instance.n_workers
-        try:
-            scalar = greedy_cover(instance, exclude=exclude)
-        except InfeasibleCoverageError as error:
-            with pytest.raises(InfeasibleCoverageError) as caught:
-                vectorized_cover(instance, exclude=exclude)
-            assert caught.value.args == error.args
-            return
-        batched = vectorized_cover(instance, exclude=exclude)
-        assert [w for w, _ in scalar] == [w for w, _ in batched]
-        for (_, res_scalar), (_, res_batched) in zip(scalar, batched):
+        trace = batched_greedy_cover(instance)
+        assert [w for w, _ in scalar] == trace.winners.tolist()
+        assert len(trace.residuals) == len(scalar)
+        for (_, res_scalar), res_batched in zip(scalar, trace.residuals):
             assert np.array_equal(res_scalar, res_batched)
 
 

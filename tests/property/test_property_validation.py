@@ -1,11 +1,11 @@
 """Property tests: validating a delta and applying it agree.
 
-The durable store runs `OnlineDATE.validate` (and through it
-`DatasetIndex.validate_extension`) before a batch reaches the
-write-ahead journal, so a batch that validation passes must apply, and
-a batch that applying would reject must fail validation with the same
-message — otherwise a poisoned record reaches the journal, or a good
-batch gets a 400.  Random campaigns grow batch by batch; each then gets
+`DatasetIndex.extended` runs `DatasetIndex.validate_extension`, and an
+`OnlineDATE.ingest` extends its index before the durable store's
+write-ahead journal append, so a batch that validation passes must
+apply, and a batch that applying would reject must fail validation with
+the same message and leave the estimator as it was — otherwise a
+poisoned record reaches the journal, or a good batch gets a 400.  Random campaigns grow batch by batch; each then gets
 a random delta mixing colliding task and worker ids, copy sources that
 do not exist, claims by new and unknown workers, duplicate claims on
 tasks and workers from earlier batches, and out-of-domain values.
@@ -175,7 +175,11 @@ class TestValidateMatchesApply:
         index, truths, n_batches = online.index, online.truths, online.n_batches
         before = _state(index)
 
-        validated = _outcome(lambda: online.validate(delta))
+        validated = _outcome(
+            lambda: index.validate_extension(
+                tasks=delta.tasks, workers=delta.workers, claims=delta.claims
+            )
+        )
         applied = _outcome(lambda: online.ingest(delta))
         assert validated == applied
         if applied is not None:

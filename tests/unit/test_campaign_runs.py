@@ -92,6 +92,69 @@ def test_reads_and_ingests_do_not_wait_for_the_auction(monkeypatch, batches):
     assert got.auction.payments == reference.auction.payments
 
 
+def test_reads_do_not_wait_for_a_refresh(monkeypatch, batches):
+    store = _store_with(batches)
+    before = store.truths("c")
+    reputations = store.worker_accuracy("c")
+    started = threading.Event()
+    release = threading.Event()
+    finished: list[str] = []
+    run = DATE.run
+
+    def gated_run(self, dataset, **kwargs):
+        started.set()
+        release.wait(GATE_SECONDS)
+        return run(self, dataset, **kwargs)
+
+    monkeypatch.setattr(DATE, "run", gated_run)
+    refreshed = []
+
+    def refresh():
+        refreshed.append(store.estimate("c", refresh=True))
+        finished.append("refresh")
+
+    refresher = threading.Thread(target=refresh)
+    refresher.start()
+    assert started.wait(30.0)
+
+    reads = {}
+
+    def read(name, call):
+        reads[name] = call("c")
+        finished.append(name)
+
+    readers = [
+        threading.Thread(target=read, args=(name, call))
+        for name, call in (
+            ("truths", store.truths),
+            ("worker_accuracy", store.worker_accuracy),
+            ("snapshot", store.snapshot),
+        )
+    ]
+    for thread in readers:
+        thread.start()
+    for thread in readers:
+        thread.join(2 * GATE_SECONDS)
+    release.set()
+    refresher.join(30.0)
+
+    assert sorted(finished[:3]) == ["snapshot", "truths", "worker_accuracy"]
+    assert finished[3] == "refresh"
+    # Every read answered from the state published before the refresh:
+    # truths and confidence (and the snapshot's reputations) together.
+    assert reads["truths"] == before
+    assert reads["worker_accuracy"] == reputations
+    snapshot = reads["snapshot"]
+    assert {k: snapshot[k] for k in ("truths", "confidence")} == before
+    assert snapshot["worker_accuracy"] == reputations
+    # Once the refresh is published, reads see it whole.
+    (result,) = refreshed
+    assert store.truths("c") == {
+        "truths": dict(result.truths),
+        "confidence": dict(result.confidence),
+    }
+
+
 def test_refresh_and_auction_keep_no_memory(batches):
     # Warm up imports and metric families on a throwaway campaign, so
     # the measured store retains only what the runs leave behind.

@@ -459,6 +459,29 @@ class TestStreamingApp:
         )
         assert status == 200 and body["batch"] == 3
 
+    @pytest.mark.parametrize("seq", [0, -3])
+    def test_seq_below_one_400_before_journal(self, tmp_path, replay, seq):
+        # Every seq below 1 sits at or below a fresh campaign's applied
+        # watermark of 0, so it used to be acknowledged as a duplicate
+        # and its claims silently dropped.
+        app = StreamingApp(CampaignStore(journal_dir=tmp_path))
+        app.handle("POST", "/campaigns", {"campaign_id": "c1"})
+        journal = journal_path(tmp_path, "c1")
+        data = journal.read_bytes()
+
+        status, body = app.handle(
+            "POST", "/campaigns/c1/claims", {**batch_to_json(replay[0]), "seq": seq}
+        )
+        assert status == 400 and "seq" in body["error"]
+        assert journal.read_bytes() == data
+        assert app.handle("GET", "/campaigns/c1", None)[1]["applied_seq"] == 0
+        assert app.handle("GET", "/campaigns/c1/truths", None)[1]["truths"] == {}
+
+        status, body = app.handle(
+            "POST", "/campaigns/c1/claims", {**batch_to_json(replay[0]), "seq": 1}
+        )
+        assert status == 200 and body["batch"] == 1
+
     @pytest.mark.parametrize("refresh_every", [0.5, 2.5, True, False])
     def test_non_integer_refresh_every_400_before_journal(self, tmp_path, refresh_every):
         app = StreamingApp(CampaignStore(journal_dir=tmp_path))
