@@ -11,12 +11,14 @@ dataset carries generative ground truth — scores the detector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..core.date import TruthDiscoveryResult
 from ..errors import ConfigurationError
 from ..types import Dataset
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "dependence_graph",
@@ -39,6 +41,8 @@ def dependence_graph(
     attribute ``probability``.  All workers appear as nodes with their
     estimated accuracy as the ``accuracy`` attribute.
     """
+    import networkx as nx
+
     if not 0.0 < threshold <= 1.0:
         raise ConfigurationError("threshold must be in (0, 1]")
     graph = nx.DiGraph()
@@ -64,6 +68,8 @@ def copier_clusters(
     copiers (directionality inside the cluster can be ambiguous when
     copies are verbatim).  Returned largest-first.
     """
+    import networkx as nx
+
     graph = dependence_graph(result, threshold=threshold)
     graph.remove_nodes_from([n for n in list(graph) if graph.degree(n) == 0])
     clusters = [set(c) for c in nx.weakly_connected_components(graph)]

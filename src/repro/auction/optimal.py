@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..errors import ReproError
 from .soac import SOACInstance
@@ -54,6 +53,8 @@ def solve_optimal(
     :class:`ReproError` if the solver fails (for example on hitting
     ``time_limit``).
     """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     instance.check_feasible()
     prices = instance.costs if use_costs else instance.bids
     n = instance.n_workers

@@ -30,7 +30,10 @@ Key modelling choices (all configurable through :class:`WorldConfig`):
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -170,23 +173,44 @@ def _task_domains(config: WorldConfig, rng: np.random.Generator) -> list[Task]:
     return tasks
 
 
-def draw_independent_value(
-    task: Task,
-    reliability: float,
-    rng: np.random.Generator,
-    false_probs: np.ndarray,
-) -> str:
-    """One independent answer: the truth w.p. ``reliability``, else a false value.
+def _block_doubles(rng: np.random.Generator) -> Callable[[int], float]:
+    """``take(certain)``: the next ``rng.random()``, served from
+    ``rng.random(n)`` blocks, which yield the same doubles.  Exact while
+    ``certain`` counts only this draw and those sure to follow before
+    ``rng`` draws anything else or the caller stops (DESIGN §3)."""
+    block, pos = [], 0
 
-    False values are ordered by their position in the task domain
-    (truth removed), so the Zipf bias consistently favors the same
-    wrong answer per task — the "everyone thinks it's Sydney" effect.
-    """
-    if rng.random() < reliability:
-        return task.truth  # type: ignore[return-value]
-    false_values = [v for v in task.domain if v != task.truth]
-    pick = int(rng.choice(len(false_values), p=false_probs[: len(false_values)]))
-    return false_values[pick]
+    def take(certain: int) -> float:
+        nonlocal block, pos
+        if pos == len(block):
+            block, pos = rng.random(certain).tolist(), 0
+        pos += 1
+        return block[pos - 1]
+
+    return take
+
+
+def _answer_tables(tasks: Sequence[Task], config: WorldConfig) -> list[tuple]:
+    """Per task: the truth, its false values and ``rng.choice(k, p=p[:k])``'s
+    CDF over ``config``'s false-value probabilities ``p``, divided by its
+    last entry so a slice that does not sum to 1 is normalised.  False
+    values keep domain order, so the Zipf bias consistently favors the
+    same wrong answer per task — the "everyone thinks it's Sydney" effect."""
+    false_probs = _false_value_probabilities(config)
+    tables = []
+    for task in tasks:
+        false_values = [v for v in task.domain if v != task.truth]
+        cdf = list(accumulate(false_probs[: len(false_values)].tolist()))
+        tables.append((task.truth, false_values, [c / cdf[-1] for c in cdf]))
+    return tables
+
+
+def _independent_answer(table: tuple, reliability: float, take: Callable, certain: int) -> str:
+    """The truth w.p. ``reliability``, else ``rng.choice``'s false value."""
+    truth, false_values, cdf = table
+    if take(certain) < reliability:
+        return truth
+    return false_values[bisect_right(cdf, take(certain))]
 
 
 def generate_world(config: WorldConfig | None = None, seed: SeedLike = None) -> Dataset:
@@ -202,7 +226,7 @@ def generate_world(config: WorldConfig | None = None, seed: SeedLike = None) -> 
 
     tasks = _task_domains(config, task_rng)
     participation = _participation_profile(config)
-    false_probs = _false_value_probabilities(config)
+    tables = _answer_tables(tasks, config)
 
     reliabilities = np.clip(
         worker_rng.beta(
@@ -229,10 +253,10 @@ def generate_world(config: WorldConfig | None = None, seed: SeedLike = None) -> 
 
     claims: dict[tuple[str, str], str] = {}
     for worker in workers:
-        mask = claim_rng.random(config.n_tasks) < participation
-        for j in np.nonzero(mask)[0]:
-            task = tasks[j]
-            claims[(worker.worker_id, task.task_id)] = draw_independent_value(
-                task, worker.reliability, claim_rng, false_probs
+        answered = np.flatnonzero(claim_rng.random(config.n_tasks) < participation).tolist()
+        take = _block_doubles(claim_rng)
+        for left, j in zip(range(len(answered), 0, -1), answered):
+            claims[(worker.worker_id, tasks[j].task_id)] = _independent_answer(
+                tables[j], worker.reliability, take, left
             )
     return Dataset(tasks=tuple(tasks), workers=workers, claims=claims)

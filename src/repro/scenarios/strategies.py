@@ -182,11 +182,10 @@ def _draw_value(
     """One independent answer: truth w.p. ``reliability``, else a
     uniform false value from *this task's* domain.
 
-    Unlike ``draw_independent_value`` this sizes the false-value draw
-    per task, so heterogeneous domains (e.g. CSV campaigns whose
-    domains were inferred from observed values) work.  Returns ``None``
-    when no independent draw is possible (open domain, or no known
-    truth to be right about) — callers keep/skip the claim instead.
+    It takes any domain (e.g. CSV campaigns whose domains were inferred
+    from observed values), including a truth missing from it.  Returns
+    ``None`` when no independent draw is possible (open domain, or no
+    known truth to be right about) — callers keep/skip the claim instead.
     """
     truth = task.truth if task.truth in task.domain else None
     false_values = [v for v in task.domain if v != truth]

@@ -12,7 +12,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["SummaryStats", "summarize"]
 
@@ -59,6 +58,8 @@ def summarize(values: Sequence[float]) -> SummaryStats:
     if sem == 0.0:
         low = high = mean
     else:
+        from scipy import stats as scipy_stats
+
         t_crit = float(scipy_stats.t.ppf(0.975, df=data.size - 1))
         low, high = mean - t_crit * sem, mean + t_crit * sem
     return SummaryStats(

@@ -296,6 +296,7 @@ class _Handler(BaseHTTPRequestHandler):
     quiet = True
     protocol_version = "HTTP/1.1"
     timeout = DEFAULT_REQUEST_TIMEOUT  # per-connection socket timeout
+    disable_nagle_algorithm = True  # the body goes out without awaiting an ACK
 
     def _respond(self) -> None:
         header = self.headers.get("Content-Length") or 0

@@ -204,19 +204,19 @@ class Dataset:
             raise DataFormatError("duplicate task ids in dataset")
         if len(set(worker_ids)) != len(worker_ids):
             raise DataFormatError("duplicate worker ids in dataset")
-        task_by_id = {t.task_id: t for t in self.tasks}
+        domains = {t.task_id: frozenset(t.domain) for t in self.tasks}
         worker_set = set(worker_ids)
         for (worker_id, task_id), value in self.claims.items():
             if worker_id not in worker_set:
                 raise DataFormatError(f"claim references unknown worker {worker_id!r}")
-            task = task_by_id.get(task_id)
-            if task is None:
+            domain = domains.get(task_id)
+            if domain is None:
                 raise DataFormatError(f"claim references unknown task {task_id!r}")
             if not isinstance(value, str) or not value:
                 raise DataFormatError(
                     f"claim ({worker_id}, {task_id}): value must be a non-empty string"
                 )
-            if task.domain and value not in task.domain:
+            if domain and value not in domain:
                 raise DataFormatError(
                     f"claim ({worker_id}, {task_id}): value {value!r} "
                     "not in the task's closed domain"

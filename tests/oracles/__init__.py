@@ -21,7 +21,9 @@ by line over dict views of a :class:`~repro.core.indexing.DatasetIndex`
   dicts, co-answering pairs, initial accuracies and majority vote the
   oracles read off an index's campaign;
 - :mod:`.streaming` — the sub-dataset rebuild that streaming's
-  restricted index view replaced.
+  restricted index view replaced;
+- :mod:`.datasets` — the scalar synthetic-world and copier generator
+  loops that the block-drawing generator must match byte for byte.
 """
 
 from .accuracy import (

@@ -3,9 +3,12 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -668,6 +671,22 @@ class TestLiveServer:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+    def test_keep_alive_responses_are_not_held_back(self, server):
+        # Headers and body leave in two sends; with Nagle on, the body
+        # waited for the client's delayed ACK of the headers (~40 ms).
+        connection = http.client.HTTPConnection("127.0.0.1", server.server_address[1])
+        latencies = []
+        try:
+            for _ in range(30):
+                start = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200 and json.loads(response.read())
+                latencies.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        assert statistics.median(latencies) < 0.005
 
     @staticmethod
     def raw_exchange(server, content_length: bytes) -> bytes:
