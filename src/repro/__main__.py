@@ -736,6 +736,13 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    if args.url is None:
+        return _replay(args, None)
+    with StreamingClient(args.url) as client:
+        return _replay(args, client)
+
+
+def _replay(args: argparse.Namespace, client: StreamingClient | None) -> int:
     dataset = load_dataset(args.directory)
     batches = replay_batches(dataset, args.batches)
     campaign_id = args.campaign or args.directory.name
@@ -743,7 +750,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     # Both replay modes share the loop below; they differ only in how a
     # batch is applied and how the final estimate is obtained.
-    if args.url is None:
+    if client is None:
         config = DateConfig(
             copy_prob_r=args.r,
             prior_alpha=args.alpha,
@@ -768,7 +775,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         # The remote path goes through the retrying client: timeouts,
         # backoff against a restarting server, and client-assigned
         # sequence numbers so a retried batch is applied exactly once.
-        client = StreamingClient(args.url)
         where = f" on {client.base_url}"
         try:
             client.create_campaign(
@@ -811,7 +817,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "dataset": str(args.directory),
         "campaign": campaign_id,
         "batches": args.batches,
-        "remote": args.url is not None,
+        "remote": client is not None,
     }
     rows = []
     update: dict = {}

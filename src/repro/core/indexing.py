@@ -52,18 +52,27 @@ class DatasetIndex:
         self.arrays = ClaimArrays(self)
 
     def _set_members(
-        self, tasks: tuple[Task, ...], workers: tuple[WorkerProfile, ...]
+        self,
+        tasks: tuple[Task, ...],
+        workers: tuple[WorkerProfile, ...],
+        parent: "DatasetIndex | None" = None,
     ) -> None:
+        """Set the member tables, ``tasks`` and ``workers`` appended to
+        ``parent``'s.  Tables are never mutated, so an extension shares
+        its parent's or copies them whole: never rebuilt id by id."""
         #: Task records in index order (closed domains, ground truths).
-        self.tasks = tasks
+        self.tasks = tasks if parent is None else parent.tasks + tasks
         #: Worker profiles in index order.
-        self.workers = workers
-        #: Task ids in dataset order; positions are the task indexes used below.
-        self.task_ids: list[str] = [t.task_id for t in tasks]
-        #: Worker ids in dataset order; positions are the worker indexes.
-        self.worker_ids: list[str] = [w.worker_id for w in workers]
-        self.task_pos: dict[str, int] = {t: j for j, t in enumerate(self.task_ids)}
-        self.worker_pos: dict[str, int] = {w: i for i, w in enumerate(self.worker_ids)}
+        self.workers = workers if parent is None else parent.workers + workers
+        #: Task ids in dataset order, and the position of each: the task
+        #: indexes used below.
+        self.task_ids, self.task_pos = _appended(
+            parent and (parent.task_ids, parent.task_pos), [t.task_id for t in tasks]
+        )
+        #: Worker ids in dataset order, and the worker index of each.
+        self.worker_ids, self.worker_pos = _appended(
+            parent and (parent.worker_ids, parent.worker_pos), [w.worker_id for w in workers]
+        )
 
     @property
     def n_tasks(self) -> int:
@@ -123,9 +132,11 @@ class DatasetIndex:
 
         Only the *delta* is validated and re-encoded: tasks receiving
         new claims (plus appended tasks) are marked dirty and rebuilt;
-        every clean CSR segment of :attr:`arrays` is bulk-copied from
-        this index, so the cost is O(affected segments + memcpy), not a
-        full re-encode.  ``self`` is left untouched and remains valid.
+        the clean tasks between two dirty ones move as one slice copy,
+        the batch's claims are merged into the worker CSR, and the
+        member tables are shared or copied, so the Python work is
+        O(batch + claims of dirty tasks) and the rest is memcpy.
+        ``self`` is left untouched and remains valid.
 
         Only the claim and group encodings are carried.  What the
         arrays derive lazily — the pair tables and everything built on
@@ -144,7 +155,7 @@ class DatasetIndex:
         self.validate_extension(tasks=tasks, workers=workers, claims=claims)
 
         new = object.__new__(DatasetIndex)
-        new._set_members(self.tasks + tasks, self.workers + workers)
+        new._set_members(tasks, workers, parent=self)
         batch_task = np.array([new.task_pos[t] for _, t in claims], dtype=np.int64)
         batch_worker = np.array([new.worker_pos[w] for w, _ in claims], dtype=np.int64)
         dirty = np.union1d(batch_task, np.arange(self.n_tasks, new.n_tasks, dtype=np.int64))
@@ -179,8 +190,11 @@ class DatasetIndex:
         workers, claim_worker = np.unique(
             parent.claim_worker[positions], return_inverse=True
         )
+        # Rank of each claim by (task, arrival): one unique int64 key.
         claim_seq = np.argsort(
-            np.lexsort((parent.claim_seq[positions], parent.claim_task[positions]))
+            np.argsort(
+                parent.claim_task[positions] * parent.n_claims + parent.claim_seq[positions]
+            )
         )
 
         view = object.__new__(DatasetIndex)
@@ -198,7 +212,7 @@ class DatasetIndex:
             parent.claim_code[positions],
             claim_seq,
             parent.group_size[groups],
-            tuple(parent.group_values[g] for g in groups.tolist()),
+            parent.group_values[groups],
         )
         return view, positions
 
@@ -275,6 +289,8 @@ class DatasetIndex:
         """The keys of ``claims`` whose worker already answered the task,
         looked up in the answering workers' segments of the worker CSR."""
         keys = [k for k in claims if k[0] in self.worker_pos and k[1] in self.task_pos]
+        if not keys:
+            return set()
         arrays = self.arrays
         worker = np.array([self.worker_pos[w] for w, _ in keys], dtype=np.int64)
         task = np.array([self.task_pos[t] for _, t in keys], dtype=np.int64)
@@ -358,7 +374,7 @@ class ClaimArrays:
     group_task: np.ndarray = field(init=False)
     group_code: np.ndarray = field(init=False)
     group_size: np.ndarray = field(init=False)
-    group_values: tuple[str, ...] = field(init=False)
+    group_values: np.ndarray = field(init=False)  # object dtype: the str values
     task_group_ptr: np.ndarray = field(init=False)
 
     # -- worker -> claim CSR ---------------------------------------------
@@ -373,15 +389,15 @@ class ClaimArrays:
     def __post_init__(self) -> None:
         index = self.index
         claims = index.dataset.claims
-        claim_counts, group_counts, *segments = _encode_claims(
-            index.n_tasks,
-            np.array([index.task_pos[t] for _, t in claims], dtype=np.int64),
-            np.array([index.worker_pos[w] for w, _ in claims], dtype=np.int64),
-            list(claims.values()),
-            np.arange(len(claims), dtype=np.int64),
+        task = np.array([index.task_pos[t] for _, t in claims], dtype=np.int64)
+        worker = np.array([index.worker_pos[w] for w, _ in claims], dtype=np.int64)
+        claim_counts, group_counts, order, code, *groups = _encode_claims(
+            index.n_tasks, index.n_workers, task, worker, list(claims.values())
         )
+        # The claims arrived in input order: ``order`` is their arrival.
         _assemble_claim_arrays(
-            self, index, _offsets(claim_counts), _offsets(group_counts), *segments
+            self, index, _offsets(claim_counts), _offsets(group_counts),
+            worker[order], code, order, *groups,
         )
 
     @cached_property
@@ -557,7 +573,7 @@ class ClaimArrays:
 
     def code_of(self, j: int, value: str | None) -> int:
         """Code of ``value`` within task ``j``'s value groups (-1 if absent)."""
-        values = self.group_values[self.task_group_ptr[j] : self.task_group_ptr[j + 1]]
+        values = self.group_values[self.task_group_ptr[j] : self.task_group_ptr[j + 1]].tolist()
         return values.index(value) if value in values else -1
 
     def truth_codes(self, truths: list[str | None]) -> np.ndarray:
@@ -620,21 +636,13 @@ def segment_first_argmax_code(
 def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated ``[arange(s, s + l) for s, l in zip(starts, lengths)]``.
 
-    The standard cumsum trick: one pass, no Python loop — this is what
-    keeps splicing the clean CSR segments a bulk copy.
+    One pass, no Python loop: output ``i`` of range ``k`` is
+    ``starts[k] + i - offset[k]``, with ``offset`` the exclusive running
+    sum of ``lengths``.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    nonempty = lengths > 0
-    starts = np.asarray(starts, dtype=np.int64)[nonempty]
-    lengths = lengths[nonempty]
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    out[0] = starts[0]
-    out[ends[:-1]] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
-    return np.cumsum(out)
+    shift = np.asarray(starts, dtype=np.int64) - (lengths.cumsum() - lengths)
+    return np.repeat(shift, lengths) + np.arange(int(lengths.sum()), dtype=np.int64)
 
 
 def _extend_claim_arrays(
@@ -648,105 +656,117 @@ def _extend_claim_arrays(
     """Splice ``old`` into arrays for the extended ``index``.
 
     Dirty tasks are re-encoded from their old claims, read back from
-    ``old``, plus the batch's claims (the only Python work proportional
-    to the batch); clean task segments move as bulk gathers.  Task
-    positions of pre-existing tasks are stable, so a clean task's
-    claims keep their ``(worker, code)`` rows and only their global
-    positions shift.  Returns the new arrays and the ``old claim
+    ``old``, plus the batch's claims (the only Python work, proportional
+    to the batch and the dirty tasks).  Task positions of pre-existing
+    tasks are stable, so the clean tasks between two stale ones move as
+    one run: a slice copy per run and column.  The worker CSR is merged,
+    not re-sorted: its old entries, remapped, stay in (worker, task)
+    order, and each batch claim is inserted after its worker's old
+    claims on earlier tasks.  Returns the new arrays and the ``old claim
     position -> new claim position`` map.
     """
-    n_tasks = index.n_tasks
-    old_n_tasks = old.index.n_tasks
-    dirty_mask = np.zeros(n_tasks, dtype=bool)
-    dirty_mask[dirty] = True
-    clean = np.flatnonzero(~dirty_mask[:old_n_tasks])
-    stale = dirty[dirty < old_n_tasks]
-
-    old_claim_counts = np.diff(old.task_ptr)
-    old_group_counts = np.diff(old.task_group_ptr)
-    osrc = _concat_ranges(old.task_ptr[stale], old_claim_counts[stale])
-    claim_counts, group_counts, d_worker, d_code, d_seq, d_size, d_values = _encode_claims(
+    n_tasks, n_old, n_batch = index.n_tasks, old.n_claims, len(batch_task)
+    stale = dirty[dirty < old.index.n_tasks]
+    osrc = _concat_ranges(old.task_ptr[stale], old.task_ptr[stale + 1] - old.task_ptr[stale])
+    seq = np.concatenate([old.claim_seq[osrc], np.arange(n_old, n_old + n_batch)])
+    worker = np.concatenate([old.claim_worker[osrc], batch_worker])
+    claim_counts, group_counts, order, d_code, d_size, d_values = _encode_claims(
         n_tasks,
+        index.n_workers,
         np.concatenate([old.claim_task[osrc], batch_task]),
-        np.concatenate([old.claim_worker[osrc], batch_worker]),
-        [old.group_values[g] for g in old.claim_group[osrc].tolist()] + batch_values,
-        np.concatenate(
-            [old.claim_seq[osrc], old.n_claims + np.arange(len(batch_task), dtype=np.int64)]
-        ),
+        worker,
+        old.group_values[old.claim_group[osrc]].tolist() + batch_values,
     )
-    d_claims = claim_counts[dirty]
-    d_groups = group_counts[dirty]
-    claim_counts[clean] = old_claim_counts[clean]
-    group_counts[clean] = old_group_counts[clean]
-    task_ptr = _offsets(claim_counts)
-    task_group_ptr = _offsets(group_counts)
+    # Per level: the new pointer, the runs of clean tasks (old start,
+    # old end, new start) and the rows of the dirty segments.
+    starts = np.concatenate([[0], stale + 1])
+    ends = np.concatenate([stale, [old.index.n_tasks]])
+    splices = []
+    for counts, old_ptr in ((claim_counts, old.task_ptr), (group_counts, old.task_group_ptr)):
+        # The re-encoding counted the dirty tasks; the clean ones keep theirs.
+        kept = old_ptr[1:] - old_ptr[:-1]
+        kept[stale] = 0
+        counts[: len(kept)] += kept
+        ptr = _offsets(counts)
+        runs = list(zip(old_ptr[starts].tolist(), old_ptr[ends].tolist(), ptr[starts].tolist()))
+        splices.append((ptr, runs, _concat_ranges(ptr[dirty], counts[dirty])))
+    claims, groups = splices
 
-    claim_worker = np.empty(task_ptr[-1], dtype=np.int64)
-    claim_code = np.empty(task_ptr[-1], dtype=np.int64)
-    claim_seq = np.empty(task_ptr[-1], dtype=np.int64)
-    group_size = np.empty(task_group_ptr[-1], dtype=np.int64)
-    group_values = np.empty(task_group_ptr[-1], dtype=object)
+    def spliced(column, values, splice):
+        ptr, runs, rows = splice
+        out = np.empty(int(ptr[-1]), dtype=column.dtype)
+        for lo, hi, at in runs:
+            out[at : at + hi - lo] = column[lo:hi]
+        out[rows] = values
+        return out
 
-    # Clean segments: bulk gather from the old arrays.
-    src = _concat_ranges(old.task_ptr[clean], old_claim_counts[clean])
-    dst = _concat_ranges(task_ptr[clean], old_claim_counts[clean])
-    claim_worker[dst] = old.claim_worker[src]
-    claim_code[dst] = old.claim_code[src]
-    claim_seq[dst] = old.claim_seq[src]
-    gsrc = _concat_ranges(old.task_group_ptr[clean], old_group_counts[clean])
-    gdst = _concat_ranges(task_group_ptr[clean], old_group_counts[clean])
-    group_size[gdst] = old.group_size[gsrc]
-    group_values[gdst] = np.asarray(old.group_values, dtype=object)[gsrc]
+    # The new position of every old claim, then of every batch claim.
+    position = np.arange(n_old + n_batch)
+    for lo, hi, at in claims[1]:
+        position[lo:hi] += at - lo
+    position[np.concatenate([osrc, seq[len(osrc) :]])[order]] = claims[2]
+    claim_map, batch_pos = position[:n_old], position[n_old:]
 
-    # Dirty segments: scatter the fresh encodings.
-    ddst = _concat_ranges(task_ptr[dirty], d_claims)
-    claim_worker[ddst] = d_worker
-    claim_code[ddst] = d_code
-    claim_seq[ddst] = d_seq
-    gddst = _concat_ranges(task_group_ptr[dirty], d_groups)
-    group_size[gddst] = d_size
-    group_values[gddst] = np.asarray(d_values, dtype=object)
-
-    # Old -> new claim positions: every claim keeps its arrival position.
-    position = np.empty(len(claim_seq), dtype=np.int64)
-    position[claim_seq] = np.arange(len(claim_seq), dtype=np.int64)
-    claim_map = position[old.claim_seq]
+    # Worker CSR: a batch claim goes after its worker's old claims on
+    # earlier tasks, so before those on later ones, which only a worker
+    # answering a stale task can have: only their segments are searched.
+    ptr, old_n_workers = old.worker_ptr, old.index.n_workers
+    on_stale = (batch_task < old.index.n_tasks) & (batch_worker < old_n_workers)
+    searched = np.unique(batch_worker[on_stale])
+    held = old.worker_claims[_concat_ranges(ptr[searched], ptr[searched + 1] - ptr[searched])]
+    keys = old.claim_worker[held] * n_tasks + old.claim_task[held]
+    batch_keys = batch_worker * n_tasks + batch_task
+    later = np.searchsorted(keys, (batch_worker + 1) * n_tasks) - np.searchsorted(keys, batch_keys)
+    at = ptr[np.minimum(batch_worker + 1, old_n_workers)] - later
+    by_key = np.argsort(batch_keys)
 
     arrays = _assemble_claim_arrays(
         object.__new__(ClaimArrays),
         index,
-        task_ptr,
-        task_group_ptr,
-        claim_worker,
-        claim_code,
-        claim_seq,
-        group_size,
-        tuple(group_values),
+        claims[0],
+        groups[0],
+        spliced(old.claim_worker, worker[order], claims),
+        spliced(old.claim_code, d_code, claims),
+        spliced(old.claim_seq, seq[order], claims),
+        spliced(old.group_size, d_size, groups),
+        spliced(old.group_values, d_values, groups),
+        np.insert(claim_map[old.worker_claims], at[by_key], batch_pos[by_key]),
     )
     return arrays, claim_map
+
+
+def _appended(
+    tables: tuple[list[str], dict[str, int]] | None, new_ids: list[str]
+) -> tuple[list[str], dict[str, int]]:
+    """An id list and its position map (``tables``; None for empty)
+    with ``new_ids`` appended: the same objects if there are none."""
+    ids, pos = tables or ([], {})
+    if not new_ids:
+        return ids, pos
+    return ids + new_ids, pos | dict(zip(new_ids, range(len(ids), len(ids) + len(new_ids))))
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
     """CSR pointer over ``counts``: ``[0, c_0, c_0 + c_1, ...]``."""
     ptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
+    counts.cumsum(out=ptr[1:])
     return ptr
 
 
 def _encode_claims(
     n_tasks: int,
+    n_workers: int,
     task: np.ndarray,
     worker: np.ndarray,
     values: list[str],
-    seq: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """Integer-code claims given as parallel per-claim columns.
 
     Each task's distinct values are numbered in sorted order and the
     claims sorted by (task, code, worker).  Returns the claim and group
     counts of every one of ``n_tasks`` tasks (0 for tasks without
-    claims here), then the sorted claims' workers, codes and arrival
-    positions, and the groups' sizes and values.
+    claims here), the sorted claims' input rows and codes, and the
+    groups' sizes and values (an object array).
     """
     # Number the distinct values in sorted order; one unique over
     # ``task * n_values + rank`` then yields the groups in (task, code)
@@ -761,15 +781,16 @@ def _encode_claims(
     group_task, group_rank = np.divmod(keys, n_values)
     group_counts = np.bincount(group_task, minlength=n_tasks)
     group_code = np.arange(len(keys), dtype=np.int64) - _offsets(group_counts)[group_task]
-    order = np.lexsort((worker, claim_group))
+    # (group, worker) is unique per claim, so its int64 key sorts the
+    # claims as a two-key lexsort would.
+    order = np.argsort(claim_group * n_workers + worker)
     return (
         np.bincount(task, minlength=n_tasks),
         group_counts,
-        worker[order],
+        order,
         group_code[claim_group[order]],
-        seq[order],
         np.bincount(claim_group, minlength=len(keys)),
-        tuple(names[r] for r in group_rank.tolist()),
+        np.array(names, dtype=object)[group_rank],
     )
 
 
@@ -782,26 +803,33 @@ def _assemble_claim_arrays(
     claim_code: np.ndarray,
     claim_seq: np.ndarray,
     group_size: np.ndarray,
-    group_values: tuple[str, ...],
+    group_values: np.ndarray,
+    worker_claims: np.ndarray | None = None,
 ) -> ClaimArrays:
     """Set ``arrays``' fields from its per-task claim and group segments.
 
     In (task, code, worker) order, group index = task group start +
     code (codes are consecutive 0..K_j-1), so the remaining structures
-    are pure arithmetic on the segments.  The cold build,
-    :meth:`DatasetIndex.extended` and :meth:`DatasetIndex.restricted`
-    all finish here.
+    are pure arithmetic on the segments.  The worker CSR is sorted here
+    unless given (:meth:`DatasetIndex.extended` merges its own).  The
+    cold build, :meth:`DatasetIndex.extended` and
+    :meth:`DatasetIndex.restricted` all finish here.
     """
     n_tasks, n_workers = index.n_tasks, index.n_workers
     claim_task = np.repeat(np.arange(n_tasks, dtype=np.int64), np.diff(task_ptr))
     group_task = np.repeat(np.arange(n_tasks, dtype=np.int64), np.diff(task_group_ptr))
     group_code = np.arange(len(group_size), dtype=np.int64) - task_group_ptr[group_task]
+    claim_group = task_group_ptr[claim_task]
+    claim_group += claim_code
+    if worker_claims is None:
+        # Claim indexes sorted by (worker, task), a unique int64 key.
+        worker_claims = np.argsort(claim_worker * n_tasks + claim_task)
     fields = {
         "index": index,
         "claim_task": claim_task,
         "claim_worker": claim_worker,
         "claim_code": claim_code,
-        "claim_group": task_group_ptr[claim_task] + claim_code,
+        "claim_group": claim_group,
         "claim_seq": claim_seq,
         "task_ptr": task_ptr,
         "group_ptr": _offsets(group_size),
@@ -810,9 +838,8 @@ def _assemble_claim_arrays(
         "group_size": group_size,
         "group_values": group_values,
         "task_group_ptr": task_group_ptr,
-        # Worker -> claim CSR: claim indexes sorted by (worker, task).
         "worker_ptr": _offsets(np.bincount(claim_worker, minlength=n_workers)),
-        "worker_claims": np.lexsort((claim_task, claim_worker)),
+        "worker_claims": worker_claims,
     }
     for name, value in fields.items():
         object.__setattr__(arrays, name, value)

@@ -30,7 +30,7 @@ Key modelling choices (all configurable through :class:`WorldConfig`):
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
@@ -173,21 +173,43 @@ def _task_domains(config: WorldConfig, rng: np.random.Generator) -> list[Task]:
     return tasks
 
 
-def _block_doubles(rng: np.random.Generator) -> Callable[[int], float]:
+class _BlockDoubles:
     """``take(certain)``: the next ``rng.random()``, served from
     ``rng.random(n)`` blocks, which yield the same doubles.  Exact while
     ``certain`` counts only this draw and those sure to follow before
     ``rng`` draws anything else or the caller stops (DESIGN §3)."""
-    block, pos = [], 0
 
-    def take(certain: int) -> float:
-        nonlocal block, pos
-        if pos == len(block):
-            block, pos = rng.random(certain).tolist(), 0
-        pos += 1
-        return block[pos - 1]
+    def __init__(self, rng: np.random.Generator, below: float | None = None):
+        self.rng, self.below, self.values, self.pos = rng, below, [], 0
 
-    return take
+    def __call__(self, certain: int) -> float:
+        if self.pos == len(self.values):
+            self._draw(certain)
+        self.pos += 1
+        return self.values[self.pos - 1]
+
+    def misses(self, certain: int, most: int) -> int:
+        """Consume the next doubles while each is at least ``below``, at
+        most ``most``, and return how many: a run of steps that each
+        draw one double and stop there on a miss.  A double below
+        ``below`` stays next."""
+        count = 0
+        while count < most:
+            if self.pos == len(self.values):
+                self._draw(certain - count)
+            run = min(self.hits[bisect_left(self.hits, self.pos)] - self.pos, most - count)
+            self.pos += run
+            count += run
+            if self.pos < len(self.values):
+                break
+        return count
+
+    def _draw(self, n: int) -> None:
+        block = self.rng.random(n)
+        self.values, self.pos = block.tolist(), 0
+        if self.below is not None:
+            # Positions of the doubles below ``below``, then the end.
+            self.hits = np.flatnonzero(block < self.below).tolist() + [n]
 
 
 def _answer_tables(tasks: Sequence[Task], config: WorldConfig) -> list[tuple]:
@@ -254,7 +276,7 @@ def generate_world(config: WorldConfig | None = None, seed: SeedLike = None) -> 
     claims: dict[tuple[str, str], str] = {}
     for worker in workers:
         answered = np.flatnonzero(claim_rng.random(config.n_tasks) < participation).tolist()
-        take = _block_doubles(claim_rng)
+        take = _BlockDoubles(claim_rng)
         for left, j in zip(range(len(answered), 0, -1), answered):
             claims[(worker.worker_id, tasks[j].task_id)] = _independent_answer(
                 tables[j], worker.reliability, take, left

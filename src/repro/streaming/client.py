@@ -1,6 +1,7 @@
 """Retrying JSON client for the streaming service.
 
-:class:`StreamingClient` wraps ``urllib`` with the retry discipline the
+:class:`StreamingClient` keeps one ``http.client`` connection alive
+across requests and wraps it in the retry discipline the
 durable server is designed for (DESIGN.md §15): per-request timeouts,
 exponential backoff with deterministic jitter on transient failures
 (connection refused/reset, timeouts, 5xx — honouring ``Retry-After``
@@ -15,6 +16,9 @@ crashed-and-recovered server therefore sees
 the same batch stream as an uninterrupted one, whether the original
 attempt died before the journal append (replay applies the retry) or
 after it (replay already applied the batch; the retry is a no-op).
+A request that finds its kept connection closed by the server (an idle
+connection timed out) before any response byte arrives is re-sent once
+on a fresh connection, without a backoff or a counted retry.
 
 Everything is stdlib; the jitter source is a seeded ``random.Random``
 so tests can pin the full retry schedule.
@@ -22,13 +26,12 @@ so tests can pin the full retry schedule.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
-import socket
+import threading
 import time
-import urllib.error
-import urllib.request
-from urllib.parse import quote
+from urllib.parse import quote, urlsplit
 
 from ..errors import ReproError
 from ..obs.metrics import get_registry
@@ -84,6 +87,9 @@ class StreamingClient:
         tests).
     sleep:
         Injection point for the delay function (tests pass a recorder).
+
+    The connection lives until :meth:`close` (or a ``with`` block's end);
+    threads take turns on it.
     """
 
     def __init__(
@@ -107,6 +113,23 @@ class StreamingClient:
         self._sleep = sleep
         self._rng = random.Random(seed)
         self._next_seq: dict[str, int] = {}
+        url = urlsplit(self.base_url)
+        self._prefix = url.path
+        # Opens its socket on first use, and again after a close().
+        connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        self._connection = connection(url.hostname, url.port, timeout=self.timeout)
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the kept connection; a later request opens a new one."""
+        with self._lock:
+            self._connection.close()
+
+    def __enter__(self) -> "StreamingClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- transport -------------------------------------------------------
 
@@ -128,24 +151,17 @@ class StreamingClient:
             attempts = attempt + 1
             retry_after = None
             try:
-                request = urllib.request.Request(
-                    url,
-                    data=data,
-                    method=method,
-                    headers={"Content-Type": "application/json"},
-                )
-                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                    body = resp.read()
+                status, retry_header, body = self._exchange(method, self._prefix + path, data)
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = f"{type(exc).__name__}: {exc}"
+            else:
+                if status < 400:
                     return json.loads(body) if body else {}
-            except urllib.error.HTTPError as exc:
-                detail = _error_detail(exc)
-                if exc.code not in _RETRYABLE_STATUSES:
-                    raise ClientError(method, url, exc.code, detail) from exc
-                retry_after = _retry_after(exc)
-                last_error = f"HTTP {exc.code}: {detail}"
-            except (urllib.error.URLError, socket.timeout, ConnectionError, TimeoutError) as exc:
-                reason = getattr(exc, "reason", exc)
-                last_error = f"{type(exc).__name__}: {reason}"
+                detail = _error_detail(body)
+                if status not in _RETRYABLE_STATUSES:
+                    raise ClientError(method, url, status, detail)
+                retry_after = _retry_after(retry_header)
+                last_error = f"HTTP {status}: {detail}"
             if attempt < self.retries:
                 delay = self._delay(attempt, retry_after)
                 get_registry().counter(
@@ -155,6 +171,29 @@ class StreamingClient:
                 ).inc()
                 self._sleep(delay)
         raise ServerUnavailableError(method, url, attempts, last_error)
+
+    def _exchange(self, method: str, target: str, data: bytes | None):
+        """One request on the kept connection: ``(status, Retry-After,
+        body)``.  Any failure closes the connection."""
+        with self._lock:
+            connection, headers = self._connection, {"Content-Type": "application/json"}
+            try:
+                reused = connection.sock is not None
+                try:
+                    connection.request(method, target, body=data, headers=headers)
+                    response = connection.getresponse()
+                except (ConnectionResetError, BrokenPipeError):
+                    if not reused:
+                        raise
+                    # No response byte came back: the server had closed
+                    # the idle connection, so send once more on a new one.
+                    connection.close()
+                    connection.request(method, target, body=data, headers=headers)
+                    response = connection.getresponse()
+                return response.status, response.getheader("Retry-After"), response.read()
+            except BaseException:
+                connection.close()
+                raise
 
     def _delay(self, attempt: int, retry_after: float | None) -> float:
         base = min(self.backoff * (2.0**attempt), self.max_backoff)
@@ -240,15 +279,14 @@ class StreamingClient:
         )
 
 
-def _error_detail(exc: urllib.error.HTTPError) -> str:
+def _error_detail(body: bytes) -> str:
     try:
-        return json.loads(exc.read()).get("error", "")
+        return json.loads(body).get("error", "")
     except Exception:
         return ""
 
 
-def _retry_after(exc: urllib.error.HTTPError) -> float | None:
-    value = exc.headers.get("Retry-After") if exc.headers else None
+def _retry_after(value: str | None) -> float | None:
     if value is None:
         return None
     try:

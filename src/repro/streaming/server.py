@@ -45,8 +45,10 @@ is safe).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import signal
+import socket
 import threading
 import time
 from dataclasses import asdict
@@ -351,8 +353,19 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
-    def handle_timeout(self) -> None:  # pragma: no cover - needs stalled peer
-        self.close_connection = True
+    def handle_one_request(self) -> None:
+        # Waiting for its next request line, a connection is idle, and a
+        # shutdown closes it; a request that arrived drains.
+        self.close_connection = not self.server.mark_idle(self.connection, True)
+        try:
+            if not self.close_connection:
+                super().handle_one_request()
+        finally:
+            self.server.mark_idle(self.connection, False)
+
+    def parse_request(self) -> bool:
+        self.server.mark_idle(self.connection, False)
+        return super().parse_request()
 
     do_GET = do_POST = do_DELETE = _respond
 
@@ -369,11 +382,38 @@ class GracefulHTTPServer(ThreadingHTTPServer):
     ``daemon_threads=False`` + ``block_on_close=True`` make
     ``server_close()`` join every live handler thread, so a graceful
     shutdown answers the requests it already accepted before the
-    process exits — nothing is dropped mid-body.
+    process exits — nothing is dropped mid-body.  A kept-alive
+    connection idle between requests has nothing to drain: its read side
+    is shut, so its handler ends at once instead of waiting out
+    :data:`DEFAULT_REQUEST_TIMEOUT`.
     """
 
     daemon_threads = False
     block_on_close = True
+    _closing = False
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._idle: set[socket.socket] = set()
+        self._idle_lock = threading.Lock()
+
+    def mark_idle(self, connection: socket.socket, idle: bool) -> bool:
+        """Mark ``connection`` idle or busy; False once closing."""
+        with self._idle_lock:
+            if idle and not self._closing:
+                self._idle.add(connection)
+            else:
+                self._idle.discard(connection)
+            return not self._closing
+
+    def server_close(self) -> None:
+        with self._idle_lock:
+            self._closing = True
+            idle = list(self._idle)
+        for connection in idle:
+            with contextlib.suppress(OSError):
+                connection.shutdown(socket.SHUT_RD)
+        super().server_close()
 
 
 def make_server(

@@ -140,4 +140,4 @@ def assert_same_claim_arrays(got, want) -> None:
         np.testing.assert_array_equal(
             getattr(got, name), getattr(want, name), err_msg=name
         )
-    assert got.group_values == want.group_values
+    assert got.group_values.tolist() == want.group_values.tolist()

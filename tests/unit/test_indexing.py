@@ -201,6 +201,66 @@ class TestIndexExtension:
         assert index.dataset is tiny_dataset
         assert index.arrays.n_claims == tiny_dataset.n_claims
 
+    def test_late_extension_leaves_clean_tasks_alone(self, monkeypatch):
+        # One claim into a 300-task campaign: only that task's claims are
+        # re-encoded, every other worker's CSR row is the parent's
+        # remapped through claim_map, and the member tables are shared.
+        from repro.core import indexing
+        from repro.datasets import generate_qatar_living_like
+
+        dataset = generate_qatar_living_like(
+            seed=4, n_tasks=300, n_workers=120, n_copiers=30, target_claims=6000
+        )
+        index = DatasetIndex(dataset)
+        arrays = index.arrays
+        task = dataset.tasks[150]
+        worker = next(
+            w.worker_id for w in dataset.workers
+            if (w.worker_id, task.task_id) not in dataset.claims
+        )
+        encoded = []
+        encode = indexing._encode_claims
+
+        def spy(n_tasks, n_workers, task, *rest):
+            encoded.append(len(task))
+            return encode(n_tasks, n_workers, task, *rest)
+
+        monkeypatch.setattr(indexing, "_encode_claims", spy)
+        sorted_sizes = []
+        for name in ("argsort", "lexsort"):
+            sort = getattr(np, name)
+            monkeypatch.setattr(
+                np,
+                name,
+                lambda keys, *a, sort=sort, **k: sorted_sizes.append(np.shape(keys)[-1])
+                or sort(keys, *a, **k),
+            )
+        ext = index.extended(claims={(worker, task.task_id): task.domain[0]})
+        monkeypatch.undo()
+        j, w = index.task_pos[task.task_id], index.worker_pos[worker]
+        assert ext.dirty_tasks.tolist() == [j]
+        assert encoded == [int(arrays.task_ptr[j + 1] - arrays.task_ptr[j]) + 1]
+        assert max(sorted_sizes) <= encoded[0]  # nothing campaign-sized is sorted
+        assert ext.index.task_ids is index.task_ids
+        assert ext.index.worker_pos is index.worker_pos
+        new = ext.index.arrays
+        for i in range(index.n_workers):
+            old_row = arrays.worker_claims[arrays.worker_ptr[i] : arrays.worker_ptr[i + 1]]
+            new_row = new.worker_claims[new.worker_ptr[i] : new.worker_ptr[i + 1]]
+            if i != w:
+                np.testing.assert_array_equal(new_row, ext.claim_map[old_row])
+        clean = arrays.claim_task != j
+        for name in ("claim_worker", "claim_code", "claim_seq"):
+            np.testing.assert_array_equal(
+                getattr(new, name)[ext.claim_map[clean]],
+                getattr(arrays, name)[clean],
+                err_msg=name,
+            )
+        np.testing.assert_array_equal(
+            new.group_values[new.claim_group[ext.claim_map[clean]]],
+            arrays.group_values[arrays.claim_group[clean]],
+        )
+
     def test_new_workers_and_sources(self, tiny_dataset):
         index = DatasetIndex(tiny_dataset)
         index.arrays

@@ -1,6 +1,6 @@
 """Retrying client: backoff schedule, Retry-After, exactly-once seqs.
 
-The transport is faked by monkeypatching ``urllib.request.urlopen``
+The transport is faked by monkeypatching ``http.client.HTTPConnection``
 with scripted responses, so every retry decision the client makes is
 pinned without a live server; the sleep function is injected to record
 the schedule instead of waiting it out.
@@ -8,13 +8,15 @@ the schedule instead of waiting it out.
 
 from __future__ import annotations
 
-import io
+import http.client
 import json
-import urllib.error
-import urllib.request
+import socket
+import threading
+import time
 
 import pytest
 
+from repro.streaming import StreamingApp, make_server
 from repro.streaming.client import (
     ClientError,
     ServerUnavailableError,
@@ -25,44 +27,62 @@ from repro.types import Task, WorkerProfile
 
 
 class _FakeResponse:
-    def __init__(self, body: dict):
+    def __init__(self, status: int, body: dict, headers: dict | None = None):
+        self.status = status
         self._body = json.dumps(body).encode()
+        self._headers = headers or {}
+
+    def getheader(self, name: str, default=None):
+        return self._headers.get(name, default)
 
     def read(self) -> bytes:
         return self._body
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
 
 def _http_error(status: int, body: dict | None = None, headers: dict | None = None):
-    import email.message
+    return _FakeResponse(status, body or {}, headers)
 
-    msg = email.message.Message()
-    for name, value in (headers or {}).items():
-        msg[name] = value
-    return urllib.error.HTTPError(
-        "http://x", status, "err", msg,
-        io.BytesIO(json.dumps(body or {}).encode()),
-    )
+
+class _Request:
+    """One request as the fake connection saw it."""
+
+    def __init__(self, method, target, body):
+        self.method, self.data = method, body
+        self.full_url = "http://127.0.0.1:1" + target
+
+    def get_method(self) -> str:
+        return self.method
 
 
 class _Transport:
-    """Scripted urlopen: pops the next canned outcome per call."""
+    """Scripted connections: each request pops the next canned outcome."""
 
     def __init__(self, outcomes):
         self.outcomes = list(outcomes)
         self.requests = []
 
-    def __call__(self, request, timeout=None):
-        self.requests.append((request, timeout))
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return _FakeResponse(outcome)
+    def __call__(self, host, port, timeout=None):
+        transport = self
+
+        class Connection:
+            sock = None
+
+            def request(self, method, target, body=None, headers=None):
+                transport.requests.append((_Request(method, target, body), timeout))
+                self.outcome = transport.outcomes.pop(0)
+                if isinstance(self.outcome, Exception):
+                    raise self.outcome
+                self.sock = "open"
+
+            def getresponse(self):
+                if isinstance(self.outcome, _FakeResponse):
+                    return self.outcome
+                return _FakeResponse(200, self.outcome)
+
+            def close(self):
+                self.sock = None
+
+        return Connection()
 
 
 @pytest.fixture
@@ -71,7 +91,7 @@ def sleeps():
 
 
 def _client(monkeypatch, transport, sleeps, **kwargs):
-    monkeypatch.setattr(urllib.request, "urlopen", transport)
+    monkeypatch.setattr(http.client, "HTTPConnection", transport)
     kwargs.setdefault("retries", 3)
     kwargs.setdefault("backoff", 0.1)
     kwargs.setdefault("jitter", 0.0)
@@ -85,8 +105,8 @@ class TestRetrying:
         self, monkeypatch, sleeps
     ):
         transport = _Transport([
-            urllib.error.URLError("refused"),
-            urllib.error.URLError("refused"),
+            ConnectionRefusedError("refused"),
+            ConnectionRefusedError("refused"),
             {"ok": True},
         ])
         client = _client(monkeypatch, transport, sleeps)
@@ -94,7 +114,7 @@ class TestRetrying:
         assert len(sleeps) == 2
 
     def test_backoff_doubles_and_caps(self, monkeypatch, sleeps):
-        transport = _Transport([urllib.error.URLError("x")] * 4)
+        transport = _Transport([ConnectionRefusedError("x")] * 4)
         client = _client(
             monkeypatch, transport, sleeps, retries=3, backoff=1.0, max_backoff=2.5
         )
@@ -128,12 +148,27 @@ class TestRetrying:
         assert len(transport.requests) == 4  # 1 try + 3 retries
 
     def test_jitter_stretches_but_never_shortens(self, monkeypatch, sleeps):
-        transport = _Transport([urllib.error.URLError("x"), {"ok": True}])
+        transport = _Transport([ConnectionRefusedError("x"), {"ok": True}])
         client = _client(
             monkeypatch, transport, sleeps, backoff=1.0, jitter=0.5, seed=3
         )
         client.request("GET", "/x")
         assert 1.0 <= sleeps[0] <= 1.5
+
+    def test_reset_on_a_kept_connection_is_resent_at_once(self, monkeypatch, sleeps):
+        # The server closed the idle connection: no backoff, no retry.
+        transport = _Transport([{"ok": 1}, ConnectionResetError("idle close"), {"ok": 2}])
+        client = _client(monkeypatch, transport, sleeps)
+        client.request("GET", "/a")
+        assert client.request("GET", "/b") == {"ok": 2}
+        assert sleeps == []
+        assert [req.full_url[-2:] for req, _ in transport.requests] == ["/a", "/b", "/b"]
+
+    def test_reset_on_a_fresh_connection_backs_off(self, monkeypatch, sleeps):
+        transport = _Transport([ConnectionResetError("reset"), {"ok": True}])
+        client = _client(monkeypatch, transport, sleeps)
+        assert client.request("GET", "/x") == {"ok": True}
+        assert sleeps == [0.1]
 
     def test_timeout_is_passed_to_the_transport(self, monkeypatch, sleeps):
         transport = _Transport([{"ok": True}])
@@ -158,7 +193,7 @@ class TestExactlyOnceSequencing:
         # the retry must carry the SAME seq so the server deduplicates.
         transport = _Transport([
             {"batch": 1},                       # create
-            urllib.error.URLError("ack lost"),  # ingest attempt 1
+            TimeoutError("ack lost"),  # ingest attempt 1
             {"duplicate": True, "seq": 1},      # ingest attempt 2 (retry)
         ])
         client = _client(monkeypatch, transport, sleeps)
@@ -225,8 +260,8 @@ class TestWaitReady:
         # A restarting server replays its journals before it binds, so
         # recovery looks like refused connections until /healthz answers.
         transport = _Transport([
-            urllib.error.URLError("refused"),
-            urllib.error.URLError("refused"),
+            ConnectionRefusedError("refused"),
+            ConnectionRefusedError("refused"),
             {"status": "ok"},
         ])
         client = _client(monkeypatch, transport, sleeps, retries=0)
@@ -234,7 +269,7 @@ class TestWaitReady:
         assert health["status"] == "ok"
 
     def test_deadline_raises(self, monkeypatch, sleeps):
-        transport = _Transport([urllib.error.URLError("refused")] * 50)
+        transport = _Transport([ConnectionRefusedError("refused")] * 50)
         client = _client(monkeypatch, transport, sleeps, retries=0)
         import itertools
 
@@ -244,3 +279,86 @@ class TestWaitReady:
         )
         with pytest.raises(ServerUnavailableError, match="not ready"):
             client.wait_ready(deadline=3.0)
+
+
+@pytest.fixture
+def live_server():
+    """Start a real server; yields ``(url, accepted)`` where ``accepted``
+    lists every connection the listener accepted."""
+    servers = []
+
+    def start(**kwargs):
+        server = make_server(StreamingApp(), port=0, **kwargs)
+        accepted = []
+        accept = server.get_request
+
+        def counting_accept():
+            connection = accept()
+            accepted.append(connection[1])
+            return connection
+
+        server.get_request = counting_accept
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        return f"http://127.0.0.1:{server.server_address[1]}", accepted
+
+    yield start
+    for server, thread in servers:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+class TestKeptConnection:
+    """The transport against a real server over real sockets."""
+
+    def test_requests_share_one_connection(self, live_server, sleeps):
+        url, accepted = live_server()
+        with StreamingClient(url, sleep=sleeps.append) as client:
+            for _ in range(50):
+                assert client.healthz()["status"] == "ok"
+        assert len(accepted) == 1
+        assert sleeps == []
+
+    def test_threads_take_turns_on_the_connection(self, live_server, sleeps):
+        url, accepted = live_server()
+        client = StreamingClient(url, sleep=sleeps.append)
+        client.create_campaign("c")
+        replies = []
+
+        def read_many():
+            for _ in range(20):
+                replies.append(client.snapshot("c")["campaign_id"])
+
+        threads = [threading.Thread(target=read_many) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        client.close()
+        assert replies == ["c"] * 80
+        assert len(accepted) == 1 and sleeps == []
+
+    def test_idle_close_is_resent_without_a_retry(self, live_server, sleeps):
+        url, accepted = live_server(request_timeout=0.2)
+        with StreamingClient(url, sleep=sleeps.append) as client:
+            assert client.healthz()["status"] == "ok"
+            time.sleep(0.6)  # the server drops the idle connection
+            assert client.healthz()["status"] == "ok"
+        assert len(accepted) == 2
+        assert sleeps == []
+
+    def test_dead_port_backs_off_then_gives_up(self, sleeps):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        client = StreamingClient(
+            f"http://127.0.0.1:{port}", retries=2, backoff=0.1, jitter=0.0,
+            sleep=sleeps.append,
+        )
+        with pytest.raises(ServerUnavailableError) as exc_info:
+            client.healthz()
+        assert exc_info.value.attempts == 3
+        assert "ConnectionRefusedError" in exc_info.value.last_error
+        assert sleeps == [0.1, 0.2]

@@ -5,8 +5,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import re
+import signal
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -758,6 +763,89 @@ class TestLiveServer:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+
+class TestGracefulShutdown:
+    """A kept-alive connection idle between requests does not hold a
+    shutdown; a request already in flight is still answered."""
+
+    @staticmethod
+    def partial_create(port: int) -> tuple[socket.socket, bytes]:
+        """A create request sent but for its last body bytes."""
+        body = json.dumps({"campaign_id": "late"}).encode()
+        sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+        sock.sendall(
+            b"POST /campaigns HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body[:5]
+        )
+        return sock, body[5:]
+
+    @staticmethod
+    def finish(sock: socket.socket, rest: bytes) -> bytes:
+        sock.sendall(rest)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+        sock.close()
+        return b"".join(chunks)
+
+    def test_server_close_skips_idle_and_drains_in_flight(self, app):
+        server = make_server(app, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        port = server.server_address[1]
+        idle = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        idle.request("GET", "/healthz")
+        assert idle.getresponse().read()
+        busy, rest = self.partial_create(port)
+        time.sleep(0.3)  # the handler is reading the body
+        server.shutdown()
+        closing = threading.Thread(target=server.server_close)
+        start = time.monotonic()
+        closing.start()
+        time.sleep(0.3)
+        reply = self.finish(busy, rest)
+        closing.join(timeout=10)
+        assert not closing.is_alive()
+        assert time.monotonic() - start < 5
+        assert reply.startswith(b"HTTP/1.1 201 ")
+        assert app.store.list_campaigns()[0]["campaign_id"] == "late"
+        idle.close()
+
+    def test_sigterm_exits_promptly_with_an_idle_connection(self):
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--quiet"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        try:
+            match = None
+            while match is None:
+                line = process.stdout.readline()
+                assert line, "server exited before announcing its port"
+                match = re.search(r"http://127\.0\.0\.1:(\d+)", line)
+            port = int(match.group(1))
+            idle = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            idle.request("GET", "/healthz")
+            assert idle.getresponse().read()
+            busy, rest = self.partial_create(port)
+            time.sleep(0.3)  # the handler is reading the body
+            start = time.monotonic()
+            process.send_signal(signal.SIGTERM)
+            time.sleep(0.3)
+            reply = self.finish(busy, rest)
+            assert process.wait(timeout=10) == 0
+            assert time.monotonic() - start < 5
+            assert reply.startswith(b"HTTP/1.1 201 ")
+            idle.close()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
 
 
 @pytest.fixture
