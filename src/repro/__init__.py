@@ -34,7 +34,6 @@ Quickstart::
 """
 
 from .auction import (
-    AuctionConfig,
     AuctionOutcome,
     ReverseAuction,
     SOACInstance,
@@ -88,7 +87,6 @@ from .types import Bid, Dataset, Task, WorkerProfile
 __version__ = "1.0.0"
 
 __all__ = [
-    "AuctionConfig",
     "AuctionOutcome",
     "Bid",
     "CampaignStore",

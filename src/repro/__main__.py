@@ -65,7 +65,7 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
-from .artifacts import LedgerError, RunLedger
+from .artifacts import RunLedger
 from .artifacts.ledger import KINDS as LEDGER_KINDS
 from .core.config import DateConfig
 from .datasets.io import load_dataset, save_dataset
@@ -776,23 +776,15 @@ def _replay(args: argparse.Namespace, client: StreamingClient | None) -> int:
         # backoff against a restarting server, and client-assigned
         # sequence numbers so a retried batch is applied exactly once.
         where = f" on {client.base_url}"
-        try:
-            client.create_campaign(
-                campaign_id,
-                refresh_every=args.refresh_every,
-                algorithm=args.algorithm,
-                config={
-                    "r": args.r, "alpha": args.alpha, "epsilon": args.epsilon
-                },
-            )
-        except ReproError as exc:
-            raise SystemExit(str(exc)) from exc
+        client.create_campaign(
+            campaign_id,
+            refresh_every=args.refresh_every,
+            algorithm=args.algorithm,
+            config={"r": args.r, "alpha": args.alpha, "epsilon": args.epsilon},
+        )
 
         def apply(batch) -> dict:
-            try:
-                reply = client.ingest(campaign_id, batch)
-            except ReproError as exc:
-                raise SystemExit(str(exc)) from exc
+            reply = client.ingest(campaign_id, batch)
             if reply.get("duplicate"):
                 # A retried batch the server had already applied: the
                 # stream is intact, there is just nothing new to report.
@@ -804,12 +796,9 @@ def _replay(args: argparse.Namespace, client: StreamingClient | None) -> int:
             return reply
 
         def finalize(already_refreshed: bool):
-            try:
-                if already_refreshed:
-                    return client.truths(campaign_id)["truths"], None
-                reply = client.refresh(campaign_id)
-            except ReproError as exc:
-                raise SystemExit(str(exc)) from exc
+            if already_refreshed:
+                return client.truths(campaign_id)["truths"], None
+            reply = client.refresh(campaign_id)
             return reply["truths"], reply["iterations"]
 
     key = {
@@ -969,10 +958,7 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
         )
         return 0
     if args.ledger_command == "show":
-        try:
-            payload = ledger.show(args.fingerprint)
-        except LedgerError as exc:
-            raise SystemExit(str(exc)) from exc
+        payload = ledger.show(args.fingerprint)
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     # gc
@@ -1039,11 +1025,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"\n{shown} of {len(entries)} traces in {root}")
         return 0
     # show
-    try:
-        path = find_trace(args.fingerprint, args.dir)
-        events = read_trace(path)
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from exc
+    path = find_trace(args.fingerprint, args.dir)
+    events = read_trace(path)
     total = len(events)
     if args.limit:
         events = events[: args.limit]
@@ -1083,8 +1066,19 @@ def _maybe_trace(args: argparse.Namespace, key: dict):
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    A library error ends the process with its one-line message (exit
+    status 1), not a traceback.
+    """
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ReproError as exc:
+        raise SystemExit(str(exc)) from exc
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         rows = [
             (e.experiment_id, e.paper_reference, e.summary)

@@ -3,11 +3,9 @@
 - :mod:`repro.auction.soac` — the Social Optimization Accuracy
   Coverage problem (Eqs. 4-6): instance container, feasibility checks,
   cost accounting, and the CSR/CSC accuracy index;
-- :mod:`repro.auction.config` — :class:`AuctionConfig`, the knobs of
-  the auction stage;
 - :mod:`repro.auction.reverse_auction` — Alg. 2: greedy winner
   selection by effective accuracy unit cost plus critical-value
-  payments;
+  payments, with the stage's one knob, the monopolist payment factor;
 - :mod:`repro.auction.engine` — the array engine executing it: batched
   selection over the sparse accuracy index and prefix-shared payment
   reruns (DESIGN.md §10);
@@ -19,7 +17,6 @@
   monotonicity, approximation bound 2eH_Ω).
 """
 
-from .config import AuctionConfig
 from .optimal import solve_optimal
 from .properties import (
     approximation_bound,
@@ -32,7 +29,6 @@ from .reverse_auction import AuctionOutcome, ReverseAuction
 from .soac import SOACInstance, SparseAccuracy
 
 __all__ = [
-    "AuctionConfig",
     "AuctionOutcome",
     "ReverseAuction",
     "SOACInstance",

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from .config import AuctionConfig
 from .reverse_auction import AuctionOutcome, ReverseAuction
 from .soac import SOACInstance
 
@@ -64,7 +62,6 @@ def bid_utility_curve(
     bid_grid: Sequence[float],
     *,
     auction: ReverseAuction | None = None,
-    auction_config: AuctionConfig | None = None,
 ) -> list[BidUtilityPoint]:
     """Utility of one worker as a function of its declared bid.
 
@@ -73,11 +70,7 @@ def bid_utility_curve(
     property forbids from ever being profitable.  This regenerates the
     Fig. 8 curves.
     """
-    if auction is not None and auction_config is not None:
-        raise ConfigurationError(
-            "pass either auction or auction_config, not both"
-        )
-    auction = auction or ReverseAuction(auction_config)
+    auction = auction or ReverseAuction()
     worker_index = instance.worker_ids.index(worker_id)
     true_cost = float(instance.costs[worker_index])
     points = []
@@ -98,15 +91,10 @@ def verify_truthfulness(
     bid_grid: Sequence[float],
     *,
     auction: ReverseAuction | None = None,
-    auction_config: AuctionConfig | None = None,
     tolerance: float = 1e-9,
 ) -> bool:
     """No bid in ``bid_grid`` may beat bidding the true cost (Lemma 3)."""
-    if auction is not None and auction_config is not None:
-        raise ConfigurationError(
-            "pass either auction or auction_config, not both"
-        )
-    auction = auction or ReverseAuction(auction_config)
+    auction = auction or ReverseAuction()
     worker_index = instance.worker_ids.index(worker_id)
     true_cost = float(instance.costs[worker_index])
     truthful_outcome = auction.run(instance.with_bid(worker_index, true_cost))
@@ -121,17 +109,12 @@ def verify_monotonicity(
     *,
     lower_bids: Iterable[float] | None = None,
     auction: ReverseAuction | None = None,
-    auction_config: AuctionConfig | None = None,
 ) -> bool:
     """A winner at bid ``b_i`` must still win at any lower bid (Theorem 2).
 
     Vacuously true if the worker loses at its current bid.
     """
-    if auction is not None and auction_config is not None:
-        raise ConfigurationError(
-            "pass either auction or auction_config, not both"
-        )
-    auction = auction or ReverseAuction(auction_config)
+    auction = auction or ReverseAuction()
     worker_index = instance.worker_ids.index(worker_id)
     current_bid = float(instance.bids[worker_index])
     baseline = auction.run(instance)

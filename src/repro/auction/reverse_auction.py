@@ -32,9 +32,10 @@ tests/oracles/auction.py.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .config import AuctionConfig
+from ..errors import ConfigurationError
 from .soac import SOACInstance
 
 __all__ = ["AuctionOutcome", "ReverseAuction"]
@@ -76,26 +77,24 @@ class AuctionOutcome:
 class ReverseAuction:
     """IMC2's auction stage (Alg. 2).
 
-    Accepts an :class:`~repro.auction.config.AuctionConfig` (or the
-    individual knob as a keyword override).
+    ``monopoly_payment_factor`` is the stage's one knob: the payment
+    multiplier for *monopolist* winners — workers without whom the
+    requirements cannot be covered, whose critical value is unbounded
+    (DESIGN.md §4).  It must be finite and >= 1 so a winner is never
+    paid below its bid, nor an infinite payment.
     """
 
     method_name = "RA"
 
-    def __init__(
-        self,
-        config: AuctionConfig | None = None,
-        *,
-        monopoly_payment_factor: float | None = None,
-    ):
-        base = config if config is not None else AuctionConfig()
-        if monopoly_payment_factor is not None:
-            base = base.evolve(monopoly_payment_factor=monopoly_payment_factor)
-        self.config = base
-
-    @property
-    def monopoly_payment_factor(self) -> float:
-        return self.config.monopoly_payment_factor
+    def __init__(self, *, monopoly_payment_factor: float = 1.0):
+        # Written so NaN fails too: every comparison with it is False.
+        if not 1.0 <= monopoly_payment_factor < math.inf:
+            raise ConfigurationError(
+                "monopoly_payment_factor must be finite and >= 1 (a winner "
+                "must never be paid below its bid), got "
+                f"{monopoly_payment_factor!r}"
+            )
+        self.monopoly_payment_factor = monopoly_payment_factor
 
     def run(self, instance: SOACInstance) -> AuctionOutcome:
         """Select winners and compute critical payments."""
@@ -104,7 +103,7 @@ class ReverseAuction:
         instance.check_feasible()
         winners, payments, monopolists = run_auction(
             instance,
-            monopoly_payment_factor=self.config.monopoly_payment_factor,
+            monopoly_payment_factor=self.monopoly_payment_factor,
         )
         total_payment = float(sum(payments.values()))
         return AuctionOutcome(

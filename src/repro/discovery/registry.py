@@ -17,7 +17,7 @@ from typing import Callable
 from ..baselines import EnumerateDependence, MajorityVote, NoCopier
 from ..core.config import DateConfig
 from ..core.date import DATE
-from ..errors import ReproError
+from ..errors import UnknownNameError
 from .dawid_skene import FastDawidSkene
 from .lca import LatentCredibilityAnalysis
 from .protocol import TruthDiscoverer
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-class UnknownAlgorithmError(ReproError, KeyError):
+class UnknownAlgorithmError(UnknownNameError):
     """Raised when an algorithm name is not in the zoo."""
 
 

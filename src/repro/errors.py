@@ -65,5 +65,16 @@ class ConvergenceWarning(UserWarning):
     """DATE stopped at the iteration cap without the truth stabilizing."""
 
 
-class UnknownExperimentError(ReproError, KeyError):
+class UnknownNameError(ReproError, KeyError):
+    """A name is not present in its registry or store.
+
+    A ``KeyError``, so a lookup can be caught like a mapping's, but its
+    ``str()`` is the plain message: ``KeyError.__str__`` would quote it.
+    """
+
+    def __str__(self) -> str:
+        return Exception.__str__(self)
+
+
+class UnknownExperimentError(UnknownNameError):
     """An experiment id is not present in the experiment registry."""

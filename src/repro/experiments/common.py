@@ -34,7 +34,6 @@ from ..artifacts import RunKey
 from ..baselines import GreedyAccuracy, GreedyBid
 from ..core.config import DateConfig
 from ..discovery import make_discoverer
-from ..auction.config import AuctionConfig
 from ..auction.reverse_auction import ReverseAuction
 from ..errors import ConfigurationError
 from ..simulation.config import ExperimentConfig
@@ -183,16 +182,10 @@ def truth_algorithms(
     return {name: make_discoverer(name, date_config=date_config) for name in names}
 
 
-def auction_algorithms(
-    auction_config: AuctionConfig | None = None,
-) -> dict[str, Any]:
-    """Fresh instances of the Fig. 6/7 competitors, keyed by method name.
-
-    ``auction_config`` carries RA's knobs (the monopolist payment
-    factor).
-    """
+def auction_algorithms() -> dict[str, Any]:
+    """Fresh instances of the Fig. 6/7 competitors, keyed by method name."""
     return {
-        "RA": ReverseAuction(auction_config),
+        "RA": ReverseAuction(),
         "GA": GreedyAccuracy(),
         "GB": GreedyBid(),
     }

@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..artifacts import RunLedger, cached_result
-from ..auction.config import AuctionConfig
 from ..auction.soac import SOACInstance
 from ..core.date import DATE
 from ..core.indexing import DatasetIndex
@@ -65,7 +64,6 @@ def _run(
     base_seed: int,
     grid: Sequence[int] | None,
     paper_expectation: str,
-    auction_config: AuctionConfig | None = None,
     ledger: RunLedger | None = None,
 ) -> ExperimentResult:
     preset = resolve_scale(scale)
@@ -84,7 +82,6 @@ def _run(
             metric=metric,
             grid=grid,
             requirement_cap=REQUIREMENT_CAP,
-            auction=auction_config or AuctionConfig(),
         )
         if ledger is not None
         else None
@@ -116,7 +113,7 @@ def _run(
             sums: dict[str, float] = {}
             for k in range(len(datasets)):
                 instance = soac_for(k, size)
-                for name, algorithm in auction_algorithms(auction_config).items():
+                for name, algorithm in auction_algorithms().items():
                     outcome, seconds = timed(algorithm.run, instance)
                     if metric == "social_cost":
                         value = outcome.social_cost
@@ -157,7 +154,6 @@ def run_fig6a(
     instances: int | None = None,
     base_seed: int = 42,
     task_grid: Sequence[int] | None = None,
-    auction_config: AuctionConfig | None = None,
     ledger: RunLedger | None = None,
 ) -> ExperimentResult:
     """Social cost vs. number of tasks for RA / GA / GB."""
@@ -172,7 +168,6 @@ def run_fig6a(
         task_grid,
         "social cost rises with tasks; RA cheapest (avg -59.4% vs GA, "
         "-40.2% vs GB)",
-        auction_config=auction_config,
         ledger=ledger,
     )
 
@@ -183,7 +178,6 @@ def run_fig6b(
     instances: int | None = None,
     base_seed: int = 42,
     worker_grid: Sequence[int] | None = None,
-    auction_config: AuctionConfig | None = None,
     ledger: RunLedger | None = None,
 ) -> ExperimentResult:
     """Social cost vs. number of workers for RA / GA / GB."""
@@ -197,7 +191,6 @@ def run_fig6b(
         base_seed,
         worker_grid,
         "social cost falls with workers; RA cheapest throughout",
-        auction_config=auction_config,
         ledger=ledger,
     )
 
@@ -208,7 +201,6 @@ def run_fig7a(
     instances: int | None = None,
     base_seed: int = 42,
     task_grid: Sequence[int] | None = None,
-    auction_config: AuctionConfig | None = None,
 ) -> ExperimentResult:
     """Auction running time vs. number of tasks for RA / GA / GB."""
     return _run(
@@ -222,7 +214,6 @@ def run_fig7a(
         task_grid,
         "running time rises with tasks; RA (O(n^3 m)) slowest, "
         "GA (O(n^3)) next, GB (O(n^2)) fastest",
-        auction_config=auction_config,
     )
 
 
@@ -232,7 +223,6 @@ def run_fig7b(
     instances: int | None = None,
     base_seed: int = 42,
     worker_grid: Sequence[int] | None = None,
-    auction_config: AuctionConfig | None = None,
 ) -> ExperimentResult:
     """Auction running time vs. number of workers for RA / GA / GB."""
     return _run(
@@ -245,7 +235,6 @@ def run_fig7b(
         base_seed,
         worker_grid,
         "running time rises with workers; RA slowest, GB fastest",
-        auction_config=auction_config,
     )
 
 
@@ -255,7 +244,6 @@ def run_fig7a_payments(
     instances: int | None = None,
     base_seed: int = 42,
     task_grid: Sequence[int] | None = None,
-    auction_config: AuctionConfig | None = None,
     ledger: RunLedger | None = None,
 ) -> ExperimentResult:
     """Total payment vs. number of tasks — fig7a's deterministic twin.
@@ -278,6 +266,5 @@ def run_fig7a_payments(
         "companion series (not a paper figure): RA's critical payments "
         "exceed its bids but its winner sets stay cheap; payments rise "
         "with tasks like the social cost",
-        auction_config=auction_config,
         ledger=ledger,
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..artifacts import RunLedger, cached_result
-from ..auction.config import AuctionConfig
 from ..auction.properties import bid_utility_curve
 from ..auction.reverse_auction import AuctionOutcome, ReverseAuction
 from ..auction.soac import SOACInstance
@@ -41,9 +40,7 @@ def _prepare_instance(
 
 
 def _competitive_instance(
-    scale: str | ScalePreset,
-    base_seed: int,
-    auction_config: AuctionConfig | None = None,
+    scale: str | ScalePreset, base_seed: int
 ) -> tuple[SOACInstance, "AuctionOutcome", ReverseAuction]:
     """An instance whose auction has at least one replaceable winner.
 
@@ -54,7 +51,7 @@ def _competitive_instance(
     monopolist, so we lower the requirement cap — increasing slack and
     competition — until a non-monopolist winner exists.
     """
-    auction = ReverseAuction(auction_config)
+    auction = ReverseAuction()
     for cap in (REQUIREMENT_CAP, 0.6, 0.4, 0.25):
         instance = _prepare_instance(scale, base_seed, cap=cap)
         outcome = auction.run(instance)
@@ -73,7 +70,6 @@ def _fig8_key(
     scale: str | ScalePreset,
     base_seed: int,
     points: int,
-    auction_config: AuctionConfig | None,
 ):
     """Declared fingerprint inputs of the fig8 runners.
 
@@ -88,7 +84,6 @@ def _fig8_key(
         config,
         points=points,
         requirement_cap=REQUIREMENT_CAP,
-        auction=auction_config or AuctionConfig(),
     )
 
 
@@ -142,7 +137,6 @@ def run_fig8a(
     *,
     base_seed: int = 42,
     points: int = 15,
-    auction_config: AuctionConfig | None = None,
     ledger: RunLedger | None = None,
 ) -> ExperimentResult:
     """Utility vs. declared bid for a *winner* (paper's worker 26).
@@ -153,9 +147,7 @@ def run_fig8a(
     """
 
     def build() -> ExperimentResult:
-        instance, outcome, auction = _competitive_instance(
-            scale, base_seed, auction_config
-        )
+        instance, outcome, auction = _competitive_instance(scale, base_seed)
         ranked = sorted(
             (w for w in outcome.winner_ids if w not in outcome.monopolists),
             key=outcome.payments.__getitem__,
@@ -174,7 +166,7 @@ def run_fig8a(
             auction,
         )
 
-    return cached_result(ledger, _fig8_key("fig8a", scale, base_seed, points, auction_config), build)
+    return cached_result(ledger, _fig8_key("fig8a", scale, base_seed, points), build)
 
 
 def run_fig8b(
@@ -182,7 +174,6 @@ def run_fig8b(
     *,
     base_seed: int = 42,
     points: int = 15,
-    auction_config: AuctionConfig | None = None,
     ledger: RunLedger | None = None,
 ) -> ExperimentResult:
     """Utility vs. declared bid for a *loser* (paper's worker 58).
@@ -193,9 +184,7 @@ def run_fig8b(
     """
 
     def build() -> ExperimentResult:
-        instance, outcome, auction = _competitive_instance(
-            scale, base_seed, auction_config
-        )
+        instance, outcome, auction = _competitive_instance(scale, base_seed)
         winners = set(outcome.winner_ids)
         losers = [w for w in instance.worker_ids if w not in winners]
         if not losers:
@@ -218,4 +207,4 @@ def run_fig8b(
             auction,
         )
 
-    return cached_result(ledger, _fig8_key("fig8b", scale, base_seed, points, auction_config), build)
+    return cached_result(ledger, _fig8_key("fig8b", scale, base_seed, points), build)

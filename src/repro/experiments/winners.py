@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..artifacts import RunLedger, cached_result
-from ..auction.config import AuctionConfig
 from ..auction.reverse_auction import ReverseAuction
 from ..auction.soac import SOACInstance
 from ..core.date import DATE
@@ -40,7 +39,6 @@ def run_winners_quality(
     instances: int | None = None,
     base_seed: int = 42,
     requirement_scales: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-    auction_config: AuctionConfig | None = None,
     ledger: RunLedger | None = None,
 ) -> ExperimentResult:
     """Measure truth-discovery precision using only auction winners.
@@ -55,12 +53,11 @@ def run_winners_quality(
         config,
         requirement_scales=requirement_scales,
         requirement_cap=REQUIREMENT_CAP,
-        auction=auction_config or AuctionConfig(),
     )
 
     def build() -> ExperimentResult:
         datasets = config.datasets()
-        auction = ReverseAuction(auction_config)
+        auction = ReverseAuction()
 
         prepared = []
         for dataset in datasets:

@@ -21,12 +21,10 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from ..auction.config import AuctionConfig
 from ..auction.reverse_auction import AuctionOutcome, ReverseAuction
 from ..auction.soac import SOACInstance, check_requirement_cap
 from ..core.config import DateConfig
 from ..core.date import DATE, TruthDiscoveryResult
-from ..errors import ConfigurationError
 from ..types import Bid, Dataset
 
 __all__ = ["IMC2", "IMC2Outcome"]
@@ -79,11 +77,9 @@ class IMC2:
         Hyperparameters of the DATE run that stage 1 performs when
         :meth:`run` is not handed a ``truth``.
     auction:
-        Override stage 2 (defaults to the paper's reverse auction).
-    auction_config:
-        Knobs for the default stage-2 auction — the monopolist payment
-        factor (:class:`~repro.auction.config.AuctionConfig`).
-        Mutually exclusive with ``auction``.
+        Override stage 2 (defaults to the paper's reverse auction);
+        pass ``ReverseAuction(monopoly_payment_factor=…)`` for another
+        monopolist payment factor.
     requirement_cap:
         When set (in ``(0, 1]``), cap each task's requirement at this
         fraction of its total available accuracy before the auction
@@ -98,17 +94,12 @@ class IMC2:
         date_config: DateConfig | None = None,
         *,
         auction: ReverseAuction | None = None,
-        auction_config: AuctionConfig | None = None,
         requirement_cap: float | None = None,
     ):
-        if auction is not None and auction_config is not None:
-            raise ConfigurationError(
-                "pass either auction or auction_config, not both"
-            )
         if requirement_cap is not None:
             check_requirement_cap(requirement_cap)
         self.date_config = date_config
-        self.auction = auction or ReverseAuction(auction_config)
+        self.auction = auction or ReverseAuction()
         self.requirement_cap = requirement_cap
 
     def run(

@@ -21,7 +21,7 @@ from typing import Any
 from ..core.config import DateConfig
 from ..datasets.qatar_living import qatar_world_config
 from ..datasets.synthetic import WorldConfig, generate_world
-from ..errors import ConfigurationError, ReproError
+from ..errors import ConfigurationError, UnknownNameError
 from ..rng import instance_seeds
 from .strategies import (
     BidShading,
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-class UnknownScenarioError(ReproError, KeyError):
+class UnknownScenarioError(UnknownNameError):
     """A scenario name is not present in the registry."""
 
 

@@ -17,7 +17,7 @@ measured:
   auction quality metrics;
 - :mod:`repro.simulation.stats` — summary statistics with confidence
   intervals;
-- :mod:`repro.simulation.timing` — wall-clock measurement helpers.
+- :mod:`repro.simulation.timing` — the wall-clock measurement helper.
 """
 
 from .config import ExperimentConfig
@@ -30,14 +30,13 @@ from .metrics import (
 from .runner import InstanceTable, run_instances
 from .stats import SummaryStats, summarize
 from .sweep import ExperimentResult, sweep_series
-from .timing import Timer, timed
+from .timing import timed
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "InstanceTable",
     "SummaryStats",
-    "Timer",
     "auction_report",
     "available_cpus",
     "copier_detection_report",

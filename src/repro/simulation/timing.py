@@ -1,4 +1,4 @@
-"""Wall-clock timing helpers for the running-time experiments (Figs. 5, 7)."""
+"""Wall-clock timing helper for the running-time experiments (Figs. 5, 7)."""
 
 from __future__ import annotations
 
@@ -6,30 +6,9 @@ import time
 from collections.abc import Callable
 from typing import Any, TypeVar
 
-__all__ = ["Timer", "timed"]
+__all__ = ["timed"]
 
 T = TypeVar("T")
-
-
-class Timer:
-    """Context manager measuring elapsed wall-clock seconds.
-
-    >>> with Timer() as t:
-    ...     _ = sum(range(1000))
-    >>> t.seconds >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-        self._start = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.seconds = time.perf_counter() - self._start
 
 
 def timed(fn: Callable[..., T], *args: Any, **kwargs: Any) -> tuple[T, float]:

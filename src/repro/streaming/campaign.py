@@ -27,11 +27,10 @@ from collections import OrderedDict
 from collections.abc import Iterable
 from pathlib import Path
 
-from ..auction.config import AuctionConfig
 from ..core.config import DateConfig
 from ..core.date import TruthDiscoveryResult
 from ..discovery import canonical_algorithm
-from ..errors import ConfigurationError, ReproError
+from ..errors import ConfigurationError, ReproError, UnknownNameError
 from ..mechanism.imc2 import IMC2, IMC2Outcome
 from ..obs.logging import get_logger
 from ..obs.metrics import get_registry
@@ -64,7 +63,7 @@ __all__ = [
 _TMP_JOURNAL_IDS = itertools.count(1)
 
 
-class UnknownCampaignError(ReproError, KeyError):
+class UnknownCampaignError(UnknownNameError):
     """A campaign id is not present in the store."""
 
     def __init__(self, campaign_id: str):
@@ -514,16 +513,14 @@ class CampaignStore:
         campaign_id: str,
         *,
         requirement_cap: float | None = None,
-        auction_config: AuctionConfig | None = None,
     ) -> IMC2Outcome:
         """Run the IMC2 mechanism on a campaign's accumulated data.
 
         Stage 1 reuses a fresh full refresh (so the auction prices
         exact, not incrementally approximated, accuracies); stage 2 is
-        the reverse auction over truthful bids, on the vectorized
-        engine unless ``auction_config`` selects otherwise.  The
-        mechanism is built first, so a bad ``requirement_cap`` is
-        rejected before the refresh is journaled or computed.
+        the reverse auction over truthful bids.  The mechanism is built
+        first, so a bad ``requirement_cap`` is rejected before the
+        refresh is journaled or computed.
 
         Only the refresh and the capture of the index it published hold
         the campaign lock; the mechanism prices a private copy of that
@@ -531,9 +528,7 @@ class CampaignStore:
         wait) and the ``Dataset`` it assembles dies with the run.
         """
         campaign = self.get(campaign_id)
-        mechanism = IMC2(
-            auction_config=auction_config, requirement_cap=requirement_cap
-        )
+        mechanism = IMC2(requirement_cap=requirement_cap)
         with campaign.lock:
             truth = self._refresh(campaign)
             campaign.last_update = time.time()

@@ -149,10 +149,13 @@ def replay_batches(dataset: Dataset, n_batches: int) -> list[ClaimBatch]:
 def coerce_number(spec: Mapping, key: str, default: float) -> float:
     """Read an optional numeric field, mapping junk to DataFormatError.
 
-    Non-finite values (``"nan"``, ``"inf"``, JSON ``NaN``/``Infinity``)
-    are junk too: they would otherwise reach the auction as bids.
+    Booleans and non-finite values (``"nan"``, ``"inf"``, JSON
+    ``NaN``/``Infinity``) are junk too: ``float(True)`` is 1.0, and a
+    non-finite number would otherwise reach the auction as a bid.
     """
     value = spec.get(key, default)
+    if isinstance(value, bool):
+        raise DataFormatError(f"field {key!r} must be a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError) as exc:
@@ -196,6 +199,15 @@ def _string(value, what: str) -> str:
     return value
 
 
+def _boolean(spec: Mapping, key: str) -> bool:
+    """The optional field ``key`` (default false), which must be a JSON
+    boolean: ``bool("false")`` is true."""
+    value = spec.get(key, False)
+    if not isinstance(value, bool):
+        raise DataFormatError(f"field {key!r} must be a boolean, got {value!r}")
+    return value
+
+
 def task_from_spec(spec: Mapping) -> Task:
     """Build a :class:`Task` from its JSON object form."""
     if not isinstance(spec, Mapping) or "task_id" not in spec:
@@ -220,7 +232,7 @@ def worker_from_spec(spec: Mapping) -> WorkerProfile:
         worker_id=_string(spec["worker_id"], "worker_id"),
         cost=coerce_number(spec, "cost", 1.0),
         reliability=coerce_number(spec, "reliability", 0.7),
-        is_copier=bool(spec.get("is_copier", False)),
+        is_copier=_boolean(spec, "is_copier"),
         sources=tuple(_string(s, "source") for s in _array(spec, "sources")),
         copy_prob=coerce_number(spec, "copy_prob", 0.0),
     )

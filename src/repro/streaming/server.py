@@ -156,9 +156,7 @@ class StreamingApp:
             try:
                 status, body = self._route(method.upper(), parts, payload or {})
             except UnknownCampaignError as exc:
-                status, body = 404, {
-                    "error": str(exc.args[0] if exc.args else exc)
-                }
+                status, body = 404, {"error": str(exc)}
             except DuplicateCampaignError as exc:
                 status, body = 409, {"error": str(exc)}
             except JournalWriteError as exc:

@@ -2,16 +2,15 @@
 
 Outcome-level equivalence with the scalar oracle lives in
 tests/property/test_property_auction_backends.py; these tests pin the
-pieces — config validation, the CSR/CSC accuracy index, the trace
-layout, and the O(pairs) pair-slot map of Eq. 16.
+pieces — the CSR/CSC accuracy index, the trace layout, and the
+O(pairs) pair-slot map of Eq. 16.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro import AuctionConfig, ConfigurationError, ReverseAuction, SOACInstance
+from repro import SOACInstance
 from repro.auction.engine import batched_greedy_cover
 from repro.auction.soac import SparseAccuracy
 from repro.core.engine import (
@@ -23,34 +22,6 @@ from repro.core.falsedist import UniformFalseValues
 from repro.core.indexing import DatasetIndex
 
 from tests.oracles import directed_matrix
-
-
-class TestAuctionConfig:
-    def test_defaults(self):
-        config = AuctionConfig()
-        assert config.monopoly_payment_factor == 1.0
-
-    @pytest.mark.parametrize("factor", [0.9, float("nan"), float("inf")])
-    def test_low_monopoly_factor_rejected(self, factor):
-        with pytest.raises(ConfigurationError):
-            AuctionConfig(monopoly_payment_factor=factor)
-
-    def test_evolve_revalidates(self):
-        config = AuctionConfig()
-        assert config.evolve(monopoly_payment_factor=2.0).monopoly_payment_factor == 2.0
-        with pytest.raises(ConfigurationError):
-            config.evolve(monopoly_payment_factor=0.5)
-
-    def test_auction_keyword_overrides(self):
-        auction = ReverseAuction(
-            AuctionConfig(monopoly_payment_factor=2.0), monopoly_payment_factor=3.0
-        )
-        assert auction.config == AuctionConfig(monopoly_payment_factor=3.0)
-        assert auction.monopoly_payment_factor == 3.0
-
-    def test_auction_rejects_bad_override(self):
-        with pytest.raises(ConfigurationError):
-            ReverseAuction(monopoly_payment_factor=0.5)
 
 
 class TestSparseAccuracy:

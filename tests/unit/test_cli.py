@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +30,35 @@ def campaign_dir(tmp_path):
     )
     assert code == 0
     return directory
+
+
+class TestUnknownNames:
+    """A library error ends the CLI with its plain one-line message."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "nope"], "unknown experiment 'nope'; known: "),
+            (["scenario", "run", "nope"], "unknown scenario 'nope'; known: "),
+        ],
+    )
+    def test_unknown_name_exits_with_message(self, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value.code).startswith(message)
+
+    def test_no_traceback_from_the_console(self):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "nope"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.startswith("unknown experiment 'nope'; known: ")
+        assert "Traceback" not in completed.stderr
+        assert len(completed.stderr.strip().splitlines()) == 1
 
 
 class TestGenerate:
@@ -99,9 +131,11 @@ class TestAuction:
         from repro.errors import InfeasibleCoverageError
 
         # The tiny campaign cannot cover raw U[2,4] requirements; the
-        # CLI surfaces the library error rather than hiding it.
-        with pytest.raises(InfeasibleCoverageError):
+        # CLI surfaces the library error (as its one-line message)
+        # rather than hiding it.
+        with pytest.raises(SystemExit, match="accuracy requirements cannot be met") as excinfo:
             main(["auction", str(campaign_dir)])
+        assert isinstance(excinfo.value.__cause__, InfeasibleCoverageError)
 
 
 class TestIngest:

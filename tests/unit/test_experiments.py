@@ -229,5 +229,6 @@ class TestCLI:
     def test_run_unknown_experiment(self):
         from repro.__main__ import main
 
-        with pytest.raises(UnknownExperimentError):
+        with pytest.raises(SystemExit, match="unknown experiment 'fig99'") as excinfo:
             main(["run", "fig99"])
+        assert isinstance(excinfo.value.__cause__, UnknownExperimentError)

@@ -123,10 +123,14 @@ class TestReverseAuction:
         outcome = ReverseAuction(monopoly_payment_factor=1.5).run(instance)
         assert "w0" in outcome.monopolists
         assert outcome.payments["w0"] == pytest.approx(3.0)
+        # The default factor pays a monopolist exactly its bid.
+        assert ReverseAuction().monopoly_payment_factor == 1.0
+        assert ReverseAuction().run(instance).payments["w0"] == pytest.approx(2.0)
 
-    def test_monopoly_factor_validated(self):
-        with pytest.raises(ConfigurationError):
-            ReverseAuction(monopoly_payment_factor=0.5)
+    @pytest.mark.parametrize("factor", [0.5, 0.9, float("nan"), float("inf")])
+    def test_monopoly_factor_validated(self, factor):
+        with pytest.raises(ConfigurationError, match="monopoly_payment_factor"):
+            ReverseAuction(monopoly_payment_factor=factor)
 
     def test_infeasible_instance_raises(self):
         instance = instance_from(

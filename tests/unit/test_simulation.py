@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro import (
@@ -16,7 +14,6 @@ from repro import (
 from repro.simulation import (
     InstanceTable,
     SummaryStats,
-    Timer,
     auction_report,
     copier_detection_report,
     precision,
@@ -131,11 +128,6 @@ class TestSweep:
 
 
 class TestTiming:
-    def test_timer_context(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.seconds >= 0.005
-
     def test_timed_wrapper(self):
         value, seconds = timed(lambda a, b: a + b, 2, b=3)
         assert value == 5

@@ -184,6 +184,27 @@ class TestJsonRoundTrip:
         with pytest.raises(DataFormatError, match="finite"):
             batch_from_json({"workers": [{"worker_id": "w", "cost": value}]})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"tasks": [{"task_id": "t", "requirement": True}]},
+            {"tasks": [{"task_id": "t", "value": False}]},
+            {"workers": [{"worker_id": "w", "cost": True}]},
+            {"workers": [{"worker_id": "w", "reliability": True}]},
+            {"workers": [{"worker_id": "w", "copy_prob": False}]},
+        ],
+    )
+    def test_boolean_numbers_rejected(self, payload):
+        # float(True) is 1.0: a boolean must not pass for a number.
+        with pytest.raises(DataFormatError, match="must be a number, got (True|False)"):
+            batch_from_json(payload)
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, []])
+    def test_is_copier_must_be_boolean(self, flag):
+        # bool("false") is True: only a JSON boolean says what it means.
+        with pytest.raises(DataFormatError, match="'is_copier' must be a boolean"):
+            worker_from_spec({"worker_id": "w", "is_copier": flag})
+
     def test_json_nan_literal_rejected(self):
         # json.loads accepts the NaN / Infinity literals by default.
         payload = json.loads('{"tasks": [{"task_id": "t", "requirement": NaN}]}')

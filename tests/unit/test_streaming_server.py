@@ -219,6 +219,17 @@ class TestStreamingApp:
         )
         assert status == 400
 
+    def test_unknown_names_answer_plain_messages(self, app):
+        # The unknown-name errors are KeyErrors, whose str() quotes the
+        # message; the error body carries it unquoted.
+        status, body = app.handle(
+            "POST", "/campaigns", {"campaign_id": "h", "algorithm": "nope"}
+        )
+        assert status == 400
+        assert body["error"].startswith("unknown truth-discovery algorithm 'nope' (known: ")
+        status, body = app.handle("GET", "/campaigns/zz")
+        assert (status, body) == (404, {"error": "unknown campaign 'zz'"})
+
     def test_duplicate_create_conflicts(self, app):
         app.handle("POST", "/campaigns", {"campaign_id": "c1"})
         status, body = app.handle("POST", "/campaigns", {"campaign_id": "c1"})
@@ -414,6 +425,20 @@ class TestStreamingApp:
             {"claims": [{"worker": "w0", "task": None, "value": "A"}]},
             {"workers": [{"worker_id": "w9", "sources": "w12"}]},
             {"tasks": [{"task_id": None}]},
+            # float(True) is 1.0 and bool("false") is True: booleans
+            # are not numbers, and only a JSON boolean is a flag.
+            {"tasks": [{"task_id": "t9", "requirement": True}]},
+            {"workers": [{"worker_id": "w9", "cost": True}]},
+            {
+                "workers": [
+                    {
+                        "worker_id": "w9",
+                        "is_copier": "false",
+                        "sources": ["w12"],
+                        "copy_prob": 0.8,
+                    }
+                ]
+            },
         ],
     )
     def test_malformed_wire_batch_400_before_journal(self, tmp_path, batch):
@@ -591,6 +616,16 @@ class TestStreamingApp:
         (unknown,) = set(payload) - {"cap"}
         assert status == 400 and repr(unknown) in body["error"]
 
+
+    @pytest.mark.parametrize("cap", [True, False])
+    def test_boolean_auction_cap_400(self, app, replay, cap):
+        # A JSON true used to price the auction with cap 1.0.
+        app.handle("POST", "/campaigns", {"campaign_id": "c1"})
+        for batch in replay:
+            app.handle("POST", "/campaigns/c1/claims", batch_to_json(batch))
+        status, body = app.handle("POST", "/campaigns/c1/auction", {"cap": cap})
+        assert status == 400
+        assert body["error"] == f"field 'cap' must be a number, got {cap!r}"
 
     @pytest.mark.parametrize("cap", [2.0, 0.0, -1.0])
     def test_bad_auction_cap_400_before_refresh(
