@@ -32,8 +32,11 @@ import numpy as np
 
 from ..errors import DataFormatError
 from ..types import Dataset, Task, WorkerProfile
+from .native import load_kernels
 
 __all__ = ["ClaimArrays", "DatasetIndex", "IndexExtension"]
+
+_kernels = load_kernels()
 
 
 class DatasetIndex:
@@ -404,11 +407,13 @@ class ClaimArrays:
     def _pair_tables(self) -> tuple[np.ndarray, ...]:
         """Pair tables: every unordered co-answering pair, one row per
         shared task, grouped by pair and ordered by task within a pair.
-        Built on first access — only the dependence kernels need them.
+        Built on first access — only the dependence kernels need them —
+        by the compiled walk that fills :attr:`multi_group_slots` too.
         :meth:`DatasetIndex.extended` never carries them across, so an
         extension builds its own here too.
         """
-        return _sorted_pair_tables(self, *_task_claim_pairs(self))
+        tables, self.__dict__["multi_group_slots"] = _walk_pair_tables(self)
+        return tables
 
     @property
     def pair_a(self) -> np.ndarray:
@@ -444,16 +449,6 @@ class ClaimArrays:
     def ps_claim_b(self) -> np.ndarray:
         """Claim position of ``pair_b``'s claim on the row's task."""
         return self._pair_tables[6]
-
-    @cached_property
-    def pair_row_same(self) -> np.ndarray:
-        """Per pair-table row: do the pair's two claims carry one value?
-
-        Static for the life of the arrays — claim codes never change.
-        Its true rows are the same-group pair rows
-        :attr:`multi_group_slots` scatters.
-        """
-        return self.claim_code[self.ps_claim_a] == self.claim_code[self.ps_claim_b]
 
     @cached_property
     def pair_rows_by_task(self) -> tuple[np.ndarray, np.ndarray]:
@@ -526,37 +521,12 @@ class ClaimArrays:
         member ``k`` is ``pair_a`` of pair ``p``), ``n_pairs + p`` when
         ``k > l``, and the trailing ``2 * n_pairs`` on the diagonal.
         The layout depends only on the claims, so Eq. 16 gathers its
-        member-pair dependence with one ``take`` per bucket.  Built by
-        a single scatter of the same-group pair rows — the rows of
-        :attr:`pair_row_same`, since a row's two claims share its task.
+        member-pair dependence with one ``take`` per bucket.  The walk
+        that builds the pair tables writes it, two entries per
+        same-value row.
         """
-        buckets = self.multi_group_buckets
-        n_pairs = self.n_pairs
-        # Flat offset of each bucket, and of each multi-provider group's
-        # m x m block.
-        bucket_start = []
-        block = np.zeros(self.n_groups, dtype=np.int64)
-        total = 0
-        for m, claim_idx in buckets:
-            bucket_start.append(total)
-            block[self.claim_group[claim_idx[:, 0]]] = total + m * m * np.arange(len(claim_idx))
-            total += claim_idx.size * m
-        flat = np.full(total, 2 * n_pairs, dtype=np.intp)
-        same = np.flatnonzero(self.pair_row_same)
-        claim_a = self.ps_claim_a[same]
-        claim_b = self.ps_claim_b[same]
-        group = self.claim_group[claim_a]
-        start = self.group_ptr[group]
-        size = self.group_size[group]
-        local_a = claim_a - start
-        local_b = claim_b - start
-        pair = self.ps_pair[same]
-        flat[block[group] + local_a * size + local_b] = pair
-        flat[block[group] + local_b * size + local_a] = pair + n_pairs
-        return [
-            flat[begin : begin + claim_idx.size * m].reshape(-1, m, m)
-            for begin, (m, claim_idx) in zip(bucket_start, buckets)
-        ]
+        self._pair_tables
+        return self.__dict__["multi_group_slots"]
 
     # -- conversions between codes and values ----------------------------
 
@@ -846,82 +816,52 @@ def _assemble_claim_arrays(
     return arrays
 
 
-def pair_row_keys(
-    first: np.ndarray,
-    second: np.ndarray,
-    task: np.ndarray,
-    n_workers: int,
-    n_tasks: int,
-) -> np.ndarray:
-    """Unique int64 key ``(first · n_workers + second) · n_tasks + task``
-    of each (worker pair, shared task) row.
+def _walk_pair_tables(
+    arrays: ClaimArrays,
+) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
+    """The seven pair tables and the slot map, by ``pairtables.c``.
 
-    Ascending keys are the pair tables' row order — by first worker,
-    then second worker, then task — so one ``argsort`` replaces a
-    three-key ``lexsort``.  The largest key is ``n_workers² · n_tasks
-    - 1``; campaigns whose keys would not fit in int64 are refused
-    rather than allowed to wrap.
+    The walk runs twice over the same scratch: first it counts each
+    worker's rows and pairs as the smaller worker, then, from their
+    prefix sums, it fills every table and the slot map.
     """
-    if n_workers * n_workers * n_tasks >= 2**63:
-        raise DataFormatError(
-            f"{n_workers} workers x {n_tasks} tasks overflow the int64 "
-            "pair-row key"
-        )
-    return (first * n_workers + second) * n_tasks + task
-
-
-def _task_claim_pairs(arrays: ClaimArrays) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair of claims on one task, smaller worker's claim first.
-
-    The upper triangles of the tasks' claim blocks with each block
-    ordered by worker, enumerated by arithmetic instead of a per-task
-    ``triu_indices`` loop: the claim at offset ``k`` of a block ending
-    at ``e`` pairs with the ``e - k - 1`` claims after it, so the first
-    claims repeat each offset that many times and the second ones
-    concatenate the ranges ``k + 1 .. e - 1``.
-    """
-    claim_task = arrays.claim_task
-    claims = np.argsort(claim_task * arrays.index.n_workers + arrays.claim_worker)
-    offsets = np.arange(len(claims), dtype=np.int64)
-    later = arrays.task_ptr[claim_task + 1] - offsets - 1
-    return claims[np.repeat(offsets, later)], claims[_concat_ranges(offsets + 1, later)]
-
-
-def _sorted_pair_tables(
-    arrays: ClaimArrays, claim_a: np.ndarray, claim_b: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """The seven pair tables from same-task claim pairs whose first
-    claim is the smaller worker's.
-
-    Sorts the rows by :func:`pair_row_keys` (unique, so the order is
-    fully determined), reads worker pair and task back off the sorted
-    keys, and starts a new pair segment wherever the worker pair
-    changes.
-    """
-    if len(claim_a) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return (empty, empty, np.zeros(1, dtype=np.int64), empty, empty, empty, empty)
     n_workers, n_tasks = arrays.index.n_workers, arrays.index.n_tasks
-    keys = pair_row_keys(
-        arrays.claim_worker[claim_a],
-        arrays.claim_worker[claim_b],
-        arrays.claim_task[claim_a],
-        n_workers,
-        n_tasks,
-    )
-    order = np.argsort(keys)
-    pair_keys, tasks = np.divmod(keys[order], n_tasks)
-    next_pair = np.empty(len(keys), dtype=bool)
-    next_pair[0] = False
-    np.not_equal(pair_keys[1:], pair_keys[:-1], out=next_pair[1:])
-    pair_ptr = np.concatenate(([0], np.flatnonzero(next_pair), [len(keys)]))
-    pair_a, pair_b = np.divmod(pair_keys[pair_ptr[:-1]], n_workers)
-    return (
-        pair_a,
-        pair_b,
-        pair_ptr,
-        np.cumsum(next_pair, dtype=np.int64),
-        tasks,
-        claim_a[order],
-        claim_b[order],
-    )
+    # Flat offset of each bucket, and of each multi-provider group's
+    # m x m block.
+    buckets = arrays.multi_group_buckets
+    block = np.zeros(arrays.n_groups, dtype=np.int64)
+    bucket_start, total = [], 0
+    for m, claim_idx in buckets:
+        bucket_start.append(total)
+        block[arrays.claim_group[claim_idx[:, 0]]] = total + m * m * np.arange(len(claim_idx))
+        total += claim_idx.size * m
+    inputs = [
+        np.ascontiguousarray(column, dtype=np.int64)
+        for column in (
+            arrays.task_ptr, arrays.worker_ptr, arrays.worker_claims,
+            arrays.claim_task, arrays.claim_worker, arrays.claim_group,
+            arrays.group_ptr, arrays.group_size, block,
+        )
+    ]
+    scratch = [np.empty(size, dtype=np.int64) for size in (n_tasks, n_workers, arrays.n_claims)]
+    rows, pairs = np.zeros(n_workers, dtype=np.int64), np.zeros(n_workers, dtype=np.int64)
+
+    def walk(n_pairs, row_at, pair_at, outputs):
+        _kernels.pair_tables(
+            n_workers, n_tasks, *(a.ctypes.data for a in inputs), n_pairs,
+            *(a.ctypes.data for a in (*scratch, row_at, pair_at)),
+            *(None if a is None else a.ctypes.data for a in outputs),
+        )
+
+    walk(-1, rows, pairs, (None,) * 8)
+    row_start, pair_start = _offsets(rows), _offsets(pairs)
+    n_rows, n_pairs = int(row_start[-1]), int(pair_start[-1])
+    tables = tuple(np.empty(n, dtype=np.int64) for n in (n_pairs, n_pairs, n_pairs + 1))
+    tables += tuple(np.empty(n_rows, dtype=np.int64) for _ in range(4))
+    tables[2][n_pairs] = n_rows
+    flat = np.full(total, 2 * n_pairs, dtype=np.intp)
+    walk(n_pairs, row_start[:-1], pair_start[:-1], (*tables, flat))
+    return tables, [
+        flat[begin : begin + claim_idx.size * m].reshape(-1, m, m)
+        for begin, (m, claim_idx) in zip(bucket_start, buckets)
+    ]

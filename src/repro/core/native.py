@@ -1,17 +1,19 @@
 """Build-once loader for the compiled DATE kernels.
 
-Two C sources ship inside the package: ``dependence.c`` (the Eqs. 7-13
-pair-row scorer and its per-pair sums) and ``independence.c`` (the
-Eq. 16 greedy).  The first import on a machine compiles both into one
-shared library with the system C compiler, cached per user
-(``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``) under a name that
-is a SHA-256 of the sources, the flags and the platform tag; later
-imports load the cached library with :mod:`ctypes`.  Builds go to a
-temporary file in the cache directory and are renamed into place, so
-processes that build at the same moment (spawn-pool children, parallel
-test runs) each install a complete library and the last rename wins.
-A cached file that does not load (truncated, or built by a foreign
-toolchain) is rebuilt once in its place.
+Three C sources ship inside the package: ``pairtables.c`` (the walk
+that builds the co-answering pair tables and the Eq. 16 slot map),
+``dependence.c`` (the Eqs. 7-13 pair-row scorer and its per-pair sums)
+and ``independence.c`` (the Eq. 16 greedy).  The first import on a
+machine compiles all three into one shared library with the system C
+compiler, cached per user (``$XDG_CACHE_HOME/repro``, else
+``~/.cache/repro``) under a name that is a SHA-256 of the sources,
+the flags and the platform tag; later imports load the cached library
+with :mod:`ctypes`.  Builds go to a temporary file in the cache
+directory and are renamed into place, so processes that build at the
+same moment (spawn-pool children, parallel test runs) each install a
+complete library and the last rename wins.  A cached file that does
+not load (truncated, or built by a foreign toolchain) is rebuilt once
+in its place.
 
 The flags keep the kernels' floating point exactly numpy's: no
 contraction into fused multiply-adds, no fast-math, no ``-march``.
@@ -31,7 +33,7 @@ from pathlib import Path
 __all__ = ["load_kernels"]
 
 _SOURCES = tuple(
-    Path(__file__).with_name(name) for name in ("dependence.c", "independence.c")
+    Path(__file__).with_name(name) for name in ("pairtables.c", "dependence.c", "independence.c")
 )
 _FLAGS = ("-O3", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 _COMPILERS = ("cc", "gcc", "clang")
@@ -51,6 +53,16 @@ _SIGNATURES = {
         _i64, _ptr, _ptr,  # n, pairs, pair_ptr
         _ptr, _ptr, _ptr,  # row_ind, row_ab, row_ba
         _ptr, _ptr, _ptr,  # sum_ind, sum_ab, sum_ba
+    ],
+    "pair_tables": [
+        _i64, _i64,  # n_workers, n_tasks
+        _ptr, _ptr, _ptr,  # task_ptr, worker_ptr, worker_claims
+        _ptr, _ptr, _ptr,  # claim_task, claim_worker, claim_group
+        _ptr, _ptr, _ptr, _i64,  # group_ptr, group_size, block, n_pairs
+        _ptr, _ptr, _ptr,  # fill, last, by_task
+        _ptr, _ptr,  # row_at, pair_at
+        _ptr, _ptr, _ptr,  # pair_a, pair_b, pair_ptr
+        _ptr, _ptr, _ptr, _ptr, _ptr,  # ps_pair, ps_task, ps_claim_a/b, slots
     ],
     "independence_bucket": [
         _i64, _i64,  # n_groups, m

@@ -1,0 +1,87 @@
+/*
+ * The co-answering pair tables and the Eq. 16 slot map in one walk.
+ *
+ * One row per (worker a, worker b, shared task) with a < b, in the
+ * order ClaimArrays keeps them: by a, then b, then task.  The walk
+ * visits the workers b in ascending order and each b's claims in task
+ * order (the worker CSR).  It buckets every visited claim into its
+ * task's segment of by_task, so when b reaches a task, that segment
+ * holds exactly the task's claimants a < b.  Each such a takes the next
+ * row at its own cursor: a's rows arrive by b, then by task, so the
+ * table order comes from the walk itself, with no sort and no scan
+ * over all workers per worker.  A new pair starts at a's cursor
+ * whenever a meets a new b.
+ *
+ * The caller runs the walk twice with the same scratch:
+ *
+ * - count (pair_a NULL): row_at[a] and pair_at[a] start at 0 and end
+ *   as a's row and pair counts;
+ * - fill: they start at a's first row and first pair (the prefix sums
+ *   of the counts) and every table is written.  A row whose two claims
+ *   share a value group g writes its two slot-map entries there too:
+ *   pair p at [la, lb] of g's m x m block (block[g] onward) and
+ *   n_pairs + p at [lb, la], with la < lb the claims' offsets in g.
+ *
+ * All scratch is passed in by the caller: fill holds n_tasks, last
+ * n_workers and by_task n_claims int64.
+ */
+#include <stddef.h>
+#include <stdint.h>
+
+void pair_tables(
+    int64_t n_workers, int64_t n_tasks,
+    const int64_t *task_ptr, const int64_t *worker_ptr,
+    const int64_t *worker_claims, const int64_t *claim_task,
+    const int64_t *claim_worker, const int64_t *claim_group,
+    const int64_t *group_ptr, const int64_t *group_size,
+    const int64_t *block, int64_t n_pairs,
+    int64_t *fill, int64_t *last, int64_t *by_task,
+    int64_t *row_at, int64_t *pair_at,
+    int64_t *pair_a, int64_t *pair_b, int64_t *pair_ptr,
+    int64_t *ps_pair, int64_t *ps_task,
+    int64_t *ps_claim_a, int64_t *ps_claim_b, intptr_t *slots)
+{
+    for (int64_t t = 0; t < n_tasks; t++) {
+        fill[t] = task_ptr[t];
+    }
+    for (int64_t w = 0; w < n_workers; w++) {
+        last[w] = -1;
+    }
+    for (int64_t b = 0; b < n_workers; b++) {
+        for (int64_t k = worker_ptr[b]; k < worker_ptr[b + 1]; k++) {
+            int64_t cb = worker_claims[k];
+            int64_t t = claim_task[cb];
+            for (int64_t e = task_ptr[t]; e < fill[t]; e++) {
+                int64_t ca = by_task[e];
+                int64_t a = claim_worker[ca];
+                if (pair_a == NULL) {
+                    pair_at[a] += last[a] != b;
+                    last[a] = b;
+                    row_at[a]++;
+                    continue;
+                }
+                if (last[a] != b) {
+                    last[a] = b;
+                    pair_a[pair_at[a]] = a;
+                    pair_b[pair_at[a]] = b;
+                    pair_ptr[pair_at[a]++] = row_at[a];
+                }
+                int64_t r = row_at[a]++;
+                int64_t p = pair_at[a] - 1;
+                ps_pair[r] = p;
+                ps_task[r] = t;
+                ps_claim_a[r] = ca;
+                ps_claim_b[r] = cb;
+                int64_t g = claim_group[ca];
+                if (g == claim_group[cb]) {
+                    int64_t m = group_size[g];
+                    int64_t la = ca - group_ptr[g];
+                    int64_t lb = cb - group_ptr[g];
+                    slots[block[g] + la * m + lb] = p;
+                    slots[block[g] + lb * m + la] = n_pairs + p;
+                }
+            }
+            by_task[fill[t]++] = cb;
+        }
+    }
+}

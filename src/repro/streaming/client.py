@@ -16,6 +16,9 @@ crashed-and-recovered server therefore sees
 the same batch stream as an uninterrupted one, whether the original
 attempt died before the journal append (replay applies the retry) or
 after it (replay already applied the batch; the retry is a no-op).
+A refresh or an auction has no such guard, so the client never re-sends
+one after a failure that may have reached the server: only a 503 is
+retried.
 A request that finds its kept connection closed by the server (an idle
 connection timed out) before any response byte arrives is re-sent once
 on a fresh connection, without a backoff or a counted retry.
@@ -141,15 +144,22 @@ class StreamingClient:
         ``Retry-After`` header stretches the delay when it asks for
         longer.  Non-retryable statuses raise :class:`ClientError`
         immediately; exhausted retries raise
-        :class:`ServerUnavailableError`.
+        :class:`ServerUnavailableError`.  A ``POST`` to a campaign's
+        ``/refresh`` or ``/auction`` is not idempotent: a failure may
+        have started the run on the server, so only a 503 (which
+        promises nothing was applied) is retried, and any other
+        transient failure raises :class:`ServerUnavailableError` at once.
         """
         url = self.base_url + path
         data = json.dumps(payload).encode() if payload is not None else None
+        once = method == "POST" and path.startswith("/campaigns/") and (
+            path.rsplit("/", 1)[-1] in ("refresh", "auction")
+        )
         last_error = "no attempt made"
         attempts = 0
         for attempt in range(self.retries + 1):
             attempts = attempt + 1
-            retry_after = None
+            status, retry_after = None, None
             try:
                 status, retry_header, body = self._exchange(method, self._prefix + path, data)
             except (OSError, http.client.HTTPException) as exc:
@@ -162,6 +172,8 @@ class StreamingClient:
                     raise ClientError(method, url, status, detail)
                 retry_after = _retry_after(retry_header)
                 last_error = f"HTTP {status}: {detail}"
+            if once and status != 503:
+                break
             if attempt < self.retries:
                 delay = self._delay(attempt, retry_after)
                 get_registry().counter(

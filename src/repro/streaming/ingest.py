@@ -149,12 +149,13 @@ def replay_batches(dataset: Dataset, n_batches: int) -> list[ClaimBatch]:
 def coerce_number(spec: Mapping, key: str, default: float) -> float:
     """Read an optional numeric field, mapping junk to DataFormatError.
 
-    Booleans and non-finite values (``"nan"``, ``"inf"``, JSON
-    ``NaN``/``Infinity``) are junk too: ``float(True)`` is 1.0, and a
-    non-finite number would otherwise reach the auction as a bid.
+    Booleans, strings and non-finite values (JSON ``NaN``/``Infinity``)
+    are junk too: ``float(True)`` is 1.0, ``float("2.5")`` would accept
+    a quoted number the wire format never sends, and a non-finite
+    number would otherwise reach the auction as a bid.
     """
     value = spec.get(key, default)
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise DataFormatError(f"field {key!r} must be a number, got {value!r}")
     try:
         number = float(value)
@@ -170,11 +171,12 @@ def coerce_number(spec: Mapping, key: str, default: float) -> float:
 def coerce_integer(spec: Mapping, key: str, default: int) -> int:
     """Read an optional integer field, mapping junk to DataFormatError.
 
-    Booleans and non-integral numbers are junk: truncating ``2.5`` to
-    ``2`` would turn a new ingest seq into a duplicate and drop it.
+    Booleans, strings and non-integral numbers are junk: truncating
+    ``2.5`` to ``2`` would turn a new ingest seq into a duplicate and
+    drop it.
     """
     value = spec.get(key, default)
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         raise DataFormatError(f"field {key!r} must be an integer, got {value!r}")
     if isinstance(value, int):
         return value

@@ -20,6 +20,8 @@ by line over dict views of a :class:`~repro.core.indexing.DatasetIndex`
 - :mod:`.indexing` — the per-task, per-value and per-worker claim
   dicts, co-answering pairs, initial accuracies and majority vote the
   oracles read off an index's campaign;
+- :mod:`.pairtables` — the numpy pair-table builder and slot-map
+  scatter the compiled pair-table walk replaced;
 - :mod:`.streaming` — the sub-dataset rebuild that streaming's
   restricted index view replaced;
 - :mod:`.datasets` — the scalar synthetic-world and copier generator

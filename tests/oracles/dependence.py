@@ -26,6 +26,7 @@ from repro.core.falsedist import FalseValueDistribution, UniformFalseValues
 from repro.core.indexing import ClaimArrays, DatasetIndex
 
 from .indexing import claims_by_worker, shared_tasks
+from .pairtables import pair_row_same
 
 __all__ = [
     "PairRowClass",
@@ -228,7 +229,7 @@ class PairRowClass:
 
 def pair_row_classes(arrays: ClaimArrays) -> tuple[PairRowClass, PairRowClass]:
     """All pair-table rows as ``(same_value, differing)`` classes."""
-    same = arrays.pair_row_same
+    same = pair_row_same(arrays)
     return (
         pair_row_class(arrays, np.flatnonzero(same), same=True),
         pair_row_class(arrays, np.flatnonzero(~same), same=False),
@@ -372,7 +373,7 @@ def _row_classes(
             part = cls[first:last]
             parts.append((part.rows - rows.start if rows.start else part.rows, part))
         return parts[0], parts[1]
-    flag = arrays.pair_row_same[rows]
+    flag = pair_row_same(arrays)[rows]
     same_at, differ_at = np.flatnonzero(flag), np.flatnonzero(~flag)
     return (
         (same_at, pair_row_class(arrays, rows[same_at], same=True)),

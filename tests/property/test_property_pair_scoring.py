@@ -40,6 +40,7 @@ from repro.core.falsedist import UniformFalseValues, ZipfFalseValues
 
 from tests.oracles import classwise_score_pair_rows
 from tests.oracles.dependence import pair_row_classes
+from tests.oracles.pairtables import pair_row_same
 
 MIN_PROB = 1e-12
 VALUES = ("A", "B", "C", "D", "E")
@@ -174,8 +175,8 @@ def _subsets(arrays, rng):
         np.empty(0, dtype=np.int64),
         np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)),
         rng.permutation(n)[: int(rng.integers(0, n + 1))],
-        np.flatnonzero(arrays.pair_row_same),
-        np.flatnonzero(~arrays.pair_row_same),
+        np.flatnonzero(pair_row_same(arrays)),
+        np.flatnonzero(~pair_row_same(arrays)),
     ]
 
 

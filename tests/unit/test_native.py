@@ -69,8 +69,8 @@ def test_one_library_keyed_by_every_source(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     first = native._library_path()
     assert first.name.startswith("kernels-") and first.suffix == ".so"
-    assert {p.name for p in native._SOURCES} == {"dependence.c", "independence.c"}
-    # Editing either source names a different library.
+    assert {p.name for p in native._SOURCES} == {"pairtables.c", "dependence.c", "independence.c"}
+    # Editing any source names a different library.
     original = native._SOURCES
     for k, source in enumerate(original):
         edited = tmp_path / source.name

@@ -19,9 +19,9 @@ from hypothesis import given, settings
 
 from repro import Dataset, Task, WorkerProfile
 from repro.core import DatasetIndex
-from repro.core.indexing import pair_row_keys
 from repro.errors import DataFormatError
 
+from tests.oracles.pairtables import pair_row_keys
 from tests.property.test_property_streaming import streamed_campaigns
 
 TABLES = ("pair_a", "pair_b", "pair_ptr", "ps_pair", "ps_task", "ps_claim_a", "ps_claim_b")

@@ -9,6 +9,7 @@ the schedule instead of waiting it out.
 from __future__ import annotations
 
 import http.client
+import http.server
 import json
 import socket
 import threading
@@ -362,3 +363,94 @@ class TestKeptConnection:
         assert exc_info.value.attempts == 3
         assert "ConnectionRefusedError" in exc_info.value.last_error
         assert sleeps == [0.1, 0.2]
+
+
+@pytest.fixture
+def scripted_server():
+    """Start a real server that answers each request with the next step
+    of a script and records every request it received.  A step is a
+    status to answer with, or ``"stall"`` to hold the request past the
+    client's timeout without answering.  Yields ``start(steps)``, which
+    returns ``(url, received)``."""
+    servers = []
+
+    def start(steps):
+        steps, received = list(steps), []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers.get("Content-Length") or 0))
+                received.append(self.path)
+                step = steps.pop(0) if steps else 200
+                if step == "stall":
+                    time.sleep(0.5)
+                    self.close_connection = True
+                    return
+                body = json.dumps({"error": "scripted"} if step >= 400 else {"ok": True})
+                self.send_response(step)
+                self.send_header("Content-Length", str(len(body)))
+                self.send_header("Retry-After", "0")
+                self.end_headers()
+                self.wfile.write(body.encode())
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        return f"http://127.0.0.1:{server.server_address[1]}", received
+
+    yield start
+    for server, thread in servers:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+class TestNonIdempotentPosts:
+    """A refresh or an auction that may have reached the server is never
+    sent again: each one would start another run there."""
+
+    @staticmethod
+    def _client(url, sleeps):
+        return StreamingClient(url, timeout=0.2, retries=3, backoff=0.01, sleep=sleeps.append)
+
+    @pytest.mark.parametrize("route", ["refresh", "auction"])
+    def test_timeout_raises_after_one_request(self, scripted_server, sleeps, route):
+        url, received = scripted_server(["stall"])
+        with self._client(url, sleeps) as client, pytest.raises(ServerUnavailableError) as exc_info:
+            client.request("POST", f"/campaigns/c/{route}", {})
+        assert received == [f"/campaigns/c/{route}"]
+        assert exc_info.value.attempts == 1 and sleeps == []
+
+    @pytest.mark.parametrize("status", [500, 502, 504])
+    def test_non_503_server_error_raises_after_one_request(self, scripted_server, sleeps, status):
+        url, received = scripted_server([status, 200])
+        with self._client(url, sleeps) as client:
+            with pytest.raises(ServerUnavailableError, match=f"HTTP {status}"):
+                client.refresh("c")
+        assert len(received) == 1 and sleeps == []
+
+    def test_503_is_retried(self, scripted_server, sleeps):
+        url, received = scripted_server([503, 200])
+        with self._client(url, sleeps) as client:
+            assert client.request("POST", "/campaigns/c/auction", {"cap": 0.8}) == {"ok": True}
+        assert len(received) == 2 and len(sleeps) == 1
+
+    def test_connection_error_raises_after_one_attempt(self, sleeps):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        client = self._client(f"http://127.0.0.1:{port}", sleeps)
+        with pytest.raises(ServerUnavailableError, match="ConnectionRefusedError") as exc_info:
+            client.refresh("c")
+        assert exc_info.value.attempts == 1 and sleeps == []
+
+    def test_an_ingest_is_still_retried_after_a_timeout(self, scripted_server, sleeps):
+        # Its seq makes a re-sent batch a no-op on the server.
+        url, received = scripted_server(["stall", 200])
+        with self._client(url, sleeps) as client:
+            assert client.ingest("c", _batch(1), seq=1) == {"ok": True}
+        assert len(received) == 2 and len(sleeps) == 1

@@ -18,7 +18,12 @@ from repro.streaming import (
     replay_batches,
 )
 from repro.streaming.online import OnlineDATE
-from repro.streaming.ingest import coerce_number, task_from_spec, worker_from_spec
+from repro.streaming.ingest import (
+    coerce_integer,
+    coerce_number,
+    task_from_spec,
+    worker_from_spec,
+)
 
 
 class TestClaimBatch:
@@ -175,14 +180,34 @@ class TestJsonRoundTrip:
         with pytest.raises(DataFormatError, match="'sources' must be an array"):
             worker_from_spec({"worker_id": "w", "sources": "w12"})
 
-    @pytest.mark.parametrize(
-        "value", ["nan", "inf", "-Infinity", float("nan"), float("inf")]
-    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_numbers_rejected(self, value):
         with pytest.raises(DataFormatError, match="finite"):
             coerce_number({"cost": value}, "cost", 1.0)
         with pytest.raises(DataFormatError, match="finite"):
             batch_from_json({"workers": [{"worker_id": "w", "cost": value}]})
+
+    @pytest.mark.parametrize(
+        ("kind", "field", "value"),
+        [
+            ("workers", "cost", "2.5"),
+            ("workers", "cost", "nan"),
+            ("workers", "reliability", "-Infinity"),
+            ("tasks", "requirement", "1e0"),
+            ("tasks", "value", "inf"),
+        ],
+    )
+    def test_quoted_numbers_rejected(self, kind, field, value):
+        # float("2.5") is 2.5: the wire format sends numbers as numbers.
+        spec = {"worker_id" if kind == "workers" else "task_id": "x", field: value}
+        with pytest.raises(DataFormatError) as exc_info:
+            batch_from_json({kind: [spec]})
+        assert str(exc_info.value) == f"field {field!r} must be a number, got {value!r}"
+
+    @pytest.mark.parametrize("value", ["3", "3.0", ""])
+    def test_quoted_integers_rejected(self, value):
+        with pytest.raises(DataFormatError, match=f"must be an integer, got {value!r}"):
+            coerce_integer({"seq": value}, "seq", 0)
 
     @pytest.mark.parametrize(
         "payload",

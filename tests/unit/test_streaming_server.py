@@ -411,7 +411,7 @@ class TestStreamingApp:
         status, body = app.handle(
             "POST",
             "/campaigns",
-            {"campaign_id": "c1", "workers": [{"worker_id": "w", "cost": "nan"}]},
+            {"campaign_id": "c1", "workers": [{"worker_id": "w", "cost": float("nan")}]},
         )
         assert status == 400 and "finite" in body["error"]
         assert list(tmp_path.iterdir()) == []
@@ -524,6 +524,36 @@ class TestStreamingApp:
         assert status == 400 and "refresh_every" in body["error"]
         assert list(tmp_path.iterdir()) == []
         assert app.handle("GET", "/campaigns", None)[1] == {"campaigns": []}
+
+    @pytest.mark.parametrize(
+        ("payload", "error"),
+        [
+            ({"refresh_every": "3"}, "field 'refresh_every' must be an integer, got '3'"),
+            (
+                {"workers": [{"worker_id": "w", "cost": "2.5"}]},
+                "field 'cost' must be a number, got '2.5'",
+            ),
+            (
+                {"tasks": [{"task_id": "t", "requirement": "1e0"}]},
+                "field 'requirement' must be a number, got '1e0'",
+            ),
+        ],
+    )
+    def test_quoted_numbers_400_before_journal(self, tmp_path, payload, error):
+        app = StreamingApp(CampaignStore(journal_dir=tmp_path))
+        status, body = app.handle("POST", "/campaigns", {"campaign_id": "c1", **payload})
+        assert (status, body["error"]) == (400, error)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_quoted_seq_and_cap_400(self, app, replay):
+        app.handle("POST", "/campaigns", {"campaign_id": "c1"})
+        status, body = app.handle(
+            "POST", "/campaigns/c1/claims", {**batch_to_json(replay[0]), "seq": "1"}
+        )
+        assert (status, body["error"]) == (400, "field 'seq' must be an integer, got '1'")
+        app.handle("POST", "/campaigns/c1/claims", batch_to_json(replay[0]))
+        status, body = app.handle("POST", "/campaigns/c1/auction", {"cap": "0.8"})
+        assert (status, body["error"]) == (400, "field 'cap' must be a number, got '0.8'")
 
     @pytest.mark.parametrize(
         "config",
