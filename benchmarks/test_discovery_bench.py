@@ -50,7 +50,7 @@ def zoo_campaign():
 def _fit(name, index):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return make_discoverer(name, seed=BENCH_SEED).run(index.dataset, index=index)
+        return make_discoverer(name).run(index.dataset, index=index)
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)

@@ -613,10 +613,8 @@ def _cmd_truth(args: argparse.Namespace) -> int:
 
 def _cmd_algo(args: argparse.Namespace) -> int:
     if args.algo_command == "list":
-        rows = [
-            (spec.name, spec.kind, spec.summary) for spec in list_algorithms()
-        ]
-        print(format_table(["name", "kind", "summary"], rows))
+        rows = [(spec.name, spec.summary) for spec in list_algorithms()]
+        print(format_table(["name", "summary"], rows))
         return 0
     # run
     algorithms = tuple(

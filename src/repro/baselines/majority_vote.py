@@ -28,9 +28,6 @@ class MajorityVote:
 
     method_name = "MV"
 
-    def __fingerprint__(self) -> dict:
-        return {}
-
     def run(
         self,
         dataset: Dataset | None,

@@ -39,9 +39,6 @@ class NoCopier:
     def __init__(self, config: DateConfig | None = None):
         self.config = config or DateConfig()
 
-    def __fingerprint__(self) -> dict:
-        return {"date": self.config}
-
     def run(
         self,
         dataset: Dataset | None,

@@ -284,10 +284,6 @@ class DATE:
     def __init__(self, config: DateConfig | None = None):
         self.config = config or DateConfig()
 
-    def __fingerprint__(self) -> dict:
-        """Ledger identity: the configuration fixes the computation."""
-        return {"date": self.config}
-
     def _independence_flat(
         self,
         index: DatasetIndex,

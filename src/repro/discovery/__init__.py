@@ -7,12 +7,12 @@ Seven members, each one class with one ``run`` entry point: DATE
 
 Membership bar: the conformance suite in
 ``tests/unit/test_discovery_conformance.py`` — every member passes
-permutation equivariance, unanimity, seed determinism, lean/full and
-telemetry bit-identity, and lossless ledger round-trips.
+unanimity, determinism, worker-permutation and value-relabel
+equivariance, and arrival-order, lean/full and telemetry bit-identity.
 """
 
-from .dawid_skene import FastDawidSkene, FastDawidSkeneConfig
-from .lca import LatentCredibilityAnalysis, LcaConfig
+from .dawid_skene import FastDawidSkene
+from .lca import LatentCredibilityAnalysis
 from .protocol import TruthDiscoverer
 from .registry import (
     ALGORITHM_NAMES,
@@ -22,18 +22,15 @@ from .registry import (
     list_algorithms,
     make_discoverer,
 )
-from .truthfinder import TruthFinder, TruthFinderConfig
+from .truthfinder import TruthFinder
 
 __all__ = [
     "ALGORITHM_NAMES",
     "AlgorithmSpec",
     "FastDawidSkene",
-    "FastDawidSkeneConfig",
     "LatentCredibilityAnalysis",
-    "LcaConfig",
     "TruthDiscoverer",
     "TruthFinder",
-    "TruthFinderConfig",
     "UnknownAlgorithmError",
     "canonical_algorithm",
     "list_algorithms",

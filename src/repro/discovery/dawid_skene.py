@@ -16,71 +16,34 @@ The Dawid–Skene model with hard (MAP) assignments in the E-step — the
 The candidate × claim cross product is materialized once per run as a
 flat index pair (groups repeated by their task's claim count), so each
 iteration is a gather plus a ``bincount`` — no Python loops.  The
-computation is deterministic from its majority-vote initialization;
-``seed`` is recorded in the fingerprint and reserved for randomized
-restarts.
+computation is deterministic from its majority-vote initialization.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
-from typing import Any
 
 import numpy as np
 
 from ..core.date import TruthDiscoveryResult, build_result, iterate_truths
 from ..core.engine import _segment_softmax, dense_accuracy, posterior_table, support_table
 from ..core.indexing import DatasetIndex, _concat_ranges, segment_first_argmax_code
-from ..errors import ConfigurationError
 from ..types import Dataset
 
-__all__ = ["FastDawidSkene", "FastDawidSkeneConfig"]
+__all__ = ["FastDawidSkene"]
 
 
-@dataclass(frozen=True)
-class FastDawidSkeneConfig:
-    """Fast Dawid–Skene hyperparameters."""
-
-    #: Iteration cap of the hard-EM loop.
-    max_iterations: int = 50
-    #: Additive (Laplace) smoothing of the confusion-matrix counts —
-    #: keeps every log-likelihood finite and unseen labels plausible.
-    smoothing: float = 0.1
-    #: Additive smoothing of the class-prior counts.
-    prior_smoothing: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ConfigurationError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
-        if self.smoothing <= 0.0:
-            raise ConfigurationError(
-                f"smoothing must be > 0, got {self.smoothing}"
-            )
-        if self.prior_smoothing <= 0.0:
-            raise ConfigurationError(
-                f"prior_smoothing must be > 0, got {self.prior_smoothing}"
-            )
-
-    def evolve(self, **changes: Any) -> "FastDawidSkeneConfig":
-        """Return a copy with ``changes`` applied (re-validated)."""
-        return replace(self, **changes)
+#: Iteration cap of the hard-EM loop.
+_MAX_ITERATIONS = 50
+#: Additive (Laplace) smoothing of the confusion-matrix counts — keeps
+#: every log-likelihood finite and unseen labels plausible.
+_SMOOTHING = 0.1
+#: Additive smoothing of the class-prior counts.
+_PRIOR_SMOOTHING = 0.1
 
 
 class FastDawidSkene:
     """Hard-EM Dawid–Skene over CSR claim arrays."""
 
     method_name = "FDS"
-
-    def __init__(
-        self, config: FastDawidSkeneConfig | None = None, *, seed: int = 0
-    ):
-        self.config = config or FastDawidSkeneConfig()
-        self.seed = seed
-
-    def __fingerprint__(self) -> Any:
-        return {"config": self.config, "seed": self.seed}
 
     def run(
         self,
@@ -92,7 +55,6 @@ class FastDawidSkene:
     ) -> TruthDiscoveryResult:
         if index is None:
             index = DatasetIndex(dataset)
-        cfg = self.config
         arrays = index.arrays
         n_tasks, n_workers = index.n_tasks, index.n_workers
         n_groups = arrays.n_groups
@@ -135,8 +97,8 @@ class FastDawidSkene:
                 task_label[answered], minlength=n_labels
             ).astype(np.float64)
             log_prior = np.log(
-                (prior_counts + cfg.prior_smoothing)
-                / (prior_counts.sum() + cfg.prior_smoothing * n_labels)
+                (prior_counts + _PRIOR_SMOOTHING)
+                / (prior_counts.sum() + _PRIOR_SMOOTHING * n_labels)
             )
             flat = (
                 arrays.claim_worker * (n_labels * n_labels)
@@ -147,7 +109,7 @@ class FastDawidSkene:
                 flat, minlength=n_workers * n_labels * n_labels
             ).astype(np.float64)
             confusion = confusion.reshape(n_workers, n_labels, n_labels)
-            confusion += cfg.smoothing
+            confusion += _SMOOTHING
             confusion /= confusion.sum(axis=2, keepdims=True)
 
             # E-step: log-likelihood of every observed candidate value.
@@ -178,7 +140,7 @@ class FastDawidSkene:
         codes, iterations, converged = iterate_truths(
             initial,
             step,
-            max_iterations=cfg.max_iterations,
+            max_iterations=_MAX_ITERATIONS,
             state_key=lambda c: c.tobytes(),
             label=self.method_name,
         )

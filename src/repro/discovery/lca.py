@@ -17,70 +17,34 @@ EM over :class:`~repro.core.indexing.ClaimArrays`:
   claims (clamped away from {0, 1} so the logs stay finite).
 
 Truths are the per-task posterior argmax (ties to the smallest value
-code).  Deterministic from its uniform-honesty initialization; ``seed``
-is recorded in the fingerprint and reserved for randomized restarts.
+code).  Deterministic from its uniform-honesty initialization.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
-from typing import Any
 
 import numpy as np
 
 from ..core.date import TruthDiscoveryResult, build_result, iterate_truths
 from ..core.engine import _segment_softmax, dense_accuracy, posterior_table, support_table
 from ..core.indexing import DatasetIndex, segment_first_argmax_code
-from ..errors import ConfigurationError
 from ..types import Dataset
 
-__all__ = ["LatentCredibilityAnalysis", "LcaConfig"]
+__all__ = ["LatentCredibilityAnalysis"]
 
 
-@dataclass(frozen=True)
-class LcaConfig:
-    """SimpleLCA hyperparameters."""
-
-    #: Initial worker honesty ``h_0``.
-    initial_honesty: float = 0.8
-    #: Iteration cap of the EM loop.
-    max_iterations: int = 100
-    #: Honesty is clamped into this open interval so ``ln h`` and
-    #: ``ln(1 - h)`` stay finite.
-    honesty_clamp: tuple[float, float] = (1e-4, 1.0 - 1e-4)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.initial_honesty < 1.0:
-            raise ConfigurationError(
-                f"initial_honesty must be in (0, 1), got {self.initial_honesty}"
-            )
-        if self.max_iterations < 1:
-            raise ConfigurationError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
-        lo, hi = self.honesty_clamp
-        if not 0.0 < lo < hi < 1.0:
-            raise ConfigurationError(
-                "honesty_clamp must satisfy 0 < lo < hi < 1, "
-                f"got {self.honesty_clamp}"
-            )
-
-    def evolve(self, **changes: Any) -> "LcaConfig":
-        """Return a copy with ``changes`` applied (re-validated)."""
-        return replace(self, **changes)
+#: Initial worker honesty ``h_0``.
+_INITIAL_HONESTY = 0.8
+#: Iteration cap of the EM loop.
+_MAX_ITERATIONS = 100
+#: Honesty is clamped into this open interval so ``ln h`` and
+#: ``ln(1 - h)`` stay finite.
+_HONESTY_LO, _HONESTY_HI = 1e-4, 1.0 - 1e-4
 
 
 class LatentCredibilityAnalysis:
     """SimpleLCA EM over CSR claim arrays."""
 
     method_name = "LCA"
-
-    def __init__(self, config: LcaConfig | None = None, *, seed: int = 0):
-        self.config = config or LcaConfig()
-        self.seed = seed
-
-    def __fingerprint__(self) -> Any:
-        return {"config": self.config, "seed": self.seed}
 
     def run(
         self,
@@ -92,19 +56,17 @@ class LatentCredibilityAnalysis:
     ) -> TruthDiscoveryResult:
         if index is None:
             index = DatasetIndex(dataset)
-        cfg = self.config
         arrays = index.arrays
         n_workers = index.n_workers
-        lo, hi = cfg.honesty_clamp
 
         worker_counts = np.bincount(arrays.claim_worker, minlength=n_workers)
-        honesty = np.full(n_workers, cfg.initial_honesty, dtype=np.float64)
+        honesty = np.full(n_workers, _INITIAL_HONESTY, dtype=np.float64)
         if warm_start is not None and warm_start.worker_accuracy:
             for i, worker_id in enumerate(index.worker_ids):
                 honesty[i] = warm_start.worker_accuracy.get(
-                    worker_id, cfg.initial_honesty
+                    worker_id, _INITIAL_HONESTY
                 )
-        np.clip(honesty, lo, hi, out=honesty)
+        np.clip(honesty, _HONESTY_LO, _HONESTY_HI, out=honesty)
 
         # d_j: alternative observed values per task (>= 1 so the
         # penalty log stays finite; a one-value task has no competitor
@@ -141,10 +103,10 @@ class LatentCredibilityAnalysis:
             new_honesty = np.divide(
                 sums,
                 worker_counts,
-                out=np.full(n_workers, cfg.initial_honesty),
+                out=np.full(n_workers, _INITIAL_HONESTY),
                 where=worker_counts > 0,
             )
-            np.clip(new_honesty, lo, hi, out=honesty)
+            np.clip(new_honesty, _HONESTY_LO, _HONESTY_HI, out=honesty)
             return segment_first_argmax_code(
                 posterior,
                 arrays.group_task,
@@ -160,7 +122,7 @@ class LatentCredibilityAnalysis:
         codes, iterations, converged = iterate_truths(
             arrays.majority_codes(),
             step,
-            max_iterations=cfg.max_iterations,
+            max_iterations=_MAX_ITERATIONS,
             state_key=lambda c: c.tobytes() + np.round(honesty, 8).tobytes(),
             label=self.method_name,
         )

@@ -1,30 +1,32 @@
 """The ``TruthDiscoverer`` contract every zoo member satisfies.
 
-A truth-discovery algorithm is one class with one entry point that maps
-a campaign to a :class:`~repro.core.date.TruthDiscoveryResult`:
+A truth-discovery algorithm is one class with a ``method_name`` and one
+entry point that maps a campaign to a
+:class:`~repro.core.date.TruthDiscoveryResult`:
 
 - ``run(dataset, *, index=None, warm_start=None, lean=False)`` — runs
   on ``index`` when given (a cold :class:`~repro.core.indexing.
-  DatasetIndex` or a restricted view, whose ``dataset`` is ``None``);
-  ``dataset`` is read only to build the index when ``index`` is
-  ``None``.  ``warm_start`` carries a previous result whose truths and
-  worker reputations may seed the iteration (algorithms without a warm
-  path accept and ignore it); ``lean`` permits skipping expensive
-  result tables, with the invariant that truths, confidence and
-  accuracies are bit-identical to the full run.
-- ``__fingerprint__()`` — the algorithm's content identity (class +
-  configuration + seed) for the run ledger: two discoverers with equal
-  fingerprints compute bit-identical results on equal inputs.
+  DatasetIndex`, an extended one or a restricted view); ``dataset`` is
+  read only to build the index when ``index`` is ``None``, so callers
+  holding an index pass ``run(None, index=index)``.  ``warm_start``
+  carries a previous result whose truths and worker reputations may
+  seed the iteration (algorithms without a warm path accept and ignore
+  it); ``lean`` permits skipping expensive result tables, with the
+  invariant that truths, confidence and accuracies are bit-identical
+  to the full run.
 
-Membership in the zoo is enforced by the conformance suite
-(``tests/unit/test_discovery_conformance.py``): permutation
-equivariance, unanimity agreement, seed determinism, lean/full and
-telemetry bit-identity, and lossless ledger round-trips.
+A member's hyperparameters are fixed by its constructor arguments
+(DATE, NC and ED take a :class:`~repro.core.config.DateConfig`) or are
+module constants (MV and the three natives take none).  Membership in
+the zoo is enforced by the conformance suite
+(``tests/unit/test_discovery_conformance.py``): unanimity agreement,
+determinism, worker-permutation and value-relabel equivariance, and
+arrival-order, lean/full, prebuilt-index and telemetry bit-identity.
 """
 
 from __future__ import annotations
 
-from typing import Any, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from ..core.date import TruthDiscoveryResult
 from ..core.indexing import DatasetIndex
@@ -47,5 +49,3 @@ class TruthDiscoverer(Protocol):
         warm_start: TruthDiscoveryResult | None = None,
         lean: bool = False,
     ) -> TruthDiscoveryResult: ...
-
-    def __fingerprint__(self) -> Any: ...

@@ -1,9 +1,8 @@
 """The algorithm zoo registry: names → :class:`TruthDiscoverer` factories.
 
 Seven members ship with the repo, each one class built directly: the
-paper's four engines (DATE, MV, NC, ED; kind ``"adapter"``, kept for
-listing stability) plus three numpy-native implementations
-(TruthFinder, Fast Dawid–Skene, SimpleLCA).  Lookup is case-insensitive;
+paper's four engines (DATE, MV, NC, ED) plus three numpy-native
+implementations (TruthFinder, Fast Dawid–Skene, SimpleLCA).  Lookup is case-insensitive;
 :func:`make_discoverer` is the single construction point used by the
 ``algo-accuracy`` experiment, the scenario lab, the streaming campaign
 store and the CLI.
@@ -39,56 +38,48 @@ class UnknownAlgorithmError(UnknownNameError):
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """One zoo entry: canonical name, provenance kind, and a factory."""
+    """One zoo entry: canonical name, one-line summary, and a factory."""
 
     name: str
-    kind: str
     summary: str
-    factory: Callable[[DateConfig | None, int], TruthDiscoverer]
+    factory: Callable[[DateConfig | None], TruthDiscoverer]
 
 
 _SPECS: tuple[AlgorithmSpec, ...] = (
     AlgorithmSpec(
         "DATE",
-        "adapter",
         "Paper Alg. 1: joint source dependence + truth EM (the reproduction target).",
-        lambda date_config, seed: DATE(date_config),
+        DATE,
     ),
     AlgorithmSpec(
         "MV",
-        "adapter",
         "One-shot majority voting (ties to the lexicographically first value).",
-        lambda date_config, seed: MajorityVote(),
+        lambda _: MajorityVote(),
     ),
     AlgorithmSpec(
         "NC",
-        "adapter",
         "No-copier ablation: accuracy-only iteration, dependence term dropped.",
-        lambda date_config, seed: NoCopier(date_config),
+        NoCopier,
     ),
     AlgorithmSpec(
         "ED",
-        "adapter",
         "Exact dependence enumeration over small source sets (DATE upper bound).",
-        lambda date_config, seed: EnumerateDependence(date_config),
+        EnumerateDependence,
     ),
     AlgorithmSpec(
         "TruthFinder",
-        "native",
         "Yin et al.: iterative source trust x claim confidence with implication damping.",
-        lambda date_config, seed: TruthFinder(seed=seed),
+        lambda _: TruthFinder(),
     ),
     AlgorithmSpec(
         "FDS",
-        "native",
         "Fast Dawid-Skene: hard EM over per-worker confusion matrices.",
-        lambda date_config, seed: FastDawidSkene(seed=seed),
+        lambda _: FastDawidSkene(),
     ),
     AlgorithmSpec(
         "LCA",
-        "native",
         "SimpleLCA: one-parameter latent credibility EM (Pasternack & Roth).",
-        lambda date_config, seed: LatentCredibilityAnalysis(seed=seed),
+        lambda _: LatentCredibilityAnalysis(),
     ),
 )
 
@@ -119,14 +110,11 @@ def list_algorithms() -> tuple[AlgorithmSpec, ...]:
 
 
 def make_discoverer(
-    name: str,
-    *,
-    date_config: DateConfig | None = None,
-    seed: int = 0,
+    name: str, *, date_config: DateConfig | None = None
 ) -> TruthDiscoverer:
     """Construct the zoo member called ``name`` (case-insensitive).
 
     ``date_config`` parameterizes the paper's engines (DATE, NC, ED);
-    ``seed`` is recorded by the native members for ledger identity.
+    the other members have no settable hyperparameters.
     """
-    return _spec(name).factory(date_config, seed)
+    return _spec(name).factory(date_config)

@@ -16,82 +16,40 @@ The classic web-source truth-discovery fixed point, vectorized over
 Truths are the per-task confidence argmax (ties to the smallest value
 code, like every engine in this repo), and the loop runs under the
 shared :func:`~repro.core.date.iterate_truths` convergence harness.
-The computation is deterministic; the ``seed`` parameter is recorded in
-the fingerprint and reserved for randomized restarts.
+The parameters are the original paper's fixed constants (``ρ = 0.5``,
+``γ = 0.3``, ``t_0 = 0.9``), and the computation is deterministic.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
-from typing import Any
 
 import numpy as np
 
 from ..core.date import TruthDiscoveryResult, build_result, iterate_truths
 from ..core.engine import dense_accuracy, posterior_table, support_table
 from ..core.indexing import DatasetIndex, segment_first_argmax_code
-from ..errors import ConfigurationError
 from ..types import Dataset
 
-__all__ = ["TruthFinder", "TruthFinderConfig"]
+__all__ = ["TruthFinder"]
 
 
-@dataclass(frozen=True)
-class TruthFinderConfig:
-    """TruthFinder hyperparameters (defaults follow the original paper)."""
-
-    #: Initial worker trustworthiness ``t_0``.
-    initial_trust: float = 0.9
-    #: Damping factor ``γ`` of the logistic squashing the adjusted score.
-    dampening: float = 0.3
-    #: Weight ``ρ`` of the mutual-exclusion implication between
-    #: competing values of one task.
-    influence: float = 0.5
-    #: Iteration cap of the trust/confidence fixed point.
-    max_iterations: int = 50
-    #: Trust is clamped into this open interval so ``ln(1 - t)`` and the
-    #: logistic stay finite.
-    trust_clamp: tuple[float, float] = (1e-6, 1.0 - 1e-6)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.initial_trust < 1.0:
-            raise ConfigurationError(
-                f"initial_trust must be in (0, 1), got {self.initial_trust}"
-            )
-        if self.dampening <= 0.0:
-            raise ConfigurationError(
-                f"dampening must be > 0, got {self.dampening}"
-            )
-        if not 0.0 <= self.influence <= 1.0:
-            raise ConfigurationError(
-                f"influence must be in [0, 1], got {self.influence}"
-            )
-        if self.max_iterations < 1:
-            raise ConfigurationError(
-                f"max_iterations must be >= 1, got {self.max_iterations}"
-            )
-        lo, hi = self.trust_clamp
-        if not 0.0 < lo < hi < 1.0:
-            raise ConfigurationError(
-                f"trust_clamp must satisfy 0 < lo < hi < 1, got {self.trust_clamp}"
-            )
-
-    def evolve(self, **changes: Any) -> "TruthFinderConfig":
-        """Return a copy with ``changes`` applied (re-validated)."""
-        return replace(self, **changes)
+#: Initial worker trustworthiness ``t_0``.
+_INITIAL_TRUST = 0.9
+#: Damping factor ``γ`` of the logistic squashing the adjusted score.
+_DAMPENING = 0.3
+#: Weight ``ρ`` of the mutual-exclusion implication between competing
+#: values of one task.
+_INFLUENCE = 0.5
+#: Iteration cap of the trust/confidence fixed point.
+_MAX_ITERATIONS = 50
+#: Trust is clamped into this open interval so ``ln(1 - t)`` and the
+#: logistic stay finite.
+_TRUST_LO, _TRUST_HI = 1e-6, 1.0 - 1e-6
 
 
 class TruthFinder:
     """The TruthFinder fixed point over CSR claim arrays."""
 
     method_name = "TruthFinder"
-
-    def __init__(self, config: TruthFinderConfig | None = None, *, seed: int = 0):
-        self.config = config or TruthFinderConfig()
-        self.seed = seed
-
-    def __fingerprint__(self) -> Any:
-        return {"config": self.config, "seed": self.seed}
 
     def run(
         self,
@@ -103,19 +61,17 @@ class TruthFinder:
     ) -> TruthDiscoveryResult:
         if index is None:
             index = DatasetIndex(dataset)
-        cfg = self.config
         arrays = index.arrays
         n_workers = index.n_workers
-        lo, hi = cfg.trust_clamp
 
         worker_counts = np.bincount(arrays.claim_worker, minlength=n_workers)
-        trust = np.full(n_workers, cfg.initial_trust, dtype=np.float64)
+        trust = np.full(n_workers, _INITIAL_TRUST, dtype=np.float64)
         if warm_start is not None and warm_start.worker_accuracy:
             for i, worker_id in enumerate(index.worker_ids):
                 trust[i] = warm_start.worker_accuracy.get(
-                    worker_id, cfg.initial_trust
+                    worker_id, _INITIAL_TRUST
                 )
-        np.clip(trust, lo, hi, out=trust)
+        np.clip(trust, _TRUST_LO, _TRUST_HI, out=trust)
 
         state: dict[str, np.ndarray] = {"confidence": np.zeros(arrays.n_groups)}
 
@@ -132,12 +88,12 @@ class TruthFinder:
             task_total = np.bincount(
                 arrays.group_task, weights=score, minlength=index.n_tasks
             )
-            adjusted = score - cfg.influence * (
+            adjusted = score - _INFLUENCE * (
                 task_total[arrays.group_task] - score
             )
             # (3) damped logistic, written via tanh so large scores
             # never overflow exp().
-            confidence = 0.5 * (1.0 + np.tanh(0.5 * cfg.dampening * adjusted))
+            confidence = 0.5 * (1.0 + np.tanh(0.5 * _DAMPENING * adjusted))
             state["confidence"] = confidence
             # Trust update: mean claim confidence per worker.
             sums = np.bincount(
@@ -148,10 +104,10 @@ class TruthFinder:
             new_trust = np.divide(
                 sums,
                 worker_counts,
-                out=np.full(n_workers, cfg.initial_trust),
+                out=np.full(n_workers, _INITIAL_TRUST),
                 where=worker_counts > 0,
             )
-            np.clip(new_trust, lo, hi, out=trust)
+            np.clip(new_trust, _TRUST_LO, _TRUST_HI, out=trust)
             return segment_first_argmax_code(
                 confidence,
                 arrays.group_task,
@@ -167,7 +123,7 @@ class TruthFinder:
         codes, iterations, converged = iterate_truths(
             arrays.majority_codes(),
             step,
-            max_iterations=cfg.max_iterations,
+            max_iterations=_MAX_ITERATIONS,
             state_key=lambda c: c.tobytes() + np.round(trust, 8).tobytes(),
             label=self.method_name,
         )

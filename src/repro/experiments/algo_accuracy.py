@@ -43,7 +43,6 @@ def _algo_accuracy_instance(
     config: ExperimentConfig,
     algorithms: tuple[str, ...],
     fractions: tuple[float, ...],
-    seed: int,
     k: int,
 ) -> dict[str, float]:
     """Precision of the whole grid on instance ``k`` (picklable)."""
@@ -53,9 +52,7 @@ def _algo_accuracy_instance(
         dataset = point.dataset_for(k)
         index = DatasetIndex(dataset)
         for name in algorithms:
-            discoverer = make_discoverer(
-                name, date_config=config.date, seed=seed
-            )
+            discoverer = make_discoverer(name, date_config=config.date)
             with warnings.catch_warnings():
                 # TruthFinder/LCA legitimately hit their iteration caps
                 # on adversarial instances; the cap is part of the
@@ -89,7 +86,6 @@ def run_algo_accuracy(
     declared = {
         "algorithms": algorithms,
         "copier_fractions": copier_fractions,
-        "algo_seed": base_seed,
     }
 
     def build() -> ExperimentResult:
@@ -100,7 +96,6 @@ def run_algo_accuracy(
                 config,
                 algorithms,
                 copier_fractions,
-                base_seed,
             ),
             parallel=parallel,
             ledger=ledger,

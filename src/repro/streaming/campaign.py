@@ -36,7 +36,7 @@ from ..obs.logging import get_logger
 from ..obs.metrics import get_registry
 from ..types import Task, WorkerProfile
 from .faults import get_injector
-from .ingest import ClaimBatch, batch_from_json
+from .ingest import ClaimBatch, batch_from_json, is_integer
 from .journal import (
     CampaignJournal,
     JournalError,
@@ -277,7 +277,7 @@ class CampaignStore:
                         campaign_id,
                         config=resolved_config,
                         algorithm=online.algorithm,
-                        refresh_every=resolved_refresh,
+                        refresh_every=online.refresh_every,
                         created_at=campaign.created_at,
                         seed_tasks=tasks,
                         seed_workers=workers,
@@ -365,7 +365,7 @@ class CampaignStore:
         """Apply a claim batch to one campaign — exactly once.
 
         ``seq`` is the client-assigned batch sequence number (1-based,
-        contiguous per campaign; below 1 is a
+        contiguous per campaign; a non-integer or one below 1 is a
         :class:`~repro.errors.ConfigurationError`).  A batch whose
         ``seq`` is at or below the campaign's applied watermark was
         already journaled and applied — the retry of an ingest whose
@@ -380,9 +380,11 @@ class CampaignStore:
         behind, and a crash after it is replayed to the same state.
         """
         if seq is not None:
+            if not is_integer(seq) or seq < 1:
+                raise ConfigurationError(
+                    f"batch seq must be an int >= 1, got {seq!r}"
+                )
             seq = int(seq)
-            if seq < 1:
-                raise ConfigurationError(f"batch seq must be >= 1, got {seq}")
         campaign = self.get(campaign_id)
         registry = get_registry()
         with campaign.lock:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from ..errors import DataFormatError
 from ..types import Dataset, Task, WorkerProfile
@@ -166,6 +167,17 @@ def coerce_number(spec: Mapping, key: str, default: float) -> float:
     if not math.isfinite(number):
         raise DataFormatError(f"field {key!r} must be finite, got {value!r}")
     return number
+
+
+def is_integer(value: object) -> bool:
+    """An integer and not a bool: :func:`coerce_integer`'s rule for
+    values a library caller hands in.
+
+    Truncating a float changes what the call means: a seq of 2.5 would
+    dedup as 2, and a cadence of 2.5 is journaled as written and
+    replayed as 2.
+    """
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def coerce_integer(spec: Mapping, key: str, default: int) -> int:

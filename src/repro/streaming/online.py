@@ -44,7 +44,7 @@ from ..core.indexing import DatasetIndex
 from ..discovery import canonical_algorithm, make_discoverer
 from ..errors import ConfigurationError
 from ..types import Dataset
-from .ingest import ClaimBatch
+from .ingest import ClaimBatch, is_integer
 
 __all__ = ["OnlineDATE", "OnlineState", "OnlineUpdate"]
 
@@ -140,16 +140,16 @@ class OnlineDATE:
         refresh_every: int = 0,
         algorithm: str = "DATE",
     ):
-        if refresh_every < 0:
+        if not is_integer(refresh_every) or refresh_every < 0:
             raise ConfigurationError(
-                f"refresh_every must be >= 0, got {refresh_every}"
+                f"refresh_every must be an int >= 0, got {refresh_every!r}"
             )
         self._config = config or DateConfig()
         self._algorithm = canonical_algorithm(algorithm)
         self._discoverer = make_discoverer(
             self._algorithm, date_config=self._config
         )
-        self.refresh_every = refresh_every
+        self.refresh_every = int(refresh_every)
         empty = DatasetIndex(Dataset(tasks=(), workers=(), claims={}))
         self._state = OnlineState(empty, np.empty(0, dtype=np.float64), {}, {}, 0)
 

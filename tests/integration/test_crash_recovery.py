@@ -331,6 +331,45 @@ class TestRejectedBatchHygiene:
         assert _state(recovered, "c") == live
         recovered.close()
 
+    @pytest.mark.parametrize("cadence", [2.5, True, "2"])
+    def test_non_integer_refresh_cadence_leaves_no_journal(
+        self, tmp_path, cadence
+    ):
+        # A cadence the journal would read back differently (2.5 is
+        # replayed as 2) must be refused before the create record.
+        from repro.errors import ConfigurationError
+
+        wal = tmp_path / "wal"
+        store = CampaignStore(journal_dir=wal, refresh_every=cadence)
+        with pytest.raises(ConfigurationError, match="refresh_every"):
+            store.create("c")
+        with pytest.raises(ConfigurationError, match="refresh_every"):
+            CampaignStore(journal_dir=wal).create("d", refresh_every=cadence)
+        assert list(wal.iterdir()) == []
+        assert "c" not in store
+
+    @pytest.mark.parametrize("seq", [2.5, True, "3", 3.0])
+    def test_non_integer_seq_leaves_journal_and_watermark(
+        self, tmp_path, batches, seq
+    ):
+        # Truncating 2.5 to 2 would dedup a new batch as a retry and
+        # drop its claims; every non-int seq is refused instead.
+        from repro.errors import ConfigurationError
+
+        wal = tmp_path / "wal"
+        path = journal_path(wal, "c")
+        store = CampaignStore(journal_dir=wal)
+        store.create("c")
+        store.ingest("c", batches[0], seq=1)
+        store.ingest("c", batches[1], seq=2)
+        journal_bytes = path.read_bytes()
+        with pytest.raises(ConfigurationError, match="seq"):
+            store.ingest("c", batches[2], seq=seq)
+        assert path.read_bytes() == journal_bytes
+        assert store.get("c").applied_seq == 2
+        assert store.ingest("c", batches[2], seq=3) is not None
+        store.close()
+
     def test_http_invalid_batch_is_400_and_journal_stays_clean(
         self, tmp_path, batches
     ):

@@ -51,7 +51,7 @@ def campaigns(draw, max_workers=8, max_tasks=6):
 def _run(name, dataset, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return make_discoverer(name, seed=0, **kwargs).run(dataset)
+        return make_discoverer(name, **kwargs).run(dataset)
 
 
 @settings(max_examples=10, derandomize=True)

@@ -118,6 +118,18 @@ class TestTruth:
         assert code == 0
 
 
+class TestAlgoList:
+    def test_prints_name_and_summary_of_every_member(self, capsys):
+        from repro.discovery import list_algorithms
+
+        assert main(["algo", "list"]) == 0
+        header, _rule, *rows = capsys.readouterr().out.splitlines()
+        assert [cell.strip() for cell in header.split("|")] == ["name", "summary"]
+        assert [
+            tuple(cell.strip() for cell in row.split("|")) for row in rows
+        ] == [(spec.name, spec.summary) for spec in list_algorithms()]
+
+
 class TestAuction:
     def test_prints_winners_and_welfare(self, campaign_dir, capsys):
         code = main(["auction", str(campaign_dir), "--cap", "0.7"])
