@@ -108,10 +108,12 @@ void score_pair_rows(
  *
  * pairs                  the n pairs to sum, or NULL for pairs 0..n-1;
  * pair_ptr               CSR pointer of each pair's contiguous rows;
+ * row0                   the pair-table row that row_ind/ab/ba[0] holds
+ *                        (a block of rows starts at its first pair's);
  * sum_ind/ab/ba          written at each summed pair's own index.
  */
 void pair_sums(
-    int64_t n, const int64_t *pairs, const int64_t *pair_ptr,
+    int64_t n, const int64_t *pairs, const int64_t *pair_ptr, int64_t row0,
     const double *row_ind, const double *row_ab, const double *row_ba,
     double *sum_ind, double *sum_ab, double *sum_ba)
 {
@@ -120,7 +122,7 @@ void pair_sums(
         double s_ind = 0.0;
         double s_ab = 0.0;
         double s_ba = 0.0;
-        for (int64_t row = pair_ptr[pair]; row < pair_ptr[pair + 1]; row++) {
+        for (int64_t row = pair_ptr[pair] - row0; row < pair_ptr[pair + 1] - row0; row++) {
             s_ind += row_ind[row];
             s_ab += row_ab[row];
             s_ba += row_ba[row];

@@ -26,7 +26,10 @@ scalar transcriptions kept in tests/oracles/.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import ItemsView, Mapping
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +68,66 @@ _MIN_PROB = 1e-12
 # per-user cache on first import (an ImportError names a missing C
 # compiler).
 _kernels = load_kernels()
+
+# The dependence and Eq. 16 passes run in one part per CPU this process
+# may use (DESIGN.md §7, "Both cores").  A pass over fewer pair rows
+# (dependence) or member-pair slots (Eq. 16) than the measured
+# crossover runs as one part, on the calling thread, through the same
+# code: handing a part to the pool costs ~0.1-0.5 ms on a 2-core box.
+# There, two parts broke even at ~72k rows and won from ~110k (paper
+# scale has ~72k rows and ~64k slots, 3x ~275-325k rows and ~245k
+# slots); the Eq. 16 pass broke even at ~150k slots.  A dependence part
+# scores, logs and sums its rows in blocks of about ``_BLOCK_ROWS``
+# rows, whose three float64 term buffers (768 KB) stay in a core's L2.
+_PARTS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_PART_MIN_ROWS = 100_000
+_PART_MIN_SLOTS = 200_000
+_BLOCK_ROWS = 32_768
+
+# Created on the first pass with more than one part, never at import.
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _parts_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max_workers=max(_PARTS - 1, 1), thread_name_prefix="repro-parts"
+            )
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist here."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_parts(part, n_parts: int) -> None:
+    """Run ``part(k)`` for ``k`` in ``range(n_parts)`` at once.
+
+    Part 0 runs on the calling thread and the others on the pool, which
+    a single part never creates.  The kernels and numpy ufuncs a part
+    calls release the GIL, so the parts really overlap.  A part never
+    submits to the pool (so the pool cannot deadlock on itself) and
+    calls nothing the perf harness's tracer wraps by name: only the
+    entry points, on the calling thread, are traced.
+    """
+    futures = [_parts_pool().submit(part, k) for k in range(1, n_parts)]
+    try:
+        part(0)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _safe_log(x: np.ndarray) -> np.ndarray:
@@ -192,24 +255,8 @@ def _score_pair_rows(
         if len(rows) and not (0 <= rows.min() and rows.max() < n_rows):
             raise IndexError(f"pair-table rows out of range [0, {n_rows})")
     n = n_rows if rows is None else len(rows)
-    n_tasks = arrays.index.n_tasks
-    if len(truth_codes) != n_tasks or len(collision) != n_tasks:
-        raise ValueError(
-            f"{len(truth_codes)} truth codes / {len(collision)} collision "
-            f"probabilities for {n_tasks} tasks"
-        )
-    if len(claim_acc) != arrays.n_claims:
-        raise ValueError(f"{len(claim_acc)} accuracies for {arrays.n_claims} claims")
+    inputs = _scoring_inputs(arrays, truth_codes, claim_acc, collision)
     _check_buffers((out_ind, out_ab, out_ba), n)
-    inputs = (
-        np.ascontiguousarray(arrays.ps_claim_a, dtype=np.int64),
-        np.ascontiguousarray(arrays.ps_claim_b, dtype=np.int64),
-        np.ascontiguousarray(arrays.ps_task, dtype=np.int64),
-        np.ascontiguousarray(arrays.claim_code, dtype=np.int64),
-        np.ascontiguousarray(claim_acc, dtype=np.float64),
-        np.ascontiguousarray(truth_codes, dtype=np.int64),
-        np.ascontiguousarray(collision, dtype=np.float64),
-    )
     _kernels.score_pair_rows(
         n,
         None if rows is None else rows.ctypes.data,
@@ -221,6 +268,34 @@ def _score_pair_rows(
     )
     for out in (out_ind, out_ab, out_ba):
         np.log(out, out=out)
+
+
+def _scoring_inputs(
+    arrays: ClaimArrays,
+    truth_codes: np.ndarray,
+    claim_acc: np.ndarray,
+    collision: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """The scorer's seven input arrays, checked and contiguous, in
+    ``score_pair_rows``' argument order: the three row tables
+    (``ps_claim_a``, ``ps_claim_b``, ``ps_task``) first."""
+    n_tasks = arrays.index.n_tasks
+    if len(truth_codes) != n_tasks or len(collision) != n_tasks:
+        raise ValueError(
+            f"{len(truth_codes)} truth codes / {len(collision)} collision "
+            f"probabilities for {n_tasks} tasks"
+        )
+    if len(claim_acc) != arrays.n_claims:
+        raise ValueError(f"{len(claim_acc)} accuracies for {arrays.n_claims} claims")
+    return (
+        np.ascontiguousarray(arrays.ps_claim_a, dtype=np.int64),
+        np.ascontiguousarray(arrays.ps_claim_b, dtype=np.int64),
+        np.ascontiguousarray(arrays.ps_task, dtype=np.int64),
+        np.ascontiguousarray(arrays.claim_code, dtype=np.int64),
+        np.ascontiguousarray(claim_acc, dtype=np.float64),
+        np.ascontiguousarray(truth_codes, dtype=np.int64),
+        np.ascontiguousarray(collision, dtype=np.float64),
+    )
 
 
 def _pair_sums(
@@ -251,6 +326,7 @@ def _pair_sums(
         n_pairs if pairs is None else len(pairs),
         None if pairs is None else pairs.ctypes.data,
         pair_ptr.ctypes.data,
+        0,
         *(a.ctypes.data for a in terms),
         *(a.ctypes.data for a in sums),
     )
@@ -268,17 +344,19 @@ def _dependence_posteriors(
     sum_ab: np.ndarray,
     sum_ba: np.ndarray,
     prior_alpha: float,
+    out: tuple[np.ndarray, np.ndarray] = (None, None),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bayes' rule with the α/2 prior split, normalized in log space.
 
     Elementwise over pairs — normalizing a subset of pairs produces the
     same bits as normalizing all of them and selecting the subset.  The
-    two returned arrays are fresh; the sums are not modified.
+    two returned arrays are ``out`` when given, else fresh; the sums
+    are not modified.
     """
     w_ind = np.add(sum_ind, math.log(1.0 - prior_alpha))
     log_prior_dep = math.log(prior_alpha / 2.0)
-    w_ab = np.add(sum_ab, log_prior_dep)
-    w_ba = np.add(sum_ba, log_prior_dep)
+    w_ab = np.add(sum_ab, log_prior_dep, out=out[0])
+    w_ba = np.add(sum_ba, log_prior_dep, out=out[1])
     peak = np.maximum(w_ab, w_ba)
     np.maximum(w_ind, peak, out=peak)
     for w in (w_ind, w_ab, w_ba):
@@ -308,30 +386,69 @@ def pairwise_dependence_arrays(
     the α/2 prior split normalizes in log space.  ``collision`` is the
     per-task false-value collision probability (Eq. 22's integral),
     typically :meth:`FalseValueDistribution.collision_array`.
+
+    The pairs are cut into one part per CPU, at pair boundaries and
+    about equal in rows (a pass under ``_PART_MIN_ROWS`` rows is one
+    part), and the parts run at once (:func:`_run_parts`).  Each part
+    walks its pairs in blocks of about ``_BLOCK_ROWS`` rows that also
+    end on pair boundaries: it scores a block's rows (Eqs. 7-13), takes
+    numpy's ``log`` of the terms in place and sums each pair's rows,
+    then normalizes its own pairs' posteriors.  Every output belongs to
+    one row, one pair or one pair's rows, so no cut changes a bit, and
+    no full-length row-term array is ever allocated (DESIGN.md §7).
     """
     if not 0.0 < copy_prob_r < 1.0:
         raise ValueError(f"copy_prob_r must be in (0, 1), got {copy_prob_r}")
     if not 0.0 < prior_alpha < 1.0:
         raise ValueError(f"prior_alpha must be in (0, 1), got {prior_alpha}")
     lo, hi = accuracy_clamp
-    terms = tuple(np.empty(len(arrays.ps_pair)) for _ in range(3))
-    _score_pair_rows(
-        arrays,
-        truth_codes,
-        claim_acc,
-        r=copy_prob_r,
-        collision=collision,
-        lo=lo,
-        hi=hi,
-        rows=None,
-        out_ind=terms[0],
-        out_ab=terms[1],
-        out_ba=terms[2],
-    )
-    sums = tuple(np.empty(arrays.n_pairs) for _ in range(3))
-    _pair_sums(arrays, terms, sums)
-    p_ab, p_ba = _dependence_posteriors(*sums, prior_alpha)
+    inputs = _scoring_inputs(arrays, truth_codes, claim_acc, collision)
+    row_tables = [a.ctypes.data for a in inputs[:3]]
+    per_claim = [a.ctypes.data for a in inputs[3:]]
+    pair_ptr = np.ascontiguousarray(arrays.pair_ptr, dtype=np.int64)
+    n_pairs = len(pair_ptr) - 1
+    p_ab, p_ba = np.empty(n_pairs), np.empty(n_pairs)
+    n_parts = _PARTS if pair_ptr[-1] >= _PART_MIN_ROWS else 1
+    parts = _pair_cuts(pair_ptr, 0, n_pairs, n_parts)
+
+    def part(k: int) -> None:
+        first, stop = parts[k], parts[k + 1]
+        n_blocks = -(-int(pair_ptr[stop] - pair_ptr[first]) // _BLOCK_ROWS)
+        blocks = _pair_cuts(pair_ptr, first, stop, max(n_blocks, 1))
+        block_rows = pair_ptr[blocks].tolist()
+        terms = np.empty((3, int(np.diff(block_rows).max(initial=0))))
+        sums = np.empty((3, stop - first))
+        for q0, q1, r0, r1 in zip(blocks, blocks[1:], block_rows, block_rows[1:]):
+            block = terms[:, : r1 - r0]
+            _kernels.score_pair_rows(
+                r1 - r0, None, *(t + 8 * r0 for t in row_tables), *per_claim,
+                lo, hi, copy_prob_r, *(row.ctypes.data for row in block),
+            )
+            np.log(block, out=block)
+            _kernels.pair_sums(
+                q1 - q0, None, pair_ptr.ctypes.data + 8 * q0, r0,
+                *(row.ctypes.data for row in block),
+                *(total.ctypes.data + 8 * (q0 - first) for total in sums),
+            )
+        _dependence_posteriors(
+            *sums, prior_alpha, out=(p_ab[first:stop], p_ba[first:stop])
+        )
+
+    _run_parts(part, n_parts)
     return DependenceArrays(p_ab=p_ab, p_ba=p_ba)
+
+
+def _pair_cuts(pair_ptr: np.ndarray, first: int, stop: int, pieces: int) -> list[int]:
+    """``pieces + 1`` pair indexes cutting pairs ``[first, stop)`` into
+    runs of about equal rows, each cut on a pair boundary.
+
+    A pair longer than a run stays whole, so its run is longer and the
+    next ones may be empty.
+    """
+    targets = np.linspace(pair_ptr[first], pair_ptr[stop], pieces + 1)
+    cuts = np.searchsorted(pair_ptr[first : stop + 1], targets) + first
+    cuts[0], cuts[-1] = first, stop
+    return cuts.tolist()
 
 
 class IncrementalDependence:
@@ -539,9 +656,9 @@ def independence_flat(
     §4).
 
     The greedy ordering is sequential inside each multi-provider value
-    group, so it runs compiled: one call per group size into the C
-    kernel ``independence.c`` (built once, :mod:`~repro.core.native`),
-    which gathers each group's member-pair dependence through the
+    group, so it runs compiled: one call per part into the C kernel
+    ``independence.c`` (built once, :mod:`~repro.core.native`), which
+    walks every group size's bucket and gathers each group's member-pair dependence through the
     precomputed
     :attr:`~repro.core.indexing.ClaimArrays.multi_group_slots` straight
     from ``p_ab``/``p_ba``.  Single-provider groups keep the
@@ -550,7 +667,11 @@ def independence_flat(
     (tests/oracles/independence.py) byte for byte: numpy's pairwise
     summation for the totals, first-index ``argmax``/``argmin``, and
     unfused ``x * (-r) + 1.0`` factors multiplied in order (DESIGN.md
-    §7).
+    §7).  Each group's outputs depend on that group alone, so the
+    groups of every bucket are split evenly between one part per CPU
+    (a pass under ``_PART_MIN_SLOTS`` member-pair slots is one part),
+    each with its own scratch, and the parts run at once
+    (:func:`_run_parts`).
 
     Ties break on the worker index, as in the scalar ordering oracle:
     groups store workers ascending, and the first (smallest-index)
@@ -573,8 +694,6 @@ def independence_flat(
         return indep
 
     largest = max(m for m, _ in buckets)
-    work = np.empty(largest * largest + 3 * largest)
-    order = np.empty(2 * largest, dtype=np.int64)
     p_ab = np.ascontiguousarray(dependence.p_ab, dtype=np.float64)
     p_ba = np.ascontiguousarray(dependence.p_ba, dtype=np.float64)
     if not len(p_ab) == len(p_ba) == arrays.n_pairs:
@@ -582,19 +701,34 @@ def independence_flat(
             f"dependence holds {len(p_ab)}/{len(p_ba)} pairs, the claims "
             f"{arrays.n_pairs}"
         )
-    ab, ba, work_at, order_at, indep_at = (
-        a.ctypes.data for a in (p_ab, p_ba, work, order, indep)
-    )
+    ab, ba, indep_at = (a.ctypes.data for a in (p_ab, p_ba, indep))
     dependent_first = ordering == "dependent_first"
     total_mode = discount_mode == "total"
-    for (m, claim_idx), slots in zip(buckets, arrays.multi_group_slots):
-        claim_idx = np.ascontiguousarray(claim_idx, dtype=np.int64)
-        slots = np.ascontiguousarray(slots, dtype=np.intp)
-        _kernels.independence_bucket(
-            len(claim_idx), m, claim_idx.ctypes.data, slots.ctypes.data,
+    claims = [np.ascontiguousarray(c, dtype=np.int64) for _, c in buckets]
+    slots = [np.ascontiguousarray(s, dtype=np.intp) for s in arrays.multi_group_slots]
+    ms = np.array([m for m, _ in buckets], dtype=np.int64)
+    n_groups = np.array([len(c) for c in claims], dtype=np.int64)
+    claims_at = np.array([c.ctypes.data for c in claims], dtype=np.uintp)
+    slots_at = np.array([s.ctypes.data for s in slots], dtype=np.uintp)
+    n_parts = _PARTS if sum(s.size for s in slots) >= _PART_MIN_SLOTS else 1
+
+    def part(k: int) -> None:
+        first = n_groups * k // n_parts
+        count = n_groups * (k + 1) // n_parts - first
+        # Each part's run of groups in every bucket, as pointers to its
+        # first group's claim row and slot matrix.
+        part_claims = claims_at + (first * ms * 8).astype(np.uintp)
+        part_slots = slots_at + (first * ms * ms * slots[0].itemsize).astype(np.uintp)
+        work = np.empty(largest * largest + 3 * largest)
+        order = np.empty(2 * largest, dtype=np.int64)
+        _kernels.independence_buckets(
+            len(ms), ms.ctypes.data, count.ctypes.data,
+            part_claims.ctypes.data, part_slots.ctypes.data,
             ab, ba, copy_prob_r, dependent_first, total_mode,
-            work_at, order_at, indep_at,
+            work.ctypes.data, order.ctypes.data, indep_at,
         )
+
+    _run_parts(part, n_parts)
     return indep
 
 

@@ -87,7 +87,7 @@ static int64_t first_extreme(const double *v, int64_t n, int max)
  * order                  2 * m int64 of scratch;
  * indep                  written at every member's claim position.
  */
-void independence_bucket(
+static void independence_bucket(
     int64_t n_groups, int64_t m,
     const int64_t *claims, const intptr_t *slots,
     const double *p_ab, const double *p_ba,
@@ -176,5 +176,26 @@ void independence_bucket(
             }
             indep[gc[worker]] = product;
         }
+    }
+}
+
+/*
+ * Buckets 0..n_buckets of one pass, in one call: bucket b is
+ * n_groups[b] groups of ms[b] providers, its claims and slots laid out
+ * as above from claims[b] and slots[b].  work and order are sized for
+ * the largest ms[b].  A part of a pass passes each bucket's own run of
+ * groups; the groups never share a claim, so parts may run at once.
+ */
+void independence_buckets(
+    int64_t n_buckets, const int64_t *ms, const int64_t *n_groups,
+    const int64_t *const *claims, const intptr_t *const *slots,
+    const double *p_ab, const double *p_ba,
+    double r, int dependent_first, int total_mode,
+    double *work, int64_t *order, double *indep)
+{
+    for (int64_t b = 0; b < n_buckets; b++) {
+        independence_bucket(
+            n_groups[b], ms[b], claims[b], slots[b], p_ab, p_ba,
+            r, dependent_first, total_mode, work, order, indep);
     }
 }

@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -392,8 +393,9 @@ class ClaimArrays:
     def __post_init__(self) -> None:
         index = self.index
         claims = index.dataset.claims
-        task = np.array([index.task_pos[t] for _, t in claims], dtype=np.int64)
-        worker = np.array([index.worker_pos[w] for w, _ in claims], dtype=np.int64)
+        n = len(claims)
+        task = np.fromiter(map(index.task_pos.__getitem__, map(itemgetter(1), claims)), np.int64, n)
+        worker = np.fromiter(map(index.worker_pos.__getitem__, map(itemgetter(0), claims)), np.int64, n)
         claim_counts, group_counts, order, code, *groups = _encode_claims(
             index.n_tasks, index.n_workers, task, worker, list(claims.values())
         )
@@ -741,8 +743,8 @@ def _encode_claims(
     # Number the distinct values in sorted order; one unique over
     # ``task * n_values + rank`` then yields the groups in (task, code)
     # order.
-    ids: dict[str, int] = {}
-    value_id = np.fromiter((ids.setdefault(v, len(ids)) for v in values), np.int64, len(values))
+    ids = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    value_id = np.fromiter(map(ids.__getitem__, values), np.int64, len(values))
     names = sorted(ids)
     rank = np.empty(len(names), dtype=np.int64)
     rank[[ids[v] for v in names]] = np.arange(len(names), dtype=np.int64)

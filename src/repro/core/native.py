@@ -50,7 +50,7 @@ _SIGNATURES = {
         _ptr, _ptr, _ptr,  # out_ind, out_ab, out_ba
     ],
     "pair_sums": [
-        _i64, _ptr, _ptr,  # n, pairs, pair_ptr
+        _i64, _ptr, _ptr, _i64,  # n, pairs, pair_ptr, row0
         _ptr, _ptr, _ptr,  # row_ind, row_ab, row_ba
         _ptr, _ptr, _ptr,  # sum_ind, sum_ab, sum_ba
     ],
@@ -64,9 +64,9 @@ _SIGNATURES = {
         _ptr, _ptr, _ptr,  # pair_a, pair_b, pair_ptr
         _ptr, _ptr, _ptr, _ptr, _ptr,  # ps_pair, ps_task, ps_claim_a/b, slots
     ],
-    "independence_bucket": [
-        _i64, _i64,  # n_groups, m
-        _ptr, _ptr,  # claims, slots
+    "independence_buckets": [
+        _i64, _ptr, _ptr,  # n_buckets, ms, n_groups
+        _ptr, _ptr,  # claims, slots (one pointer per bucket)
         _ptr, _ptr,  # p_ab, p_ba
         _f64, ctypes.c_int, ctypes.c_int,  # r, dependent_first, total_mode
         _ptr, _ptr, _ptr,  # work, order, indep

@@ -177,9 +177,16 @@ class CampaignStore:
         algorithm: str = "DATE",
         journal_dir: str | Path | None = None,
     ):
-        if max_campaigns is not None and max_campaigns < 1:
+        # Checked before the journal directory is made or recovered.
+        if not is_integer(refresh_every) or refresh_every < 0:
             raise ConfigurationError(
-                f"max_campaigns must be >= 1, got {max_campaigns}"
+                f"refresh_every must be an int >= 0, got {refresh_every!r}"
+            )
+        if max_campaigns is not None and (
+            not is_integer(max_campaigns) or max_campaigns < 1
+        ):
+            raise ConfigurationError(
+                f"max_campaigns must be an int >= 1, got {max_campaigns!r}"
             )
         self.default_config = config or DateConfig()
         self.default_refresh_every = refresh_every

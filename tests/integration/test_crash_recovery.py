@@ -336,17 +336,17 @@ class TestRejectedBatchHygiene:
         self, tmp_path, cadence
     ):
         # A cadence the journal would read back differently (2.5 is
-        # replayed as 2) must be refused before the create record.
+        # replayed as 2) must be refused before the create record; a
+        # store default is refused before the store makes its directory.
         from repro.errors import ConfigurationError
 
         wal = tmp_path / "wal"
-        store = CampaignStore(journal_dir=wal, refresh_every=cadence)
         with pytest.raises(ConfigurationError, match="refresh_every"):
-            store.create("c")
+            CampaignStore(journal_dir=wal, refresh_every=cadence)
+        assert not wal.exists()
         with pytest.raises(ConfigurationError, match="refresh_every"):
             CampaignStore(journal_dir=wal).create("d", refresh_every=cadence)
         assert list(wal.iterdir()) == []
-        assert "c" not in store
 
     @pytest.mark.parametrize("seq", [2.5, True, "3", 3.0])
     def test_non_integer_seq_leaves_journal_and_watermark(

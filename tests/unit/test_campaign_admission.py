@@ -48,3 +48,27 @@ def test_recovery_counts_its_lru_evictions(tmp_path, telemetry):
     assert len(reopened) == 1
     assert (_evicted(telemetry), _live(telemetry)) == (1.0, 1.0)
     reopened.close()
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"refresh_every": 2.5},
+        {"refresh_every": -1},
+        {"refresh_every": True},
+        {"max_campaigns": True},
+        {"max_campaigns": 2.5},
+        {"max_campaigns": 0},
+        {"max_campaigns": "2"},
+    ],
+)
+def test_store_defaults_are_checked_before_the_journal_directory(tmp_path, settings):
+    # A cadence or a capacity the store would apply differently (2.5
+    # refreshes as 2, True evicts down to one campaign) is refused at
+    # construction, before the journal directory is made or recovered.
+    from repro.errors import ConfigurationError
+
+    wal = tmp_path / "wal"
+    with pytest.raises(ConfigurationError, match=next(iter(settings))):
+        CampaignStore(journal_dir=wal, **settings)
+    assert not wal.exists()

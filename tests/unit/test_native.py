@@ -16,7 +16,7 @@ def _usable(library: ctypes.CDLL) -> bool:
     rows = [np.array([1.5, -2.0]) for _ in range(3)]
     sums = [np.zeros(2) for _ in range(3)]
     library.pair_sums(
-        2, None, pair_ptr.ctypes.data,
+        2, None, pair_ptr.ctypes.data, 0,
         *(a.ctypes.data for a in rows), *(a.ctypes.data for a in sums),
     )
     return all(s.tolist() == [1.5, -2.0] for s in sums)
