@@ -46,7 +46,10 @@ static double floor_prob(double x)
  *
  * rows                   pair-table row of each output, or NULL for
  *                        rows 0..n-1;
- * ps_claim_a/b, ps_task  ClaimArrays' pair tables;
+ * ps_claim_a/b           ClaimArrays' int32 row tables: each row's two
+ *                        claim positions;
+ * claim_task             per-claim task, so a row's task is
+ *                        claim_task[ps_claim_a[row]];
  * claim_code, claim_acc  per-claim value code and current accuracy;
  * truth_codes, collision per-task truth code (-1: none) and false-value
  *                        collision probability;
@@ -62,7 +65,7 @@ static double floor_prob(double x)
  */
 void score_pair_rows(
     int64_t n, const int64_t *rows,
-    const int64_t *ps_claim_a, const int64_t *ps_claim_b, const int64_t *ps_task,
+    const int32_t *ps_claim_a, const int32_t *ps_claim_b, const int64_t *claim_task,
     const int64_t *claim_code, const double *claim_acc,
     const int64_t *truth_codes, const double *collision,
     double lo, double hi, double r,
@@ -74,7 +77,7 @@ void score_pair_rows(
         int64_t row = rows ? rows[i] : i;
         int64_t ca = ps_claim_a[row];
         int64_t cb = ps_claim_b[row];
-        int64_t task = ps_task[row];
+        int64_t task = claim_task[ca];
         double a = clip_acc(claim_acc[ca], lo, hi);
         double b = clip_acc(claim_acc[cb], lo, hi);
         int64_t code = claim_code[ca];
@@ -107,13 +110,13 @@ void score_pair_rows(
  * Per-pair sums of the logged row terms.
  *
  * pairs                  the n pairs to sum, or NULL for pairs 0..n-1;
- * pair_ptr               CSR pointer of each pair's contiguous rows;
+ * pair_ptr               int32 CSR pointer of each pair's contiguous rows;
  * row0                   the pair-table row that row_ind/ab/ba[0] holds
  *                        (a block of rows starts at its first pair's);
  * sum_ind/ab/ba          written at each summed pair's own index.
  */
 void pair_sums(
-    int64_t n, const int64_t *pairs, const int64_t *pair_ptr, int64_t row0,
+    int64_t n, const int64_t *pairs, const int32_t *pair_ptr, int64_t row0,
     const double *row_ind, const double *row_ab, const double *row_ba,
     double *sum_ind, double *sum_ab, double *sum_ba)
 {

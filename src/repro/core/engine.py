@@ -169,8 +169,9 @@ class DependenceView(Mapping):
     __slots__ = ("pair_a", "pair_b", "p_ab", "p_ba", "ids", "_positions")
 
     def __init__(self, pair_a, pair_b, p_ab, p_ba, ids) -> None:
-        self.pair_a = _read_only(pair_a, np.int64)
-        self.pair_b = _read_only(pair_b, np.int64)
+        # int32, the pair tables' own dtype: a view of them, not a copy.
+        self.pair_a = _read_only(pair_a, np.int32)
+        self.pair_b = _read_only(pair_b, np.int32)
         self.p_ab = _read_only(p_ab, np.float64)
         self.p_ba = _read_only(p_ba, np.float64)
         self.ids = ids
@@ -249,7 +250,7 @@ def _score_pair_rows(
     positions.  That elementwise property is what
     :class:`IncrementalDependence` leans on.
     """
-    n_rows = len(arrays.ps_pair)
+    n_rows = arrays.n_rows
     if rows is not None:
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         if len(rows) and not (0 <= rows.min() and rows.max() < n_rows):
@@ -277,8 +278,9 @@ def _scoring_inputs(
     collision: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """The scorer's seven input arrays, checked and contiguous, in
-    ``score_pair_rows``' argument order: the three row tables
-    (``ps_claim_a``, ``ps_claim_b``, ``ps_task``) first."""
+    ``score_pair_rows``' argument order: the two int32 row tables
+    (``ps_claim_a``, ``ps_claim_b``) and ``claim_task`` first.  None is
+    copied on the hot path: each already has its dtype."""
     n_tasks = arrays.index.n_tasks
     if len(truth_codes) != n_tasks or len(collision) != n_tasks:
         raise ValueError(
@@ -288,9 +290,9 @@ def _scoring_inputs(
     if len(claim_acc) != arrays.n_claims:
         raise ValueError(f"{len(claim_acc)} accuracies for {arrays.n_claims} claims")
     return (
-        np.ascontiguousarray(arrays.ps_claim_a, dtype=np.int64),
-        np.ascontiguousarray(arrays.ps_claim_b, dtype=np.int64),
-        np.ascontiguousarray(arrays.ps_task, dtype=np.int64),
+        np.ascontiguousarray(arrays.ps_claim_a, dtype=np.int32),
+        np.ascontiguousarray(arrays.ps_claim_b, dtype=np.int32),
+        np.ascontiguousarray(arrays.claim_task, dtype=np.int64),
         np.ascontiguousarray(arrays.claim_code, dtype=np.int64),
         np.ascontiguousarray(claim_acc, dtype=np.float64),
         np.ascontiguousarray(truth_codes, dtype=np.int64),
@@ -319,9 +321,9 @@ def _pair_sums(
         pairs = np.ascontiguousarray(pairs, dtype=np.int64)
         if len(pairs) and not (0 <= pairs.min() and pairs.max() < n_pairs):
             raise IndexError(f"pairs out of range [0, {n_pairs})")
-    _check_buffers(terms, len(arrays.ps_pair))
+    _check_buffers(terms, arrays.n_rows)
     _check_buffers(sums, n_pairs)
-    pair_ptr = np.ascontiguousarray(arrays.pair_ptr, dtype=np.int64)
+    pair_ptr = np.ascontiguousarray(arrays.pair_ptr, dtype=np.int32)
     _kernels.pair_sums(
         n_pairs if pairs is None else len(pairs),
         None if pairs is None else pairs.ctypes.data,
@@ -403,9 +405,9 @@ def pairwise_dependence_arrays(
         raise ValueError(f"prior_alpha must be in (0, 1), got {prior_alpha}")
     lo, hi = accuracy_clamp
     inputs = _scoring_inputs(arrays, truth_codes, claim_acc, collision)
-    row_tables = [a.ctypes.data for a in inputs[:3]]
-    per_claim = [a.ctypes.data for a in inputs[3:]]
-    pair_ptr = np.ascontiguousarray(arrays.pair_ptr, dtype=np.int64)
+    row_tables = [(a.ctypes.data, a.itemsize) for a in inputs[:2]]
+    per_claim = [a.ctypes.data for a in inputs[2:]]
+    pair_ptr = np.ascontiguousarray(arrays.pair_ptr, dtype=np.int32)
     n_pairs = len(pair_ptr) - 1
     p_ab, p_ba = np.empty(n_pairs), np.empty(n_pairs)
     n_parts = _PARTS if pair_ptr[-1] >= _PART_MIN_ROWS else 1
@@ -421,14 +423,14 @@ def pairwise_dependence_arrays(
         for q0, q1, r0, r1 in zip(blocks, blocks[1:], block_rows, block_rows[1:]):
             block = terms[:, : r1 - r0]
             _kernels.score_pair_rows(
-                r1 - r0, None, *(t + 8 * r0 for t in row_tables), *per_claim,
+                r1 - r0, None, *(at + size * r0 for at, size in row_tables), *per_claim,
                 lo, hi, copy_prob_r, *(row.ctypes.data for row in block),
             )
             np.log(block, out=block)
             _kernels.pair_sums(
-                q1 - q0, None, pair_ptr.ctypes.data + 8 * q0, r0,
+                q1 - q0, None, pair_ptr.ctypes.data + pair_ptr.itemsize * q0, r0,
                 *(row.ctypes.data for row in block),
-                *(total.ctypes.data + 8 * (q0 - first) for total in sums),
+                *(total.ctypes.data + total.itemsize * (q0 - first) for total in sums),
             )
         _dependence_posteriors(
             *sums, prior_alpha, out=(p_ab[first:stop], p_ba[first:stop])
@@ -445,7 +447,9 @@ def _pair_cuts(pair_ptr: np.ndarray, first: int, stop: int, pieces: int) -> list
     A pair longer than a run stays whole, so its run is longer and the
     next ones may be empty.
     """
-    targets = np.linspace(pair_ptr[first], pair_ptr[stop], pieces + 1)
+    # Targets in pair_ptr's own dtype: float ones would make
+    # searchsorted cast a float64 copy of pair_ptr.
+    targets = np.linspace(pair_ptr[first], pair_ptr[stop], pieces + 1).astype(pair_ptr.dtype)
     cuts = np.searchsorted(pair_ptr[first : stop + 1], targets) + first
     cuts[0], cuts[-1] = first, stop
     return cuts.tolist()
@@ -505,7 +509,7 @@ class IncrementalDependence:
         self._claim_acc: np.ndarray | None = None
         self._arrays = arrays
         self._collision = np.array(collision, dtype=np.float64, copy=True)
-        n_rows = len(arrays.ps_pair)
+        n_rows = arrays.n_rows
         n_pairs = arrays.n_pairs
         self._row_ind = np.empty(n_rows)
         self._row_ab = np.empty(n_rows)
@@ -614,10 +618,13 @@ class IncrementalDependence:
         self._row_ab[rows] = out_ab
         self._row_ba[rows] = out_ba
 
-        # Affected pairs = pairs owning a re-scored row (a boolean
-        # scatter — orders of magnitude cheaper than np.unique here).
+        # Affected pairs = pairs owning a re-scored row: the last pair
+        # starting at or before each row (rows in pair_ptr's dtype, so
+        # searchsorted does not cast a copy of pair_ptr), then a boolean
+        # scatter (orders of magnitude cheaper than np.unique here).
+        pair_ptr = arrays.pair_ptr
         mask = np.zeros(arrays.n_pairs, dtype=bool)
-        mask[arrays.ps_pair[rows]] = True
+        mask[np.searchsorted(pair_ptr, rows.astype(pair_ptr.dtype), "right") - 1] = True
         affected = np.flatnonzero(mask)
         # Re-sum each affected pair over its full contiguous row
         # segment with the full pass's own kernel — same addends in the
@@ -705,7 +712,7 @@ def independence_flat(
     dependent_first = ordering == "dependent_first"
     total_mode = discount_mode == "total"
     claims = [np.ascontiguousarray(c, dtype=np.int64) for _, c in buckets]
-    slots = [np.ascontiguousarray(s, dtype=np.intp) for s in arrays.multi_group_slots]
+    slots = [np.ascontiguousarray(s, dtype=np.int32) for s in arrays.multi_group_slots]
     ms = np.array([m for m, _ in buckets], dtype=np.int64)
     n_groups = np.array([len(c) for c in claims], dtype=np.int64)
     claims_at = np.array([c.ctypes.data for c in claims], dtype=np.uintp)
@@ -717,7 +724,7 @@ def independence_flat(
         count = n_groups * (k + 1) // n_parts - first
         # Each part's run of groups in every bucket, as pointers to its
         # first group's claim row and slot matrix.
-        part_claims = claims_at + (first * ms * 8).astype(np.uintp)
+        part_claims = claims_at + (first * ms * claims[0].itemsize).astype(np.uintp)
         part_slots = slots_at + (first * ms * ms * slots[0].itemsize).astype(np.uintp)
         work = np.empty(largest * largest + 3 * largest)
         order = np.empty(2 * largest, dtype=np.int64)

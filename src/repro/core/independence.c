@@ -78,7 +78,7 @@ static int64_t first_extreme(const double *v, int64_t n, int max)
  *
  * claims[g * m + k]      claim position of member k of group g;
  * slots[(g * m + k) * m + l]
- *                        pair slot of P(member k -> member l) in the
+ *                        int32 pair slot of P(member k -> member l) in the
  *                        layout of ClaimArrays.multi_group_slots: pair
  *                        s above the diagonal (p_ab[s]), n_pairs + s
  *                        at the mirrored entry (p_ba[s]), and 0.0 on
@@ -89,7 +89,7 @@ static int64_t first_extreme(const double *v, int64_t n, int max)
  */
 static void independence_bucket(
     int64_t n_groups, int64_t m,
-    const int64_t *claims, const intptr_t *slots,
+    const int64_t *claims, const int32_t *slots,
     const double *p_ab, const double *p_ba,
     double r, int dependent_first, int total_mode,
     double *work, int64_t *order, double *indep)
@@ -102,13 +102,13 @@ static void independence_bucket(
     const double neg_r = -r;
 
     for (int64_t g = 0; g < n_groups; g++) {
-        const intptr_t *gs = slots + g * m * m;
+        const int32_t *gs = slots + g * m * m;
         const int64_t *gc = claims + g * m;
 
         for (int64_t k = 0; k < m; k++) {
             sub[k * m + k] = 0.0;
             for (int64_t l = k + 1; l < m; l++) {
-                intptr_t s = gs[k * m + l];
+                int32_t s = gs[k * m + l];
                 sub[k * m + l] = p_ab[s];
                 sub[l * m + k] = p_ba[s];
             }
@@ -188,7 +188,7 @@ static void independence_bucket(
  */
 void independence_buckets(
     int64_t n_buckets, const int64_t *ms, const int64_t *n_groups,
-    const int64_t *const *claims, const intptr_t *const *slots,
+    const int64_t *const *claims, const int32_t *const *slots,
     const double *p_ab, const double *p_ba,
     double r, int dependent_first, int total_mode,
     double *work, int64_t *order, double *indep)

@@ -360,7 +360,9 @@ class ClaimArrays:
     The co-answering worker pairs are flattened the same way: one row
     per (pair, shared task), grouped by pair via ``pair_ptr``, with
     ``ps_claim_a``/``ps_claim_b`` pointing back into the claim arrays so
-    per-claim state (accuracy, codes) is a single gather away.
+    per-claim state (accuracy, codes, the row's task) is a single gather
+    away.  The pair tables and the slot map are int32; the other
+    integer arrays are int64.
     """
 
     index: "DatasetIndex"
@@ -385,10 +387,10 @@ class ClaimArrays:
     worker_ptr: np.ndarray = field(init=False)
     worker_claims: np.ndarray = field(init=False)
 
-    # The co-answering pair tables (pair_a, pair_b, pair_ptr, ps_*) are
-    # lazy cached properties: only the dependence kernels read them, and
-    # their O(Σ m_j²) size should not tax algorithms that never look
-    # (majority voting, NC).
+    # The co-answering pair tables (pair_a, pair_b, pair_ptr,
+    # ps_claim_a/b) are lazy cached properties: only the dependence
+    # kernels read them, and their O(Σ m_j²) size should not tax
+    # algorithms that never look (majority voting, NC).
 
     def __post_init__(self) -> None:
         index = self.index
@@ -407,12 +409,14 @@ class ClaimArrays:
 
     @cached_property
     def _pair_tables(self) -> tuple[np.ndarray, ...]:
-        """Pair tables: every unordered co-answering pair, one row per
-        shared task, grouped by pair and ordered by task within a pair.
-        Built on first access — only the dependence kernels need them —
-        by the compiled walk that fills :attr:`multi_group_slots` too.
-        :meth:`DatasetIndex.extended` never carries them across, so an
-        extension builds its own here too.
+        """Pair tables ``(pair_a, pair_b, pair_ptr, ps_claim_a,
+        ps_claim_b)``, all int32: every unordered co-answering pair, one
+        row per shared task, grouped by pair and ordered by task within
+        a pair.  Built on first access — only the dependence kernels
+        need them — by the compiled walk that fills
+        :attr:`multi_group_slots` too.  :meth:`DatasetIndex.extended`
+        never carries them across, so an extension builds its own here
+        too.
         """
         tables, self.__dict__["multi_group_slots"] = _walk_pair_tables(self)
         return tables
@@ -433,24 +437,32 @@ class ClaimArrays:
         return self._pair_tables[2]
 
     @property
-    def ps_pair(self) -> np.ndarray:
-        """Pair index of each (pair, shared task) row."""
-        return self._pair_tables[3]
-
-    @property
-    def ps_task(self) -> np.ndarray:
-        """Task index of each (pair, shared task) row."""
-        return self._pair_tables[4]
-
-    @property
     def ps_claim_a(self) -> np.ndarray:
         """Claim position of ``pair_a``'s claim on the row's task."""
-        return self._pair_tables[5]
+        return self._pair_tables[3]
 
     @property
     def ps_claim_b(self) -> np.ndarray:
         """Claim position of ``pair_b``'s claim on the row's task."""
-        return self._pair_tables[6]
+        return self._pair_tables[4]
+
+    @property
+    def ps_pair(self) -> np.ndarray:
+        """Pair index of each (pair, shared task) row, as int64.
+
+        Derived from ``pair_ptr`` on every access and not kept: no
+        kernel reads it.
+        """
+        return np.repeat(np.arange(self.n_pairs, dtype=np.int64), np.diff(self.pair_ptr))
+
+    @property
+    def ps_task(self) -> np.ndarray:
+        """Task index of each (pair, shared task) row, as int64.
+
+        Derived as ``claim_task[ps_claim_a]`` on every access and not
+        kept: the scoring kernel makes the same gather itself.
+        """
+        return self.claim_task[self.ps_claim_a]
 
     @cached_property
     def pair_rows_by_task(self) -> tuple[np.ndarray, np.ndarray]:
@@ -481,6 +493,11 @@ class ClaimArrays:
     @property
     def n_pairs(self) -> int:
         return len(self.pair_a)
+
+    @property
+    def n_rows(self) -> int:
+        """Number of (pair, shared task) rows."""
+        return len(self.ps_claim_a)
 
     @cached_property
     def multi_groups(self) -> np.ndarray:
@@ -517,7 +534,7 @@ class ClaimArrays:
         """Pair slots of every member pair, aligned with the buckets.
 
         For the ``(G, m)`` bucket of :attr:`multi_group_buckets`, a
-        ``(G, m, m)`` array whose ``[g, k, l]`` entry indexes
+        ``(G, m, m)`` int32 array whose ``[g, k, l]`` entry indexes
         ``concat([p_ab, p_ba, [0.0]])`` at ``P(member k -> member l)``:
         slot ``p`` when ``k < l`` (workers ascend within a group, so
         member ``k`` is ``pair_a`` of pair ``p``), ``n_pairs + p`` when
@@ -818,14 +835,36 @@ def _assemble_claim_arrays(
     return arrays
 
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _check_int32_tables(n_workers: int, n_claims: int, n_rows: int, n_pairs: int) -> None:
+    """Refuse an index whose int32 pair tables would wrap.
+
+    The tables hold worker positions (``pair_a``/``pair_b``), claim
+    positions (``ps_claim_a``/``ps_claim_b``), row offsets up to
+    ``n_rows`` (``pair_ptr``) and slots up to ``2 * n_pairs`` (the slot
+    map); each must fit in int32.
+    """
+    for what, count, largest in (
+        ("workers", n_workers, n_workers),
+        ("claims", n_claims, n_claims),
+        ("pair rows", n_rows, n_rows),
+        ("pairs", n_pairs, 2 * n_pairs),
+    ):
+        if largest > _INT32_MAX:
+            raise DataFormatError(f"{count} {what} overflow the int32 pair tables")
+
+
 def _walk_pair_tables(
     arrays: ClaimArrays,
 ) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
-    """The seven pair tables and the slot map, by ``pairtables.c``.
+    """The five int32 pair tables and the slot map, by ``pairtables.c``.
 
     The walk runs twice over the same scratch: first it counts each
-    worker's rows and pairs as the smaller worker, then, from their
-    prefix sums, it fills every table and the slot map.
+    worker's rows and pairs as the smaller worker, then, once the
+    counts are known to fit in int32 (:func:`_check_int32_tables`), from
+    their prefix sums it fills every table and the slot map.
     """
     n_workers, n_tasks = arrays.index.n_workers, arrays.index.n_tasks
     # Flat offset of each bucket, and of each multi-provider group's
@@ -855,13 +894,15 @@ def _walk_pair_tables(
             *(None if a is None else a.ctypes.data for a in outputs),
         )
 
-    walk(-1, rows, pairs, (None,) * 8)
+    walk(-1, rows, pairs, (None,) * 6)
     row_start, pair_start = _offsets(rows), _offsets(pairs)
     n_rows, n_pairs = int(row_start[-1]), int(pair_start[-1])
-    tables = tuple(np.empty(n, dtype=np.int64) for n in (n_pairs, n_pairs, n_pairs + 1))
-    tables += tuple(np.empty(n_rows, dtype=np.int64) for _ in range(4))
+    _check_int32_tables(n_workers, arrays.n_claims, n_rows, n_pairs)
+    tables = tuple(
+        np.empty(n, dtype=np.int32) for n in (n_pairs, n_pairs, n_pairs + 1, n_rows, n_rows)
+    )
     tables[2][n_pairs] = n_rows
-    flat = np.full(total, 2 * n_pairs, dtype=np.intp)
+    flat = np.full(total, 2 * n_pairs, dtype=np.int32)
     walk(n_pairs, row_start[:-1], pair_start[:-1], (*tables, flat))
     return tables, [
         flat[begin : begin + claim_idx.size * m].reshape(-1, m, m)

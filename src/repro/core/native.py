@@ -43,7 +43,7 @@ _i64, _ptr, _f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
 _SIGNATURES = {
     "score_pair_rows": [
         _i64, _ptr,  # n, rows
-        _ptr, _ptr, _ptr,  # ps_claim_a, ps_claim_b, ps_task
+        _ptr, _ptr, _ptr,  # ps_claim_a, ps_claim_b, claim_task
         _ptr, _ptr,  # claim_code, claim_acc
         _ptr, _ptr,  # truth_codes, collision
         _f64, _f64, _f64,  # lo, hi, r
@@ -62,7 +62,7 @@ _SIGNATURES = {
         _ptr, _ptr, _ptr,  # fill, last, by_task
         _ptr, _ptr,  # row_at, pair_at
         _ptr, _ptr, _ptr,  # pair_a, pair_b, pair_ptr
-        _ptr, _ptr, _ptr, _ptr, _ptr,  # ps_pair, ps_task, ps_claim_a/b, slots
+        _ptr, _ptr, _ptr,  # ps_claim_a, ps_claim_b, slots
     ],
     "independence_buckets": [
         _i64, _ptr, _ptr,  # n_buckets, ms, n_groups

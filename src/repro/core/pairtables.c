@@ -22,6 +22,12 @@
  *   pair p at [la, lb] of g's m x m block (block[g] onward) and
  *   n_pairs + p at [lb, la], with la < lb the claims' offsets in g.
  *
+ * The walk writes only what the kernels read, in int32: the pairs'
+ * workers and row pointer, each row's two claim positions and the slot
+ * map.  A row's task is claim_task of its first claim and its pair is
+ * found from pair_ptr, so neither is stored.  The caller has checked
+ * between the passes that every written value fits.
+ *
  * All scratch is passed in by the caller: fill holds n_tasks, last
  * n_workers and by_task n_claims int64.
  */
@@ -37,9 +43,8 @@ void pair_tables(
     const int64_t *block, int64_t n_pairs,
     int64_t *fill, int64_t *last, int64_t *by_task,
     int64_t *row_at, int64_t *pair_at,
-    int64_t *pair_a, int64_t *pair_b, int64_t *pair_ptr,
-    int64_t *ps_pair, int64_t *ps_task,
-    int64_t *ps_claim_a, int64_t *ps_claim_b, intptr_t *slots)
+    int32_t *pair_a, int32_t *pair_b, int32_t *pair_ptr,
+    int32_t *ps_claim_a, int32_t *ps_claim_b, int32_t *slots)
 {
     for (int64_t t = 0; t < n_tasks; t++) {
         fill[t] = task_ptr[t];
@@ -62,23 +67,21 @@ void pair_tables(
                 }
                 if (last[a] != b) {
                     last[a] = b;
-                    pair_a[pair_at[a]] = a;
-                    pair_b[pair_at[a]] = b;
-                    pair_ptr[pair_at[a]++] = row_at[a];
+                    pair_a[pair_at[a]] = (int32_t)a;
+                    pair_b[pair_at[a]] = (int32_t)b;
+                    pair_ptr[pair_at[a]++] = (int32_t)row_at[a];
                 }
                 int64_t r = row_at[a]++;
                 int64_t p = pair_at[a] - 1;
-                ps_pair[r] = p;
-                ps_task[r] = t;
-                ps_claim_a[r] = ca;
-                ps_claim_b[r] = cb;
+                ps_claim_a[r] = (int32_t)ca;
+                ps_claim_b[r] = (int32_t)cb;
                 int64_t g = claim_group[ca];
                 if (g == claim_group[cb]) {
                     int64_t m = group_size[g];
                     int64_t la = ca - group_ptr[g];
                     int64_t lb = cb - group_ptr[g];
-                    slots[block[g] + la * m + lb] = p;
-                    slots[block[g] + lb * m + la] = n_pairs + p;
+                    slots[block[g] + la * m + lb] = (int32_t)p;
+                    slots[block[g] + lb * m + la] = (int32_t)(n_pairs + p);
                 }
             }
             by_task[fill[t]++] = cb;

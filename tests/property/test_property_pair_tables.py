@@ -1,14 +1,16 @@
 """Property tests: the compiled pair-table walk equals the numpy builder.
 
-``ClaimArrays._pair_tables`` (the seven co-answering pair tables) and
-``ClaimArrays.multi_group_slots`` (the Eq. 16 slot map) come out of one
-walk in ``src/repro/core/pairtables.c``.  The numpy builder it replaced
-(``tests/oracles/pairtables.py``: one ``argsort`` of the int64 row key,
-then one scatter of the same-value rows) is the reference, and every
-table and slot-map bucket must equal it value for value, dtypes
-included — on cold campaigns, restricted views and indexes grown
-through ``DatasetIndex.extended``.  ``derandomize=True`` keeps the
-corpus stable.
+``ClaimArrays._pair_tables`` (the five int32 co-answering pair tables)
+and ``ClaimArrays.multi_group_slots`` (the int32 Eq. 16 slot map) come
+out of one walk in ``src/repro/core/pairtables.c``.  The numpy builder
+it replaced (``tests/oracles/pairtables.py``: one ``argsort`` of the
+int64 row key, then one scatter of the same-value rows) is the
+reference.  The narrow layout, widened to the oracle's seven int64
+tables (``ps_pair`` and ``ps_task`` derived on access), must equal it
+value for value, and so must every slot-map bucket — on cold
+campaigns, restricted views and indexes grown through
+``DatasetIndex.extended``.  ``derandomize=True`` keeps the corpus
+stable.
 """
 
 from __future__ import annotations
@@ -27,16 +29,22 @@ TABLES = ("pair_a", "pair_b", "pair_ptr", "ps_pair", "ps_task", "ps_claim_a", "p
 VALUES = ("A", "B", "C")
 
 
+def widened(arrays) -> tuple[np.ndarray, ...]:
+    """The narrow pair tables as the oracle's seven int64 tables."""
+    assert all(table.dtype == np.int32 for table in arrays._pair_tables)
+    return tuple(getattr(arrays, name).astype(np.int64) for name in TABLES)
+
+
 def assert_matches_oracle(arrays) -> None:
     want = oracle_pair_tables(arrays)
-    for name, got, ref in zip(TABLES, arrays._pair_tables, want, strict=True):
-        assert got.dtype == ref.dtype, name
+    for name, got, ref in zip(TABLES, widened(arrays), want, strict=True):
+        assert ref.dtype == np.int64, name
         np.testing.assert_array_equal(got, ref, err_msg=name)
     slots = arrays.multi_group_slots
     ref_slots = scatter_group_slots(arrays, want)
     assert len(slots) == len(ref_slots)
     for (m, claim_idx), got, ref in zip(arrays.multi_group_buckets, slots, ref_slots):
-        assert got.dtype == ref.dtype and got.shape == (len(claim_idx), m, m)
+        assert got.dtype == np.int32 and got.shape == (len(claim_idx), m, m)
         np.testing.assert_array_equal(got, ref)
 
 

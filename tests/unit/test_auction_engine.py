@@ -131,7 +131,7 @@ class TestMultiGroupSlots:
         sizes = arrays.group_size[arrays.multi_groups]
         slots = arrays.multi_group_slots
         assert sum(s.size for s in slots) == int((sizes**2).sum())
-        assert all(s.dtype == np.intp for s in slots)
+        assert all(s.dtype == np.int32 for s in slots)
 
     def test_empty_pairs(self, tiny_dataset):
         dataset = tiny_dataset.subset(worker_ids=["w5"])

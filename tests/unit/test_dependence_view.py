@@ -145,3 +145,11 @@ class TestDependenceView:
         assert result.dependence.ids == result.worker_ids
         a, b = next(iter(result.dependence))
         assert result.worker_ids.index(a) < result.worker_ids.index(b)
+
+    def test_date_result_views_the_index_pair_tables(self, qlf_small):
+        # Materializing a result copies no pair array: the view keeps
+        # the tables' int32 dtype.
+        index = DatasetIndex(qlf_small)
+        dependence = DATE().run(qlf_small, index=index).dependence
+        assert np.shares_memory(dependence.pair_a, index.arrays.pair_a)
+        assert np.shares_memory(dependence.pair_b, index.arrays.pair_b)

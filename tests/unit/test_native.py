@@ -12,7 +12,7 @@ from repro.core import native
 
 def _usable(library: ctypes.CDLL) -> bool:
     """Call one exported kernel: sum two one-row pairs."""
-    pair_ptr = np.array([0, 1, 2], dtype=np.int64)
+    pair_ptr = np.array([0, 1, 2], dtype=np.int32)
     rows = [np.array([1.5, -2.0]) for _ in range(3)]
     sums = [np.zeros(2) for _ in range(3)]
     library.pair_sums(

@@ -4,11 +4,12 @@
 the upper triangle of its claim block via ``np.triu_indices``, each
 pair oriented so its first claim is the smaller worker's, then a
 three-key ``lexsort`` by (first worker, second worker, task) and an
-``np.unique`` over the worker pairs.  The cold build
-(``ClaimArrays._pair_tables``) must reproduce its seven arrays exactly,
-dtypes included — on a cold index and on one grown through
-``DatasetIndex.extended``, which never carries materialized tables, so
-the extension rebuilds its own on first use.
+``np.unique`` over the worker pairs.  The cold build keeps five int32
+tables (``ClaimArrays._pair_tables``); widened to int64, with
+``ps_pair`` and ``ps_task`` derived on access, they must reproduce the
+oracle's seven arrays exactly — on a cold index and on one grown
+through ``DatasetIndex.extended``, which never carries materialized
+tables, so the extension rebuilds its own on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro import Dataset, Task, WorkerProfile
-from repro.core import DatasetIndex
+from repro.core import DatasetIndex, indexing
+from repro.core.indexing import _check_int32_tables
 from repro.errors import DataFormatError
 
 from tests.oracles.pairtables import pair_row_keys
@@ -66,8 +68,10 @@ def oracle_pair_tables(arrays) -> tuple[np.ndarray, ...]:
 
 
 def assert_matches_oracle(arrays) -> None:
-    for name, got, want in zip(TABLES, arrays._pair_tables, oracle_pair_tables(arrays)):
-        assert got.dtype == want.dtype, name
+    assert [table.dtype for table in arrays._pair_tables] == [np.dtype(np.int32)] * 5
+    for name, want in zip(TABLES, oracle_pair_tables(arrays), strict=True):
+        got = getattr(arrays, name).astype(np.int64)
+        assert want.dtype == np.int64, name
         np.testing.assert_array_equal(got, want, err_msg=name)
 
 
@@ -199,3 +203,58 @@ class TestPairRowKeys:
         pair_row_keys(one, one, one, n_workers=2**21, n_tasks=2**20)  # 2^62 fits
         with pytest.raises(DataFormatError, match="overflow"):
             pair_row_keys(one, one, one, n_workers=2**21, n_tasks=2**21)
+
+
+INT32_MAX = 2**31 - 1
+
+
+class TestInt32Refusal:
+    """The walk refuses, between its count and fill passes, an index
+    whose int32 tables would wrap; a campaign that large cannot be built
+    here, so the helper is driven with synthetic counts."""
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            dict(n_workers=INT32_MAX, n_claims=INT32_MAX, n_rows=INT32_MAX, n_pairs=0),
+            dict(n_workers=0, n_claims=0, n_rows=0, n_pairs=2**30 - 1),  # slot 2^31 - 2
+        ],
+    )
+    def test_largest_counts_that_fit(self, counts):
+        _check_int32_tables(**counts)
+
+    @pytest.mark.parametrize(
+        ("counts", "what"),
+        [
+            (dict(n_workers=INT32_MAX + 1, n_claims=1, n_rows=1, n_pairs=1), "workers"),
+            (dict(n_workers=1, n_claims=INT32_MAX + 1, n_rows=1, n_pairs=1), "claims"),
+            (dict(n_workers=1, n_claims=1, n_rows=INT32_MAX + 1, n_pairs=1), "pair rows"),
+            (dict(n_workers=1, n_claims=1, n_rows=1, n_pairs=2**30), "pairs"),
+        ],
+    )
+    def test_one_past_is_refused(self, counts, what):
+        with pytest.raises(DataFormatError, match=f"{what} overflow the int32 pair tables"):
+            _check_int32_tables(**counts)
+
+    def test_walk_checks_its_counts_before_filling(self, monkeypatch):
+        arrays = DatasetIndex(_dataset(5, UNORDERED)).arrays
+        monkeypatch.setattr(indexing, "_INT32_MAX", 2 * 8 - 1)  # 8 pairs, 10 rows
+        with pytest.raises(DataFormatError, match="8 pairs overflow"):
+            arrays._pair_tables
+        assert "_pair_tables" not in arrays.__dict__
+        monkeypatch.setattr(indexing, "_INT32_MAX", 2 * 8)
+        assert arrays.n_pairs == 8 and arrays.n_rows == 10
+
+
+def test_bytes_per_row_pair_and_slot():
+    # 8 bytes a row, 12 a pair (plus pair_ptr's end) and 4 a slot: at
+    # 10x (1.82M rows, 0.54M pairs, 1.59M slots) 27.4 MB, under 28 MB,
+    # where the int64 layout took 84 MB.
+    arrays = DatasetIndex(_dataset(6, UNORDERED + [{5: "A", 0: "A", 3: "A"}])).arrays
+    n_rows, n_pairs = arrays.n_rows, arrays.n_pairs
+    assert n_rows > n_pairs > 0
+    pair_a, pair_b, pair_ptr, *rows = arrays._pair_tables
+    assert sum(table.nbytes for table in rows) == 8 * n_rows
+    assert sum(table.nbytes for table in (pair_a, pair_b, pair_ptr)) == 12 * n_pairs + 4
+    slots = arrays.multi_group_slots
+    assert sum(s.nbytes for s in slots) == 4 * sum(s.size for s in slots) > 0
