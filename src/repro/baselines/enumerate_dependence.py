@@ -12,8 +12,8 @@ m=300).
 
 Under the paper's independent-copying assumption the enumeration has a
 closed form, ``Π (1 - r·P(i→i'|D))`` over all co-providers, which ED
-uses above :attr:`EnumerateDependence.exact_enumeration_limit` workers
-to stay finite on adversarial inputs.  Note the product ranges over
+uses above :data:`EXACT_ENUMERATION_LIMIT` co-providers to stay finite
+on adversarial inputs.  Note the product ranges over
 *all* co-providers, not just greedy-order predecessors, so ED discounts
 copiers more aggressively than DATE — the source of its small precision
 edge (+0.8% average in Fig. 4).
@@ -25,13 +25,15 @@ from itertools import product
 
 import numpy as np
 
-from ..core.config import DateConfig
 from ..core.date import DATE
 from ..core.engine import DependenceArrays
 from ..core.indexing import ClaimArrays, DatasetIndex
-from ..errors import ConfigurationError
 
 __all__ = ["EnumerateDependence"]
+
+#: Most co-providers a worker's claim is enumerated against (``2^k``
+#: configurations); above it the closed form gives the same mass.
+EXACT_ENUMERATION_LIMIT = 16
 
 
 def _enumerated_independence(edge_probs: list[float]) -> float:
@@ -65,17 +67,6 @@ class EnumerateDependence(DATE):
 
     method_name = "ED"
 
-    def __init__(
-        self,
-        config: DateConfig | None = None,
-        *,
-        exact_enumeration_limit: int = 16,
-    ):
-        super().__init__(config)
-        if exact_enumeration_limit < 0:
-            raise ConfigurationError("exact_enumeration_limit must be >= 0")
-        self.exact_enumeration_limit = exact_enumeration_limit
-
     def _independence_flat(
         self,
         index: DatasetIndex,
@@ -98,7 +89,7 @@ class EnumerateDependence(DATE):
         ):
             # r * P(i -> i') for every ordered member pair of the group.
             edges = r * values.take(slots)
-            if m - 1 <= self.exact_enumeration_limit:
+            if m - 1 <= EXACT_ENUMERATION_LIMIT:
                 off_diag = ~np.eye(m, dtype=bool)
                 for g in range(len(claim_idx)):
                     for k in range(m):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.date import TruthDiscoveryResult, build_result
-from ..core.engine import dense_accuracy, posterior_table, support_table
 from ..core.indexing import DatasetIndex
 from ..types import Dataset
 
@@ -41,14 +40,15 @@ class MajorityVote:
         Runs entirely on the integer-coded claim arrays: the vote, the
         vote-share posteriors, and the per-worker agreement rates are
         all segment reductions over value groups / workers.
-        ``warm_start`` and ``lean`` are accepted and ignored: a one-shot
-        vote has nothing to warm, and its full result is already lean.
+        ``warm_start`` is accepted and ignored: a one-shot vote has
+        nothing to warm.
         """
         index = index or DatasetIndex(dataset)
         arrays = index.arrays
         truth_codes = arrays.majority_codes()
 
-        # Vote shares double as per-value "posteriors" and support.
+        # Vote shares are the per-value "posteriors", vote counts the
+        # support.
         counts = arrays.group_size.astype(np.float64)
         task_totals = np.bincount(
             arrays.claim_task, minlength=index.n_tasks
@@ -59,8 +59,6 @@ class MajorityVote:
             out=np.zeros_like(counts),
             where=task_totals[arrays.group_task] > 0,
         )
-        posteriors = posterior_table(arrays, shares)
-        support = support_table(arrays, counts)
 
         # Accuracy: each worker's agreement rate with the majority
         # answers, broadcast over its answered tasks.
@@ -74,16 +72,15 @@ class MajorityVote:
         agreement = np.divide(
             hits, answered, out=np.zeros(index.n_workers), where=answered > 0
         )
-        accuracy = dense_accuracy(arrays, agreement[arrays.claim_worker])
 
         return build_result(
             index,
-            arrays.truth_values(truth_codes),
-            accuracy,
-            posteriors,
-            support,
-            dependence={},
+            truth_codes,
+            agreement[arrays.claim_worker],
+            shares,
+            counts,
             iterations=1,
             converged=True,
             method=self.method_name,
+            lean=lean,
         )

@@ -18,12 +18,9 @@ from ..core.config import DateConfig
 from ..core.date import TruthDiscoveryResult, build_result, iterate_truths
 from ..core.engine import (
     accuracy_flat,
-    dense_accuracy,
     plain_posterior_groups,
-    posterior_table,
     select_truth_codes,
     support_flat,
-    support_table,
 )
 from ..core.indexing import DatasetIndex
 from ..types import Dataset
@@ -49,8 +46,7 @@ class NoCopier:
     ) -> TruthDiscoveryResult:
         """Iterate posterior/accuracy refinement without dependence.
 
-        Always starts cold; ``warm_start`` and ``lean`` are accepted and
-        ignored (the result carries no dependence table to skip).
+        Always starts cold; ``warm_start`` is accepted and ignored.
         """
         index = index or DatasetIndex(dataset)
         cfg = self.config
@@ -60,8 +56,7 @@ class NoCopier:
         claim_acc = np.full(arrays.n_claims, cfg.initial_accuracy, dtype=np.float64)
         ones = np.ones(arrays.n_claims, dtype=np.float64)
 
-        group_post = None
-        group_support = None
+        group_post = group_support = None
 
         def step(truth_codes):
             nonlocal group_post, group_support, claim_acc
@@ -92,14 +87,12 @@ class NoCopier:
         )
         return build_result(
             index,
-            arrays.truth_values(truth_codes),
-            dense_accuracy(arrays, claim_acc),
-            posterior_table(arrays, group_post) if group_post is not None else [],
-            support_table(arrays, group_support)
-            if group_support is not None
-            else [],
-            dependence={},
+            truth_codes,
+            claim_acc,
+            group_post,
+            group_support,
             iterations=iterations,
             converged=converged,
             method=self.method_name,
+            lean=lean,
         )

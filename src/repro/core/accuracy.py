@@ -24,24 +24,16 @@ the auction).  The kernels live in :mod:`repro.core.engine`
 (:func:`~repro.core.engine.plain_posterior_groups`,
 :func:`~repro.core.engine.discounted_posterior_groups`,
 :func:`~repro.core.engine.accuracy_flat`); this module keeps the
-dense-matrix reduction the result bundle reports.
+per-worker reduction the result bundle reports.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .indexing import ClaimArrays, DatasetIndex
+from .indexing import ClaimArrays
 
-__all__ = ["claim_mean_by_worker", "worker_mean_accuracy"]
-
-
-def worker_mean_accuracy(index: DatasetIndex, accuracy: np.ndarray) -> np.ndarray:
-    """Per-worker mean accuracy over answered tasks (0 for idle workers)."""
-    arrays = index.arrays
-    return claim_mean_by_worker(
-        arrays, accuracy[arrays.claim_worker, arrays.claim_task]
-    )
+__all__ = ["claim_mean_by_worker"]
 
 
 def claim_mean_by_worker(arrays: ClaimArrays, claim_values: np.ndarray) -> np.ndarray:

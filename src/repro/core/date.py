@@ -30,12 +30,11 @@ import numpy as np
 
 from ..errors import ConvergenceWarning
 from ..types import Dataset
-from .accuracy import worker_mean_accuracy
+from .accuracy import claim_mean_by_worker
 from .config import DateConfig
 from .dependence import DependencePosterior
 from .engine import (
     DependenceArrays,
-    DependenceView,
     accuracy_flat,
     dense_accuracy,
     dependence_table,
@@ -43,7 +42,6 @@ from .engine import (
     independence_flat,
     pairwise_dependence_arrays,
     plain_posterior_groups,
-    posterior_table,
     select_truth_codes,
     support_flat,
     support_table,
@@ -220,7 +218,8 @@ class TruthDiscoveryResult:
     confidence:
         ``task_id -> posterior probability`` of the selected truth.
     support:
-        ``task_id -> {value: support count}`` from the final iteration.
+        ``task_id -> {value: support count}`` from the final iteration;
+        empty on lean runs.
     dependence:
         ``(worker_id, worker_id') -> DependencePosterior`` for every
         co-answering pair (ids in dataset order, first < second
@@ -228,7 +227,7 @@ class TruthDiscoveryResult:
         out a :class:`~repro.core.engine.DependenceView` over the
         kernel's pair arrays, which iterates in pair order and compares
         equal to a plain dict item by item.  Empty for
-        dependence-unaware methods.
+        dependence-unaware methods and on lean runs.
     iterations:
         Number of refinement iterations executed.
     converged:
@@ -320,16 +319,15 @@ class DATE:
         reputations carry over.  Workers or tasks unknown to the warm
         start fall back to the cold-start defaults.
 
-        ``lean=True`` is an optimization hint for callers that only
-        consume truths, accuracies and confidence (the streaming
-        per-batch path): the run then skips materializing the
-        string-keyed support, posterior and dependence tables, leaving
-        those result fields empty.  The estimation itself is unchanged.
+        ``lean=True`` is for callers that only consume truths,
+        accuracies and confidence (the streaming per-batch path): the
+        result's ``support`` and ``dependence`` are then left empty.
+        The estimation itself is unchanged.
 
         Inner-loop state is three flat arrays (per-claim accuracy,
         per-claim independence, per-task truth codes) driven through
-        the kernels of :mod:`repro.core.engine`; the result structures
-        are materialized once after convergence.
+        the kernels of :mod:`repro.core.engine`; :func:`build_result`
+        assembles the result from them once after convergence.
         """
         index = index or DatasetIndex(dataset)
         cfg = self.config
@@ -357,13 +355,10 @@ class DATE:
                 start, end = arrays.worker_ptr[i], arrays.worker_ptr[i + 1]
                 claim_acc[arrays.worker_claims[start:end]] = carried_accuracy
 
-        dependence = DependenceArrays(p_ab=np.empty(0), p_ba=np.empty(0))
-        indep = None
-        group_post = None
-        group_support = None
+        dependence = group_post = group_support = None
 
         def step(truth_codes):
-            nonlocal dependence, indep, group_post, group_support, claim_acc
+            nonlocal dependence, group_post, group_support, claim_acc
             # Telemetry reads loop state after each kernel; the branches
             # below are the loop's entire disabled-mode cost.
             if telemetry is not None:
@@ -444,105 +439,74 @@ class DATE:
                 converged=converged,
                 seconds=time.perf_counter() - run_start,
             )
-        truths = arrays.truth_values(truth_codes)
-        if lean:
-            # Only the selected value's posterior survives, gathered
-            # straight into the confidence map — no per-task posterior
-            # tables are materialized at all.
-            confidence: dict[str, float] = {}
-            if group_post is not None:
-                answered = np.flatnonzero(truth_codes >= 0)
-                groups = arrays.task_group_ptr[answered] + truth_codes[answered]
-                for j, g in zip(answered, groups):
-                    confidence[index.task_ids[j]] = float(group_post[g])
-            return build_result(
-                index,
-                truths,
-                dense_accuracy(arrays, claim_acc),
-                [],
-                [],
-                {},
-                iterations=iterations,
-                converged=converged,
-                method=self.method_name,
-                confidence=confidence,
-            )
         return build_result(
             index,
-            truths,
-            dense_accuracy(arrays, claim_acc),
-            posterior_table(arrays, group_post) if group_post is not None else [],
-            support_table(arrays, group_support)
-            if group_support is not None
-            else [],
-            dependence_table(arrays, dependence),
+            truth_codes,
+            claim_acc,
+            group_post,
+            group_support,
+            dependence,
             iterations=iterations,
             converged=converged,
             method=self.method_name,
+            lean=lean,
         )
 
 
 def build_result(
     index: DatasetIndex,
-    truths: list[str | None],
-    accuracy: np.ndarray,
-    posteriors: list[dict[str, float]],
-    support: list[dict[str, float]],
-    dependence: Mapping[tuple[int, int], DependencePosterior],
+    truth_codes: np.ndarray,
+    claim_acc: np.ndarray,
+    group_post: np.ndarray,
+    group_support: np.ndarray,
+    dependence: DependenceArrays | None = None,
     *,
     iterations: int,
     converged: bool,
     method: str,
-    confidence: dict[str, float] | None = None,
+    lean: bool = False,
 ) -> TruthDiscoveryResult:
-    """Assemble a :class:`TruthDiscoveryResult` from index-space pieces.
+    """Assemble a :class:`TruthDiscoveryResult` from a run's arrays.
 
-    Shared by DATE and the baselines so every algorithm reports the
-    same, directly comparable structure.  ``confidence`` short-circuits
-    the posterior-table lookup for callers that already hold the
-    selected values' posteriors (the lean path).
+    The one assembler of every zoo member, so every algorithm reports
+    the same, directly comparable structure.  ``truth_codes`` holds one
+    value code per task (-1 for unanswered tasks), ``claim_acc`` one
+    accuracy per claim, ``group_post``/``group_support`` one posterior
+    and one support per value group, and ``dependence`` the pair
+    posteriors of a dependence-aware member (``None`` otherwise).  Each
+    answered task's confidence is its truth's posterior, one gather at
+    ``task_group_ptr[j] + code``; ``worker_accuracy`` is each worker's
+    mean claim accuracy.  ``lean=True`` leaves ``support`` and
+    ``dependence`` empty: no table is built for them.
     """
-    truth_map = {
-        index.task_ids[j]: value
-        for j, value in enumerate(truths)
-        if value is not None
-    }
-    if confidence is None:
-        confidence = {}
-        for j, value in enumerate(truths):
-            if value is None:
-                continue
-            if j < len(posteriors) and posteriors[j]:
-                confidence[index.task_ids[j]] = posteriors[j].get(value, 0.0)
-    support_map = {
-        index.task_ids[j]: dict(counts)
-        for j, counts in enumerate(support)
-        if counts
-    }
-    means = worker_mean_accuracy(index, accuracy)
-    worker_accuracy = {
-        worker_id: float(means[i]) for i, worker_id in enumerate(index.worker_ids)
-    }
-    worker_ids = tuple(index.worker_ids)
-    if isinstance(dependence, DependenceView):
-        dependence_map = dependence.rekeyed(worker_ids)
-    else:
-        dependence_map = {
-            (worker_ids[a], worker_ids[b]): posterior
-            for (a, b), posterior in dependence.items()
+    arrays = index.arrays
+    task_ids, worker_ids = tuple(index.task_ids), tuple(index.worker_ids)
+    answered = np.flatnonzero(truth_codes >= 0)
+    truth_groups = arrays.task_group_ptr[answered] + truth_codes[answered]
+    answered_ids = [task_ids[j] for j in answered.tolist()]
+    means = claim_mean_by_worker(arrays, claim_acc)
+    support: dict[str, dict[str, float]] = {}
+    dependence_map: Mapping[tuple[str, str], DependencePosterior] = {}
+    if not lean:
+        support = {
+            task_ids[j]: counts
+            for j, counts in enumerate(support_table(arrays, group_support))
+            if counts
         }
+        if dependence is not None:
+            dependence_map = dependence_table(arrays, dependence).rekeyed(worker_ids)
     return TruthDiscoveryResult(
-        truths=truth_map,
-        accuracy_matrix=accuracy,
-        worker_accuracy=worker_accuracy,
-        confidence=confidence,
-        support=support_map,
+        truths=dict(zip(answered_ids, arrays.group_values[truth_groups].tolist())),
+        accuracy_matrix=dense_accuracy(arrays, claim_acc),
+        worker_accuracy=dict(zip(worker_ids, means.tolist())),
+        confidence=dict(zip(answered_ids, group_post[truth_groups].tolist())),
+        support=support,
         dependence=dependence_map,
         iterations=iterations,
         converged=converged,
         method=method,
         worker_ids=worker_ids,
-        task_ids=tuple(index.task_ids),
+        task_ids=task_ids,
         _ground_truths={t.task_id: t.truth for t in index.tasks if t.truth is not None},
     )
 

@@ -16,9 +16,12 @@ iterations:
 - ``truth_codes`` — one value code per task (-1 for unanswered tasks).
 
 The dense matrix and the string-keyed tables of the public API are
-materialized once at the end of a run (:func:`dense_accuracy`,
-:func:`posterior_table`, :func:`support_table`,
-:func:`dependence_table`).  DESIGN.md §7 documents the encoding;
+materialized once at the end of a run, by
+:func:`~repro.core.date.build_result` (:func:`dense_accuracy`,
+:func:`support_table`, :func:`dependence_table`); a result's
+confidence is one gather from the posteriors, so
+:func:`posterior_table` serves only the tests and the perf harness.
+DESIGN.md §7 documents the encoding;
 tests/property/test_property_backends.py pins every kernel against the
 scalar transcriptions kept in tests/oracles/.
 """
@@ -352,8 +355,8 @@ def _dependence_posteriors(
 
     Elementwise over pairs — normalizing a subset of pairs produces the
     same bits as normalizing all of them and selecting the subset.  The
-    two returned arrays are ``out`` when given, else fresh; the sums
-    are not modified.
+    two returned arrays are ``out`` when given, else fresh; a sum is
+    modified only when it is its own ``out`` (normalized in place).
     """
     w_ind = np.add(sum_ind, math.log(1.0 - prior_alpha))
     log_prior_dep = math.log(prior_alpha / 2.0)
@@ -394,10 +397,12 @@ def pairwise_dependence_arrays(
     part), and the parts run at once (:func:`_run_parts`).  Each part
     walks its pairs in blocks of about ``_BLOCK_ROWS`` rows that also
     end on pair boundaries: it scores a block's rows (Eqs. 7-13), takes
-    numpy's ``log`` of the terms in place and sums each pair's rows,
-    then normalizes its own pairs' posteriors.  Every output belongs to
-    one row, one pair or one pair's rows, so no cut changes a bit, and
-    no full-length row-term array is ever allocated (DESIGN.md §7).
+    numpy's ``log`` of the terms in place and sums each pair's rows (the
+    two directed hypotheses straight into its slices of the outputs),
+    then normalizes its own pairs' posteriors there in place.  Every
+    output belongs to one row, one pair or one pair's rows, so no cut
+    changes a bit, and no full-length row-term array is ever allocated
+    (DESIGN.md §7).
     """
     if not 0.0 < copy_prob_r < 1.0:
         raise ValueError(f"copy_prob_r must be in (0, 1), got {copy_prob_r}")
@@ -419,7 +424,10 @@ def pairwise_dependence_arrays(
         blocks = _pair_cuts(pair_ptr, first, stop, max(n_blocks, 1))
         block_rows = pair_ptr[blocks].tolist()
         terms = np.empty((3, int(np.diff(block_rows).max(initial=0))))
-        sums = np.empty((3, stop - first))
+        # The ab/ba sums go straight into the part's slices of the
+        # outputs, which the normalization then overwrites in place.
+        out = (p_ab[first:stop], p_ba[first:stop])
+        sums = (np.empty(stop - first), *out)
         for q0, q1, r0, r1 in zip(blocks, blocks[1:], block_rows, block_rows[1:]):
             block = terms[:, : r1 - r0]
             _kernels.score_pair_rows(
@@ -432,9 +440,7 @@ def pairwise_dependence_arrays(
                 *(row.ctypes.data for row in block),
                 *(total.ctypes.data + total.itemsize * (q0 - first) for total in sums),
             )
-        _dependence_posteriors(
-            *sums, prior_alpha, out=(p_ab[first:stop], p_ba[first:stop])
-        )
+        _dependence_posteriors(*sums, prior_alpha, out=out)
 
     _run_parts(part, n_parts)
     return DependenceArrays(p_ab=p_ab, p_ba=p_ba)
@@ -801,10 +807,9 @@ def plain_posterior_groups(
 
     # General model: per-task K x K false-value matrices, computed once
     # per (model, index) — they are iteration-invariant.
-    # Each candidate's score adds its claims' terms in the task's claim
-    # arrival order (``arrays.claim_seq``), as the scalar transcription
-    # does: candidates whose scores tie exactly in real arithmetic then
-    # tie in floating point too, and line 28's tie-break decides.
+    # Each candidate's score adds the task's claim terms in worker
+    # order, as the scalar transcription does, so the scores do not
+    # depend on the order the claims arrived in.
     q_matrices = false_values.value_probability_matrices(index)
     scores = np.empty(arrays.n_groups, dtype=np.float64)
     for j in range(index.n_tasks):
@@ -812,7 +817,7 @@ def plain_posterior_groups(
         if g0 == g1:
             continue
         c0, c1 = int(arrays.task_ptr[j]), int(arrays.task_ptr[j + 1])
-        rows = c0 + np.argsort(arrays.claim_seq[c0:c1])
+        rows = c0 + np.argsort(arrays.claim_worker[c0:c1])
         q = q_matrices[j]
         codes = arrays.claim_code[rows]
         contrib = _safe_log((1.0 - acc[rows])[:, None] * q[codes, :])

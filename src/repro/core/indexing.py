@@ -353,9 +353,9 @@ class ClaimArrays:
     - and, within a group, workers ascending.
 
     ``claim_seq`` records each claim's arrival position in the campaign,
-    the one fact the ``(task, code, worker)`` order drops: the
-    undiscounted posterior ranks a task's claims by it, and
-    :attr:`DatasetIndex.dataset` lists the claims in its order.
+    the one fact the ``(task, code, worker)`` order drops:
+    :attr:`DatasetIndex.dataset` lists the claims in its order, and no
+    kernel reads it.
 
     The co-answering worker pairs are flattened the same way: one row
     per (pair, shared task), grouped by pair via ``pair_ptr``, with

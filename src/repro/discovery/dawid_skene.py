@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.date import TruthDiscoveryResult, build_result, iterate_truths
-from ..core.engine import _segment_softmax, dense_accuracy, posterior_table, support_table
+from ..core.engine import _segment_softmax
 from ..core.indexing import DatasetIndex, _concat_ranges, segment_first_argmax_code
 from ..types import Dataset
 
@@ -156,12 +156,12 @@ class FastDawidSkene:
         )
         return build_result(
             index,
-            arrays.truth_values(codes),
-            dense_accuracy(arrays, claim_acc),
-            posterior_table(arrays, posterior),
-            support_table(arrays, posterior),
-            dependence={},
+            codes,
+            claim_acc,
+            posterior,
+            posterior,
             iterations=iterations,
             converged=converged,
             method=self.method_name,
+            lean=lean,
         )

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.date import TruthDiscoveryResult, build_result, iterate_truths
-from ..core.engine import _segment_softmax, dense_accuracy, posterior_table, support_table
+from ..core.engine import _segment_softmax
 from ..core.indexing import DatasetIndex, segment_first_argmax_code
 from ..types import Dataset
 
@@ -129,12 +129,12 @@ class LatentCredibilityAnalysis:
         posterior = state["posterior"]
         return build_result(
             index,
-            arrays.truth_values(codes),
-            dense_accuracy(arrays, honesty[arrays.claim_worker]),
-            posterior_table(arrays, posterior),
-            support_table(arrays, posterior),
-            dependence={},
+            codes,
+            honesty[arrays.claim_worker],
+            posterior,
+            posterior,
             iterations=iterations,
             converged=converged,
             method=self.method_name,
+            lean=lean,
         )

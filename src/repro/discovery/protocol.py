@@ -11,9 +11,14 @@ entry point that maps a campaign to a
   holding an index pass ``run(None, index=index)``.  ``warm_start``
   carries a previous result whose truths and worker reputations may
   seed the iteration (algorithms without a warm path accept and ignore
-  it); ``lean`` permits skipping expensive result tables, with the
-  invariant that truths, confidence and accuracies are bit-identical
-  to the full run.
+  it).  ``lean=True`` leaves the result's ``support`` and
+  ``dependence`` empty; truths, confidence and accuracies are
+  bit-identical to the full run.
+
+Every member ends in one call of :func:`~repro.core.date.build_result`,
+handing it its arrays (truth codes, per-claim accuracies, per-group
+posteriors and support, and DATE/ED's pair posteriors) and ``lean``,
+so every result is assembled the same way.
 
 A member's hyperparameters are fixed by its constructor arguments
 (DATE, NC and ED take a :class:`~repro.core.config.DateConfig`) or are
@@ -21,7 +26,8 @@ module constants (MV and the three natives take none).  Membership in
 the zoo is enforced by the conformance suite
 (``tests/unit/test_discovery_conformance.py``): unanimity agreement,
 determinism, worker-permutation and value-relabel equivariance, and
-arrival-order, lean/full, prebuilt-index and telemetry bit-identity.
+arrival-order, lean/full, prebuilt-index and telemetry bit-identity,
+and empty support and dependence on lean runs.
 """
 
 from __future__ import annotations

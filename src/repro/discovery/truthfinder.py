@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.date import TruthDiscoveryResult, build_result, iterate_truths
-from ..core.engine import dense_accuracy, posterior_table, support_table
 from ..core.indexing import DatasetIndex, segment_first_argmax_code
 from ..types import Dataset
 
@@ -130,12 +129,12 @@ class TruthFinder:
         confidence = state["confidence"]
         return build_result(
             index,
-            arrays.truth_values(codes),
-            dense_accuracy(arrays, trust[arrays.claim_worker]),
-            posterior_table(arrays, confidence),
-            support_table(arrays, confidence),
-            dependence={},
+            codes,
+            trust[arrays.claim_worker],
+            confidence,
+            confidence,
             iterations=iterations,
             converged=converged,
             method=self.method_name,
+            lean=lean,
         )

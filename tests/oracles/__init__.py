@@ -15,7 +15,8 @@ by line over dict views of a :class:`~repro.core.indexing.DatasetIndex`
   (Eqs. 17-20);
 - :mod:`.support` — support counts and truth selection (line 28,
   Eq. 21);
-- :mod:`.date` — the Alg. 1 drivers for DATE, ED and NC;
+- :mod:`.date` — the Alg. 1 drivers for DATE, ED and NC and the
+  table-shaped result assembler they report through;
 - :mod:`.auction` — Alg. 2's greedy cover and critical payments;
 - :mod:`.indexing` — the per-task, per-value and per-worker claim
   dicts, co-answering pairs, initial accuracies and majority vote the
@@ -32,9 +33,11 @@ from .accuracy import (
     discounted_value_posteriors,
     update_accuracy_matrix,
     value_posteriors,
+    worker_mean_accuracy,
 )
 from .auction import greedy_cover, reference_auction, reference_payments
 from .date import (
+    build_result,
     date_independence,
     date_reference,
     ed_independence,
@@ -69,6 +72,7 @@ from .support import select_truths, support_counts
 __all__ = [
     "IndependenceTable",
     "batched_independence_flat",
+    "build_result",
     "claims_by_task",
     "claims_by_worker",
     "classwise_score_pair_rows",
@@ -97,4 +101,5 @@ __all__ = [
     "update_accuracy_matrix",
     "value_groups",
     "value_posteriors",
+    "worker_mean_accuracy",
 ]

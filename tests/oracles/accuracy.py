@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from repro.core.accuracy import claim_mean_by_worker
 from repro.core.falsedist import FalseValueDistribution, UniformFalseValues
 from repro.core.indexing import DatasetIndex
 
@@ -24,6 +25,7 @@ __all__ = [
     "value_posteriors",
     "discounted_value_posteriors",
     "update_accuracy_matrix",
+    "worker_mean_accuracy",
 ]
 
 _MIN_PROB = 1e-12
@@ -45,7 +47,8 @@ def value_posteriors(
 
     Probabilities within one task sum to 1 (there is exactly one true
     value among the observed candidates, Eq. 19).  Tasks without claims
-    get an empty table.
+    get an empty table.  Each candidate's log score adds the task's
+    claims in worker order, which their arrival order does not change.
     """
     false_values = false_values or UniformFalseValues()
     lo, hi = accuracy_clamp
@@ -55,11 +58,11 @@ def value_posteriors(
         if not groups:
             table.append({})
             continue
-        claims = by_task[j]
+        claims = sorted(by_task[j].items())
         log_scores: dict[str, float] = {}
         for candidate in groups:
             log_score = 0.0
-            for worker, value in claims.items():
+            for worker, value in claims:
                 acc = min(max(accuracy[worker, j], lo), hi)
                 if value == candidate:
                     log_score += math.log(acc)
@@ -159,3 +162,11 @@ def update_accuracy_matrix(
         for j in claims:
             matrix[i, j] = mean
     return matrix
+
+
+def worker_mean_accuracy(index: DatasetIndex, accuracy: np.ndarray) -> np.ndarray:
+    """Per-worker mean accuracy over answered tasks (0 for idle workers)."""
+    arrays = index.arrays
+    return claim_mean_by_worker(
+        arrays, accuracy[arrays.claim_worker, arrays.claim_task]
+    )

@@ -11,8 +11,11 @@ can write ``run_reference(DATE(config), dataset)`` next to
 
 from __future__ import annotations
 
-from functools import partial
+from collections.abc import Mapping
 
+import numpy as np
+
+from repro.baselines import enumerate_dependence
 from repro.baselines.enumerate_dependence import (
     EnumerateDependence,
     _closed_form_independence,
@@ -20,7 +23,7 @@ from repro.baselines.enumerate_dependence import (
 )
 from repro.baselines.no_copier import NoCopier
 from repro.core.config import DateConfig
-from repro.core.date import TruthDiscoveryResult, build_result, iterate_truths
+from repro.core.date import TruthDiscoveryResult, iterate_truths
 from repro.core.dependence import DependencePosterior
 from repro.core.indexing import DatasetIndex
 from repro.types import Dataset
@@ -29,6 +32,7 @@ from .accuracy import (
     discounted_value_posteriors,
     update_accuracy_matrix,
     value_posteriors,
+    worker_mean_accuracy,
 )
 from .dependence import compute_pairwise_dependence, directed_probability
 from .independence import IndependenceTable, independence_probabilities
@@ -41,6 +45,7 @@ from .indexing import (
 from .support import select_truths, support_counts
 
 __all__ = [
+    "build_result",
     "date_independence",
     "date_reference",
     "ed_independence",
@@ -68,10 +73,10 @@ def ed_independence(
     config: DateConfig,
     index: DatasetIndex,
     dependence: dict[tuple[int, int], DependencePosterior],
-    *,
-    exact_enumeration_limit: int = 16,
 ) -> IndependenceTable:
-    """ED's step 2: explicit enumeration over every co-provider."""
+    """ED's step 2: explicit enumeration over every co-provider, up to
+    the product's ``EXACT_ENUMERATION_LIMIT`` edges per worker."""
+    limit = enumerate_dependence.EXACT_ENUMERATION_LIMIT
     r = config.copy_prob_r
     table: IndependenceTable = []
     for groups in value_groups(index):
@@ -84,7 +89,7 @@ def ed_independence(
                     for other in group
                     if other != worker
                 ]
-                if len(edge_probs) <= exact_enumeration_limit:
+                if len(edge_probs) <= limit:
                     scores[worker] = _enumerated_independence(edge_probs)
                 else:
                     scores[worker] = _closed_form_independence(edge_probs)
@@ -251,22 +256,81 @@ def run_reference(
 
     ``algorithm`` is a :class:`~repro.core.date.DATE`,
     :class:`~repro.baselines.EnumerateDependence` or
-    :class:`~repro.baselines.NoCopier` instance; its config (and ED's
-    enumeration limit) parameterize the reference run.
+    :class:`~repro.baselines.NoCopier` instance; its config
+    parameterizes the reference run.
     """
     index = index or DatasetIndex(dataset)
     if isinstance(algorithm, NoCopier):
         return no_copier_reference(algorithm.config, index)
-    hook = date_independence
-    if isinstance(algorithm, EnumerateDependence):
-        hook = partial(
-            ed_independence,
-            exact_enumeration_limit=algorithm.exact_enumeration_limit,
-        )
     return date_reference(
         algorithm.config,
         index,
         warm_start,
-        independence_hook=hook,
+        independence_hook=(
+            ed_independence
+            if isinstance(algorithm, EnumerateDependence)
+            else date_independence
+        ),
         method=algorithm.method_name,
+    )
+
+
+def build_result(
+    index: DatasetIndex,
+    truths: list[str | None],
+    accuracy: np.ndarray,
+    posteriors: list[dict[str, float]],
+    support: list[dict[str, float]],
+    dependence: Mapping[tuple[int, int], DependencePosterior],
+    *,
+    iterations: int,
+    converged: bool,
+    method: str,
+) -> TruthDiscoveryResult:
+    """Assemble a :class:`TruthDiscoveryResult` from the oracle's tables.
+
+    The table-shaped assembler the product's array one
+    (:func:`repro.core.date.build_result`) replaced: each confidence is
+    looked up in the task's posterior table, each worker accuracy
+    gathered back out of the dense matrix, so the differential suites
+    pin the two assemblies against each other.
+    """
+    truth_map = {
+        index.task_ids[j]: value
+        for j, value in enumerate(truths)
+        if value is not None
+    }
+    confidence = {}
+    for j, value in enumerate(truths):
+        if value is None:
+            continue
+        if j < len(posteriors) and posteriors[j]:
+            confidence[index.task_ids[j]] = posteriors[j].get(value, 0.0)
+    support_map = {
+        index.task_ids[j]: dict(counts)
+        for j, counts in enumerate(support)
+        if counts
+    }
+    means = worker_mean_accuracy(index, accuracy)
+    worker_accuracy = {
+        worker_id: float(means[i]) for i, worker_id in enumerate(index.worker_ids)
+    }
+    worker_ids = tuple(index.worker_ids)
+    dependence_map = {
+        (worker_ids[a], worker_ids[b]): posterior
+        for (a, b), posterior in dependence.items()
+    }
+    return TruthDiscoveryResult(
+        truths=truth_map,
+        accuracy_matrix=accuracy,
+        worker_accuracy=worker_accuracy,
+        confidence=confidence,
+        support=support_map,
+        dependence=dependence_map,
+        iterations=iterations,
+        converged=converged,
+        method=method,
+        worker_ids=worker_ids,
+        task_ids=tuple(index.task_ids),
+        _ground_truths={t.task_id: t.truth for t in index.tasks if t.truth is not None},
     )

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.core import DatasetIndex
-from repro.core.accuracy import worker_mean_accuracy
 
 from tests.oracles import (
     claims_by_worker,
@@ -17,6 +16,7 @@ from tests.oracles import (
     update_accuracy_matrix,
     value_groups,
     value_posteriors,
+    worker_mean_accuracy,
 )
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import DATE, DateConfig, EnumerateDependence, MajorityVote, NoCopier
+from repro.baselines import enumerate_dependence
 from repro.baselines.enumerate_dependence import (
     _closed_form_independence,
     _enumerated_independence,
@@ -99,13 +100,10 @@ class TestEnumerateDependence:
     def test_method_name(self, tiny_dataset):
         assert EnumerateDependence().run(tiny_dataset).method == "ED"
 
-    def test_limit_validation(self):
-        with pytest.raises(Exception):
-            EnumerateDependence(exact_enumeration_limit=-1)
-
-    def test_closed_form_fallback_same_truths(self, tiny_dataset):
-        exact = EnumerateDependence(exact_enumeration_limit=16).run(tiny_dataset)
-        fallback = EnumerateDependence(exact_enumeration_limit=0).run(tiny_dataset)
+    def test_closed_form_fallback_same_truths(self, tiny_dataset, monkeypatch):
+        exact = EnumerateDependence().run(tiny_dataset)
+        monkeypatch.setattr(enumerate_dependence, "EXACT_ENUMERATION_LIMIT", 0)
+        fallback = EnumerateDependence().run(tiny_dataset)
         assert exact.truths == fallback.truths
 
     def test_discounts_against_all_coproviders(self, tiny_dataset):

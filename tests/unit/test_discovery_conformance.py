@@ -8,10 +8,12 @@ interface must pass *all* of these, on the same parametrized axis:
 - bit-identical determinism across fresh instances;
 - worker-permutation equivariance (truths always; accuracies for
   algorithms whose reputation is order-free);
-- claim arrival order changes nothing (bit-identity);
+- claim arrival order changes nothing (bit-identity), under every
+  false-value model for the members that take one;
 - value-relabel equivariance (order-preserving bijections exactly;
   arbitrary bijections on tie-free data);
-- lean/full consistency of the estimate-carrying fields;
+- lean/full consistency of the estimate-carrying fields, and lean runs
+  leave the support and dependence tables empty;
 - a caller's prebuilt index changes nothing (bit-identity);
 - telemetry on/off bit-identity;
 - warm starts accepted (used or ignored, never an error);
@@ -29,6 +31,8 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core.config import DateConfig
+from repro.core.falsedist import EmpiricalFalseValues, ZipfFalseValues
 from repro.core.indexing import DatasetIndex
 from repro.datasets.qatar_living import generate_qatar_living_like
 from repro.discovery import (
@@ -50,8 +54,8 @@ from repro.types import Dataset, Task, WorkerProfile
 ORDER_FREE_ACCURACY = ("MV", "NC", "TruthFinder", "FDS", "LCA")
 
 
-def _run(name, dataset, *, index=None, **kwargs):
-    discoverer = make_discoverer(name)
+def _run(name, dataset, *, index=None, date_config=None, **kwargs):
+    discoverer = make_discoverer(name, date_config=date_config)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return discoverer.run(dataset, index=index, **kwargs)
@@ -106,6 +110,18 @@ def _tie_free_dataset():
             # majority no reputation re-weighting can tie up.
             claims[(f"w{i}", f"t{j}")] = "A" if i < 4 else "B"
     return Dataset(tasks=tasks, workers=workers, claims=claims)
+
+
+def _shuffled_claims(dataset: Dataset, seed: int) -> Dataset:
+    items = list(dataset.claims.items())
+    order = np.random.default_rng(seed).permutation(len(items))
+    shuffled = Dataset(
+        tasks=dataset.tasks,
+        workers=dataset.workers,
+        claims=dict(items[i] for i in order),
+    )
+    assert list(shuffled.claims) != list(dataset.claims)
+    return shuffled
 
 
 def _relabel(dataset: Dataset, mapping: dict[str, str]) -> Dataset:
@@ -167,16 +183,8 @@ class TestConformance:
 
     def test_arrival_order_bit_identity(self, name, campaign):
         dataset, index = campaign
-        items = list(dataset.claims.items())
-        order = np.random.default_rng(3).permutation(len(items))
-        shuffled = Dataset(
-            tasks=dataset.tasks,
-            workers=dataset.workers,
-            claims=dict(items[i] for i in order),
-        )
-        assert list(shuffled.claims) != list(dataset.claims)
         _assert_bit_identical(
-            _run(name, dataset, index=index), _run(name, shuffled)
+            _run(name, dataset, index=index), _run(name, _shuffled_claims(dataset, 3))
         )
 
     def test_order_preserving_relabel_bit_identity(self, name, campaign):
@@ -220,6 +228,13 @@ class TestConformance:
         assert lean.worker_accuracy == full.worker_accuracy
         assert np.array_equal(lean.accuracy_matrix, full.accuracy_matrix)
 
+    def test_lean_leaves_tables_empty(self, name, campaign):
+        dataset, index = campaign
+        lean = _run(name, dataset, index=index, lean=True)
+        assert lean.support == {}
+        assert lean.dependence == {}
+        assert _run(name, dataset, index=index).support
+
     def test_prebuilt_index_bit_identity(self, name, campaign):
         dataset, index = campaign
         built = _run(name, dataset)
@@ -245,6 +260,23 @@ class TestConformance:
         assert set(restarted.truths) == set(warm.truths)
         for value in restarted.truths.values():
             assert value is not None
+
+
+@pytest.mark.parametrize("false_values", [ZipfFalseValues, EmpiricalFalseValues])
+@pytest.mark.parametrize("name", ("DATE", "NC", "ED"))
+def test_arrival_order_bit_identity_under_false_value_models(name, false_values):
+    """The members that take a ``DateConfig``, with a false-value model
+    that is not candidate-free: the undiscounted posterior then builds
+    each task's ``K x K`` matrix, and arrival order still changes
+    nothing."""
+    config = DateConfig(false_values=false_values(), discounted_posterior=False)
+    dataset = generate_qatar_living_like(
+        seed=11, n_tasks=60, n_workers=30, n_copiers=6, target_claims=900
+    )
+    _assert_bit_identical(
+        _run(name, dataset, date_config=config),
+        _run(name, _shuffled_claims(dataset, 3), date_config=config),
+    )
 
 
 class TestRegistry:

@@ -10,6 +10,11 @@ plus a few words per pair and per claim.  Both budgets are well below
 one row-length or slot-length int64 array, so a per-call widening of
 the int32 tables (``np.ascontiguousarray(..., dtype=np.int64)``), a
 full-length row-term array or a copy of the slot map each fail it.
+
+A second campaign has many pairs and about one row each, so there the
+per-pair arrays dominate: the dependence pass may hold its two outputs
+and three more float64 words per pair (one sum and the normalization's
+two temporaries), not a separate array for each of the three sums.
 """
 
 from __future__ import annotations
@@ -49,6 +54,24 @@ def arrays():
     return arrays
 
 
+@pytest.fixture(scope="module")
+def pair_heavy_arrays():
+    rng = np.random.default_rng(5)
+    n_workers, n_tasks = 1500, 60
+    tasks = tuple(Task(task_id=f"t{j}", domain=("A", "B")) for j in range(n_tasks))
+    claims = {
+        (f"w{i}", f"t{j}"): "AB"[int(rng.random() < 0.3)]
+        for j in range(n_tasks)
+        for i in range(n_workers)
+        if rng.random() < 0.07
+    }
+    workers = tuple(WorkerProfile(worker_id=f"w{i}") for i in range(n_workers))
+    arrays = DatasetIndex(Dataset(tasks=tasks, workers=workers, claims=claims)).arrays
+    assert arrays.n_pairs > 200_000
+    assert len(arrays.ps_claim_a) < 1.2 * arrays.n_pairs
+    return arrays
+
+
 def traced_peak(call) -> int:
     """Bytes allocated at ``call``'s peak above what was live before;
     ``call`` runs once untraced first, for the caches and the pool."""
@@ -77,6 +100,14 @@ def test_dependence_pass_allocates_blocks_not_rows(arrays):
     blocks = engine._PARTS * 3 * 8 * (engine._BLOCK_ROWS + longest_pair)
     budget = blocks + 128 * arrays.n_pairs + SLACK
     assert budget < 8 * len(arrays.ps_claim_a)
+    assert traced_peak(dependence_pass(arrays)) <= budget
+
+
+def test_dependence_pass_per_pair_bytes(pair_heavy_arrays):
+    arrays = pair_heavy_arrays
+    longest_pair = int(np.diff(arrays.pair_ptr).max())
+    blocks = engine._PARTS * 3 * 8 * (engine._BLOCK_ROWS + longest_pair)
+    budget = blocks + 44 * arrays.n_pairs + SLACK
     assert traced_peak(dependence_pass(arrays)) <= budget
 
 
