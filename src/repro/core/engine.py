@@ -72,16 +72,17 @@ _MIN_PROB = 1e-12
 # compiler).
 _kernels = load_kernels()
 
-# The dependence and Eq. 16 passes run in one part per CPU this process
-# may use (DESIGN.md §7, "Both cores").  A pass over fewer pair rows
-# (dependence) or member-pair slots (Eq. 16) than the measured
-# crossover runs as one part, on the calling thread, through the same
-# code: handing a part to the pool costs ~0.1-0.5 ms on a 2-core box.
-# There, two parts broke even at ~72k rows and won from ~110k (paper
-# scale has ~72k rows and ~64k slots, 3x ~275-325k rows and ~245k
-# slots); the Eq. 16 pass broke even at ~150k slots.  A dependence part
-# scores, logs and sums its rows in blocks of about ``_BLOCK_ROWS``
-# rows, whose three float64 term buffers (768 KB) stay in a core's L2.
+# The pair-table walk, the dependence and the Eq. 16 passes run in one
+# part per CPU this process may use (DESIGN.md §7, "Both cores").  A
+# pass over fewer pair rows (walk and dependence) or member-pair slots
+# (Eq. 16) than the measured crossover runs as one part, on the calling
+# thread, through the same code: handing a part to the pool costs
+# ~0.1-0.5 ms on a 2-core box.  There, two parts broke even at ~72k
+# rows and won from ~110k (paper scale has ~72k rows and ~64k slots, 3x
+# ~275-325k rows and ~245k slots), and so did the walk; the Eq. 16 pass
+# broke even at ~150k slots.  A dependence part scores, logs and sums
+# its rows in blocks of about ``_BLOCK_ROWS`` rows, whose three float64
+# term buffers (768 KB) stay in a core's L2.
 _PARTS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -124,6 +125,9 @@ def _run_parts(part, n_parts: int) -> None:
     calls nothing the perf harness's tracer wraps by name: only the
     entry points, on the calling thread, are traced.
     """
+    if n_parts == 1:
+        part(0)
+        return
     futures = [_parts_pool().submit(part, k) for k in range(1, n_parts)]
     try:
         part(0)
@@ -451,8 +455,11 @@ def _pair_cuts(pair_ptr: np.ndarray, first: int, stop: int, pieces: int) -> list
     runs of about equal rows, each cut on a pair boundary.
 
     A pair longer than a run stays whole, so its run is longer and the
-    next ones may be empty.
+    next ones may be empty.  Any CSR pointer works: the pair-table walk
+    cuts its second workers by their rows the same way.
     """
+    if pieces == 1:
+        return [first, stop]
     # Targets in pair_ptr's own dtype: float ones would make
     # searchsorted cast a float64 copy of pair_ptr.
     targets = np.linspace(pair_ptr[first], pair_ptr[stop], pieces + 1).astype(pair_ptr.dtype)
@@ -717,21 +724,16 @@ def independence_flat(
     ab, ba, indep_at = (a.ctypes.data for a in (p_ab, p_ba, indep))
     dependent_first = ordering == "dependent_first"
     total_mode = discount_mode == "total"
-    claims = [np.ascontiguousarray(c, dtype=np.int64) for _, c in buckets]
-    slots = [np.ascontiguousarray(s, dtype=np.int32) for s in arrays.multi_group_slots]
-    ms = np.array([m for m, _ in buckets], dtype=np.int64)
-    n_groups = np.array([len(c) for c in claims], dtype=np.int64)
-    claims_at = np.array([c.ctypes.data for c in claims], dtype=np.uintp)
-    slots_at = np.array([s.ctypes.data for s in slots], dtype=np.uintp)
-    n_parts = _PARTS if sum(s.size for s in slots) >= _PART_MIN_SLOTS else 1
+    ms, n_groups, claims_at, slots_at, n_slots = arrays.multi_group_launch
+    n_parts = _PARTS if n_slots >= _PART_MIN_SLOTS else 1
 
     def part(k: int) -> None:
         first = n_groups * k // n_parts
         count = n_groups * (k + 1) // n_parts - first
         # Each part's run of groups in every bucket, as pointers to its
-        # first group's claim row and slot matrix.
-        part_claims = claims_at + (first * ms * claims[0].itemsize).astype(np.uintp)
-        part_slots = slots_at + (first * ms * ms * slots[0].itemsize).astype(np.uintp)
+        # first group's int64 claim row and int32 slot matrix.
+        part_claims = claims_at + (first * ms * 8).astype(np.uintp)
+        part_slots = slots_at + (first * ms * ms * 4).astype(np.uintp)
         work = np.empty(largest * largest + 3 * largest)
         order = np.empty(2 * largest, dtype=np.int64)
         _kernels.independence_buckets(

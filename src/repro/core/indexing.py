@@ -547,6 +547,27 @@ class ClaimArrays:
         self._pair_tables
         return self.__dict__["multi_group_slots"]
 
+    @cached_property
+    def multi_group_launch(self) -> tuple[np.ndarray, ...]:
+        """The Eq. 16 kernel's view of the buckets, built once.
+
+        ``(ms, n_groups, claims_at, slots_at, n_slots)``: each bucket's
+        group size and group count (int64), the addresses of its
+        contiguous int64 claim matrix and int32 slot map (uintp, into
+        :attr:`multi_group_buckets` and :attr:`multi_group_slots`,
+        which this index keeps alive) and the total slot count.
+        """
+        buckets = self.multi_group_buckets
+        claims = [claim_idx for _, claim_idx in buckets]
+        slots = self.multi_group_slots
+        return (
+            np.array([m for m, _ in buckets], dtype=np.int64),
+            np.array([len(c) for c in claims], dtype=np.int64),
+            np.array([c.ctypes.data for c in claims], dtype=np.uintp),
+            np.array([s.ctypes.data for s in slots], dtype=np.uintp),
+            sum(s.size for s in slots),
+        )
+
     # -- conversions between codes and values ----------------------------
 
     def truth_values(self, truth_codes: np.ndarray) -> list[str | None]:
@@ -861,11 +882,20 @@ def _walk_pair_tables(
 ) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
     """The five int32 pair tables and the slot map, by ``pairtables.c``.
 
-    The walk runs twice over the same scratch: first it counts each
-    worker's rows and pairs as the smaller worker, then, once the
-    counts are known to fit in int32 (:func:`_check_int32_tables`), from
-    their prefix sums it fills every table and the slot map.
+    ``task_buckets`` lays each task's claims out in worker order, and
+    the rows of each second worker ``b`` give the walk's size.  A walk
+    of at least ``_PART_MIN_ROWS`` rows is cut into one part per CPU,
+    over ranges of ``b`` with about equal rows; a smaller one is one
+    part (DESIGN.md §7, "Both cores").  Every part runs twice with its
+    own counters: first it counts each worker's rows and pairs as the
+    smaller worker, then, once the summed counts are known to fit in
+    int32 (:func:`_check_int32_tables`), it fills its rows and pairs
+    from a's first row and pair plus a's counts in the parts before.
     """
+    # engine imports this module, so its part machinery is looked up
+    # here, at call time.
+    from .engine import _PART_MIN_ROWS, _PARTS, _pair_cuts, _run_parts
+
     n_workers, n_tasks = arrays.index.n_workers, arrays.index.n_tasks
     # Flat offset of each bucket, and of each multi-provider group's
     # m x m block.
@@ -884,26 +914,47 @@ def _walk_pair_tables(
             arrays.group_ptr, arrays.group_size, block,
         )
     ]
-    scratch = [np.empty(size, dtype=np.int64) for size in (n_tasks, n_workers, arrays.n_claims)]
-    rows, pairs = np.zeros(n_workers, dtype=np.int64), np.zeros(n_workers, dtype=np.int64)
+    fill, by_task, pos, row_ptr = (
+        np.empty(size, dtype=np.int64)
+        for size in (n_tasks, arrays.n_claims, arrays.n_claims, n_workers + 1)
+    )
+    _kernels.task_buckets(
+        n_workers, n_tasks,
+        *(a.ctypes.data for a in (*inputs[:4], fill, by_task, pos, row_ptr)),
+    )
+    n_parts = _PARTS if row_ptr[-1] >= _PART_MIN_ROWS else 1
+    cuts = _pair_cuts(row_ptr, 0, n_workers, n_parts)
+    # Each part's last, then its row and pair counters, which become its
+    # fill cursors.  Pool threads get plain addresses: they call only
+    # the kernel.
+    scratch = np.zeros((n_parts, 3, n_workers), dtype=np.int64)
+    at, width = scratch.ctypes.data, scratch.strides[1]
+    shared = [a.ctypes.data for a in (*inputs, by_task, pos)]
 
-    def walk(n_pairs, row_at, pair_at, outputs):
-        _kernels.pair_tables(
-            n_workers, n_tasks, *(a.ctypes.data for a in inputs), n_pairs,
-            *(a.ctypes.data for a in (*scratch, row_at, pair_at)),
-            *(None if a is None else a.ctypes.data for a in outputs),
-        )
+    def walk(n_pairs: int, outputs) -> None:
+        def part(k: int) -> None:
+            own = (at + width * (3 * k + i) for i in range(3))
+            _kernels.pair_tables(cuts[k], cuts[k + 1], *shared, n_pairs, *own, *outputs)
 
-    walk(-1, rows, pairs, (None,) * 6)
-    row_start, pair_start = _offsets(rows), _offsets(pairs)
+        _run_parts(part, n_parts)
+
+    walk(-1, (None,) * 6)
+    counts = scratch[:, 1:]
+    ends = counts.cumsum(axis=0)  # a's rows and pairs in parts 0..k
+    row_start, pair_start = _offsets(ends[-1, 0]), _offsets(ends[-1, 1])
     n_rows, n_pairs = int(row_start[-1]), int(pair_start[-1])
     _check_int32_tables(n_workers, arrays.n_claims, n_rows, n_pairs)
+    # Part k fills from a's first row and pair plus a's counts in the
+    # parts before k.
+    np.subtract(ends, counts, out=counts)
+    counts[:, 0] += row_start[:-1]
+    counts[:, 1] += pair_start[:-1]
     tables = tuple(
         np.empty(n, dtype=np.int32) for n in (n_pairs, n_pairs, n_pairs + 1, n_rows, n_rows)
     )
     tables[2][n_pairs] = n_rows
     flat = np.full(total, 2 * n_pairs, dtype=np.int32)
-    walk(n_pairs, row_start[:-1], pair_start[:-1], (*tables, flat))
+    walk(n_pairs, [a.ctypes.data for a in (*tables, flat)])
     return tables, [
         flat[begin : begin + claim_idx.size * m].reshape(-1, m, m)
         for begin, (m, claim_idx) in zip(bucket_start, buckets)

@@ -54,13 +54,18 @@ _SIGNATURES = {
         _ptr, _ptr, _ptr,  # row_ind, row_ab, row_ba
         _ptr, _ptr, _ptr,  # sum_ind, sum_ab, sum_ba
     ],
-    "pair_tables": [
+    "task_buckets": [
         _i64, _i64,  # n_workers, n_tasks
+        _ptr, _ptr, _ptr, _ptr,  # task_ptr, worker_ptr, worker_claims, claim_task
+        _ptr, _ptr, _ptr, _ptr,  # fill, by_task, pos, row_ptr
+    ],
+    "pair_tables": [
+        _i64, _i64,  # b0, b1
         _ptr, _ptr, _ptr,  # task_ptr, worker_ptr, worker_claims
         _ptr, _ptr, _ptr,  # claim_task, claim_worker, claim_group
-        _ptr, _ptr, _ptr, _i64,  # group_ptr, group_size, block, n_pairs
-        _ptr, _ptr, _ptr,  # fill, last, by_task
-        _ptr, _ptr,  # row_at, pair_at
+        _ptr, _ptr, _ptr,  # group_ptr, group_size, block
+        _ptr, _ptr, _i64,  # by_task, pos, n_pairs
+        _ptr, _ptr, _ptr,  # last, row_at, pair_at
         _ptr, _ptr, _ptr,  # pair_a, pair_b, pair_ptr
         _ptr, _ptr, _ptr,  # ps_claim_a, ps_claim_b, slots
     ],

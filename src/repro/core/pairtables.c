@@ -4,59 +4,85 @@
  * One row per (worker a, worker b, shared task) with a < b, in the
  * order ClaimArrays keeps them: by a, then b, then task.  The walk
  * visits the workers b in ascending order and each b's claims in task
- * order (the worker CSR).  It buckets every visited claim into its
- * task's segment of by_task, so when b reaches a task, that segment
- * holds exactly the task's claimants a < b.  Each such a takes the next
- * row at its own cursor: a's rows arrive by b, then by task, so the
- * table order comes from the walk itself, with no sort and no scan
- * over all workers per worker.  A new pair starts at a's cursor
- * whenever a meets a new b.
+ * order (the worker CSR).  When b reaches a task, the task's claimants
+ * a < b are the ones before b's claim in by_task, the task's claims in
+ * worker order.  Each such a takes the next row at its own cursor: a's
+ * rows arrive by b, then by task, so the table order comes from the
+ * walk itself, with no sort and no scan over all workers per worker.
+ * A new pair starts at a's cursor whenever a meets a new b.
  *
- * The caller runs the walk twice with the same scratch:
+ * task_buckets writes by_task once, with each claim's index in it
+ * (pos) and the rows of the workers before each b (row_ptr, a CSR
+ * pointer over workers: b's claim cb has pos[cb] - task_ptr[t] earlier
+ * claimants).  pair_tables then walks any range [b0, b1) of second
+ * workers, so a caller may cut the walk into parts that run at once,
+ * each with its own last, row_at and pair_at.  It runs every part
+ * twice:
  *
  * - count (pair_a NULL): row_at[a] and pair_at[a] start at 0 and end
- *   as a's row and pair counts;
+ *   as a's row and pair counts within the part;
  * - fill: they start at a's first row and first pair (the prefix sums
- *   of the counts) and every table is written.  A row whose two claims
- *   share a value group g writes its two slot-map entries there too:
- *   pair p at [la, lb] of g's m x m block (block[g] onward) and
- *   n_pairs + p at [lb, la], with la < lb the claims' offsets in g.
+ *   of the summed counts) plus a's counts in the parts before, and
+ *   every table is written.  A row whose two claims share a value
+ *   group g writes its two slot-map entries there too: pair p at
+ *   [la, lb] of g's m x m block (block[g] onward) and n_pairs + p at
+ *   [lb, la], with la < lb the claims' offsets in g.
  *
- * The walk writes only what the kernels read, in int32: the pairs'
- * workers and row pointer, each row's two claim positions and the slot
- * map.  A row's task is claim_task of its first claim and its pair is
- * found from pair_ptr, so neither is stored.  The caller has checked
- * between the passes that every written value fits.
+ * Parts write disjoint rows, pairs and slots, so the tables do not
+ * depend on the cut.  The walk writes only what the kernels read, in
+ * int32: the pairs' workers and row pointer, each row's two claim
+ * positions and the slot map.  A row's task is claim_task of its first
+ * claim and its pair is found from pair_ptr, so neither is stored.  The
+ * caller has checked between the passes that every written value fits.
  *
- * All scratch is passed in by the caller: fill holds n_tasks, last
- * n_workers and by_task n_claims int64.
+ * All scratch is passed in by the caller: fill holds n_tasks and last
+ * b1 int64.
  */
 #include <stddef.h>
 #include <stdint.h>
 
-void pair_tables(
+void task_buckets(
     int64_t n_workers, int64_t n_tasks,
     const int64_t *task_ptr, const int64_t *worker_ptr,
     const int64_t *worker_claims, const int64_t *claim_task,
-    const int64_t *claim_worker, const int64_t *claim_group,
-    const int64_t *group_ptr, const int64_t *group_size,
-    const int64_t *block, int64_t n_pairs,
-    int64_t *fill, int64_t *last, int64_t *by_task,
-    int64_t *row_at, int64_t *pair_at,
-    int32_t *pair_a, int32_t *pair_b, int32_t *pair_ptr,
-    int32_t *ps_claim_a, int32_t *ps_claim_b, int32_t *slots)
+    int64_t *fill, int64_t *by_task, int64_t *pos, int64_t *row_ptr)
 {
     for (int64_t t = 0; t < n_tasks; t++) {
         fill[t] = task_ptr[t];
     }
-    for (int64_t w = 0; w < n_workers; w++) {
-        last[w] = -1;
-    }
+    int64_t rows = 0;
+    row_ptr[0] = 0;
     for (int64_t b = 0; b < n_workers; b++) {
         for (int64_t k = worker_ptr[b]; k < worker_ptr[b + 1]; k++) {
             int64_t cb = worker_claims[k];
             int64_t t = claim_task[cb];
-            for (int64_t e = task_ptr[t]; e < fill[t]; e++) {
+            rows += fill[t] - task_ptr[t];
+            pos[cb] = fill[t];
+            by_task[fill[t]++] = cb;
+        }
+        row_ptr[b + 1] = rows;
+    }
+}
+
+void pair_tables(
+    int64_t b0, int64_t b1,
+    const int64_t *task_ptr, const int64_t *worker_ptr,
+    const int64_t *worker_claims, const int64_t *claim_task,
+    const int64_t *claim_worker, const int64_t *claim_group,
+    const int64_t *group_ptr, const int64_t *group_size,
+    const int64_t *block, const int64_t *by_task, const int64_t *pos,
+    int64_t n_pairs, int64_t *last, int64_t *row_at, int64_t *pair_at,
+    int32_t *pair_a, int32_t *pair_b, int32_t *pair_ptr,
+    int32_t *ps_claim_a, int32_t *ps_claim_b, int32_t *slots)
+{
+    for (int64_t w = 0; w < b1; w++) {
+        last[w] = -1;
+    }
+    for (int64_t b = b0; b < b1; b++) {
+        for (int64_t k = worker_ptr[b]; k < worker_ptr[b + 1]; k++) {
+            int64_t cb = worker_claims[k];
+            int64_t t = claim_task[cb];
+            for (int64_t e = task_ptr[t]; e < pos[cb]; e++) {
                 int64_t ca = by_task[e];
                 int64_t a = claim_worker[ca];
                 if (pair_a == NULL) {
@@ -84,7 +110,6 @@ void pair_tables(
                     slots[block[g] + lb * m + la] = (int32_t)(n_pairs + p);
                 }
             }
-            by_task[fill[t]++] = cb;
         }
     }
 }

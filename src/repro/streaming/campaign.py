@@ -513,6 +513,11 @@ class CampaignStore:
         state = self.get(campaign_id).online.state
         return {"truths": dict(state.truths), "confidence": dict(state.confidence)}
 
+    def truths_body(self, campaign_id: str) -> bytes:
+        """:meth:`truths` as the encoded JSON body a read sends, built
+        once per published state (lock-free read)."""
+        return self.get(campaign_id).online.state.truths_body
+
     def worker_accuracy(self, campaign_id: str) -> dict[str, float]:
         """Current worker reputations of one campaign (lock-free read)."""
         return self.get(campaign_id).online.worker_accuracy

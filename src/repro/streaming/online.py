@@ -31,8 +31,10 @@ take the published one and need no lock.  See DESIGN.md §8.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +94,13 @@ class OnlineState:
     truths: dict[str, str]
     confidence: dict[str, float]
     batches: int
+
+    @cached_property
+    def truths_body(self) -> bytes:
+        """The ``GET /campaigns/<id>/truths`` body, encoded on first
+        read: a publish builds a new state, so each is encoded at most
+        once (two first reads at once may both encode the same bytes)."""
+        return json.dumps({"truths": self.truths, "confidence": self.confidence}).encode()
 
     def worker_accuracy(self) -> dict[str, float]:
         """``worker_id -> mean accuracy`` (reputation)."""

@@ -33,7 +33,8 @@ Routes (all bodies JSON unless noted):
   optional ``cap`` is the only accepted key).
 
 Reads (``GET`` of a campaign, its truths or its workers) answer from
-one published estimate without a lock, so none waits for a write.
+one published estimate without a lock, so none waits for a write.  A
+truths read sends the body its estimate encoded on the first read.
 
 Errors map onto status codes: malformed input (a ``seq`` below 1
 included) and infeasible auctions are 400, unknown campaigns/routes 404, duplicate campaigns 409, bodies
@@ -140,8 +141,10 @@ class StreamingApp:
         each segment percent-decoded, so campaign ids round-trip
         through clients that quote them.  The body is a JSON-safe dict
         for every route except ``/metrics``, whose body is the
-        exposition text (``str``).  Request latency and counts land in
-        the registry per (method, route template, status).
+        exposition text (``str``), and a campaign's ``truths``, whose
+        body is its published state's encoded JSON (``bytes``).
+        Request latency and counts land in the registry per (method,
+        route template, status).
 
         A 503 body carries ``retry_after`` (seconds); the HTTP handler
         surfaces it as a ``Retry-After`` header.
@@ -217,7 +220,7 @@ class StreamingApp:
             if rest == ["claims"] and method == "POST":
                 return self._ingest(campaign_id, payload)
             if rest == ["truths"] and method == "GET":
-                return 200, self.store.truths(campaign_id)
+                return 200, self.store.truths_body(campaign_id)
             if rest == ["workers"] and method == "GET":
                 return 200, {
                     "worker_accuracy": self.store.worker_accuracy(campaign_id)
@@ -333,13 +336,16 @@ class _Handler(BaseHTTPRequestHandler):
             status, body = 500, {"error": f"internal error: {exc}"}
         self._send(status, body)
 
-    def _send(self, status: int, body: dict | str, *, close: bool = False) -> None:
-        # /metrics returns exposition text; everything else is JSON.
+    def _send(
+        self, status: int, body: dict | str | bytes, *, close: bool = False
+    ) -> None:
+        # /metrics returns exposition text; everything else is JSON,
+        # bytes already encoded.
         if isinstance(body, str):
             data = body.encode("utf-8")
             content_type = CONTENT_TYPE
         else:
-            data = json.dumps(body).encode()
+            data = body if isinstance(body, bytes) else json.dumps(body).encode()
             content_type = "application/json"
         self.send_response(status)
         self.send_header("Content-Type", content_type)

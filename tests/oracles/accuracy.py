@@ -140,7 +140,9 @@ def update_accuracy_matrix(
     """Refine the accuracy matrix ``A`` from the value posteriors (Eq. 17).
 
     Returns a dense ``n_workers x n_tasks`` matrix with zeros for
-    unanswered (worker, task) pairs.
+    unanswered (worker, task) pairs.  A worker's mean adds its claims'
+    posteriors one by one in task order, then divides by their count,
+    which their arrival order does not change.
     """
     if granularity not in _GRANULARITIES:
         raise ValueError(
@@ -156,9 +158,10 @@ def update_accuracy_matrix(
     for i, claims in enumerate(claims_by_worker(index)):
         if not claims:
             continue
-        mean = float(
-            np.mean([posteriors[j].get(value, 0.0) for j, value in claims.items()])
-        )
+        total = 0.0
+        for j, value in sorted(claims.items()):
+            total += posteriors[j].get(value, 0.0)
+        mean = total / len(claims)
         for j in claims:
             matrix[i, j] = mean
     return matrix

@@ -301,3 +301,29 @@ class TestMajorityVoteArrayNative:
         # Agreement-rate accuracies stay within [0, 1].
         assert np.all(result.accuracy_matrix >= 0.0)
         assert np.all(result.accuracy_matrix <= 1.0)
+
+
+class TestAccuracyAveragingOrder:
+    def test_claims_out_of_task_order_average_in_task_order(self):
+        # Eq. 17 at worker granularity: ``accuracy_flat`` adds a worker's
+        # claim posteriors one by one in task order (``np.bincount``)
+        # and divides by the count.  The oracle must add them in that
+        # order too, not in arrival order, so the two agree bit for bit
+        # however the claims arrive.
+        rng = np.random.default_rng(11)
+        n_tasks = 40
+        tasks = tuple(Task(task_id=f"t{j:02d}", domain=("A", "B", "C")) for j in range(n_tasks))
+        claims = {}
+        for j in rng.permutation(n_tasks):
+            for worker in ("w0", "w1", "w2"):
+                if worker == "w0" or rng.random() < 0.6:
+                    claims[(worker, f"t{j:02d}")] = "ABC"[int(rng.integers(3))]
+        workers = tuple(WorkerProfile(worker_id=f"w{i}") for i in range(3))
+        index = DatasetIndex(Dataset(tasks=tasks, workers=workers, claims=claims))
+        arrays = index.arrays
+        arrival = list(claims_by_worker(index)[index.worker_pos["w0"]])
+        assert len(arrival) >= 8 and arrival != sorted(arrival)
+        group_post = rng.random(arrays.n_groups)
+        want = dense_accuracy(arrays, accuracy_flat(arrays, group_post, granularity="worker"))
+        got = update_accuracy_matrix(index, posterior_table(arrays, group_post))
+        assert got.tobytes() == want.tobytes()

@@ -262,8 +262,8 @@ class TestStreamingApp:
             )
             assert status == 200
             assert body["new_claims"] == batch.n_claims
-        status, truths = app.handle("GET", "/campaigns/c1/truths")
-        assert status == 200 and truths["truths"]
+        status, body = app.handle("GET", "/campaigns/c1/truths")
+        assert status == 200 and json.loads(body)["truths"]
         status, workers = app.handle("GET", "/campaigns/c1/workers")
         assert status == 200
         assert set(workers["worker_accuracy"]) == {
@@ -508,7 +508,7 @@ class TestStreamingApp:
         assert status == 400 and "seq" in body["error"]
         assert journal.read_bytes() == data
         assert app.handle("GET", "/campaigns/c1", None)[1]["applied_seq"] == 0
-        assert app.handle("GET", "/campaigns/c1/truths", None)[1]["truths"] == {}
+        assert json.loads(app.handle("GET", "/campaigns/c1/truths", None)[1])["truths"] == {}
 
         status, body = app.handle(
             "POST", "/campaigns/c1/claims", {**batch_to_json(replay[0]), "seq": 1}
@@ -729,6 +729,35 @@ class TestLiveServer:
         assert status == 404
         status, body = self.request(server, "DELETE", "/campaigns/live")
         assert status == 200
+
+    def test_a_published_state_encodes_its_truths_once(self, server, store, replay, monkeypatch):
+        # Reads of one published state send the bytes its first read
+        # encoded; the next publish encodes its own, once.
+        self.request(server, "POST", "/campaigns", {"campaign_id": "c"})
+        self.request(server, "POST", "/campaigns/c/claims", batch_to_json(replay[0]))
+        encodes = []
+        dumps = json.dumps
+
+        def counting(obj, *args, **kwargs):
+            if isinstance(obj, dict) and set(obj) == {"truths", "confidence"}:
+                encodes.append(obj)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        port = server.server_address[1]
+
+        def read() -> bytes:
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/campaigns/c/truths") as response:
+                return response.read()
+
+        first = [read() for _ in range(5)]
+        assert len(encodes) == 1
+        assert first == [dumps(store.truths("c")).encode()] * 5
+        self.request(server, "POST", "/campaigns/c/claims", batch_to_json(replay[1]))
+        second = [read() for _ in range(3)]
+        assert len(encodes) == 2
+        assert second == [dumps(store.truths("c")).encode()] * 3
+        assert second[0] != first[0]
 
     def test_invalid_json_body_400(self, server):
         port = server.server_address[1]
