@@ -327,8 +327,13 @@ class DATE:
         Inner-loop state is three flat arrays (per-claim accuracy,
         per-claim independence, per-task truth codes) driven through
         the kernels of :mod:`repro.core.engine`; :func:`build_result`
-        assembles the result from them once after convergence.
+        assembles the result from them once after convergence.  Each
+        dependence pass overwrites the previous iteration's posteriors,
+        which Eq. 16 has consumed by then.  An index the run built for
+        itself drops its pair tables before the result is assembled; a
+        caller's index keeps them for its next run.
         """
+        owned = index is None
         index = index or DatasetIndex(dataset)
         cfg = self.config
         arrays = index.arrays
@@ -372,6 +377,7 @@ class DATE:
                 prior_alpha=cfg.prior_alpha,
                 collision=collision,
                 accuracy_clamp=cfg.accuracy_clamp,
+                out=None if dependence is None else (dependence.p_ab, dependence.p_ba),
             )
             if telemetry is not None:
                 now = time.perf_counter()
@@ -439,6 +445,8 @@ class DATE:
                 converged=converged,
                 seconds=time.perf_counter() - run_start,
             )
+        if owned:
+            arrays.drop_pair_tables()
         return build_result(
             index,
             truth_codes,

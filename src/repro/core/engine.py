@@ -148,11 +148,15 @@ class DependenceArrays:
     ``p_ab[k]`` is ``P(pair_a[k] -> pair_b[k] | D)`` (the first worker
     of pair ``k`` copies from the second), ``p_ba`` the reverse — the
     array form of :class:`~repro.core.dependence.DependencePosterior`
-    over ``ClaimArrays.pair_a/pair_b``.
+    over ``ClaimArrays.pair_a/pair_b``.  A pass also keeps those two
+    tables here (``None`` when built by hand, which only Eq. 16 reads),
+    so a result views them after the index has dropped its tables.
     """
 
     p_ab: np.ndarray
     p_ba: np.ndarray
+    pair_a: np.ndarray | None = None
+    pair_b: np.ndarray | None = None
 
     def slot_values(self) -> np.ndarray:
         """``concat([p_ab, p_ba, [0.0]])`` — what pair slots index."""
@@ -387,6 +391,7 @@ def pairwise_dependence_arrays(
     prior_alpha: float,
     collision: np.ndarray,
     accuracy_clamp: tuple[float, float] = (0.01, 0.99),
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> DependenceArrays:
     """Step 1 (Eqs. 7-15) as one pass over the (pair, shared task) rows.
 
@@ -401,12 +406,14 @@ def pairwise_dependence_arrays(
     part), and the parts run at once (:func:`_run_parts`).  Each part
     walks its pairs in blocks of about ``_BLOCK_ROWS`` rows that also
     end on pair boundaries: it scores a block's rows (Eqs. 7-13), takes
-    numpy's ``log`` of the terms in place and sums each pair's rows (the
-    two directed hypotheses straight into its slices of the outputs),
-    then normalizes its own pairs' posteriors there in place.  Every
-    output belongs to one row, one pair or one pair's rows, so no cut
-    changes a bit, and no full-length row-term array is ever allocated
-    (DESIGN.md §7).
+    numpy's ``log`` of the terms in place, sums each pair's rows (the
+    two directed hypotheses straight into the block's slices of the
+    outputs) and normalizes the block's posteriors there in place.
+    Every output belongs to one row, one pair or one pair's rows, so no
+    cut changes a bit, and nothing but the outputs grows with the pair
+    or row count (DESIGN.md §7).  ``out`` is a pair of contiguous
+    float64 arrays, one entry per pair, to write instead of fresh ones:
+    DATE hands each pass the previous iteration's.
     """
     if not 0.0 < copy_prob_r < 1.0:
         raise ValueError(f"copy_prob_r must be in (0, 1), got {copy_prob_r}")
@@ -418,7 +425,8 @@ def pairwise_dependence_arrays(
     per_claim = [a.ctypes.data for a in inputs[2:]]
     pair_ptr = np.ascontiguousarray(arrays.pair_ptr, dtype=np.int32)
     n_pairs = len(pair_ptr) - 1
-    p_ab, p_ba = np.empty(n_pairs), np.empty(n_pairs)
+    p_ab, p_ba = out or (np.empty(n_pairs), np.empty(n_pairs))
+    _check_buffers((p_ab, p_ba), n_pairs)
     n_parts = _PARTS if pair_ptr[-1] >= _PART_MIN_ROWS else 1
     parts = _pair_cuts(pair_ptr, 0, n_pairs, n_parts)
 
@@ -428,10 +436,7 @@ def pairwise_dependence_arrays(
         blocks = _pair_cuts(pair_ptr, first, stop, max(n_blocks, 1))
         block_rows = pair_ptr[blocks].tolist()
         terms = np.empty((3, int(np.diff(block_rows).max(initial=0))))
-        # The ab/ba sums go straight into the part's slices of the
-        # outputs, which the normalization then overwrites in place.
-        out = (p_ab[first:stop], p_ba[first:stop])
-        sums = (np.empty(stop - first), *out)
+        sum_ind = np.empty(int(np.diff(blocks).max(initial=0)))
         for q0, q1, r0, r1 in zip(blocks, blocks[1:], block_rows, block_rows[1:]):
             block = terms[:, : r1 - r0]
             _kernels.score_pair_rows(
@@ -439,15 +444,18 @@ def pairwise_dependence_arrays(
                 lo, hi, copy_prob_r, *(row.ctypes.data for row in block),
             )
             np.log(block, out=block)
+            # The ab/ba sums go straight into the block's slices of the
+            # outputs, which the normalization then overwrites in place.
+            posteriors = (p_ab[q0:q1], p_ba[q0:q1])
+            sums = (sum_ind[: q1 - q0], *posteriors)
             _kernels.pair_sums(
                 q1 - q0, None, pair_ptr.ctypes.data + pair_ptr.itemsize * q0, r0,
-                *(row.ctypes.data for row in block),
-                *(total.ctypes.data + total.itemsize * (q0 - first) for total in sums),
+                *(row.ctypes.data for row in block), *(total.ctypes.data for total in sums),
             )
-        _dependence_posteriors(*sums, prior_alpha, out=out)
+            _dependence_posteriors(*sums, prior_alpha, out=posteriors)
 
     _run_parts(part, n_parts)
-    return DependenceArrays(p_ab=p_ab, p_ba=p_ba)
+    return DependenceArrays(p_ab=p_ab, p_ba=p_ba, pair_a=arrays.pair_a, pair_b=arrays.pair_b)
 
 
 def _pair_cuts(pair_ptr: np.ndarray, first: int, stop: int, pieces: int) -> list[int]:
@@ -977,10 +985,11 @@ def dependence_table(
     arrays: ClaimArrays, dependence: DependenceArrays
 ) -> DependenceView:
     """Pair arrays -> the scalar ``(a, b) -> DependencePosterior`` shape,
-    as a view keyed by worker position (no per-pair objects)."""
+    as a view keyed by worker position (no per-pair objects), over the
+    pairs ``dependence`` carries."""
     return DependenceView(
-        arrays.pair_a,
-        arrays.pair_b,
+        dependence.pair_a,
+        dependence.pair_b,
         dependence.p_ab,
         dependence.p_ba,
         range(arrays.index.n_workers),

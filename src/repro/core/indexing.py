@@ -480,6 +480,13 @@ class ClaimArrays:
         rows = np.argsort(ps_task, kind="stable")
         return _offsets(np.bincount(ps_task, minlength=n_tasks)), rows
 
+    def drop_pair_tables(self) -> None:
+        """Forget the pair tables and what is built on them: the slot
+        map, Eq. 16's launch arrays (raw addresses into the slot map)
+        and :attr:`pair_rows_by_task`.  A later read walks again."""
+        for name in ("_pair_tables", "multi_group_slots", "multi_group_launch", "pair_rows_by_task"):
+            self.__dict__.pop(name, None)
+
     # -- derived sizes ---------------------------------------------------
 
     @property

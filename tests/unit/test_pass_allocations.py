@@ -12,9 +12,15 @@ the int32 tables (``np.ascontiguousarray(..., dtype=np.int64)``), a
 full-length row-term array or a copy of the slot map each fail it.
 
 A second campaign has many pairs and about one row each, so there the
-per-pair arrays dominate: the dependence pass may hold its two outputs
-and three more float64 words per pair (one sum and the normalization's
-two temporaries), not a separate array for each of the three sums.
+per-pair arrays dominate.  The dependence pass sums and normalizes
+block by block, so besides its two outputs it holds only block-sized
+scratch per part: the independent-hypothesis sum and the
+normalization's two temporaries, each one float64 word per pair of a
+block.  Its peak may reach the two outputs plus one float64 word per
+pair; a part-sized sum array, or the two part-sized temporaries, each
+break that.  Given ``out=`` buffers it allocates nothing that grows
+with the pair count, so the budget is the block scratch alone, less
+than the two fresh outputs.
 """
 
 from __future__ import annotations
@@ -85,13 +91,15 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def dependence_pass(arrays):
-    """One dependence pass over inputs built outside it."""
+def dependence_pass(arrays, out=None):
+    """One dependence pass over inputs built outside it, into ``out``
+    when given."""
     truth_codes = arrays.majority_codes()
     claim_acc = np.full(arrays.n_claims, 0.7)
     collision = UniformFalseValues().collision_array(arrays.index)
     return lambda: pairwise_dependence_arrays(
-        arrays, truth_codes, claim_acc, copy_prob_r=0.4, prior_alpha=0.2, collision=collision
+        arrays, truth_codes, claim_acc, copy_prob_r=0.4, prior_alpha=0.2,
+        collision=collision, out=out,
     )
 
 
@@ -107,8 +115,24 @@ def test_dependence_pass_per_pair_bytes(pair_heavy_arrays):
     arrays = pair_heavy_arrays
     longest_pair = int(np.diff(arrays.pair_ptr).max())
     blocks = engine._PARTS * 3 * 8 * (engine._BLOCK_ROWS + longest_pair)
-    budget = blocks + 44 * arrays.n_pairs + SLACK
+    budget = blocks + 24 * arrays.n_pairs + SLACK
     assert traced_peak(dependence_pass(arrays)) <= budget
+
+
+def test_dependence_pass_into_out_allocates_no_pair_arrays(pair_heavy_arrays):
+    arrays = pair_heavy_arrays
+    longest_pair = int(np.diff(arrays.pair_ptr).max())
+    blocks = engine._PARTS * 3 * 8 * (engine._BLOCK_ROWS + longest_pair)
+    # Per part, the block's independent sum and its normalization's two
+    # temporaries: one float64 each per pair of a block, and a block has
+    # no more pairs than rows, so as much again as the block buffers.
+    budget = 2 * blocks + SLACK
+    assert budget < 16 * arrays.n_pairs
+    fresh = dependence_pass(arrays)()
+    into_out = dependence_pass(arrays, out=(fresh.p_ab, fresh.p_ba))
+    assert traced_peak(into_out) <= budget
+    result = into_out()
+    assert result.p_ab is fresh.p_ab and result.p_ba is fresh.p_ba
 
 
 def test_independence_pass_allocates_claims_not_slots(arrays):
