@@ -543,7 +543,12 @@ class IncrementalDependence:
 
     def posteriors(self) -> DependenceArrays:
         """The current posteriors (copies — refreshes mutate in place)."""
-        return DependenceArrays(p_ab=self._p_ab.copy(), p_ba=self._p_ba.copy())
+        return DependenceArrays(
+            p_ab=self._p_ab.copy(),
+            p_ba=self._p_ba.copy(),
+            pair_a=self._arrays.pair_a,
+            pair_b=self._arrays.pair_b,
+        )
 
     def refresh(
         self,
@@ -986,7 +991,9 @@ def dependence_table(
 ) -> DependenceView:
     """Pair arrays -> the scalar ``(a, b) -> DependencePosterior`` shape,
     as a view keyed by worker position (no per-pair objects), over the
-    pairs ``dependence`` carries."""
+    pairs ``dependence`` carries (refused if it carries none)."""
+    if dependence.pair_a is None or dependence.pair_b is None:
+        raise ValueError("dependence carries no pair_a/pair_b to view")
     return DependenceView(
         dependence.pair_a,
         dependence.pair_b,

@@ -522,11 +522,6 @@ class CampaignStore:
         """Current worker reputations of one campaign (lock-free read)."""
         return self.get(campaign_id).online.worker_accuracy
 
-    def workers_body(self, campaign_id: str) -> bytes:
-        """:meth:`worker_accuracy` as the encoded JSON body a read sends,
-        built once per published state (lock-free read)."""
-        return self.get(campaign_id).online.state.workers_body
-
     def auction(
         self,
         campaign_id: str,

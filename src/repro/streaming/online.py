@@ -102,13 +102,6 @@ class OnlineState:
         once (two first reads at once may both encode the same bytes)."""
         return json.dumps({"truths": self.truths, "confidence": self.confidence}).encode()
 
-    @cached_property
-    def workers_body(self) -> bytes:
-        """The ``GET /campaigns/<id>/workers`` body, encoded on first
-        read as :attr:`truths_body` is: the means are computed once per
-        published state, not per read."""
-        return json.dumps({"worker_accuracy": self.worker_accuracy()}).encode()
-
     def worker_accuracy(self) -> dict[str, float]:
         """``worker_id -> mean accuracy`` (reputation)."""
         means = claim_mean_by_worker(self.index.arrays, self.claim_acc)

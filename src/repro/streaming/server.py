@@ -34,8 +34,7 @@ Routes (all bodies JSON unless noted):
 
 Reads (``GET`` of a campaign, its truths or its workers) answer from
 one published estimate without a lock, so none waits for a write.  A
-truths or workers read sends the body its estimate encoded on the
-first read.
+truths read sends the body its estimate encoded on the first read.
 
 Errors map onto status codes: malformed input (a ``seq`` below 1
 included) and infeasible auctions are 400, unknown campaigns/routes 404, duplicate campaigns 409, bodies
@@ -142,9 +141,8 @@ class StreamingApp:
         each segment percent-decoded, so campaign ids round-trip
         through clients that quote them.  The body is a JSON-safe dict
         for every route except ``/metrics``, whose body is the
-        exposition text (``str``), and a campaign's ``truths`` and
-        ``workers``, whose bodies are its published state's encoded
-        JSON (``bytes``).
+        exposition text (``str``), and a campaign's ``truths``, whose
+        body is its published state's encoded JSON (``bytes``).
         Request latency and counts land in the registry per (method,
         route template, status).
 
@@ -224,7 +222,9 @@ class StreamingApp:
             if rest == ["truths"] and method == "GET":
                 return 200, self.store.truths_body(campaign_id)
             if rest == ["workers"] and method == "GET":
-                return 200, self.store.workers_body(campaign_id)
+                return 200, {
+                    "worker_accuracy": self.store.worker_accuracy(campaign_id)
+                }
             if rest == ["refresh"] and method == "POST":
                 result = self.store.estimate(campaign_id, refresh=True)
                 return 200, {

@@ -21,6 +21,10 @@ pair; a part-sized sum array, or the two part-sized temporaries, each
 break that.  Given ``out=`` buffers it allocates nothing that grows
 with the pair count, so the budget is the block scratch alone, less
 than the two fresh outputs.
+
+Block buffers are per part, so every pass here runs in two parts
+(``engine._PARTS`` pinned): with one part per core, a many-core runner's
+block buffers alone would outgrow the arrays each budget tells apart.
 """
 
 from __future__ import annotations
@@ -38,6 +42,16 @@ from repro.core.falsedist import UniformFalseValues
 
 #: Room for the small per-call arrays (part cuts, bucket pointers).
 SLACK = 64 * 1024
+
+
+@pytest.fixture(autouse=True)
+def two_parts(monkeypatch):
+    """Every pass here runs in two parts, whatever the runner's core
+    count, so the per-part block buffers in each budget stay below the
+    row- and pair-length arrays it tells apart.  The pool is made at its
+    real size first, so later tests keep every core."""
+    engine._parts_pool()
+    monkeypatch.setattr(engine, "_PARTS", 2)
 
 
 @pytest.fixture(scope="module")

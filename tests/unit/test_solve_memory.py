@@ -14,11 +14,17 @@ DATE and ED (:class:`EnumerateDependence` shares ``DATE.run``):
 - every iteration's dependence pass writes into the previous one's two
   arrays, which Eq. 16 has consumed by then.
 
-The traced peak of a cold DATE run on a mid-size campaign is pinned at
-the dense matrix, the two outputs and the index arrays, plus slack.
-Holding the pair tables while the dense matrix is allocated, or a
-dependence pass that allocates fresh outputs beside the previous ones,
-breaks it.
+The traced peak of a cold DATE run on a mid-size campaign, in two
+parts, is pinned at the dense matrix, the two outputs and the index
+arrays, plus slack.  Holding the pair tables while the dense matrix is
+allocated, or a dependence pass that allocates fresh outputs beside the
+previous ones, breaks it.
+
+Every :class:`~repro.core.engine.DependenceArrays` a pass or an
+:class:`~repro.core.engine.IncrementalDependence` returns carries the
+pair tables it was computed over, and
+:func:`~repro.core.engine.dependence_table` refuses one that carries
+none rather than view nothing.
 """
 
 from __future__ import annotations
@@ -34,6 +40,13 @@ import repro.core.indexing as indexing
 from repro import DATE
 from repro.baselines.enumerate_dependence import EnumerateDependence
 from repro.core import DatasetIndex
+from repro.core.engine import (
+    DependenceArrays,
+    IncrementalDependence,
+    dependence_table,
+    pairwise_dependence_arrays,
+)
+from repro.core.falsedist import UniformFalseValues
 from repro.datasets import generate_qatar_living_like
 
 #: The cached entries a cold run drops before assembling its result.
@@ -126,9 +139,32 @@ def test_every_iteration_writes_the_same_two_arrays(discoverer, qlf_small, monke
     assert np.shares_memory(result.dependence.p_ba, passes[0].p_ba)
 
 
-def test_a_cold_run_peaks_at_its_result():
+def test_every_dependence_array_carries_its_pairs(qlf_small):
+    arrays = DatasetIndex(qlf_small).arrays
+    params = dict(
+        copy_prob_r=0.4,
+        prior_alpha=0.2,
+        collision=UniformFalseValues().collision_array(arrays.index),
+    )
+    truth_codes, claim_acc = arrays.majority_codes(), np.full(arrays.n_claims, 0.7)
+    full = pairwise_dependence_arrays(arrays, truth_codes, claim_acc, **params)
+    incremental = IncrementalDependence(arrays, **params).refresh(truth_codes, claim_acc)
+    assert len(full.p_ab) > 0
+    for dependence in (full, incremental):
+        assert dependence.pair_a is arrays.pair_a and dependence.pair_b is arrays.pair_b
+        assert_same_dependence(dependence_table(arrays, dependence), dependence_table(arrays, full))
+    with pytest.raises(ValueError, match="pair_a"):
+        dependence_table(arrays, DependenceArrays(p_ab=full.p_ab, p_ba=full.p_ba))
+
+
+def test_a_cold_run_peaks_at_its_result(monkeypatch):
     # Many workers over few tasks: the dense matrix outweighs the pair
-    # tables, and a campaign this size runs its passes in parts.
+    # tables, and a campaign this size runs its passes in parts.  Two
+    # parts whatever the core count, since the slack grows with the
+    # block buffers of every part and must stay below the pair tables
+    # a run that holds them keeps; the pool is made at its real size.
+    engine._parts_pool()
+    monkeypatch.setattr(engine, "_PARTS", 2)
     dataset = generate_qatar_living_like(
         seed=2, n_tasks=600, n_workers=1200, n_copiers=300, target_claims=12000
     )
