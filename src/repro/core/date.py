@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConvergenceWarning
+from ..obs import trace as obs_trace
+from ..obs.metrics import get_registry
 from ..types import Dataset
 from .accuracy import claim_mean_by_worker
 from .config import DateConfig
@@ -58,20 +60,11 @@ _ITERATION_BUCKETS = (1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0, 55.0)
 _PHASES = ("dependence", "independence", "posterior", "support")
 
 
-class _RunTelemetry:
-    """Per-run convergence recorder for DATE (DESIGN.md §13).
+class _RunInstruments:
+    """The instruments every DATE run records into, bound once per
+    registry (:meth:`~repro.obs.metrics.MetricsRegistry.bound`)."""
 
-    Constructed by :func:`_run_telemetry` only when telemetry is live,
-    so the disabled hot loop pays a single ``is None`` check per phase.
-    Instruments are bound once here — never looked up inside the
-    iteration — and everything recorded is *read* from loop state after
-    the kernels have produced it: observation cannot perturb the fixed
-    point, which is what keeps instrumented runs bit-identical.
-    """
-
-    def __init__(self, registry, writer):
-        self._writer = writer
-        self._iteration = 0
+    def __init__(self, registry):
         self.run_seconds = registry.timer(
             "date_run_seconds", "Wall time of one DATE run."
         )
@@ -106,6 +99,24 @@ class _RunTelemetry:
             "Max |change| of per-claim accuracy per iteration.",
         )
 
+
+class _RunTelemetry:
+    """Per-run convergence recorder for DATE (DESIGN.md §13).
+
+    Constructed by :func:`_run_telemetry` only when telemetry is live,
+    so the disabled hot loop pays a single ``is None`` check per phase.
+    Instruments are bound once per registry (:class:`_RunInstruments`)
+    — never looked up inside the iteration — and everything recorded
+    is *read* from loop state after the kernels have produced it:
+    observation cannot perturb the fixed point, which is what keeps
+    instrumented runs bit-identical.
+    """
+
+    def __init__(self, registry, writer):
+        self._writer = writer
+        self._iteration = 0
+        self._m = registry.bound(_RunInstruments)
+
     def iteration(
         self,
         *,
@@ -114,12 +125,13 @@ class _RunTelemetry:
         flips: int,
         delta: float,
     ) -> None:
+        m = self._m
         self._iteration += 1
-        self.iteration_seconds.observe(seconds)
+        m.iteration_seconds.observe(seconds)
         for name, elapsed in phases.items():
-            self.phase_seconds[name].observe(elapsed)
-        self.flips_total.inc(flips)
-        self.delta_hist.observe(delta)
+            m.phase_seconds[name].observe(elapsed)
+        m.flips_total.inc(flips)
+        m.delta_hist.observe(delta)
         if self._writer is not None:
             self._writer.emit(
                 "date_iteration",
@@ -131,11 +143,12 @@ class _RunTelemetry:
             )
 
     def finish(self, *, iterations: int, converged: bool, seconds: float) -> None:
-        self.runs_total.inc()
+        m = self._m
+        m.runs_total.inc()
         if converged:
-            self.converged_total.inc()
-        self.iterations_hist.observe(iterations)
-        self.run_seconds.observe(seconds)
+            m.converged_total.inc()
+        m.iterations_hist.observe(iterations)
+        m.run_seconds.observe(seconds)
         if self._writer is not None:
             self._writer.emit(
                 "date_run",
@@ -148,12 +161,9 @@ class _RunTelemetry:
 def _run_telemetry() -> _RunTelemetry | None:
     """A bound recorder when telemetry is live, else ``None``.
 
-    Lazy imports keep the core import-light and cycle-free; the ``None``
-    return is the entire disabled-mode cost signature of the loop.
+    The ``None`` return is the entire disabled-mode cost signature of
+    the loop.
     """
-    from ..obs import trace as obs_trace
-    from ..obs.metrics import get_registry
-
     registry = get_registry()
     writer = obs_trace.active()
     if not registry.enabled and writer is None:
@@ -347,18 +357,21 @@ class DATE:
         )
 
         truth_codes = arrays.majority_codes()
-        claim_acc = np.full(arrays.n_claims, cfg.initial_accuracy, dtype=np.float64)
-        if warm_start is not None:
+        if warm_start is None:
+            claim_acc = np.full(arrays.n_claims, cfg.initial_accuracy, dtype=np.float64)
+        else:
             for j, task_id in enumerate(index.task_ids):
                 code = arrays.code_of(j, warm_start.truths.get(task_id))
                 if code >= 0:
                     truth_codes[j] = code
-            for i, worker_id in enumerate(index.worker_ids):
-                carried_accuracy = warm_start.worker_accuracy.get(worker_id)
-                if carried_accuracy is None or carried_accuracy <= 0.0:
-                    continue
-                start, end = arrays.worker_ptr[i], arrays.worker_ptr[i + 1]
-                claim_acc[arrays.worker_claims[start:end]] = carried_accuracy
+            # A worker's claims start at its carried accuracy, unless it
+            # has none or a non-positive one.
+            carried = map(warm_start.worker_accuracy.get, index.worker_ids)
+            worker_acc = np.array(
+                [cfg.initial_accuracy if a is None or a <= 0.0 else a for a in carried],
+                dtype=np.float64,
+            )
+            claim_acc = worker_acc[arrays.claim_worker]
 
         dependence = group_post = group_support = None
 
@@ -426,7 +439,7 @@ class DATE:
                         "support": now - mark,
                     },
                     flips=int(np.count_nonzero(new_codes != truth_codes)),
-                    delta=float(np.max(np.abs(claim_acc - prev_acc)))
+                    delta=float(np.abs(claim_acc - prev_acc).max())
                     if len(claim_acc)
                     else 0.0,
                 )

@@ -113,7 +113,10 @@ void score_pair_rows(
  * pair_ptr               int32 CSR pointer of each pair's contiguous rows;
  * row0                   the pair-table row that row_ind/ab/ba[0] holds
  *                        (a block of rows starts at its first pair's);
- * sum_ind/ab/ba          written at each summed pair's own index.
+ * sum_ind/ab/ba          written at each summed pair's own index,
+ *                        once its rows are read: the sums may overwrite
+ *                        the row terms they add (pair k's rows never
+ *                        precede index k), as the dependence pass does.
  */
 void pair_sums(
     int64_t n, const int64_t *pairs, const int32_t *pair_ptr, int64_t row0,

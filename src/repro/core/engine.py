@@ -43,7 +43,7 @@ from .indexing import (
     _concat_ranges,
     segment_first_argmax_code,
 )
-from .native import load_kernels
+from .native import address, load_kernels
 
 __all__ = [
     "DependenceArrays",
@@ -189,8 +189,13 @@ class DependenceView(Mapping):
         self._positions: dict | None = None
 
     def rekeyed(self, ids) -> "DependenceView":
-        """The same pairs keyed through another id sequence."""
-        return DependenceView(self.pair_a, self.pair_b, self.p_ab, self.p_ba, ids)
+        """The same pairs keyed through another id sequence, sharing
+        this view's read-only arrays."""
+        view = object.__new__(DependenceView)
+        for name in ("pair_a", "pair_b", "p_ab", "p_ba"):
+            setattr(view, name, getattr(self, name))
+        view.ids, view._positions = ids, None
+        return view
 
     def __len__(self) -> int:
         return len(self.pair_a)
@@ -267,16 +272,18 @@ def _score_pair_rows(
         if len(rows) and not (0 <= rows.min() and rows.max() < n_rows):
             raise IndexError(f"pair-table rows out of range [0, {n_rows})")
     n = n_rows if rows is None else len(rows)
-    inputs = _scoring_inputs(arrays, truth_codes, claim_acc, collision)
+    per_call = _scoring_inputs(arrays, truth_codes, claim_acc, collision)
     _check_buffers((out_ind, out_ab, out_ba), n)
+    ps_a, ps_b, _pair_ptr, claim_task, claim_code = arrays.dependence_launch
     _kernels.score_pair_rows(
         n,
-        None if rows is None else rows.ctypes.data,
-        *(a.ctypes.data for a in inputs),
+        None if rows is None else address(rows),
+        ps_a, ps_b, claim_task, claim_code,
+        *(address(a) for a in per_call),
         lo,
         hi,
         r,
-        *(a.ctypes.data for a in (out_ind, out_ab, out_ba)),
+        *(address(a) for a in (out_ind, out_ab, out_ba)),
     )
     for out in (out_ind, out_ab, out_ba):
         np.log(out, out=out)
@@ -288,9 +295,10 @@ def _scoring_inputs(
     claim_acc: np.ndarray,
     collision: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
-    """The scorer's seven input arrays, checked and contiguous, in
-    ``score_pair_rows``' argument order: the two int32 row tables
-    (``ps_claim_a``, ``ps_claim_b``) and ``claim_task`` first.  None is
+    """The scorer's three per-call inputs, checked and contiguous, in
+    ``score_pair_rows``' argument order: ``claim_acc``, ``truth_codes``
+    and ``collision``.  The claim columns and row tables it reads too
+    are the index's, in :attr:`ClaimArrays.dependence_launch`.  None is
     copied on the hot path: each already has its dtype."""
     n_tasks = arrays.index.n_tasks
     if len(truth_codes) != n_tasks or len(collision) != n_tasks:
@@ -301,10 +309,6 @@ def _scoring_inputs(
     if len(claim_acc) != arrays.n_claims:
         raise ValueError(f"{len(claim_acc)} accuracies for {arrays.n_claims} claims")
     return (
-        np.ascontiguousarray(arrays.ps_claim_a, dtype=np.int32),
-        np.ascontiguousarray(arrays.ps_claim_b, dtype=np.int32),
-        np.ascontiguousarray(arrays.claim_task, dtype=np.int64),
-        np.ascontiguousarray(arrays.claim_code, dtype=np.int64),
         np.ascontiguousarray(claim_acc, dtype=np.float64),
         np.ascontiguousarray(truth_codes, dtype=np.int64),
         np.ascontiguousarray(collision, dtype=np.float64),
@@ -337,11 +341,11 @@ def _pair_sums(
     pair_ptr = np.ascontiguousarray(arrays.pair_ptr, dtype=np.int32)
     _kernels.pair_sums(
         n_pairs if pairs is None else len(pairs),
-        None if pairs is None else pairs.ctypes.data,
-        pair_ptr.ctypes.data,
+        None if pairs is None else address(pairs),
+        address(pair_ptr),
         0,
-        *(a.ctypes.data for a in terms),
-        *(a.ctypes.data for a in sums),
+        *(address(a) for a in terms),
+        *(address(a) for a in sums),
     )
 
 
@@ -363,23 +367,44 @@ def _dependence_posteriors(
 
     Elementwise over pairs — normalizing a subset of pairs produces the
     same bits as normalizing all of them and selecting the subset.  The
-    two returned arrays are ``out`` when given, else fresh; a sum is
-    modified only when it is its own ``out`` (normalized in place).
+    two returned arrays are ``out`` when given, else fresh; the sums
+    are left as they are.
     """
-    w_ind = np.add(sum_ind, math.log(1.0 - prior_alpha))
-    log_prior_dep = math.log(prior_alpha / 2.0)
-    w_ab = np.add(sum_ab, log_prior_dep, out=out[0])
-    w_ba = np.add(sum_ba, log_prior_dep, out=out[1])
-    peak = np.maximum(w_ab, w_ba)
-    np.maximum(w_ind, peak, out=peak)
-    for w in (w_ind, w_ab, w_ba):
-        np.subtract(w, peak, out=w)
-        np.exp(w, out=w)
-    total = np.add(w_ind, w_ab, out=peak)
-    np.add(total, w_ba, out=total)
-    np.divide(w_ab, total, out=w_ab)
-    np.divide(w_ba, total, out=w_ba)
-    return w_ab, w_ba
+    sums = np.array([sum_ind, sum_ab, sum_ba], dtype=np.float64)
+    p_ab = np.empty(len(sum_ab)) if out[0] is None else out[0]
+    p_ba = np.empty(len(sum_ba)) if out[1] is None else out[1]
+    _normalize(sums, _log_priors(prior_alpha), p_ab, p_ba, np.empty(len(sum_ind)))
+    return p_ab, p_ba
+
+
+def _normalize(
+    sums: np.ndarray, log_priors: np.ndarray, p_ab: np.ndarray, p_ba: np.ndarray, peak: np.ndarray
+) -> None:
+    """Eq. 15's normalization of one run of pairs, in place.
+
+    ``sums`` is a ``(3, q)`` view of the pairs' independent, a-copies-b
+    and b-copies-a log-likelihood sums, ``log_priors`` the column of
+    :func:`_log_priors`; the sums are overwritten, the two directed
+    posteriors go to ``p_ab``/``p_ba`` and ``peak`` (``q`` float64) is
+    scratch.  Each step is one ufunc over all three rows, elementwise,
+    so the bits are those of the three hypotheses taken one by one.
+    """
+    np.add(sums, log_priors, out=sums)
+    np.maximum(sums[1], sums[2], out=peak)
+    np.maximum(sums[0], peak, out=peak)
+    np.subtract(sums, peak, out=sums)
+    np.exp(sums, out=sums)
+    np.add(sums[0], sums[1], out=peak)
+    np.add(peak, sums[2], out=peak)
+    np.divide(sums[1], peak, out=p_ab)
+    np.divide(sums[2], peak, out=p_ba)
+
+
+def _log_priors(prior_alpha: float) -> np.ndarray:
+    """``[[log(1 - α)], [log(α / 2)], [log(α / 2)]]``: the log priors of
+    independence and of each copy direction, one row per hypothesis."""
+    log_dep = math.log(prior_alpha / 2.0)
+    return np.array([[math.log(1.0 - prior_alpha)], [log_dep], [log_dep]])
 
 
 def pairwise_dependence_arrays(
@@ -406,9 +431,10 @@ def pairwise_dependence_arrays(
     part), and the parts run at once (:func:`_run_parts`).  Each part
     walks its pairs in blocks of about ``_BLOCK_ROWS`` rows that also
     end on pair boundaries: it scores a block's rows (Eqs. 7-13), takes
-    numpy's ``log`` of the terms in place, sums each pair's rows (the
-    two directed hypotheses straight into the block's slices of the
-    outputs) and normalizes the block's posteriors there in place.
+    numpy's ``log`` of the terms in place, sums each pair's rows over
+    the block's first row terms, normalizes them there (Eq. 15,
+    :func:`_normalize`) and writes the posteriors into the block's
+    slices of the outputs.
     Every output belongs to one row, one pair or one pair's rows, so no
     cut changes a bit, and nothing but the outputs grows with the pair
     or row count (DESIGN.md §7).  ``out`` is a pair of contiguous
@@ -420,10 +446,10 @@ def pairwise_dependence_arrays(
     if not 0.0 < prior_alpha < 1.0:
         raise ValueError(f"prior_alpha must be in (0, 1), got {prior_alpha}")
     lo, hi = accuracy_clamp
-    inputs = _scoring_inputs(arrays, truth_codes, claim_acc, collision)
-    row_tables = [(a.ctypes.data, a.itemsize) for a in inputs[:2]]
-    per_claim = [a.ctypes.data for a in inputs[2:]]
-    pair_ptr = np.ascontiguousarray(arrays.pair_ptr, dtype=np.int32)
+    log_priors = _log_priors(prior_alpha)
+    per_call = [address(a) for a in _scoring_inputs(arrays, truth_codes, claim_acc, collision)]
+    ps_a, ps_b, pair_ptr_at, *claim_columns = arrays.dependence_launch
+    pair_ptr = arrays.pair_ptr
     n_pairs = len(pair_ptr) - 1
     p_ab, p_ba = out or (np.empty(n_pairs), np.empty(n_pairs))
     _check_buffers((p_ab, p_ba), n_pairs)
@@ -435,24 +461,28 @@ def pairwise_dependence_arrays(
         n_blocks = -(-int(pair_ptr[stop] - pair_ptr[first]) // _BLOCK_ROWS)
         blocks = _pair_cuts(pair_ptr, first, stop, max(n_blocks, 1))
         block_rows = pair_ptr[blocks].tolist()
-        terms = np.empty((3, int(np.diff(block_rows).max(initial=0))))
-        sum_ind = np.empty(int(np.diff(blocks).max(initial=0)))
-        for q0, q1, r0, r1 in zip(blocks, blocks[1:], block_rows, block_rows[1:]):
-            block = terms[:, : r1 - r0]
+        spans = list(zip(blocks, blocks[1:], block_rows, block_rows[1:]))
+        width = max(r1 - r0 for _, _, r0, r1 in spans)
+        # One scratch per part: the three row-term buffers, then the
+        # normalization's peak of a block's pairs.
+        scratch = np.empty(3 * width + max(q1 - q0 for q0, q1, _, _ in spans))
+        terms = scratch[: 3 * width].reshape(3, width)
+        peak = scratch[3 * width :]
+        at = address(scratch)
+        term_at = (at, at + 8 * width, at + 16 * width)
+        for q0, q1, r0, r1 in spans:
             _kernels.score_pair_rows(
-                r1 - r0, None, *(at + size * r0 for at, size in row_tables), *per_claim,
-                lo, hi, copy_prob_r, *(row.ctypes.data for row in block),
+                r1 - r0, None, ps_a + 4 * r0, ps_b + 4 * r0, *claim_columns, *per_call,
+                lo, hi, copy_prob_r, *term_at,
             )
+            block = terms[:, : r1 - r0]
             np.log(block, out=block)
-            # The ab/ba sums go straight into the block's slices of the
-            # outputs, which the normalization then overwrites in place.
-            posteriors = (p_ab[q0:q1], p_ba[q0:q1])
-            sums = (sum_ind[: q1 - q0], *posteriors)
+            # Each pair's sums go over the row terms at its own index,
+            # which its rows never precede, and are normalized there.
             _kernels.pair_sums(
-                q1 - q0, None, pair_ptr.ctypes.data + pair_ptr.itemsize * q0, r0,
-                *(row.ctypes.data for row in block), *(total.ctypes.data for total in sums),
+                q1 - q0, None, pair_ptr_at + 4 * q0, r0, *term_at, *term_at
             )
-            _dependence_posteriors(*sums, prior_alpha, out=posteriors)
+            _normalize(terms[:, : q1 - q0], log_priors, p_ab[q0:q1], p_ba[q0:q1], peak[: q1 - q0])
 
     _run_parts(part, n_parts)
     return DependenceArrays(p_ab=p_ab, p_ba=p_ba, pair_a=arrays.pair_a, pair_b=arrays.pair_b)
@@ -722,11 +752,9 @@ def independence_flat(
             f"discount_mode must be 'directed' or 'total', got {discount_mode!r}"
         )
     indep = np.ones(arrays.n_claims, dtype=np.float64)
-    buckets = arrays.multi_group_buckets
-    if not buckets:
+    n_buckets, largest, n_slots, launch, _held = arrays.multi_group_launch
+    if not n_buckets:
         return indep
-
-    largest = max(m for m, _ in buckets)
     p_ab = np.ascontiguousarray(dependence.p_ab, dtype=np.float64)
     p_ba = np.ascontiguousarray(dependence.p_ba, dtype=np.float64)
     if not len(p_ab) == len(p_ba) == arrays.n_pairs:
@@ -734,26 +762,20 @@ def independence_flat(
             f"dependence holds {len(p_ab)}/{len(p_ba)} pairs, the claims "
             f"{arrays.n_pairs}"
         )
-    ab, ba, indep_at = (a.ctypes.data for a in (p_ab, p_ba, indep))
+    ab, ba, indep_at = (address(a) for a in (p_ab, p_ba, indep))
     dependent_first = ordering == "dependent_first"
     total_mode = discount_mode == "total"
-    ms, n_groups, claims_at, slots_at, n_slots = arrays.multi_group_launch
     n_parts = _PARTS if n_slots >= _PART_MIN_SLOTS else 1
 
     def part(k: int) -> None:
-        first = n_groups * k // n_parts
-        count = n_groups * (k + 1) // n_parts - first
-        # Each part's run of groups in every bucket, as pointers to its
-        # first group's int64 claim row and int32 slot matrix.
-        part_claims = claims_at + (first * ms * 8).astype(np.uintp)
-        part_slots = slots_at + (first * ms * ms * 4).astype(np.uintp)
-        work = np.empty(largest * largest + 3 * largest)
-        order = np.empty(2 * largest, dtype=np.int64)
+        # The kernel takes part k's run of groups in every bucket.  Its
+        # scratch is one allocation: the float64 work area, then the
+        # int64 order (both 8-byte words).
+        scratch = np.empty(largest * largest + 5 * largest)
+        work_at = address(scratch)
         _kernels.independence_buckets(
-            len(ms), ms.ctypes.data, count.ctypes.data,
-            part_claims.ctypes.data, part_slots.ctypes.data,
-            ab, ba, copy_prob_r, dependent_first, total_mode,
-            work.ctypes.data, order.ctypes.data, indep_at,
+            n_buckets, *launch, k, n_parts, ab, ba, copy_prob_r, dependent_first,
+            total_mode, work_at, work_at + 8 * (largest * largest + 3 * largest), indep_at,
         )
 
     _run_parts(part, n_parts)
@@ -945,9 +967,7 @@ def support_flat(
 
 def select_truth_codes(arrays: ClaimArrays, group_support: np.ndarray) -> np.ndarray:
     """Line 28's argmax: per-task winning value code (ties to smallest)."""
-    return segment_first_argmax_code(
-        group_support, arrays.group_task, arrays.group_code, arrays.task_group_ptr
-    )
+    return segment_first_argmax_code(group_support, arrays.task_group_ptr)
 
 
 # -- conversions back to the string-keyed public structures --------------

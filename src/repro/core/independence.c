@@ -76,7 +76,9 @@ static int64_t first_extreme(const double *v, int64_t n, int max)
 /*
  * One bucket: n_groups groups of m providers each.
  *
- * claims[g * m + k]      claim position of member k of group g;
+ * starts[g]             claim position of member 0 of group g; its
+ *                        members' claims are consecutive, so member k's
+ *                        is starts[g] + k;
  * slots[(g * m + k) * m + l]
  *                        int32 pair slot of P(member k -> member l) in the
  *                        layout of ClaimArrays.multi_group_slots: pair
@@ -89,7 +91,7 @@ static int64_t first_extreme(const double *v, int64_t n, int max)
  */
 static void independence_bucket(
     int64_t n_groups, int64_t m,
-    const int64_t *claims, const int32_t *slots,
+    const int64_t *starts, const int32_t *slots,
     const double *p_ab, const double *p_ba,
     double r, int dependent_first, int total_mode,
     double *work, int64_t *order, double *indep)
@@ -103,7 +105,6 @@ static void independence_bucket(
 
     for (int64_t g = 0; g < n_groups; g++) {
         const int32_t *gs = slots + g * m * m;
-        const int64_t *gc = claims + g * m;
 
         for (int64_t k = 0; k < m; k++) {
             sub[k * m + k] = 0.0;
@@ -174,28 +175,34 @@ static void independence_bucket(
                 factor = factor + 1.0;
                 product = product * factor;
             }
-            indep[gc[worker]] = product;
+            indep[starts[g] + worker] = product;
         }
     }
 }
 
 /*
- * Buckets 0..n_buckets of one pass, in one call: bucket b is
- * n_groups[b] groups of ms[b] providers, its claims and slots laid out
- * as above from claims[b] and slots[b].  work and order are sized for
- * the largest ms[b].  A part of a pass passes each bucket's own run of
- * groups; the groups never share a claim, so parts may run at once.
+ * Part `part` of `n_parts` of one pass over buckets 0..n_buckets, in
+ * one call: bucket b is n_groups[b] groups of ms[b] providers, its
+ * starts and slots laid out as above from starts[b] and slots[b].  The
+ * part takes groups [n_groups[b] * part / n_parts, n_groups[b] *
+ * (part + 1) / n_parts) of every bucket.  work and order are sized for
+ * the largest ms[b].  The groups never share a claim, so the parts may
+ * run at once.
  */
 void independence_buckets(
     int64_t n_buckets, const int64_t *ms, const int64_t *n_groups,
-    const int64_t *const *claims, const int32_t *const *slots,
+    const int64_t *const *starts, const int32_t *const *slots,
+    int64_t part, int64_t n_parts,
     const double *p_ab, const double *p_ba,
     double r, int dependent_first, int total_mode,
     double *work, int64_t *order, double *indep)
 {
     for (int64_t b = 0; b < n_buckets; b++) {
+        int64_t m = ms[b];
+        int64_t first = n_groups[b] * part / n_parts;
+        int64_t stop = n_groups[b] * (part + 1) / n_parts;
         independence_bucket(
-            n_groups[b], ms[b], claims[b], slots[b], p_ab, p_ba,
-            r, dependent_first, total_mode, work, order, indep);
+            stop - first, m, starts[b] + first, slots[b] + first * m * m,
+            p_ab, p_ba, r, dependent_first, total_mode, work, order, indep);
     }
 }

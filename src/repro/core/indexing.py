@@ -27,13 +27,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 
 import numpy as np
 
 from ..errors import DataFormatError
 from ..types import Dataset, Task, WorkerProfile
-from .native import load_kernels
+from .native import address, load_kernels
 
 __all__ = ["ClaimArrays", "DatasetIndex", "IndexExtension"]
 
@@ -64,10 +65,18 @@ class DatasetIndex:
         """Set the member tables, ``tasks`` and ``workers`` appended to
         ``parent``'s.  Tables are never mutated, so an extension shares
         its parent's or copies them whole: never rebuilt id by id."""
+        self.__dict__["workers"] = workers if parent is None else parent.workers + workers
+        self._set_ids(tasks, [w.worker_id for w in workers], parent)
+
+    def _set_ids(
+        self,
+        tasks: tuple[Task, ...],
+        worker_ids: list[str],
+        parent: "DatasetIndex | None" = None,
+    ) -> None:
+        """Set the task table and both id tables, appended to ``parent``'s."""
         #: Task records in index order (closed domains, ground truths).
         self.tasks = tasks if parent is None else parent.tasks + tasks
-        #: Worker profiles in index order.
-        self.workers = workers if parent is None else parent.workers + workers
         #: Task ids in dataset order, and the position of each: the task
         #: indexes used below.
         self.task_ids, self.task_pos = _appended(
@@ -75,8 +84,20 @@ class DatasetIndex:
         )
         #: Worker ids in dataset order, and the worker index of each.
         self.worker_ids, self.worker_pos = _appended(
-            parent and (parent.worker_ids, parent.worker_pos), [w.worker_id for w in workers]
+            parent and (parent.worker_ids, parent.worker_pos), worker_ids
         )
+
+    @cached_property
+    def workers(self) -> tuple[WorkerProfile, ...]:
+        """Worker profiles in index order.
+
+        A cold or extended index sets them as it is built.  A
+        :meth:`restricted` view builds its own on first read, from its
+        parent's profiles with copy sources outside the view dropped
+        (:meth:`WorkerProfile.within`): a sub-run never reads them.
+        """
+        profiles, positions = self.__dict__.pop("_parent_workers")
+        return tuple(profiles[i].within(self.worker_pos) for i in positions)
 
     @property
     def n_tasks(self) -> int:
@@ -163,10 +184,10 @@ class DatasetIndex:
         batch_task = np.array([new.task_pos[t] for _, t in claims], dtype=np.int64)
         batch_worker = np.array([new.worker_pos[w] for w, _ in claims], dtype=np.int64)
         dirty = np.union1d(batch_task, np.arange(self.n_tasks, new.n_tasks, dtype=np.int64))
-        new.arrays, claim_map = _extend_claim_arrays(
+        new.arrays, claim_map, moves = _extend_claim_arrays(
             self.arrays, new, dirty, batch_task, batch_worker, list(claims.values())
         )
-        return IndexExtension(index=new, dirty_tasks=dirty, claim_map=claim_map)
+        return IndexExtension(index=new, dirty_tasks=dirty, claim_map=claim_map, _claim_moves=moves)
 
     def restricted(self, tasks: np.ndarray) -> tuple["DatasetIndex", np.ndarray]:
         """A read-only view over ``tasks`` and the workers answering them.
@@ -191,9 +212,8 @@ class DatasetIndex:
         group_counts = parent.task_group_ptr[tasks + 1] - parent.task_group_ptr[tasks]
         positions = _concat_ranges(parent.task_ptr[tasks], claim_counts)
         groups = _concat_ranges(parent.task_group_ptr[tasks], group_counts)
-        workers, claim_worker = np.unique(
-            parent.claim_worker[positions], return_inverse=True
-        )
+        workers, claim_worker = np.unique(parent.claim_worker[positions], return_inverse=True)
+        workers = workers.tolist()
         # Rank of each claim by (task, arrival): one unique int64 key.
         claim_seq = np.argsort(
             np.argsort(
@@ -202,11 +222,10 @@ class DatasetIndex:
         )
 
         view = object.__new__(DatasetIndex)
-        kept = {self.worker_ids[i] for i in workers.tolist()}
-        view._set_members(
-            tuple(self.tasks[j] for j in tasks.tolist()),
-            tuple(self.workers[i].within(kept) for i in workers.tolist()),
+        view._set_ids(
+            tuple(self.tasks[j] for j in tasks.tolist()), [self.worker_ids[i] for i in workers]
         )
+        view.__dict__["_parent_workers"] = (self.workers, workers)
         view.arrays = _assemble_claim_arrays(
             object.__new__(ClaimArrays),
             view,
@@ -326,12 +345,29 @@ class IndexExtension:
     claim_map:
         ``old claim position -> new claim position`` into the extended
         :class:`ClaimArrays`, for carrying per-claim state (for example
-        accuracies) across the extension.
+        accuracies) across the extension; :meth:`carried` does it the
+        way the extension moved its own columns.
     """
 
     index: DatasetIndex
     dirty_tasks: np.ndarray
     claim_map: np.ndarray
+    # How the claims moved: the claim level's splice, and the old
+    # positions of the dirty tasks' claims re-encoded ahead of the
+    # batch's, with the encoding's order of the two.
+    _claim_moves: tuple = field(repr=False, compare=False)
+
+    def carried(self, values: np.ndarray, fill: float) -> np.ndarray:
+        """Per-claim ``values`` of the source index, in the extended
+        index's claim order, with ``fill`` for the batch's claims.
+
+        Built as the extension built its claim columns: each run of
+        clean tasks is one slice copy, and only the dirty tasks' claims
+        are gathered, so the Python work is O(batch + dirty claims).
+        """
+        splice, stale, order = self._claim_moves
+        dirty = np.concatenate([values[stale], np.full(len(order) - len(stale), fill)])
+        return _spliced(values, dirty[order], splice)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,7 +454,9 @@ class ClaimArrays:
         never carries them across, so an extension builds its own here
         too.
         """
-        tables, self.__dict__["multi_group_slots"] = _walk_pair_tables(self)
+        tables, self.__dict__["multi_group_slots"], self.__dict__["dependence_launch"] = (
+            _walk_pair_tables(self)
+        )
         return tables
 
     @property
@@ -482,9 +520,13 @@ class ClaimArrays:
 
     def drop_pair_tables(self) -> None:
         """Forget the pair tables and what is built on them: the slot
-        map, Eq. 16's launch arrays (raw addresses into the slot map)
-        and :attr:`pair_rows_by_task`.  A later read walks again."""
-        for name in ("_pair_tables", "multi_group_slots", "multi_group_launch", "pair_rows_by_task"):
+        map, the two kernels' launches (raw addresses into the tables
+        and the slot map) and :attr:`pair_rows_by_task`.  A later read
+        walks again."""
+        for name in (
+            "_pair_tables", "multi_group_slots", "multi_group_launch",
+            "dependence_launch", "pair_rows_by_task",
+        ):
             self.__dict__.pop(name, None)
 
     # -- derived sizes ---------------------------------------------------
@@ -516,6 +558,19 @@ class ClaimArrays:
         return np.flatnonzero(self.group_size >= 2)
 
     @cached_property
+    def bucket_layout(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """The multi-provider groups in bucket order, by size and then
+        by index, and each bucket's ``(m, n_groups_of_size_m)`` in
+        ascending ``m``: the layout of :attr:`multi_group_buckets` and
+        of the slot map's blocks."""
+        # Groups have one provider at least: skipping the groups of one
+        # in a stable sort by size leaves the multi-provider ones.
+        counts = np.bincount(self.group_size, minlength=2)
+        order = np.argsort(self.group_size, kind="stable")[counts[1] :]
+        ms = np.flatnonzero(counts[2:]) + 2
+        return order, list(zip(ms.tolist(), counts[ms].tolist()))
+
+    @cached_property
     def multi_group_buckets(self) -> list[tuple[int, np.ndarray]]:
         """Multi-provider groups bucketed by size: ``(m, claim_indexes)``.
 
@@ -523,17 +578,16 @@ class ClaimArrays:
         claim positions, so the greedy independence ordering can run
         batched over every group of one size at once instead of looping
         per group (the sequential part of Eq. 16 then costs one small
-        Python loop per *distinct group size*, not per group).
+        Python loop per *distinct group size*, not per group).  A
+        group's claims are consecutive, so the compiled Eq. 16 kernel
+        reads only each group's first claim.
         """
-        buckets: list[tuple[int, np.ndarray]] = []
-        multi = self.multi_groups
-        if len(multi) == 0:
-            return buckets
-        sizes = self.group_size[multi]
-        for m in np.unique(sizes):
-            groups = multi[sizes == m]
-            starts = self.group_ptr[groups]
-            buckets.append((int(m), starts[:, None] + np.arange(int(m))[None, :]))
+        order, shapes = self.bucket_layout
+        starts = self.group_ptr[order]
+        buckets, begin = [], 0
+        for m, n_groups in shapes:
+            buckets.append((m, starts[begin : begin + n_groups, None] + np.arange(m)))
+            begin += n_groups
         return buckets
 
     @cached_property
@@ -548,32 +602,59 @@ class ClaimArrays:
         ``k > l``, and the trailing ``2 * n_pairs`` on the diagonal.
         The layout depends only on the claims, so Eq. 16 gathers its
         member-pair dependence with one ``take`` per bucket.  The walk
-        that builds the pair tables writes it, two entries per
-        same-value row.
+        that builds the pair tables writes it, one entry per same-value
+        row and then a per-block transpose, into the tail of the array
+        that holds ``pair_ptr`` and the two row tables.
         """
         self._pair_tables
         return self.__dict__["multi_group_slots"]
 
     @cached_property
-    def multi_group_launch(self) -> tuple[np.ndarray, ...]:
+    def multi_group_launch(self) -> tuple:
         """The Eq. 16 kernel's view of the buckets, built once.
 
-        ``(ms, n_groups, claims_at, slots_at, n_slots)``: each bucket's
-        group size and group count (int64), the addresses of its
-        contiguous int64 claim matrix and int32 slot map (uintp, into
-        :attr:`multi_group_buckets` and :attr:`multi_group_slots`,
-        which this index keeps alive) and the total slot count.
+        ``(n_buckets, largest, n_slots, addresses, held)``: the bucket
+        count, the largest group size, the total slot count, and the
+        addresses of the four rows of ``held[0]``, one uintp array:
+        each bucket's group size, its group count, and the addresses of
+        its groups' first claims (into ``held[1]``, one int64 array in
+        bucket order) and of its int32 slot block (into
+        :attr:`multi_group_slots`, which this index keeps alive).
         """
-        buckets = self.multi_group_buckets
-        claims = [claim_idx for _, claim_idx in buckets]
+        order, shapes = self.bucket_layout
+        starts = self.group_ptr[order]
         slots = self.multi_group_slots
+        # The groups' first claims and the slot blocks are consecutive
+        # in one array each.
+        starts_at = address(starts)
+        slots_at = address(slots[0]) if slots else 0
+        rows: list[list[int]] = [[], [], [], []]
+        for m, n_groups in shapes:
+            for row, value in zip(rows, (m, n_groups, starts_at, slots_at)):
+                row.append(value)
+            starts_at += 8 * n_groups
+            slots_at += 4 * n_groups * m * m
+        launch = np.array(rows, dtype=np.uintp)
+        at = address(launch)
         return (
-            np.array([m for m, _ in buckets], dtype=np.int64),
-            np.array([len(c) for c in claims], dtype=np.int64),
-            np.array([c.ctypes.data for c in claims], dtype=np.uintp),
-            np.array([s.ctypes.data for s in slots], dtype=np.uintp),
+            len(shapes),
+            max((m for m, _ in shapes), default=0),
             sum(s.size for s in slots),
+            tuple(at + 8 * len(shapes) * row for row in range(4)),
+            (launch, starts),
         )
+
+    @cached_property
+    def dependence_launch(self) -> tuple[int, ...]:
+        """The scorer's view of the claims and pair tables, built once.
+
+        The addresses of ``(ps_claim_a, ps_claim_b, pair_ptr,
+        claim_task, claim_code)``, which every dependence pass over
+        these arrays hands to the kernels.  The walk that builds the
+        pair tables sets it, and it goes with them.
+        """
+        self._pair_tables
+        return self.__dict__["dependence_launch"]
 
     # -- conversions between codes and values ----------------------------
 
@@ -607,41 +688,22 @@ class ClaimArrays:
         assigned in sorted value order, so "smallest code" is exactly
         that tie-break.
         """
-        return segment_first_argmax_code(
-            self.group_size.astype(np.float64),
-            self.group_task,
-            self.group_code,
-            self.task_group_ptr,
-        )
+        return segment_first_argmax_code(self.group_size, self.task_group_ptr)
 
 
-def segment_first_argmax_code(
-    values: np.ndarray,
-    group_task: np.ndarray,
-    group_code: np.ndarray,
-    task_group_ptr: np.ndarray,
-) -> np.ndarray:
+def segment_first_argmax_code(values: np.ndarray, task_group_ptr: np.ndarray) -> np.ndarray:
     """Per task, the code of the first group achieving the segment max.
 
     ``values`` is one score per value group; groups of a task are
     contiguous and ordered by code, so the first maximal group is the
-    lexicographically smallest winning value.  Tasks with no groups get
-    ``-1``.
+    lexicographically smallest winning value.  Tasks with no groups,
+    and tasks with a NaN score, get ``-1``.  One compiled pass
+    (``argmax.c``).
     """
+    values = np.ascontiguousarray(values, dtype=np.float64)
     n_tasks = len(task_group_ptr) - 1
-    out = np.full(n_tasks, -1, dtype=np.int64)
-    if len(values) == 0:
-        return out
-    starts = task_group_ptr[:-1]
-    nonempty = task_group_ptr[1:] > starts
-    # Groups tile the array, so reduceat over the starts of non-empty
-    # tasks reduces exactly one task's segment each.
-    seg_max = np.maximum.reduceat(values, starts[nonempty])
-    max_of_task = np.full(n_tasks, -np.inf)
-    max_of_task[nonempty] = seg_max
-    hit = np.flatnonzero(values == max_of_task[group_task])
-    tasks_hit, first = np.unique(group_task[hit], return_index=True)
-    out[tasks_hit] = group_code[hit[first]]
+    out = np.empty(n_tasks, dtype=np.int64)
+    _kernels.first_argmax_codes(n_tasks, address(task_group_ptr), address(values), address(out))
     return out
 
 
@@ -669,7 +731,7 @@ def _extend_claim_arrays(
     batch_task: np.ndarray,
     batch_worker: np.ndarray,
     batch_values: list[str],
-) -> tuple[ClaimArrays, np.ndarray]:
+) -> tuple[ClaimArrays, np.ndarray, tuple]:
     """Splice ``old`` into arrays for the extended ``index``.
 
     Dirty tasks are re-encoded from their old claims, read back from
@@ -680,7 +742,8 @@ def _extend_claim_arrays(
     not re-sorted: its old entries, remapped, stay in (worker, task)
     order, and each batch claim is inserted after its worker's old
     claims on earlier tasks.  Returns the new arrays and the ``old claim
-    position -> new claim position`` map.
+    position -> new claim position`` map, and how the claims moved
+    (:attr:`IndexExtension._claim_moves`).
     """
     n_tasks, n_old, n_batch = index.n_tasks, old.n_claims, len(batch_task)
     stale = dirty[dirty < old.index.n_tasks]
@@ -709,14 +772,6 @@ def _extend_claim_arrays(
         splices.append((ptr, runs, _concat_ranges(ptr[dirty], counts[dirty])))
     claims, groups = splices
 
-    def spliced(column, values, splice):
-        ptr, runs, rows = splice
-        out = np.empty(int(ptr[-1]), dtype=column.dtype)
-        for lo, hi, at in runs:
-            out[at : at + hi - lo] = column[lo:hi]
-        out[rows] = values
-        return out
-
     # The new position of every old claim, then of every batch claim.
     position = np.arange(n_old + n_batch)
     for lo, hi, at in claims[1]:
@@ -742,14 +797,26 @@ def _extend_claim_arrays(
         index,
         claims[0],
         groups[0],
-        spliced(old.claim_worker, worker[order], claims),
-        spliced(old.claim_code, d_code, claims),
-        spliced(old.claim_seq, seq[order], claims),
-        spliced(old.group_size, d_size, groups),
-        spliced(old.group_values, d_values, groups),
+        _spliced(old.claim_worker, worker[order], claims),
+        _spliced(old.claim_code, d_code, claims),
+        _spliced(old.claim_seq, seq[order], claims),
+        _spliced(old.group_size, d_size, groups),
+        _spliced(old.group_values, d_values, groups),
         np.insert(claim_map[old.worker_claims], at[by_key], batch_pos[by_key]),
     )
-    return arrays, claim_map
+    return arrays, claim_map, (claims, osrc, order)
+
+
+def _spliced(column: np.ndarray, values: np.ndarray, splice) -> np.ndarray:
+    """``column`` moved by ``splice``, ``(ptr, runs, rows)``: each clean
+    run ``(lo, hi, at)`` as one slice copy, then ``values`` at the
+    dirty segments' ``rows``."""
+    ptr, runs, rows = splice
+    out = np.empty(int(ptr[-1]), dtype=column.dtype)
+    for lo, hi, at in runs:
+        out[at : at + hi - lo] = column[lo:hi]
+    out[rows] = values
+    return out
 
 
 def _appended(
@@ -785,16 +852,14 @@ def _encode_claims(
     claims here), the sorted claims' input rows and codes, and the
     groups' sizes and values (an object array).
     """
-    # Number the distinct values in sorted order; one unique over
+    # Rank the distinct values in sorted order; one unique over
     # ``task * n_values + rank`` then yields the groups in (task, code)
     # order.
-    ids = {v: i for i, v in enumerate(dict.fromkeys(values))}
-    value_id = np.fromiter(map(ids.__getitem__, values), np.int64, len(values))
-    names = sorted(ids)
-    rank = np.empty(len(names), dtype=np.int64)
-    rank[[ids[v] for v in names]] = np.arange(len(names), dtype=np.int64)
+    names = sorted(set(values))
+    rank_of = dict(zip(names, range(len(names))))
+    rank = np.fromiter(map(rank_of.__getitem__, values), np.int64, len(values))
     n_values = max(len(names), 1)
-    keys, claim_group = np.unique(task * n_values + rank[value_id], return_inverse=True)
+    keys, claim_group = np.unique(task * n_values + rank, return_inverse=True)
     group_task, group_rank = np.divmod(keys, n_values)
     group_counts = np.bincount(group_task, minlength=n_tasks)
     group_code = np.arange(len(keys), dtype=np.int64) - _offsets(group_counts)[group_task]
@@ -886,7 +951,7 @@ def _check_int32_tables(n_workers: int, n_claims: int, n_rows: int, n_pairs: int
 
 def _walk_pair_tables(
     arrays: ClaimArrays,
-) -> tuple[tuple[np.ndarray, ...], list[np.ndarray]]:
+) -> tuple[tuple[np.ndarray, ...], list[np.ndarray], tuple[int, ...]]:
     """The five int32 pair tables and the slot map, by ``pairtables.c``.
 
     ``task_buckets`` lays each task's claims out in worker order, and
@@ -895,74 +960,89 @@ def _walk_pair_tables(
     over ranges of ``b`` with about equal rows; a smaller one is one
     part (DESIGN.md §7, "Both cores").  Every part runs twice with its
     own counters: first it counts each worker's rows and pairs as the
-    smaller worker, then, once the summed counts are known to fit in
-    int32 (:func:`_check_int32_tables`), it fills its rows and pairs
-    from a's first row and pair plus a's counts in the parts before.
-    """
-    # engine imports this module, so its part machinery is looked up
-    # here, at call time.
-    from .engine import _PART_MIN_ROWS, _PARTS, _pair_cuts, _run_parts
+    smaller worker, then ``walk_cursors`` turns the counts into fill
+    cursors and, once the totals are known to fit in int32
+    (:func:`_check_int32_tables`), it fills its rows and pairs.
 
-    n_workers, n_tasks = arrays.index.n_workers, arrays.index.n_tasks
-    # Flat offset of each bucket, and of each multi-provider group's
-    # m x m block.
-    buckets = arrays.multi_group_buckets
-    block = np.zeros(arrays.n_groups, dtype=np.int64)
-    bucket_start, total = [], 0
-    for m, claim_idx in buckets:
-        bucket_start.append(total)
-        block[arrays.claim_group[claim_idx[:, 0]]] = total + m * m * np.arange(len(claim_idx))
-        total += claim_idx.size * m
+    Scratch and outputs are a few arrays carved into sections, so a
+    small walk costs a few kernel calls and address lookups whatever
+    its number of columns.  Returns the tables, the slot map's bucket
+    blocks and the dependence pass's launch
+    (:attr:`ClaimArrays.dependence_launch`).
+    """
+    n_workers, n_tasks, n_claims = arrays.index.n_workers, arrays.index.n_tasks, arrays.n_claims
+    # The part machinery is read off engine at call time, as patched.
+    n_parts_max = engine._PARTS
+    # One int64 scratch: each task's fill cursor, the task buckets, each
+    # claim's place in them, the rows before each second worker, the
+    # two totals, the offset of each multi-provider group's m x m block
+    # in the flat slot map (blocks in bucket order), and each possible
+    # part's last, row and pair counters, which become its fill cursors.
+    sections = (
+        n_tasks, n_claims, n_claims, n_workers + 1, 2, arrays.n_groups,
+        3 * n_parts_max * n_workers,
+    )
+    offsets = list(accumulate(sections, initial=0))
+    scratch = np.empty(offsets[-1], dtype=np.int64)
+    row_ptr = scratch[offsets[3] : offsets[4]]
+    totals = scratch[offsets[4] : offsets[5]]
+    block = scratch[offsets[5] : offsets[6]]
+    scratch[offsets[6] :] = 0
+    scratch_at = address(scratch)
+    at = [scratch_at + 8 * offset for offset in offsets]
+    order, shapes = arrays.bucket_layout
+    sizes = arrays.group_size[order]
+    area = sizes**2
+    block[order] = np.cumsum(area) - area
     inputs = [
-        np.ascontiguousarray(column, dtype=np.int64)
+        address(column)
         for column in (
-            arrays.task_ptr, arrays.worker_ptr, arrays.worker_claims,
-            arrays.claim_task, arrays.claim_worker, arrays.claim_group,
-            arrays.group_ptr, arrays.group_size, block,
+            arrays.task_ptr, arrays.worker_ptr, arrays.worker_claims, arrays.claim_task,
+            arrays.claim_worker, arrays.claim_group, arrays.group_ptr, arrays.group_size,
         )
     ]
-    fill, by_task, pos, row_ptr = (
-        np.empty(size, dtype=np.int64)
-        for size in (n_tasks, arrays.n_claims, arrays.n_claims, n_workers + 1)
-    )
-    _kernels.task_buckets(
-        n_workers, n_tasks,
-        *(a.ctypes.data for a in (*inputs[:4], fill, by_task, pos, row_ptr)),
-    )
-    n_parts = _PARTS if row_ptr[-1] >= _PART_MIN_ROWS else 1
-    cuts = _pair_cuts(row_ptr, 0, n_workers, n_parts)
-    # Each part's last, then its row and pair counters, which become its
-    # fill cursors.  Pool threads get plain addresses: they call only
-    # the kernel.
-    scratch = np.zeros((n_parts, 3, n_workers), dtype=np.int64)
-    at, width = scratch.ctypes.data, scratch.strides[1]
-    shared = [a.ctypes.data for a in (*inputs, by_task, pos)]
+    _kernels.task_buckets(n_workers, n_tasks, *inputs[:4], *at[:4])
+    n_parts = n_parts_max if row_ptr[-1] >= engine._PART_MIN_ROWS else 1
+    cuts = engine._pair_cuts(row_ptr, 0, n_workers, n_parts)
+    # Pool threads get plain addresses: they call only the kernel.
+    counters_at = at[6]
+    shared = [*inputs, at[5], at[1], at[2]]  # ..., block, by_task, pos
 
     def walk(n_pairs: int, outputs) -> None:
         def part(k: int) -> None:
-            own = (at + width * (3 * k + i) for i in range(3))
+            own = (counters_at + 8 * n_workers * (3 * k + i) for i in range(3))
             _kernels.pair_tables(cuts[k], cuts[k + 1], *shared, n_pairs, *own, *outputs)
 
-        _run_parts(part, n_parts)
+        engine._run_parts(part, n_parts)
 
     walk(-1, (None,) * 6)
-    counts = scratch[:, 1:]
-    ends = counts.cumsum(axis=0)  # a's rows and pairs in parts 0..k
-    row_start, pair_start = _offsets(ends[-1, 0]), _offsets(ends[-1, 1])
-    n_rows, n_pairs = int(row_start[-1]), int(pair_start[-1])
-    _check_int32_tables(n_workers, arrays.n_claims, n_rows, n_pairs)
-    # Part k fills from a's first row and pair plus a's counts in the
-    # parts before k.
-    np.subtract(ends, counts, out=counts)
-    counts[:, 0] += row_start[:-1]
-    counts[:, 1] += pair_start[:-1]
-    tables = tuple(
-        np.empty(n, dtype=np.int32) for n in (n_pairs, n_pairs, n_pairs + 1, n_rows, n_rows)
+    _kernels.walk_cursors(n_parts, n_workers, counters_at, at[4])
+    n_rows, n_pairs = totals.tolist()
+    _check_int32_tables(n_workers, n_claims, n_rows, n_pairs)
+    # Two int32 arrays: the pairs' workers, which a result may keep, and
+    # pair_ptr, the two row tables and the slot map, which a run that
+    # built its own index drops before its result.
+    workers = np.empty(2 * n_pairs, dtype=np.int32)
+    rows = np.empty(n_pairs + 1 + 2 * n_rows + int(area.sum()), dtype=np.int32)
+    ends = list(accumulate((n_pairs + 1, n_rows, n_rows), initial=0))
+    pair_ptr, ps_claim_a, ps_claim_b, flat = (
+        rows[lo:hi] for lo, hi in zip(ends, [*ends[1:], len(rows)])
     )
-    tables[2][n_pairs] = n_rows
-    flat = np.full(total, 2 * n_pairs, dtype=np.int32)
-    walk(n_pairs, [a.ctypes.data for a in (*tables, flat)])
-    return tables, [
-        flat[begin : begin + claim_idx.size * m].reshape(-1, m, m)
-        for begin, (m, claim_idx) in zip(bucket_start, buckets)
-    ]
+    pair_ptr[n_pairs] = n_rows
+    workers_at, rows_at = address(workers), address(rows)
+    table_at = [rows_at + 4 * end for end in ends]
+    walk(n_pairs, [workers_at, workers_at + 4 * n_pairs, *table_at])
+    _kernels.slot_transpose(len(sizes), address(sizes), n_pairs, table_at[3])
+    slots, begin = [], 0
+    for m, n_groups in shapes:
+        slots.append(flat[begin : begin + n_groups * m * m].reshape(n_groups, m, m))
+        begin += n_groups * m * m
+    tables = (workers[:n_pairs], workers[n_pairs:], pair_ptr, ps_claim_a, ps_claim_b)
+    launch = (table_at[1], table_at[2], table_at[0], inputs[3], address(arrays.claim_code))
+    return tables, slots, launch
+
+
+# engine imports this module for its names above, and the walk reads
+# engine's part machinery when it runs: imported last, either module
+# may be imported first.
+from . import engine  # noqa: E402

@@ -1,10 +1,11 @@
 """Build-once loader for the compiled DATE kernels.
 
-Three C sources ship inside the package: ``pairtables.c`` (the walk
+Four C sources ship inside the package: ``pairtables.c`` (the walk
 that builds the co-answering pair tables and the Eq. 16 slot map),
-``dependence.c`` (the Eqs. 7-13 pair-row scorer and its per-pair sums)
-and ``independence.c`` (the Eq. 16 greedy).  The first import on a
-machine compiles all three into one shared library with the system C
+``dependence.c`` (the Eqs. 7-13 pair-row scorer and its per-pair sums),
+``independence.c`` (the Eq. 16 greedy) and ``argmax.c`` (line 28's
+per-task argmax).  The first import on a machine compiles all four
+into one shared library with the system C
 compiler, cached per user (``$XDG_CACHE_HOME/repro``, else
 ``~/.cache/repro``) under a name that is a SHA-256 of the sources,
 the flags and the platform tag; later imports load the cached library
@@ -30,10 +31,11 @@ import sysconfig
 import tempfile
 from pathlib import Path
 
-__all__ = ["load_kernels"]
+__all__ = ["address", "load_kernels"]
 
 _SOURCES = tuple(
-    Path(__file__).with_name(name) for name in ("pairtables.c", "dependence.c", "independence.c")
+    Path(__file__).with_name(name)
+    for name in ("pairtables.c", "dependence.c", "independence.c", "argmax.c")
 )
 _FLAGS = ("-O3", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 _COMPILERS = ("cc", "gcc", "clang")
@@ -59,6 +61,8 @@ _SIGNATURES = {
         _ptr, _ptr, _ptr, _ptr,  # task_ptr, worker_ptr, worker_claims, claim_task
         _ptr, _ptr, _ptr, _ptr,  # fill, by_task, pos, row_ptr
     ],
+    "walk_cursors": [_i64, _i64, _ptr, _ptr],  # n_parts, n_workers, counters, totals
+    "slot_transpose": [_i64, _ptr, _i64, _ptr],  # n_blocks, sizes, n_pairs, slots
     "pair_tables": [
         _i64, _i64,  # b0, b1
         _ptr, _ptr, _ptr,  # task_ptr, worker_ptr, worker_claims
@@ -69,14 +73,31 @@ _SIGNATURES = {
         _ptr, _ptr, _ptr,  # pair_a, pair_b, pair_ptr
         _ptr, _ptr, _ptr,  # ps_claim_a, ps_claim_b, slots
     ],
+    "first_argmax_codes": [_i64, _ptr, _ptr, _ptr],  # n_tasks, task_group_ptr, values, out
     "independence_buckets": [
         _i64, _ptr, _ptr,  # n_buckets, ms, n_groups
-        _ptr, _ptr,  # claims, slots (one pointer per bucket)
+        _ptr, _ptr,  # starts, slots (one pointer per bucket)
+        _i64, _i64,  # part, n_parts
         _ptr, _ptr,  # p_ab, p_ba
         _f64, ctypes.c_int, ctypes.c_int,  # r, dependent_first, total_mode
         _ptr, _ptr, _ptr,  # work, order, indep
     ],
 }
+
+
+def address(array) -> int:
+    """The data address of a C-contiguous numpy array, for a kernel.
+
+    ``array.ctypes.data`` builds a ctypes helper object on every call,
+    a few microseconds that a small DATE run pays a few dozen times; a
+    ctypes view of the array's buffer costs a third of that.  The
+    buffer protocol refuses read-only and empty arrays, which take
+    ``ctypes.data``.
+    """
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    except (TypeError, ValueError):
+        return array.ctypes.data
 
 
 def _cache_dir() -> Path:

@@ -21,12 +21,17 @@
  *
  * - count (pair_a NULL): row_at[a] and pair_at[a] start at 0 and end
  *   as a's row and pair counts within the part;
- * - fill: they start at a's first row and first pair (the prefix sums
- *   of the summed counts) plus a's counts in the parts before, and
- *   every table is written.  A row whose two claims share a value
- *   group g writes its two slot-map entries there too: pair p at
- *   [la, lb] of g's m x m block (block[g] onward) and n_pairs + p at
- *   [lb, la], with la < lb the claims' offsets in g.
+ * - fill: walk_cursors has turned every part's counts into its
+ *   cursors, a's first row and first pair (the prefix sums of the
+ *   summed counts) plus a's counts in the parts before, and every
+ *   table is written.  A row whose two claims share a value
+ *   group g writes its slot-map entry there too: n_pairs + p at
+ *   [lb, la] of g's m x m block (block[g] onward), with la < lb the
+ *   claims' offsets in g.  Every pair of g's members shares g's task,
+ *   so the walk writes the whole lower triangle; slot_transpose then
+ *   mirrors it, block by block, into pair p at [la, lb] and writes
+ *   2 * n_pairs on the diagonal.  One scattered write per row instead
+ *   of two is the cheaper walk.
  *
  * Parts write disjoint rows, pairs and slots, so the tables do not
  * depend on the cut.  The walk writes only what the kernels read, in
@@ -62,6 +67,31 @@ void task_buckets(
         }
         row_ptr[b + 1] = rows;
     }
+}
+
+/*
+ * Between the passes: each part's counts become its fill cursors, in
+ * place, and totals gets the row and pair counts.  counters holds, per
+ * part, its last, row_at and pair_at rows of n_workers each.  Rows and
+ * pairs are numbered by a, then by part, so part k's cursor for a is
+ * the counts of every worker before a plus a's counts in parts 0..k-1.
+ */
+void walk_cursors(int64_t n_parts, int64_t n_workers, int64_t *counters, int64_t *totals)
+{
+    int64_t rows = 0, pairs = 0;
+    for (int64_t a = 0; a < n_workers; a++) {
+        for (int64_t k = 0; k < n_parts; k++) {
+            int64_t *row_at = counters + (3 * k + 1) * n_workers;
+            int64_t *pair_at = row_at + n_workers;
+            int64_t r = row_at[a], p = pair_at[a];
+            row_at[a] = rows;
+            pair_at[a] = pairs;
+            rows += r;
+            pairs += p;
+        }
+    }
+    totals[0] = rows;
+    totals[1] = pairs;
 }
 
 void pair_tables(
@@ -106,10 +136,29 @@ void pair_tables(
                     int64_t m = group_size[g];
                     int64_t la = ca - group_ptr[g];
                     int64_t lb = cb - group_ptr[g];
-                    slots[block[g] + la * m + lb] = (int32_t)p;
                     slots[block[g] + lb * m + la] = (int32_t)(n_pairs + p);
                 }
             }
         }
+    }
+}
+
+/*
+ * After the fill: each of the n_blocks consecutive m x m blocks of the
+ * slot map (sizes[b] = m, in bucket order) gets its upper triangle from
+ * its lower one, n_pairs + p at [l, k] giving p at [k, l], and
+ * 2 * n_pairs on its diagonal.
+ */
+void slot_transpose(int64_t n_blocks, const int64_t *sizes, int64_t n_pairs, int32_t *slots)
+{
+    for (int64_t b = 0; b < n_blocks; b++) {
+        int64_t m = sizes[b];
+        for (int64_t k = 0; k < m; k++) {
+            slots[k * m + k] = (int32_t)(2 * n_pairs);
+            for (int64_t l = k + 1; l < m; l++) {
+                slots[k * m + l] = slots[l * m + k] - (int32_t)n_pairs;
+            }
+        }
+        slots += m * m;
     }
 }

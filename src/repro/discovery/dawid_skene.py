@@ -126,9 +126,7 @@ class FastDawidSkene:
             state["scores"] = scores
             state["confusion"] = confusion
             state["task_label"] = task_label
-            return segment_first_argmax_code(
-                scores, arrays.group_task, arrays.group_code, arrays.task_group_ptr
-            )
+            return segment_first_argmax_code(scores, arrays.task_group_ptr)
 
         initial = arrays.majority_codes()
         if warm_start is not None and warm_start.truths:

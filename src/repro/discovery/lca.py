@@ -107,12 +107,7 @@ class LatentCredibilityAnalysis:
                 where=worker_counts > 0,
             )
             np.clip(new_honesty, _HONESTY_LO, _HONESTY_HI, out=honesty)
-            return segment_first_argmax_code(
-                posterior,
-                arrays.group_task,
-                arrays.group_code,
-                arrays.task_group_ptr,
-            )
+            return segment_first_argmax_code(posterior, arrays.task_group_ptr)
 
         # Key the fixed point on (truths, honesty) jointly — with
         # uniform initial honesty the first E-step reproduces majority

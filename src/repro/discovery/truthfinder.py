@@ -107,12 +107,7 @@ class TruthFinder:
                 where=worker_counts > 0,
             )
             np.clip(new_trust, _TRUST_LO, _TRUST_HI, out=trust)
-            return segment_first_argmax_code(
-                confidence,
-                arrays.group_task,
-                arrays.group_code,
-                arrays.task_group_ptr,
-            )
+            return segment_first_argmax_code(confidence, arrays.task_group_ptr)
 
         # The fixed point is over (truths, trust) jointly: with uniform
         # initial trust the first truth assignment equals majority vote,

@@ -261,6 +261,7 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = False):
         self._enabled = enabled
         self._families: dict[str, _Family] = {}
+        self._bound: dict = {}
         self._lock = threading.Lock()
 
     # -- switching -------------------------------------------------------
@@ -279,6 +280,26 @@ class MetricsRegistry:
         """Drop every family (test isolation; enabled state unchanged)."""
         with self._lock:
             self._families.clear()
+            self._bound.clear()
+
+    def bound(self, build):
+        """``build(self)``, built once and kept until :meth:`reset` or
+        :meth:`drop_labels` drops a series.
+
+        For callers that look the same instruments up on every call (a
+        DATE run binds eleven): the lookups run once per registry, not
+        once per call.  Two threads may both build on a first call; the
+        first kept is returned to both, and its series are the same.  A
+        disabled registry returns ``build(self)`` and keeps nothing.
+        """
+        if not self._enabled:
+            return build(self)
+        instruments = self._bound.get(build)
+        if instruments is None:
+            instruments = build(self)
+            with self._lock:
+                instruments = self._bound.setdefault(build, instruments)
+        return instruments
 
     # -- instrument getters ----------------------------------------------
 
@@ -382,6 +403,8 @@ class MetricsRegistry:
                 for key in doomed:
                     del family.series[key]
                 dropped += len(doomed)
+            if dropped:
+                self._bound.clear()
         return dropped
 
     # -- reading ---------------------------------------------------------

@@ -42,7 +42,7 @@ from ..core.accuracy import claim_mean_by_worker
 from ..core.config import DateConfig
 from ..core.date import TruthDiscoveryResult
 from ..core.engine import dense_accuracy
-from ..core.indexing import DatasetIndex
+from ..core.indexing import DatasetIndex, _concat_ranges
 from ..discovery import canonical_algorithm, make_discoverer
 from ..errors import ConfigurationError
 from ..types import Dataset
@@ -273,9 +273,7 @@ class OnlineDATE:
         ext = state.index.extended(
             tasks=batch.tasks, workers=batch.workers, claims=batch.claims
         )
-        n_claims = ext.index.arrays.n_claims
-        claim_acc = np.full(n_claims, self._config.initial_accuracy, dtype=np.float64)
-        claim_acc[ext.claim_map] = state.claim_acc
+        claim_acc = ext.carried(state.claim_acc, self._config.initial_accuracy)
         state = replace(
             state, index=ext.index, claim_acc=claim_acc, batches=state.batches + 1
         )
@@ -349,20 +347,21 @@ class OnlineDATE:
         """Re-estimate the claimed dirty tasks on a restricted view.
 
         The sub-run is warm-started from the current truths of its tasks
-        and the campaign-wide reputations of its workers; its per-claim
-        accuracies scatter back into the unpublished ``state.claim_acc``
-        through the view's claim positions, and its truths and
-        confidences replace those of its tasks in new dicts.  Returns
-        the new state and the sub-run's iteration count.
+        and the campaign-wide reputations of its workers, computed for
+        those workers only; its per-claim accuracies scatter back into
+        the unpublished ``state.claim_acc`` through the view's claim
+        positions, and its truths and confidences replace those of its
+        tasks in new dicts.  Returns the new state and the sub-run's
+        iteration count.
         """
         index, claim_acc = state.index, state.claim_acc
         sub, positions = index.restricted(dirty)
-        means = claim_mean_by_worker(index.arrays, claim_acc)
-        worker_pos = index.worker_pos
+        workers = np.fromiter(map(index.worker_pos.__getitem__, sub.worker_ids), np.int64)
+        means = _worker_means(index.arrays, claim_acc, workers)
         warm = TruthDiscoveryResult(
             truths={t: state.truths[t] for t in sub.task_ids if t in state.truths},
             accuracy_matrix=np.zeros((0, 0)),
-            worker_accuracy={w: float(means[worker_pos[w]]) for w in sub.worker_ids},
+            worker_accuracy=dict(zip(sub.worker_ids, means.tolist())),
             confidence={},
             support={},
             dependence={},
@@ -388,3 +387,20 @@ class OnlineDATE:
             else:
                 confidence[task_id] = task_confidence
         return replace(state, truths=truths, confidence=confidence), result.iterations
+
+
+def _worker_means(arrays, claim_values: np.ndarray, workers: np.ndarray) -> np.ndarray:
+    """What :func:`claim_mean_by_worker` gives ``workers`` (ascending
+    positions, each with a claim), reading only their claims.
+
+    A worker's segment of the worker CSR lists its claims in claim
+    order, and ``bincount`` adds each bin's weights in array order from
+    +0.0, so every sum adds the same values in the same order as the
+    campaign-wide ``bincount``: the bits match.
+    """
+    ptr = arrays.worker_ptr
+    counts = ptr[workers + 1] - ptr[workers]
+    claims = arrays.worker_claims[_concat_ranges(ptr[workers], counts)]
+    owner = np.repeat(np.arange(len(workers)), counts)
+    sums = np.bincount(owner, weights=claim_values[claims], minlength=len(workers))
+    return sums / counts

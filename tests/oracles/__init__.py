@@ -67,7 +67,7 @@ from .indexing import (
     shared_tasks,
     value_groups,
 )
-from .support import select_truths, support_counts
+from .support import segment_first_argmax_numpy, select_truths, support_counts
 
 __all__ = [
     "IndependenceTable",
@@ -94,6 +94,7 @@ __all__ = [
     "reference_auction",
     "reference_payments",
     "run_reference",
+    "segment_first_argmax_numpy",
     "select_truths",
     "shared_tasks",
     "support_counts",

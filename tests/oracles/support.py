@@ -17,7 +17,7 @@ from repro.core.support import SimilarityFn
 from .independence import IndependenceTable
 from .indexing import value_groups
 
-__all__ = ["support_counts", "select_truths"]
+__all__ = ["support_counts", "select_truths", "segment_first_argmax_numpy"]
 
 #: Support tables: task index -> {value: support count}.
 SupportTable = list[dict[str, float]]
@@ -87,3 +87,26 @@ def select_truths(support: SupportTable) -> list[str | None]:
         candidates = [v for v, s in counts.items() if s == best_score]
         truths.append(min(candidates))
     return truths
+
+
+def segment_first_argmax_numpy(values: np.ndarray, task_group_ptr: np.ndarray) -> np.ndarray:
+    """The numpy per-task argmax the compiled ``argmax.c`` replaced.
+
+    A segment max by ``np.maximum.reduceat`` over the tasks with groups,
+    then each task's first group equal to it; tasks without groups, and
+    tasks whose max is NaN, get -1.
+    """
+    n_tasks = len(task_group_ptr) - 1
+    out = np.full(n_tasks, -1, dtype=np.int64)
+    if len(values) == 0:
+        return out
+    group_task = np.repeat(np.arange(n_tasks), np.diff(task_group_ptr))
+    group_code = np.arange(len(values)) - task_group_ptr[group_task]
+    starts = task_group_ptr[:-1]
+    nonempty = task_group_ptr[1:] > starts
+    max_of_task = np.full(n_tasks, -np.inf)
+    max_of_task[nonempty] = np.maximum.reduceat(values, starts[nonempty])
+    hit = np.flatnonzero(values == max_of_task[group_task])
+    tasks_hit, first = np.unique(group_task[hit], return_index=True)
+    out[tasks_hit] = group_code[hit[first]]
+    return out

@@ -69,7 +69,9 @@ def test_one_library_keyed_by_every_source(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     first = native._library_path()
     assert first.name.startswith("kernels-") and first.suffix == ".so"
-    assert {p.name for p in native._SOURCES} == {"pairtables.c", "dependence.c", "independence.c"}
+    assert {p.name for p in native._SOURCES} == {
+        "pairtables.c", "dependence.c", "independence.c", "argmax.c"
+    }
     # Editing any source names a different library.
     original = native._SOURCES
     for k, source in enumerate(original):

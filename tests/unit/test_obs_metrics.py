@@ -167,6 +167,29 @@ class TestRegistrySemantics:
         assert registry.collect() == []
         assert registry.enabled
 
+    def test_bound_instruments_are_built_once_until_a_series_goes(self):
+        registry = self._registry()
+        builds = []
+
+        def build(reg):
+            builds.append(reg)
+            return (reg.counter("bound_total"), reg.counter("per_x", labels={"x": "1"}))
+
+        first = registry.bound(build)
+        assert registry.bound(build) is first and len(builds) == 1
+        registry.drop_labels("x", "2")  # drops nothing: the binding stays
+        assert registry.bound(build) is first
+        registry.drop_labels("x", "1")
+        second = registry.bound(build)
+        assert len(builds) == 2 and second[1] is not first[1]
+        registry.reset()
+        third = registry.bound(build)
+        third[0].inc()
+        assert len(builds) == 3 and registry.as_dict()["bound_total"]["series"][0]["value"] == 1.0
+        disabled = MetricsRegistry(enabled=False)
+        assert disabled.bound(build) == (NULL, NULL) and disabled.bound(build) is not None
+        assert len(builds) == 5
+
 
 class TestProcessRegistry:
     def test_set_registry_swaps_and_returns_previous(self):
