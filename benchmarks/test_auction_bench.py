@@ -5,7 +5,8 @@ The acceptance gate of the vectorized auction engine lives here: at a
 the O(W³·T) hot path of Alg. 2, one full greedy rerun per winner in the
 scalar oracle (tests/oracles/auction.py) — must run at least 5× faster through the prefix-shared
 engine, while producing *exactly* the same winners, selection order,
-payments, and monopolists.
+payments, and monopolists.  The GA and GB baselines, which select on
+the same engine cover, must equal their scalar loops at that scale too.
 
 The ``speedup`` gate is hardware-sensitive (wall-clock ratio), so CI
 excludes it with ``-k "not speedup"``; the exactness assertions run at
@@ -21,11 +22,17 @@ import time
 import numpy as np
 import pytest
 
-from repro import DATE, ReverseAuction, SOACInstance
+from repro import DATE, GreedyAccuracy, GreedyBid, ReverseAuction, SOACInstance
 from repro.auction.engine import batched_greedy_cover, run_auction
 from repro.datasets import generate_qatar_living_like
 
-from tests.oracles import greedy_cover, reference_auction, reference_payments
+from tests.oracles import (
+    greedy_cover,
+    reference_auction,
+    reference_greedy_accuracy,
+    reference_greedy_bid,
+    reference_payments,
+)
 
 #: The gate scale from the issue: 500 workers, 200 tasks.
 GATE_WORKERS = 500
@@ -87,6 +94,24 @@ def assert_backends_exactly_equal(instance: SOACInstance):
 
 def test_backends_exactly_equal_at_gate_scale(gate_instance):
     assert_backends_exactly_equal(gate_instance)
+
+
+@pytest.mark.parametrize(
+    ("auction", "oracle"),
+    [
+        (GreedyAccuracy(), reference_greedy_accuracy),
+        (GreedyBid(), reference_greedy_bid),
+    ],
+    ids=["GA", "GB"],
+)
+def test_greedy_baselines_exactly_equal_at_gate_scale(gate_instance, auction, oracle):
+    """GA and GB on the engine cover equal their scalar loops."""
+    reference = oracle(gate_instance)
+    outcome = auction.run(gate_instance)
+    assert outcome.winner_indexes == reference.winner_indexes
+    assert outcome.payments == reference.payments
+    assert outcome.social_cost == reference.social_cost
+    assert outcome.total_payment == reference.total_payment
 
 
 def test_backends_exactly_equal_on_paper_scale_imc2():

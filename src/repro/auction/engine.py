@@ -1,4 +1,4 @@
-"""Array-native reverse auction: batched selection + prefix-shared payments.
+"""Array-native reverse auction: one greedy cover + prefix-shared payments.
 
 This module is the auction twin of :mod:`repro.core.engine`: Alg. 2 as
 fleet-wide numpy passes, pinned against the scalar per-worker
@@ -8,8 +8,10 @@ transcription in tests/oracles/auction.py.  Three ideas carry the speedup:
    ``Σ_j min(Θ'_j, A_k^j)`` one worker at a time, every round.  Here
    the whole fleet's capped coverages live in one dense ``(n, m)``
    array ``capped = np.minimum(residual, accuracy)`` whose row sums are
-   the per-worker marginals, and each round is one ``argmin`` over the
-   bid/marginal ratios.
+   the per-worker marginals (:class:`GreedyCover`), and each round is
+   one masked pick over them.  RA, GA and GB all select on this cover;
+   they differ only in the pick (bid/marginal argmin, largest marginal,
+   lowest bid).
 
 2. **Incremental residual updates.**  A selected winner changes the
    residual only on its own task columns (CSR row of
@@ -50,6 +52,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +60,7 @@ import numpy as np
 from ..errors import InfeasibleCoverageError
 from .soac import COVERAGE_TOL, SOACInstance
 
-__all__ = ["CoverTrace", "batched_greedy_cover", "run_auction"]
+__all__ = ["CoverTrace", "GreedyCover", "batched_greedy_cover", "run_auction"]
 
 
 @dataclass(frozen=True)
@@ -79,42 +82,42 @@ class CoverTrace:
         return len(self.winners)
 
 
-class _Cover:
-    """One greedy cover in flight: dense capped sums, sparse updates."""
+class GreedyCover:
+    """One greedy cover in flight: dense capped sums, sparse updates.
 
-    def __init__(self, instance: SOACInstance, residual: np.ndarray):
+    The selection phase of every auction (RA, GA, GB): each round the
+    auction reads ``scores`` over the mask :meth:`rounds` yields, picks
+    one worker by its own rule and calls :meth:`apply`.
+    """
+
+    def __init__(self, instance: SOACInstance):
         self.instance = instance
         self.sparse = instance.sparse_accuracy
-        self.residual = residual
+        self.residual = instance.requirements.astype(np.float64).copy()
         # capped[k, j] == min(residual[j], accuracy[k, j]) at all times;
         # row sums are the marginals.  Summing the full matrix along
         # axis 1 is bit-identical to summing each row alone, so these
         # scores equal the reference's per-worker sums exactly.
-        self.capped = np.minimum(residual[None, :], instance.accuracy)
+        self.capped = np.minimum(self.residual[None, :], instance.accuracy)
         self.scores = self.capped.sum(axis=1)
         self.eligible = np.ones(instance.n_workers, dtype=bool)
         self.selected: list[int] = []
 
-    def covered(self) -> bool:
-        return self.residual.sum() <= COVERAGE_TOL
+    def rounds(self) -> Iterator[np.ndarray]:
+        """Yield the useful workers' mask once per round until covered.
 
-    def pick(self) -> int:
-        """One Alg. 2 round: argmin of bid/marginal over eligible workers.
-
-        ``argmin`` returns the first minimum, replicating the scalar
-        loop's ascending-index tie-break.  Raises
-        :class:`InfeasibleCoverageError` when no eligible worker adds
-        coverage.
+        A useful worker is eligible and still adds more than
+        ``COVERAGE_TOL``; the caller applies one of them before the next
+        round.  Raises :class:`InfeasibleCoverageError` when coverage is
+        still open and no worker is useful.
         """
-        ratios = np.full(len(self.scores), np.inf)
-        useful = self.eligible & (self.scores > COVERAGE_TOL)
-        np.divide(self.instance.bids, self.scores, out=ratios, where=useful)
-        best = int(np.argmin(ratios))
-        if not useful[best]:
-            raise InfeasibleCoverageError(
-                self.instance.uncovered_tasks(sorted(self.selected))
-            )
-        return best
+        while self.residual.sum() > COVERAGE_TOL:
+            useful = self.eligible & (self.scores > COVERAGE_TOL)
+            if not useful.any():
+                raise InfeasibleCoverageError(
+                    self.instance.uncovered_tasks(sorted(self.selected))
+                )
+            yield useful
 
     def apply(self, winner: int) -> None:
         """Subtract the winner's capped coverage; refresh affected state.
@@ -157,20 +160,23 @@ def _subtract_coverage(
 
 
 def batched_greedy_cover(instance: SOACInstance) -> CoverTrace:
-    """Alg. 2's selection loop over the whole fleet, with a full trace."""
-    cover = _Cover(instance, instance.requirements.astype(np.float64).copy())
-    winners: list[int] = []
+    """Alg. 2's selection loop over the whole fleet, with a full trace.
+
+    Each round picks the lowest ``bid / marginal``; ``argmin`` returns
+    the first minimum, the scalar loop's ascending-index tie-break.
+    """
+    cover = GreedyCover(instance)
     residuals: list[np.ndarray] = []
     scores: list[np.ndarray] = []
-    while not cover.covered():
-        winner = cover.pick()
-        winners.append(winner)
+    for useful in cover.rounds():
+        ratios = np.full(len(useful), np.inf)
+        np.divide(instance.bids, cover.scores, out=ratios, where=useful)
         residuals.append(cover.residual.copy())
         scores.append(cover.scores.copy())
-        cover.apply(winner)
+        cover.apply(int(np.argmin(ratios)))
     m, n = instance.n_tasks, instance.n_workers
     return CoverTrace(
-        winners=np.asarray(winners, dtype=np.int64),
+        winners=np.asarray(cover.selected, dtype=np.int64),
         residuals=(
             np.asarray(residuals) if residuals else np.empty((0, m))
         ),
@@ -306,15 +312,9 @@ def run_auction(
     trace = batched_greedy_cover(instance)
     if telemetry:
         selection_timer.observe(time.perf_counter() - start)
-    winners = [int(w) for w in trace.winners]
+    winners = trace.winners.tolist()
     payments: dict[str, float] = {}
     monopolists: list[str] = []
-    if not winners:
-        if telemetry:
-            auctions_total.inc()
-            rounds_hist.observe(0)
-        return winners, payments, monopolists
-
     prefix_best = _prefix_terms(instance, trace)
     for position, worker in enumerate(winners):
         worker_id = instance.worker_ids[worker]

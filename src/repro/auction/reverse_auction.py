@@ -25,7 +25,8 @@ auction then pays ``monopoly_payment_factor · b_i`` and records the
 worker in :attr:`AuctionOutcome.monopolists` (see DESIGN.md §4).
 
 :mod:`repro.auction.engine` executes both phases (fleet-wide batched
-selection, lazy-greedy payment continuations; DESIGN.md §10).  The
+selection on the greedy cover the GA and GB baselines share,
+lazy-greedy payment continuations; DESIGN.md §10).  The
 scalar per-worker transcription it is pinned against lives in
 tests/oracles/auction.py.
 """
@@ -33,6 +34,7 @@ tests/oracles/auction.py.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -58,6 +60,26 @@ class AuctionOutcome:
     social_cost: float
     total_payment: float
     monopolists: tuple[str, ...] = ()
+
+    @classmethod
+    def from_selection(
+        cls,
+        method: str,
+        instance: SOACInstance,
+        winners: Sequence[int],
+        payments: dict[str, float],
+        monopolists: Sequence[str] = (),
+    ) -> "AuctionOutcome":
+        """The outcome of ``winners`` (indexes, in selection order)."""
+        return cls(
+            method=method,
+            winner_ids=tuple(instance.worker_ids[i] for i in winners),
+            winner_indexes=tuple(winners),
+            payments=payments,
+            social_cost=instance.social_cost(winners),
+            total_payment=float(sum(payments.values())),
+            monopolists=tuple(monopolists),
+        )
 
     @property
     def n_winners(self) -> int:
@@ -101,17 +123,10 @@ class ReverseAuction:
         from .engine import run_auction
 
         instance.check_feasible()
-        winners, payments, monopolists = run_auction(
+        return AuctionOutcome.from_selection(
+            self.method_name,
             instance,
-            monopoly_payment_factor=self.monopoly_payment_factor,
-        )
-        total_payment = float(sum(payments.values()))
-        return AuctionOutcome(
-            method=self.method_name,
-            winner_ids=tuple(instance.worker_ids[i] for i in winners),
-            winner_indexes=tuple(winners),
-            payments=payments,
-            social_cost=instance.social_cost(winners),
-            total_payment=total_payment,
-            monopolists=tuple(monopolists),
+            *run_auction(
+                instance, monopoly_payment_factor=self.monopoly_payment_factor
+            ),
         )

@@ -2,7 +2,10 @@
 
 GA repeatedly selects the worker with the highest *marginal accuracy
 coverage* ``Σ_j min(Θ'_j, A_k^j)`` over the residual requirements,
-ignoring prices entirely, until every task's requirement is covered.
+ignoring prices except to break ties (lower bid, then lower index),
+until every task's requirement is covered.  It selects on the same
+:class:`~repro.auction.engine.GreedyCover` as Alg. 2; only the pick
+differs.
 
 Payment: the paper says GA "pays the critical value to the winners",
 but GA's selection never reads bids, so no finite Myerson critical
@@ -15,9 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..auction.engine import GreedyCover
 from ..auction.reverse_auction import AuctionOutcome
-from ..auction.soac import COVERAGE_TOL, SOACInstance
-from ..errors import InfeasibleCoverageError
+from ..auction.soac import SOACInstance
 
 __all__ = ["GreedyAccuracy"]
 
@@ -30,48 +33,14 @@ class GreedyAccuracy:
     def run(self, instance: SOACInstance) -> AuctionOutcome:
         """Select by maximal marginal coverage; pay declared bids."""
         instance.check_feasible()
-        residual = instance.requirements.astype(np.float64).copy()
-        selected: list[int] = []
-        chosen: set[int] = set()
-        while residual.sum() > COVERAGE_TOL:
-            best_worker = -1
-            best_coverage = 0.0
-            for k in range(instance.n_workers):
-                if k in chosen:
-                    continue
-                marginal = float(np.minimum(residual, instance.accuracy[k]).sum())
-                if marginal <= COVERAGE_TOL:
-                    continue
-                better = marginal > best_coverage
-                tie = (
-                    marginal == best_coverage
-                    and best_worker >= 0
-                    and (
-                        instance.bids[k] < instance.bids[best_worker]
-                        or (
-                            instance.bids[k] == instance.bids[best_worker]
-                            and k < best_worker
-                        )
-                    )
-                )
-                if better or tie:
-                    best_coverage = marginal
-                    best_worker = k
-            if best_worker < 0:
-                raise InfeasibleCoverageError(instance.uncovered_tasks(chosen))
-            selected.append(best_worker)
-            chosen.add(best_worker)
-            residual = np.maximum(
-                residual - np.minimum(residual, instance.accuracy[best_worker]), 0.0
-            )
-        payments = {
-            instance.worker_ids[i]: float(instance.bids[i]) for i in selected
-        }
-        return AuctionOutcome(
-            method=self.method_name,
-            winner_ids=tuple(instance.worker_ids[i] for i in selected),
-            winner_indexes=tuple(selected),
-            payments=payments,
-            social_cost=instance.social_cost(selected),
-            total_payment=float(sum(payments.values())),
+        cover = GreedyCover(instance)
+        for useful in cover.rounds():
+            marginals = np.where(useful, cover.scores, -np.inf)
+            tied = np.flatnonzero(marginals == marginals.max())
+            # argmin's first minimum: lower bid, then lower index.
+            cover.apply(int(tied[np.argmin(instance.bids[tied])]))
+        winners = cover.selected
+        payments = {instance.worker_ids[i]: float(instance.bids[i]) for i in winners}
+        return AuctionOutcome.from_selection(
+            self.method_name, instance, winners, payments
         )

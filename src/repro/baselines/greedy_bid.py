@@ -1,23 +1,26 @@
 """GB — the Greedy Bid auction baseline (Sec. VII-A).
 
 GB repeatedly selects the *cheapest* worker that still contributes
-positive marginal coverage, ignoring how much accuracy the worker
-actually adds, until every requirement is covered.
+positive marginal coverage (ties to the lower index), ignoring how much
+accuracy the worker actually adds, until every requirement is covered.
+It selects on the same :class:`~repro.auction.engine.GreedyCover` as
+Alg. 2; only the pick differs.
 
-Payment follows the Vickrey second-price idea [20]: each winner is paid
-the bid of the cheapest useful *loser* at the moment the selection
-finished (the price it would have taken to displace the marginal
-excluded worker), or its own bid if every useful worker won.  As with
-GA, the payment rule does not affect the reproduced social-cost figures.
+Payment follows the Vickrey second-price idea [20]: the reference price
+is the bid of the cheapest loser whose accuracy row sums above
+``COVERAGE_TOL`` (on any task, whatever the final residual), and each
+winner is paid the larger of its own bid and that price, or its own
+bid if no such loser exists.  As with GA, the payment rule does not
+affect the reproduced social-cost figures.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..auction.engine import GreedyCover
 from ..auction.reverse_auction import AuctionOutcome
 from ..auction.soac import COVERAGE_TOL, SOACInstance
-from ..errors import InfeasibleCoverageError
 
 __all__ = ["GreedyBid"]
 
@@ -30,50 +33,18 @@ class GreedyBid:
     def run(self, instance: SOACInstance) -> AuctionOutcome:
         """Select by minimal bid among still-useful workers."""
         instance.check_feasible()
-        residual = instance.requirements.astype(np.float64).copy()
-        selected: list[int] = []
-        chosen: set[int] = set()
-        while residual.sum() > COVERAGE_TOL:
-            best_worker = -1
-            best_bid = np.inf
-            for k in range(instance.n_workers):
-                if k in chosen:
-                    continue
-                marginal = float(np.minimum(residual, instance.accuracy[k]).sum())
-                if marginal <= COVERAGE_TOL:
-                    continue
-                if instance.bids[k] < best_bid or (
-                    instance.bids[k] == best_bid and k < best_worker
-                ):
-                    best_bid = float(instance.bids[k])
-                    best_worker = k
-            if best_worker < 0:
-                raise InfeasibleCoverageError(instance.uncovered_tasks(chosen))
-            selected.append(best_worker)
-            chosen.add(best_worker)
-            residual = np.maximum(
-                residual - np.minimum(residual, instance.accuracy[best_worker]), 0.0
-            )
-
-        # Vickrey-style uniform reference price: the cheapest loser that
-        # could still have been useful for some task.
-        losers = [
-            k
-            for k in range(instance.n_workers)
-            if k not in chosen and float(instance.accuracy[k].sum()) > COVERAGE_TOL
-        ]
-        reference = min((float(instance.bids[k]) for k in losers), default=None)
-        payments = {}
-        for i in selected:
-            own_bid = float(instance.bids[i])
-            payments[instance.worker_ids[i]] = (
-                max(own_bid, reference) if reference is not None else own_bid
-            )
-        return AuctionOutcome(
-            method=self.method_name,
-            winner_ids=tuple(instance.worker_ids[i] for i in selected),
-            winner_indexes=tuple(selected),
-            payments=payments,
-            social_cost=instance.social_cost(selected),
-            total_payment=float(sum(payments.values())),
+        cover = GreedyCover(instance)
+        for useful in cover.rounds():
+            # Bids are finite, so the first minimum is a useful worker.
+            cover.apply(int(np.argmin(np.where(useful, instance.bids, np.inf))))
+        winners = cover.selected
+        losers = cover.eligible & (instance.accuracy.sum(axis=1) > COVERAGE_TOL)
+        # Bids are non-negative, so with no such loser max(bid, 0.0) is the bid.
+        reference = float(instance.bids[losers].min()) if losers.any() else 0.0
+        payments = {
+            instance.worker_ids[i]: max(float(instance.bids[i]), reference)
+            for i in winners
+        }
+        return AuctionOutcome.from_selection(
+            self.method_name, instance, winners, payments
         )

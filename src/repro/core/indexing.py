@@ -414,7 +414,6 @@ class ClaimArrays:
     # -- value groups, in (task, code) order -----------------------------
     group_ptr: np.ndarray = field(init=False)
     group_task: np.ndarray = field(init=False)
-    group_code: np.ndarray = field(init=False)
     group_size: np.ndarray = field(init=False)
     group_values: np.ndarray = field(init=False)  # object dtype: the str values
     task_group_ptr: np.ndarray = field(init=False)
@@ -900,7 +899,6 @@ def _assemble_claim_arrays(
     n_tasks, n_workers = index.n_tasks, index.n_workers
     claim_task = np.repeat(np.arange(n_tasks, dtype=np.int64), np.diff(task_ptr))
     group_task = np.repeat(np.arange(n_tasks, dtype=np.int64), np.diff(task_group_ptr))
-    group_code = np.arange(len(group_size), dtype=np.int64) - task_group_ptr[group_task]
     claim_group = task_group_ptr[claim_task]
     claim_group += claim_code
     if worker_claims is None:
@@ -916,7 +914,6 @@ def _assemble_claim_arrays(
         "task_ptr": task_ptr,
         "group_ptr": _offsets(group_size),
         "group_task": group_task,
-        "group_code": group_code,
         "group_size": group_size,
         "group_values": group_values,
         "task_group_ptr": task_group_ptr,

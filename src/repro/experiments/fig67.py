@@ -13,7 +13,10 @@ Paper findings (Sec. VII-C):
 
 Each sweep point runs DATE once per instance to obtain the accuracy
 matrix, then runs all three auctions on the same SOAC instance, so
-cost and time differences are purely due to the auction.  Requirements
+cost and time differences are purely due to the auction.  All three
+select on one cover (:class:`~repro.auction.engine.GreedyCover`) and
+differ only in each round's pick, so in Fig. 7 RA's extra time over
+GA and GB is its critical-payment phase.  Requirements
 are capped at 80% of each task's available accuracy so sparse sweep
 points stay feasible (see ``SOACInstance.with_capped_requirements``).
 """

@@ -327,7 +327,9 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw) if raw else {}
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            # Invalid UTF-8 and nesting deeper than the recursion limit
+            # do not raise JSONDecodeError.
             self._send(400, {"error": f"invalid JSON body: {exc}"})
             return
         try:

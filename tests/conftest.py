@@ -127,7 +127,7 @@ def soac_medium() -> SOACInstance:
 #: covered by one and silently missed by the other.
 CLAIM_ARRAY_FIELDS = (
     "claim_task", "claim_worker", "claim_code", "claim_group", "task_ptr",
-    "group_ptr", "group_task", "group_code", "group_size", "task_group_ptr",
+    "group_ptr", "group_task", "group_size", "task_group_ptr",
     "worker_ptr", "worker_claims",
 )
 

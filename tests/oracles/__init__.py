@@ -17,7 +17,8 @@ by line over dict views of a :class:`~repro.core.indexing.DatasetIndex`
   Eq. 21);
 - :mod:`.date` — the Alg. 1 drivers for DATE, ED and NC and the
   table-shaped result assembler they report through;
-- :mod:`.auction` — Alg. 2's greedy cover and critical payments;
+- :mod:`.auction` — Alg. 2's greedy cover and critical payments, and
+  the GA and GB baselines' selection loops;
 - :mod:`.indexing` — the per-task, per-value and per-worker claim
   dicts, co-answering pairs, initial accuracies and majority vote the
   oracles read off an index's campaign;
@@ -35,7 +36,13 @@ from .accuracy import (
     value_posteriors,
     worker_mean_accuracy,
 )
-from .auction import greedy_cover, reference_auction, reference_payments
+from .auction import (
+    greedy_cover,
+    reference_auction,
+    reference_greedy_accuracy,
+    reference_greedy_bid,
+    reference_payments,
+)
 from .date import (
     build_result,
     date_independence,
@@ -92,6 +99,8 @@ __all__ = [
     "no_copier_reference",
     "order_value_group",
     "reference_auction",
+    "reference_greedy_accuracy",
+    "reference_greedy_bid",
     "reference_payments",
     "run_reference",
     "segment_first_argmax_numpy",

@@ -1,11 +1,13 @@
-"""Scalar transcription of Alg. 2, kept as an oracle.
+"""Scalar transcriptions of Alg. 2 and the GA / GB baselines, kept as oracles.
 
 Per-worker loops: the selection phase evaluates every remaining
 worker's effective accuracy unit cost each round, and the payment
 phase reruns the whole greedy cover over ``W \\ {i}`` once per winner.
-The product runs :mod:`repro.auction.engine` (batched selection,
-lazy-greedy payment continuations); the differential suites pin the
-two to identical outcomes, bit for bit.
+GA and GB run the same per-worker loop with their own picks (largest
+marginal; lowest bid).  The product runs :mod:`repro.auction.engine`
+(one batched greedy cover for all three, lazy-greedy payment
+continuations); the differential suites pin each pair to identical
+outcomes, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,9 +16,16 @@ import numpy as np
 
 from repro.auction.reverse_auction import AuctionOutcome, ReverseAuction
 from repro.auction.soac import COVERAGE_TOL, SOACInstance
+from repro.baselines import GreedyAccuracy, GreedyBid
 from repro.errors import InfeasibleCoverageError
 
-__all__ = ["greedy_cover", "reference_auction", "reference_payments"]
+__all__ = [
+    "greedy_cover",
+    "reference_auction",
+    "reference_greedy_accuracy",
+    "reference_greedy_bid",
+    "reference_payments",
+]
 
 
 def greedy_cover(
@@ -130,4 +139,106 @@ def reference_auction(
         social_cost=instance.social_cost(winners),
         total_payment=total_payment,
         monopolists=tuple(monopolists),
+    )
+
+
+def reference_greedy_accuracy(instance: SOACInstance) -> AuctionOutcome:
+    """:meth:`GreedyAccuracy.run` as a per-worker scalar loop."""
+    instance.check_feasible()
+    residual = instance.requirements.astype(np.float64).copy()
+    selected: list[int] = []
+    chosen: set[int] = set()
+    while residual.sum() > COVERAGE_TOL:
+        best_worker = -1
+        best_coverage = 0.0
+        for k in range(instance.n_workers):
+            if k in chosen:
+                continue
+            marginal = float(np.minimum(residual, instance.accuracy[k]).sum())
+            if marginal <= COVERAGE_TOL:
+                continue
+            better = marginal > best_coverage
+            tie = (
+                marginal == best_coverage
+                and best_worker >= 0
+                and (
+                    instance.bids[k] < instance.bids[best_worker]
+                    or (
+                        instance.bids[k] == instance.bids[best_worker]
+                        and k < best_worker
+                    )
+                )
+            )
+            if better or tie:
+                best_coverage = marginal
+                best_worker = k
+        if best_worker < 0:
+            raise InfeasibleCoverageError(instance.uncovered_tasks(chosen))
+        selected.append(best_worker)
+        chosen.add(best_worker)
+        residual = np.maximum(
+            residual - np.minimum(residual, instance.accuracy[best_worker]), 0.0
+        )
+    payments = {
+        instance.worker_ids[i]: float(instance.bids[i]) for i in selected
+    }
+    return AuctionOutcome(
+        method=GreedyAccuracy.method_name,
+        winner_ids=tuple(instance.worker_ids[i] for i in selected),
+        winner_indexes=tuple(selected),
+        payments=payments,
+        social_cost=instance.social_cost(selected),
+        total_payment=float(sum(payments.values())),
+    )
+
+
+def reference_greedy_bid(instance: SOACInstance) -> AuctionOutcome:
+    """:meth:`GreedyBid.run` as a per-worker scalar loop."""
+    instance.check_feasible()
+    residual = instance.requirements.astype(np.float64).copy()
+    selected: list[int] = []
+    chosen: set[int] = set()
+    while residual.sum() > COVERAGE_TOL:
+        best_worker = -1
+        best_bid = np.inf
+        for k in range(instance.n_workers):
+            if k in chosen:
+                continue
+            marginal = float(np.minimum(residual, instance.accuracy[k]).sum())
+            if marginal <= COVERAGE_TOL:
+                continue
+            if instance.bids[k] < best_bid or (
+                instance.bids[k] == best_bid and k < best_worker
+            ):
+                best_bid = float(instance.bids[k])
+                best_worker = k
+        if best_worker < 0:
+            raise InfeasibleCoverageError(instance.uncovered_tasks(chosen))
+        selected.append(best_worker)
+        chosen.add(best_worker)
+        residual = np.maximum(
+            residual - np.minimum(residual, instance.accuracy[best_worker]), 0.0
+        )
+
+    # Vickrey-style uniform reference price: the cheapest loser that
+    # could still have been useful for some task.
+    losers = [
+        k
+        for k in range(instance.n_workers)
+        if k not in chosen and float(instance.accuracy[k].sum()) > COVERAGE_TOL
+    ]
+    reference = min((float(instance.bids[k]) for k in losers), default=None)
+    payments = {}
+    for i in selected:
+        own_bid = float(instance.bids[i])
+        payments[instance.worker_ids[i]] = (
+            max(own_bid, reference) if reference is not None else own_bid
+        )
+    return AuctionOutcome(
+        method=GreedyBid.method_name,
+        winner_ids=tuple(instance.worker_ids[i] for i in selected),
+        winner_indexes=tuple(selected),
+        payments=payments,
+        social_cost=instance.social_cost(selected),
+        total_payment=float(sum(payments.values())),
     )

@@ -17,6 +17,11 @@ likely to break prefix sharing:
   equal bid/marginal ratios are common and the lazy payment
   continuation's stale and fresh heap entries tie;
 - larger fleets, where each continuation runs many lazy rounds.
+
+The GA and GB baselines select on the same engine cover with their own
+picks; :class:`TestGreedyBaselines` holds them to their scalar loops
+(tests/oracles/auction.py) over the same generators, where the
+quantized instances make their tie-breaks decide most rounds.
 """
 
 from __future__ import annotations
@@ -26,10 +31,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import InfeasibleCoverageError, ReverseAuction, SOACInstance
+from repro import (
+    GreedyAccuracy,
+    GreedyBid,
+    InfeasibleCoverageError,
+    ReverseAuction,
+    SOACInstance,
+)
 from repro.auction.engine import batched_greedy_cover
+from repro.auction.soac import COVERAGE_TOL
 
-from tests.oracles import greedy_cover, reference_auction
+from tests.oracles import (
+    greedy_cover,
+    reference_auction,
+    reference_greedy_accuracy,
+    reference_greedy_bid,
+)
 
 
 def build_instance(
@@ -156,6 +173,118 @@ class TestRandomInstances:
         assert len(trace.residuals) == len(scalar)
         for (_, res_scalar), res_batched in zip(scalar, trace.residuals):
             assert np.array_equal(res_scalar, res_batched)
+
+
+#: Each greedy baseline beside its scalar oracle.
+GREEDY_BASELINES = pytest.mark.parametrize(
+    ("auction", "oracle"),
+    [
+        (GreedyAccuracy(), reference_greedy_accuracy),
+        (GreedyBid(), reference_greedy_bid),
+    ],
+    ids=["GA", "GB"],
+)
+
+
+def assert_baseline_matches_oracle(auction, oracle, instance: SOACInstance) -> None:
+    """A greedy baseline equals its oracle exactly, or both raise alike."""
+    try:
+        reference = oracle(instance)
+    except InfeasibleCoverageError as error:
+        with pytest.raises(InfeasibleCoverageError) as caught:
+            auction.run(instance)
+        assert caught.value.args == error.args
+        assert caught.value.task_ids == error.task_ids
+        return
+    outcome = auction.run(instance)
+    assert outcome.method == reference.method
+    assert outcome.winner_ids == reference.winner_ids
+    assert outcome.winner_indexes == reference.winner_indexes
+    assert outcome.payments == reference.payments
+    assert list(outcome.payments) == list(reference.payments)
+    assert outcome.social_cost == reference.social_cost
+    assert outcome.total_payment == reference.total_payment
+
+
+@GREEDY_BASELINES
+class TestGreedyBaselines:
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60)
+    def test_random_instances(self, auction, oracle, seed):
+        assert_baseline_matches_oracle(auction, oracle, build_instance(seed))
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40)
+    def test_skewed_bids(self, auction, oracle, seed):
+        instance = build_instance(seed, bid_spread=2.0)
+        assert_baseline_matches_oracle(auction, oracle, instance)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=80)
+    def test_quantized_ties(self, auction, oracle, seed):
+        """Equal marginals and equal bids: the tie-breaks pick."""
+        instance = build_instance(seed, quantized=True)
+        assert_baseline_matches_oracle(auction, oracle, instance)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        quantized=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_larger_instances(self, auction, oracle, seed, quantized):
+        instance = build_instance(
+            seed, max_workers=60, max_tasks=25, quantized=quantized
+        )
+        assert_baseline_matches_oracle(auction, oracle, instance)
+
+    def test_infeasible_instance(self, auction, oracle):
+        """Uncoverable requirements: the same error, message included."""
+        instance = build_instance(7, ensure_coverable=False)
+        bumped = SOACInstance(
+            worker_ids=instance.worker_ids,
+            task_ids=instance.task_ids,
+            requirements=instance.accuracy.sum(axis=0) + 1.0,
+            accuracy=instance.accuracy,
+            bids=instance.bids,
+            costs=instance.costs,
+            task_values=instance.task_values,
+        )
+        assert_baseline_matches_oracle(auction, oracle, bumped)
+
+    def test_cover_stalls_on_sub_tolerance_workers(self, auction, oracle):
+        """Feasible within COVERAGE_TOL, yet the greedy stalls mid-cover.
+
+        t1's requirement is met only by w1 and w2 together, each adding
+        less than COVERAGE_TOL, so neither is ever useful: both sides
+        raise naming t1, from inside the selection loop.
+        """
+        tol = COVERAGE_TOL
+        instance = SOACInstance(
+            worker_ids=("w0", "w1", "w2"),
+            task_ids=("t0", "t1"),
+            requirements=np.array([0.5, 1.5 * tol]),
+            accuracy=np.array([[0.5, 0.0], [0.0, 0.8 * tol], [0.0, 0.8 * tol]]),
+            bids=np.array([1.0, 1.0, 1.0]),
+            costs=np.array([1.0, 1.0, 1.0]),
+            task_values=np.full(2, 5.0),
+        )
+        with pytest.raises(InfeasibleCoverageError) as caught:
+            oracle(instance)
+        assert caught.value.task_ids == ("t1",)
+        assert_baseline_matches_oracle(auction, oracle, instance)
+
+    def test_zero_requirements(self, auction, oracle):
+        instance = SOACInstance(
+            worker_ids=("w0", "w1"),
+            task_ids=("t0",),
+            requirements=np.array([0.0]),
+            accuracy=np.array([[0.5], [0.7]]),
+            bids=np.array([1.0, 2.0]),
+            costs=np.array([1.0, 2.0]),
+            task_values=np.array([5.0]),
+        )
+        assert_baseline_matches_oracle(auction, oracle, instance)
+        assert auction.run(instance).winner_ids == ()
 
 
 class TestEdgeCases:

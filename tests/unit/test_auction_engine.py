@@ -2,15 +2,15 @@
 
 Outcome-level equivalence with the scalar oracle lives in
 tests/property/test_property_auction_backends.py; these tests pin the
-pieces — the CSR/CSC accuracy index, the trace layout, and the
-O(pairs) pair-slot map of Eq. 16.
+pieces — the CSR/CSC accuracy index, the trace layout, the
+``auction_run`` trace event, and the O(pairs) pair-slot map of Eq. 16.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import SOACInstance
+from repro import ReverseAuction, SOACInstance
 from repro.auction.engine import batched_greedy_cover
 from repro.auction.soac import SparseAccuracy
 from repro.core.engine import (
@@ -20,6 +20,7 @@ from repro.core.engine import (
 )
 from repro.core.falsedist import UniformFalseValues
 from repro.core.indexing import DatasetIndex
+from repro.obs.trace import read_trace, trace_run
 
 from tests.oracles import directed_matrix
 
@@ -93,6 +94,24 @@ class TestCoverTrace:
         assert trace.n_rounds == 0
         assert trace.residuals.shape == (0, 1)
         assert trace.scores.shape == (0, 1)
+
+    def test_auction_without_winners_is_traced(self, tmp_path):
+        instance = SOACInstance(
+            worker_ids=("w0",),
+            task_ids=("t0",),
+            requirements=np.array([0.0]),
+            accuracy=np.array([[0.9]]),
+            bids=np.array([1.0]),
+            costs=np.array([1.0]),
+            task_values=np.array([5.0]),
+        )
+        with trace_run({"auction": "empty"}, directory=tmp_path) as writer:
+            assert ReverseAuction().run(instance).winner_ids == ()
+        events = [e for e in read_trace(writer.path) if e["event"] == "auction_run"]
+        assert len(events) == 1
+        assert events[0]["winners"] == 0
+        assert events[0]["monopolists"] == 0
+        assert events[0]["total_payment"] == 0.0
 
 
 class TestMultiGroupSlots:

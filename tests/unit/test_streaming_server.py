@@ -771,6 +771,27 @@ class TestLiveServer:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize(
+        "body", [b"\xff", b"[" * 100_000], ids=["invalid-utf8", "too-deep"]
+    )
+    def test_undecodable_body_400_keeps_connection(self, server, body):
+        # Neither body raises JSONDecodeError: invalid UTF-8 raises
+        # UnicodeDecodeError, deep nesting RecursionError.
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=5
+        )
+        try:
+            connection.request("POST", "/campaigns", body=body)
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "invalid JSON body" in json.loads(response.read())["error"]
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+        finally:
+            connection.close()
+
     def test_keep_alive_responses_are_not_held_back(self, server):
         # Headers and body leave in two sends; with Nagle on, the body
         # waited for the client's delayed ACK of the headers (~40 ms).
