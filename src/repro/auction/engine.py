@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -103,6 +103,12 @@ class GreedyCover:
         self.eligible = np.ones(instance.n_workers, dtype=bool)
         self.selected: list[int] = []
 
+    def infeasible(self) -> InfeasibleCoverageError:
+        """The error for an open cover that no pick can extend."""
+        return InfeasibleCoverageError(
+            self.instance.uncovered_tasks(sorted(self.selected))
+        )
+
     def rounds(self) -> Iterator[np.ndarray]:
         """Yield the useful workers' mask once per round until covered.
 
@@ -114,9 +120,7 @@ class GreedyCover:
         while self.residual.sum() > COVERAGE_TOL:
             useful = self.eligible & (self.scores > COVERAGE_TOL)
             if not useful.any():
-                raise InfeasibleCoverageError(
-                    self.instance.uncovered_tasks(sorted(self.selected))
-                )
+                raise self.infeasible()
             yield useful
 
     def apply(self, winner: int) -> None:
@@ -125,8 +129,12 @@ class GreedyCover:
         Only the winner's still-uncovered task columns change, and only
         workers with positive accuracy on those columns get their
         marginal recomputed — everyone else's stored row sum is already
-        the value a from-scratch pass would produce.
+        the value a from-scratch pass would produce.  A winner that is
+        not useful (the pick had no candidate) would repeat the round
+        forever, so it raises :class:`InfeasibleCoverageError`.
         """
+        if not (self.eligible[winner] and self.scores[winner] > COVERAGE_TOL):
+            raise self.infeasible()
         self.eligible[winner] = False
         self.selected.append(winner)
         touched = _subtract_coverage(self.instance, self.residual, winner)
@@ -163,7 +171,9 @@ def batched_greedy_cover(instance: SOACInstance) -> CoverTrace:
     """Alg. 2's selection loop over the whole fleet, with a full trace.
 
     Each round picks the lowest ``bid / marginal``; ``argmin`` returns
-    the first minimum, the scalar loop's ascending-index tie-break.
+    the first minimum, the scalar loop's ascending-index tie-break.  A
+    ratio that overflows to ``inf`` never beats the scalar loop's
+    starting best of ``inf``, so a round of all-``inf`` ratios raises.
     """
     cover = GreedyCover(instance)
     residuals: list[np.ndarray] = []
@@ -171,16 +181,17 @@ def batched_greedy_cover(instance: SOACInstance) -> CoverTrace:
     for useful in cover.rounds():
         ratios = np.full(len(useful), np.inf)
         np.divide(instance.bids, cover.scores, out=ratios, where=useful)
+        best = int(np.argmin(ratios))
+        if ratios[best] == np.inf:
+            raise cover.infeasible()
         residuals.append(cover.residual.copy())
         scores.append(cover.scores.copy())
-        cover.apply(int(np.argmin(ratios)))
-    m, n = instance.n_tasks, instance.n_workers
+        cover.apply(best)
+    rounds = len(cover.selected)
     return CoverTrace(
         winners=np.asarray(cover.selected, dtype=np.int64),
-        residuals=(
-            np.asarray(residuals) if residuals else np.empty((0, m))
-        ),
-        scores=np.asarray(scores) if scores else np.empty((0, n)),
+        residuals=np.asarray(residuals).reshape(rounds, instance.n_tasks),
+        scores=np.asarray(scores).reshape(rounds, instance.n_workers),
     )
 
 
@@ -216,8 +227,9 @@ def _continuation(
     Marginals never grow as the residual shrinks, so a stale ratio is a
     lower bound on the current one and the first fresh top is the
     argmin (ties to the lower index, like ``np.argmin``).  Raises
-    :class:`InfeasibleCoverageError` when the heap empties with the
-    residual still open — the monopolist case.
+    :class:`InfeasibleCoverageError` when the residual is still open
+    and the heap is empty or its fresh top is ``inf`` (then so is every
+    ratio, and the scalar loop picks nobody) — the monopolist case.
     """
     excluded = int(trace.winners[position])
     residual = trace.residuals[position].copy()
@@ -255,7 +267,7 @@ def _continuation(
                 heapq.heapreplace(
                     heap, (bids[worker] / marginal, worker, round_, marginal)
                 )
-        if not heap:
+        if not heap or heap[0][0] == math.inf:
             raise InfeasibleCoverageError(
                 instance.uncovered_tasks(sorted(selected))
             )
@@ -286,59 +298,44 @@ def run_auction(
     from ..obs.metrics import get_registry
 
     registry = get_registry()
-    telemetry = registry.enabled
-    if telemetry:
-        selection_timer = registry.timer(
-            "auction_selection_seconds",
-            "Wall time of the batched winner-selection loop.",
-        )
-        rerun_timer = registry.timer(
-            "auction_payment_rerun_seconds",
-            "Wall time of one winner's critical-payment rerun.",
-        )
-        rounds_hist = registry.histogram(
-            "auction_rounds",
-            "Selection rounds (winners) per auction.",
-            buckets=(1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0),
-        )
-        auctions_total = registry.counter(
-            "auction_runs_total", "Auctions executed."
-        )
-        monopolists_total = registry.counter(
-            "auction_monopolists_total",
-            "Winners priced as monopolists (no replacement cover).",
-        )
-        start = time.perf_counter()
-    trace = batched_greedy_cover(instance)
-    if telemetry:
-        selection_timer.observe(time.perf_counter() - start)
+    rerun_timer = registry.timer(
+        "auction_payment_rerun_seconds",
+        "Wall time of one winner's critical-payment rerun.",
+    )
+    monopolists_total = registry.counter(
+        "auction_monopolists_total",
+        "Winners priced as monopolists (no replacement cover).",
+    )
+    with registry.timer(
+        "auction_selection_seconds",
+        "Wall time of the batched winner-selection loop.",
+    ).time():
+        trace = batched_greedy_cover(instance)
     winners = trace.winners.tolist()
     payments: dict[str, float] = {}
     monopolists: list[str] = []
     prefix_best = _prefix_terms(instance, trace)
     for position, worker in enumerate(winners):
         worker_id = instance.worker_ids[worker]
-        if telemetry:
-            rerun_start = time.perf_counter()
-        try:
-            tail = _continuation(instance, trace, position)
-        except InfeasibleCoverageError:
-            # Monopolist: no replacement set exists without this worker.
-            payments[worker_id] = monopoly_payment_factor * float(
-                instance.bids[worker]
-            )
-            monopolists.append(worker_id)
-            if telemetry:
-                rerun_timer.observe(time.perf_counter() - rerun_start)
+        with rerun_timer.time():
+            try:
+                tail = _continuation(instance, trace, position)
+            except InfeasibleCoverageError:
+                # Monopolist: no replacement set exists without this worker.
+                payments[worker_id] = monopoly_payment_factor * float(
+                    instance.bids[worker]
+                )
+                monopolists.append(worker_id)
                 monopolists_total.inc()
-            continue
-        shared = float(prefix_best[position - 1, position]) if position else 0.0
-        payments[worker_id] = max(shared, tail)
-        if telemetry:
-            rerun_timer.observe(time.perf_counter() - rerun_start)
-    if telemetry:
-        auctions_total.inc()
-        rounds_hist.observe(len(winners))
+                continue
+            shared = float(prefix_best[position - 1, position]) if position else 0.0
+            payments[worker_id] = max(shared, tail)
+    registry.counter("auction_runs_total", "Auctions executed.").inc()
+    registry.histogram(
+        "auction_rounds",
+        "Selection rounds (winners) per auction.",
+        buckets=(1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0),
+    ).observe(len(winners))
     from ..obs import trace as obs_trace
 
     obs_trace.emit(

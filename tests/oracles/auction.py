@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.auction.reverse_auction import AuctionOutcome, ReverseAuction
 from repro.auction.soac import COVERAGE_TOL, SOACInstance
-from repro.baselines import GreedyAccuracy, GreedyBid
 from repro.errors import InfeasibleCoverageError
 
 __all__ = [
@@ -183,7 +182,7 @@ def reference_greedy_accuracy(instance: SOACInstance) -> AuctionOutcome:
         instance.worker_ids[i]: float(instance.bids[i]) for i in selected
     }
     return AuctionOutcome(
-        method=GreedyAccuracy.method_name,
+        method="GA",
         winner_ids=tuple(instance.worker_ids[i] for i in selected),
         winner_indexes=tuple(selected),
         payments=payments,
@@ -235,7 +234,7 @@ def reference_greedy_bid(instance: SOACInstance) -> AuctionOutcome:
             max(own_bid, reference) if reference is not None else own_bid
         )
     return AuctionOutcome(
-        method=GreedyBid.method_name,
+        method="GB",
         winner_ids=tuple(instance.worker_ids[i] for i in selected),
         winner_indexes=tuple(selected),
         payments=payments,

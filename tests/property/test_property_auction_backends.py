@@ -346,3 +346,60 @@ class TestEdgeCases:
         assert_outcomes_identical(instance)
         outcome = ReverseAuction().run(instance)
         assert outcome.monopolists == ("w0",)
+
+    @pytest.mark.parametrize(
+        ("bids", "accuracy"),
+        [
+            # Round 2's only useful worker is w1, whose ratio overflows.
+            ([1.0, 1e308], [[0.5, 0.0], [0.0, 0.5]]),
+            # The same, with the overflowing worker at index 0, where
+            # an all-inf argmin lands.
+            ([1e308, 1.0], [[0.0, 0.5], [0.5, 0.0]]),
+        ],
+        ids=["overflow-after-first", "overflow-at-index-0"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_ratio_has_no_candidate(self, bids, accuracy):
+        """A bid / marginal that overflows to inf is never picked.
+
+        The scalar loop's strict ``<`` against a starting best of inf
+        picks nobody, so the selection raises naming t1 — on the engine
+        too, instead of applying a worker that changes nothing.
+        """
+        instance = SOACInstance(
+            worker_ids=("w0", "w1"),
+            task_ids=("t0", "t1"),
+            requirements=np.array([0.5, 0.4]),
+            accuracy=np.array(accuracy),
+            bids=np.array(bids),
+            costs=np.array(bids),
+            task_values=np.full(2, 5.0),
+        )
+        with pytest.raises(InfeasibleCoverageError) as caught:
+            reference_auction(instance)
+        assert caught.value.task_ids == ("t1",)
+        assert_outcomes_identical(instance)
+        for auction, oracle in (
+            (GreedyAccuracy(), reference_greedy_accuracy),
+            (GreedyBid(), reference_greedy_bid),
+        ):
+            assert_baseline_matches_oracle(auction, oracle, instance)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_replacement_is_a_monopoly(self):
+        """w0's only replacement, w1, has an overflowing ratio.
+
+        The oracle's ``W \\ {w0}`` rerun picks nobody, so w0 is a
+        monopolist; the engine's payment continuation agrees.
+        """
+        instance = SOACInstance(
+            worker_ids=("w0", "w1"),
+            task_ids=("t0", "t1"),
+            requirements=np.array([0.1, 0.1]),
+            accuracy=np.array([[0.5, 0.5], [0.5, 0.5]]),
+            bids=np.array([1.0, 1e308]),
+            costs=np.array([1.0, 1e308]),
+            task_values=np.full(2, 5.0),
+        )
+        assert reference_auction(instance).monopolists == ("w0",)
+        assert_outcomes_identical(instance)

@@ -9,9 +9,10 @@ pieces — the CSR/CSC accuracy index, the trace layout, the
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro import ReverseAuction, SOACInstance
-from repro.auction.engine import batched_greedy_cover
+from repro.auction.engine import GreedyCover, batched_greedy_cover
 from repro.auction.soac import SparseAccuracy
 from repro.core.engine import (
     DependenceArrays,
@@ -20,6 +21,7 @@ from repro.core.engine import (
 )
 from repro.core.falsedist import UniformFalseValues
 from repro.core.indexing import DatasetIndex
+from repro.errors import InfeasibleCoverageError
 from repro.obs.trace import read_trace, trace_run
 
 from tests.oracles import directed_matrix
@@ -112,6 +114,30 @@ class TestCoverTrace:
         assert events[0]["winners"] == 0
         assert events[0]["monopolists"] == 0
         assert events[0]["total_payment"] == 0.0
+
+    def test_apply_rejects_a_worker_that_adds_nothing(self):
+        """A pick that is selected already, or covers nothing open, raises.
+
+        Applying it would leave the residual unchanged and repeat the
+        round forever.
+        """
+        instance = SOACInstance(
+            worker_ids=("w0", "w1", "w2"),
+            task_ids=("t0", "t1"),
+            requirements=np.array([0.5, 0.4]),
+            accuracy=np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.0]]),
+            bids=np.array([1.0, 1.0, 1.0]),
+            costs=np.array([1.0, 1.0, 1.0]),
+            task_values=np.full(2, 5.0),
+        )
+        cover = GreedyCover(instance)
+        cover.apply(0)
+        for stale in (0, 2):
+            with pytest.raises(InfeasibleCoverageError) as caught:
+                cover.apply(stale)
+            assert caught.value.task_ids == ("t1",)
+        assert cover.selected == [0]
+        np.testing.assert_array_equal(cover.residual, [0.0, 0.4])
 
 
 class TestMultiGroupSlots:
