@@ -9,7 +9,8 @@ acceptance criteria of the online path:
   run bit for bit — same truths, same iteration count, accuracies and
   reputations within 1e-9.
 - **Speed** (`test_streaming_replay_speedup`): ingesting a batch
-  incrementally (index extension + dirty-scope re-estimation) is >= 5x
+  incrementally (index extension + a vote under the last refresh's
+  model) is >= 5x
   faster than the cold alternative of re-encoding and re-running
   ``DATE().run`` on the campaign accumulated so far, summed over the
   replay.  Excluded from shared-runner CI like the backend-speedup

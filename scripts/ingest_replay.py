@@ -14,11 +14,9 @@ each replayed as 120 JSON batches of about 50 claims, reading the
 truths after every fourth ingest.
 
 Each ingest's ``handle`` call is timed, and so are the layers under it:
-the dirty-scope sub-run (``DATE.run``), ``DatasetIndex.extended``,
-``DatasetIndex.restricted`` and the journal append.  The script also
-times a cold ``DATE().run`` on a 2-claim, 1-task campaign, which
-converges in one iteration: the fixed cost of any run.  It prints one JSON object of
-medians in milliseconds.
+``DatasetIndex.extended``, the vote that re-scores the batch's tasks
+(``OnlineDATE._voted``) and the journal append.  It prints one JSON
+object of medians in milliseconds.
 
 ``--digest`` instead prints a SHA-256 over every truths body a full
 replay serves, read after every ingest: two trees that print the same
@@ -113,25 +111,6 @@ def replay(bodies, *, read_every: int, digest=None, layers=None) -> list[dict[st
     return samples
 
 
-def cold_run_seconds(repeats: int) -> list[float]:
-    """A cold one-iteration DATE run on two claims of one task."""
-    from repro import DATE
-    from repro.types import Dataset, Task, WorkerProfile
-
-    dataset = Dataset(
-        tasks=(Task("t", domain=("x", "y")),),
-        workers=(WorkerProfile("a"), WorkerProfile("b")),
-        claims={("a", "t"): "x", ("b", "t"): "y"},
-    )
-    date = DATE()
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        date.run(dataset)
-        times.append(time.perf_counter() - start)
-    return times
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -146,25 +125,22 @@ def main() -> None:
         print(digest.hexdigest())
         return
 
-    from repro.core.date import DATE
     from repro.core.indexing import DatasetIndex
     from repro.streaming.journal import CampaignJournal
+    from repro.streaming.online import OnlineDATE
 
     replay(bodies[:1], read_every=READ_EVERY)  # warm-up: first-call caches
     layers = Layers()
-    layers.wrap(DATE, "run", "subrun")
     layers.wrap(DatasetIndex, "extended", "extend")
-    layers.wrap(DatasetIndex, "restricted", "restricted")
+    layers.wrap(OnlineDATE, "_voted", "vote")
     layers.wrap(CampaignJournal, "append", "journal")
     samples = []
     for _ in range(args.repeats):
         samples += replay(bodies, read_every=READ_EVERY, layers=layers)
     report = {
         name: round(1e3 * statistics.median(s.get(name, 0.0) for s in samples), 4)
-        for name in ("ingest", "subrun", "extend", "restricted", "journal")
+        for name in ("ingest", "extend", "vote", "journal")
     }
-    cold = cold_run_seconds(200)
-    report["cold_run"] = round(1e3 * statistics.median(cold), 4)
     print(json.dumps(report))
 
 

@@ -32,7 +32,6 @@ class MajorityVote:
         dataset: Dataset | None,
         *,
         index: DatasetIndex | None = None,
-        warm_start: TruthDiscoveryResult | None = None,
         lean: bool = False,
     ) -> TruthDiscoveryResult:
         """Vote once and derive agreement-based worker accuracies.
@@ -40,8 +39,6 @@ class MajorityVote:
         Runs entirely on the integer-coded claim arrays: the vote, the
         vote-share posteriors, and the per-worker agreement rates are
         all segment reductions over value groups / workers.
-        ``warm_start`` is accepted and ignored: a one-shot vote has
-        nothing to warm.
         """
         index = index or DatasetIndex(dataset)
         arrays = index.arrays

@@ -41,13 +41,9 @@ class NoCopier:
         dataset: Dataset | None,
         *,
         index: DatasetIndex | None = None,
-        warm_start: TruthDiscoveryResult | None = None,
         lean: bool = False,
     ) -> TruthDiscoveryResult:
-        """Iterate posterior/accuracy refinement without dependence.
-
-        Always starts cold; ``warm_start`` is accepted and ignored.
-        """
+        """Iterate posterior/accuracy refinement without dependence."""
         index = index or DatasetIndex(dataset)
         cfg = self.config
         arrays = index.arrays

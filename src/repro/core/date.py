@@ -313,26 +313,17 @@ class DATE:
         dataset: Dataset | None,
         *,
         index: DatasetIndex | None = None,
-        warm_start: TruthDiscoveryResult | None = None,
         lean: bool = False,
     ) -> TruthDiscoveryResult:
         """Execute Alg. 1 and return the full result bundle.
 
-        Runs on ``index`` when given (a restricted view included);
-        ``dataset`` is read only to build the index otherwise.
-
-        ``warm_start`` seeds the worker accuracies (and, for tasks
-        present in both datasets, the initial truth estimates) from a
-        previous run instead of the constant ε / majority vote.  This
-        supports streaming campaigns — re-estimating after a new batch
-        of claims converges in fewer iterations because worker
-        reputations carry over.  Workers or tasks unknown to the warm
-        start fall back to the cold-start defaults.
+        Runs on ``index`` when given; ``dataset`` is read only to build
+        the index otherwise.
 
         ``lean=True`` is for callers that only consume truths,
-        accuracies and confidence (the streaming per-batch path): the
-        result's ``support`` and ``dependence`` are then left empty.
-        The estimation itself is unchanged.
+        accuracies and confidence: the result's ``support`` and
+        ``dependence`` are then left empty.  The estimation itself is
+        unchanged.
 
         Inner-loop state is three flat arrays (per-claim accuracy,
         per-claim independence, per-task truth codes) driven through
@@ -357,21 +348,7 @@ class DATE:
         )
 
         truth_codes = arrays.majority_codes()
-        if warm_start is None:
-            claim_acc = np.full(arrays.n_claims, cfg.initial_accuracy, dtype=np.float64)
-        else:
-            for j, task_id in enumerate(index.task_ids):
-                code = arrays.code_of(j, warm_start.truths.get(task_id))
-                if code >= 0:
-                    truth_codes[j] = code
-            # A worker's claims start at its carried accuracy, unless it
-            # has none or a non-positive one.
-            carried = map(warm_start.worker_accuracy.get, index.worker_ids)
-            worker_acc = np.array(
-                [cfg.initial_accuracy if a is None or a <= 0.0 else a for a in carried],
-                dtype=np.float64,
-            )
-            claim_acc = worker_acc[arrays.claim_worker]
+        claim_acc = np.full(arrays.n_claims, cfg.initial_accuracy, dtype=np.float64)
 
         dependence = group_post = group_support = None
 

@@ -65,16 +65,8 @@ class DatasetIndex:
         """Set the member tables, ``tasks`` and ``workers`` appended to
         ``parent``'s.  Tables are never mutated, so an extension shares
         its parent's or copies them whole: never rebuilt id by id."""
-        self.__dict__["workers"] = workers if parent is None else parent.workers + workers
-        self._set_ids(tasks, [w.worker_id for w in workers], parent)
-
-    def _set_ids(
-        self,
-        tasks: tuple[Task, ...],
-        worker_ids: list[str],
-        parent: "DatasetIndex | None" = None,
-    ) -> None:
-        """Set the task table and both id tables, appended to ``parent``'s."""
+        #: Worker profiles in index order.
+        self.workers = workers if parent is None else parent.workers + workers
         #: Task records in index order (closed domains, ground truths).
         self.tasks = tasks if parent is None else parent.tasks + tasks
         #: Task ids in dataset order, and the position of each: the task
@@ -84,20 +76,8 @@ class DatasetIndex:
         )
         #: Worker ids in dataset order, and the worker index of each.
         self.worker_ids, self.worker_pos = _appended(
-            parent and (parent.worker_ids, parent.worker_pos), worker_ids
+            parent and (parent.worker_ids, parent.worker_pos), [w.worker_id for w in workers]
         )
-
-    @cached_property
-    def workers(self) -> tuple[WorkerProfile, ...]:
-        """Worker profiles in index order.
-
-        A cold or extended index sets them as it is built.  A
-        :meth:`restricted` view builds its own on first read, from its
-        parent's profiles with copy sources outside the view dropped
-        (:meth:`WorkerProfile.within`): a sub-run never reads them.
-        """
-        profiles, positions = self.__dict__.pop("_parent_workers")
-        return tuple(profiles[i].within(self.worker_pos) for i in positions)
 
     @property
     def n_tasks(self) -> int:
@@ -126,9 +106,8 @@ class DatasetIndex:
         """The encoded campaign, its claims in arrival order.
 
         A cold index returns the dataset it was built from; an extended
-        index or a :meth:`restricted` view assembles one from
-        :attr:`tasks`, :attr:`workers` and the claims in
-        ``arrays.claim_seq`` order on first read.
+        index assembles one from :attr:`tasks`, :attr:`workers` and the
+        claims in ``arrays.claim_seq`` order on first read.
         """
         arrays = self.arrays
         order = np.argsort(arrays.claim_seq)
@@ -188,56 +167,6 @@ class DatasetIndex:
             self.arrays, new, dirty, batch_task, batch_worker, list(claims.values())
         )
         return IndexExtension(index=new, dirty_tasks=dirty, claim_map=claim_map, _claim_moves=moves)
-
-    def restricted(self, tasks: np.ndarray) -> tuple["DatasetIndex", np.ndarray]:
-        """A read-only view over ``tasks`` and the workers answering them.
-
-        Streaming runs its dirty-scope re-estimation on this view.
-        ``tasks`` are ascending task positions; tasks and workers keep
-        this index's order, workers compressed to the claimants (copy
-        sources outside them dropped, as :meth:`Dataset.subset` does),
-        and the view's claims arrive task by task, each task's in this
-        index's arrival order.  The CSR segments of :attr:`arrays` are
-        gathered from this index's arrays rather than re-encoded; pair
-        tables and the slot map stay lazy over the view's own CSR.
-        Field by field the view equals a cold index of the induced
-        sub-campaign.
-
-        Returns the view and, for each claim of its arrays, that claim's
-        position in this index's arrays.
-        """
-        tasks = np.asarray(tasks, dtype=np.int64)
-        parent = self.arrays
-        claim_counts = parent.task_ptr[tasks + 1] - parent.task_ptr[tasks]
-        group_counts = parent.task_group_ptr[tasks + 1] - parent.task_group_ptr[tasks]
-        positions = _concat_ranges(parent.task_ptr[tasks], claim_counts)
-        groups = _concat_ranges(parent.task_group_ptr[tasks], group_counts)
-        workers, claim_worker = np.unique(parent.claim_worker[positions], return_inverse=True)
-        workers = workers.tolist()
-        # Rank of each claim by (task, arrival): one unique int64 key.
-        claim_seq = np.argsort(
-            np.argsort(
-                parent.claim_task[positions] * parent.n_claims + parent.claim_seq[positions]
-            )
-        )
-
-        view = object.__new__(DatasetIndex)
-        view._set_ids(
-            tuple(self.tasks[j] for j in tasks.tolist()), [self.worker_ids[i] for i in workers]
-        )
-        view.__dict__["_parent_workers"] = (self.workers, workers)
-        view.arrays = _assemble_claim_arrays(
-            object.__new__(ClaimArrays),
-            view,
-            _offsets(claim_counts),
-            _offsets(group_counts),
-            claim_worker.astype(np.int64, copy=False),
-            parent.claim_code[positions],
-            claim_seq,
-            parent.group_size[groups],
-            parent.group_values[groups],
-        )
-        return view, positions
 
     def validate_extension(
         self,
@@ -790,6 +719,8 @@ def _extend_claim_arrays(
     later = np.searchsorted(keys, (batch_worker + 1) * n_tasks) - np.searchsorted(keys, batch_keys)
     at = ptr[np.minimum(batch_worker + 1, old_n_workers)] - later
     by_key = np.argsort(batch_keys)
+    worker_counts = np.bincount(batch_worker, minlength=index.n_workers)
+    worker_counts[:old_n_workers] += ptr[1:] - ptr[:-1]
 
     arrays = _assemble_claim_arrays(
         object.__new__(ClaimArrays),
@@ -802,6 +733,7 @@ def _extend_claim_arrays(
         _spliced(old.group_size, d_size, groups),
         _spliced(old.group_values, d_values, groups),
         np.insert(claim_map[old.worker_claims], at[by_key], batch_pos[by_key]),
+        _offsets(worker_counts),
     )
     return arrays, claim_map, (claims, osrc, order)
 
@@ -886,15 +818,16 @@ def _assemble_claim_arrays(
     group_size: np.ndarray,
     group_values: np.ndarray,
     worker_claims: np.ndarray | None = None,
+    worker_ptr: np.ndarray | None = None,
 ) -> ClaimArrays:
     """Set ``arrays``' fields from its per-task claim and group segments.
 
     In (task, code, worker) order, group index = task group start +
     code (codes are consecutive 0..K_j-1), so the remaining structures
-    are pure arithmetic on the segments.  The worker CSR is sorted here
-    unless given (:meth:`DatasetIndex.extended` merges its own).  The
-    cold build, :meth:`DatasetIndex.extended` and
-    :meth:`DatasetIndex.restricted` all finish here.
+    are pure arithmetic on the segments.  The worker CSR is sorted and
+    counted here unless given (:meth:`DatasetIndex.extended` merges its
+    own).  The cold build and :meth:`DatasetIndex.extended` both finish
+    here.
     """
     n_tasks, n_workers = index.n_tasks, index.n_workers
     claim_task = np.repeat(np.arange(n_tasks, dtype=np.int64), np.diff(task_ptr))
@@ -904,6 +837,7 @@ def _assemble_claim_arrays(
     if worker_claims is None:
         # Claim indexes sorted by (worker, task), a unique int64 key.
         worker_claims = np.argsort(claim_worker * n_tasks + claim_task)
+        worker_ptr = _offsets(np.bincount(claim_worker, minlength=n_workers))
     fields = {
         "index": index,
         "claim_task": claim_task,
@@ -917,7 +851,7 @@ def _assemble_claim_arrays(
         "group_size": group_size,
         "group_values": group_values,
         "task_group_ptr": task_group_ptr,
-        "worker_ptr": _offsets(np.bincount(claim_worker, minlength=n_workers)),
+        "worker_ptr": worker_ptr,
         "worker_claims": worker_claims,
     }
     for name, value in fields.items():

@@ -50,7 +50,6 @@ class FastDawidSkene:
         dataset: Dataset | None,
         *,
         index: DatasetIndex | None = None,
-        warm_start: TruthDiscoveryResult | None = None,
         lean: bool = False,
     ) -> TruthDiscoveryResult:
         if index is None:
@@ -128,15 +127,8 @@ class FastDawidSkene:
             state["task_label"] = task_label
             return segment_first_argmax_code(scores, arrays.task_group_ptr)
 
-        initial = arrays.majority_codes()
-        if warm_start is not None and warm_start.truths:
-            warm = arrays.truth_codes(
-                [warm_start.truths.get(tid) for tid in index.task_ids]
-            )
-            initial = np.where(warm >= 0, warm, initial)
-
         codes, iterations, converged = iterate_truths(
-            initial,
+            arrays.majority_codes(),
             step,
             max_iterations=_MAX_ITERATIONS,
             state_key=lambda c: c.tobytes(),

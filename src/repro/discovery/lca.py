@@ -51,7 +51,6 @@ class LatentCredibilityAnalysis:
         dataset: Dataset | None,
         *,
         index: DatasetIndex | None = None,
-        warm_start: TruthDiscoveryResult | None = None,
         lean: bool = False,
     ) -> TruthDiscoveryResult:
         if index is None:
@@ -61,12 +60,6 @@ class LatentCredibilityAnalysis:
 
         worker_counts = np.bincount(arrays.claim_worker, minlength=n_workers)
         honesty = np.full(n_workers, _INITIAL_HONESTY, dtype=np.float64)
-        if warm_start is not None and warm_start.worker_accuracy:
-            for i, worker_id in enumerate(index.worker_ids):
-                honesty[i] = warm_start.worker_accuracy.get(
-                    worker_id, _INITIAL_HONESTY
-                )
-        np.clip(honesty, _HONESTY_LO, _HONESTY_HI, out=honesty)
 
         # d_j: alternative observed values per task (>= 1 so the
         # penalty log stays finite; a one-value task has no competitor

@@ -4,16 +4,13 @@ A truth-discovery algorithm is one class with a ``method_name`` and one
 entry point that maps a campaign to a
 :class:`~repro.core.date.TruthDiscoveryResult`:
 
-- ``run(dataset, *, index=None, warm_start=None, lean=False)`` — runs
-  on ``index`` when given (a cold :class:`~repro.core.indexing.
-  DatasetIndex`, an extended one or a restricted view); ``dataset`` is
-  read only to build the index when ``index`` is ``None``, so callers
-  holding an index pass ``run(None, index=index)``.  ``warm_start``
-  carries a previous result whose truths and worker reputations may
-  seed the iteration (algorithms without a warm path accept and ignore
-  it).  ``lean=True`` leaves the result's ``support`` and
-  ``dependence`` empty; truths, confidence and accuracies are
-  bit-identical to the full run.
+- ``run(dataset, *, index=None, lean=False)`` — runs on ``index`` when
+  given (a cold :class:`~repro.core.indexing.DatasetIndex` or an
+  extended one); ``dataset`` is read only to build the index when
+  ``index`` is ``None``, so callers holding an index pass
+  ``run(None, index=index)``.  ``lean=True`` leaves the result's
+  ``support`` and ``dependence`` empty; truths, confidence and
+  accuracies are bit-identical to the full run.
 
 Every member ends in one call of :func:`~repro.core.date.build_result`,
 handing it its arrays (truth codes, per-claim accuracies, per-group
@@ -52,6 +49,5 @@ class TruthDiscoverer(Protocol):
         dataset: Dataset | None,
         *,
         index: DatasetIndex | None = None,
-        warm_start: TruthDiscoveryResult | None = None,
         lean: bool = False,
     ) -> TruthDiscoveryResult: ...

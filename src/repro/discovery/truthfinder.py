@@ -55,7 +55,6 @@ class TruthFinder:
         dataset: Dataset | None,
         *,
         index: DatasetIndex | None = None,
-        warm_start: TruthDiscoveryResult | None = None,
         lean: bool = False,
     ) -> TruthDiscoveryResult:
         if index is None:
@@ -65,12 +64,6 @@ class TruthFinder:
 
         worker_counts = np.bincount(arrays.claim_worker, minlength=n_workers)
         trust = np.full(n_workers, _INITIAL_TRUST, dtype=np.float64)
-        if warm_start is not None and warm_start.worker_accuracy:
-            for i, worker_id in enumerate(index.worker_ids):
-                trust[i] = warm_start.worker_accuracy.get(
-                    worker_id, _INITIAL_TRUST
-                )
-        np.clip(trust, _TRUST_LO, _TRUST_HI, out=trust)
 
         state: dict[str, np.ndarray] = {"confidence": np.zeros(arrays.n_groups)}
 

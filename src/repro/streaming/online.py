@@ -8,22 +8,26 @@ claims arrive, without paying a cold re-encode + full re-run per batch:
    which re-encodes only the *dirty* tasks (tasks receiving claims,
    plus appended tasks) and splices every clean CSR segment across.
    Per-claim accuracy state is carried over via the extension's claim
-   position map.
-2. **Dirty-scope re-estimation** — DATE runs on a restricted view of
-   the campaign index over the batch's dirty tasks only (all claims on
-   those tasks, the workers providing them; see
-   :meth:`~repro.core.indexing.DatasetIndex.restricted`), warm-started
-   from the current truths and worker reputations, so the per-batch
-   cost is O(affected segments) instead of O(campaign).
-3. **Periodic full refresh** — the dirty-scope pass is a local
-   approximation: new evidence on one task can, through worker
-   reputations and copier posteriors, shift estimates elsewhere.
-   :meth:`OnlineDATE.refresh` (run automatically every
+   position map; the batch's claims start at ε (``initial_accuracy``).
+2. **Scoring by the last refresh's model** — the claimed dirty tasks
+   are re-scored in one weighted vote over their CSR segments, Alg. 1's
+   line 28 with the fitted model held fixed: claimant ``i`` weighs
+   ``w_i = A_i · (1 − max_i' P(i → i'))``, its accuracy at the last
+   refresh discounted by its likeliest copy edge (Eq. 16's discount).
+   A worker the last refresh did not see weighs ε, and before the
+   first refresh every worker does, so a campaign that never refreshes
+   serves majority vote.  The per-batch cost is O(claims of the dirty
+   tasks); no estimator runs.
+3. **Periodic full refresh** — the vote is a local approximation: new
+   evidence on one task can, through worker reputations and copier
+   posteriors, shift estimates elsewhere, and it does not refit the
+   model.  :meth:`OnlineDATE.refresh` (run automatically every
    ``refresh_every`` batches, and at the end of a replay) re-runs DATE
    cold over the whole maintained index, restoring *exactly* the
    batch-mode answer: after a refresh the estimate equals
    ``DATE(config).run(full_dataset)`` bit for bit, because it is the
    same computation over an index pinned equivalent to a cold rebuild.
+   The refresh also fits the vote's weights.
 
 Writes compute, journal, then publish one :class:`OnlineState`; reads
 take the published one and need no lock.  See DESIGN.md §8.
@@ -42,7 +46,12 @@ from ..core.accuracy import claim_mean_by_worker
 from ..core.config import DateConfig
 from ..core.date import TruthDiscoveryResult
 from ..core.engine import dense_accuracy
-from ..core.indexing import DatasetIndex, _concat_ranges
+from ..core.indexing import (
+    DatasetIndex,
+    _concat_ranges,
+    _offsets,
+    segment_first_argmax_code,
+)
 from ..discovery import canonical_algorithm, make_discoverer
 from ..errors import ConfigurationError
 from ..types import Dataset
@@ -62,14 +71,14 @@ class OnlineUpdate:
     new_tasks / new_workers / new_claims:
         Sizes of the batch delta.
     dirty_tasks:
-        Number of task segments re-encoded and re-estimated.
+        Number of task segments re-encoded (the claimed ones are
+        re-scored).
     iterations:
-        DATE iterations spent on this batch — the dirty-scope
-        re-estimation, or the full refresh when one fired (0 when the
-        batch carried no claims).
+        Iterations of the full refresh this ingest ran; 0 when it ran
+        none (the vote iterates nothing).
     refreshed:
         Whether this ingest triggered a periodic full refresh (which
-        then replaces the dirty-scope pass entirely).
+        then replaces the vote entirely).
     """
 
     batch: int
@@ -87,6 +96,8 @@ class OnlineState:
 
     ``claim_acc`` holds each claim's accuracy in the index's claim
     order; ``batches`` counts the non-empty batches applied.
+    ``weights`` holds the vote weight of each worker the last refresh
+    indexed, by worker position (empty before the first refresh).
     """
 
     index: DatasetIndex
@@ -94,6 +105,7 @@ class OnlineState:
     truths: dict[str, str]
     confidence: dict[str, float]
     batches: int
+    weights: np.ndarray
 
     @cached_property
     def truths_body(self) -> bytes:
@@ -128,18 +140,19 @@ class OnlineDATE:
     Parameters
     ----------
     config:
-        DATE hyperparameters, shared by the dirty-scope passes and the
-        full refreshes.
+        DATE hyperparameters of the full refreshes; its
+        ``initial_accuracy`` ε is also the vote weight of a worker the
+        last refresh did not see.
     refresh_every:
         Run a full refresh automatically after every N ingested
         batches; 0 (default) refreshes only on explicit
         :meth:`refresh` calls.
     algorithm:
-        Name of the truth-discovery zoo member driving both the
-        dirty-scope passes and the full refreshes (default ``DATE``;
-        see :func:`repro.discovery.list_algorithms`).  Algorithms
-        without a warm-start path simply re-estimate the dirty scope
-        cold — the refresh exactness guarantee is unchanged.
+        Name of the truth-discovery zoo member driving the full
+        refreshes (default ``DATE``; see
+        :func:`repro.discovery.list_algorithms`).  Between refreshes
+        its worker accuracies weigh the vote, discounted by its pair
+        posteriors when it has them (DATE and ED).
     """
 
     def __init__(
@@ -160,7 +173,8 @@ class OnlineDATE:
         )
         self.refresh_every = int(refresh_every)
         empty = DatasetIndex(Dataset(tasks=(), workers=(), claims={}))
-        self._state = OnlineState(empty, np.empty(0, dtype=np.float64), {}, {}, 0)
+        none = np.empty(0, dtype=np.float64)
+        self._state = OnlineState(empty, none, {}, {}, 0, none)
 
     @classmethod
     def from_dataset(
@@ -260,7 +274,7 @@ class OnlineDATE:
     def ingest(
         self, batch: ClaimBatch, journal: Callable[[], None] | None = None
     ) -> OnlineUpdate:
-        """Apply one claim batch and re-estimate the affected tasks.
+        """Apply one claim batch and re-score the tasks it claims.
 
         Extending the index validates the batch: a refused one raises
         :class:`~repro.errors.DataFormatError` before ``journal`` runs.
@@ -281,8 +295,7 @@ class OnlineDATE:
         iterations = 0
         refreshed = self.refresh_every > 0 and state.batches % self.refresh_every == 0
         if refreshed:
-            # The full refresh subsumes the dirty-scope pass — running
-            # both would just throw the sub-run's result away.
+            # The full refresh re-scores every task, the vote's included.
             state, result = self._refreshed(state)
             iterations = result.iterations
         else:
@@ -290,7 +303,7 @@ class OnlineDATE:
             claimed = task_ptr[ext.dirty_tasks + 1] > task_ptr[ext.dirty_tasks]
             dirty = ext.dirty_tasks[claimed]
             if len(dirty):
-                state, iterations = self._rerun(state, dirty)
+                state = self._voted(state, dirty)
         if journal is not None:
             journal()
         self._state = state
@@ -312,7 +325,8 @@ class OnlineDATE:
         Restores exactness: the returned result is identical to
         ``DATE(config).run(dataset)`` on the campaign accumulated so
         far (the incremental index is pinned equivalent to a cold
-        rebuild), and is published wholesale once ``journal`` returns.
+        rebuild), and is published wholesale once ``journal`` returns,
+        with the vote weights it implies.
         """
         state, result = self._refreshed(self._state)
         if journal is not None:
@@ -339,68 +353,63 @@ class OnlineDATE:
             claim_acc=result.accuracy_matrix[arrays.claim_worker, arrays.claim_task],
             truths=dict(result.truths),
             confidence=dict(result.confidence),
+            weights=self._vote_weights(arrays, result),
         ), result
 
-    def _rerun(
-        self, state: OnlineState, dirty: np.ndarray
-    ) -> tuple[OnlineState, int]:
-        """Re-estimate the claimed dirty tasks on a restricted view.
+    def _vote_weights(self, arrays, result: TruthDiscoveryResult) -> np.ndarray:
+        """Each worker's vote weight under a refresh's ``result``.
 
-        The sub-run is warm-started from the current truths of its tasks
-        and the campaign-wide reputations of its workers, computed for
-        those workers only; its per-claim accuracies scatter back into
-        the unpublished ``state.claim_acc`` through the view's claim
-        positions, and its truths and confidences replace those of its
-        tasks in new dicts.  Returns the new state and the sub-run's
-        iteration count.
+        ``A_i · (1 − max_i' P(i → i'))``: the worker's accuracy,
+        discounted by its largest posterior of copying a partner.  An
+        empty ``dependence`` (a member without pair posteriors)
+        discounts nothing, and a worker without claims weighs ε.
         """
-        index, claim_acc = state.index, state.claim_acc
-        sub, positions = index.restricted(dirty)
-        workers = np.fromiter(map(index.worker_pos.__getitem__, sub.worker_ids), np.int64)
-        means = _worker_means(index.arrays, claim_acc, workers)
-        warm = TruthDiscoveryResult(
-            truths={t: state.truths[t] for t in sub.task_ids if t in state.truths},
-            accuracy_matrix=np.zeros((0, 0)),
-            worker_accuracy=dict(zip(sub.worker_ids, means.tolist())),
-            confidence={},
-            support={},
-            dependence={},
-            iterations=0,
-            converged=True,
-            method="snapshot",
+        n_workers = arrays.index.n_workers
+        accuracy = np.fromiter(result.worker_accuracy.values(), np.float64, n_workers)
+        copies = np.zeros(n_workers)
+        dependence = result.dependence
+        if len(dependence):
+            np.maximum.at(copies, dependence.pair_a, dependence.p_ab)
+            np.maximum.at(copies, dependence.pair_b, dependence.p_ba)
+        answered = arrays.worker_ptr[1:] > arrays.worker_ptr[:-1]
+        return np.where(answered, accuracy * (1.0 - copies), self._config.initial_accuracy)
+
+    def _voted(self, state: OnlineState, dirty: np.ndarray) -> OnlineState:
+        """``state`` with the claimed ``dirty`` tasks re-scored by the
+        last refresh's model.
+
+        One pass over those tasks' CSR segments: each claim weighs its
+        worker's ``state.weights`` entry (ε for a worker added since),
+        each value group sums its claims' weights in claim order, the
+        truth is line 28's first argmax over a task's group sums (ties
+        to the smallest code) and its confidence the truth's share of
+        the task's total weight.  With equal weights that is majority
+        vote's winner and vote share.
+        """
+        arrays = state.index.arrays
+        task_ptr, group_ptr = arrays.task_ptr, arrays.task_group_ptr
+        n_claims = task_ptr[dirty + 1] - task_ptr[dirty]
+        n_groups = group_ptr[dirty + 1] - group_ptr[dirty]
+        groups = _concat_ranges(group_ptr[dirty], n_groups)
+        workers = arrays.claim_worker[_concat_ranges(task_ptr[dirty], n_claims)]
+        weights = state.weights
+        seen = workers < len(weights)
+        claim_weight = np.full(len(workers), self._config.initial_accuracy)
+        claim_weight[seen] = weights[workers[seen]]
+        # Claims sorted by (task, code, worker) walk the dirty tasks and
+        # their groups in order, so group k owns the next group_size[k]
+        # claims; both sums add in that order.
+        group_of = np.repeat(np.arange(len(groups)), arrays.group_size[groups])
+        group_weight = np.bincount(group_of, weights=claim_weight, minlength=len(groups))
+        task_of = np.repeat(np.arange(len(dirty)), n_claims)
+        totals = np.bincount(task_of, weights=claim_weight, minlength=len(dirty))
+        ptr = _offsets(n_groups)
+        winners = ptr[:-1] + segment_first_argmax_code(group_weight, ptr)
+        shares = np.divide(
+            group_weight[winners], totals, out=np.zeros(len(dirty)), where=totals > 0
         )
-        result = self._discoverer.run(None, index=sub, warm_start=warm, lean=True)
-        arrays = sub.arrays
-        claim_acc[positions] = result.accuracy_matrix[
-            arrays.claim_worker, arrays.claim_task
-        ]
+        task_ids = [state.index.task_ids[j] for j in dirty.tolist()]
         truths, confidence = dict(state.truths), dict(state.confidence)
-        for task_id in sub.task_ids:
-            value = result.truths.get(task_id)
-            task_confidence = result.confidence.get(task_id)
-            if value is None:
-                truths.pop(task_id, None)
-            else:
-                truths[task_id] = value
-            if value is None or task_confidence is None:
-                confidence.pop(task_id, None)
-            else:
-                confidence[task_id] = task_confidence
-        return replace(state, truths=truths, confidence=confidence), result.iterations
-
-
-def _worker_means(arrays, claim_values: np.ndarray, workers: np.ndarray) -> np.ndarray:
-    """What :func:`claim_mean_by_worker` gives ``workers`` (ascending
-    positions, each with a claim), reading only their claims.
-
-    A worker's segment of the worker CSR lists its claims in claim
-    order, and ``bincount`` adds each bin's weights in array order from
-    +0.0, so every sum adds the same values in the same order as the
-    campaign-wide ``bincount``: the bits match.
-    """
-    ptr = arrays.worker_ptr
-    counts = ptr[workers + 1] - ptr[workers]
-    claims = arrays.worker_claims[_concat_ranges(ptr[workers], counts)]
-    owner = np.repeat(np.arange(len(workers)), counts)
-    sums = np.bincount(owner, weights=claim_values[claims], minlength=len(workers))
-    return sums / counts
+        truths.update(zip(task_ids, arrays.group_values[groups[winners]].tolist()))
+        confidence.update(zip(task_ids, shares.tolist()))
+        return replace(state, truths=truths, confidence=confidence)

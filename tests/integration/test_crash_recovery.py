@@ -291,7 +291,7 @@ class TestRejectedBatchHygiene:
     def test_refused_subrun_leaves_journal_and_state_unchanged(
         self, tmp_path, batches, monkeypatch
     ):
-        # The estimator fails *after* validation passed: the sub-run of
+        # The estimator fails *after* validation passed: the vote of
         # seq 2 raises.  It computes before the append and publishes
         # after it, so nothing of the batch may reach the journal or the
         # live estimate, and a retry of the same seq must apply.
@@ -310,7 +310,7 @@ class TestRejectedBatchHygiene:
             raise RuntimeError("sub-run exploded")
 
         with monkeypatch.context() as patch:
-            patch.setattr(OnlineDATE, "_rerun", refused)
+            patch.setattr(OnlineDATE, "_voted", refused)
             with pytest.raises(RuntimeError, match="sub-run exploded"):
                 store.ingest("c", batches[1], seq=2)
         assert path.read_bytes() == journal_bytes

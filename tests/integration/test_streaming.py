@@ -1,11 +1,10 @@
-"""Integration tests for warm-started (streaming) truth discovery.
+"""Integration tests for streaming truth discovery.
 
 The paper builds on Dong et al.'s "dynamic world" line of work: claims
 arrive over time and the platform re-estimates after each batch.
-``DATE.run(..., warm_start=previous)`` carries worker reputations and
-truth estimates across batches, and ``repro.streaming`` turns that into
-a long-lived online loop (incremental ingestion + dirty-scope
-re-estimation + periodic full refresh).
+``repro.streaming`` runs that as a long-lived online loop: incremental
+ingestion, a vote under the last refresh's model for each batch's
+tasks, and a periodic full refresh.
 """
 
 from __future__ import annotations
@@ -13,69 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import DATE, DateConfig
+from repro import DATE
 from repro.datasets import generate_qatar_living_like
 from repro.streaming import OnlineDATE, replay_batches
-
-
-@pytest.fixture(scope="module")
-def batches():
-    """One campaign split into an early batch and the full dataset."""
-    full = generate_qatar_living_like(
-        seed=31, n_tasks=60, n_workers=30, n_copiers=7, target_claims=1000
-    )
-    early_tasks = [t.task_id for t in full.tasks[:30]]
-    early = full.subset(task_ids=early_tasks)
-    return early, full
-
-
-class TestWarmStart:
-    def test_same_final_quality(self, batches):
-        early, full = batches
-        cold = DATE().run(full)
-        warm = DATE().run(full, warm_start=DATE().run(early))
-        # Warm starting must not degrade the final estimate materially.
-        assert warm.precision() >= cold.precision() - 0.05
-
-    def test_converges_at_most_as_slow(self, batches):
-        early, full = batches
-        cold = DATE().run(full)
-        warm = DATE().run(full, warm_start=DATE().run(early))
-        assert warm.iterations <= cold.iterations + 1
-
-    def test_unknown_workers_fall_back_to_epsilon(self, batches):
-        early, full = batches
-        # Warm start from a result over a *subset of workers*.
-        early_workers = [w.worker_id for w in full.workers[:10]]
-        partial = DATE().run(full.subset(worker_ids=early_workers))
-        warm = DATE().run(full, warm_start=partial)
-        assert set(warm.worker_accuracy) == {
-            w.worker_id for w in full.workers
-        }
-
-    def test_warm_start_is_deterministic(self, batches):
-        early, full = batches
-        seed_result = DATE().run(early)
-        a = DATE().run(full, warm_start=seed_result)
-        b = DATE().run(full, warm_start=seed_result)
-        assert a.truths == b.truths
-
-    def test_warm_start_respects_new_claims(self, batches):
-        early, full = batches
-        warm = DATE().run(full, warm_start=DATE().run(early))
-        # Every estimated truth is still an observed value of the task.
-        for task_id, value in warm.truths.items():
-            assert value in set(full.claims_by_task[task_id].values())
-
-    def test_config_still_applies(self, batches):
-        early, full = batches
-        config = DateConfig(copy_prob_r=0.6, max_iterations=5)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            warm = DATE(config).run(full, warm_start=DATE(config).run(early))
-        assert warm.iterations <= 5
 
 
 class TestOnlineStreaming:
@@ -114,11 +53,10 @@ class TestOnlineStreaming:
                 )
 
     def test_intermediate_quality_close_to_cold(self, campaign):
-        """The dirty-scope approximation trails a cold run before any
-        refresh (early tasks never see late reputation evidence — that
-        is the documented trade-off the refresh repairs), but it must
-        stay in the same quality regime, and a periodic refresh must
-        close the gap entirely."""
+        """The vote trails a cold run before any refresh (before the
+        first one it is majority vote — the documented trade-off the
+        refresh repairs), but it must stay in the same quality regime,
+        and a periodic refresh must close the gap entirely."""
         online = OnlineDATE()
         for batch in replay_batches(campaign, 8):
             online.ingest(batch)

@@ -24,8 +24,8 @@ by line over dict views of a :class:`~repro.core.indexing.DatasetIndex`
   oracles read off an index's campaign;
 - :mod:`.pairtables` — the numpy pair-table builder and slot-map
   scatter the compiled pair-table walk replaced;
-- :mod:`.streaming` — the sub-dataset rebuild that streaming's
-  restricted index view replaced;
+- :mod:`.streaming` — the sub-campaign a task subset induces on an
+  index, rebuilt as a dataset;
 - :mod:`.datasets` — the scalar synthetic-world and copier generator
   loops that the block-drawing generator must match byte for byte.
 """

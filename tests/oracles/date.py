@@ -37,7 +37,6 @@ from .accuracy import (
 from .dependence import compute_pairwise_dependence, directed_probability
 from .independence import IndependenceTable, independence_probabilities
 from .indexing import (
-    claims_by_worker,
     initial_accuracy_matrix,
     majority_vote,
     value_groups,
@@ -101,7 +100,6 @@ def ed_independence(
 def date_reference(
     config: DateConfig,
     index: DatasetIndex,
-    warm_start: TruthDiscoveryResult | None = None,
     *,
     independence_hook=date_independence,
     method: str = "DATE",
@@ -111,19 +109,6 @@ def date_reference(
 
     truths = majority_vote(index)
     accuracy = initial_accuracy_matrix(index, cfg.initial_accuracy)
-    if warm_start is not None:
-        groups = value_groups(index)
-        for j, task_id in enumerate(index.task_ids):
-            carried = warm_start.truths.get(task_id)
-            if carried is not None and carried in groups[j]:
-                truths[j] = carried
-        by_worker = claims_by_worker(index)
-        for i, worker_id in enumerate(index.worker_ids):
-            carried_accuracy = warm_start.worker_accuracy.get(worker_id)
-            if carried_accuracy is None or carried_accuracy <= 0.0:
-                continue
-            for j in by_worker[i]:
-                accuracy[i, j] = carried_accuracy
 
     dependence: dict[tuple[int, int], DependencePosterior] = {}
     independence = None
@@ -250,7 +235,6 @@ def run_reference(
     dataset: Dataset,
     *,
     index: DatasetIndex | None = None,
-    warm_start: TruthDiscoveryResult | None = None,
 ) -> TruthDiscoveryResult:
     """The oracle twin of ``algorithm.run(dataset, ...)``.
 
@@ -265,7 +249,6 @@ def run_reference(
     return date_reference(
         algorithm.config,
         index,
-        warm_start,
         independence_hook=(
             ed_independence
             if isinstance(algorithm, EnumerateDependence)

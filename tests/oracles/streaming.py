@@ -1,11 +1,11 @@
-"""The sub-dataset rebuild the streaming dirty-scope pass replaced.
+"""The sub-campaign a set of tasks induces on a campaign index.
 
-:meth:`repro.core.indexing.DatasetIndex.restricted` gathers the dirty
-tasks' CSR segments straight from the campaign index.  Before it, each
-ingest rebuilt those tasks as a fresh :class:`~repro.types.Dataset` and
-indexed it cold; :func:`_subcampaign` is that rebuild, kept so
-the property suite can pin ``DatasetIndex(_subcampaign(index, dirty))``
-and ``index.restricted(dirty)`` together field by field.
+:func:`_subcampaign` rebuilds some tasks of an index, with all their
+claims and the workers making them, as a fresh
+:class:`~repro.types.Dataset`.  The pair-table suites index it cold
+(``DatasetIndex(_subcampaign(index, tasks))``) to get campaigns cut
+out of indexes grown through :meth:`~repro.core.indexing.DatasetIndex.
+extended`, copy sources outside the cut included.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import DATE, Dataset, DateConfig, Task, TruthDiscoveryResult, WorkerProfile
+from repro import DATE, Dataset, DateConfig, Task, WorkerProfile
 from repro.baselines import EnumerateDependence, NoCopier
 from repro.core import DatasetIndex
 from repro.core.falsedist import EmpiricalFalseValues, ZipfFalseValues
@@ -206,102 +206,3 @@ class TestBaselineBackendEquivalence:
     @settings(max_examples=30, derandomize=True)
     def test_enumerate_dependence(self, dataset, params):
         assert_equivalent(*run_both(EnumerateDependence, dataset, **params))
-
-
-def _run_engine(algorithm, dataset, **kwargs):
-    """The product twin of :func:`tests.oracles.run_reference`."""
-    return algorithm.run(dataset, **kwargs)
-
-
-def snapshot_result(
-    truths: dict[str, str] | None = None,
-    worker_accuracy: dict[str, float] | None = None,
-) -> TruthDiscoveryResult:
-    """A minimal warm-start carrier (what streaming snapshots provide)."""
-    return TruthDiscoveryResult(
-        truths=dict(truths or {}),
-        accuracy_matrix=np.zeros((0, 0)),
-        worker_accuracy=dict(worker_accuracy or {}),
-        confidence={},
-        support={},
-        dependence={},
-        iterations=0,
-        converged=True,
-        method="snapshot",
-    )
-
-
-class TestWarmStartEquivalence:
-    @given(
-        dataset=claim_matrices(),
-        params=config_variants(),
-        seed_params=config_variants(),
-    )
-    @settings(max_examples=25, derandomize=True)
-    def test_warm_started_runs_agree(self, dataset, params, seed_params):
-        index = DatasetIndex(dataset)
-        warm = DATE(DateConfig(**seed_params)).run(dataset, index=index)
-        ref = run_reference(
-            DATE(DateConfig(**params)), dataset, index=index, warm_start=warm
-        )
-        vec = DATE(DateConfig(**params)).run(
-            dataset, index=index, warm_start=warm
-        )
-        assert_equivalent(ref, vec)
-
-    @given(dataset=claim_matrices(), params=config_variants())
-    @settings(max_examples=25, derandomize=True)
-    def test_empty_warm_result_is_cold_start(self, dataset, params):
-        """An empty warm result must be indistinguishable from no warm
-        start on the engine and the oracle (nothing to carry over)."""
-        index = DatasetIndex(dataset)
-        empty = snapshot_result()
-        for run in (run_reference, _run_engine):
-            algorithm = DATE(DateConfig(**params))
-            cold = run(algorithm, dataset, index=index)
-            warm = run(algorithm, dataset, index=index, warm_start=empty)
-            assert_equivalent(cold, warm)
-
-    @given(dataset=claim_matrices(), params=config_variants())
-    @settings(max_examples=25, derandomize=True)
-    def test_warm_result_over_unknown_tasks_only(self, dataset, params):
-        """Warm state naming only foreign tasks/workers falls back to
-        cold defaults everywhere — on the engine and the oracle,
-        equivalently."""
-        index = DatasetIndex(dataset)
-        foreign = snapshot_result(
-            truths={"ghost-task-1": "A", "ghost-task-2": "Z"},
-            worker_accuracy={"ghost-worker": 0.95},
-        )
-        results = {}
-        for name, run in (("oracle", run_reference), ("engine", _run_engine)):
-            algorithm = DATE(DateConfig(**params))
-            cold = run(algorithm, dataset, index=index)
-            warm = run(algorithm, dataset, index=index, warm_start=foreign)
-            assert_equivalent(cold, warm)
-            results[name] = warm
-        assert_equivalent(results["oracle"], results["engine"])
-
-    @given(dataset=claim_matrices(), params=config_variants())
-    @settings(max_examples=25, derandomize=True)
-    def test_partial_snapshot_warm_start_agrees(self, dataset, params):
-        """Snapshot-style warm state (truths for half the tasks, a few
-        reputations, including values a task never observed) produces
-        the same results on the engine and the oracle."""
-        truths = {
-            task.task_id: ("A" if i % 2 == 0 else "D")
-            for i, task in enumerate(dataset.tasks[: max(1, len(dataset.tasks) // 2)])
-        }
-        reputations = {
-            worker.worker_id: 0.25 + 0.5 * (i % 3) / 2
-            for i, worker in enumerate(dataset.workers[:3])
-        }
-        warm = snapshot_result(truths, reputations)
-        index = DatasetIndex(dataset)
-        ref = run_reference(
-            DATE(DateConfig(**params)), dataset, index=index, warm_start=warm
-        )
-        vec = DATE(DateConfig(**params)).run(
-            dataset, index=index, warm_start=warm
-        )
-        assert_equivalent(ref, vec)

@@ -8,7 +8,7 @@ int64 row key, then one scatter of the same-value rows) is the
 reference.  The narrow layout, widened to the oracle's seven int64
 tables (``ps_pair`` and ``ps_task`` derived on access), must equal it
 value for value, and so must every slot-map bucket — on cold
-campaigns, restricted views and indexes grown through
+campaigns, cold sub-campaigns and indexes grown through
 ``DatasetIndex.extended``.  ``derandomize=True`` keeps the corpus
 stable.
 """
@@ -23,10 +23,11 @@ from repro import Dataset, Task, WorkerProfile
 from repro.core import DatasetIndex
 
 from tests.oracles.pairtables import oracle_pair_tables, scatter_group_slots
-from tests.property.test_property_restricted_index import grown_indexes
+from tests.oracles.streaming import _subcampaign
 
 TABLES = ("pair_a", "pair_b", "pair_ptr", "ps_pair", "ps_task", "ps_claim_a", "ps_claim_b")
 VALUES = ("A", "B", "C")
+GROWN_VALUES = ("A", "B", "C", "D")
 
 
 def widened(arrays) -> tuple[np.ndarray, ...]:
@@ -73,6 +74,82 @@ def campaigns(draw, max_workers=9, max_tasks=7):
     return Dataset(tasks=tasks, workers=tuple(workers), claims=dict(claims))
 
 
+@st.composite
+def grown_indexes(draw, max_workers=7, max_tasks=6, max_batches=4):
+    """A campaign index grown batch by batch, as the streaming service
+    grows it (claims shuffled across batches, tasks-only and
+    workers-only batches, copiers naming sources outside any task
+    subset), plus a random task subset."""
+    n = draw(st.integers(min_value=2, max_value=max_workers))
+    m = draw(st.integers(min_value=1, max_value=max_tasks))
+    n_batches = draw(st.integers(min_value=1, max_value=max_batches))
+    tasks = tuple(
+        Task(
+            task_id=f"t{j}",
+            domain=GROWN_VALUES if draw(st.booleans()) else (),
+            truth=draw(st.sampled_from((None,) + GROWN_VALUES)),
+        )
+        for j in range(m)
+    )
+    # Workers register in non-decreasing batches and copy only from
+    # lower-numbered workers, so every source is known on arrival; the
+    # last worker always copies from the first.
+    joined = sorted(draw(st.integers(0, n_batches - 1)) for _ in range(n))
+    workers = []
+    for i in range(n):
+        sources = tuple(
+            f"w{s}" for s in range(i) if s == 0 and i == n - 1 or draw(st.booleans())
+        )
+        workers.append(
+            WorkerProfile(
+                worker_id=f"w{i}",
+                is_copier=bool(sources),
+                sources=sources,
+                copy_prob=0.5 if sources else 0.0,
+            )
+        )
+    published = [draw(st.integers(0, n_batches - 1)) for _ in range(m)]
+    claims = []
+    for i in range(n):
+        for j in range(m):
+            if draw(st.booleans()):
+                first = max(joined[i], published[j])
+                claims.append(
+                    (
+                        (f"w{i}", f"t{j}"),
+                        draw(st.sampled_from(GROWN_VALUES)),
+                        draw(st.integers(first, n_batches - 1)),
+                    )
+                )
+    claims = draw(st.permutations(claims))
+
+    index = DatasetIndex(Dataset(tasks=(), workers=(), claims={}))
+    index.arrays  # materialized, as the streaming service keeps it
+    for k in range(n_batches):
+        index = index.extended(
+            tasks=[t for t, b in zip(tasks, published) if b == k],
+            workers=[w for w, b in zip(workers, joined) if b == k],
+            claims={key: value for key, value, b in claims if b == k},
+        ).index
+    # A tasks-only and a workers-only batch (an idle copier whose source
+    # may lie outside any dirty scope).
+    if draw(st.booleans()):
+        index = index.extended(tasks=[Task(task_id="t-late")]).index
+    if draw(st.booleans()):
+        late = WorkerProfile(
+            worker_id="w-late", is_copier=True, sources=("w0",), copy_prob=0.5
+        )
+        index = index.extended(workers=[late]).index
+
+    dirty = draw(
+        st.lists(
+            st.integers(0, index.n_tasks - 1), min_size=1, max_size=index.n_tasks,
+            unique=True,
+        )
+    )
+    return index, sorted(dirty)
+
+
 class TestPairTableWalk:
     @given(dataset=campaigns())
     @settings(max_examples=150, derandomize=True)
@@ -81,20 +158,19 @@ class TestPairTableWalk:
 
     @given(dataset=campaigns(), data=st.data())
     @settings(max_examples=80, derandomize=True)
-    def test_restricted_views(self, dataset, data):
+    def test_sub_campaigns(self, dataset, data):
         index = DatasetIndex(dataset)
         tasks = data.draw(
             st.lists(st.integers(0, index.n_tasks - 1), min_size=1, unique=True)
         )
-        view, _ = index.restricted(np.array(sorted(tasks), dtype=np.int64))
-        assert_matches_oracle(view.arrays)
+        assert_matches_oracle(DatasetIndex(_subcampaign(index, sorted(tasks))).arrays)
 
     @given(case=grown_indexes())
     @settings(max_examples=80, derandomize=True)
-    def test_extended_indexes_and_their_views(self, case):
+    def test_extended_indexes_and_their_sub_campaigns(self, case):
         index, dirty = case
         assert_matches_oracle(index.arrays)
-        assert_matches_oracle(index.restricted(np.asarray(dirty, dtype=np.int64))[0].arrays)
+        assert_matches_oracle(DatasetIndex(_subcampaign(index, dirty)).arrays)
 
     @given(dataset=campaigns())
     @settings(max_examples=30, derandomize=True)

@@ -31,8 +31,12 @@ from repro import Dataset, Task, WorkerProfile
 from repro.core import DatasetIndex, indexing
 from repro.errors import DataFormatError
 
-from tests.property.test_property_pair_tables import assert_matches_oracle, campaigns
-from tests.property.test_property_restricted_index import grown_indexes
+from tests.oracles.streaming import _subcampaign
+from tests.property.test_property_pair_tables import (
+    assert_matches_oracle,
+    campaigns,
+    grown_indexes,
+)
 
 VALUES = ("A", "B", "C")
 PARTS = (1, 2, 3)
@@ -121,10 +125,10 @@ class TestPartsChangeNoByte:
 
     @given(case=grown_indexes())
     @settings(max_examples=40, derandomize=True)
-    def test_extended_indexes_and_their_views(self, case):
+    def test_extended_indexes_and_their_sub_campaigns(self, case):
         index, dirty = case
         assert_parts_change_no_byte(index.arrays)
-        assert_parts_change_no_byte(index.restricted(np.asarray(dirty, dtype=np.int64))[0].arrays)
+        assert_parts_change_no_byte(DatasetIndex(_subcampaign(index, dirty)).arrays)
 
     def test_one_task_answered_by_every_worker(self):
         # Claims arrive from the last worker to the first, with a split

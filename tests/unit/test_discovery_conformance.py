@@ -16,7 +16,6 @@ interface must pass *all* of these, on the same parametrized axis:
   leave the support and dependence tables empty;
 - a caller's prebuilt index changes nothing (bit-identity);
 - telemetry on/off bit-identity;
-- warm starts accepted (used or ignored, never an error);
 - unanswered tasks omitted from the truth map.
 
 A new algorithm joins the zoo by appearing in the registry and passing
@@ -252,14 +251,6 @@ class TestConformance:
         finally:
             set_registry(previous)
         _assert_bit_identical(baseline, instrumented)
-
-    def test_warm_start_accepted(self, name, campaign):
-        dataset, index = campaign
-        warm = _run(name, dataset, index=index)
-        restarted = _run(name, dataset, index=index, warm_start=warm)
-        assert set(restarted.truths) == set(warm.truths)
-        for value in restarted.truths.values():
-            assert value is not None
 
 
 @pytest.mark.parametrize("false_values", [ZipfFalseValues, EmpiricalFalseValues])

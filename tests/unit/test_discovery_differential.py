@@ -1,8 +1,8 @@
 """Differential pins: building through the registry changes nothing.
 
 ``make_discoverer`` for DATE/MV/NC/ED must be bit-identical to
-constructing the engines directly.  Covers ``run`` and the
-warm-start/lean pass-through of the DATE family.
+constructing the engines directly.  Covers ``run`` and the lean
+pass-through of the DATE family.
 """
 
 from __future__ import annotations
@@ -51,14 +51,11 @@ class TestAdapterDifferential:
 
 
 @pytest.mark.parametrize("name", ("DATE", "ED"))
-def test_warm_start_and_lean_pass_through(name, qlf_small):
+def test_lean_passes_through(name, qlf_small):
     config = DateConfig(copy_prob_r=0.6)
     index = DatasetIndex(qlf_small)
-    warm = _ENGINES[name](config).run(qlf_small, index=index)
-    engine_result = _ENGINES[name](config).run(
-        qlf_small, index=index, warm_start=warm, lean=True
-    )
+    engine_result = _ENGINES[name](config).run(qlf_small, index=index, lean=True)
     adapter_result = make_discoverer(name, date_config=config).run(
-        qlf_small, index=index, warm_start=warm, lean=True
+        qlf_small, index=index, lean=True
     )
     _assert_same(engine_result, adapter_result)

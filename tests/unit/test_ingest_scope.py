@@ -1,13 +1,11 @@
 """An ingest does work for its batch and its dirty tasks, not the campaign.
 
 :meth:`OnlineDATE.ingest <repro.streaming.online.OnlineDATE.ingest>`
-extends the index, carries the per-claim accuracies across and re-runs
-DATE on a restricted view of the dirty tasks, warm-started from the
-reputations of that view's workers.  The suite pins the shortcuts each
-of those steps takes against the campaign-wide computation they stand
-for, bit for bit, and that a one-claim ingest into a 300-task campaign
-averages no campaign, refills no campaign-sized array and builds no
-worker profile.
+extends the index, carries the per-claim accuracies across and re-scores
+the claimed dirty tasks in one weighted vote.  The suite pins the carry
+against the campaign-wide scatter it stands for, bit for bit, and that
+a one-claim ingest into a 300-task campaign runs no iteration, counts
+and refills no campaign-sized array and builds no worker profile.
 """
 
 from __future__ import annotations
@@ -16,11 +14,8 @@ import numpy as np
 import pytest
 
 from repro import WorkerProfile
-from repro.core import accuracy, date
-from repro.core.accuracy import claim_mean_by_worker
 from repro.datasets import generate_qatar_living_like
 from repro.streaming import ClaimBatch, OnlineDATE, replay_batches
-from repro.streaming import online as online_mod
 
 
 @pytest.fixture(scope="module")
@@ -41,16 +36,6 @@ def grown(campaign):
     return online.index, rng.random(online.index.arrays.n_claims) / 3.0
 
 
-def test_sub_run_warm_start_means_are_the_campaign_means(grown):
-    index, values = grown
-    campaign_means = claim_mean_by_worker(index.arrays, values)
-    rng = np.random.default_rng(1)
-    for size in (1, 7, index.n_workers):
-        workers = np.sort(rng.choice(index.n_workers, size=size, replace=False))
-        got = online_mod._worker_means(index.arrays, values, workers)
-        assert got.tobytes() == campaign_means[workers].tobytes()
-
-
 def test_carried_accuracies_are_the_claim_map_scatter(grown, campaign):
     index, values = grown
     task, worker = campaign.tasks[150], "late-worker"
@@ -61,23 +46,11 @@ def test_carried_accuracies_are_the_claim_map_scatter(grown, campaign):
     assert ext.carried(values, 0.5).tobytes() == want.tobytes()
 
 
-def test_view_profiles_are_built_on_first_read(grown, monkeypatch):
-    index, _ = grown
-    built = []
-    within = WorkerProfile.within
-    monkeypatch.setattr(WorkerProfile, "within", lambda *a: built.append(a) or within(*a))
-    view, _ = index.restricted(np.array([0, 5, 17], dtype=np.int64))
-    assert built == []
-    kept = set(view.worker_ids)
-    want = tuple(within(index.workers[index.worker_pos[w]], kept) for w in view.worker_ids)
-    assert view.workers == want
-    assert len(built) == view.n_workers
-
-
 def test_late_ingest_leaves_the_campaign_alone(campaign, monkeypatch):
-    # One claim into a 300-task campaign: the warm start averages only
-    # the sub-run's workers, the accuracies are carried, not refilled,
-    # and no worker profile is rebuilt for the view.
+    # One claim into a 300-task campaign: the vote runs no iteration,
+    # counts and fills arrays over the dirty task's claims only (the
+    # accuracies are carried, not refilled), and builds no worker
+    # profile.
     online = OnlineDATE.from_dataset(campaign)
     task = campaign.tasks[150]
     worker = next(
@@ -85,16 +58,11 @@ def test_late_ingest_leaves_the_campaign_alone(campaign, monkeypatch):
         if (w.worker_id, task.task_id) not in campaign.claims
     )
     n_claims = campaign.n_claims
-    averaged, filled, profiles = [], [], []
-    mean = accuracy.claim_mean_by_worker
-
-    def spy_mean(arrays, values):
-        averaged.append(len(values))
-        return mean(arrays, values)
-
-    for module in (accuracy, date, online_mod):
-        monkeypatch.setattr(module, "claim_mean_by_worker", spy_mean, raising=False)
-    full = np.full
+    counted, filled, profiles = [], [], []
+    bincount, full = np.bincount, np.full
+    monkeypatch.setattr(
+        np, "bincount", lambda x, *a, **k: counted.append(len(x)) or bincount(x, *a, **k)
+    )
     monkeypatch.setattr(
         np, "full", lambda shape, *a, **k: filled.append(shape) or full(shape, *a, **k)
     )
@@ -102,9 +70,9 @@ def test_late_ingest_leaves_the_campaign_alone(campaign, monkeypatch):
     monkeypatch.setattr(WorkerProfile, "within", lambda *a: profiles.append(a) or within(*a))
     update = online.ingest(ClaimBatch(claims={(worker, task.task_id): task.domain[0]}))
     monkeypatch.undo()
-    assert update.dirty_tasks == 1 and update.iterations > 0
-    view_claims = n_claims // 10
-    assert averaged and max(averaged) < view_claims  # the sub-run's own result only
-    assert all(np.size(shape) == 1 and int(np.prod(shape)) < view_claims for shape in filled)
+    assert update.dirty_tasks == 1 and update.iterations == 0
+    task_claims = len(campaign.claims_by_task[task.task_id]) + 1
+    assert counted and max(counted) <= task_claims
+    assert all(np.size(shape) == 1 and int(np.prod(shape)) <= task_claims for shape in filled)
     assert profiles == []
     assert online.index.arrays.n_claims == n_claims + 1

@@ -178,7 +178,7 @@ class TestOneEncoding:
         monkeypatch.setattr(Dataset, "__init__", counted("Dataset", Dataset.__init__))
         updates = [online.ingest(batch) for batch in paper_replay[:10]]
         assert not any(update.refreshed for update in updates)
-        assert all(update.iterations > 0 for update in updates)
+        assert all(update.iterations == 0 for update in updates)
         assert calls == {"DatasetIndex": 0, "ClaimArrays": 0, "Dataset": 0}
 
 
