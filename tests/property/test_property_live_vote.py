@@ -17,7 +17,12 @@ confidence that value's share of the task's total weight.  Pinned here:
   ``worker_accuracy`` and ``dependence`` gives, for every zoo member
   with pair posteriors and one without.
 - **Recovery rebuilds the weights.** A journaled campaign recovered
-  from its journal publishes the same weights and answers byte for byte.
+  from its journal publishes the same weights and answers byte for byte;
+  one that never refreshed recovers no weights and serves majority vote.
+- **The weights and the argmax.** A refresh's weights are its
+  accuracies discounted by each worker's likeliest copy edge; ties go
+  to the smallest value; an ε other than 1/2 keeps majority vote's
+  winners; estimators run only on refreshes.
 
 ``derandomize=True`` keeps the corpus stable.
 """
@@ -202,3 +207,84 @@ def test_an_unseen_worker_weighs_epsilon():
     # t1: w0 (weight 1) says A, w2 (unseen, ε = 0.5) says B.
     assert online.truths["t1"] == "A"
     assert online.confidence["t1"] == 1.0 / 1.5
+
+
+def test_ties_go_to_the_smallest_value():
+    # B arrives before A and both weigh ε: line 28's first argmax still
+    # names A, with half the task's weight.
+    online = OnlineDATE()
+    online.ingest(
+        ClaimBatch(
+            tasks=(Task(task_id="t0", domain=VALUES),),
+            workers=tuple(WorkerProfile(worker_id=f"w{i}") for i in range(2)),
+            claims={("w1", "t0"): "B", ("w0", "t0"): "A"},
+        )
+    )
+    assert online.truths == {"t0": "A"}
+    assert online.confidence == {"t0": 0.5}
+
+
+def test_refresh_weights_discount_the_likeliest_copy():
+    dataset = generate_qatar_living_like(
+        seed=5, n_tasks=40, n_workers=24, n_copiers=8, target_claims=700
+    )
+    online = OnlineDATE.from_dataset(dataset)
+    result = online.refresh()
+    copies = dict.fromkeys(online.index.worker_ids, 0.0)
+    for (a, b), posterior in result.dependence.items():
+        copies[a] = max(copies[a], posterior.p_a_to_b)
+        copies[b] = max(copies[b], posterior.p_b_to_a)
+    want = [
+        result.worker_accuracy[w] * (1.0 - copies[w]) for w in online.index.worker_ids
+    ]
+    np.testing.assert_array_equal(online.state.weights, want)
+    # The discount bites: some worker weighs less than its accuracy.
+    assert max(copies.values()) > 0.0
+
+
+def test_other_epsilon_serves_majority_vote_truths():
+    # Equal weights other than 1/2 keep majority vote's winners; the
+    # shares are its vote shares up to rounding.
+    dataset = generate_qatar_living_like(
+        seed=6, n_tasks=40, n_workers=24, n_copiers=6, target_claims=600
+    )
+    online = OnlineDATE(DateConfig(initial_accuracy=0.8))
+    for batch in replay_batches(dataset, 6):
+        online.ingest(batch)
+        want = MajorityVote().run(online.dataset)
+        assert online.truths == want.truths
+        assert online.confidence == pytest.approx(want.confidence, rel=1e-12)
+
+
+def test_iterations_run_only_on_refreshes():
+    dataset = generate_qatar_living_like(
+        seed=7, n_tasks=30, n_workers=20, n_copiers=4, target_claims=400
+    )
+    online = OnlineDATE(refresh_every=3)
+    for k, batch in enumerate(replay_batches(dataset, 7), start=1):
+        update = online.ingest(batch)
+        assert update.refreshed == (k % 3 == 0)
+        assert (update.iterations > 0) == update.refreshed
+        if k < 3:
+            assert len(online.state.weights) == 0
+        elif update.refreshed:
+            assert len(online.state.weights) == online.index.n_workers
+
+
+def test_a_journal_without_refreshes_recovers_majority_vote(tmp_path):
+    dataset = generate_qatar_living_like(
+        seed=9, n_tasks=30, n_workers=20, n_copiers=4, target_claims=400
+    )
+    store = CampaignStore(journal_dir=tmp_path)
+    store.create("c")
+    for seq, batch in enumerate(replay_batches(dataset, 5), start=1):
+        store.ingest("c", batch, seq=seq)
+    live = store.get("c").online.state
+    store.close()
+
+    recovered = CampaignStore(journal_dir=tmp_path)
+    online = recovered.get("c").online
+    assert len(online.state.weights) == 0
+    assert online.state.truths_body == live.truths_body
+    assert_serves_majority_vote(online)
+    recovered.close()

@@ -3,7 +3,8 @@
 Every algorithm behind the :class:`~repro.discovery.TruthDiscoverer`
 interface must pass *all* of these, on the same parametrized axis:
 
-- protocol shape (runtime-checkable isinstance, ``method_name``);
+- protocol shape (runtime-checkable isinstance, ``method_name``, and
+  ``run``'s parameters are the protocol's);
 - unanimous claims resolve exactly like majority vote;
 - bit-identical determinism across fresh instances;
 - worker-permutation equivariance (truths always; accuracies for
@@ -16,7 +17,9 @@ interface must pass *all* of these, on the same parametrized axis:
   leave the support and dependence tables empty;
 - a caller's prebuilt index changes nothing (bit-identity);
 - telemetry on/off bit-identity;
-- unanswered tasks omitted from the truth map.
+- unanswered tasks omitted from the truth map;
+- a refresh driven by the member weighs the live vote between
+  refreshes exactly as a scalar vote over its result does.
 
 A new algorithm joins the zoo by appearing in the registry and passing
 this file unchanged.
@@ -25,6 +28,7 @@ this file unchanged.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import warnings
 
 import numpy as np
@@ -43,7 +47,10 @@ from repro.discovery import (
     make_discoverer,
 )
 from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.streaming import OnlineDATE, replay_batches
 from repro.types import Dataset, Task, WorkerProfile
+
+from tests.property.test_property_live_vote import scalar_vote
 
 #: Algorithms whose per-worker reputation is a pure per-worker
 #: aggregate, hence exactly equivariant under worker reordering.  DATE
@@ -142,6 +149,14 @@ class TestConformance:
         discoverer = make_discoverer(name)
         assert isinstance(discoverer, TruthDiscoverer)
         assert discoverer.method_name == name
+
+    def test_run_takes_the_protocol_parameters(self, name):
+        got = inspect.signature(make_discoverer(name).run).parameters
+        want = dict(inspect.signature(TruthDiscoverer.run).parameters)
+        del want["self"]
+        assert [(p.name, p.kind, p.default) for p in got.values()] == [
+            (p.name, p.kind, p.default) for p in want.values()
+        ]
 
     def test_unanimous_claims_match_majority_vote(self, name):
         dataset = _unanimous_dataset()
@@ -251,6 +266,26 @@ class TestConformance:
         finally:
             set_registry(previous)
         _assert_bit_identical(baseline, instrumented)
+
+    def test_refresh_weighs_the_live_vote(self, name, campaign):
+        dataset, _index = campaign
+        batches = replay_batches(dataset, 5)
+        online = OnlineDATE(algorithm=name)
+        for batch in batches[:2]:
+            online.ingest(batch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = online.refresh()
+        answered = {w for w, _t in online.dataset.claims}
+        weights = online.state.weights
+        assert weights.shape == (online.index.n_workers,)
+        assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+        for batch in batches[2:]:
+            assert online.ingest(batch).iterations == 0
+            for task_id in {t for _w, t in batch.claims}:
+                value, share = scalar_vote(online, result, answered, task_id)
+                assert online.truths[task_id] == value
+                assert online.confidence[task_id] == share
 
 
 @pytest.mark.parametrize("false_values", [ZipfFalseValues, EmpiricalFalseValues])
