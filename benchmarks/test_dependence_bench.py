@@ -68,7 +68,7 @@ def dep_state():
 
 def _perturb(arrays, truth_codes, claim_acc, rng):
     """An ingest-like edit: new codes + accuracies on <=10% of tasks."""
-    n_tasks = arrays.index.n_tasks
+    n_tasks = arrays.n_tasks
     touched = rng.choice(
         n_tasks, size=max(1, int(TOUCH_FRACTION * n_tasks)), replace=False
     )

@@ -191,7 +191,7 @@ def test_vectorized_step3_posteriors_and_accuracy(benchmark, bench_index, bench_
 
     def step():
         posteriors = plain_posterior_groups(
-            bench_arrays, claim_acc, false_values=model
+            bench_index, claim_acc, false_values=model
         )
         return accuracy_flat(bench_arrays, posteriors)
 

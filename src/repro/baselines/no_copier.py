@@ -57,7 +57,7 @@ class NoCopier:
         def step(truth_codes):
             nonlocal group_post, group_support, claim_acc
             group_post = plain_posterior_groups(
-                arrays,
+                index,
                 claim_acc,
                 false_values=cfg.false_values,
                 accuracy_clamp=cfg.accuracy_clamp,

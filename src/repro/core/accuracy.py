@@ -43,7 +43,7 @@ def claim_mean_by_worker(arrays: ClaimArrays, claim_values: np.ndarray) -> np.nd
     reputations the streaming service serves, so the two agree bit for
     bit after a refresh.
     """
-    n_workers = arrays.index.n_workers
+    n_workers = arrays.n_workers
     sums = np.bincount(arrays.claim_worker, weights=claim_values, minlength=n_workers)
     counts = np.bincount(arrays.claim_worker, minlength=n_workers)
     return np.divide(sums, counts, out=np.zeros(n_workers), where=counts > 0)

@@ -386,7 +386,7 @@ class DATE:
                 )
             else:
                 group_post = plain_posterior_groups(
-                    arrays,
+                    index,
                     claim_acc,
                     false_values=cfg.false_values,
                     accuracy_clamp=cfg.accuracy_clamp,

@@ -40,6 +40,7 @@ import numpy as np
 from .dependence import DependencePosterior
 from .indexing import (
     ClaimArrays,
+    DatasetIndex,
     _concat_ranges,
     segment_first_argmax_code,
 )
@@ -300,7 +301,7 @@ def _scoring_inputs(
     and ``collision``.  The claim columns and row tables it reads too
     are the index's, in :attr:`ClaimArrays.dependence_launch`.  None is
     copied on the hot path: each already has its dtype."""
-    n_tasks = arrays.index.n_tasks
+    n_tasks = arrays.n_tasks
     if len(truth_codes) != n_tasks or len(collision) != n_tasks:
         raise ValueError(
             f"{len(truth_codes)} truth codes / {len(collision)} collision "
@@ -802,7 +803,7 @@ def _segment_softmax(scores: np.ndarray, seg_ids: np.ndarray, ptr: np.ndarray) -
 
 
 def plain_posterior_groups(
-    arrays: ClaimArrays,
+    index: DatasetIndex,
     claim_acc: np.ndarray,
     *,
     false_values,
@@ -813,10 +814,11 @@ def plain_posterior_groups(
     When the false-value model is candidate-free (the uniform default:
     ``q`` depends only on the task), the whole computation is three
     segment sums; otherwise each task builds its small ``K x K``
-    false-value matrix through the scalar model API.
+    false-value matrix through the scalar model API.  Takes the index,
+    not its arrays: the model reads the index's task records.
     """
     lo, hi = accuracy_clamp
-    index = arrays.index
+    arrays = index.arrays
     acc = np.clip(claim_acc, lo, hi)
     log_acc = np.log(acc)
 
@@ -831,7 +833,7 @@ def plain_posterior_groups(
         # Score of group g = Σ_{claims in g} log A + Σ_{other claims of
         # the task} log((1-A) q): per-task totals minus the group's own.
         task_false = np.bincount(
-            arrays.claim_task, weights=log_false, minlength=index.n_tasks
+            arrays.claim_task, weights=log_false, minlength=arrays.n_tasks
         )
         own_acc = np.bincount(
             arrays.claim_group, weights=log_acc, minlength=arrays.n_groups
@@ -849,7 +851,7 @@ def plain_posterior_groups(
     # depend on the order the claims arrived in.
     q_matrices = false_values.value_probability_matrices(index)
     scores = np.empty(arrays.n_groups, dtype=np.float64)
-    for j in range(index.n_tasks):
+    for j in range(arrays.n_tasks):
         g0, g1 = int(arrays.task_group_ptr[j]), int(arrays.task_group_ptr[j + 1])
         if g0 == g1:
             continue
@@ -914,7 +916,7 @@ def accuracy_flat(
     posterior = group_post[arrays.claim_group]
     if granularity == "task":
         return posterior
-    n_workers = arrays.index.n_workers
+    n_workers = arrays.n_workers
     sums = np.bincount(arrays.claim_worker, weights=posterior, minlength=n_workers)
     counts = np.bincount(arrays.claim_worker, minlength=n_workers)
     means = np.divide(
@@ -948,7 +950,7 @@ def support_flat(
     if similarity is None or similarity_weight == 0.0:
         return base
     adjusted = base.copy()
-    for j in range(arrays.index.n_tasks):
+    for j in range(arrays.n_tasks):
         g0, g1 = int(arrays.task_group_ptr[j]), int(arrays.task_group_ptr[j + 1])
         if g1 - g0 <= 1:
             continue
@@ -975,8 +977,7 @@ def select_truth_codes(arrays: ClaimArrays, group_support: np.ndarray) -> np.nda
 
 def dense_accuracy(arrays: ClaimArrays, claim_acc: np.ndarray) -> np.ndarray:
     """Scatter the flat per-claim accuracies into the dense ``A`` matrix."""
-    index = arrays.index
-    matrix = np.zeros((index.n_workers, index.n_tasks), dtype=np.float64)
+    matrix = np.zeros((arrays.n_workers, arrays.n_tasks), dtype=np.float64)
     matrix[arrays.claim_worker, arrays.claim_task] = claim_acc
     return matrix
 
@@ -998,7 +999,7 @@ def support_table(
 def _group_table(arrays: ClaimArrays, values: np.ndarray) -> list[dict[str, float]]:
     table: list[dict[str, float]] = []
     ptr = arrays.task_group_ptr
-    for j in range(arrays.index.n_tasks):
+    for j in range(arrays.n_tasks):
         g0, g1 = int(ptr[j]), int(ptr[j + 1])
         table.append(
             {arrays.group_values[g]: float(values[g]) for g in range(g0, g1)}
@@ -1019,5 +1020,5 @@ def dependence_table(
         dependence.pair_b,
         dependence.p_ab,
         dependence.p_ba,
-        range(arrays.index.n_workers),
+        range(arrays.n_workers),
     )

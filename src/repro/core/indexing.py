@@ -7,7 +7,8 @@ mapping string ids to dense integer indexes so the hot paths work on
 ints and numpy arrays.
 
 Its claims live in one form, :class:`ClaimArrays` (reachable as
-:attr:`DatasetIndex.arrays`, built with the index): every claim value is
+:attr:`DatasetIndex.arrays`, built with the index, and holding no
+reference back to it, so reference counting frees both): every claim value is
 replaced by a small per-task integer code and all per-claim,
 per-value-group and per-worker-pair structures are flattened into
 contiguous numpy arrays (CSR style).  The DATE kernels
@@ -25,7 +26,7 @@ mutated).  DESIGN.md §8 documents the dirty-task invariants.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
@@ -328,9 +329,20 @@ class ClaimArrays:
     per-claim state (accuracy, codes, the row's task) is a single gather
     away.  The pair tables and the slot map are int32; the other
     integer arrays are int64.
+
+    The arrays never point at their index: built from one (the only
+    constructor argument), they keep its task and worker counts and
+    nothing else of it, so a caller may keep them after the index is
+    gone, and reference counting frees an index and its arrays without
+    the cyclic collector.  A reader that needs more of the index (the
+    false-value model, the member tables) takes the index itself.
     """
 
-    index: "DatasetIndex"
+    index: InitVar[DatasetIndex]
+
+    # -- the index's sizes -----------------------------------------------
+    n_tasks: int = field(init=False)
+    n_workers: int = field(init=False)
 
     # -- claims, sorted by (task, code, worker) --------------------------
     claim_task: np.ndarray = field(init=False)
@@ -356,8 +368,7 @@ class ClaimArrays:
     # kernels read them, and their O(Σ m_j²) size should not tax
     # algorithms that never look (majority voting, NC).
 
-    def __post_init__(self) -> None:
-        index = self.index
+    def __post_init__(self, index: DatasetIndex) -> None:
         claims = index.dataset.claims
         n = len(claims)
         task = np.fromiter(map(index.task_pos.__getitem__, map(itemgetter(1), claims)), np.int64, n)
@@ -441,7 +452,7 @@ class ClaimArrays:
         engine uses to find the rows invalidated by a change to task
         ``j`` without scanning all of ``ps_task``.
         """
-        n_tasks = self.index.n_tasks
+        n_tasks = self.n_tasks
         ps_task = self.ps_task
         rows = np.argsort(ps_task, kind="stable")
         return _offsets(np.bincount(ps_task, minlength=n_tasks)), rows
@@ -589,25 +600,13 @@ class ClaimArrays:
     def truth_values(self, truth_codes: np.ndarray) -> list[str | None]:
         """Decode per-task truth codes (-1 = no claims) back to strings."""
         out: list[str | None] = []
-        for j in range(self.index.n_tasks):
+        for j in range(self.n_tasks):
             code = int(truth_codes[j])
             if code < 0:
                 out.append(None)
             else:
                 out.append(self.group_values[int(self.task_group_ptr[j]) + code])
         return out
-
-    def code_of(self, j: int, value: str | None) -> int:
-        """Code of ``value`` within task ``j``'s value groups (-1 if absent)."""
-        values = self.group_values[self.task_group_ptr[j] : self.task_group_ptr[j + 1]].tolist()
-        return values.index(value) if value in values else -1
-
-    def truth_codes(self, truths: list[str | None]) -> np.ndarray:
-        """Encode per-task truth strings to codes (-1 for None/unknown)."""
-        codes = np.full(self.index.n_tasks, -1, dtype=np.int64)
-        for j, value in enumerate(truths):
-            codes[j] = self.code_of(j, value)
-        return codes
 
     def majority_codes(self) -> np.ndarray:
         """Per-task majority value code (ties to the smallest code).
@@ -674,7 +673,7 @@ def _extend_claim_arrays(
     (:attr:`IndexExtension._claim_moves`).
     """
     n_tasks, n_old, n_batch = index.n_tasks, old.n_claims, len(batch_task)
-    stale = dirty[dirty < old.index.n_tasks]
+    stale = dirty[dirty < old.n_tasks]
     osrc = _concat_ranges(old.task_ptr[stale], old.task_ptr[stale + 1] - old.task_ptr[stale])
     seq = np.concatenate([old.claim_seq[osrc], np.arange(n_old, n_old + n_batch)])
     worker = np.concatenate([old.claim_worker[osrc], batch_worker])
@@ -688,7 +687,7 @@ def _extend_claim_arrays(
     # Per level: the new pointer, the runs of clean tasks (old start,
     # old end, new start) and the rows of the dirty segments.
     starts = np.concatenate([[0], stale + 1])
-    ends = np.concatenate([stale, [old.index.n_tasks]])
+    ends = np.concatenate([stale, [old.n_tasks]])
     splices = []
     for counts, old_ptr in ((claim_counts, old.task_ptr), (group_counts, old.task_group_ptr)):
         # The re-encoding counted the dirty tasks; the clean ones keep theirs.
@@ -710,8 +709,8 @@ def _extend_claim_arrays(
     # Worker CSR: a batch claim goes after its worker's old claims on
     # earlier tasks, so before those on later ones, which only a worker
     # answering a stale task can have: only their segments are searched.
-    ptr, old_n_workers = old.worker_ptr, old.index.n_workers
-    on_stale = (batch_task < old.index.n_tasks) & (batch_worker < old_n_workers)
+    ptr, old_n_workers = old.worker_ptr, old.n_workers
+    on_stale = (batch_task < old.n_tasks) & (batch_worker < old_n_workers)
     searched = np.unique(batch_worker[on_stale])
     held = old.worker_claims[_concat_ranges(ptr[searched], ptr[searched + 1] - ptr[searched])]
     keys = old.claim_worker[held] * n_tasks + old.claim_task[held]
@@ -839,7 +838,8 @@ def _assemble_claim_arrays(
         worker_claims = np.argsort(claim_worker * n_tasks + claim_task)
         worker_ptr = _offsets(np.bincount(claim_worker, minlength=n_workers))
     fields = {
-        "index": index,
+        "n_tasks": n_tasks,
+        "n_workers": n_workers,
         "claim_task": claim_task,
         "claim_worker": claim_worker,
         "claim_code": claim_code,
@@ -901,7 +901,7 @@ def _walk_pair_tables(
     blocks and the dependence pass's launch
     (:attr:`ClaimArrays.dependence_launch`).
     """
-    n_workers, n_tasks, n_claims = arrays.index.n_workers, arrays.index.n_tasks, arrays.n_claims
+    n_workers, n_tasks, n_claims = arrays.n_workers, arrays.n_tasks, arrays.n_claims
     # The part machinery is read off engine at call time, as patched.
     n_parts_max = engine._PARTS
     # One int64 scratch: each task's fill cursor, the task buckets, each

@@ -342,8 +342,9 @@ class OnlineDATE:
         """``state`` re-estimated cold, and the run's result.
 
         The run works on a private copy of the index (an empty
-        extension), so the pair tables and slot map it builds die with
-        it.
+        extension), so the pair tables and slot map it builds are freed
+        with that copy when this returns: the copy's arrays do not point
+        back at it, so no cycle waits for the collector.
         """
         index = state.index.extended().index
         result = self._discoverer.run(None, index=index)
@@ -364,7 +365,7 @@ class OnlineDATE:
         empty ``dependence`` (a member without pair posteriors)
         discounts nothing, and a worker without claims weighs ε.
         """
-        n_workers = arrays.index.n_workers
+        n_workers = arrays.n_workers
         accuracy = np.fromiter(result.worker_accuracy.values(), np.float64, n_workers)
         copies = np.zeros(n_workers)
         dependence = result.dependence

@@ -13,7 +13,8 @@ Routes (all bodies JSON unless noted):
   style probe; the store replays every journal before the listener
   binds, so a server that answers has finished recovery);
 - ``GET  /metrics`` — Prometheus text exposition of the process
-  metrics registry (plain text, not JSON);
+  metrics registry (plain text, not JSON), with the process's peak
+  resident memory read as it renders;
 - ``GET  /campaigns`` — list campaign summaries;
 - ``POST /campaigns`` — create: ``{"campaign_id": ..., "tasks": [...],
   "workers": [...], "config": {...}, "refresh_every": N}``;
@@ -48,8 +49,10 @@ from __future__ import annotations
 
 import contextlib
 import json
+import resource
 import signal
 import socket
+import sys
 import threading
 import time
 from dataclasses import asdict
@@ -125,6 +128,13 @@ def _route_template(parts: list[str]) -> str:
     return "/" + "/".join(parts)
 
 
+def _peak_rss_bytes() -> int:
+    """This process's ``ru_maxrss``, which Linux reports in KiB and
+    macOS in bytes."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else 1024 * peak
+
+
 class StreamingApp:
     """Transport-free dispatcher: ``(method, path, payload) -> (status, body)``."""
 
@@ -186,7 +196,12 @@ class StreamingApp:
 
     def _route(self, method: str, parts: list[str], payload: dict):
         if parts == ["metrics"] and method == "GET":
-            return 200, render_prometheus(get_registry())
+            registry = get_registry()
+            registry.gauge(
+                "process_peak_resident_memory_bytes",
+                "Peak resident set size of this process (ru_maxrss).",
+            ).set(_peak_rss_bytes())
+            return 200, render_prometheus(registry)
         if parts == ["healthz"] and method == "GET":
             return 200, {
                 "status": "ok",

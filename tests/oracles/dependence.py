@@ -190,7 +190,7 @@ def directed_matrix(dependence: DependenceArrays, arrays: ClaimArrays) -> np.nda
     into :meth:`~repro.core.engine.DependenceArrays.slot_values`
     instead, which is O(pairs).
     """
-    n = arrays.index.n_workers
+    n = arrays.n_workers
     matrix = np.zeros((n, n), dtype=np.float64)
     matrix[arrays.pair_a, arrays.pair_b] = dependence.p_ab
     matrix[arrays.pair_b, arrays.pair_a] = dependence.p_ba

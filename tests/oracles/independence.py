@@ -146,7 +146,7 @@ def independence_table(
 ) -> list[dict[str, dict[int, float]]]:
     """Flat per-claim independence -> the scalar ``IndependenceTable``."""
     table: list[dict[str, dict[int, float]]] = []
-    for j in range(arrays.index.n_tasks):
+    for j in range(arrays.n_tasks):
         g0, g1 = int(arrays.task_group_ptr[j]), int(arrays.task_group_ptr[j + 1])
         per_value: dict[str, dict[int, float]] = {}
         for g in range(g0, g1):

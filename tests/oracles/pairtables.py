@@ -62,7 +62,7 @@ def task_claim_pairs(arrays: ClaimArrays) -> tuple[np.ndarray, np.ndarray]:
     concatenate the ranges ``k + 1 .. e - 1``.
     """
     claim_task = arrays.claim_task
-    claims = np.argsort(claim_task * arrays.index.n_workers + arrays.claim_worker)
+    claims = np.argsort(claim_task * arrays.n_workers + arrays.claim_worker)
     offsets = np.arange(len(claims), dtype=np.int64)
     later = arrays.task_ptr[claim_task + 1] - offsets - 1
     return claims[np.repeat(offsets, later)], claims[_concat_ranges(offsets + 1, later)]
@@ -82,7 +82,7 @@ def sorted_pair_tables(
     if len(claim_a) == 0:
         empty = np.empty(0, dtype=np.int64)
         return (empty, empty, np.zeros(1, dtype=np.int64), empty, empty, empty, empty)
-    n_workers, n_tasks = arrays.index.n_workers, arrays.index.n_tasks
+    n_workers, n_tasks = arrays.n_workers, arrays.n_tasks
     keys = pair_row_keys(
         arrays.claim_worker[claim_a],
         arrays.claim_worker[claim_b],

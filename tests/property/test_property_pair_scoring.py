@@ -275,9 +275,9 @@ class TestNumpyScorer:
         arrays = DatasetIndex(dataset).arrays
         rng = np.random.default_rng(11)
         claim_acc = rng.choice([0.0, 1.0, lo, hi], size=arrays.n_claims)
-        truth_codes = np.zeros(arrays.index.n_tasks, dtype=np.int64)
+        truth_codes = np.zeros(arrays.n_tasks, dtype=np.int64)
         truth_codes[::2] = -1
-        collision = np.linspace(0.1, 0.6, arrays.index.n_tasks)
+        collision = np.linspace(0.1, 0.6, arrays.n_tasks)
         params = dict(r=0.3, collision=collision, lo=lo, hi=hi)
         n = len(arrays.ps_pair)
         shuffled = rng.permutation(n)
@@ -295,8 +295,8 @@ class TestNumpyScorer:
         arrays = DatasetIndex(_dense_campaign(n_workers=6, n_tasks=5, seed=8)).arrays
         rng = np.random.default_rng(9)
         claim_acc = rng.choice([np.nan, 0.3, 0.8, 1.0], size=arrays.n_claims)
-        truth_codes = rng.integers(-1, 3, size=arrays.index.n_tasks)
-        params = dict(r=0.3, collision=np.full(arrays.index.n_tasks, 0.25), lo=0.01, hi=0.99)
+        truth_codes = rng.integers(-1, 3, size=arrays.n_tasks)
+        params = dict(r=0.3, collision=np.full(arrays.n_tasks, 0.25), lo=0.01, hi=0.99)
         n = len(arrays.ps_pair)
         with np.errstate(invalid="ignore"):
             got = _score(arrays, truth_codes, claim_acc, params, None)
@@ -370,7 +370,7 @@ class TestPairSums:
 class TestBufferChecks:
     def _case(self):
         arrays = DatasetIndex(_dense_campaign(n_workers=4, n_tasks=3, seed=1)).arrays
-        n_tasks = arrays.index.n_tasks
+        n_tasks = arrays.n_tasks
         inputs = (np.zeros(n_tasks, dtype=np.int64), np.full(arrays.n_claims, 0.6))
         params = dict(r=0.3, collision=np.full(n_tasks, 0.2), lo=0.01, hi=0.99)
         return arrays, inputs, params

@@ -83,7 +83,7 @@ def walk_cuts(arrays) -> dict[int, list[int]]:
 def assert_parts_change_no_byte(arrays) -> None:
     with forced(1) as seen:
         want = fresh_walk(arrays)
-        assert seen == [[0, arrays.index.n_workers]]
+        assert seen == [[0, arrays.n_workers]]
     assert_matches_oracle(arrays)
     for parts in PARTS[1:]:
         with forced(parts) as seen:
@@ -181,7 +181,7 @@ class TestPartsChangeNoByte:
             arrays = DatasetIndex(campaign).arrays
             cuts = walk_cuts(arrays)[3]
             # Rows of the second workers before each worker.
-            row_ptr = np.zeros(arrays.index.n_workers + 1, dtype=np.int64)
+            row_ptr = np.zeros(arrays.n_workers + 1, dtype=np.int64)
             np.add.at(row_ptr, arrays.pair_b.astype(np.int64) + 1, np.diff(arrays.pair_ptr))
             np.cumsum(row_ptr, out=row_ptr)
             no_worker.append(any(a == b for a, b in zip(cuts, cuts[1:])))

@@ -113,11 +113,6 @@ class TestClaimArraysStructure:
     def test_majority_codes_match_majority_vote(self, index, arrays):
         assert arrays.truth_values(arrays.majority_codes()) == majority_vote(index)
 
-    def test_truth_code_roundtrip(self, index, arrays):
-        truths = majority_vote(index)
-        codes = arrays.truth_codes(truths)
-        assert arrays.truth_values(codes) == truths
-
     def test_empty_task_has_no_groups(self):
         dataset = Dataset(
             tasks=(Task(task_id="t0"), Task(task_id="t1")),
@@ -203,7 +198,7 @@ class TestKernelAgreement:
 
         post_ref = value_posteriors(index, accuracy, false_values=model)
         post_vec = posterior_table(
-            arrays, plain_posterior_groups(arrays, claim_acc, false_values=model)
+            arrays, plain_posterior_groups(index, claim_acc, false_values=model)
         )
         assert len(post_ref) == len(post_vec)
         for ref_row, vec_row in zip(post_ref, post_vec):
@@ -212,7 +207,7 @@ class TestKernelAgreement:
                 assert ref_row[v] == pytest.approx(vec_row[v], abs=1e-12)
 
         acc_ref = update_accuracy_matrix(index, post_ref)
-        group_post = plain_posterior_groups(arrays, claim_acc, false_values=model)
+        group_post = plain_posterior_groups(index, claim_acc, false_values=model)
         acc_vec = dense_accuracy(
             arrays, accuracy_flat(arrays, group_post, granularity="worker")
         )

@@ -34,7 +34,7 @@ def oracle_pair_tables(arrays) -> tuple[np.ndarray, ...]:
     task_ptr = arrays.task_ptr
     ca_parts: list[np.ndarray] = []
     cb_parts: list[np.ndarray] = []
-    for j in range(arrays.index.n_tasks):
+    for j in range(arrays.n_tasks):
         start, end = int(task_ptr[j]), int(task_ptr[j + 1])
         if end - start < 2:
             continue
@@ -52,7 +52,7 @@ def oracle_pair_tables(arrays) -> tuple[np.ndarray, ...]:
     tasks = arrays.claim_task[ca]
     order = np.lexsort((tasks, wb, wa))
     wa, wb = wa[order], wb[order]
-    key = wa * arrays.index.n_workers + wb
+    key = wa * arrays.n_workers + wb
     uniq, first, counts = np.unique(key, return_index=True, return_counts=True)
     pair_ptr = np.zeros(len(uniq) + 1, dtype=np.int64)
     np.cumsum(counts, out=pair_ptr[1:])

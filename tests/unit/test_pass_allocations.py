@@ -38,7 +38,6 @@ import repro.core.engine as engine
 from repro import Dataset, Task, WorkerProfile
 from repro.core import DatasetIndex
 from repro.core.engine import independence_flat, pairwise_dependence_arrays
-from repro.core.falsedist import UniformFalseValues
 
 #: Room for the small per-call arrays (part cuts, bucket pointers).
 SLACK = 64 * 1024
@@ -110,7 +109,9 @@ def dependence_pass(arrays, out=None):
     when given."""
     truth_codes = arrays.majority_codes()
     claim_acc = np.full(arrays.n_claims, 0.7)
-    collision = UniformFalseValues().collision_array(arrays.index)
+    # Every task of both fixtures has a two-value domain: the uniform
+    # model's collision probability is 1 / (2 - 1) on each.
+    collision = np.ones(arrays.n_tasks)
     return lambda: pairwise_dependence_arrays(
         arrays, truth_codes, claim_acc, copy_prob_r=0.4, prior_alpha=0.2,
         collision=collision, out=out,

@@ -140,11 +140,12 @@ def test_every_iteration_writes_the_same_two_arrays(discoverer, qlf_small, monke
 
 
 def test_every_dependence_array_carries_its_pairs(qlf_small):
-    arrays = DatasetIndex(qlf_small).arrays
+    index = DatasetIndex(qlf_small)
+    arrays = index.arrays
     params = dict(
         copy_prob_r=0.4,
         prior_alpha=0.2,
-        collision=UniformFalseValues().collision_array(arrays.index),
+        collision=UniformFalseValues().collision_array(index),
     )
     truth_codes, claim_acc = arrays.majority_codes(), np.full(arrays.n_claims, 0.7)
     full = pairwise_dependence_arrays(arrays, truth_codes, claim_acc, **params)

@@ -7,6 +7,7 @@ import http.client
 import json
 import os
 import re
+import resource
 import signal
 import socket
 import statistics
@@ -991,6 +992,25 @@ class TestObservabilityRoutes:
         assert "# TYPE http_requests_total counter" in body
         assert "# TYPE streaming_campaigns_live gauge" in body
 
+    def test_metrics_export_the_peak_resident_memory(self, app, replay, enabled_registry):
+        from repro.obs.exposition import render_prometheus
+
+        app.handle("POST", "/campaigns", {"campaign_id": "c1"})
+        app.handle("POST", "/campaigns/c1/claims", batch_to_json(replay[0]))
+        # Set when /metrics renders, never on the ingest path.
+        assert "process_peak_resident_memory_bytes" not in render_prometheus(enabled_registry)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        status, body = app.handle("GET", "/metrics")
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert status == 200
+        assert "# TYPE process_peak_resident_memory_bytes gauge" in body
+        (line,) = [
+            line for line in body.splitlines()
+            if line.startswith("process_peak_resident_memory_bytes ")
+        ]
+        scale = 1 if sys.platform == "darwin" else 1024
+        assert scale * before <= float(line.split()[1]) <= scale * after
+
     def test_metrics_on_disabled_registry_is_empty_text(self, app):
         from repro.obs import MetricsRegistry, set_registry
 
@@ -1057,4 +1077,6 @@ class TestObservabilityRoutes:
             server.server_close()
         assert content_type.startswith("text/plain")
         assert "version=0.0.4" in content_type
-        assert "http_requests_total" in body or body == ""
+        # The first scrape of a fresh registry counts no request yet, but
+        # it reads the peak resident memory as it renders.
+        assert "# TYPE process_peak_resident_memory_bytes gauge" in body
