@@ -55,13 +55,6 @@ def _enumerated_independence(edge_probs: list[float]) -> float:
     return independent_mass
 
 
-def _closed_form_independence(edge_probs: list[float]) -> float:
-    result = 1.0
-    for p in edge_probs:
-        result *= 1.0 - p
-    return result
-
-
 class EnumerateDependence(DATE):
     """DATE with exhaustive dependence enumeration in step 2."""
 

@@ -34,7 +34,7 @@ from operator import itemgetter
 import numpy as np
 
 from ..errors import DataFormatError
-from ..types import Dataset, Task, WorkerProfile
+from ..types import Dataset, Task, WorkerProfile, check_integrity
 from .native import address, load_kernels
 
 __all__ = ["ClaimArrays", "DatasetIndex", "IndexExtension"]
@@ -176,69 +176,16 @@ class DatasetIndex:
         workers: Iterable[WorkerProfile] = (),
         claims: Mapping[tuple[str, str], str] | None = None,
     ) -> None:
-        """Validate a delta without building the extension.
+        """Validate a delta without building the extension: the checks
+        :meth:`extended` runs (it calls this), :func:`~repro.types.check_integrity`
+        against this index, raising :class:`~repro.errors.DataFormatError`
+        at the first violation and touching nothing."""
+        check_integrity(
+            tasks, workers, claims or {}, known_tasks=self.tasks, task_pos=self.task_pos,
+            known_workers=self.worker_pos, answered=self._answered,
+        )
 
-        Runs exactly the checks :meth:`extended` performs (it calls
-        this) — colliding ids, claims on unknown tasks or workers,
-        duplicate ``(worker, task)`` claims, out-of-domain values — and
-        raises :class:`~repro.errors.DataFormatError` on the first
-        violation, touching nothing.  Only the delta is checked: the
-        index's own rows are known-valid.
-        """
-        workers = tuple(workers)
-        claims = claims or {}
-        new_task_by_id: dict[str, Task] = {}
-        for task in tasks:
-            if task.task_id in self.task_pos or task.task_id in new_task_by_id:
-                raise DataFormatError(
-                    f"extension re-adds existing task {task.task_id!r}"
-                )
-            new_task_by_id[task.task_id] = task
-        new_worker_ids: set[str] = set()
-        for worker in workers:
-            if worker.worker_id in self.worker_pos or worker.worker_id in new_worker_ids:
-                raise DataFormatError(
-                    f"extension re-adds existing worker {worker.worker_id!r}"
-                )
-            new_worker_ids.add(worker.worker_id)
-        for worker in workers:
-            for source in worker.sources:
-                if source not in self.worker_pos and source not in new_worker_ids:
-                    raise DataFormatError(
-                        f"worker {worker.worker_id} copies from unknown "
-                        f"worker {source!r}"
-                    )
-        answered = self._answered(claims)
-        for (worker_id, task_id), value in claims.items():
-            if worker_id not in self.worker_pos and worker_id not in new_worker_ids:
-                raise DataFormatError(
-                    f"claim references unknown worker {worker_id!r}"
-                )
-            task = new_task_by_id.get(task_id)
-            if task is None:
-                j = self.task_pos.get(task_id)
-                if j is None:
-                    raise DataFormatError(
-                        f"claim references unknown task {task_id!r}"
-                    )
-                task = self.tasks[j]
-                if (worker_id, task_id) in answered:
-                    raise DataFormatError(
-                        f"duplicate claim: worker {worker_id!r} already "
-                        f"answered task {task_id!r}"
-                    )
-            if not isinstance(value, str) or not value:
-                raise DataFormatError(
-                    f"claim ({worker_id}, {task_id}): value must be a "
-                    "non-empty string"
-                )
-            if task.domain and value not in task.domain:
-                raise DataFormatError(
-                    f"claim ({worker_id}, {task_id}): value {value!r} "
-                    "not in the task's closed domain"
-                )
-
-    def _answered(self, claims: dict[tuple[str, str], str]) -> set[tuple[str, str]]:
+    def _answered(self, claims: Mapping[tuple[str, str], str]) -> set[tuple[str, str]]:
         """The keys of ``claims`` whose worker already answered the task,
         looked up in the answering workers' segments of the worker CSR."""
         keys = [k for k in claims if k[0] in self.worker_pos and k[1] in self.task_pos]
@@ -488,15 +435,6 @@ class ClaimArrays:
         return len(self.ps_claim_a)
 
     @cached_property
-    def multi_groups(self) -> np.ndarray:
-        """Indexes of value groups with at least two providers.
-
-        Only these need the greedy dependence-discount ordering; groups
-        of one worker have independence probability 1 by definition.
-        """
-        return np.flatnonzero(self.group_size >= 2)
-
-    @cached_property
     def bucket_layout(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
         """The multi-provider groups in bucket order, by size and then
         by index, and each bucket's ``(m, n_groups_of_size_m)`` in
@@ -595,18 +533,7 @@ class ClaimArrays:
         self._pair_tables
         return self.__dict__["dependence_launch"]
 
-    # -- conversions between codes and values ----------------------------
-
-    def truth_values(self, truth_codes: np.ndarray) -> list[str | None]:
-        """Decode per-task truth codes (-1 = no claims) back to strings."""
-        out: list[str | None] = []
-        for j in range(self.n_tasks):
-            code = int(truth_codes[j])
-            if code < 0:
-                out.append(None)
-            else:
-                out.append(self.group_values[int(self.task_group_ptr[j]) + code])
-        return out
+    # -- majority vote ---------------------------------------------------
 
     def majority_codes(self) -> np.ndarray:
         """Per-task majority value code (ties to the smallest code).

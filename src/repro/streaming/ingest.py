@@ -2,11 +2,10 @@
 
 A :class:`ClaimBatch` is one append-only delta against a campaign —
 newly published tasks, newly registered workers, and new ``(worker,
-task) -> value`` claims.  Batches are validated *against the campaign
-index* at ingest time (:meth:`repro.core.indexing.DatasetIndex.extended`
-rejects unknown references and duplicate claims); the batch itself only
-checks local well-formedness so it can be built far from the store —
-for example from a JSON request body or a CSV replay.
+task) -> value`` claims.  A batch checks nothing, so it can be built far
+from the store (from a JSON request body or a CSV replay): applying it
+validates it against the campaign index, once
+(:meth:`repro.core.indexing.DatasetIndex.extended`).
 
 :func:`replay_batches` turns an archived dataset into a batch sequence
 (tasks published in dataset order, workers registered on first claim),
@@ -59,25 +58,6 @@ class ClaimBatch:
         object.__setattr__(self, "claims", dict(self.claims))
         object.__setattr__(self, "tasks", tuple(self.tasks))
         object.__setattr__(self, "workers", tuple(self.workers))
-        task_ids = [t.task_id for t in self.tasks]
-        if len(set(task_ids)) != len(task_ids):
-            raise DataFormatError("duplicate task ids within one batch")
-        worker_ids = [w.worker_id for w in self.workers]
-        if len(set(worker_ids)) != len(worker_ids):
-            raise DataFormatError("duplicate worker ids within one batch")
-        for key, value in self.claims.items():
-            if (
-                not isinstance(key, tuple)
-                or len(key) != 2
-                or not all(isinstance(part, str) and part for part in key)
-            ):
-                raise DataFormatError(
-                    f"claim key must be a (worker_id, task_id) pair, got {key!r}"
-                )
-            if not isinstance(value, str) or not value:
-                raise DataFormatError(
-                    f"claim {key}: value must be a non-empty string"
-                )
 
     @property
     def n_claims(self) -> int:

@@ -24,13 +24,14 @@ exist for data generation and evaluation only; no algorithm in
 from __future__ import annotations
 
 import math
-from collections.abc import Container, Iterable, Mapping
+from collections.abc import Callable, Collection, Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import ConfigurationError, DataFormatError
 
-__all__ = ["Task", "WorkerProfile", "Bid", "Dataset"]
+__all__ = ["Task", "WorkerProfile", "Bid", "Dataset", "check_integrity"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +65,7 @@ class Task:
     truth: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.task_id:
+        if not isinstance(self.task_id, str) or not self.task_id:
             raise DataFormatError("task_id must be a non-empty string")
         if len(set(self.domain)) != len(self.domain):
             raise DataFormatError(f"task {self.task_id}: duplicate domain values")
@@ -109,7 +110,7 @@ class WorkerProfile:
     copy_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.worker_id:
+        if not isinstance(self.worker_id, str) or not self.worker_id:
             raise DataFormatError("worker_id must be a non-empty string")
         if not (math.isfinite(self.cost) and self.cost >= 0):
             raise ConfigurationError(
@@ -185,9 +186,9 @@ class Dataset:
         submitted by all workers.  Each worker submits at most one value
         per task.
 
-    The constructor validates referential integrity (claims must point
-    at known workers/tasks, closed-domain values must be admissible) and
-    the derived per-task / per-worker views are cached.
+    The constructor checks the campaign with :func:`check_integrity`
+    (unique ids, known copy sources and claim references, admissible
+    values), and the derived per-task / per-worker views are cached.
     """
 
     tasks: tuple[Task, ...]
@@ -198,36 +199,7 @@ class Dataset:
         object.__setattr__(self, "tasks", tuple(self.tasks))
         object.__setattr__(self, "workers", tuple(self.workers))
         object.__setattr__(self, "claims", dict(self.claims))
-        task_ids = [t.task_id for t in self.tasks]
-        worker_ids = [w.worker_id for w in self.workers]
-        if len(set(task_ids)) != len(task_ids):
-            raise DataFormatError("duplicate task ids in dataset")
-        if len(set(worker_ids)) != len(worker_ids):
-            raise DataFormatError("duplicate worker ids in dataset")
-        domains = {t.task_id: frozenset(t.domain) for t in self.tasks}
-        worker_set = set(worker_ids)
-        for (worker_id, task_id), value in self.claims.items():
-            if worker_id not in worker_set:
-                raise DataFormatError(f"claim references unknown worker {worker_id!r}")
-            domain = domains.get(task_id)
-            if domain is None:
-                raise DataFormatError(f"claim references unknown task {task_id!r}")
-            if not isinstance(value, str) or not value:
-                raise DataFormatError(
-                    f"claim ({worker_id}, {task_id}): value must be a non-empty string"
-                )
-            if domain and value not in domain:
-                raise DataFormatError(
-                    f"claim ({worker_id}, {task_id}): value {value!r} "
-                    "not in the task's closed domain"
-                )
-        for worker in self.workers:
-            for source in worker.sources:
-                if source not in worker_set:
-                    raise DataFormatError(
-                        f"worker {worker.worker_id} copies from unknown "
-                        f"worker {source!r}"
-                    )
+        check_integrity(self.tasks, self.workers, self.claims)
 
     # ------------------------------------------------------------------
     # Derived views
@@ -357,3 +329,71 @@ class Dataset:
                 )
             )
         return bids
+
+
+def check_integrity(
+    tasks: Iterable[Task],
+    workers: Iterable[WorkerProfile],
+    claims: Mapping[tuple[str, str], str],
+    *,
+    known_tasks: Sequence[Task] = (),
+    task_pos: Mapping[str, int] = MappingProxyType({}),
+    known_workers: Container[str] = (),
+    answered: Callable[[Mapping], Collection[tuple[str, str]]] = lambda claims: (),
+) -> None:
+    """Raise :class:`~repro.errors.DataFormatError` at the first rule that
+    ``tasks``, ``workers`` and ``claims``, added to a valid campaign, break.
+
+    A campaign's integrity rules, written once: :class:`Dataset` checks
+    against an empty campaign, ``DatasetIndex.validate_extension`` against
+    its index (``known_tasks`` at ``task_pos``, ``known_workers``, and
+    ``answered``, the keys of ``claims`` the campaign holds).  Ids are
+    unique; copy sources are known; a claim key is a pair naming a known
+    worker and task (ids are non-empty strings, as :class:`Task` and
+    :class:`WorkerProfile` check), its value is a non-empty string inside
+    any closed domain, and its worker has not answered the task.
+    """
+    domains: dict[str, frozenset[str]] = {}
+    for task in tasks:
+        if task.task_id in domains or task.task_id in task_pos:
+            raise DataFormatError(f"duplicate task id {task.task_id!r}")
+        domains[task.task_id] = frozenset(task.domain)
+    workers = tuple(workers)
+    worker_ids: set[str] = set()
+    for worker in workers:
+        if worker.worker_id in worker_ids or worker.worker_id in known_workers:
+            raise DataFormatError(f"duplicate worker id {worker.worker_id!r}")
+        worker_ids.add(worker.worker_id)
+    for worker in workers:
+        for source in worker.sources:
+            if source not in worker_ids and source not in known_workers:
+                raise DataFormatError(
+                    f"worker {worker.worker_id} copies from unknown worker {source!r}"
+                )
+    for key, value in claims.items():
+        match key:  # a sequence pattern matches no str: "wt" is not ("w", "t")
+            case (worker_id, task_id):
+                pass
+            case _:
+                raise DataFormatError(f"claim key {key!r} is not a (worker_id, task_id) pair")
+        if worker_id not in worker_ids and worker_id not in known_workers:
+            raise DataFormatError(f"claim references unknown worker {worker_id!r}")
+        try:
+            domain = domains[task_id]
+        except KeyError:  # a task of the campaign: its domain is read once
+            if task_id not in task_pos:
+                raise DataFormatError(f"claim references unknown task {task_id!r}") from None
+            domain = domains[task_id] = frozenset(known_tasks[task_pos[task_id]].domain)
+        if not isinstance(value, str) or not value:
+            raise DataFormatError(
+                f"claim ({worker_id}, {task_id}): value must be a non-empty string"
+            )
+        if domain and value not in domain:
+            raise DataFormatError(
+                f"claim ({worker_id}, {task_id}): value {value!r} "
+                "not in the task's closed domain"
+            )
+    repeated = answered(claims)
+    if repeated:
+        worker_id, task_id = next(key for key in claims if key in repeated)
+        raise DataFormatError(f"duplicate claim: worker {worker_id!r} already answered task {task_id!r}")

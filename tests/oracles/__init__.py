@@ -45,6 +45,7 @@ from .auction import (
 )
 from .date import (
     build_result,
+    closed_form_independence,
     date_independence,
     date_reference,
     ed_independence,
@@ -72,6 +73,7 @@ from .indexing import (
     initial_accuracy_matrix,
     majority_vote,
     shared_tasks,
+    truth_values,
     value_groups,
 )
 from .support import segment_first_argmax_numpy, select_truths, support_counts
@@ -83,6 +85,7 @@ __all__ = [
     "claims_by_task",
     "claims_by_worker",
     "classwise_score_pair_rows",
+    "closed_form_independence",
     "co_answering_pairs",
     "compute_pairwise_dependence",
     "date_independence",
@@ -108,6 +111,7 @@ __all__ = [
     "shared_tasks",
     "support_counts",
     "total_dependence",
+    "truth_values",
     "update_accuracy_matrix",
     "value_groups",
     "value_posteriors",

@@ -18,7 +18,6 @@ import numpy as np
 from repro.baselines import enumerate_dependence
 from repro.baselines.enumerate_dependence import (
     EnumerateDependence,
-    _closed_form_independence,
     _enumerated_independence,
 )
 from repro.baselines.no_copier import NoCopier
@@ -45,6 +44,7 @@ from .support import select_truths, support_counts
 
 __all__ = [
     "build_result",
+    "closed_form_independence",
     "date_independence",
     "date_reference",
     "ed_independence",
@@ -66,6 +66,15 @@ def date_independence(
         ordering=config.ordering,
         discount_mode=config.discount_mode,
     )
+
+
+def closed_form_independence(edge_probs: list[float]) -> float:
+    """``Π (1 - p)`` over ``edge_probs``: the mass of the no-active-edge
+    configuration that ED's enumeration sums, in closed form."""
+    result = 1.0
+    for p in edge_probs:
+        result *= 1.0 - p
+    return result
 
 
 def ed_independence(
@@ -91,7 +100,7 @@ def ed_independence(
                 if len(edge_probs) <= limit:
                     scores[worker] = _enumerated_independence(edge_probs)
                 else:
-                    scores[worker] = _closed_form_independence(edge_probs)
+                    scores[worker] = closed_form_independence(edge_probs)
             per_value[value] = scores
         table.append(per_value)
     return table

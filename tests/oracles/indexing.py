@@ -4,14 +4,16 @@ An index holds its claims once, as :class:`~repro.core.indexing.ClaimArrays`.
 The scalar oracles and the tests read them through the per-task,
 per-value, per-worker and per-pair dicts derived here from the index's
 campaign (``index.dataset.claims``, in arrival order) — never from the
-arrays the oracles check.
+arrays the oracles check.  :func:`truth_values` alone reads the arrays:
+it decodes the per-task value codes a kernel returns through their own
+group table, so a test can compare them with an oracle's values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.indexing import DatasetIndex
+from repro.core.indexing import ClaimArrays, DatasetIndex
 
 __all__ = [
     "claims_by_task",
@@ -20,6 +22,7 @@ __all__ = [
     "majority_vote",
     "co_answering_pairs",
     "shared_tasks",
+    "truth_values",
     "value_groups",
 ]
 
@@ -106,3 +109,11 @@ def majority_vote(index: DatasetIndex) -> list[str | None]:
         best = min(groups.items(), key=lambda item: (-len(item[1]), item[0]))
         winners.append(best[0])
     return winners
+
+
+def truth_values(arrays: ClaimArrays, codes: np.ndarray) -> list[str | None]:
+    """Per-task value codes (-1: no claims) decoded to their values."""
+    return [
+        None if code < 0 else arrays.group_values[int(arrays.task_group_ptr[j]) + code]
+        for j, code in enumerate(codes.tolist())
+    ]

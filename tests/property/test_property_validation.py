@@ -10,6 +10,11 @@ a random delta mixing colliding task and worker ids, copy sources that
 do not exist, claims by new and unknown workers, duplicate claims on
 tasks and workers from earlier batches, and out-of-domain values.
 ``derandomize=True`` keeps the corpus stable.
+
+A campaign's integrity rules are written once, so validating a delta
+against the index and building the merged campaign as a ``Dataset``
+must also agree, message for message, on every delta that repeats no
+claim the campaign holds (merging two claim dicts hides a repeat).
 """
 
 from __future__ import annotations
@@ -187,3 +192,31 @@ class TestValidateMatchesApply:
             assert online.truths == truths
             assert online.n_batches == n_batches
         _assert_same_state(_state(index), before)
+
+
+class TestExtensionMatchesDataset:
+    @given(case=campaigns_with_delta())
+    @settings(max_examples=150, derandomize=True)
+    def test_validation_matches_merged_dataset(self, case):
+        batches, delta = case
+        index = DatasetIndex(Dataset(tasks=(), workers=(), claims={}))
+        for batch in batches:
+            index = index.extended(
+                tasks=batch.tasks, workers=batch.workers, claims=batch.claims
+            ).index
+        old = index.dataset
+        claims = {key: value for key, value in delta.claims.items() if key not in old.claims}
+
+        validated = _outcome(
+            lambda: index.validate_extension(
+                tasks=delta.tasks, workers=delta.workers, claims=claims
+            )
+        )
+        merged = _outcome(
+            lambda: Dataset(
+                tasks=old.tasks + delta.tasks,
+                workers=old.workers + delta.workers,
+                claims={**old.claims, **claims},
+            )
+        )
+        assert validated == merged

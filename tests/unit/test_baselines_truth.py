@@ -6,11 +6,10 @@ import pytest
 
 from repro import DATE, DateConfig, EnumerateDependence, MajorityVote, NoCopier
 from repro.baselines import enumerate_dependence
-from repro.baselines.enumerate_dependence import (
-    _closed_form_independence,
-    _enumerated_independence,
-)
+from repro.baselines.enumerate_dependence import _enumerated_independence
 from repro.core import DatasetIndex
+
+from tests.oracles import closed_form_independence
 
 
 class TestMajorityVote:
@@ -85,12 +84,12 @@ class TestEnumerationHelpers:
     def test_enumeration_matches_closed_form(self):
         probs = [0.1, 0.35, 0.8]
         assert _enumerated_independence(probs) == pytest.approx(
-            _closed_form_independence(probs)
+            closed_form_independence(probs)
         )
 
     def test_empty_edge_list(self):
         assert _enumerated_independence([]) == pytest.approx(1.0)
-        assert _closed_form_independence([]) == pytest.approx(1.0)
+        assert closed_form_independence([]) == pytest.approx(1.0)
 
     def test_certain_copy_kills_independence(self):
         assert _enumerated_independence([1.0]) == pytest.approx(0.0)

@@ -41,6 +41,7 @@ from tests.oracles import (
     select_truths,
     shared_tasks,
     support_counts,
+    truth_values,
     update_accuracy_matrix,
     value_groups,
     value_posteriors,
@@ -111,7 +112,7 @@ class TestClaimArraysStructure:
             assert set(arrays.claim_worker[arrays.ps_claim_b[sl]]) == {pair[1]}
 
     def test_majority_codes_match_majority_vote(self, index, arrays):
-        assert arrays.truth_values(arrays.majority_codes()) == majority_vote(index)
+        assert truth_values(arrays, arrays.majority_codes()) == majority_vote(index)
 
     def test_empty_task_has_no_groups(self):
         dataset = Dataset(
@@ -122,7 +123,7 @@ class TestClaimArraysStructure:
         arrays = DatasetIndex(dataset).arrays
         assert arrays.n_claims == 1
         assert int(arrays.task_group_ptr[2] - arrays.task_group_ptr[1]) == 0
-        assert arrays.truth_values(arrays.majority_codes()) == ["x", None]
+        assert truth_values(arrays, arrays.majority_codes()) == ["x", None]
 
 
 class TestKernelAgreement:
@@ -224,9 +225,7 @@ class TestKernelAgreement:
             np.ones(arrays.n_claims),
         )
         truths_ref = select_truths(support_ref)
-        truths_vec = arrays.truth_values(
-            select_truth_codes(arrays, group_support)
-        )
+        truths_vec = truth_values(arrays, select_truth_codes(arrays, group_support))
         assert truths_ref == truths_vec
 
 

@@ -275,6 +275,21 @@ class TestIndexExtension:
         assert claims_by_worker(ext.index)[5] == {0: "B"}
         assert claims_by_worker(ext.index)[6] == {}
 
+    @pytest.mark.parametrize("key", ["bad", ("w",), ("w", "t", "x"), "wt"])
+    def test_malformed_claim_key_rejected(self, key):
+        # "wt" would unpack as worker "w" on task "t": a str is no pair.
+        from repro.errors import DataFormatError
+
+        index = DatasetIndex(
+            Dataset(
+                tasks=(Task(task_id="t"),),
+                workers=(WorkerProfile(worker_id="w"),),
+                claims={},
+            )
+        )
+        with pytest.raises(DataFormatError, match="pair"):
+            index.extended(claims={key: "v"})
+
     def test_validation_errors(self, tiny_dataset):
         from repro.errors import DataFormatError
 
@@ -285,9 +300,9 @@ class TestIndexExtension:
             index.extended(claims={("nope", "t0"): "A"})
         with pytest.raises(DataFormatError, match="duplicate claim"):
             index.extended(claims={("w1", "t0"): "B"})
-        with pytest.raises(DataFormatError, match="re-adds existing task"):
+        with pytest.raises(DataFormatError, match="duplicate task id"):
             index.extended(tasks=(Task(task_id="t0"),))
-        with pytest.raises(DataFormatError, match="re-adds existing worker"):
+        with pytest.raises(DataFormatError, match="duplicate worker id"):
             index.extended(workers=(WorkerProfile(worker_id="w1"),))
         with pytest.raises(DataFormatError, match="closed domain"):
             index.extended(claims={("w5", "t2"): "Z"})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -41,28 +42,64 @@ class TestClaimBatch:
         assert not batch.is_empty
         assert batch.n_claims == 1
 
+
+def _rejected_in_process(batch: ClaimBatch, match: str) -> None:
+    """``batch`` is refused by an ``OnlineDATE`` holding worker ``w`` and
+    task ``t``, which it leaves as it was."""
+    online = OnlineDATE()
+    online.ingest(
+        ClaimBatch(tasks=(Task(task_id="t"),), workers=(WorkerProfile(worker_id="w"),))
+    )
+    with pytest.raises(DataFormatError, match=match):
+        online.ingest(batch)
+    assert online.n_batches == 1
+    assert online.dataset.n_tasks == online.dataset.n_workers == 1
+
+
+def _rejected_on_the_wire(batch: ClaimBatch, match: str) -> None:
+    """``batch`` POSTed to a campaign holding worker ``w`` and task ``t``
+    is a 400 whose error names the rejection."""
+    app = StreamingApp(CampaignStore())
+    status, _ = app.handle(
+        "POST", "/campaigns",
+        {"campaign_id": "c", "tasks": [{"task_id": "t"}], "workers": [{"worker_id": "w"}]},
+    )
+    assert status == 201
+    status, body = app.handle("POST", "/campaigns/c/claims", batch_to_json(batch))
+    assert status == 400
+    assert re.search(match, body["error"])
+
+
+class TestIngestRejects:
+    """A batch checks nothing when built: applying it does, so each
+    rejection is asserted through ``OnlineDATE.ingest`` and, where the
+    JSON wire format can carry the input, through ``POST
+    /campaigns/<id>/claims``."""
+
     def test_duplicate_task_ids_rejected(self):
-        with pytest.raises(DataFormatError, match="duplicate task ids"):
-            ClaimBatch(tasks=(Task(task_id="t"), Task(task_id="t")))
+        batch = ClaimBatch(tasks=(Task(task_id="u"), Task(task_id="u")))
+        _rejected_in_process(batch, "duplicate task id 'u'")
+        _rejected_on_the_wire(batch, "duplicate task id 'u'")
 
     def test_duplicate_worker_ids_rejected(self):
-        with pytest.raises(DataFormatError, match="duplicate worker ids"):
-            ClaimBatch(
-                workers=(
-                    WorkerProfile(worker_id="w"),
-                    WorkerProfile(worker_id="w"),
-                )
-            )
+        batch = ClaimBatch(
+            workers=(WorkerProfile(worker_id="v"), WorkerProfile(worker_id="v"))
+        )
+        _rejected_in_process(batch, "duplicate worker id 'v'")
+        _rejected_on_the_wire(batch, "duplicate worker id 'v'")
 
     def test_malformed_claim_keys_rejected(self):
-        with pytest.raises(DataFormatError, match="pair"):
-            ClaimBatch(claims={"not-a-pair": "v"})
-        with pytest.raises(DataFormatError, match="pair"):
-            ClaimBatch(claims={("w", ""): "v"})
+        # JSON claim rows always carry a worker and a task, so only an
+        # in-process batch can hold a key that is not a pair.
+        _rejected_in_process(ClaimBatch(claims={"not-a-pair": "v"}), "pair")
+        batch = ClaimBatch(claims={("w", ""): "v"})
+        _rejected_in_process(batch, "unknown task ''")
+        _rejected_on_the_wire(batch, "unknown task ''")
 
     def test_empty_value_rejected(self):
-        with pytest.raises(DataFormatError, match="non-empty string"):
-            ClaimBatch(claims={("w", "t"): ""})
+        batch = ClaimBatch(claims={("w", "t"): ""})
+        _rejected_in_process(batch, "non-empty string")
+        _rejected_on_the_wire(batch, "non-empty string")
 
 
 class TestReplayBatches:

@@ -20,6 +20,10 @@ class TestTask:
         with pytest.raises(DataFormatError):
             Task(task_id="")
 
+    def test_non_string_id_rejected(self):
+        with pytest.raises(DataFormatError, match="task_id must be a non-empty string"):
+            Task(task_id=7)
+
     def test_duplicate_domain_values_rejected(self):
         with pytest.raises(DataFormatError):
             Task(task_id="t1", domain=("A", "A"))
@@ -52,6 +56,10 @@ class TestWorkerProfile:
         worker = WorkerProfile(worker_id="w")
         assert not worker.is_copier
         assert worker.sources == ()
+
+    def test_non_string_id_rejected(self):
+        with pytest.raises(DataFormatError, match="worker_id must be a non-empty string"):
+            WorkerProfile(worker_id=7)
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -148,6 +156,16 @@ class TestDataset:
         claims[("w1", "t0")] = ""
         with pytest.raises(DataFormatError):
             tiny_dataset.with_claims(claims)
+
+    @pytest.mark.parametrize("key", ["bad", ("w",), ("w", "t", "x"), "wt"])
+    def test_malformed_claim_key_rejected(self, key):
+        # "wt" would unpack as worker "w" on task "t": a str is no pair.
+        with pytest.raises(DataFormatError, match="pair"):
+            Dataset(
+                tasks=(Task(task_id="t"),),
+                workers=(WorkerProfile(worker_id="w"),),
+                claims={key: "v"},
+            )
 
     def test_copier_source_must_exist(self):
         worker = WorkerProfile(
