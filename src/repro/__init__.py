@@ -82,13 +82,12 @@ from .streaming import (
     OnlineUpdate,
     replay_batches,
 )
-from .types import Bid, Dataset, Task, WorkerProfile
+from .types import Dataset, Task, WorkerProfile
 
 __version__ = "1.0.0"
 
 __all__ = [
     "AuctionOutcome",
-    "Bid",
     "CampaignStore",
     "ClaimBatch",
     "ConfigurationError",

@@ -14,14 +14,15 @@ feasibility primitives they share.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.date import TruthDiscoveryResult
+from ..core.indexing import DatasetIndex
 from ..errors import ConfigurationError, InfeasibleCoverageError
-from ..types import Bid, Dataset
+from ..types import Dataset
 
 __all__ = ["SOACInstance", "SparseAccuracy", "check_requirement_cap"]
 
@@ -183,61 +184,52 @@ class SOACInstance:
     @classmethod
     def from_truth_discovery(
         cls,
-        dataset: Dataset,
+        dataset: Dataset | None,
         result: TruthDiscoveryResult,
         *,
-        bids: Sequence[Bid] | None = None,
+        index: DatasetIndex | None = None,
+        prices: Mapping[str, float] | None = None,
         requirements: Mapping[str, float] | None = None,
     ) -> "SOACInstance":
         """Build the auction instance IMC2 passes from stage 1 to stage 2.
 
-        Workers that submitted no bid (no claims) are excluded.  The
-        accuracy matrix comes straight from the truth-discovery result;
-        a worker's accuracy is zeroed outside its bid task set, so a
-        worker cannot cover tasks it did not offer to perform.
+        Runs on ``index`` when given; ``dataset`` is read only to build
+        the index otherwise.  ``result`` must be a stage-1 result on
+        that index: its ``worker_ids`` and ``task_ids`` in index order.
+
+        A worker bids on exactly the tasks it answered, ``T_i``, so the
+        bidders are the workers with at least one claim (in index
+        order), and a bid is a price: the worker's cost unless
+        ``prices`` (worker id -> declared price) overrides it.  The
+        accuracy matrix is the result's, gathered at the claims alone,
+        so a worker cannot cover a task it did not answer.
+        ``requirements`` overrides per-task ``Θ_j``.
         """
-        bids = list(bids) if bids is not None else dataset.bids()
-        bid_by_worker = {b.worker_id: b for b in bids}
-        worker_ids = tuple(
-            w.worker_id for w in dataset.workers if w.worker_id in bid_by_worker
-        )
-        task_ids = tuple(t.task_id for t in dataset.tasks)
-        task_pos = {t: j for j, t in enumerate(task_ids)}
-
-        result_worker_pos = {w: i for i, w in enumerate(result.worker_ids)}
-        result_task_pos = {t: j for j, t in enumerate(result.task_ids)}
-
-        n, m = len(worker_ids), len(task_ids)
-        accuracy = np.zeros((n, m), dtype=np.float64)
-        prices = np.zeros(n, dtype=np.float64)
-        costs = np.zeros(n, dtype=np.float64)
-        for i, worker_id in enumerate(worker_ids):
-            bid = bid_by_worker[worker_id]
-            prices[i] = bid.price
-            costs[i] = dataset.worker_by_id[worker_id].cost
-            src_row = result_worker_pos.get(worker_id)
-            for task_id in bid.task_ids:
-                j = task_pos[task_id]
-                src_col = result_task_pos.get(task_id)
-                if src_row is not None and src_col is not None:
-                    accuracy[i, j] = result.accuracy_matrix[src_row, src_col]
-
-        if requirements is None:
-            req = np.array([t.requirement for t in dataset.tasks], dtype=np.float64)
-        else:
-            req = np.array(
-                [requirements.get(t.task_id, t.requirement) for t in dataset.tasks],
-                dtype=np.float64,
+        index = index or DatasetIndex(dataset)
+        if (result.worker_ids, result.task_ids) != (tuple(index.worker_ids), tuple(index.task_ids)):
+            raise ConfigurationError(
+                "the truth-discovery result's workers and tasks must be the "
+                "index's, in index order"
             )
-        values = np.array([t.value for t in dataset.tasks], dtype=np.float64)
+        arrays = index.arrays
+        bidding = np.diff(arrays.worker_ptr) > 0
+        row = np.cumsum(bidding) - 1
+        bidders = np.flatnonzero(bidding).tolist()
+        worker, task = arrays.claim_worker, arrays.claim_task
+        accuracy = np.zeros((len(bidders), index.n_tasks), dtype=np.float64)
+        accuracy[row[worker], task] = result.accuracy_matrix[worker, task]
+        costs = [index.workers[i].cost for i in bidders]
+        worker_ids = tuple(index.worker_ids[i] for i in bidders)
+        prices = prices or {}
+        requirements = requirements or {}
         return cls(
             worker_ids=worker_ids,
-            task_ids=task_ids,
-            requirements=req,
+            task_ids=tuple(index.task_ids),
+            requirements=[requirements.get(t.task_id, t.requirement) for t in index.tasks],
             accuracy=accuracy,
-            bids=prices,
+            bids=[prices.get(w, c) for w, c in zip(worker_ids, costs)],
             costs=costs,
-            task_values=values,
+            task_values=[t.value for t in index.tasks],
         )
 
     # ------------------------------------------------------------------
@@ -343,18 +335,5 @@ class SOACInstance:
             accuracy=self.accuracy,
             bids=bids,
             costs=self.costs,
-            task_values=self.task_values,
-        )
-
-    def without_worker(self, worker_index: int) -> "SOACInstance":
-        """Return a copy excluding one worker (used by payment logic/tests)."""
-        keep = [i for i in range(self.n_workers) if i != worker_index]
-        return SOACInstance(
-            worker_ids=tuple(self.worker_ids[i] for i in keep),
-            task_ids=self.task_ids,
-            requirements=self.requirements,
-            accuracy=self.accuracy[keep],
-            bids=self.bids[keep],
-            costs=self.costs[keep],
             task_values=self.task_values,
         )

@@ -85,7 +85,9 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> Path:
     return directory
 
 
-def _read_rows(path: Path, expected_fields: list[str]) -> list[dict[str, str]]:
+def _read_rows(path: Path, expected_fields: list[str]) -> list[tuple[int, dict[str, str]]]:
+    """The rows of one file, each with its line number; a short row
+    (a cell missing) is a :class:`DataFormatError` naming its line."""
     if not path.exists():
         raise DataFormatError(f"missing dataset file: {path}")
     with open(path, newline="") as handle:
@@ -95,39 +97,64 @@ def _read_rows(path: Path, expected_fields: list[str]) -> list[dict[str, str]]:
                 f"{path.name}: expected columns {expected_fields}, "
                 f"got {reader.fieldnames}"
             )
-        return list(reader)
+        rows = []
+        for row in reader:
+            for column in expected_fields:
+                if row[column] is None:
+                    raise DataFormatError(
+                        f"{path.name}: line {reader.line_num}: missing {column!r} cell"
+                    )
+            rows.append((reader.line_num, row))
+        return rows
+
+
+def _number(path: Path, line: int, row: dict[str, str], column: str) -> float:
+    """One numeric cell, or a :class:`DataFormatError` naming where it is."""
+    try:
+        return float(row[column])
+    except ValueError:
+        raise DataFormatError(
+            f"{path.name}: line {line}: {column!r} cell {row[column]!r} is not a number"
+        ) from None
 
 
 def load_dataset(directory: str | Path) -> Dataset:
-    """Load a dataset previously written by :func:`save_dataset`."""
+    """Load a dataset previously written by :func:`save_dataset`.
+
+    A missing file, unexpected columns, a short row, a non-numeric
+    number cell or a repeated claim raise
+    :class:`~repro.errors.DataFormatError`.
+    """
     directory = Path(directory)
+    path = directory / "tasks.csv"
     tasks = []
-    for row in _read_rows(directory / "tasks.csv", _TASK_FIELDS):
+    for line, row in _read_rows(path, _TASK_FIELDS):
         domain = tuple(row["domain"].split(_DOMAIN_SEP)) if row["domain"] else ()
         tasks.append(
             Task(
                 task_id=row["task_id"],
                 domain=domain,
-                requirement=float(row["requirement"]),
-                value=float(row["value"]),
+                requirement=_number(path, line, row, "requirement"),
+                value=_number(path, line, row, "value"),
                 truth=row["truth"] or None,
             )
         )
+    path = directory / "workers.csv"
     workers = []
-    for row in _read_rows(directory / "workers.csv", _WORKER_FIELDS):
+    for line, row in _read_rows(path, _WORKER_FIELDS):
         sources = tuple(row["sources"].split(_DOMAIN_SEP)) if row["sources"] else ()
         workers.append(
             WorkerProfile(
                 worker_id=row["worker_id"],
-                cost=float(row["cost"]),
-                reliability=float(row["reliability"]),
+                cost=_number(path, line, row, "cost"),
+                reliability=_number(path, line, row, "reliability"),
                 is_copier=row["is_copier"] == "1",
                 sources=sources,
-                copy_prob=float(row["copy_prob"]),
+                copy_prob=_number(path, line, row, "copy_prob"),
             )
         )
     claims: dict[tuple[str, str], str] = {}
-    for row in _read_rows(directory / "claims.csv", _CLAIM_FIELDS):
+    for _, row in _read_rows(directory / "claims.csv", _CLAIM_FIELDS):
         key = (row["worker_id"], row["task_id"])
         if key in claims:
             # A worker submits at most one value per task; silently

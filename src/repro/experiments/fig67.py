@@ -106,8 +106,9 @@ def _run(
                     ds = full.subset(
                         worker_ids=[w.worker_id for w in full.workers[:size]]
                     )
-                result = DATE(config.date).run(ds, index=DatasetIndex(ds))
-                instance = SOACInstance.from_truth_discovery(ds, result)
+                index = DatasetIndex(ds)
+                result = DATE(config.date).run(ds, index=index)
+                instance = SOACInstance.from_truth_discovery(ds, result, index=index)
                 cache[key] = instance.with_capped_requirements(REQUIREMENT_CAP)
             return cache[key]
 

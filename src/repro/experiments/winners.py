@@ -63,7 +63,7 @@ def run_winners_quality(
         for dataset in datasets:
             index = DatasetIndex(dataset)
             result = DATE(config.date).run(dataset, index=index)
-            instance = SOACInstance.from_truth_discovery(dataset, result)
+            instance = SOACInstance.from_truth_discovery(dataset, result, index=index)
             instance = instance.with_capped_requirements(REQUIREMENT_CAP)
             prepared.append((dataset, result, instance))
 

@@ -7,7 +7,7 @@ The two-stage mechanism ``M = (e, f, p)`` of Sec. II-A:
    ``et`` and the accuracy matrix ``A``; :meth:`IMC2.run` also takes
    this stage's result as a value (``truth=``);
 2. **Reverse auction stage** — build the SOAC instance from ``A`` and
-   the sealed bids, then run
+   the declared prices, then run
    :class:`~repro.auction.reverse_auction.ReverseAuction` (the winner
    selection ``f`` and payment ``p`` functions).
 
@@ -18,14 +18,15 @@ Eqs. 1-3: per-worker utilities, the platform utility
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from ..auction.reverse_auction import AuctionOutcome, ReverseAuction
 from ..auction.soac import SOACInstance, check_requirement_cap
 from ..core.config import DateConfig
 from ..core.date import DATE, TruthDiscoveryResult
-from ..types import Bid, Dataset
+from ..core.indexing import DatasetIndex
+from ..types import Dataset
 
 __all__ = ["IMC2", "IMC2Outcome"]
 
@@ -104,26 +105,30 @@ class IMC2:
 
     def run(
         self,
-        dataset: Dataset,
+        dataset: Dataset | None,
         *,
+        index: DatasetIndex | None = None,
         truth: TruthDiscoveryResult | None = None,
-        bids: Sequence[Bid] | None = None,
+        prices: Mapping[str, float] | None = None,
         requirements: Mapping[str, float] | None = None,
     ) -> IMC2Outcome:
         """Execute both stages and assemble the welfare accounting.
 
-        ``truth`` is a stage-1 result already computed on ``dataset``
-        (any zoo member's, or one result reused across bid vectors —
-        stage 1 does not read the bids); ``None`` runs DATE with
-        ``date_config``.  ``bids`` defaults to truthful bids (each
-        worker bids its private cost on exactly the tasks it answered);
+        Both stages run on ``index`` when given; ``dataset`` is read
+        only to build one otherwise (stage 1's cold DATE run frees its
+        own, and stage 2 encodes another).  ``truth`` is a stage-1
+        result already computed on the campaign (any zoo member's, or
+        one result reused across price vectors — stage 1 does not read
+        the bids); ``None`` runs DATE with ``date_config``.  Each worker
+        bids on exactly the tasks it answered, at its private cost
+        unless ``prices`` (worker id -> declared price) overrides it;
         ``requirements`` overrides per-task accuracy requirements
         ``Θ_j``.
         """
         if truth is None:
-            truth = DATE(self.date_config).run(dataset)
+            truth = DATE(self.date_config).run(dataset, index=index)
         instance = SOACInstance.from_truth_discovery(
-            dataset, truth, bids=bids, requirements=requirements
+            dataset, truth, index=index, prices=prices, requirements=requirements
         )
         if self.requirement_cap is not None:
             instance = instance.with_capped_requirements(self.requirement_cap)

@@ -131,7 +131,7 @@ def instance_metrics(scenario: Scenario, k: int) -> dict[str, float]:
         # Stage 1 does not depend on the bids, so every auction run
         # reuses the DATE result computed above instead of re-estimating.
         mechanism = IMC2(requirement_cap=scenario.requirement_cap)
-        truthful = mechanism.run(dataset, truth=result)
+        truthful = mechanism.run(dataset, index=index, truth=result)
         shaders = sorted(shaded_prices)
         truthful_utility = sum(
             truthful.worker_utilities.get(w, 0.0) for w in shaders
@@ -143,10 +143,9 @@ def instance_metrics(scenario: Scenario, k: int) -> dict[str, float]:
         for worker_id in shaders:
             solo = mechanism.run(
                 dataset,
+                index=index,
                 truth=result,
-                bids=dataset.bids(
-                    prices={worker_id: shaded_prices[worker_id]}
-                ),
+                prices={worker_id: shaded_prices[worker_id]},
             )
             utility = solo.worker_utilities.get(worker_id, 0.0)
             unilateral += utility

@@ -537,9 +537,9 @@ class CampaignStore:
         refresh is journaled or computed.
 
         Only the refresh and the capture of the index it published hold
-        the campaign lock; the mechanism prices a private copy of that
-        index outside it, so ingests proceed meanwhile (reads never
-        wait) and the ``Dataset`` it assembles dies with the run.
+        the campaign lock; the mechanism prices that index outside it
+        (an ingest publishes an extension and never mutates it), so
+        ingests proceed meanwhile and reads never wait.
         """
         campaign = self.get(campaign_id)
         mechanism = IMC2(requirement_cap=requirement_cap)
@@ -547,7 +547,7 @@ class CampaignStore:
             truth = self._refresh(campaign)
             campaign.last_update = time.time()
             index = campaign.online.state.index
-        return mechanism.run(index.extended().index.dataset, truth=truth)
+        return mechanism.run(None, index=index, truth=truth)
 
     def snapshot(self, campaign_id: str) -> dict:
         """JSON-safe campaign state: summary + estimates + reputations,

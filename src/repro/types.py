@@ -1,4 +1,4 @@
-"""Core data model: tasks, workers, claims, bids, and datasets.
+"""Core data model: tasks, workers, claims, and datasets.
 
 The vocabulary follows the paper (Sec. II):
 
@@ -9,9 +9,11 @@ The vocabulary follows the paper (Sec. II):
   and — for synthetic data only — the generative ground truth about the
   worker (reliability, whether it is a copier, and its copy sources);
 - a *claim* is the single value worker ``i`` submitted for task ``t_j``;
-- a :class:`Bid` is the triple ``B_i = (T_i, b_i, D_i)`` a worker
-  submits to the reverse auction (its data ``D_i`` lives in the shared
-  :class:`Dataset`);
+- a bid ``B_i = (T_i, b_i, D_i)`` to the reverse auction needs no type
+  of its own: its task set ``T_i`` is exactly the tasks the worker
+  answered and its data ``D_i`` are those claims, so only the price
+  ``b_i`` is declared, and the auction takes prices by worker id
+  (:meth:`~repro.auction.soac.SOACInstance.from_truth_discovery`);
 - a :class:`Dataset` bundles tasks, workers and claims, validates them,
   and exposes the derived views (claims by task / by worker) that the
   algorithms consume.
@@ -31,7 +33,7 @@ from types import MappingProxyType
 
 from .errors import ConfigurationError, DataFormatError
 
-__all__ = ["Task", "WorkerProfile", "Bid", "Dataset", "check_integrity"]
+__all__ = ["Task", "WorkerProfile", "Dataset", "check_integrity"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,26 +151,6 @@ class WorkerProfile:
         if self.is_copier and not sources:
             return replace(self, is_copier=False, sources=(), copy_prob=0.0)
         return replace(self, sources=sources)
-
-
-@dataclass(frozen=True, slots=True)
-class Bid:
-    """A sealed bid ``B_i = (T_i, b_i)``; the data ``D_i`` lives in the dataset."""
-
-    worker_id: str
-    task_ids: frozenset[str]
-    price: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.price) and self.price >= 0):
-            raise ConfigurationError(
-                f"bid of worker {self.worker_id}: price must be finite and >= 0, "
-                f"got {self.price}"
-            )
-        if not self.task_ids:
-            raise ConfigurationError(
-                f"bid of worker {self.worker_id}: task set must be non-empty"
-            )
 
 
 @dataclass(frozen=True)
@@ -304,31 +286,6 @@ class Dataset:
     def with_claims(self, claims: Mapping[tuple[str, str], str]) -> "Dataset":
         """Return a copy of the dataset with a replaced claim matrix."""
         return Dataset(tasks=self.tasks, workers=self.workers, claims=claims)
-
-    def bids(self, prices: Mapping[str, float] | None = None) -> list[Bid]:
-        """Build the sealed-bid profile ``B``.
-
-        Each worker bids for exactly the tasks it submitted data for.
-        ``prices`` overrides individual bid prices; by default workers
-        bid their true private cost (the truthful strategy, which the
-        mechanism analysis shows is dominant).  Workers with no claims
-        submit no bid.
-        """
-        prices = dict(prices or {})
-        bids = []
-        for worker in self.workers:
-            answered = self.claims_by_worker[worker.worker_id]
-            if not answered:
-                continue
-            price = prices.get(worker.worker_id, worker.cost)
-            bids.append(
-                Bid(
-                    worker_id=worker.worker_id,
-                    task_ids=frozenset(answered),
-                    price=price,
-                )
-            )
-        return bids
 
 
 def check_integrity(

@@ -10,7 +10,8 @@ when it returns and that :func:`gc.collect` then finds nothing:
 
 - an ingest, which replaces the published index with its extension;
 - a refresh, which runs on a private copy of the index;
-- a store auction, which refreshes and prices a private copy;
+- a store auction, which refreshes on a private copy and prices the
+  published index;
 - a journal recovery, whose store is then discarded;
 - an evict, which drops a campaign;
 - a cold ``DATE().run(dataset)``, which builds its own index.
@@ -147,13 +148,13 @@ def test_a_refresh_frees_its_private_copy(batches, born):
     assert result.truths == online.truths
 
 
-def test_a_store_auction_frees_its_private_copies(batches, born):
+def test_a_store_auction_frees_its_private_copy(batches, born):
     store = _store(batches)
     with collector_off():
         born.clear()
         outcome = store.auction("c", requirement_cap=CAP)
-        # The refresh's copy and the mechanism's.
-        assert len(born) == 2
+        # The refresh's copy; the mechanism prices the published index.
+        assert len(born) == 1
         assert alive(born) == []
         assert gc.collect() == 0
     assert outcome.auction.winner_ids

@@ -17,8 +17,9 @@ by line over dict views of a :class:`~repro.core.indexing.DatasetIndex`
   Eq. 21);
 - :mod:`.date` — the Alg. 1 drivers for DATE, ED and NC and the
   table-shaped result assembler they report through;
-- :mod:`.auction` — Alg. 2's greedy cover and critical payments, and
-  the GA and GB baselines' selection loops;
+- :mod:`.auction` — Alg. 2's greedy cover and critical payments, the
+  GA and GB baselines' selection loops, and IMC2's stage hand-off as a
+  loop over sealed bids;
 - :mod:`.indexing` — the per-task, per-value and per-worker claim
   dicts, co-answering pairs, initial accuracies and majority vote the
   oracles read off an index's campaign;
@@ -42,6 +43,7 @@ from .auction import (
     reference_greedy_accuracy,
     reference_greedy_bid,
     reference_payments,
+    reference_soac_instance,
 )
 from .date import (
     build_result,
@@ -105,6 +107,7 @@ __all__ = [
     "reference_greedy_accuracy",
     "reference_greedy_bid",
     "reference_payments",
+    "reference_soac_instance",
     "run_reference",
     "segment_first_argmax_numpy",
     "select_truths",

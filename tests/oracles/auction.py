@@ -1,4 +1,5 @@
-"""Scalar transcriptions of Alg. 2 and the GA / GB baselines, kept as oracles.
+"""Scalar transcriptions of Alg. 2, the GA / GB baselines and IMC2's
+stage hand-off, kept as oracles.
 
 Per-worker loops: the selection phase evaluates every remaining
 worker's effective accuracy unit cost each round, and the payment
@@ -8,15 +9,24 @@ marginal; lowest bid).  The product runs :mod:`repro.auction.engine`
 (one batched greedy cover for all three, lazy-greedy payment
 continuations); the differential suites pin each pair to identical
 outcomes, bit for bit.
+
+:func:`reference_soac_instance` is the stage hand-off as a loop over
+sealed bids ``(worker, answered tasks, price)``, mapping every id
+through the result's own orderings; the product gathers the result's
+accuracy matrix at the index's claim arrays in one step.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
 from repro.auction.reverse_auction import AuctionOutcome, ReverseAuction
 from repro.auction.soac import COVERAGE_TOL, SOACInstance
+from repro.core.date import TruthDiscoveryResult
 from repro.errors import InfeasibleCoverageError
+from repro.types import Dataset
 
 __all__ = [
     "greedy_cover",
@@ -24,6 +34,7 @@ __all__ = [
     "reference_greedy_accuracy",
     "reference_greedy_bid",
     "reference_payments",
+    "reference_soac_instance",
 ]
 
 
@@ -240,4 +251,58 @@ def reference_greedy_bid(instance: SOACInstance) -> AuctionOutcome:
         payments=payments,
         social_cost=instance.social_cost(selected),
         total_payment=float(sum(payments.values())),
+    )
+
+
+def reference_soac_instance(
+    dataset: Dataset,
+    result: TruthDiscoveryResult,
+    *,
+    prices: Mapping[str, float] | None = None,
+    requirements: Mapping[str, float] | None = None,
+) -> SOACInstance:
+    """:meth:`SOACInstance.from_truth_discovery` as a per-(bid, task) loop.
+
+    Each worker with a claim bids ``(T_i, b_i)``: the tasks it answered
+    and its cost, or its ``prices`` entry.  Its accuracy on each bid
+    task is copied from the result through the result's id orderings.
+    """
+    prices = dict(prices or {})
+    bids = [
+        (worker.worker_id, frozenset(answered), prices.get(worker.worker_id, worker.cost))
+        for worker in dataset.workers
+        if (answered := dataset.claims_by_worker[worker.worker_id])
+    ]
+    worker_ids = tuple(worker_id for worker_id, _, _ in bids)
+    task_ids = tuple(t.task_id for t in dataset.tasks)
+    task_pos = {t: j for j, t in enumerate(task_ids)}
+    result_worker_pos = {w: i for i, w in enumerate(result.worker_ids)}
+    result_task_pos = {t: j for j, t in enumerate(result.task_ids)}
+
+    n, m = len(worker_ids), len(task_ids)
+    accuracy = np.zeros((n, m), dtype=np.float64)
+    bid_prices = np.zeros(n, dtype=np.float64)
+    costs = np.zeros(n, dtype=np.float64)
+    for i, (worker_id, bid_tasks, price) in enumerate(bids):
+        bid_prices[i] = price
+        costs[i] = dataset.worker_by_id[worker_id].cost
+        src_row = result_worker_pos.get(worker_id)
+        for task_id in bid_tasks:
+            j = task_pos[task_id]
+            src_col = result_task_pos.get(task_id)
+            if src_row is not None and src_col is not None:
+                accuracy[i, j] = result.accuracy_matrix[src_row, src_col]
+
+    requirements = requirements or {}
+    return SOACInstance(
+        worker_ids=worker_ids,
+        task_ids=task_ids,
+        requirements=np.array(
+            [requirements.get(t.task_id, t.requirement) for t in dataset.tasks],
+            dtype=np.float64,
+        ),
+        accuracy=accuracy,
+        bids=bid_prices,
+        costs=costs,
+        task_values=np.array([t.value for t in dataset.tasks], dtype=np.float64),
     )

@@ -1,6 +1,7 @@
 """What a store refresh and a store auction leave behind: the auction
-prices outside the campaign lock, and neither run leaves its pair
-tables or its assembled ``Dataset`` on the live campaign."""
+prices the published index outside the campaign lock, assembling no
+``Dataset``, and neither run leaves its pair tables on the live
+campaign."""
 
 from __future__ import annotations
 
@@ -10,10 +11,12 @@ import tracemalloc
 
 import pytest
 
+from repro.core import DatasetIndex
 from repro.core.date import DATE
 from repro.datasets.qatar_living import generate_qatar_living_like
 from repro.mechanism.imc2 import IMC2
 from repro.streaming import CampaignStore, OnlineDATE, replay_batches
+from repro.types import Dataset
 
 CAP = 0.8
 #: How long the gated auction waits for the test to release it.  A
@@ -180,3 +183,29 @@ def test_refresh_and_auction_keep_no_memory(batches):
 
     assert after_refresh <= 1.2 * before
     assert after_auction <= 1.2 * before
+
+
+def test_an_auction_prices_the_published_index(monkeypatch, batches):
+    store = _store_with(batches)
+    reference = IMC2(requirement_cap=CAP).run(
+        store.get("c").online.dataset, truth=store.estimate("c", refresh=True)
+    )
+    calls: list[str] = []
+    check, extended = Dataset.__post_init__, DatasetIndex.extended
+
+    def counted_check(self):
+        calls.append("Dataset")
+        check(self)
+
+    def counted_extended(self, **delta):
+        calls.append("extended")
+        return extended(self, **delta)
+
+    monkeypatch.setattr(Dataset, "__post_init__", counted_check)
+    monkeypatch.setattr(DatasetIndex, "extended", counted_extended)
+    outcome = store.auction("c", requirement_cap=CAP)
+    # The refresh's private copy is the only one; no campaign is
+    # re-assembled for stage 2.
+    assert calls == ["extended"]
+    assert outcome.auction.winner_ids == reference.auction.winner_ids
+    assert outcome.auction.payments == reference.auction.payments

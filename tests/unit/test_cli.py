@@ -61,6 +61,25 @@ class TestUnknownNames:
         assert len(completed.stderr.strip().splitlines()) == 1
 
 
+class TestMalformedCampaign:
+    def test_non_numeric_cell_exits_with_one_line(self, campaign_dir):
+        tasks_csv = campaign_dir / "tasks.csv"
+        lines = tasks_csv.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[2] = "abc"  # the requirement column
+        lines[1] = ",".join(cells)
+        tasks_csv.write_text("\n".join(lines) + "\n")
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "truth", str(campaign_dir)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr == "tasks.csv: line 2: 'requirement' cell 'abc' is not a number\n"
+
+
 class TestGenerate:
     def test_writes_loadable_dataset(self, campaign_dir):
         dataset = load_dataset(campaign_dir)

@@ -324,3 +324,44 @@ class TestDatasetIO:
         assert worker_id in str(excinfo.value)
         assert task_id in str(excinfo.value)
         assert isinstance(excinfo.value, ReproError)
+
+    @pytest.mark.parametrize(
+        "name, column",
+        [
+            ("tasks.csv", "requirement"),
+            ("tasks.csv", "value"),
+            ("workers.csv", "cost"),
+            ("workers.csv", "reliability"),
+            ("workers.csv", "copy_prob"),
+        ],
+    )
+    def test_non_numeric_cell_rejected(self, tmp_path, qlf_small, name, column):
+        from repro.errors import DataFormatError
+
+        save_dataset(qlf_small, tmp_path / "ds")
+        path = tmp_path / "ds" / name
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[3].split(",")
+        cells[header.index(column)] = "abc"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as excinfo:
+            load_dataset(tmp_path / "ds")
+        assert str(excinfo.value) == (
+            f"{name}: line 4: {column!r} cell 'abc' is not a number"
+        )
+
+    @pytest.mark.parametrize("name", ["tasks.csv", "workers.csv", "claims.csv"])
+    def test_short_row_rejected(self, tmp_path, qlf_small, name):
+        from repro.errors import DataFormatError
+
+        save_dataset(qlf_small, tmp_path / "ds")
+        path = tmp_path / "ds" / name
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        lines[2] = ",".join(lines[2].split(",")[:-1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as excinfo:
+            load_dataset(tmp_path / "ds")
+        assert str(excinfo.value) == f"{name}: line 3: missing {header[-1]!r} cell"

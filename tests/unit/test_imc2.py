@@ -58,9 +58,8 @@ class TestIMC2:
         assert small.auction.social_cost <= full.auction.social_cost + 1e-9
 
     def test_bid_override_changes_instance(self, qlf_small):
-        bidder = qlf_small.bids()[0].worker_id
-        bids = qlf_small.bids(prices={bidder: 0.01})
-        outcome = IMC2().run(qlf_small, bids=bids)
+        bidder = next(w for w, answered in qlf_small.claims_by_worker.items() if answered)
+        outcome = IMC2().run(qlf_small, prices={bidder: 0.01})
         i = outcome.instance.worker_ids.index(bidder)
         assert outcome.instance.bids[i] == pytest.approx(0.01)
         # True cost is unchanged by a strategic bid.

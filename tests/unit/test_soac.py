@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro import (
     DATE,
     ConfigurationError,
+    Dataset,
+    DatasetIndex,
     InfeasibleCoverageError,
+    MajorityVote,
     SOACInstance,
+    Task,
+    WorkerProfile,
 )
 
 
@@ -145,12 +152,6 @@ class TestTransformations:
         with pytest.raises(ConfigurationError):
             soac_small.with_bid(0, float("nan"))
 
-    def test_without_worker(self, soac_small):
-        reduced = soac_small.without_worker(3)
-        assert reduced.n_workers == 3
-        assert "w3" not in reduced.worker_ids
-        assert not reduced.is_covering(range(reduced.n_workers)) or True
-
     def test_with_capped_requirements(self, soac_small):
         bumped = SOACInstance(
             worker_ids=soac_small.worker_ids,
@@ -176,7 +177,7 @@ class TestFromTruthDiscovery:
     def test_pipeline_construction(self, qlf_small):
         result = DATE().run(qlf_small)
         instance = SOACInstance.from_truth_discovery(qlf_small, result)
-        bidders = {b.worker_id for b in qlf_small.bids()}
+        bidders = {w for w, answered in qlf_small.claims_by_worker.items() if answered}
         assert set(instance.worker_ids) == bidders
         assert instance.n_tasks == qlf_small.n_tasks
         # Bids default to true costs (truthful bidding).
@@ -202,3 +203,50 @@ class TestFromTruthDiscovery:
             qlf_small, result, requirements=overrides
         )
         assert instance.requirements[0] == pytest.approx(0.25)
+
+    def test_prices_default_to_costs(self, tiny_dataset):
+        result = MajorityVote().run(tiny_dataset)
+        instance = SOACInstance.from_truth_discovery(tiny_dataset, result)
+        prices = dict(zip(instance.worker_ids, instance.bids.tolist()))
+        assert prices["w1"] == 2.0
+        w5 = instance.worker_ids.index("w5")
+        assert np.flatnonzero(instance.accuracy[w5]).tolist() == [0, 1]
+
+    def test_price_override(self, tiny_dataset):
+        result = MajorityVote().run(tiny_dataset)
+        instance = SOACInstance.from_truth_discovery(
+            tiny_dataset, result, prices={"w1": 9.0}
+        )
+        prices = dict(zip(instance.worker_ids, instance.bids.tolist()))
+        assert prices["w1"] == 9.0
+        assert prices["w2"] == 3.0
+        # A declared price moves the bid, never the true cost.
+        assert instance.costs[instance.worker_ids.index("w1")] == 2.0
+
+    @pytest.mark.parametrize("price", [-1.0, float("nan"), float("inf")])
+    def test_bad_price_rejected(self, tiny_dataset, price):
+        result = MajorityVote().run(tiny_dataset)
+        with pytest.raises(ConfigurationError, match="bids must be finite"):
+            SOACInstance.from_truth_discovery(tiny_dataset, result, prices={"w1": price})
+
+    def test_workers_without_claims_do_not_bid(self):
+        tasks = (Task(task_id="t0", domain=("A",)),)
+        workers = (
+            WorkerProfile(worker_id="idle"),
+            WorkerProfile(worker_id="busy"),
+        )
+        dataset = Dataset(tasks=tasks, workers=workers, claims={("busy", "t0"): "A"})
+        result = MajorityVote().run(dataset)
+        instance = SOACInstance.from_truth_discovery(dataset, result)
+        assert instance.worker_ids == ("busy",)
+
+    def test_result_of_another_order_rejected(self, tiny_dataset):
+        index = DatasetIndex(tiny_dataset)
+        result = MajorityVote().run(tiny_dataset, index=index)
+        for changed in (
+            replace(result, worker_ids=result.worker_ids[::-1]),
+            replace(result, task_ids=result.task_ids[::-1]),
+            replace(result, worker_ids=result.worker_ids[:-1]),
+        ):
+            with pytest.raises(ConfigurationError, match="index order"):
+                SOACInstance.from_truth_discovery(tiny_dataset, changed, index=index)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Bid, ConfigurationError, DataFormatError, Dataset, Task, WorkerProfile
+from repro import ConfigurationError, DataFormatError, Dataset, Task, WorkerProfile
 
 
 class TestTask:
@@ -86,25 +86,6 @@ class TestWorkerProfile:
     def test_with_cost(self):
         worker = WorkerProfile(worker_id="w", cost=1.0)
         assert worker.with_cost(9.0).cost == 9.0
-
-
-class TestBid:
-    def test_valid(self):
-        bid = Bid(worker_id="w", task_ids=frozenset({"t1"}), price=2.0)
-        assert bid.price == 2.0
-
-    def test_negative_price_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Bid(worker_id="w", task_ids=frozenset({"t1"}), price=-1.0)
-
-    @pytest.mark.parametrize("price", [float("nan"), float("inf")])
-    def test_non_finite_price_rejected(self, price):
-        with pytest.raises(ConfigurationError):
-            Bid(worker_id="w", task_ids=frozenset({"t1"}), price=price)
-
-    def test_empty_task_set_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Bid(worker_id="w", task_ids=frozenset(), price=1.0)
 
 
 class TestDataset:
@@ -192,26 +173,3 @@ class TestDataset:
             tiny_dataset.subset(task_ids=["nope"])
         with pytest.raises(DataFormatError):
             tiny_dataset.subset(worker_ids=["nope"])
-
-    def test_bids_default_to_costs(self, tiny_dataset):
-        bids = tiny_dataset.bids()
-        by_id = {b.worker_id: b for b in bids}
-        assert by_id["w1"].price == 2.0
-        assert by_id["w5"].task_ids == frozenset({"t0", "t1"})
-
-    def test_bids_price_override(self, tiny_dataset):
-        bids = tiny_dataset.bids(prices={"w1": 9.0})
-        by_id = {b.worker_id: b for b in bids}
-        assert by_id["w1"].price == 9.0
-        assert by_id["w2"].price == 3.0
-
-    def test_workers_without_claims_submit_no_bid(self):
-        tasks = (Task(task_id="t0", domain=("A",)),)
-        workers = (
-            WorkerProfile(worker_id="busy"),
-            WorkerProfile(worker_id="idle"),
-        )
-        dataset = Dataset(
-            tasks=tasks, workers=workers, claims={("busy", "t0"): "A"}
-        )
-        assert [b.worker_id for b in dataset.bids()] == ["busy"]
