@@ -148,7 +148,7 @@ def test_a_refresh_frees_its_private_copy(batches, born):
     assert result.truths == online.truths
 
 
-def test_a_store_auction_frees_its_private_copy(batches, born):
+def test_a_store_auction_frees_its_private_copies(batches, born):
     store = _store(batches)
     with collector_off():
         born.clear()
